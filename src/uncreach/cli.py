@@ -62,30 +62,29 @@ def _verdict_line(verdict, labels, kind: str) -> str:
     return f"verdict: unsafe at {where}, half-space {verdict.halfspace}"
 
 
+def _bounds_cells(result, k: int) -> list[str]:
+    cells = []
+    for lo, hi in zip(result.lo[k], result.hi[k]):
+        cells.append(FMT.format(lo))
+        cells.append(FMT.format(hi))
+    return cells
+
+
 def _numeric_csv(result) -> str:
-    lines = []
-    for k, box in enumerate(result.boxes):
-        cells = [str(int(result.labels[k]))]
-        for lo, hi in zip(box.lo, box.hi):
-            cells.append(FMT.format(lo))
-            cells.append(FMT.format(hi))
-        cells.append(str(int(result.gen_counts[k])))
-        lines.append(",".join(cells))
+    lines = [
+        ",".join([str(int(result.labels[k]))] + _bounds_cells(result, k)
+                 + [str(int(result.gen_counts[k]))])
+        for k in range(len(result))
+    ]
     return "\n".join(lines) + "\n"
 
 
 def _symbolic_csv(result) -> str:
-    lines = []
-    for k, box in enumerate(result.boxes):
-        cells = [
-            FMT.format(result.labels[k]),
-            FMT.format(result.phi[k]),
-            FMT.format(result.radii[k]),
-        ]
-        for lo, hi in zip(box.lo, box.hi):
-            cells.append(FMT.format(lo))
-            cells.append(FMT.format(hi))
-        lines.append(",".join(cells))
+    lines = [
+        ",".join([FMT.format(result.labels[k]), FMT.format(result.phi[k]),
+                  FMT.format(result.radii[k])] + _bounds_cells(result, k))
+        for k in range(len(result))
+    ]
     return "\n".join(lines) + "\n"
 
 

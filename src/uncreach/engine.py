@@ -15,15 +15,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
+from . import _kernels
 from . import bounds as _bounds
 from .errors import DimensionMismatch
 from .intervals import IntervalMatrix, interval_expm
-from .stars import Box, Star, compact, interval_reduce, lambda_box, linear_map, \
-    minkowski_sum, zono_reduce
+from .stars import Box, Star, linear_map, zono_reduce
 
 __all__ = [
     "CellUncertainty",
@@ -165,25 +166,37 @@ class ModelSpec:
 class ReachResult:
     """Per-step flowpipe data from either pipeline.
 
-    labels : step indices (numeric) or times (symbolic)
-    stars  : the star at each step (numeric: the reachable set itself;
-             symbolic: the nominal set, to be padded by radii)
-    radii  : bloating radius per step (zero on the numeric route)
-    boxes  : bounding box per step, radius already applied
+    labels   : step indices (numeric) or times (symbolic)
+    lo, hi   : (steps, dim) bounding-box bounds per step, radius applied
+    radii    : bloating radius per step (zero on the numeric route)
+    stars    : the star at each step (numeric: the reachable set itself,
+               kept only with keep_stars=True, else None; symbolic: the
+               nominal set, to be padded by radii)
+    normals  : (k, dim) directions whose supports the numeric recurrence
+               recorded (the model's unsafe normals), or None
+    supports : (steps, k) support values in those directions, or None
     """
 
     kind: str
     method: str
     labels: np.ndarray
-    stars: list[Star]
+    lo: np.ndarray
+    hi: np.ndarray
     radii: np.ndarray
-    boxes: list[Box]
     gen_counts: np.ndarray
+    stars: list[Star] | None = None
+    normals: np.ndarray | None = None
+    supports: np.ndarray | None = None
     wall_time: float = 0.0
     phi: np.ndarray | None = None
 
+    @cached_property
+    def boxes(self) -> list[Box]:
+        """Bounding box per step, built from lo/hi on first access."""
+        return [Box(lo, hi) for lo, hi in zip(self.lo, self.hi)]
+
     def __len__(self) -> int:
-        return len(self.stars)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -217,54 +230,133 @@ def discretize(a, pert: IntervalMatrix, h: float,
 
 def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                     horizon: int, reduction_method: str,
-                    reduction_period: int, method_name: str) -> ReachResult:
+                    reduction_period: int, method_name: str,
+                    normals: np.ndarray, keep_stars: bool) -> ReachResult:
+    """Stream the star recurrence through one preallocated generator buffer.
+
+    The live star is <anchor, gens[:, :m], [clo[:m], chi[:m]]>.  Each step
+    computes exactly what compact(lambda_box(Lbar, S)), linear_map(Abar, S),
+    minkowski_sum and the periodic reduction compute on Star objects, but
+    in place: the linear map writes into a second buffer (so it never reads
+    what it overwrites), the fresh box generators are appended behind it,
+    and only boxes, generator counts and the supports in `normals` are
+    stored per step.  Inputs are validated once here and the flowpipe once
+    at the end.
+    """
     start = time.perf_counter()
-    s = theta.to_star()
-    stars = [s]
-    boxes = [s.bounding_box()]
-    counts = [s.n_gens]
     n = theta.dim
-    for k in range(1, horizon + 1):
-        u = compact(lambda_box(lbar, s))
-        s = linear_map(abar, s)
-        if u.n_gens or np.any(u.anchor):
-            s = minkowski_sum(s, u)
-        if reduction_method != "none" and k % reduction_period == 0:
-            if reduction_method == "interval":
-                s = interval_reduce(s)
-            else:
-                s = zono_reduce(s, 2 * n)
-        stars.append(s)
-        boxes.append(s.bounding_box())
-        counts.append(s.n_gens)
+    abar = np.ascontiguousarray(abar, dtype=np.float64)
+    if abar.shape != (n, n) or lbar.shape != (n, n):
+        raise DimensionMismatch("matrices must be square and match the box")
+    if not np.all(np.isfinite(abar)):
+        raise ValueError("discrete dynamics matrix must be finite")
+    reducing = reduction_method != "none"
+    # each step appends at most n generators; a reduction leaves n
+    # (interval) or at most 2n (zonotope) of them
+    span = min(horizon, reduction_period) if reducing else horizon
+    capacity = n * (span + (2 if reduction_method == "zonotope" else 1))
+    gens = np.empty((n, capacity))
+    spare = np.empty((n, capacity))
+    clo = np.empty(capacity)
+    chi = np.empty(capacity)
+    eye = np.eye(n)
+    anchor = np.zeros(n)
+    gens[:, :n] = eye
+    clo[:n] = theta.lo
+    chi[:n] = theta.hi
+    m = n
+
+    lo = np.empty((horizon + 1, n))
+    hi = np.empty((horizon + 1, n))
+    supports = np.empty((horizon + 1, normals.shape[0]))
+    counts = np.empty(horizon + 1, dtype=np.int64)
+    stars: list[Star] | None = [] if keep_stars else None
+    for k in range(horizon + 1):
+        if k:
+            dlo, dhi = _kernels.lambda_box_core(lbar.lo, lbar.hi, anchor,
+                                                gens[:, :m], clo[:m], chi[:m])
+            np.matmul(abar, gens[:, :m], out=spare[:, :m])
+            gens, spare = spare, gens
+            anchor = abar @ anchor
+            # compact: zero-width coefficients fold into the anchor
+            fresh = eye
+            keep = dhi - dlo != 0.0
+            if not keep.all():
+                anchor = anchor + np.where(keep, 0.0, dlo)
+                fresh, dlo, dhi = eye[:, keep], dlo[keep], dhi[keep]
+            g = fresh.shape[1]
+            gens[:, m:m + g] = fresh
+            clo[m:m + g] = dlo
+            chi[m:m + g] = dhi
+            m += g
+            if reducing and k % reduction_period == 0:
+                if reduction_method == "interval":
+                    blo, bhi = _kernels.box_core(anchor, gens[:, :m], clo[:m],
+                                                 chi[:m])
+                    anchor = np.zeros(n)
+                    gens[:, :n] = eye
+                    clo[:n] = blo
+                    chi[:n] = bhi
+                    m = n
+                else:
+                    r = zono_reduce(Star(anchor, gens[:, :m], clo[:m],
+                                         chi[:m]), 2 * n)
+                    anchor = r.anchor
+                    m = r.n_gens
+                    gens[:, :m] = r.generators
+                    clo[:m] = r.coeff_lo
+                    chi[:m] = r.coeff_hi
+        live = (anchor, gens[:, :m], clo[:m], chi[:m])
+        lo[k], hi[k] = _kernels.box_core(*live)
+        if normals.shape[0]:
+            supports[k] = _kernels.support_core(*live, normals)
+        counts[k] = m
+        if keep_stars:
+            stars.append(Star(*(a.copy() for a in live)))
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("flowpipe is not finite: the recurrence overflowed")
     wall = time.perf_counter() - start
     return ReachResult(
         kind="numeric",
         method=method_name,
         labels=np.arange(horizon + 1, dtype=np.float64),
-        stars=stars,
+        lo=lo,
+        hi=hi,
         radii=np.zeros(horizon + 1),
-        boxes=boxes,
-        gen_counts=np.asarray(counts, dtype=np.int64),
+        gen_counts=counts,
+        stars=stars,
+        normals=normals,
+        supports=supports,
         wall_time=wall,
     )
 
 
 def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
-                            order: int = 20) -> ReachResult:
-    """Numeric flowpipe of the model with an explicit perturbation family."""
+                            order: int = 20,
+                            keep_stars: bool = False) -> ReachResult:
+    """Numeric flowpipe of the model with an explicit perturbation family.
+
+    The supports of the model's unsafe normals are recorded at every step,
+    so safety_check against model.unsafe needs no stored sets; pass
+    keep_stars=True to keep the star of every step as well.
+    """
     if model.continuous:
         abar, lbar = discretize(model.a, pert, model.step, order=order)
     else:
         abar, lbar = model.a, pert
+    normals = np.array([hs.normal for hs in model.unsafe],
+                       dtype=np.float64).reshape(-1, model.dim)
     return _run_recurrence(abar, lbar, model.initial, model.horizon,
                            model.reduction_method, model.reduction_period,
-                           method_name="numeric")
+                           method_name="numeric", normals=normals,
+                           keep_stars=keep_stars)
 
 
-def ors_reach(model: ModelSpec, order: int = 20) -> ReachResult:
+def ors_reach(model: ModelSpec, order: int = 20,
+              keep_stars: bool = False) -> ReachResult:
     """Numeric over-approximate flowpipe over the model horizon."""
-    return reach_with_perturbation(model, model.perturbation(), order=order)
+    return reach_with_perturbation(model, model.perturbation(), order=order,
+                                   keep_stars=keep_stars)
 
 
 def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
@@ -275,22 +367,20 @@ def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     start = time.perf_counter()
-    s = theta.to_star()
-    stars = [s]
-    boxes = [s.bounding_box()]
+    stars = [theta.to_star()]
     for _ in range(horizon):
-        s = linear_map(a, s)
-        stars.append(s)
-        boxes.append(s.bounding_box())
+        stars.append(linear_map(a, stars[-1]))
+    boxes = [s.bounding_box() for s in stars]
     wall = time.perf_counter() - start
     return ReachResult(
         kind="numeric",
         method="nominal",
         labels=np.arange(horizon + 1, dtype=np.float64),
-        stars=stars,
+        lo=np.array([b.lo for b in boxes]),
+        hi=np.array([b.hi for b in boxes]),
         radii=np.zeros(horizon + 1),
-        boxes=boxes,
         gen_counts=np.full(horizon + 1, theta.dim, dtype=np.int64),
+        stars=stars,
         wall_time=wall,
     )
 
@@ -311,7 +401,8 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     theta_star = theta.to_star()
     theta_norm = theta.max_norm()
     stars: list[Star] = []
-    boxes: list[Box] = []
+    lo = np.empty((series.times.shape[0], theta.dim))
+    hi = np.empty_like(lo)
     radii = np.empty(series.times.shape)
     counts = np.full(series.times.shape, theta_star.n_gens, dtype=np.int64)
     for idx, t in enumerate(series.times):
@@ -321,16 +412,18 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         radii[idx] = delta
         stars.append(nominal)
         box = nominal.bounding_box()
-        boxes.append(Box(box.lo - delta, box.hi + delta))
+        box = Box(box.lo - delta, box.hi + delta)
+        lo[idx], hi[idx] = box.lo, box.hi
     wall = time.perf_counter() - start
     return ReachResult(
         kind="symbolic",
         method=method,
         labels=series.times.copy(),
-        stars=stars,
+        lo=lo,
+        hi=hi,
         radii=radii,
-        boxes=boxes,
         gen_counts=counts,
+        stars=stars,
         wall_time=wall,
         phi=series.phi.copy(),
     )
@@ -341,21 +434,48 @@ def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:
 
     A half-space (normal, offset) is violated at a step iff the support of
     the step's set in direction normal is >= offset; symbolic sets add
-    radius * ||normal||_2 on top of the nominal support.
+    radius * ||normal||_2 on top of the nominal support.  Supports come
+    from the rows the numeric recurrence recorded for its model's unsafe
+    normals, else from the stored stars; a numeric result computed without
+    keep_stars=True can only be checked against those recorded normals.
     """
     halfspaces = tuple(halfspaces)
     if not halfspaces:
         return SafetyVerdict(safe=True)
     dirs = np.vstack([hs.normal for hs in halfspaces])
-    dir_norms = np.linalg.norm(dirs, axis=1)
+    if dirs.shape[1] != result.lo.shape[1]:
+        raise DimensionMismatch("half-space normals must match the flowpipe")
     offsets = np.asarray([hs.offset for hs in halfspaces])
-    for k, star in enumerate(result.stars):
-        sups = star.support_batch(dirs)
-        if result.radii[k]:
-            sups = sups + result.radii[k] * dir_norms
-        hit = np.nonzero(sups >= offsets)[0]
-        if hit.size:
-            j = int(hit[0])
-            return SafetyVerdict(safe=False, step=k, halfspace=j,
-                                 support=float(sups[j]))
+    first = 0
+    for sups in _support_blocks(result, dirs):
+        hit = sups >= offsets
+        if hit.any():
+            k, j = (int(i) for i in np.argwhere(hit)[0])  # row-major order
+            return SafetyVerdict(safe=False, step=first + k, halfspace=j,
+                                 support=float(sups[k, j]))
+        first += sups.shape[0]
     return SafetyVerdict(safe=True)
+
+
+def _support_blocks(result: ReachResult, dirs: np.ndarray):
+    """Supports in `dirs`, radii included, as (steps, k) blocks in order.
+
+    Recorded supports come as one block.  Stars are evaluated one step at
+    a time, so the scan stops computing at the first violation.
+    """
+    if result.normals is not None:
+        match = np.all(dirs[:, None, :] == result.normals[None, :, :], axis=2)
+        if np.all(match.any(axis=1)):
+            yield result.supports[:, np.argmax(match, axis=1)]
+            return
+    if result.stars is None:
+        raise ValueError(
+            "this flowpipe recorded supports only for its model's unsafe "
+            "normals; rerun it with keep_stars=True to check other "
+            "half-spaces")
+    dir_norms = np.linalg.norm(dirs, axis=1)
+    for star, radius in zip(result.stars, result.radii):
+        sups = star.support_batch(dirs)
+        if radius:
+            sups = sups + radius * dir_norms
+        yield sups[None, :]

@@ -80,7 +80,7 @@ def test_numeric_reach_soundness():
             horizon=int(rng.integers(5, 51)),
             continuous=continuous, step=0.05 if continuous else None)
         lam = model.lambda_u()
-        res = ors_reach(model)
+        res = ors_reach(model, keep_stars=True)
         dirs = membership_directions(n, extra=60)
         sups = np.vstack([s.support_batch(dirs) for s in res.stars])
         for _ in range(20):
@@ -164,10 +164,10 @@ def test_zero_uncertainty_equivalence():
 def test_reduction_contract_and_speed():
     """Reduced run contains the unreduced sets and is strictly faster."""
     ors_reach(girad_model())  # warm the jit kernels outside the timed runs
-    res_plain = min((ors_reach(girad_model(reduction="none")) for _ in range(2)),
-                    key=lambda r: r.wall_time)
-    res_red = min((ors_reach(girad_model(reduction="interval")) for _ in range(2)),
-                  key=lambda r: r.wall_time)
+    res_plain = min((ors_reach(girad_model(reduction="none"), keep_stars=True)
+                     for _ in range(2)), key=lambda r: r.wall_time)
+    res_red = min((ors_reach(girad_model(reduction="interval"), keep_stars=True)
+                   for _ in range(2)), key=lambda r: r.wall_time)
     rng = np.random.default_rng(77)
     dirs = rng.normal(size=(100, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

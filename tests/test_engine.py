@@ -1,5 +1,9 @@
 """Tests for discretization, the uncertain reach recurrence and safety checks."""
 
+import dataclasses
+import importlib.resources
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,11 +15,18 @@ from uncreach import (
     HalfSpace,
     IntervalMatrix,
     ModelSpec,
+    compact,
     discretize,
+    interval_reduce,
+    lambda_box,
+    linear_map,
+    load_model,
+    minkowski_sum,
     nominal_reach,
     ors_reach,
     reach_with_perturbation,
     safety_check,
+    zono_reduce,
 )
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -247,8 +258,8 @@ class TestOrsReach:
     def test_zonotope_reduction_contains_unreduced(self):
         m_none = girad_model(horizon=40, reduction="none")
         m_red = girad_model(horizon=40, reduction="zonotope", period=10)
-        res_none = ors_reach(m_none)
-        res_red = ors_reach(m_red)
+        res_none = ors_reach(m_none, keep_stars=True)
+        res_red = ors_reach(m_red, keep_stars=True)
         dirs = np.random.default_rng(9).normal(size=(50, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         for k in (10, 20, 40):
@@ -348,3 +359,127 @@ class TestSafetyCheck:
         unsafe_big = safety_check(
             ors_reach(scalar_growth_model(0.7, 1.3, unsafe=unsafe)), unsafe)
         assert safe_small.safe and not unsafe_big.safe
+
+
+def shipped_girad(horizon=120, reduction="none", period=50):
+    path = importlib.resources.files("uncreach") / "models" / "girad1.yaml"
+    return dataclasses.replace(load_model(path), horizon=horizon,
+                               reduction_method=reduction,
+                               reduction_period=period)
+
+
+def discrete_model(reduction="none", period=25):
+    # row 1 of the perturbation is zero and the initial box is flat in
+    # coordinate 2, so some lambda_box coefficients have zero width and
+    # fold into the anchor
+    return ModelSpec(
+        name="discrete3",
+        a=np.array([[0.9, 0.2, 0.0], [-0.1, 0.8, 0.1], [0.0, 0.05, 0.95]]),
+        uncertainty=(CellUncertainty(0, 1, relative=0.1),
+                     CellUncertainty(2, 2, interval=(0.96, 0.96))),
+        initial=Box(np.array([0.5, -0.2, 1.0]), np.array([0.7, 0.2, 1.0])),
+        horizon=60,
+        continuous=False,
+        unsafe=(HalfSpace(np.array([1.0, 0.0, 0.0]), 5.0),
+                HalfSpace(np.array([0.0, -1.0, 1.0]), 5.0)),
+        reduction_method=reduction,
+        reduction_period=period,
+    )
+
+
+def reference_flowpipe(model):
+    """Boxes and generator counts from the public star operations."""
+    pert = model.perturbation()
+    if model.continuous:
+        abar, lbar = discretize(model.a, pert, model.step)
+    else:
+        abar, lbar = model.a, pert
+    s = model.initial.to_star()
+    stars = [s]
+    for k in range(1, model.horizon + 1):
+        u = compact(lambda_box(lbar, s))
+        s = linear_map(abar, s)
+        if u.n_gens or np.any(u.anchor):
+            s = minkowski_sum(s, u)
+        if model.reduction_method != "none" and k % model.reduction_period == 0:
+            if model.reduction_method == "interval":
+                s = interval_reduce(s)
+            else:
+                s = zono_reduce(s, 2 * model.dim)
+        stars.append(s)
+    boxes = [s.bounding_box() for s in stars]
+    return (np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]),
+            np.array([s.n_gens for s in stars]))
+
+
+class TestStreamingRecurrence:
+    @pytest.mark.parametrize("make", [shipped_girad, discrete_model])
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_identical_to_star_operations(self, make, reduction):
+        model = make(reduction=reduction)
+        res = ors_reach(model)
+        lo, hi, counts = reference_flowpipe(model)
+        assert np.array_equal(res.lo, lo)
+        assert np.array_equal(res.hi, hi)
+        assert np.array_equal(res.gen_counts, counts)
+        assert res.stars is None
+        assert len(res) == model.horizon + 1
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_kept_stars_match_recorded_rows(self, reduction):
+        model = discrete_model(reduction=reduction, period=10)
+        res = ors_reach(model, keep_stars=True)
+        normals = np.vstack([hs.normal for hs in model.unsafe])
+        assert np.array_equal(res.normals, normals)
+        assert len(res.stars) == model.horizon + 1
+        for k, star in enumerate(res.stars):
+            box = star.bounding_box()
+            assert np.array_equal(box.lo, res.lo[k])
+            assert np.array_equal(box.hi, res.hi[k])
+            assert np.array_equal(star.support_batch(normals), res.supports[k])
+            assert star.n_gens == res.gen_counts[k]
+
+    def test_boxes_are_built_from_bounds(self):
+        res = ors_reach(discrete_model())
+        assert res.boxes is res.boxes
+        for k, box in enumerate(res.boxes):
+            assert np.array_equal(box.lo, res.lo[k])
+            assert np.array_equal(box.hi, res.hi[k])
+
+    def test_foreign_halfspace_needs_kept_stars(self):
+        model = discrete_model()
+        other = (HalfSpace(np.array([0.0, 1.0, 0.0]), 5.0),)
+        with pytest.raises(ValueError, match="keep_stars=True"):
+            safety_check(ors_reach(model), other)
+        kept = safety_check(ors_reach(model, keep_stars=True), other)
+        assert kept.safe
+        with pytest.raises(DimensionMismatch):
+            safety_check(ors_reach(model), (HalfSpace(np.ones(2), 1.0),))
+
+    def test_recorded_normals_serve_other_offsets(self):
+        model = discrete_model()
+        res = ors_reach(model)
+        kept = ors_reach(model, keep_stars=True)
+        tight = (HalfSpace(model.unsafe[1].normal, 0.5),)
+        assert safety_check(res, tight) == safety_check(kept, tight)
+        assert not safety_check(res, tight).safe
+
+    def test_overflow_raises(self):
+        model = ModelSpec(name="blowup", a=np.array([[1e10]]),
+                          uncertainty=(CellUncertainty(0, 0, relative=0.1),),
+                          initial=Box(np.array([1.0]), np.array([2.0])),
+                          horizon=40, continuous=False)
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            ors_reach(model)
+
+    def test_memory_does_not_grow_with_stored_sets(self):
+        # unreduced: 4102 generators at the last step; keeping every star
+        # would take about 137 MB
+        model = shipped_girad(horizon=2050)
+        tracemalloc.start()
+        try:
+            ors_reach(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
