@@ -1,62 +1,30 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy twin.
+"""Star-set kernels in numpy: interval image bounds, supports and box hulls.
 
-The reach recurrence spends nearly all of its time in three operations
-over star sets whose generator count grows with the step index:
+* ``lambda_box_core`` -- interval image bounds  L*a + sum_j [c_j] * (L*g_j)
+* ``support_core``    -- batched support function over direction rows
+* ``box_core``        -- axis-aligned hull of a star
 
-* ``lambda_box``   -- interval image bounds  L*a + sum_j [c_j] * (L*g_j)
-* ``support``      -- batched support function over direction rows
-* ``box_bounds``   -- axis-aligned hull of a star
-
-Both backends compute the same exact interval arithmetic (tight endpoint
-products, no outward slack); they may differ by summation order only.
-Backend selection happens at import time: set ``UNCREACH_PURE_NUMPY=1``
-to force the numpy path; the numpy path is also used when numba is not
-importable.
+All three take a star as its parts <anchor, gens, [clo, chi]> and compute
+exact interval arithmetic on endpoints (tight endpoint products, no
+outward slack).  The numeric reach recurrence in ``engine`` evaluates the
+same formulas over its own buffers; these serve the Star operations.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "HAVE_NUMBA",
     "lambda_box_core",
     "support_core",
     "box_core",
-    "lambda_box_numpy",
-    "support_numpy",
-    "box_numpy",
-    "lambda_box_numba",
-    "support_numba",
-    "box_numba",
 ]
 
-_FORCE_NUMPY = os.environ.get("UNCREACH_PURE_NUMPY", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-if _FORCE_NUMPY:
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def lambda_box_numpy(llo, lhi, anchor, gens, clo, chi):
+def lambda_box_core(llo, lhi, anchor, gens, clo, chi):
     """Interval bounds of L*x over a star <anchor, gens, [clo, chi]>.
 
     Returns (dlo, dhi) with d_i = [L a]_i + sum_j [clo_j, chi_j] [L g_j]_i
@@ -80,7 +48,7 @@ def lambda_box_numpy(llo, lhi, anchor, gens, clo, chi):
     return dlo, dhi
 
 
-def support_numpy(anchor, gens, clo, chi, dirs):
+def support_core(anchor, gens, clo, chi, dirs):
     """Support values max_{x in star} d.x for each direction row of dirs."""
     vals = dirs @ anchor
     if gens.shape[1]:
@@ -89,7 +57,7 @@ def support_numpy(anchor, gens, clo, chi, dirs):
     return vals
 
 
-def box_numpy(anchor, gens, clo, chi):
+def box_core(anchor, gens, clo, chi):
     """Axis-aligned bounds (lo, hi) of a star."""
     lo = anchor.copy()
     hi = anchor.copy()
@@ -99,95 +67,3 @@ def box_numpy(anchor, gens, clo, chi):
         lo = lo + np.minimum(p1, p2).sum(axis=1)
         hi = hi + np.maximum(p1, p2).sum(axis=1)
     return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def lambda_box_numba(llo, lhi, anchor, gens, clo, chi):
-        n = llo.shape[0]
-        m = gens.shape[1]
-        dlo = np.empty(n)
-        dhi = np.empty(n)
-        for i in range(n):
-            lo = 0.0
-            hi = 0.0
-            for k in range(n):
-                t1 = llo[i, k] * anchor[k]
-                t2 = lhi[i, k] * anchor[k]
-                lo += min(t1, t2)
-                hi += max(t1, t2)
-            for j in range(m):
-                wlo = 0.0
-                whi = 0.0
-                for k in range(n):
-                    t1 = llo[i, k] * gens[k, j]
-                    t2 = lhi[i, k] * gens[k, j]
-                    wlo += min(t1, t2)
-                    whi += max(t1, t2)
-                p1 = wlo * clo[j]
-                p2 = wlo * chi[j]
-                p3 = whi * clo[j]
-                p4 = whi * chi[j]
-                lo += min(min(p1, p2), min(p3, p4))
-                hi += max(max(p1, p2), max(p3, p4))
-            dlo[i] = lo
-            dhi[i] = hi
-        return dlo, dhi
-
-    @njit(cache=True)
-    def support_numba(anchor, gens, clo, chi, dirs):
-        k = dirs.shape[0]
-        n = dirs.shape[1]
-        m = gens.shape[1]
-        vals = np.empty(k)
-        for r in range(k):
-            s = 0.0
-            for i in range(n):
-                s += dirs[r, i] * anchor[i]
-            for j in range(m):
-                t = 0.0
-                for i in range(n):
-                    t += dirs[r, i] * gens[i, j]
-                s += max(t * clo[j], t * chi[j])
-            vals[r] = s
-        return vals
-
-    @njit(cache=True)
-    def box_numba(anchor, gens, clo, chi):
-        n = anchor.shape[0]
-        m = gens.shape[1]
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for i in range(n):
-            a = anchor[i]
-            b = anchor[i]
-            for j in range(m):
-                p1 = gens[i, j] * clo[j]
-                p2 = gens[i, j] * chi[j]
-                a += min(p1, p2)
-                b += max(p1, p2)
-            lo[i] = a
-            hi[i] = b
-        return lo, hi
-
-else:
-    lambda_box_numba = None
-    support_numba = None
-    box_numba = None
-
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    lambda_box_core = lambda_box_numba
-    support_core = support_numba
-    box_core = box_numba
-else:
-    BACKEND = "numpy"
-    lambda_box_core = lambda_box_numpy
-    support_core = support_numpy
-    box_core = box_numpy

@@ -6,8 +6,12 @@ Lbar, then iterate the star recurrence
     R_0 = Theta,    R_k = Abar R_{k-1}  (+)  box(Lbar R_{k-1}),
 
 whose k-th set contains x_k = (Abar + E)^k x_0 for every fixed E in Lbar
-and x_0 in Theta.  Symbolic route: the nominal flow exp(At) Theta padded
-by a bloating radius from a closed-form bound.
+and x_0 in Theta.  Between reductions, each generator of R_k is a column
+Abar^a e_i of the block added a steps earlier, so the recurrence reads its
+generators from a table of those columns built once per flowpipe instead
+of mapping them step by step (see _run_recurrence).  Symbolic route: the
+nominal flow exp(At) Theta padded by a bloating radius from a closed-form
+bound.
 """
 
 from __future__ import annotations
@@ -228,20 +232,62 @@ def discretize(a, pert: IntervalMatrix, h: float,
     return abar, m.sub_point(abar)
 
 
+def _age_rows(gens: np.ndarray, llo: np.ndarray, lhi: np.ndarray,
+              normals: np.ndarray, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+    """Fill `out` with the rows a bound pass multiplies by the coefficients.
+
+    For each generator column g of `gens`, top to bottom: the upper and
+    the lower endpoints of Lbar g (the interval products lambda_box takes,
+    n rows each), g itself (n rows; `gens` may already be these rows of
+    `out`) and normals @ g (k rows).  `scratch` is a free float buffer of
+    at least three times the size of `gens`.
+    """
+    n, w = gens.shape
+    gp, gn, tmp = (scratch[i * n * w:(i + 1) * n * w].reshape(n, w)
+                   for i in range(3))
+    np.maximum(gens, 0.0, out=gp)
+    np.subtract(gp, gens, out=gn)  # negative part, nonnegative
+    np.matmul(lhi, gp, out=out[:n])
+    out[:n] -= np.matmul(llo, gn, out=tmp)
+    np.matmul(llo, gp, out=out[n:2 * n])
+    out[n:2 * n] -= np.matmul(lhi, gn, out=tmp)
+    out[2 * n:3 * n] = gens
+    np.matmul(normals, gens, out=out[3 * n:])
+    return out
+
+
 def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                     horizon: int, reduction_method: str,
                     reduction_period: int, method_name: str,
                     normals: np.ndarray, keep_stars: bool) -> ReachResult:
-    """Stream the star recurrence through one preallocated generator buffer.
+    """Stream the star recurrence through an age table.
 
-    The live star is <anchor, gens[:, :m], [clo[:m], chi[:m]]>.  Each step
-    computes exactly what compact(lambda_box(Lbar, S)), linear_map(Abar, S),
-    minkowski_sum and the periodic reduction compute on Star objects, but
-    in place: the linear map writes into a second buffer (so it never reads
-    what it overwrites), the fresh box generators are appended behind it,
-    and only boxes, generator counts and the supports in `normals` are
-    stored per step.  Inputs are validated once here and the flowpipe once
-    at the end.
+    The live star is <anchor, G, [clo[:m], chi[:m]]>.  Most of its
+    generators are columns Abar^a e_i of a fresh lambda_box block of age a
+    (or of the initial axis block), so they are never mapped: `table`
+    holds the `_age_rows` of Abar^a[:, pattern] for the ages
+    min(horizon, period) down to 0, oldest first, `pattern` being the
+    columns the fresh blocks keep after compaction, and the live age
+    columns are always its last m - mc columns, lined up with the
+    coefficients after the first mc.  The first mc generators are the
+    carried block, which Abar maps and whose rows are recomputed at every
+    step: what a zonotope reduction leaves; an interval reduction's
+    <0, I, hull> when the pattern lacks some columns (else that is a fresh
+    age-0 block); and every live generator when a fresh block keeps other
+    columns than the pattern, after which the table is rebuilt for the new
+    pattern.
+
+    Each step makes one pass of products, minima, maxima and row sums over
+    the live columns, into preallocated buffers.  It yields the box, the
+    supports in `normals` and the lambda_box bounds of the next step's
+    fresh block, from the same floats summed in the same order as
+    compact(lambda_box(Lbar, S)), linear_map(Abar, S), minkowski_sum and
+    the periodic reduction on Star objects.  The one exception is a single
+    normal that is not an axis: there the Star operations get normal @ G
+    from a BLAS matrix-vector product, whose rounding depends on where a
+    column sits in the call, so supports may differ in the last bits.
+    Inputs are validated once here and the flowpipe once at the end.
     """
     start = time.perf_counter()
     n = theta.dim
@@ -250,69 +296,142 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
         raise DimensionMismatch("matrices must be square and match the box")
     if not np.all(np.isfinite(abar)):
         raise ValueError("discrete dynamics matrix must be finite")
+    llo, lhi = lbar.lo, lbar.hi
+    lstack, lswap = np.vstack((llo, lhi)), np.vstack((lhi, llo))
     reducing = reduction_method != "none"
     # each step appends at most n generators; a reduction leaves n
     # (interval) or at most 2n (zonotope) of them
     span = min(horizon, reduction_period) if reducing else horizon
     capacity = n * (span + (2 if reduction_method == "zonotope" else 1))
-    gens = np.empty((n, capacity))
-    spare = np.empty((n, capacity))
+    # rows [0, n) and [n, 2n) are the lambda_box endpoints, [2n, 3n) the
+    # generators and [3n, 3n + k) their products with the normals
+    rows = 3 * n + normals.shape[0]
+    # flat storage of the pass's contiguous (rows, m) products with clo and
+    # chi and of its (2n, m) minima
+    times_lo = np.empty(rows * capacity)
+    times_hi = np.empty(rows * capacity)
+    minima = np.empty(2 * n * capacity)
+    eye = np.eye(n)
+
+    def age_table(pattern: np.ndarray) -> np.ndarray:
+        # Abar^a for every age, by n-column matrix products (as the Star
+        # operations map n or more columns at once: a one-column product
+        # rounds differently), then the pattern's columns of each
+        full = n * (span + 1)
+        powers = times_hi[:n * full].reshape(n, full)
+        powers[:, full - n:] = eye
+        for col in range(full - n, 0, -n):
+            np.matmul(abar, powers[:, col:col + n], out=powers[:, col - n:col])
+        table = np.empty((rows, np.count_nonzero(pattern) * (span + 1)))
+        np.compress(np.tile(pattern, span + 1), powers, axis=1,
+                    out=table[2 * n:3 * n])
+        return _age_rows(table[2 * n:3 * n], llo, lhi, normals, table,
+                         times_lo)
+
+    def carried_rows_of(gens: np.ndarray) -> np.ndarray:
+        return _age_rows(gens, llo, lhi, normals,
+                         np.empty((rows, gens.shape[1])), times_lo)
+
+    pattern = np.ones(n, dtype=bool)
+    table = age_table(pattern)
     clo = np.empty(capacity)
     chi = np.empty(capacity)
-    eye = np.eye(n)
-    anchor = np.zeros(n)
-    gens[:, :n] = eye
     clo[:n] = theta.lo
     chi[:n] = theta.hi
-    m = n
+    anchor = np.zeros(n)
+    carried = eye[:, :0]
+    carried_rows = np.empty((rows, 0))
+    m, mc = n, 0
 
     lo = np.empty((horizon + 1, n))
     hi = np.empty((horizon + 1, n))
     supports = np.empty((horizon + 1, normals.shape[0]))
     counts = np.empty(horizon + 1, dtype=np.int64)
     stars: list[Star] | None = [] if keep_stars else None
+
+    def live_gens() -> np.ndarray:
+        window = table[2 * n:3 * n, table.shape[1] - m + mc:]
+        return np.hstack((carried, window))
+
+    def bound_pass(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Box and supports of step k; lambda_box bounds for step k + 1."""
+        c_lo, c_hi = clo[:m], chi[:m]
+        p_lo = times_lo[:rows * m].reshape(rows, m)
+        p_hi = times_hi[:rows * m].reshape(rows, m)
+        least = minima[:2 * n * m].reshape(2 * n, m)
+        # np.einsum scales the columns; np.multiply would allocate two
+        # 64 KB iteration buffers to broadcast over the strided window
+        if mc:
+            np.einsum("rj,j->rj", carried_rows, c_lo[:mc], out=p_lo[:, :mc])
+            np.einsum("rj,j->rj", carried_rows, c_hi[:mc], out=p_hi[:, :mc])
+        window = table[:, table.shape[1] - m + mc:]
+        np.einsum("rj,j->rj", window, c_lo[mc:], out=p_lo[:, mc:])
+        np.einsum("rj,j->rj", window, c_hi[mc:], out=p_hi[:, mc:])
+        # lambda_box: least and greatest of the four endpoint products
+        np.minimum(p_lo[:2 * n], p_hi[:2 * n], out=least)
+        np.minimum(least[:n], least[n:], out=least[:n])
+        np.minimum(p_lo[2 * n:3 * n], p_hi[2 * n:3 * n], out=least[n:])
+        np.maximum(p_lo, p_hi, out=p_lo)
+        np.maximum(p_lo[:n], p_lo[n:2 * n], out=p_lo[n:2 * n])
+        low = least.sum(axis=1)
+        high = p_lo[n:].sum(axis=1)
+        np.add(anchor, low[n:], out=lo[k])
+        np.add(anchor, high[n:2 * n], out=hi[k])
+        np.add(normals @ anchor, high[2 * n:], out=supports[k])
+        ap = np.maximum(anchor, 0.0)
+        an = ap - anchor  # negative part, nonnegative
+        ends = lstack @ ap - lswap @ an  # [llo a+ - lhi a-, lhi a+ - llo a-]
+        return ends[:n] + low[:n], ends[n:] + high[:n]
+
     for k in range(horizon + 1):
         if k:
-            dlo, dhi = _kernels.lambda_box_core(lbar.lo, lbar.hi, anchor,
-                                                gens[:, :m], clo[:m], chi[:m])
-            np.matmul(abar, gens[:, :m], out=spare[:, :m])
-            gens, spare = spare, gens
-            anchor = abar @ anchor
-            # compact: zero-width coefficients fold into the anchor
-            fresh = eye
             keep = dhi - dlo != 0.0
+            new_pattern = (keep != pattern).any()
+            if new_pattern:
+                # the fresh block does not fit the table: every live
+                # generator joins the carried block
+                carried, mc = live_gens(), m
+            anchor = abar @ anchor
+            if mc:
+                carried = abar @ carried
             if not keep.all():
+                # compact: zero-width coefficients fold into the anchor
                 anchor = anchor + np.where(keep, 0.0, dlo)
-                fresh, dlo, dhi = eye[:, keep], dlo[keep], dhi[keep]
-            g = fresh.shape[1]
-            gens[:, m:m + g] = fresh
+                dlo, dhi = dlo[keep], dhi[keep]
+            if new_pattern:
+                pattern = keep
+                del table  # before building the new one
+                table = age_table(pattern)
+            g = dlo.shape[0]
             clo[m:m + g] = dlo
             chi[m:m + g] = dhi
             m += g
             if reducing and k % reduction_period == 0:
-                if reduction_method == "interval":
-                    blo, bhi = _kernels.box_core(anchor, gens[:, :m], clo[:m],
-                                                 chi[:m])
-                    anchor = np.zeros(n)
-                    gens[:, :n] = eye
-                    clo[:n] = blo
-                    chi[:n] = bhi
-                    m = n
-                else:
-                    r = zono_reduce(Star(anchor, gens[:, :m], clo[:m],
+                if reduction_method == "zonotope":
+                    r = zono_reduce(Star(anchor, live_gens(), clo[:m],
                                          chi[:m]), 2 * n)
-                    anchor = r.anchor
-                    m = r.n_gens
-                    gens[:, :m] = r.generators
+                    anchor, carried = r.anchor, r.generators
+                    m = mc = r.n_gens
                     clo[:m] = r.coeff_lo
                     chi[:m] = r.coeff_hi
-        live = (anchor, gens[:, :m], clo[:m], chi[:m])
-        lo[k], hi[k] = _kernels.box_core(*live)
-        if normals.shape[0]:
-            supports[k] = _kernels.support_core(*live, normals)
+                else:
+                    if mc:
+                        carried_rows = carried_rows_of(carried)
+                    bound_pass(k)  # the hull, into lo[k] and hi[k]
+                    anchor = np.zeros(n)
+                    # <0, I, hull> is an age-0 block if the table has
+                    # every column
+                    carried = eye[:, :0] if pattern.all() else eye
+                    m, mc = n, carried.shape[1]
+                    clo[:n] = lo[k]
+                    chi[:n] = hi[k]
+            if mc:
+                carried_rows = carried_rows_of(carried)
+        dlo, dhi = bound_pass(k)
         counts[k] = m
         if keep_stars:
-            stars.append(Star(*(a.copy() for a in live)))
+            stars.append(Star(anchor.copy(), live_gens(), clo[:m].copy(),
+                              chi[:m].copy()))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("flowpipe is not finite: the recurrence overflowed")
     wall = time.perf_counter() - start
@@ -409,11 +528,16 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         ea = scipy.linalg.expm(a * t)
         nominal = linear_map(ea, theta_star)
         delta = series.phi[idx] * float(np.linalg.norm(ea, 2)) * theta_norm
+        if not math.isfinite(delta):
+            # the nominal bounds are finite (the star is validated), so
+            # only the radius can make the padded box unbounded
+            raise ValueError("box lower bound must be finite")
         radii[idx] = delta
         stars.append(nominal)
-        box = nominal.bounding_box()
-        box = Box(box.lo - delta, box.hi + delta)
-        lo[idx], hi[idx] = box.lo, box.hi
+        nlo, nhi = _kernels.box_core(nominal.anchor, nominal.generators,
+                                     nominal.coeff_lo, nominal.coeff_hi)
+        np.subtract(nlo, delta, out=lo[idx])
+        np.add(nhi, delta, out=hi[idx])
     wall = time.perf_counter() - start
     return ReachResult(
         kind="symbolic",

@@ -387,6 +387,66 @@ def discrete_model(reduction="none", period=25):
     )
 
 
+def short_acc4(reduction="none"):
+    # the shipped acc4 model over 60 steps; the periods do not divide the
+    # horizon, and a zonotope reduction leaves a carried block
+    period = {"interval": 7, "zonotope": 13}.get(reduction, 500)
+    path = importlib.resources.files("uncreach") / "models" / "acc4.yaml"
+    return dataclasses.replace(load_model(path), horizon=60,
+                               reduction_method=reduction,
+                               reduction_period=period)
+
+
+def compaction_once(reduction="none", period=9):
+    # the initial box is flat in coordinate 1, and only coordinate 1 feeds
+    # row 0 of the perturbation, so step 1 drops half of the fresh block;
+    # the rotation then spreads the set and no later block is dropped
+    return ModelSpec(
+        name="rotate2",
+        a=np.array([[0.9, -0.4], [0.4, 0.9]]),
+        uncertainty=(CellUncertainty(0, 1, relative=0.1),
+                     CellUncertainty(1, 0, relative=0.1)),
+        initial=Box(np.array([0.5, 0.0]), np.array([1.0, 0.0])),
+        horizon=40,
+        continuous=False,
+        unsafe=(HalfSpace(np.array([1.0, 1.0]), 5.0),),
+        reduction_method=reduction,
+        reduction_period=period,
+    )
+
+
+def one_column_blocks(reduction="none", period=11):
+    # row 0 of the perturbation is zero, so every fresh block keeps only
+    # column 1: one-column matrix products round differently from the
+    # Star operations' wider ones
+    return ModelSpec(
+        name="rotate2-row1",
+        a=np.array([[0.9, -0.4], [0.4, 0.9]]),
+        uncertainty=(CellUncertainty(1, 0, relative=0.1),
+                     CellUncertainty(1, 1, relative=0.05)),
+        initial=Box(np.array([0.5, -0.3]), np.array([1.0, 0.2])),
+        horizon=50,
+        continuous=False,
+        unsafe=(HalfSpace(np.array([1.0, 0.0]), 5.0),),
+        reduction_method=reduction,
+        reduction_period=period,
+    )
+
+
+def no_uncertainty(reduction="none", period=8):
+    # every fresh generator has zero width and folds into the anchor
+    return dataclasses.replace(discrete_model(reduction, period),
+                               uncertainty=())
+
+
+def period_one(reduction="none"):
+    return shipped_girad(horizon=30, reduction=reduction, period=1)
+
+
+def period_beyond_horizon(reduction="none"):
+    return shipped_girad(horizon=40, reduction=reduction, period=500)
+
+
 def reference_flowpipe(model):
     """Boxes and generator counts from the public star operations."""
     pert = model.perturbation()
@@ -413,7 +473,11 @@ def reference_flowpipe(model):
 
 
 class TestStreamingRecurrence:
-    @pytest.mark.parametrize("make", [shipped_girad, discrete_model])
+    @pytest.mark.parametrize("make", [shipped_girad, discrete_model,
+                                      short_acc4, compaction_once,
+                                      one_column_blocks, no_uncertainty,
+                                      period_one,
+                                      period_beyond_horizon])
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_identical_to_star_operations(self, make, reduction):
         model = make(reduction=reduction)
@@ -425,9 +489,12 @@ class TestStreamingRecurrence:
         assert res.stars is None
         assert len(res) == model.horizon + 1
 
-    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
-    def test_kept_stars_match_recorded_rows(self, reduction):
-        model = discrete_model(reduction=reduction, period=10)
+    @pytest.mark.parametrize("model", [
+        *(pytest.param(discrete_model(reduction=r, period=10), id=r)
+          for r in ("none", "interval", "zonotope")),
+        *(pytest.param(short_acc4(reduction=r), id=f"acc4-{r}")
+          for r in ("none", "interval", "zonotope"))])
+    def test_kept_stars_match_recorded_rows(self, model):
         res = ors_reach(model, keep_stars=True)
         normals = np.vstack([hs.normal for hs in model.unsafe])
         assert np.array_equal(res.normals, normals)

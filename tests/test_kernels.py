@@ -1,12 +1,6 @@
-"""Tests that the compiled kernels and the plain-numpy twins agree."""
-
-import json
-import os
-import subprocess
-import sys
+"""Tests of the star-set kernels against brute force and each other."""
 
 import numpy as np
-import pytest
 
 from uncreach import _kernels as K
 
@@ -25,7 +19,7 @@ class TestNumpyTwins:
         for _ in range(50):
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
             anchor, gens, clo, chi = random_star_parts(rng, n, m)
-            lo, hi = K.box_numpy(anchor, gens, clo, chi)
+            lo, hi = K.box_core(anchor, gens, clo, chi)
             for _ in range(200):
                 c = rng.uniform(clo, chi)
                 pt = anchor + gens @ c
@@ -36,99 +30,9 @@ class TestNumpyTwins:
         for _ in range(30):
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
             anchor, gens, clo, chi = random_star_parts(rng, n, m)
-            lo, hi = K.box_numpy(anchor, gens, clo, chi)
+            lo, hi = K.box_core(anchor, gens, clo, chi)
             eye = np.eye(n)
-            up = K.support_numpy(anchor, gens, clo, chi, eye)
-            down = K.support_numpy(anchor, gens, clo, chi, -eye)
+            up = K.support_core(anchor, gens, clo, chi, eye)
+            down = K.support_core(anchor, gens, clo, chi, -eye)
             assert np.allclose(up, hi, atol=1e-12)
             assert np.allclose(down, -lo, atol=1e-12)
-
-
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_box_kernels_agree(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-            anchor, gens, clo, chi = random_star_parts(rng, n, m)
-            lo_nb, hi_nb = K.box_numba(anchor, gens, clo, chi)
-            lo_np, hi_np = K.box_numpy(anchor, gens, clo, chi)
-            assert np.allclose(lo_nb, lo_np, atol=1e-12)
-            assert np.allclose(hi_nb, hi_np, atol=1e-12)
-
-    def test_support_kernels_agree(self):
-        rng = np.random.default_rng(18)
-        for _ in range(40):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-            anchor, gens, clo, chi = random_star_parts(rng, n, m)
-            dirs = rng.normal(size=(12, n))
-            got_nb = K.support_numba(anchor, gens, clo, chi, dirs)
-            got_np = K.support_numpy(anchor, gens, clo, chi, dirs)
-            assert np.allclose(got_nb, got_np, atol=1e-12)
-
-    def test_lambda_box_kernels_agree(self):
-        rng = np.random.default_rng(19)
-        for _ in range(40):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-            anchor, gens, clo, chi = random_star_parts(rng, n, m)
-            center = rng.uniform(-1, 1, (n, n))
-            radius = rng.uniform(0, 1, (n, n))
-            llo, lhi = center - radius, center + radius
-            got_nb = K.lambda_box_numba(llo, lhi, anchor, gens, clo, chi)
-            got_np = K.lambda_box_numpy(llo, lhi, anchor, gens, clo, chi)
-            for a, b in zip(got_nb, got_np):
-                assert np.allclose(a, b, atol=1e-12)
-
-    def test_default_backend_is_numba(self):
-        if os.environ.get("UNCREACH_PURE_NUMPY", "").lower() in ("1", "true", "yes", "on"):
-            pytest.skip("pure-numpy mode forced in this environment")
-        assert K.BACKEND == "numba"
-        assert K.box_core is K.box_numba
-
-
-SUBPROCESS_SNIPPET = """\
-import json
-import numpy as np
-import uncreach
-from uncreach import Box, CellUncertainty, HalfSpace, ModelSpec, ors_reach
-
-model = ModelSpec(
-    name="probe",
-    a=np.array([[-1.0, -4.0], [4.0, -1.0]]),
-    uncertainty=(CellUncertainty(0, 0, relative=0.02),
-                 CellUncertainty(1, 0, relative=0.02)),
-    initial=Box(np.array([0.9, -0.1]), np.array([1.1, 0.1])),
-    horizon=60,
-    continuous=True,
-    step=0.01,
-)
-res = ors_reach(model)
-print(json.dumps({
-    "backend": uncreach.BACKEND,
-    "lo": [list(map(float, b.lo)) for b in res.boxes[::20]],
-    "hi": [list(map(float, b.hi)) for b in res.boxes[::20]],
-}))
-"""
-
-
-def run_probe(force_numpy):
-    env = dict(os.environ)
-    if force_numpy:
-        env["UNCREACH_PURE_NUMPY"] = "1"
-    else:
-        env.pop("UNCREACH_PURE_NUMPY", None)
-    out = subprocess.run([sys.executable, "-c", SUBPROCESS_SNIPPET],
-                         capture_output=True, text=True, env=env, check=True)
-    return json.loads(out.stdout)
-
-
-class TestEnvironmentFlag:
-    def test_pure_numpy_flag_switches_backend(self):
-        doc = run_probe(force_numpy=True)
-        assert doc["backend"] == "numpy"
-
-    def test_flowpipes_identical_across_backends(self):
-        plain = run_probe(force_numpy=True)
-        default = run_probe(force_numpy=False)
-        for a, b in zip(plain["lo"] + plain["hi"], default["lo"] + default["hi"]):
-            assert np.allclose(a, b, atol=1e-12)
