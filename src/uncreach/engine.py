@@ -6,12 +6,14 @@ Lbar, then iterate the star recurrence
     R_0 = Theta,    R_k = Abar R_{k-1}  (+)  box(Lbar R_{k-1}),
 
 whose k-th set contains x_k = (Abar + E)^k x_0 for every fixed E in Lbar
-and x_0 in Theta.  Between reductions, each generator of R_k is a column
-Abar^a e_i of the block added a steps earlier, so the recurrence reads its
-generators from a table of those columns built once per flowpipe instead
-of mapping them step by step (see _run_recurrence).  Symbolic route: the
-nominal flow exp(At) Theta padded by a bloating radius from a closed-form
-bound.
+and x_0 in Theta.  Each set is a centred zonotope: its centre follows the
+point map Abar + Lm (Lm the midpoint of Lbar), and between reductions its
+generators are the columns Abar^a e_i of the blocks added a steps earlier,
+scaled by a history of radii.  So the nominal part and the effect of the
+uncertainty are computed apart, and each step is one product of a table
+of |Abar^a| rows, built once per flowpipe, with that history (see
+_run_recurrence).  Symbolic route: the nominal flow exp(At) Theta padded
+by a bloating radius from a closed-form bound.
 """
 
 from __future__ import annotations
@@ -232,28 +234,34 @@ def discretize(a, pert: IntervalMatrix, h: float,
     return abar, m.sub_point(abar)
 
 
-def _age_rows(gens: np.ndarray, llo: np.ndarray, lhi: np.ndarray,
-              normals: np.ndarray, out: np.ndarray,
-              scratch: np.ndarray) -> np.ndarray:
-    """Fill `out` with the rows a bound pass multiplies by the coefficients.
+def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius whose c - r and c + r round to at most lo, at least hi.
 
-    For each generator column g of `gens`, top to bottom: the upper and
-    the lower endpoints of Lbar g (the interval products lambda_box takes,
-    n rows each), g itself (n rows; `gens` may already be these rows of
-    `out`) and normals @ g (k rows).  `scratch` is a free float buffer of
-    at least three times the size of `gens`.
+    The radius rounded to nearest can fall short of the true distance by
+    half an ulp, so every nonzero radius is pushed one ulp outward: then
+    c - r < lo and c + r > hi hold exactly, and rounding keeps them as
+    <= and >=.  Point entries keep radius zero.
     """
-    n, w = gens.shape
-    gp, gn, tmp = (scratch[i * n * w:(i + 1) * n * w].reshape(n, w)
-                   for i in range(3))
-    np.maximum(gens, 0.0, out=gp)
-    np.subtract(gp, gens, out=gn)  # negative part, nonnegative
-    np.matmul(lhi, gp, out=out[:n])
-    out[:n] -= np.matmul(llo, gn, out=tmp)
-    np.matmul(llo, gp, out=out[n:2 * n])
-    out[n:2 * n] -= np.matmul(lhi, gn, out=tmp)
-    out[2 * n:3 * n] = gens
-    np.matmul(normals, gens, out=out[3 * n:])
+    mid = 0.5 * (lo + hi)
+    rad = np.maximum(hi - mid, mid - lo)
+    return mid, np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
+
+
+def _orbit(a: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
+    """a^0 x0, a^1 x0, ..., a^(count-1) x0 side by side, by doubling.
+
+    For x0 of shape (n, w) the result is (n, count * w).
+    """
+    w = x0.shape[1]
+    out = np.empty((x0.shape[0], count * w))
+    out[:, :w] = x0
+    done, step = 1, a  # step = a^done
+    while done < count:
+        take = min(done, count - done)
+        np.matmul(step, out[:, :take * w], out=out[:, done * w:(done + take) * w])
+        done += take
+        if done < count:
+            step = step @ step
     return out
 
 
@@ -261,32 +269,31 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                     horizon: int, reduction_method: str,
                     reduction_period: int, method_name: str,
                     normals: np.ndarray, keep_stars: bool) -> ReachResult:
-    """Stream the star recurrence through an age table.
+    """Run the recurrence on centred zonotopes (Girard, HSCC 2005).
 
-    The live star is <anchor, G, [clo[:m], chi[:m]]>.  Most of its
-    generators are columns Abar^a e_i of a fresh lambda_box block of age a
-    (or of the initial axis block), so they are never mapped: `table`
-    holds the `_age_rows` of Abar^a[:, pattern] for the ages
-    min(horizon, period) down to 0, oldest first, `pattern` being the
-    columns the fresh blocks keep after compaction, and the live age
-    columns are always its last m - mc columns, lined up with the
-    coefficients after the first mc.  The first mc generators are the
-    carried block, which Abar maps and whose rows are recomputed at every
-    step: what a zonotope reduction leaves; an interval reduction's
-    <0, I, hull> when the pattern lacks some columns (else that is a fresh
-    age-0 block); and every live generator when a fresh block keeps other
-    columns than the pattern, after which the table is rebuilt for the new
-    pattern.
+    Lbar is split into Lm +- Lr (Lr rounded outward) and Theta into
+    c_0 +- r_0.  Each set is a centre c plus generators Abar^a e_i r_i with
+    coefficients in [-1, 1], one block of radii r per age a, so
+    box(Lbar R) is the fresh block centred at Lm c with radius
+    Lr |c| + sum(|Lm g| + Lr |g|) over the generators g, and the next
+    centre is Abar c + Lm c.  Centres therefore follow a point orbit of
+    Abar + Lm, computed before the loop; reductions never move them.
 
-    Each step makes one pass of products, minima, maxima and row sums over
-    the live columns, into preallocated buffers.  It yields the box, the
-    supports in `normals` and the lambda_box bounds of the next step's
-    fresh block, from the same floats summed in the same order as
-    compact(lambda_box(Lbar, S)), linear_map(Abar, S), minkowski_sum and
-    the periodic reduction on Star objects.  The one exception is a single
-    normal that is not an axis: there the Star operations get normal @ G
-    from a BLAS matrix-vector product, whose rounding depends on where a
-    column sits in the call, so supports may differ in the last bits.
+    Once per flowpipe, `table` stacks for each age a, youngest first, the
+    rows |Abar^a|, |Lm Abar^a| + Lr |Abar^a| and |N Abar^a| (N the
+    `normals`).  The radius history lives in one flat buffer, youngest
+    block first, written at a decreasing offset, so the live blocks are
+    the contiguous tail buf[s:] and one product q = table[:, :m] @ buf[s:]
+    per step gives the box c +- q[:n], the supports N c + q[2n:] and the
+    next fresh radius Lr |c| + q[n:2n].  An interval reduction resets the
+    history to the hull radius q[:n] at age 0.  A zonotope reduction
+    (stars.zono_reduce) turns every live generator into a carried block
+    C whose rows at each later age, Abar^a C, Lm Abar^a C and N Abar^a C,
+    come from one stacked product; their absolute row sums are added to q.
+
+    Generator counts follow the Star operations: n for Theta and for a
+    hull, then the nonzero fresh radii, and at most 2n after a zonotope
+    reduction.  Kept stars are Star(c, G, -r, r), generators oldest first.
     Inputs are validated once here and the flowpipe once at the end.
     """
     start = time.perf_counter()
@@ -296,144 +303,92 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
         raise DimensionMismatch("matrices must be square and match the box")
     if not np.all(np.isfinite(abar)):
         raise ValueError("discrete dynamics matrix must be finite")
-    llo, lhi = lbar.lo, lbar.hi
-    lstack, lswap = np.vstack((llo, lhi)), np.vstack((lhi, llo))
+    lm, lr = _centre_radius(lbar.lo, lbar.hi)
+    c0, r0 = _centre_radius(theta.lo, theta.hi)
+    zonotope = reduction_method == "zonotope"
     reducing = reduction_method != "none"
-    # each step appends at most n generators; a reduction leaves n
-    # (interval) or at most 2n (zonotope) of them
+    # a reduction leaves one block (interval) or none in the history
     span = min(horizon, reduction_period) if reducing else horizon
-    capacity = n * (span + (2 if reduction_method == "zonotope" else 1))
-    # rows [0, n) and [n, 2n) are the lambda_box endpoints, [2n, 3n) the
-    # generators and [3n, 3n + k) their products with the normals
-    rows = 3 * n + normals.shape[0]
-    # flat storage of the pass's contiguous (rows, m) products with clo and
-    # chi and of its (2n, m) minima
-    times_lo = np.empty(rows * capacity)
-    times_hi = np.empty(rows * capacity)
-    minima = np.empty(2 * n * capacity)
-    eye = np.eye(n)
-
-    def age_table(pattern: np.ndarray) -> np.ndarray:
-        # Abar^a for every age, by n-column matrix products (as the Star
-        # operations map n or more columns at once: a one-column product
-        # rounds differently), then the pattern's columns of each
-        full = n * (span + 1)
-        powers = times_hi[:n * full].reshape(n, full)
-        powers[:, full - n:] = eye
-        for col in range(full - n, 0, -n):
-            np.matmul(abar, powers[:, col:col + n], out=powers[:, col - n:col])
-        table = np.empty((rows, np.count_nonzero(pattern) * (span + 1)))
-        np.compress(np.tile(pattern, span + 1), powers, axis=1,
-                    out=table[2 * n:3 * n])
-        return _age_rows(table[2 * n:3 * n], llo, lhi, normals, table,
-                         times_lo)
-
-    def carried_rows_of(gens: np.ndarray) -> np.ndarray:
-        return _age_rows(gens, llo, lhi, normals,
-                         np.empty((rows, gens.shape[1])), times_lo)
-
-    pattern = np.ones(n, dtype=bool)
-    table = age_table(pattern)
-    clo = np.empty(capacity)
-    chi = np.empty(capacity)
-    clo[:n] = theta.lo
-    chi[:n] = theta.hi
-    anchor = np.zeros(n)
-    carried = eye[:, :0]
-    carried_rows = np.empty((rows, 0))
-    m, mc = n, 0
-
-    lo = np.empty((horizon + 1, n))
-    hi = np.empty((horizon + 1, n))
-    supports = np.empty((horizon + 1, normals.shape[0]))
-    counts = np.empty(horizon + 1, dtype=np.int64)
+    powers = _orbit(abar, np.eye(n), span + 1)
+    table = np.vstack((powers, lm @ powers, normals @ powers))
+    signed = table.copy() if zonotope else None
+    np.abs(table, out=table)
+    table[n:2 * n] += lr @ table[:n]
+    if zonotope or keep_stars:
+        # generators of every age, oldest first: a live window is a tail
+        ages_gens = powers.reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
+    del powers
+    centres = _orbit(abar + lm, c0[:, None], horizon + 1).T.copy()
+    lr_c = np.abs(centres) @ lr.T  # the fresh radius each centre adds
+    q = np.empty((horizon + 1, table.shape[0]))
+    q_fresh = q[:, n:2 * n]
+    # at most span + 1 live blocks, plus room for the last fresh block
+    buf = np.empty(n * (span + 2))
+    s = buf.size - n
+    buf[s:] = r0
+    base = True  # the oldest block is Theta or a hull, counted in full
+    carried = carried_sums = None
+    reduced_at = 0
+    events = [(0, n)]  # (step, generator count) where the count restarts
     stars: list[Star] | None = [] if keep_stars else None
 
-    def live_gens() -> np.ndarray:
-        window = table[2 * n:3 * n, table.shape[1] - m + mc:]
-        return np.hstack((carried, window))
+    def live_set(step: int) -> tuple[np.ndarray, np.ndarray]:
+        """Generators and radii of the live set, oldest first."""
+        gens = ages_gens[:, ages_gens.shape[1] - (buf.size - s):]
+        radii = buf[s:].reshape(-1, n)[::-1].flatten()  # a copy
+        keep = radii != 0.0
+        if base:
+            keep[:n] = True
+        if not keep.all():
+            gens, radii = gens[:, keep], radii[keep]
+        if carried is not None:
+            block = carried[:, step - reduced_at]
+            gens = np.hstack((block, gens))
+            radii = np.concatenate((np.ones(block.shape[1]), radii))
+        return gens, radii
 
-    def bound_pass(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Box and supports of step k; lambda_box bounds for step k + 1."""
-        c_lo, c_hi = clo[:m], chi[:m]
-        p_lo = times_lo[:rows * m].reshape(rows, m)
-        p_hi = times_hi[:rows * m].reshape(rows, m)
-        least = minima[:2 * n * m].reshape(2 * n, m)
-        # np.einsum scales the columns; np.multiply would allocate two
-        # 64 KB iteration buffers to broadcast over the strided window
-        if mc:
-            np.einsum("rj,j->rj", carried_rows, c_lo[:mc], out=p_lo[:, :mc])
-            np.einsum("rj,j->rj", carried_rows, c_hi[:mc], out=p_hi[:, :mc])
-        window = table[:, table.shape[1] - m + mc:]
-        np.einsum("rj,j->rj", window, c_lo[mc:], out=p_lo[:, mc:])
-        np.einsum("rj,j->rj", window, c_hi[mc:], out=p_hi[:, mc:])
-        # lambda_box: least and greatest of the four endpoint products
-        np.minimum(p_lo[:2 * n], p_hi[:2 * n], out=least)
-        np.minimum(least[:n], least[n:], out=least[:n])
-        np.minimum(p_lo[2 * n:3 * n], p_hi[2 * n:3 * n], out=least[n:])
-        np.maximum(p_lo, p_hi, out=p_lo)
-        np.maximum(p_lo[:n], p_lo[n:2 * n], out=p_lo[n:2 * n])
-        low = least.sum(axis=1)
-        high = p_lo[n:].sum(axis=1)
-        np.add(anchor, low[n:], out=lo[k])
-        np.add(anchor, high[n:2 * n], out=hi[k])
-        np.add(normals @ anchor, high[2 * n:], out=supports[k])
-        ap = np.maximum(anchor, 0.0)
-        an = ap - anchor  # negative part, nonnegative
-        ends = lstack @ ap - lswap @ an  # [llo a+ - lhi a-, lhi a+ - llo a-]
-        return ends[:n] + low[:n], ends[n:] + high[:n]
-
-    for k in range(horizon + 1):
-        if k:
-            keep = dhi - dlo != 0.0
-            new_pattern = (keep != pattern).any()
-            if new_pattern:
-                # the fresh block does not fit the table: every live
-                # generator joins the carried block
-                carried, mc = live_gens(), m
-            anchor = abar @ anchor
-            if mc:
-                carried = abar @ carried
-            if not keep.all():
-                # compact: zero-width coefficients fold into the anchor
-                anchor = anchor + np.where(keep, 0.0, dlo)
-                dlo, dhi = dlo[keep], dhi[keep]
-            if new_pattern:
-                pattern = keep
-                del table  # before building the new one
-                table = age_table(pattern)
-            g = dlo.shape[0]
-            clo[m:m + g] = dlo
-            chi[m:m + g] = dhi
-            m += g
-            if reducing and k % reduction_period == 0:
-                if reduction_method == "zonotope":
-                    r = zono_reduce(Star(anchor, live_gens(), clo[:m],
-                                         chi[:m]), 2 * n)
-                    anchor, carried = r.anchor, r.generators
-                    m = mc = r.n_gens
-                    clo[:m] = r.coeff_lo
-                    chi[:m] = r.coeff_hi
+    for step in range(horizon + 1):
+        if step:
+            s -= n
+            if reducing and step % reduction_period == 0:
+                if zonotope:
+                    gens, radii = live_set(step)
+                    reduced = zono_reduce(
+                        Star(centres[step], gens, -radii, radii), 2 * n)
+                    # unit coefficients; the centre stays, as mid = 0
+                    block = reduced.generators * reduced.coeff_hi
+                    rows = (signed.reshape(-1, n) @ block).reshape(
+                        table.shape[0], span + 1, -1)  # (row, age, column)
+                    carried = rows[:n]
+                    carried_sums = np.abs(rows).sum(axis=2).T.copy()
+                    carried_sums[:, n:2 * n] += carried_sums[:, :n] @ lr.T
+                    s, base, reduced_at = buf.size, False, step
+                    events.append((step, reduced.n_gens))
                 else:
-                    if mc:
-                        carried_rows = carried_rows_of(carried)
-                    bound_pass(k)  # the hull, into lo[k] and hi[k]
-                    anchor = np.zeros(n)
-                    # <0, I, hull> is an age-0 block if the table has
-                    # every column
-                    carried = eye[:, :0] if pattern.all() else eye
-                    m, mc = n, carried.shape[1]
-                    clo[:n] = lo[k]
-                    chi[:n] = hi[k]
-            if mc:
-                carried_rows = carried_rows_of(carried)
-        dlo, dhi = bound_pass(k)
-        counts[k] = m
+                    np.matmul(table[:, :buf.size - s], buf[s:], out=q[step])
+                    s = buf.size - n
+                    buf[s:] = q[step, :n]
+                    events.append((step, n))
+        np.matmul(table[:, :buf.size - s], buf[s:], out=q[step])
+        if carried is not None:
+            q[step] += carried_sums[step - reduced_at]
+        np.add(q_fresh[step], lr_c[step], out=buf[s - n:s])
         if keep_stars:
-            stars.append(Star(anchor.copy(), live_gens(), clo[:m].copy(),
-                              chi[:m].copy()))
+            gens, radii = live_set(step)
+            stars.append(Star(centres[step], gens, -radii, radii))
+
+    lo = centres - q[:, :n]
+    hi = centres + q[:, :n]
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("flowpipe is not finite: the recurrence overflowed")
+    # generator counts: restart at each event, then add the nonzero radii
+    # of every fresh block (the same sums the loop wrote into buf)
+    added = np.zeros(horizon + 1, dtype=np.int64)
+    added[1:] = np.count_nonzero(q_fresh[:-1] + lr_c[:-1], axis=1)
+    added = np.cumsum(added)
+    steps, bases = (np.array(v) for v in zip(*events))
+    seg = np.searchsorted(steps, np.arange(horizon + 1), side="right") - 1
+    counts = bases[seg] + added - added[steps[seg]]
     wall = time.perf_counter() - start
     return ReachResult(
         kind="numeric",
@@ -445,7 +400,7 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
         gen_counts=counts,
         stars=stars,
         normals=normals,
-        supports=supports,
+        supports=centres @ normals.T + q[:, 2 * n:],
         wall_time=wall,
     )
 
@@ -479,29 +434,20 @@ def ors_reach(model: ModelSpec, order: int = 20,
 
 
 def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
-    """Exact flowpipe of the unperturbed discrete map x -> A x."""
+    """Exact flowpipe of the unperturbed discrete map x -> A x.
+
+    This is the numeric recurrence with a zero perturbation family, so it
+    keeps its stars and adds no generators.
+    """
     a = np.asarray(a_discrete, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != theta.dim:
         raise DimensionMismatch("matrix must be square and match the box")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    start = time.perf_counter()
-    stars = [theta.to_star()]
-    for _ in range(horizon):
-        stars.append(linear_map(a, stars[-1]))
-    boxes = [s.bounding_box() for s in stars]
-    wall = time.perf_counter() - start
-    return ReachResult(
-        kind="numeric",
-        method="nominal",
-        labels=np.arange(horizon + 1, dtype=np.float64),
-        lo=np.array([b.lo for b in boxes]),
-        hi=np.array([b.hi for b in boxes]),
-        radii=np.zeros(horizon + 1),
-        gen_counts=np.full(horizon + 1, theta.dim, dtype=np.int64),
-        stars=stars,
-        wall_time=wall,
-    )
+    n = theta.dim
+    return _run_recurrence(a, IntervalMatrix.zeros(n, n), theta, horizon,
+                           "none", 1, method_name="nominal",
+                           normals=np.empty((0, n)), keep_stars=True)
 
 
 def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,

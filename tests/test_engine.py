@@ -15,6 +15,7 @@ from uncreach import (
     HalfSpace,
     IntervalMatrix,
     ModelSpec,
+    Star,
     compact,
     discretize,
     interval_reduce,
@@ -28,6 +29,7 @@ from uncreach import (
     safety_check,
     zono_reduce,
 )
+from uncreach.engine import _centre_radius
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -447,29 +449,49 @@ def period_beyond_horizon(reduction="none"):
     return shipped_girad(horizon=40, reduction=reduction, period=500)
 
 
-def reference_flowpipe(model):
-    """Boxes and generator counts from the public star operations."""
-    pert = model.perturbation()
+def one_step_maps(model):
+    """(Abar, Lbar) as the numeric route uses them."""
     if model.continuous:
-        abar, lbar = discretize(model.a, pert, model.step)
-    else:
-        abar, lbar = model.a, pert
-    s = model.initial.to_star()
+        return discretize(model.a, model.perturbation(), model.step)
+    return model.a, model.perturbation()
+
+
+def recentre(s):
+    """The same star with coefficients centred on zero."""
+    mid = 0.5 * (s.coeff_lo + s.coeff_hi)
+    half = 0.5 * (s.coeff_hi - s.coeff_lo)
+    return Star(s.anchor + s.generators @ mid, s.generators, -half, half)
+
+
+def reference_flowpipe(model):
+    """Stars, boxes, supports and generator counts from the public star
+    operations, each set kept centred: the fresh lambda_box block is
+    re-centred before compaction, as are Theta and every interval hull."""
+    abar, lbar = one_step_maps(model)
+    s = recentre(model.initial.to_star())
     stars = [s]
     for k in range(1, model.horizon + 1):
-        u = compact(lambda_box(lbar, s))
-        s = linear_map(abar, s)
-        if u.n_gens or np.any(u.anchor):
-            s = minkowski_sum(s, u)
+        u = compact(recentre(lambda_box(lbar, s)))
+        s = minkowski_sum(linear_map(abar, s), u)
         if model.reduction_method != "none" and k % model.reduction_period == 0:
             if model.reduction_method == "interval":
-                s = interval_reduce(s)
+                s = recentre(interval_reduce(s))
             else:
                 s = zono_reduce(s, 2 * model.dim)
         stars.append(s)
     boxes = [s.bounding_box() for s in stars]
-    return (np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes]),
+    normals = np.vstack([hs.normal for hs in model.unsafe])
+    return (stars, np.array([b.lo for b in boxes]),
+            np.array([b.hi for b in boxes]),
+            np.array([s.support_batch(normals) for s in stars]),
             np.array([s.n_gens for s in stars]))
+
+
+def assert_close(got, want):
+    # relative 1e-12, and 1e-12 of the largest magnitude for entries that
+    # cancel to about zero (acc4's lower bounds cross zero)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(want))))
 
 
 class TestStreamingRecurrence:
@@ -482,9 +504,10 @@ class TestStreamingRecurrence:
     def test_identical_to_star_operations(self, make, reduction):
         model = make(reduction=reduction)
         res = ors_reach(model)
-        lo, hi, counts = reference_flowpipe(model)
-        assert np.array_equal(res.lo, lo)
-        assert np.array_equal(res.hi, hi)
+        _, lo, hi, supports, counts = reference_flowpipe(model)
+        assert_close(res.lo, lo)
+        assert_close(res.hi, hi)
+        assert_close(res.supports, supports)
         assert np.array_equal(res.gen_counts, counts)
         assert res.stars is None
         assert len(res) == model.horizon + 1
@@ -499,12 +522,21 @@ class TestStreamingRecurrence:
         normals = np.vstack([hs.normal for hs in model.unsafe])
         assert np.array_equal(res.normals, normals)
         assert len(res.stars) == model.horizon + 1
-        for k, star in enumerate(res.stars):
-            box = star.bounding_box()
-            assert np.array_equal(box.lo, res.lo[k])
-            assert np.array_equal(box.hi, res.hi[k])
-            assert np.array_equal(star.support_batch(normals), res.supports[k])
+        ref_stars, lo, hi, supports, counts = reference_flowpipe(model)
+        assert np.array_equal(res.gen_counts, counts)
+        kept = [star.bounding_box() for star in res.stars]
+        kept_lo = np.array([box.lo for box in kept])
+        kept_hi = np.array([box.hi for box in kept])
+        assert_close(kept_lo, res.lo)
+        assert_close(kept_hi, res.hi)
+        assert_close(kept_lo, lo)
+        assert_close(kept_hi, hi)
+        assert_close(np.array([s.support_batch(normals) for s in res.stars]),
+                     supports)
+        for k, (star, ref) in enumerate(zip(res.stars, ref_stars)):
             assert star.n_gens == res.gen_counts[k]
+            assert np.array_equal(star.coeff_lo, -star.coeff_hi)
+            assert_close(star.anchor, ref.anchor)
 
     def test_boxes_are_built_from_bounds(self):
         res = ors_reach(discrete_model())
@@ -550,3 +582,89 @@ class TestStreamingRecurrence:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestCentredZonotopes:
+    def test_split_never_shrinks_random_intervals(self):
+        rng = np.random.default_rng(4711)
+        lo = rng.normal(size=(200, 5, 5)) * 10.0 ** rng.integers(-8, 8, (200, 5, 5))
+        hi = lo + np.abs(lo) * 10.0 ** rng.uniform(-16, 0, lo.shape)
+        hi[:, 0] = lo[:, 0]  # point entries
+        mid, rad = _centre_radius(lo, hi)
+        assert np.all(mid - rad <= lo) and np.all(mid + rad >= hi)
+        assert np.all(rad[:, 0] == 0.0)
+        # the round-to-nearest split does shrink some of these
+        naive = 0.5 * (hi - lo)
+        assert np.any((mid - naive > lo) | (mid + naive < hi))
+
+    @pytest.mark.parametrize("name", ["girad1", "acc4", "twocell", "grow1d"])
+    def test_split_never_shrinks_shipped_remainders(self, name):
+        _, lbar = one_step_maps(load_model(
+            importlib.resources.files("uncreach") / "models" / f"{name}.yaml"))
+        mid, rad = _centre_radius(lbar.lo, lbar.hi)
+        assert np.all(mid - rad <= lbar.lo) and np.all(mid + rad >= lbar.hi)
+        assert np.array_equal(rad == 0.0, lbar.lo == lbar.hi)
+
+    def test_centred_fresh_block_matches_lambda_box(self):
+        rng = np.random.default_rng(2005)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(0, 12))
+            lo = rng.normal(size=(n, n))
+            lam = IntervalMatrix(lo, lo + rng.uniform(0, 0.5, (n, n))
+                                 * (rng.random((n, n)) < 0.7))
+            c = rng.normal(size=n)
+            gens = rng.normal(size=(n, m))
+            r = rng.uniform(0, 2, m)
+            lm, lr = _centre_radius(lam.lo, lam.hi)
+            g = gens * r
+            rad = (lr @ np.abs(c)
+                   + (np.abs(lm @ g) + lr @ np.abs(g)).sum(axis=1))
+            want = lambda_box(lam, Star(c, gens, -r, r))
+            scale = np.abs(want.coeff_lo) + np.abs(want.coeff_hi)
+            assert np.all(np.abs(lm @ c - rad - want.coeff_lo) <= 1e-12 * scale)
+            assert np.all(np.abs(lm @ c + rad - want.coeff_hi) <= 1e-12 * scale)
+
+    def test_random_models_contain_vertex_trajectories(self):
+        # n <= 5, continuous and discrete, zero cells in A, exact zero rows
+        # of Lbar, zero-width cells and flat initial coordinates, each
+        # reduction with a period of 1, in the horizon, or beyond it
+        rng = np.random.default_rng(31337)
+        for trial in range(200):
+            n = int(rng.integers(1, 6))
+            a = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7)
+            continuous = bool(rng.random() < 0.5)
+            if not continuous:
+                a /= max(1.0, float(np.max(np.abs(np.linalg.eigvals(a)))))
+            rows = rng.random(n) < 0.6  # the other rows stay exact
+            cells = []
+            for i, j in zip(*np.nonzero(rows[:, None] & (rng.random((n, n)) < 0.5))):
+                if rng.random() < 0.2:
+                    cells.append(CellUncertainty(int(i), int(j),
+                                                 interval=(a[i, j], a[i, j])))
+                else:
+                    w = float(rng.uniform(0, 0.1))
+                    cells.append(CellUncertainty(int(i), int(j),
+                                                 interval=(a[i, j] - w, a[i, j] + w)))
+            lo = rng.uniform(-1, 1, n)
+            horizon = int(rng.integers(1, 40))
+            reduction = ("none", "interval", "zonotope")[trial % 3]
+            period = int(rng.choice([1, int(rng.integers(1, horizon + 1)),
+                                     horizon + 5]))
+            model = ModelSpec(
+                name=f"sweep{trial}", a=a, uncertainty=tuple(cells),
+                initial=Box(lo, lo + rng.uniform(0, 1, n) * (rng.random(n) < 0.8)),
+                horizon=horizon, continuous=continuous,
+                step=0.05 if continuous else None,
+                reduction_method=reduction, reduction_period=period)
+            res = ors_reach(model)
+            lam = model.lambda_u()
+            for _ in range(4):
+                member = np.where(rng.random((n, n)) < 0.5, lam.lo, lam.hi)
+                step_m = scipy.linalg.expm(member * model.step) if continuous else member
+                x = np.where(rng.random((n, 8)) < 0.5, model.initial.lo[:, None],
+                             model.initial.hi[:, None])
+                for k in range(horizon + 1):
+                    assert np.all(x >= res.lo[k][:, None] - 1e-9), (trial, k)
+                    assert np.all(x <= res.hi[k][:, None] + 1e-9), (trial, k)
+                    x = step_m @ x
