@@ -8,7 +8,8 @@ factor at time t is
 The three bounds implemented here dominate phi(t) whenever the norm
 argument dominates sup ||E||, so instantiating them with the interval
 2-norm sup gives a valid 2-norm bound and with the Frobenius sup a valid
-(larger) Frobenius bound.
+(larger) Frobenius bound.  Each bound takes t as a float or as a time
+array; a value beyond float range saturates to inf.
 """
 
 from __future__ import annotations
@@ -77,82 +78,89 @@ def spectral_data(a) -> SpectralData:
     return SpectralData(two_norm=two_norm, alpha=alpha, eps=eps, cond_s=cond_s)
 
 
-def p_poly(n: int, x: float) -> float:
-    """Truncated exponential sum p_{n-1}(x) = sum_{k=0}^{n-1} x^k / k!."""
+def p_poly(n: int, x):
+    """Truncated exponential sum p_{n-1}(x) = sum_{k=0}^{n-1} x^k / k!.
+
+    x may be a float or an array, evaluated elementwise.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     acc = 1.0
     term = 1.0
     for k in range(1, n):
-        term *= x / k
-        acc += term
+        term = term * (x / k)
+        acc = acc + term
     return acc
 
 
-def _exp(x: float) -> float:
-    # the closed forms are upper bounds, so saturating at inf stays sound
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def _check_args(lambda_norm: float, t) -> np.ndarray:
+    if lambda_norm < 0:
+        raise ValueError("perturbation norm must be nonnegative")
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(t >= 0):
+        raise ValueError("time must be nonnegative")
+    return t
 
 
-def _expm1(x: float) -> float:
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
+def _evaluate(formula, lambda_norm: float, t: np.ndarray):
+    """formula(t) elementwise, zero where lambda_norm or t is zero.
+
+    The closed forms are upper bounds, so a value beyond float range
+    saturates to inf and stays sound; no overflow warning is raised.  A
+    0-d t gives a float, any other t an array.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = formula(t)
+    phi = np.where((t == 0) | (lambda_norm == 0), 0.0, phi)
+    return float(phi) if phi.ndim == 0 else phi
 
 
-def kagstrom1(a, lambda_norm: float, t: float) -> float:
+def kagstrom1(a, lambda_norm: float, t):
     """Power-series bound p(x)(exp(p(x) ||Lambda|| t) - 1), x = ||A||_2 t."""
     a = _square(a)
-    _check_args(lambda_norm, t)
-    if lambda_norm == 0 or t == 0:
-        return 0.0
+    t = _check_args(lambda_norm, t)
+    norm_a = float(np.linalg.norm(a, 2))
     n = a.shape[0]
-    p = p_poly(n, float(np.linalg.norm(a, 2)) * t)
-    return p * _expm1(p * lambda_norm * t)
+
+    def formula(t):
+        p = p_poly(n, norm_a * t)
+        return p * np.expm1(p * lambda_norm * t)
+
+    return _evaluate(formula, lambda_norm, t)
 
 
-def kagstrom2(a, lambda_norm: float, t: float, cond_max: float = 1e8) -> float:
+def kagstrom2(a, lambda_norm: float, t, cond_max: float = 1e8):
     """Eigenbasis bound K e^(eps t)(e^(K ||Lambda|| t) - 1).
 
     K is the condition number of the eigenvector matrix and eps the
     largest eigenvalue modulus.  Raises DefectiveMatrix when the
     eigenbasis is numerically unusable (cond above cond_max).
     """
-    _check_args(lambda_norm, t)
+    t = _check_args(lambda_norm, t)
     sd = spectral_data(a)
     if not math.isfinite(sd.cond_s) or sd.cond_s > cond_max:
         raise DefectiveMatrix(
             f"kagstrom2 bound unusable: eigenvector condition {sd.cond_s:.3g} "
             f"exceeds {cond_max:.3g}"
         )
-    if lambda_norm == 0 or t == 0:
-        return 0.0
     k = sd.cond_s
-    return k * _exp(sd.eps * t) * _expm1(k * lambda_norm * t)
+    return _evaluate(
+        lambda t: k * np.exp(sd.eps * t) * np.expm1(k * lambda_norm * t),
+        lambda_norm, t)
 
 
-def loan(a, lambda_norm: float, t: float) -> float:
+def loan(a, lambda_norm: float, t):
     """Log-norm style bound t ||Lambda|| exp((||A||_2 - alpha + ||Lambda||) t)."""
-    _check_args(lambda_norm, t)
+    t = _check_args(lambda_norm, t)
     sd = spectral_data(a)
-    if lambda_norm == 0 or t == 0:
-        return 0.0
-    return t * lambda_norm * _exp((sd.two_norm - sd.alpha + lambda_norm) * t)
+    rate = sd.two_norm - sd.alpha + lambda_norm
+    return _evaluate(lambda t: t * lambda_norm * np.exp(rate * t),
+                     lambda_norm, t)
 
 
-def _check_args(lambda_norm: float, t: float) -> None:
-    if lambda_norm < 0:
-        raise ValueError("perturbation norm must be nonnegative")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-
-
-def bloat_factor(a, lambda_norm: float, t: float, method: str,
-                 cond_max: float = 1e8) -> float:
+def bloat_factor(a, lambda_norm: float, t, method: str,
+                 cond_max: float = 1e8):
+    """phi of one method at a float t (a float) or a time array (an array)."""
     if method == "kagstrom1":
         return kagstrom1(a, lambda_norm, t)
     if method == "kagstrom2":
@@ -187,8 +195,9 @@ def bloat_series(a, lam: IntervalMatrix, times, method: str,
                  max_dim: int = 8) -> BloatSeries:
     """Evaluate one bound over an ascending time grid.
 
-    The interval norm is computed once; each phi value is the closed form
-    at that time.  Values are nondecreasing in t.
+    The interval norm is computed once and the closed form is evaluated
+    over the whole grid at once.  Values are nondecreasing in t and
+    saturate at inf.
     """
     a = _square(a)
     times = np.asarray(times, dtype=np.float64)
@@ -199,36 +208,6 @@ def bloat_series(a, lam: IntervalMatrix, times, method: str,
     if lam.shape != a.shape:
         raise DimensionMismatch("perturbation family must match the matrix shape")
     lambda_norm = interval_norm(lam, norm_kind, max_dim=max_dim)
-    phi = np.empty(times.shape)
-    if method == "kagstrom1":
-        norm_a = float(np.linalg.norm(a, 2))
-        n = a.shape[0]
-        for idx, t in enumerate(times):
-            if lambda_norm == 0 or t == 0:
-                phi[idx] = 0.0
-                continue
-            p = p_poly(n, norm_a * t)
-            phi[idx] = p * _expm1(p * lambda_norm * t)
-    elif method == "kagstrom2":
-        sd = spectral_data(a)
-        if not math.isfinite(sd.cond_s) or sd.cond_s > cond_max:
-            raise DefectiveMatrix(
-                f"kagstrom2 bound unusable: eigenvector condition {sd.cond_s:.3g} "
-                f"exceeds {cond_max:.3g}"
-            )
-        for idx, t in enumerate(times):
-            if lambda_norm == 0 or t == 0:
-                phi[idx] = 0.0
-                continue
-            phi[idx] = sd.cond_s * _exp(sd.eps * t) * _expm1(
-                sd.cond_s * lambda_norm * t
-            )
-    elif method == "loan":
-        sd = spectral_data(a)
-        rate = sd.two_norm - sd.alpha + lambda_norm
-        for idx, t in enumerate(times):
-            phi[idx] = t * lambda_norm * _exp(rate * t) if t > 0 and lambda_norm > 0 else 0.0
-    else:
-        raise ValueError(f"unknown bloat method {method!r}")
+    phi = bloat_factor(a, lambda_norm, times, method, cond_max=cond_max)
     return BloatSeries(method=method, norm_kind=norm_kind,
                        lambda_norm=lambda_norm, times=times, phi=phi)

@@ -13,7 +13,8 @@ scaled by a history of radii.  So the nominal part and the effect of the
 uncertainty are computed apart, and each step is one product of a table
 of |Abar^a| rows, built once per flowpipe, with that history (see
 _run_recurrence).  Symbolic route: the nominal flow exp(At) Theta padded
-by a bloating radius from a closed-form bound.
+by a bloating radius from a closed-form bound, computed for the whole
+time grid at once (see symbolic_reach).
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
 from . import bounds as _bounds
 from .errors import DimensionMismatch
 from .intervals import IntervalMatrix, interval_expm
-from .stars import Box, Star, linear_map, zono_reduce
+from .stars import Box, Star, zono_reduce
 
 __all__ = [
     "CellUncertainty",
@@ -124,6 +124,7 @@ class ModelSpec:
         object.__setattr__(self, "unsafe", tuple(self.unsafe))
         if self.initial.dim != n:
             raise DimensionMismatch("initial box dimension must match the matrix")
+        _require_finite(self.initial)
         for cell in self.uncertainty:
             if not (0 <= cell.row < n and 0 <= cell.col < n):
                 raise ValueError(f"uncertainty cell ({cell.row},{cell.col}) out of range")
@@ -174,13 +175,16 @@ class ReachResult:
 
     labels   : step indices (numeric) or times (symbolic)
     lo, hi   : (steps, dim) bounding-box bounds per step, radius applied
-    radii    : bloating radius per step (zero on the numeric route)
-    stars    : the star at each step (numeric: the reachable set itself,
-               kept only with keep_stars=True, else None; symbolic: the
-               nominal set, to be padded by radii)
+    radii    : bloating radius per step (zero on the numeric route; inf
+               where a symbolic bound overflows, with lo/hi -inf/inf)
+    stars    : the reachable set at each step, numeric route only and
+               only with keep_stars=True, else None
     normals  : (k, dim) directions whose supports the numeric recurrence
                recorded (the model's unsafe normals), or None
     supports : (steps, k) support values in those directions, or None
+    flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
+               nominal set at step k is flows[k] @ initial; else None
+    initial  : symbolic route: the initial box Theta; else None
     """
 
     kind: str
@@ -193,6 +197,8 @@ class ReachResult:
     stars: list[Star] | None = None
     normals: np.ndarray | None = None
     supports: np.ndarray | None = None
+    flows: np.ndarray | None = None
+    initial: Box | None = None
     wall_time: float = 0.0
     phi: np.ndarray | None = None
 
@@ -303,6 +309,7 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
         raise DimensionMismatch("matrices must be square and match the box")
     if not np.all(np.isfinite(abar)):
         raise ValueError("discrete dynamics matrix must be finite")
+    _require_finite(theta)
     lm, lr = _centre_radius(lbar.lo, lbar.hi)
     c0, r0 = _centre_radius(theta.lo, theta.hi)
     zonotope = reduction_method == "zonotope"
@@ -458,32 +465,35 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     The radius delta(t) = phi(t) ||exp(At)||_2 max_{x in Theta} ||x||_2
     makes the padded set contain every perturbed trajectory point, since
     phi bounds the relative deviation of the perturbed exponential.
+
+    The whole grid is one stack of flows exp(A t), from one batched expm
+    and one batched 2-norm; the nominal box of each flow E Theta takes the
+    endpoint products E_ij lo_j, E_ij hi_j of stars.box_core.  A radius
+    beyond float range (phi saturated, or the flow itself overflowed) is
+    inf, and so are the box bounds from that point on: unbounded, not
+    proven safe.  The result keeps the flows and Theta, not one Star per
+    point; safety_check reads its supports from them.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.shape[-1:] != (theta.dim,):
+        raise DimensionMismatch("initial box dimension must match the matrix")
+    _require_finite(theta)
     series = _bounds.bloat_series(a, pert, times, method, norm_kind,
                                   cond_max=cond_max)
     start = time.perf_counter()
-    theta_star = theta.to_star()
-    theta_norm = theta.max_norm()
-    stars: list[Star] = []
-    lo = np.empty((series.times.shape[0], theta.dim))
-    hi = np.empty_like(lo)
-    radii = np.empty(series.times.shape)
-    counts = np.full(series.times.shape, theta_star.n_gens, dtype=np.int64)
-    for idx, t in enumerate(series.times):
-        ea = scipy.linalg.expm(a * t)
-        nominal = linear_map(ea, theta_star)
-        delta = series.phi[idx] * float(np.linalg.norm(ea, 2)) * theta_norm
-        if not math.isfinite(delta):
-            # the nominal bounds are finite (the star is validated), so
-            # only the radius can make the padded box unbounded
-            raise ValueError("box lower bound must be finite")
-        radii[idx] = delta
-        stars.append(nominal)
-        nlo, nhi = _kernels.box_core(nominal.anchor, nominal.generators,
-                                     nominal.coeff_lo, nominal.coeff_hi)
-        np.subtract(nlo, delta, out=lo[idx])
-        np.add(nhi, delta, out=hi[idx])
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = scipy.linalg.expm(a * series.times[:, None, None])
+        norms = np.full(series.times.shape, np.inf)
+        finite = np.isfinite(flows).all(axis=(1, 2))
+        norms[finite] = np.linalg.norm(flows[finite], 2, axis=(1, 2))
+        radii = series.phi * norms * theta.max_norm()
+        unbounded = ~np.isfinite(radii)
+        radii[unbounded] = np.inf
+        nlo, nhi = _image_bounds(flows, theta)
+        lo = nlo - radii[:, None]
+        hi = nhi + radii[:, None]
+    lo[unbounded] = -np.inf
+    hi[unbounded] = np.inf
     wall = time.perf_counter() - start
     return ReachResult(
         kind="symbolic",
@@ -492,11 +502,28 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         lo=lo,
         hi=hi,
         radii=radii,
-        gen_counts=counts,
-        stars=stars,
+        gen_counts=np.full(series.times.shape, theta.dim, dtype=np.int64),
+        flows=flows,
+        initial=theta,
         wall_time=wall,
         phi=series.phi.copy(),
     )
+
+
+def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of m x over x in box, for each row of m.
+
+    m is (..., rows, dim); each bound is a sum of the smaller (larger) of
+    the endpoint products m_ij lo_j and m_ij hi_j, as in stars.box_core.
+    """
+    p1 = m * box.lo
+    p2 = m * box.hi
+    return np.minimum(p1, p2).sum(axis=-1), np.maximum(p1, p2).sum(axis=-1)
+
+
+def _require_finite(theta: Box) -> None:
+    if not (np.all(np.isfinite(theta.lo)) and np.all(np.isfinite(theta.hi))):
+        raise ValueError("initial box must be finite")
 
 
 def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:
@@ -504,10 +531,12 @@ def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:
 
     A half-space (normal, offset) is violated at a step iff the support of
     the step's set in direction normal is >= offset; symbolic sets add
-    radius * ||normal||_2 on top of the nominal support.  Supports come
-    from the rows the numeric recurrence recorded for its model's unsafe
-    normals, else from the stored stars; a numeric result computed without
-    keep_stars=True can only be checked against those recorded normals.
+    radius * ||normal||_2 on top of the nominal support, so an inf radius
+    is a violation (not proven safe).  Supports come from the rows the
+    numeric recurrence recorded for its model's unsafe normals, else from
+    the flows of a symbolic result or the kept stars of a numeric one; a
+    numeric result computed without keep_stars=True can only be checked
+    against those recorded normals.
     """
     halfspaces = tuple(halfspaces)
     if not halfspaces:
@@ -516,36 +545,36 @@ def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:
     if dirs.shape[1] != result.lo.shape[1]:
         raise DimensionMismatch("half-space normals must match the flowpipe")
     offsets = np.asarray([hs.offset for hs in halfspaces])
-    first = 0
-    for sups in _support_blocks(result, dirs):
-        hit = sups >= offsets
-        if hit.any():
-            k, j = (int(i) for i in np.argwhere(hit)[0])  # row-major order
-            return SafetyVerdict(safe=False, step=first + k, halfspace=j,
-                                 support=float(sups[k, j]))
-        first += sups.shape[0]
-    return SafetyVerdict(safe=True)
+    sups = _supports(result, dirs)
+    hit = sups >= offsets
+    if not hit.any():
+        return SafetyVerdict(safe=True)
+    k, j = (int(i) for i in np.argwhere(hit)[0])  # row-major order
+    return SafetyVerdict(safe=False, step=k, halfspace=j,
+                         support=float(sups[k, j]))
 
 
-def _support_blocks(result: ReachResult, dirs: np.ndarray):
-    """Supports in `dirs`, radii included, as (steps, k) blocks in order.
+def _supports(result: ReachResult, dirs: np.ndarray) -> np.ndarray:
+    """(steps, k) supports of the flowpipe in `dirs`, radii included.
 
-    Recorded supports come as one block.  Stars are evaluated one step at
-    a time, so the scan stops computing at the first violation.
+    Recorded supports are read directly.  A symbolic result gives the
+    support of each flow E Theta, max over the endpoint products of
+    (d E)_j with lo_j and hi_j, plus radius * ||d||_2 (inf where the
+    radius is); a numeric result evaluates its kept stars.
     """
     if result.normals is not None:
         match = np.all(dirs[:, None, :] == result.normals[None, :, :], axis=2)
         if np.all(match.any(axis=1)):
-            yield result.supports[:, np.argmax(match, axis=1)]
-            return
+            return result.supports[:, np.argmax(match, axis=1)]
+    if result.flows is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups = _image_bounds(dirs @ result.flows, result.initial)[1]
+            sups += np.multiply.outer(result.radii, np.linalg.norm(dirs, axis=1))
+        sups[np.isinf(result.radii)] = np.inf
+        return sups
     if result.stars is None:
         raise ValueError(
             "this flowpipe recorded supports only for its model's unsafe "
             "normals; rerun it with keep_stars=True to check other "
             "half-spaces")
-    dir_norms = np.linalg.norm(dirs, axis=1)
-    for star, radius in zip(result.stars, result.radii):
-        sups = star.support_batch(dirs)
-        if radius:
-            sups = sups + radius * dir_norms
-        yield sups[None, :]
+    return np.array([star.support_batch(dirs) for star in result.stars])

@@ -29,25 +29,32 @@ __all__ = [
 ]
 
 
-def _vec(x, name: str) -> np.ndarray:
+def _vec(x, name: str, finite: bool = True) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be a vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
+    if finite:
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+    elif np.any(np.isnan(a)):
+        raise ValueError(f"{name} must not be NaN")
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box given by per-axis lower/upper bounds."""
+    """Axis-aligned box given by per-axis lower/upper bounds.
+
+    Bounds may be -inf/inf (an unbounded flowpipe step) but not NaN;
+    center and sample are NaN along an axis with both bounds infinite.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = _vec(self.lo, "box lower bound")
-        hi = _vec(self.hi, "box upper bound")
+        lo = _vec(self.lo, "box lower bound", finite=False)
+        hi = _vec(self.hi, "box upper bound", finite=False)
         if lo.shape != hi.shape:
             raise DimensionMismatch("box bounds must have equal length")
         if np.any(lo > hi):

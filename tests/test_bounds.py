@@ -1,6 +1,8 @@
 """Tests for the closed-form bloating factors and the symbolic reach pipeline."""
 
+import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,17 +13,22 @@ from uncreach import (
     DefectiveMatrix,
     DimensionMismatch,
     DimensionTooLarge,
+    HalfSpace,
     IntervalMatrix,
     bloat_factor,
     bloat_series,
     interval_norm,
     kagstrom1,
     kagstrom2,
+    linear_map,
+    load_model,
     loan,
     p_poly,
+    safety_check,
     spectral_data,
     symbolic_reach,
 )
+from uncreach._kernels import box_core
 from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -133,12 +140,19 @@ class TestLoan:
         assert loan(np.array([[0.0]]), 1.0, 1.0) == pytest.approx(math.e, rel=1e-15)
 
     def test_saturates_instead_of_overflowing(self):
-        # a bound beyond float range is reported as inf, which is still sound
-        assert loan(GIRAD_A, 1e3, 2.0) == math.inf
-        assert kagstrom1(GIRAD_A, 1e6, 2.0) == math.inf
-        assert kagstrom2(np.diag([-1.0, -2.0]), 1e6, 2.0) == math.inf
-        # zero perturbation stays exactly zero even when exp would overflow
-        assert loan(1000.0 * GIRAD_A, 0.0, 2.0) == 0.0
+        # a bound beyond float range is reported as inf, which is still
+        # sound, and no overflow warning is raised on the way
+        for t in (2.0, np.array([0.0, 2.0, 2.0])):
+            inf = np.where(np.asarray(t) > 0, math.inf, 0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(loan(GIRAD_A, 1e3, t), inf)
+                assert np.array_equal(kagstrom1(GIRAD_A, 1e6, t), inf)
+                assert np.array_equal(kagstrom2(np.diag([-1.0, -2.0]), 1e6, t), inf)
+                # zero perturbation stays exactly zero even when exp would
+                # overflow
+                assert np.array_equal(loan(1000.0 * GIRAD_A, 0.0, t),
+                                      np.zeros_like(inf))
 
 
 class TestBloatFactor:
@@ -150,6 +164,40 @@ class TestBloatFactor:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             bloat_factor(GIRAD_A, 0.1, 0.5, "tight")
+
+
+def ragged_grid(rng, count=40, end=3.0):
+    """Nonuniform ascending grid with t = 0 and some repeated times."""
+    times = np.sort(np.concatenate(([0.0, 0.0], rng.uniform(0.0, end, count))))
+    times[5:8] = times[5]
+    return times
+
+
+class TestVectorisedBounds:
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        times = ragged_grid(rng)
+        for method in BLOAT_METHODS:
+            got = bloat_factor(GIRAD_A, 0.08, times, method)
+            assert isinstance(got, np.ndarray) and got.shape == times.shape
+            ref = [bloat_factor(GIRAD_A, 0.08, float(t), method) for t in times]
+            assert all(isinstance(v, float) for v in ref)
+            assert np.array_equal(got, ref)
+            assert got[0] == 0.0
+
+    def test_bloat_series_is_the_bound(self):
+        lam = IntervalMatrix.from_center_radius(
+            np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
+        times = np.linspace(0.0, 2.0, 201)
+        for method in BLOAT_METHODS:
+            out = bloat_series(GIRAD_A, lam, times, method)
+            assert np.array_equal(
+                out.phi, bloat_factor(GIRAD_A, out.lambda_norm, times, method))
+
+    def test_rejects_negative_times_in_array(self):
+        for method in BLOAT_METHODS:
+            with pytest.raises(ValueError):
+                bloat_factor(GIRAD_A, 0.1, np.array([0.0, -1.0]), method)
 
 
 class TestIntervalNorm:
@@ -276,7 +324,10 @@ class TestSymbolicReach:
         lam = IntervalMatrix(np.array([[-1.0]]), np.array([[1.0]]))
         res = symbolic_reach(np.array([[0.0]]), lam, theta,
                              np.array([0.0, 1.0]), method="loan")
-        assert res.stars[1].anchor[0] == pytest.approx(0.0, abs=1e-15)
+        # the nominal set at t = 1 is exp(0) Theta, anchored at E 0 = 0
+        assert res.stars is None
+        assert np.array_equal(res.flows[1], [[1.0]])
+        assert res.initial is theta
         assert res.radii[1] == pytest.approx(math.e, rel=1e-14)
         assert res.boxes[1].lo[0] == pytest.approx(1.0 - math.e, rel=1e-14)
         assert res.boxes[1].hi[0] == pytest.approx(1.0 + math.e, rel=1e-14)
@@ -298,3 +349,95 @@ class TestSymbolicReach:
                     pt = scipy.linalg.expm((a + e) * t) @ x0
                     nominal = scipy.linalg.expm(a * t) @ x0
                     assert np.linalg.norm(pt - nominal, 2) <= res.radii[idx] + 1e-9
+
+    def test_matches_per_point_reference(self):
+        # one expm, one linear map and one box per time point, as the
+        # route was first written, on nonuniform grids with repeats
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            a = rng.uniform(-1, 1, (n, n))
+            lam = random_interval_matrix(rng, n, scale=0.05)
+            lo = rng.uniform(-1, 1, n)
+            theta = Box(lo, lo + rng.uniform(0, 1, n))
+            times = ragged_grid(rng, count=25)
+            for method in BLOAT_METHODS:
+                if method == "kagstrom2" and spectral_data(a).cond_s > 1e8:
+                    continue
+                res = symbolic_reach(a, lam, theta, times, method=method)
+                phi = bloat_series(a, lam, times, method).phi
+                assert np.array_equal(res.phi, phi)
+                ref_lo, ref_hi, ref_radii = [], [], []
+                for idx, t in enumerate(times):
+                    ea = scipy.linalg.expm(a * t)
+                    nominal = linear_map(ea, theta.to_star())
+                    nlo, nhi = box_core(nominal.anchor, nominal.generators,
+                                        nominal.coeff_lo, nominal.coeff_hi)
+                    delta = phi[idx] * np.linalg.norm(ea, 2) * theta.max_norm()
+                    ref_radii.append(delta)
+                    ref_lo.append(nlo - delta)
+                    ref_hi.append(nhi + delta)
+                    np.testing.assert_allclose(res.flows[idx], ea, rtol=1e-13,
+                                               atol=1e-15)
+                ref_radii = np.array(ref_radii)
+                assert np.all(np.abs(res.radii - ref_radii)
+                              <= 4 * np.spacing(ref_radii))
+                scale = 1e-13 * np.max(np.abs(ref_hi))
+                np.testing.assert_allclose(res.lo, ref_lo, rtol=1e-13, atol=scale)
+                np.testing.assert_allclose(res.hi, ref_hi, rtol=1e-13, atol=scale)
+                assert np.array_equal(res.gen_counts, np.full(times.shape, n))
+                compared += 1
+        assert compared >= 80
+
+    def test_bound_overflow_gives_unbounded_steps(self):
+        path = importlib.resources.files("uncreach") / "models" / "acc4.yaml"
+        model = load_model(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 model.times(), method="kagstrom1")
+            verdict = safety_check(res, model.unsafe)
+            boxes = res.boxes
+        over = np.isinf(res.radii)
+        first = int(np.argmax(over))
+        assert first == 845 and np.all(over[first:])
+        assert np.all(np.isfinite(res.radii[:first]))
+        assert np.all(res.lo[first:] == -np.inf) and np.all(res.hi[first:] == np.inf)
+        assert np.all(np.isfinite(res.lo[:first])) and not np.isnan(res.hi).any()
+        assert boxes[-1].lo[0] == -np.inf
+        assert not verdict.safe and verdict.step == 127 and verdict.halfspace == 0
+        assert verdict.support == pytest.approx(3095.57, abs=0.01)
+        # past the overflow every half-space is violated: not proven safe
+        far = HalfSpace(np.array([1.0, 0.0, 0.0, 0.0]), np.finfo(float).max)
+        late = safety_check(res, (far,))
+        assert late.step == first and late.support == math.inf
+
+    def test_flow_overflow_gives_unbounded_steps(self):
+        # exp(2t) leaves float range near t = 355 on this unstable matrix
+        theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
+                                                np.full((2, 2), 1e-3))
+        times = np.array([0.0, 1.0, 100.0, 400.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = symbolic_reach(TWOCELL_A, lam, theta, times, method="loan")
+            verdict = safety_check(res, (HalfSpace(np.array([0.0, 1.0]), 1e300),))
+        assert np.all(np.isfinite(res.radii[:2]))
+        assert np.all(res.radii[3:] == np.inf)
+        assert np.all(res.lo[3:] == -np.inf) and np.all(res.hi[3:] == np.inf)
+        assert not verdict.safe and verdict.step == 3
+        # phi = 0 times an overflowed norm is unbounded too, not NaN
+        nominal = symbolic_reach(TWOCELL_A, IntervalMatrix.zeros(2, 2), theta,
+                                 times, method="loan")
+        assert np.array_equal(nominal.radii, [0.0, 0.0, 0.0, np.inf, np.inf])
+        assert np.all(nominal.hi[3:] == np.inf)
+
+    def test_rejects_infinite_initial_box(self):
+        theta = Box(np.array([0.0, -np.inf]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            symbolic_reach(GIRAD_A, IntervalMatrix.zeros(2, 2), theta,
+                           np.array([0.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            symbolic_reach(GIRAD_A, IntervalMatrix.zeros(2, 2),
+                           Box(np.zeros(1), np.ones(1)), np.array([0.0, 1.0]))

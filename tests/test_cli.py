@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from uncreach.cli import main
 GROW1D = str(importlib.resources.files("uncreach") / "models" / "grow1d.yaml")
 TWOCELL = str(importlib.resources.files("uncreach") / "models" / "twocell.yaml")
 GIRAD = str(importlib.resources.files("uncreach") / "models" / "girad1.yaml")
+ACC4 = str(importlib.resources.files("uncreach") / "models" / "acc4.yaml")
 
 JORDAN_YAML = """\
 name: jordan
@@ -146,6 +148,20 @@ class TestReachSymbolic:
         result = runner.invoke(main, ["reach", GROW1D, "--method", "loan"])
         assert result.exit_code == 1
         assert "continuous" in result.stderr
+
+    def test_bound_overflow_prints_inf(self, runner):
+        # kagstrom1 on acc4 leaves float range at t = 8.45: the rows from
+        # there on are unbounded, and the verdict comes from earlier rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["reach", ACC4, "--method", "kagstrom1"])
+        assert result.exit_code == 0, result.stderr
+        rows = parse_csv(result.stdout)
+        assert len(rows) == 2051
+        assert all(np.isfinite(r[2]) for r in rows[:845])
+        assert rows[845][2:] == [np.inf] + [-np.inf, np.inf] * 4
+        assert ",inf,-inf,inf" in result.stdout.splitlines()[-1]
+        assert "verdict: unsafe at t=1.27, half-space 0" in result.stderr
 
     def test_defective_matrix_names_the_bound(self, runner, tmp_path):
         model = tmp_path / "jordan.yaml"

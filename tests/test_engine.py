@@ -136,6 +136,9 @@ class TestModelSpec:
             ModelSpec(**{**good, "uncertainty": (CellUncertainty(2, 0, relative=0.1),)})
         with pytest.raises(ValueError):
             ModelSpec(**{**good, "uncertainty": (CellUncertainty(-1, 0, relative=0.1),)})
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(**{**good, "initial": Box(np.zeros(2),
+                                                np.array([1.0, np.inf]))})
 
 
 class TestDiscretize:
@@ -310,6 +313,11 @@ class TestNominalReach:
         for box in res.boxes:
             assert np.allclose(box.lo, [-1.0, -1.0]) and np.allclose(box.hi, [1.0, 1.0])
 
+    def test_rejects_infinite_initial_box(self):
+        theta = Box(np.array([-np.inf, 0.0]), np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            nominal_reach(np.eye(2), theta, 3)
+
 
 class TestSafetyCheck:
     def test_safe_when_no_halfspaces(self):
@@ -353,6 +361,39 @@ class TestSafetyCheck:
         # support 1 + e exceeds 3 only because the bloat radius is added
         assert not verdict.safe and verdict.step == 1
         assert verdict.support == pytest.approx(1.0 + np.e, rel=1e-12)
+
+    def test_symbolic_supports_match_star_supports(self):
+        # the supports of each flow E Theta, read off the stacked flows,
+        # against Star.support_batch of linear_map(E, Theta) plus the radius
+        from uncreach import symbolic_reach
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            a = rng.uniform(-1, 1, (n, n))
+            lam = IntervalMatrix.from_center_radius(
+                np.zeros((n, n)), rng.uniform(0, 0.05, (n, n)))
+            lo = rng.uniform(-1, 1, n)
+            theta = Box(lo, lo + rng.uniform(0, 1, n))
+            times = np.sort(np.concatenate(([0.0], rng.uniform(0, 2, 30))))
+            times[3:6] = times[3]
+            res = symbolic_reach(a, lam, theta, times, method="loan")
+            dirs = rng.normal(size=(3, n))
+            ref = np.array([
+                linear_map(scipy.linalg.expm(a * t), theta.to_star())
+                .support_batch(dirs) + r * np.linalg.norm(dirs, axis=1)
+                for t, r in zip(times, res.radii)])
+            # offsets crossed part way along the grid, one per normal
+            offsets = ref[rng.integers(5, len(times), 3), [0, 1, 2]]
+            halfspaces = [HalfSpace(d, c) for d, c in zip(dirs, offsets)]
+            hit = np.argwhere(ref >= offsets)[0]
+            verdict = safety_check(res, halfspaces)
+            assert not verdict.safe
+            assert (verdict.step, verdict.halfspace) == tuple(hit)
+            assert verdict.support == pytest.approx(ref[tuple(hit)], rel=1e-13)
+            for j, hs in enumerate(halfspaces):
+                far = safety_check(res, (HalfSpace(hs.normal,
+                                                   ref[:, j].max() * 1.01 + 1.0),))
+                assert far.safe
 
     def test_safety_monotone_in_uncertainty(self):
         unsafe = (HalfSpace(np.array([1.0]), 1.25),)

@@ -52,6 +52,16 @@ class TestBox:
         with pytest.raises(DimensionMismatch):
             Box(np.zeros(2), np.zeros(3))
 
+    def test_unbounded_axes(self):
+        # an overflowed flowpipe step is a box with infinite bounds
+        b = Box(np.array([-np.inf, 0.0]), np.array([np.inf, 1.0]))
+        assert b.contains(np.array([1e308, 0.5]))
+        assert b.max_norm() == np.inf
+        with pytest.raises(ValueError):
+            Box(np.array([np.nan, 0.0]), np.array([np.inf, 1.0]))
+        with pytest.raises(ValueError):
+            Box(np.array([np.inf]), np.array([-np.inf]))
+
     def test_contains(self):
         b = Box(np.zeros(2), np.ones(2))
         assert b.contains(np.array([0.5, 1.0]))
