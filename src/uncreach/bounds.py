@@ -116,10 +116,16 @@ def _evaluate(formula, lambda_norm: float, t: np.ndarray):
 
 
 def kagstrom1(a, lambda_norm: float, t):
-    """Power-series bound p(x)(exp(p(x) ||Lambda|| t) - 1), x = ||A||_2 t."""
+    """Power-series bound p(x)(exp(p(x) ||Lambda|| t) - 1), x = ||A||_F t.
+
+    The bound is stated for x = ||N||_2 t, N the nilpotent part of the
+    Schur form A = Q (D + N) Q*.  ||A||_F >= ||N||_F >= ||N||_2 (Q is
+    unitary and N the strict upper triangle of D + N), so the Frobenius
+    norm of A dominates it without a Schur form; ||A||_2 does not.
+    """
     a = _square(a)
     t = _check_args(lambda_norm, t)
-    norm_a = float(np.linalg.norm(a, 2))
+    norm_a = float(np.linalg.norm(a, "fro"))
     n = a.shape[0]
 
     def formula(t):

@@ -46,7 +46,8 @@ class Box:
     """Axis-aligned box given by per-axis lower/upper bounds.
 
     Bounds may be -inf/inf (an unbounded flowpipe step) but not NaN;
-    center and sample are NaN along an axis with both bounds infinite.
+    center is 0 along an axis with both bounds infinite, and sample
+    refuses a box with any infinite bound.
     """
 
     lo: np.ndarray
@@ -68,7 +69,10 @@ class Box:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        with np.errstate(invalid="ignore"):
+            mid = 0.5 * (self.lo + self.hi)
+        mid[np.isneginf(self.lo) & np.isposinf(self.hi)] = 0.0
+        return mid
 
     @property
     def radius(self) -> np.ndarray:
@@ -90,7 +94,9 @@ class Box:
         )
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """(count, dim) array of uniform member points."""
+        """(count, dim) array of uniform member points of a bounded box."""
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("cannot sample an unbounded box")
         u = rng.random((count, self.dim))
         return self.lo + u * (self.hi - self.lo)
 

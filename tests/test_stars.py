@@ -1,6 +1,7 @@
 """Tests for boxes, generator-form star sets and the reduction operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ class TestBox:
             Box(np.array([np.nan, 0.0]), np.array([np.inf, 1.0]))
         with pytest.raises(ValueError):
             Box(np.array([np.inf]), np.array([-np.inf]))
+
+    def test_unbounded_center(self):
+        # a doubly infinite axis centres at 0, without a NaN or a warning
+        b = Box(np.array([-np.inf, 0.0, -np.inf, 1.0]),
+                np.array([np.inf, 1.0, 2.0, np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mid = b.center
+        assert np.array_equal(mid, [0.0, 0.5, -np.inf, np.inf])
+        assert np.array_equal(b.lo, [-np.inf, 0.0, -np.inf, 1.0])
+
+    def test_sample_rejects_unbounded(self):
+        rng = np.random.default_rng(0)
+        for lo, hi in (([-np.inf, 0.0], [np.inf, 1.0]),
+                       ([0.0, 0.0], [1.0, np.inf]),
+                       ([-np.inf, 0.0], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="unbounded"):
+                Box(np.array(lo), np.array(hi)).sample(rng)
 
     def test_contains(self):
         b = Box(np.zeros(2), np.ones(2))
