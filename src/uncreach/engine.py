@@ -10,8 +10,9 @@ and x_0 in Theta.  Each set is a centred zonotope: its centre follows the
 point map Abar + Lm (Lm the midpoint of Lbar), and between reductions its
 generators are the columns Abar^a e_i of the blocks added a steps earlier,
 scaled by a history of radii.  So the nominal part and the effect of the
-uncertainty are computed apart, and each step is one product of a table
-of |Abar^a| rows, built once per flowpipe, with that history (see
+uncertainty are computed apart: a table of |Abar^a| rows, built once
+per flowpipe, maps that history to boxes, supports and fresh radii, and
+a few batched products advance it by a chunk of steps (see
 _run_recurrence).  Symbolic route: the nominal flow exp(At) Theta padded
 by a bloating radius from a closed-form bound, computed for the whole
 time grid at once (see symbolic_reach).
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds as _bounds
 from ._expm import expm
@@ -278,6 +280,31 @@ def _orbit(a: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _chunk_steps(n: int) -> int:
+    """Steps one chunk of the recurrence advances: about 64 radii."""
+    return max(1, 64 // n)
+
+
+def _inchunk_table(table: np.ndarray, n: int, chunk: int) -> np.ndarray:
+    """Blocks W_d = sum_{a+b=d} T_a V_b for d < chunk - 1, side by side.
+
+    T_a is the table block of age a and V_b the first block column of
+    (I - K)^-1, the in-chunk coupling of fresh blocks inverted: V_0 = I,
+    V_b = sum_{s<b} F_{b-1-s} V_s with F_a the fresh rows T_a[n:2n], which
+    is W_{b-1}[n:2n].  So a chunk whose known fresh radii are u_0, u_1, ...
+    gets sum_{s<m} W_{m-1-s} u_s from its own blocks at its step m.  One
+    product per block; every entry is a sum of nonnegative products.
+    """
+    cols = (chunk - 1) * n
+    w = table[:, :cols].copy()
+    v = np.empty((cols, n))  # V_b at rows cols - b n, youngest first
+    for d in range(chunk - 1):
+        if d:
+            w[:, d * n:(d + 1) * n] += table[:, :d * n] @ v[cols - d * n:]
+        v[cols - (d + 1) * n:cols - d * n] = w[n:2 * n, d * n:(d + 1) * n]
+    return w
+
+
 def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                     horizon: int, reduction_method: str,
                     reduction_period: int, method_name: str,
@@ -290,19 +317,34 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     box(Lbar R) is the fresh block centred at Lm c with radius
     Lr |c| + sum(|Lm g| + Lr |g|) over the generators g, and the next
     centre is Abar c + Lm c.  Centres therefore follow a point orbit of
-    Abar + Lm, computed before the loop; reductions never move them.
+    Abar + Lm, computed up front; reductions never move them.
 
     Once per flowpipe, `table` stacks for each age a, youngest first, the
-    rows |Abar^a|, |Lm Abar^a| + Lr |Abar^a| and |N Abar^a| (N the
-    `normals`).  The radius history lives in one flat buffer, youngest
-    block first, written at a decreasing offset, so the live blocks are
-    the contiguous tail buf[s:] and one product q = table[:, :m] @ buf[s:]
-    per step gives the box c +- q[:n], the supports N c + q[2n:] and the
-    next fresh radius Lr |c| + q[n:2n].  An interval reduction resets the
-    history to the hull radius q[:n] at age 0.  A zonotope reduction
-    (stars.zono_reduce) turns every live generator into a carried block
-    C whose rows at each later age, Abar^a C, Lm Abar^a C and N Abar^a C,
-    come from one stacked product; their absolute row sums are added to q.
+    blocks T_a of rows |Abar^a|, F_a = |Lm Abar^a| + Lr |Abar^a| and
+    |N Abar^a| (N the `normals`).  The radius history h lives in one flat
+    buffer, youngest block first, written at a decreasing offset.  At
+    step j the row q_j = sum_a T_a h_{j-a} gives the box c_j +- q_j[:n],
+    the supports N c_j + q_j[2n:] and the next fresh block
+    h_{j+1} = Lr |c_j| + q_j[n:2n].
+
+    Between two reductions the steps advance in chunks of _chunk_steps(n)
+    steps.  Within a chunk the fresh blocks obey the linear recurrence
+    h_{j+1} = Lr |c_j| + sum_a F_a h_{j-a}, so a chunk from step t0 on
+    takes three batched operations instead of a product per step:
+    1. q from the history known before the chunk, h_t0 back to the
+       oldest block, times read-only sliding windows of the table: one
+       window per step, starting at the age h_t0 has at that step;
+    2. q from the chunk's own blocks, which are (I - K)^-1 u for the
+       known fresh radii u and the in-chunk coupling K: windows of u
+       times the table of _inchunk_table, which folds in (I - K)^-1;
+    3. the chunk's fresh blocks Lr |c| + q[n:2n], into the buffer.
+    Every radius stays a sum of nonnegative products.  No chunk crosses
+    a reduction step.  There an interval reduction resets the history to
+    the hull radius sum_a |Abar^a| h_{j-a} at age 0, and a zonotope
+    reduction (stars.zono_reduce) turns every live generator into a
+    carried block C whose rows at each later age, Abar^a C, Lm Abar^a C
+    and N Abar^a C, come from one stacked product; their absolute row
+    sums are added to q, and the history restarts from a zero block.
 
     Generator counts follow the Star operations: n for Theta and for a
     hull, then the nonzero fresh radii, and at most 2n after a zonotope
@@ -320,12 +362,19 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     lm, lr = _centre_radius(lbar.lo, lbar.hi)
     c0, r0 = _centre_radius(theta.lo, theta.hi)
     zonotope = reduction_method == "zonotope"
-    reducing = reduction_method != "none"
-    # a reduction leaves one block (interval) or none in the history
-    span = min(horizon, reduction_period) if reducing else horizon
+    period = reduction_period if reduction_method != "none" else horizon + 1
+    # a reduction leaves one block in the history: the hull, or zero
+    span = min(horizon, period)
+    chunk = min(_chunk_steps(n), span + 1)
     powers = _orbit(abar, np.eye(n), span + 1)
-    table = np.vstack((powers, lm @ powers, normals @ powers))
-    signed = table.copy() if zonotope else None
+    # rows |Abar^a|, F_a and |N Abar^a| per age a, then chunk - 1 zero
+    # blocks, so every window of span + 1 ages below starts in the table
+    width = (span + 1) * n
+    table = np.zeros((2 * n + normals.shape[0], width + (chunk - 1) * n))
+    table[:n, :width] = powers
+    np.matmul(lm, powers, out=table[n:2 * n, :width])
+    np.matmul(normals, powers, out=table[2 * n:, :width])
+    signed = table[:, :width].copy() if zonotope else None
     np.abs(table, out=table)
     table[n:2 * n] += lr @ table[:n]
     if zonotope or keep_stars:
@@ -336,19 +385,27 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     lr_c = np.abs(centres) @ lr.T  # the fresh radius each centre adds
     q = np.empty((horizon + 1, table.shape[0]))
     q_fresh = q[:, n:2 * n]
-    # at most span + 1 live blocks, plus room for the last fresh block
-    buf = np.empty(n * (span + 2))
-    s = buf.size - n
-    buf[s:] = r0
+    # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
+    # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
+    ages = sliding_window_view(table, width, axis=1)
+    inchunk = _inchunk_table(table, n, chunk)
+    # a chunk's known fresh radii u, youngest first, then chunk - 1 zero
+    # blocks: recent[(chunk - m) n, :(b - 1) n] is u_{m-1}, ..., u_0, 0, ...
+    known = np.zeros(n * (2 * chunk - 1))
+    recent = sliding_window_view(known, (chunk - 1) * n)
+    # the history: at most span + 2 blocks, youngest first, ending at `end`
+    end = n * (span + 2)
+    buf = np.empty(end)
+    buf[end - n:] = r0
     base = True  # the oldest block is Theta or a hull, counted in full
     carried = carried_sums = None
     reduced_at = 0
     events = [(0, n)]  # (step, generator count) where the count restarts
     stars: list[Star] | None = [] if keep_stars else None
 
-    def live_set(step: int) -> tuple[np.ndarray, np.ndarray]:
-        """Generators and radii of the live set, oldest first."""
-        gens = ages_gens[:, ages_gens.shape[1] - (buf.size - s):]
+    def live_set(step: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Generators and radii of the live set buf[s:], oldest first."""
+        gens = ages_gens[:, ages_gens.shape[1] - (end - s):]
         radii = buf[s:].reshape(-1, n)[::-1].flatten()  # a copy
         keep = radii != 0.0
         if base:
@@ -361,36 +418,56 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
             radii = np.concatenate((np.ones(block.shape[1]), radii))
         return gens, radii
 
-    for step in range(horizon + 1):
-        if step:
-            s -= n
-            if reducing and step % reduction_period == 0:
-                if zonotope:
-                    gens, radii = live_set(step)
-                    reduced = zono_reduce(
-                        Star(centres[step], gens, -radii, radii), 2 * n)
-                    # unit coefficients; the centre stays, as mid = 0
-                    block = reduced.generators * reduced.coeff_hi
-                    rows = (signed.reshape(-1, n) @ block).reshape(
-                        table.shape[0], span + 1, -1)  # (row, age, column)
-                    carried = rows[:n]
-                    carried_sums = np.abs(rows).sum(axis=2).T.copy()
-                    carried_sums[:, n:2 * n] += carried_sums[:, :n] @ lr.T
-                    s, base, reduced_at = buf.size, False, step
-                    events.append((step, reduced.n_gens))
-                else:
-                    np.matmul(table[:, :buf.size - s], buf[s:], out=q[step])
-                    s = buf.size - n
-                    buf[s:] = q[step, :n]
-                    events.append((step, n))
-        np.matmul(table[:, :buf.size - s], buf[s:], out=q[step])
-        if carried is not None:
-            q[step] += carried_sums[step - reduced_at]
-        np.add(q_fresh[step], lr_c[step], out=buf[s - n:s])
-        if keep_stars:
-            gens, radii = live_set(step)
-            stars.append(Star(centres[step], gens, -radii, radii))
+    for first_step in range(0, horizon + 1, period):
+        # the segment ends before the next reduction step or the horizon
+        stop = min(first_step + period, horizon + 1)
+        t0 = 0  # steps of the segment done
+        while first_step + t0 < stop:
+            b = min(chunk, stop - first_step - t0)
+            j = first_step + t0
+            s = end - (t0 + 1) * n  # h_t0, the youngest known block
+            rows = q[j:j + b]
+            windows = ages[:, :(b - 1) * n + 1:n, :end - s]  # (row, m, col)
+            np.matmul(windows.transpose(1, 0, 2), buf[s:], out=rows)
+            if carried is not None:
+                rows += carried_sums[j - reduced_at:j - reduced_at + b]
+            if b > 1:
+                u = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
+                np.add(q_fresh[j:j + b], lr_c[j:j + b], out=u)
+                windows = recent[(chunk - b + 1) * n:chunk * n + 1:n,
+                                 :(b - 1) * n]
+                rows += np.matmul(inchunk[:, :(b - 1) * n],
+                                  windows[::-1, :, None])[:, :, 0]
+            np.add(q_fresh[j:j + b], lr_c[j:j + b],
+                   out=buf[s - b * n:s].reshape(b, n)[::-1])
+            if keep_stars:
+                for m in range(b):
+                    gens, radii = live_set(j + m, s - m * n)
+                    stars.append(Star(centres[j + m], gens, -radii, radii))
+            t0 += b
+        if stop > horizon:
+            break
+        s = end - (t0 + 1) * n  # the live history at the reduction step
+        if zonotope:
+            gens, radii = live_set(stop, s)
+            reduced = zono_reduce(
+                Star(centres[stop], gens, -radii, radii), 2 * n)
+            # unit coefficients; the centre stays, as mid = 0
+            block = reduced.generators * reduced.coeff_hi
+            prods = (signed.reshape(-1, n) @ block).reshape(
+                table.shape[0], span + 1, -1)  # (row, age, column)
+            carried = prods[:n]
+            carried_sums = np.abs(prods).sum(axis=2).T.copy()
+            carried_sums[:, n:2 * n] += carried_sums[:, :n] @ lr.T
+            buf[end - n:] = 0.0
+            base, reduced_at = False, stop
+            events.append((stop, reduced.n_gens))
+        else:
+            buf[end - n:] = table[:n, :end - s] @ buf[s:]  # the hull
+            events.append((stop, n))
 
+    # free the tables first: building the result arrays sets the peak
+    del table, ages, signed, inchunk
     lo = centres - q[:, :n]
     hi = centres + q[:, :n]
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

@@ -186,23 +186,12 @@ class IntervalMatrix:
         return IntervalMatrix(self.hi * c, self.lo * c)
 
     def __matmul__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        """Exact interval matrix product.
-
-        Each scalar product [a,b]*[c,d] is the tight hull of the four
-        endpoint products; entries are summed exactly (up to rounding).
-        """
+        """Exact interval matrix product (see _endpoint_product)."""
         other = _as_im(other)
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch("inner dimensions do not match")
-        # (rows, inner, cols) tensors of all endpoint products
-        a = self.lo[:, :, None]
-        b = self.hi[:, :, None]
-        c = other.lo[None, :, :]
-        d = other.hi[None, :, :]
-        pr = np.stack((a * c, a * d, b * c, b * d))
-        lo = pr.min(axis=0).sum(axis=1)
-        hi = pr.max(axis=0).sum(axis=1)
-        return IntervalMatrix(lo, hi)
+        return IntervalMatrix(*_endpoint_product(self.lo, self.hi,
+                                                 other.lo, other.hi))
 
     # -- norms --------------------------------------------------------------
 
@@ -277,6 +266,22 @@ def _as_im(x) -> IntervalMatrix:
     return IntervalMatrix.from_point(np.asarray(x, dtype=np.float64))
 
 
+def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
+                      bhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of the interval matrix product [alo, ahi] @ [blo, bhi].
+
+    Each scalar product [a,b]*[c,d] is the tight hull of the four
+    endpoint products; entries are summed exactly (up to rounding).
+    """
+    # (rows, inner, cols) tensors of all endpoint products
+    a = alo[:, :, None]
+    b = ahi[:, :, None]
+    c = blo[None, :, :]
+    d = bhi[None, :, :]
+    pr = np.stack((a * c, a * d, b * c, b * d))
+    return pr.min(axis=0).sum(axis=1), pr.max(axis=0).sum(axis=1)
+
+
 def interval_expm(lam: IntervalMatrix, t: float, order: int = 20) -> IntervalMatrix:
     """Interval matrix containing { expm(M t) : M in lam }.
 
@@ -300,14 +305,18 @@ def interval_expm(lam: IntervalMatrix, t: float, order: int = 20) -> IntervalMat
         raise RemainderDiverges(
             f"theta={theta:.3g} >= order+2={order + 2}; raise the order or shrink t"
         )
-    lt = lam.scale(t)
-    acc = IntervalMatrix.from_point(np.eye(n))
-    term = IntervalMatrix.from_point(np.eye(n))
+    # the series runs on bare bound arrays; t >= 0 and 1/k > 0 scale
+    # them without swapping, and the result is validated once
+    lt_lo, lt_hi = lam.lo * t, lam.hi * t
+    acc_lo, acc_hi = np.eye(n), np.eye(n)
+    term_lo, term_hi = np.eye(n), np.eye(n)
     for k in range(1, order + 1):
-        term = (term @ lt).scale(1.0 / k)
-        acc = acc + term
+        term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
+        term_lo *= 1.0 / k
+        term_hi *= 1.0 / k
+        acc_lo += term_lo
+        acc_hi += term_hi
     tail = theta ** (order + 1) / (
         math.factorial(order + 1) * (1.0 - theta / (order + 2))
     )
-    pad = np.full((n, n), tail)
-    return IntervalMatrix(acc.lo - pad, acc.hi + pad)
+    return IntervalMatrix(acc_lo - tail, acc_hi + tail)

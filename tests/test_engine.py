@@ -29,7 +29,7 @@ from uncreach import (
     safety_check,
     zono_reduce,
 )
-from uncreach.engine import _centre_radius
+from uncreach.engine import _centre_radius, _chunk_steps, _run_recurrence
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -507,23 +507,31 @@ def recentre(s):
 
 
 def reference_flowpipe(model):
+    """Stars, boxes, supports and generator counts of the model's flowpipe
+    from the public star operations (see reference_run)."""
+    abar, lbar = one_step_maps(model)
+    normals = np.vstack([hs.normal for hs in model.unsafe])
+    return reference_run(abar, lbar, model.initial, model.horizon,
+                         model.reduction_method, model.reduction_period,
+                         normals)
+
+
+def reference_run(abar, lbar, initial, horizon, reduction, period, normals):
     """Stars, boxes, supports and generator counts from the public star
     operations, each set kept centred: the fresh lambda_box block is
     re-centred before compaction, as are Theta and every interval hull."""
-    abar, lbar = one_step_maps(model)
-    s = recentre(model.initial.to_star())
+    s = recentre(initial.to_star())
     stars = [s]
-    for k in range(1, model.horizon + 1):
+    for k in range(1, horizon + 1):
         u = compact(recentre(lambda_box(lbar, s)))
         s = minkowski_sum(linear_map(abar, s), u)
-        if model.reduction_method != "none" and k % model.reduction_period == 0:
-            if model.reduction_method == "interval":
+        if reduction != "none" and k % period == 0:
+            if reduction == "interval":
                 s = recentre(interval_reduce(s))
             else:
-                s = zono_reduce(s, 2 * model.dim)
+                s = zono_reduce(s, 2 * initial.dim)
         stars.append(s)
     boxes = [s.bounding_box() for s in stars]
-    normals = np.vstack([hs.normal for hs in model.unsafe])
     return (stars, np.array([b.lo for b in boxes]),
             np.array([b.hi for b in boxes]),
             np.array([s.support_batch(normals) for s in stars]),
@@ -625,6 +633,71 @@ class TestStreamingRecurrence:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_unreduced_acc4_peak_memory(self):
+        # the chunked recurrence reads windows of its tables in place: a
+        # chunk-by-window temporary would lift this peak well above 1.4 MB
+        model = dataclasses.replace(load_model(
+            importlib.resources.files("uncreach") / "models" / "acc4.yaml"),
+            reduction_method="none")
+        tracemalloc.start()
+        try:
+            ors_reach(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4e6
+
+
+def chunk_case(n):
+    """Discrete one-step maps, box and normals for the chunk-edge tests.
+
+    Abar is scaled to spectral radius 0.95 so that long horizons stay
+    finite; Lbar has a nonzero midpoint, exact entries and an exact row,
+    Theta a flat coordinate.
+    """
+    rng = np.random.default_rng([2005, n])
+    abar = rng.uniform(-1, 1, (n, n))
+    abar *= 0.95 / max(np.max(np.abs(np.linalg.eigvals(abar))), 1e-3)
+    mid = rng.normal(scale=0.01, size=(n, n))
+    rad = rng.uniform(0, 0.02, (n, n)) * (rng.random((n, n)) < 0.7)
+    rad[0] = 0.0
+    lo = rng.uniform(-1, 1, n)
+    hi = lo + rng.uniform(0.1, 1, n)
+    hi[n - 1] = lo[n - 1]
+    return (abar, IntervalMatrix(mid - rad, mid + rad), Box(lo, hi),
+            rng.normal(size=(2, n)))
+
+
+class TestChunkBoundaries:
+    """Horizons and reduction periods on both sides of the chunk length B."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("reduction,period", [
+        ("none", "beyond"),
+        *((r, p) for r in ("interval", "zonotope")
+          for p in (1, 7, "B", "B+3", "beyond"))])
+    def test_matches_star_operations(self, n, reduction, period):
+        b = _chunk_steps(n)
+        abar, lbar, theta, normals = chunk_case(n)
+        for horizon in (0, 1, b - 1, b, b + 1, 3 * b + 2):
+            per = {"B": b, "B+3": b + 3, "beyond": horizon + 5}.get(
+                period, period)
+            res = _run_recurrence(abar, lbar, theta, horizon, reduction, per,
+                                  "numeric", normals, keep_stars=True)
+            _, lo, hi, supports, counts = reference_run(
+                abar, lbar, theta, horizon, reduction, per, normals)
+            assert_close(res.lo, lo)
+            assert_close(res.hi, hi)
+            assert_close(res.supports, supports)
+            assert np.array_equal(res.gen_counts, counts), horizon
+            assert len(res.stars) == horizon + 1
+            kept = [star.bounding_box() for star in res.stars]
+            assert_close(np.array([box.lo for box in kept]), lo)
+            assert_close(np.array([box.hi for box in kept]), hi)
+            assert_close(np.array([s.support_batch(normals)
+                                   for s in res.stars]), supports)
+            assert [star.n_gens for star in res.stars] == list(counts)
 
 
 class TestCentredZonotopes:

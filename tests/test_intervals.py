@@ -1,5 +1,6 @@
 """Tests for interval scalars, interval matrices, norms and the exponential."""
 
+import importlib.resources
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from uncreach import (
     IntervalMatrix,
     RemainderDiverges,
     interval_expm,
+    load_model,
 )
 
 # analytic values, frozen independently of the library
@@ -265,3 +267,42 @@ class TestIntervalExpm:
                 for _ in range(4):
                     e = scipy.linalg.expm(m.sample(rng) * t)
                     assert out.contains(e, tol=1e-9)
+
+    @staticmethod
+    def taylor_oracle(lam, t, order=20):
+        """The series summed with IntervalMatrix operators, term by term."""
+        n = lam.shape[0]
+        theta = lam.frobenius_sup() * t
+        lt = lam.scale(t)
+        acc = IntervalMatrix.from_point(np.eye(n))
+        term = IntervalMatrix.from_point(np.eye(n))
+        for k in range(1, order + 1):
+            term = (term @ lt).scale(1.0 / k)
+            acc = acc + term
+        tail = theta ** (order + 1) / (
+            math.factorial(order + 1) * (1.0 - theta / (order + 2)))
+        return acc.lo - tail, acc.hi + tail
+
+    @pytest.mark.parametrize("name", ["girad1", "acc4", "twocell", "grow1d"])
+    def test_bitwise_equal_to_operator_series_on_shipped_models(self, name):
+        model = load_model(
+            importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
+        lam = IntervalMatrix.from_point(model.a) + model.perturbation()
+        t = model.step if model.continuous else 0.05
+        out = interval_expm(lam, t)
+        lo, hi = self.taylor_oracle(lam, t)
+        assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
+
+    def test_bitwise_equal_to_operator_series_on_random_families(self):
+        rng = np.random.default_rng(1817)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            lo = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.8)
+            lam = IntervalMatrix(lo, lo + rng.uniform(0, 0.5, (n, n))
+                                 * (rng.random((n, n)) < 0.6))
+            order = int(rng.integers(1, 26))
+            t = float(rng.uniform(0, 2)) / max(1.0, lam.frobenius_sup())
+            out = interval_expm(lam, t, order=order)
+            want_lo, want_hi = self.taylor_oracle(lam, t, order=order)
+            assert np.array_equal(out.lo, want_lo)
+            assert np.array_equal(out.hi, want_hi)
