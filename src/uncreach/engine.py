@@ -1,21 +1,19 @@
 """Reachability pipelines for linear systems with interval uncertainty.
 
 Numeric route: discretize to a point matrix Abar plus interval remainder
-Lbar, then iterate the star recurrence
+Lbar, enclose Abar + Lbar in P +- Lr with P = Abar + Lm (Lm the midpoint
+of Lbar), then iterate the star recurrence
 
-    R_0 = Theta,    R_k = Abar R_{k-1}  (+)  box(Lbar R_{k-1}),
+    R_0 = Theta,    R_k = P R_{k-1}  (+)  box([-Lr, Lr] R_{k-1}),
 
 whose k-th set contains x_k = (Abar + E)^k x_0 for every fixed E in Lbar
-and x_0 in Theta.  Each set is a centred zonotope: its centre follows the
-point map Abar + Lm (Lm the midpoint of Lbar), and between reductions its
-generators are the columns Abar^a e_i of the blocks added a steps earlier,
-scaled by a history of radii.  So the nominal part and the effect of the
-uncertainty are computed apart: a table of |Abar^a| rows, built once
-per flowpipe, maps that history to boxes, supports and fresh radii, and
-a few batched products advance it by a chunk of steps (see
-_run_recurrence).  Symbolic route: the nominal flow exp(At) Theta padded
-by a bloating radius from a closed-form bound, computed for the whole
-time grid at once (see symbolic_reach).
+and x_0 in Theta.  Each set is a centred zonotope whose centre and
+generators P^a e_i follow the point map, the generators scaled by a
+history of radii: a table of |P^a| rows, built once per flowpipe, maps
+that history to boxes, supports and fresh radii, and a few batched
+products advance it by a chunk of steps (see _run_recurrence).  Symbolic
+route: the nominal flow exp(At) Theta padded by a bloating radius from a
+closed-form bound, for the whole time grid at once (see symbolic_reach).
 """
 
 from __future__ import annotations
@@ -285,23 +283,37 @@ def _chunk_steps(n: int) -> int:
     return max(1, 64 // n)
 
 
-def _inchunk_table(table: np.ndarray, n: int, chunk: int) -> np.ndarray:
-    """Blocks W_d = sum_{a+b=d} T_a V_b for d < chunk - 1, side by side.
+def _split(abar: np.ndarray, lbar: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Point map P and radius Lr with Abar + Lbar inside P +- Lr exactly.
+
+    P is Abar + Lm rounded, Lm +- Lr the outward split of Lbar; where the
+    exact rounding error e of P (TwoSum) is nonzero, Lr grows to Lr + |e|
+    pushed one ulp outward.
+    """
+    lm, lr = _centre_radius(lbar.lo, lbar.hi)
+    p = abar + lm
+    back = p - abar
+    err = np.abs((abar - (p - back)) + (lm - back))
+    return p, np.where(err > 0.0, np.nextafter(lr + err, np.inf), lr)
+
+
+def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.ndarray:
+    """Blocks W_d Lr, W_d = sum_{a+b=d} T_a V_b, for d < chunk - 1.
 
     T_a is the table block of age a and V_b the first block column of
     (I - K)^-1, the in-chunk coupling of fresh blocks inverted: V_0 = I,
-    V_b = sum_{s<b} F_{b-1-s} V_s with F_a the fresh rows T_a[n:2n], which
-    is W_{b-1}[n:2n].  So a chunk whose known fresh radii are u_0, u_1, ...
-    gets sum_{s<m} W_{m-1-s} u_s from its own blocks at its step m.  One
+    V_b = sum_{s<b} Lr T_{b-1-s}[:n] V_s = Lr W_{b-1}[:n].  So a chunk
+    whose known history gives |c| + q[:n] = v_0, v_1, ... gets
+    sum_{s<m} W_{m-1-s} Lr v_s from its own blocks at its step m.  One
     product per block; every entry is a sum of nonnegative products.
     """
     cols = (chunk - 1) * n
-    w = table[:, :cols].copy()
-    v = np.empty((cols, n))  # V_b at rows cols - b n, youngest first
+    w = (table[:, :cols].reshape(-1, n) @ lr).reshape(len(table), cols)
+    v = np.empty((cols, n))  # V_b Lr at rows cols - b n, youngest first
     for d in range(chunk - 1):
         if d:
             w[:, d * n:(d + 1) * n] += table[:, :d * n] @ v[cols - d * n:]
-        v[cols - (d + 1) * n:cols - d * n] = w[n:2 * n, d * n:(d + 1) * n]
+        v[cols - (d + 1) * n:cols - d * n] = lr @ w[:n, d * n:(d + 1) * n]
     return w
 
 
@@ -311,40 +323,38 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                     normals: np.ndarray, keep_stars: bool) -> ReachResult:
     """Run the recurrence on centred zonotopes (Girard, HSCC 2005).
 
-    Lbar is split into Lm +- Lr (Lr rounded outward) and Theta into
-    c_0 +- r_0.  Each set is a centre c plus generators Abar^a e_i r_i with
-    coefficients in [-1, 1], one block of radii r per age a, so
-    box(Lbar R) is the fresh block centred at Lm c with radius
-    Lr |c| + sum(|Lm g| + Lr |g|) over the generators g, and the next
-    centre is Abar c + Lm c.  Centres therefore follow a point orbit of
-    Abar + Lm, computed up front; reductions never move them.
+    Abar + Lbar is enclosed in P +- Lr (_split), Theta split into
+    c_0 +- r_0.  Each set is a centre c plus generators P^a e_i r_i with
+    coefficients in [-1, 1], one block of radii r per age a, so the fresh
+    block box([-Lr, Lr] R) (Althoff, Stursberg & Buss, CDC 2007) has
+    radius Lr (|c| + sum |g|) over the generators g, and the next centre
+    is P c: a point orbit computed up front, which reductions never move.
 
     Once per flowpipe, `table` stacks for each age a, youngest first, the
-    blocks T_a of rows |Abar^a|, F_a = |Lm Abar^a| + Lr |Abar^a| and
-    |N Abar^a| (N the `normals`).  The radius history h lives in one flat
-    buffer, youngest block first, written at a decreasing offset.  At
-    step j the row q_j = sum_a T_a h_{j-a} gives the box c_j +- q_j[:n],
-    the supports N c_j + q_j[2n:] and the next fresh block
-    h_{j+1} = Lr |c_j| + q_j[n:2n].
+    blocks T_a of rows |P^a| and |N P^a| (N the `normals`).  The radius
+    history h lives in one flat buffer, youngest block first, written at
+    a decreasing offset.  At step j the row q_j = sum_a T_a h_{j-a} gives
+    the box c_j +- q_j[:n], the supports N c_j + q_j[n:] and the next
+    fresh block h_{j+1} = Lr (|c_j| + q_j[:n]).
 
     Between two reductions the steps advance in chunks of _chunk_steps(n)
     steps.  Within a chunk the fresh blocks obey the linear recurrence
-    h_{j+1} = Lr |c_j| + sum_a F_a h_{j-a}, so a chunk from step t0 on
-    takes three batched operations instead of a product per step:
+    h_{j+1} = Lr (|c_j| + sum_a |P^a| h_{j-a}), so a chunk from step t0
+    on takes three batched operations instead of a product per step:
     1. q from the history known before the chunk, h_t0 back to the
        oldest block, times read-only sliding windows of the table: one
        window per step, starting at the age h_t0 has at that step;
-    2. q from the chunk's own blocks, which are (I - K)^-1 u for the
-       known fresh radii u and the in-chunk coupling K: windows of u
-       times the table of _inchunk_table, which folds in (I - K)^-1;
-    3. the chunk's fresh blocks Lr |c| + q[n:2n], into the buffer.
+    2. q from the chunk's own blocks, (I - K)^-1 Lr v for v = |c| + q[:n]
+       from step 1 and the in-chunk coupling K: windows of v times the
+       table of _inchunk_table, which folds in (I - K)^-1 Lr;
+    3. the chunk's fresh blocks Lr (|c| + q[:n]), into the buffer.
     Every radius stays a sum of nonnegative products.  No chunk crosses
     a reduction step.  There an interval reduction resets the history to
-    the hull radius sum_a |Abar^a| h_{j-a} at age 0, and a zonotope
+    the hull radius sum_a |P^a| h_{j-a} at age 0, and a zonotope
     reduction (stars.zono_reduce) turns every live generator into a
-    carried block C whose rows at each later age, Abar^a C, Lm Abar^a C
-    and N Abar^a C, come from one stacked product; their absolute row
-    sums are added to q, and the history restarts from a zero block.
+    carried block C whose rows at each later age, P^a C and N P^a C,
+    come from one stacked product; their absolute row sums are added to
+    q, and the history restarts from a zero block.
 
     Generator counts follow the Star operations: n for Theta and for a
     hull, then the nonzero fresh radii, and at most 2n after a zonotope
@@ -359,38 +369,35 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     if not np.all(np.isfinite(abar)):
         raise ValueError("discrete dynamics matrix must be finite")
     _require_finite(theta)
-    lm, lr = _centre_radius(lbar.lo, lbar.hi)
+    p, lr = _split(abar, lbar)
     c0, r0 = _centre_radius(theta.lo, theta.hi)
     zonotope = reduction_method == "zonotope"
     period = reduction_period if reduction_method != "none" else horizon + 1
     # a reduction leaves one block in the history: the hull, or zero
     span = min(horizon, period)
     chunk = min(_chunk_steps(n), span + 1)
-    powers = _orbit(abar, np.eye(n), span + 1)
-    # rows |Abar^a|, F_a and |N Abar^a| per age a, then chunk - 1 zero
-    # blocks, so every window of span + 1 ages below starts in the table
+    powers = _orbit(p, np.eye(n), span + 1)
+    # rows |P^a| and |N P^a| per age a, then chunk - 1 zero blocks, so
+    # every window of span + 1 ages below starts in the table
     width = (span + 1) * n
-    table = np.zeros((2 * n + normals.shape[0], width + (chunk - 1) * n))
+    table = np.zeros((n + normals.shape[0], width + (chunk - 1) * n))
     table[:n, :width] = powers
-    np.matmul(lm, powers, out=table[n:2 * n, :width])
-    np.matmul(normals, powers, out=table[2 * n:, :width])
+    np.matmul(normals, powers, out=table[n:, :width])
     signed = table[:, :width].copy() if zonotope else None
     np.abs(table, out=table)
-    table[n:2 * n] += lr @ table[:n]
     if zonotope or keep_stars:
         # generators of every age, oldest first: a live window is a tail
         ages_gens = powers.reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
     del powers
-    centres = _orbit(abar + lm, c0[:, None], horizon + 1).T.copy()
-    lr_c = np.abs(centres) @ lr.T  # the fresh radius each centre adds
+    centres = _orbit(p, c0[:, None], horizon + 1).T.copy()
+    abs_c = np.abs(centres)
     q = np.empty((horizon + 1, table.shape[0]))
-    q_fresh = q[:, n:2 * n]
     # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
     # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
     ages = sliding_window_view(table, width, axis=1)
-    inchunk = _inchunk_table(table, n, chunk)
-    # a chunk's known fresh radii u, youngest first, then chunk - 1 zero
-    # blocks: recent[(chunk - m) n, :(b - 1) n] is u_{m-1}, ..., u_0, 0, ...
+    inchunk = _inchunk_table(table, lr, n, chunk)
+    # a chunk's known |c| + q[:n], youngest first, then chunk - 1 zero
+    # blocks: recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
     known = np.zeros(n * (2 * chunk - 1))
     recent = sliding_window_view(known, (chunk - 1) * n)
     # the history: at most span + 2 blocks, youngest first, ending at `end`
@@ -432,14 +439,13 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
             if carried is not None:
                 rows += carried_sums[j - reduced_at:j - reduced_at + b]
             if b > 1:
-                u = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
-                np.add(q_fresh[j:j + b], lr_c[j:j + b], out=u)
-                windows = recent[(chunk - b + 1) * n:chunk * n + 1:n,
-                                 :(b - 1) * n]
+                v = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
+                np.add(abs_c[j:j + b], rows[:, :n], out=v)
+                windows = recent[(chunk - b + 1) * n:chunk * n + 1:n, :(b - 1) * n]
                 rows += np.matmul(inchunk[:, :(b - 1) * n],
                                   windows[::-1, :, None])[:, :, 0]
-            np.add(q_fresh[j:j + b], lr_c[j:j + b],
-                   out=buf[s - b * n:s].reshape(b, n)[::-1])
+            np.matmul(abs_c[j:j + b] + rows[:, :n], lr.T,
+                      out=buf[s - b * n:s].reshape(b, n)[::-1])
             if keep_stars:
                 for m in range(b):
                     gens, radii = live_set(j + m, s - m * n)
@@ -450,15 +456,13 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
         s = end - (t0 + 1) * n  # the live history at the reduction step
         if zonotope:
             gens, radii = live_set(stop, s)
-            reduced = zono_reduce(
-                Star(centres[stop], gens, -radii, radii), 2 * n)
+            reduced = zono_reduce(Star(centres[stop], gens, -radii, radii), 2 * n)
             # unit coefficients; the centre stays, as mid = 0
             block = reduced.generators * reduced.coeff_hi
             prods = (signed.reshape(-1, n) @ block).reshape(
                 table.shape[0], span + 1, -1)  # (row, age, column)
             carried = prods[:n]
             carried_sums = np.abs(prods).sum(axis=2).T.copy()
-            carried_sums[:, n:2 * n] += carried_sums[:, :n] @ lr.T
             buf[end - n:] = 0.0
             base, reduced_at = False, stop
             events.append((stop, reduced.n_gens))
@@ -473,27 +477,19 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("flowpipe is not finite: the recurrence overflowed")
     # generator counts: restart at each event, then add the nonzero radii
-    # of every fresh block (the same sums the loop wrote into buf)
+    # of every fresh block (the same products the loop wrote into buf)
     added = np.zeros(horizon + 1, dtype=np.int64)
-    added[1:] = np.count_nonzero(q_fresh[:-1] + lr_c[:-1], axis=1)
+    added[1:] = np.count_nonzero((abs_c[:-1] + q[:-1, :n]) @ lr.T, axis=1)
     added = np.cumsum(added)
     steps, bases = (np.array(v) for v in zip(*events))
     seg = np.searchsorted(steps, np.arange(horizon + 1), side="right") - 1
     counts = bases[seg] + added - added[steps[seg]]
-    wall = time.perf_counter() - start
     return ReachResult(
-        kind="numeric",
-        method=method_name,
-        labels=np.arange(horizon + 1, dtype=np.float64),
-        lo=lo,
-        hi=hi,
-        radii=np.zeros(horizon + 1),
-        gen_counts=counts,
-        stars=stars,
-        normals=normals,
-        supports=centres @ normals.T + q[:, 2 * n:],
-        wall_time=wall,
-    )
+        kind="numeric", method=method_name,
+        labels=np.arange(horizon + 1, dtype=np.float64), lo=lo, hi=hi,
+        radii=np.zeros(horizon + 1), gen_counts=counts, stars=stars,
+        normals=normals, supports=centres @ normals.T + q[:, n:],
+        wall_time=time.perf_counter() - start)
 
 
 def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
@@ -551,13 +547,12 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     phi bounds the relative deviation of the perturbed exponential.
 
     The whole grid is one stack of flows exp(A t), from one batched expm
-    (uncreach._expm) and one batched 2-norm; the nominal box of each flow
-    E Theta takes the endpoint products E_ij lo_j, E_ij hi_j of
-    stars.box_core.  A radius
-    beyond float range (phi saturated, or the flow itself overflowed) is
-    inf, and so are the box bounds from that point on: unbounded, not
-    proven safe.  The result keeps the flows and Theta, not one Star per
-    point; safety_check reads its supports from them.
+    (uncreach._expm) and one batched SVD for the 2-norms; the nominal box
+    of each flow E Theta takes the endpoint products E_ij lo_j, E_ij hi_j
+    of stars.box_core.  A radius beyond float range (phi saturated, or
+    the flow itself overflowed) is inf, and so are the box bounds from
+    that point on: unbounded, not proven safe.  The result keeps the flows
+    and Theta, not one Star per point; safety_check reads its supports.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):
@@ -570,7 +565,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         flows = scipy.linalg.expm(a * series.times[:, None, None])
         norms = np.full(series.times.shape, np.inf)
         finite = np.isfinite(flows).all(axis=(1, 2))
-        norms[finite] = np.linalg.norm(flows[finite], 2, axis=(1, 2))
+        norms[finite] = np.linalg.svd(flows[finite], compute_uv=False)[:, 0]
         radii = series.phi * norms * theta.max_norm()
         unbounded = ~np.isfinite(radii)
         radii[unbounded] = np.inf

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.resources
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from uncreach import (
     safety_check,
     zono_reduce,
 )
-from uncreach.engine import _centre_radius, _chunk_steps, _run_recurrence
+from uncreach.engine import _centre_radius, _chunk_steps, _run_recurrence, _split
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -518,13 +519,15 @@ def reference_flowpipe(model):
 
 def reference_run(abar, lbar, initial, horizon, reduction, period, normals):
     """Stars, boxes, supports and generator counts from the public star
-    operations, each set kept centred: the fresh lambda_box block is
-    re-centred before compaction, as are Theta and every interval hull."""
+    operations, each set kept centred: the set moves by P and gains the
+    lambda_box block of [-Lr, Lr] (Abar + Lbar split as engine._split),
+    and Theta and every interval hull are re-centred."""
+    p, lr = _split(abar, lbar)
     s = recentre(initial.to_star())
     stars = [s]
     for k in range(1, horizon + 1):
-        u = compact(recentre(lambda_box(lbar, s)))
-        s = minkowski_sum(linear_map(abar, s), u)
+        u = compact(lambda_box(IntervalMatrix(-lr, lr), s))
+        s = minkowski_sum(linear_map(p, s), u)
         if reduction != "none" and k % period == 0:
             if reduction == "interval":
                 s = recentre(interval_reduce(s))
@@ -635,8 +638,10 @@ class TestStreamingRecurrence:
         assert peak < 16e6
 
     def test_unreduced_acc4_peak_memory(self):
-        # the chunked recurrence reads windows of its tables in place: a
-        # chunk-by-window temporary would lift this peak well above 1.4 MB
+        # the chunked recurrence reads windows of its n + k row table in
+        # place: a table with 2n + k rows (generators moved by Abar, each
+        # age boxed through Lm) or a chunk-by-window temporary would lift
+        # this peak above 0.8 MB
         model = dataclasses.replace(load_model(
             importlib.resources.files("uncreach") / "models" / "acc4.yaml"),
             reduction_method="none")
@@ -646,7 +651,7 @@ class TestStreamingRecurrence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.4e6
+        assert peak < 0.8e6
 
 
 def chunk_case(n):
@@ -732,55 +737,131 @@ class TestCentredZonotopes:
             c = rng.normal(size=n)
             gens = rng.normal(size=(n, m))
             r = rng.uniform(0, 2, m)
-            lm, lr = _centre_radius(lam.lo, lam.hi)
-            g = gens * r
-            rad = (lr @ np.abs(c)
-                   + (np.abs(lm @ g) + lr @ np.abs(g)).sum(axis=1))
-            want = lambda_box(lam, Star(c, gens, -r, r))
+            _, lr = _split(rng.normal(size=(n, n)), lam)
+            # the engine's fresh radius Lr (|c| + q[:n]), q[:n] = sum |g r|
+            rad = lr @ (np.abs(c) + np.abs(gens * r).sum(axis=1))
+            want = lambda_box(IntervalMatrix(-lr, lr), Star(c, gens, -r, r))
             scale = np.abs(want.coeff_lo) + np.abs(want.coeff_hi)
-            assert np.all(np.abs(lm @ c - rad - want.coeff_lo) <= 1e-12 * scale)
-            assert np.all(np.abs(lm @ c + rad - want.coeff_hi) <= 1e-12 * scale)
+            assert np.all(np.abs(-rad - want.coeff_lo) <= 1e-12 * scale)
+            assert np.all(np.abs(rad - want.coeff_hi) <= 1e-12 * scale)
+
+    def test_split_contains_remainder_exactly(self):
+        # [Abar + Lbar.lo, Abar + Lbar.hi] lies inside [P - Lr, P + Lr] in
+        # exact rational arithmetic, also where Abar + Lm rounds away a
+        # midpoint far below Abar's ulp
+        rng = np.random.default_rng(1848)
+        one = np.ones((1, 1))
+        cases = [(one, IntervalMatrix(1e-17 * one, 1e-17 * one)),
+                 (one, IntervalMatrix(0.9e-17 * one, 1.1e-17 * one)),
+                 (1e8 * one, IntervalMatrix(-1e-8 * one, 1e-8 * one)),
+                 (1e8 * one, IntervalMatrix(1e-8 * one, 3e-8 * one))]
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            abar = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+            mid = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 2, (n, n))
+            rad = (np.abs(mid) * 10.0 ** rng.uniform(-17, 0, (n, n))
+                   * (rng.random((n, n)) < 0.7))
+            cases.append((abar, IntervalMatrix(mid - rad, mid + rad)))
+        naive_misses = 0
+        for abar, lbar in cases:
+            p, lr = _split(abar, lbar)
+            _, rad = _centre_radius(lbar.lo, lbar.hi)
+            for a, lo, hi, pi, ri, r0 in zip(*(np.ravel(x) for x in (
+                    abar, lbar.lo, lbar.hi, p, lr, rad))):
+                a, lo, hi, pi, ri, r0 = map(Fraction, (a, lo, hi, pi, ri, r0))
+                assert pi - ri <= a + lo and a + hi <= pi + ri
+                naive_misses += pi - r0 > a + lo or a + hi > pi + r0
+        # without the rounding error, Lbar's own radius falls short
+        assert naive_misses > 0
+
+    def test_zero_family_adds_no_radius(self):
+        abar = np.array([[0.3, -1.7], [2.0, 0.1]])
+        p, lr = _split(abar, IntervalMatrix.zeros(2, 2))
+        assert np.array_equal(p, abar) and not np.any(lr)
 
     def test_random_models_contain_vertex_trajectories(self):
-        # n <= 5, continuous and discrete, zero cells in A, exact zero rows
-        # of Lbar, zero-width cells and flat initial coordinates, each
-        # reduction with a period of 1, in the horizon, or beyond it
         rng = np.random.default_rng(31337)
         for trial in range(200):
-            n = int(rng.integers(1, 6))
-            a = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7)
-            continuous = bool(rng.random() < 0.5)
-            if not continuous:
-                a /= max(1.0, float(np.max(np.abs(np.linalg.eigvals(a)))))
-            rows = rng.random(n) < 0.6  # the other rows stay exact
-            cells = []
-            for i, j in zip(*np.nonzero(rows[:, None] & (rng.random((n, n)) < 0.5))):
-                if rng.random() < 0.2:
-                    cells.append(CellUncertainty(int(i), int(j),
-                                                 interval=(a[i, j], a[i, j])))
-                else:
-                    w = float(rng.uniform(0, 0.1))
-                    cells.append(CellUncertainty(int(i), int(j),
-                                                 interval=(a[i, j] - w, a[i, j] + w)))
-            lo = rng.uniform(-1, 1, n)
-            horizon = int(rng.integers(1, 40))
-            reduction = ("none", "interval", "zonotope")[trial % 3]
-            period = int(rng.choice([1, int(rng.integers(1, horizon + 1)),
-                                     horizon + 5]))
-            model = ModelSpec(
-                name=f"sweep{trial}", a=a, uncertainty=tuple(cells),
-                initial=Box(lo, lo + rng.uniform(0, 1, n) * (rng.random(n) < 0.8)),
-                horizon=horizon, continuous=continuous,
-                step=0.05 if continuous else None,
-                reduction_method=reduction, reduction_period=period)
+            model = random_model(rng, ("none", "interval", "zonotope")[trial % 3],
+                                 f"sweep{trial}")
             res = ors_reach(model)
-            lam = model.lambda_u()
-            for _ in range(4):
-                member = np.where(rng.random((n, n)) < 0.5, lam.lo, lam.hi)
-                step_m = scipy.linalg.expm(member * model.step) if continuous else member
-                x = np.where(rng.random((n, 8)) < 0.5, model.initial.lo[:, None],
-                             model.initial.hi[:, None])
-                for k in range(horizon + 1):
-                    assert np.all(x >= res.lo[k][:, None] - 1e-9), (trial, k)
-                    assert np.all(x <= res.hi[k][:, None] + 1e-9), (trial, k)
-                    x = step_m @ x
+            assert_contains_vertex_trajectories(rng, model, res.lo, res.hi, trial)
+
+    def test_never_looser_than_abar_recurrence(self):
+        # moving by P = Abar + Lm and boxing [-Lr, Lr] gives boxes inside
+        # those of the recurrence that moves by Abar and boxes Lbar
+        rng = np.random.default_rng(2007)
+        for trial in range(100):
+            model = random_model(rng, ("none", "interval")[trial % 2],
+                                 f"looser{trial}")
+            res = ors_reach(model)
+            abar, lbar = one_step_maps(model)
+            lo, hi = abar_recurrence_boxes(abar, lbar, model)
+            slack = 1e-12 * np.maximum(np.abs(lo), np.abs(hi)).max(
+                axis=1, keepdims=True)
+            assert np.all(res.lo >= lo - slack), trial
+            assert np.all(res.hi <= hi + slack), trial
+            assert_contains_vertex_trajectories(rng, model, res.lo, res.hi, trial)
+
+
+def random_model(rng, reduction, name):
+    """A random model with n <= 5, continuous or discrete, zero cells in
+    A, exact zero rows of Lbar, zero-width cells and flat initial
+    coordinates, reduced with a period of 1, in the horizon, or beyond it."""
+    n = int(rng.integers(1, 6))
+    a = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.7)
+    continuous = bool(rng.random() < 0.5)
+    if not continuous:
+        a /= max(1.0, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    rows = rng.random(n) < 0.6  # the other rows stay exact
+    cells = []
+    for i, j in zip(*np.nonzero(rows[:, None] & (rng.random((n, n)) < 0.5))):
+        if rng.random() < 0.2:
+            cells.append(CellUncertainty(int(i), int(j),
+                                         interval=(a[i, j], a[i, j])))
+        else:
+            w = float(rng.uniform(0, 0.1))
+            cells.append(CellUncertainty(int(i), int(j),
+                                         interval=(a[i, j] - w, a[i, j] + w)))
+    lo = rng.uniform(-1, 1, n)
+    horizon = int(rng.integers(1, 40))
+    period = int(rng.choice([1, int(rng.integers(1, horizon + 1)),
+                             horizon + 5]))
+    return ModelSpec(
+        name=name, a=a, uncertainty=tuple(cells),
+        initial=Box(lo, lo + rng.uniform(0, 1, n) * (rng.random(n) < 0.8)),
+        horizon=horizon, continuous=continuous,
+        step=0.05 if continuous else None,
+        reduction_method=reduction, reduction_period=period)
+
+
+def assert_contains_vertex_trajectories(rng, model, lo, hi, trial):
+    """Trajectories of vertex members from corners of Theta stay inside."""
+    n = model.dim
+    lam = model.lambda_u()
+    for _ in range(4):
+        member = np.where(rng.random((n, n)) < 0.5, lam.lo, lam.hi)
+        step_m = (scipy.linalg.expm(member * model.step) if model.continuous
+                  else member)
+        x = np.where(rng.random((n, 8)) < 0.5, model.initial.lo[:, None],
+                     model.initial.hi[:, None])
+        for k in range(model.horizon + 1):
+            assert np.all(x >= lo[k][:, None] - 1e-9), (trial, k)
+            assert np.all(x <= hi[k][:, None] + 1e-9), (trial, k)
+            x = step_m @ x
+
+
+def abar_recurrence_boxes(abar, lbar, model):
+    """Boxes of the recurrence R_k = Abar R_{k-1} (+) lambda_box(Lbar,
+    R_{k-1}), the fresh block re-centred, with the model's interval
+    reductions."""
+    s = recentre(model.initial.to_star())
+    boxes = [s.bounding_box()]
+    for k in range(1, model.horizon + 1):
+        u = compact(recentre(lambda_box(lbar, s)))
+        s = minkowski_sum(linear_map(abar, s), u)
+        if (model.reduction_method == "interval"
+                and k % model.reduction_period == 0):
+            s = recentre(interval_reduce(s))
+        boxes.append(s.bounding_box())
+    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])

@@ -224,6 +224,39 @@ class TestNorms:
             assert best >= sup - 1e-9  # some sign vertex attains the sup
 
 
+    def test_two_norm_vertices_enumerate_sign_patterns(self):
+        # y outer with y[0] = +1, z inner, a set bit giving -1; n = 6 spans
+        # several batches
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 6):
+            c = rng.normal(size=(n, n))
+            r = rng.uniform(0, 1, (n, n))
+            m = IntervalMatrix.from_center_radius(c, r)
+            want = []
+            for ybits in range(2 ** (n - 1)):
+                y = np.array([1.0] + [-1.0 if ybits >> i & 1 else 1.0
+                                      for i in range(n - 1)])
+                for zbits in range(2 ** n):
+                    z = np.array([-1.0 if zbits >> i & 1 else 1.0
+                                  for i in range(n)])
+                    want.append(m.center + (y[:, None] * m.radius) * z[None, :])
+            got = list(m.two_norm_vertices())
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_two_norm_sup_equals_per_vertex_norms(self):
+        # batched SVDs give bitwise the largest per-vertex spectral norm
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            m = IntervalMatrix.from_center_radius(
+                rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3),
+                rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6))
+            if not np.any(m.radius):
+                continue
+            want = max(float(np.linalg.norm(v, 2)) for v in m.two_norm_vertices())
+            assert m.two_norm_sup() == want
+
 class TestIntervalExpm:
     def test_zero_matrix_is_identity(self):
         out = interval_expm(IntervalMatrix.zeros(3, 3), 5.0)
