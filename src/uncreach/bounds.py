@@ -164,22 +164,21 @@ def loan(a, lambda_norm: float, t):
                      lambda_norm, t)
 
 
-def bloat_factor(a, lambda_norm: float, t, method: str,
-                 cond_max: float = 1e8):
+def bloat_factor(a, lambda_norm: float, t, method: str):
     """phi of one method at a float t (a float) or a time array (an array)."""
     if method == "kagstrom1":
         return kagstrom1(a, lambda_norm, t)
     if method == "kagstrom2":
-        return kagstrom2(a, lambda_norm, t, cond_max=cond_max)
+        return kagstrom2(a, lambda_norm, t)
     if method == "loan":
         return loan(a, lambda_norm, t)
     raise ValueError(f"unknown bloat method {method!r}")
 
 
-def interval_norm(lam: IntervalMatrix, kind: str, max_dim: int = 8) -> float:
+def interval_norm(lam: IntervalMatrix, kind: str) -> float:
     """Interval matrix norm sup used to instantiate the bounds."""
     if kind == "two":
-        return lam.two_norm_sup(max_dim=max_dim)
+        return lam.two_norm_sup()
     if kind == "frobenius":
         return lam.frobenius_sup()
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -197,8 +196,7 @@ class BloatSeries:
 
 
 def bloat_series(a, lam: IntervalMatrix, times, method: str,
-                 norm_kind: str = "two", cond_max: float = 1e8,
-                 max_dim: int = 8) -> BloatSeries:
+                 norm_kind: str = "two") -> BloatSeries:
     """Evaluate one bound over an ascending time grid.
 
     The interval norm is computed once and the closed form is evaluated
@@ -213,7 +211,7 @@ def bloat_series(a, lam: IntervalMatrix, times, method: str,
         raise ValueError("times must be nonnegative and ascending")
     if lam.shape != a.shape:
         raise DimensionMismatch("perturbation family must match the matrix shape")
-    lambda_norm = interval_norm(lam, norm_kind, max_dim=max_dim)
-    phi = bloat_factor(a, lambda_norm, times, method, cond_max=cond_max)
+    lambda_norm = interval_norm(lam, norm_kind)
+    phi = bloat_factor(a, lambda_norm, times, method)
     return BloatSeries(method=method, norm_kind=norm_kind,
                        lambda_norm=lambda_norm, times=times, phi=phi)

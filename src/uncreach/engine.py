@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -132,12 +132,21 @@ class ModelSpec:
         if self.initial.dim != n:
             raise DimensionMismatch("initial box dimension must match the matrix")
         _require_finite(self.initial)
+        listed = set()
         for cell in self.uncertainty:
             if not (0 <= cell.row < n and 0 <= cell.col < n):
                 raise ValueError(f"uncertainty cell ({cell.row},{cell.col}) out of range")
+            if (cell.row, cell.col) in listed:
+                raise ValueError(f"uncertainty cell ({cell.row},{cell.col}) listed twice")
+            listed.add((cell.row, cell.col))
         for hs in self.unsafe:
             if hs.normal.shape[0] != n:
                 raise DimensionMismatch("half-space normal must match the dimension")
+        for key in ("horizon", "reduction_period"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.continuous:
@@ -145,7 +154,7 @@ class ModelSpec:
                 raise ValueError("continuous models need a positive step")
         if self.reduction_method not in REDUCTION_METHODS:
             raise ValueError(f"unknown reduction method {self.reduction_method!r}")
-        if self.reduction_method != "none" and self.reduction_period < 1:
+        if self.reduction_period < 1:
             raise ValueError("reduction period must be positive")
 
     @property
@@ -184,14 +193,14 @@ class ReachResult:
     lo, hi   : (steps, dim) bounding-box bounds per step, radius applied
     radii    : bloating radius per step (zero on the numeric route; inf
                where a symbolic bound overflows, with lo/hi -inf/inf)
-    stars    : the reachable set at each step, numeric route only and
-               only with keep_stars=True, else None
     normals  : (k, dim) directions whose supports the numeric recurrence
                recorded (the model's unsafe normals), or None
     supports : (steps, k) support values in those directions, or None
     flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
                nominal set at step k is flows[k] @ initial; else None
     initial  : symbolic route: the initial box Theta; else None
+    _recurrence : numeric route: the O(n^2) inputs of the recurrence, which
+               `support` replays in directions it did not record; else None
     """
 
     kind: str
@@ -201,13 +210,13 @@ class ReachResult:
     hi: np.ndarray
     radii: np.ndarray
     gen_counts: np.ndarray
-    stars: list[Star] | None = None
     normals: np.ndarray | None = None
     supports: np.ndarray | None = None
     flows: np.ndarray | None = None
     initial: Box | None = None
     wall_time: float = 0.0
     phi: np.ndarray | None = None
+    _recurrence: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def boxes(self) -> list[Box]:
@@ -216,6 +225,31 @@ class ReachResult:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def support(self, dirs) -> np.ndarray:
+        """(steps, k) supports of the flowpipe in the k rows of dirs.
+
+        Recorded directions are read from `supports`.  A symbolic result
+        gives the support of each flow E Theta, max over the endpoint
+        products of (d E)_j with lo_j and hi_j, plus radius * ||d||_2 (inf
+        where the radius is).  Other directions of a numeric result replay
+        its recurrence once with exactly `dirs` as normals: one more pass
+        in O(steps (n + k)) memory, the same boxes.
+        """
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+        if dirs.ndim != 2 or dirs.shape[1] != self.lo.shape[1]:
+            raise DimensionMismatch("directions must match the flowpipe")
+        if self.normals is not None:
+            match = np.all(dirs[:, None, :] == self.normals[None, :, :], axis=2)
+            if np.all(match.any(axis=1)):
+                return self.supports[:, np.argmax(match, axis=1)]
+        if self.flows is None:
+            return _run_recurrence(*self._recurrence, self.method, dirs).supports
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups = _image_bounds(dirs @ self.flows, self.initial)[1]
+            sups += np.multiply.outer(self.radii, np.linalg.norm(dirs, axis=1))
+        sups[np.isinf(self.radii)] = np.inf
+        return sups
 
 
 @dataclass(frozen=True)
@@ -228,8 +262,7 @@ class SafetyVerdict:
     support: float | None = None
 
 
-def discretize(a, pert: IntervalMatrix, h: float,
-               order: int = 20) -> tuple[np.ndarray, IntervalMatrix]:
+def discretize(a, pert: IntervalMatrix, h: float) -> tuple[np.ndarray, IntervalMatrix]:
     """Split exp((A+Lambda) h) into a point matrix and interval remainder.
 
     Returns (Abar, Lbar) with Abar = expm(A h) and Lbar = M - Abar
@@ -242,7 +275,7 @@ def discretize(a, pert: IntervalMatrix, h: float,
         raise DimensionMismatch("matrix and perturbation shapes differ")
     if not (h > 0) or not math.isfinite(h):
         raise ValueError("step must be positive")
-    m = interval_expm(IntervalMatrix.from_point(a) + pert, h, order=order)
+    m = interval_expm(IntervalMatrix.from_point(a) + pert, h)
     abar = scipy.linalg.expm(a * h)
     return abar, m.sub_point(abar)
 
@@ -320,7 +353,7 @@ def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.
 def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                     horizon: int, reduction_method: str,
                     reduction_period: int, method_name: str,
-                    normals: np.ndarray, keep_stars: bool) -> ReachResult:
+                    normals: np.ndarray) -> ReachResult:
     """Run the recurrence on centred zonotopes (Girard, HSCC 2005).
 
     Abar + Lbar is enclosed in P +- Lr (_split), Theta split into
@@ -358,8 +391,7 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
 
     Generator counts follow the Star operations: n for Theta and for a
     hull, then the nonzero fresh radii, and at most 2n after a zonotope
-    reduction.  Kept stars are Star(c, G, -r, r), generators oldest first.
-    Inputs are validated once here and the flowpipe once at the end.
+    reduction.  Inputs and the flowpipe are each validated once.
     """
     start = time.perf_counter()
     n = theta.dim
@@ -385,7 +417,7 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     np.matmul(normals, powers, out=table[n:, :width])
     signed = table[:, :width].copy() if zonotope else None
     np.abs(table, out=table)
-    if zonotope or keep_stars:
+    if zonotope:
         # generators of every age, oldest first: a live window is a tail
         ages_gens = powers.reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
     del powers
@@ -408,22 +440,6 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     carried = carried_sums = None
     reduced_at = 0
     events = [(0, n)]  # (step, generator count) where the count restarts
-    stars: list[Star] | None = [] if keep_stars else None
-
-    def live_set(step: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Generators and radii of the live set buf[s:], oldest first."""
-        gens = ages_gens[:, ages_gens.shape[1] - (end - s):]
-        radii = buf[s:].reshape(-1, n)[::-1].flatten()  # a copy
-        keep = radii != 0.0
-        if base:
-            keep[:n] = True
-        if not keep.all():
-            gens, radii = gens[:, keep], radii[keep]
-        if carried is not None:
-            block = carried[:, step - reduced_at]
-            gens = np.hstack((block, gens))
-            radii = np.concatenate((np.ones(block.shape[1]), radii))
-        return gens, radii
 
     for first_step in range(0, horizon + 1, period):
         # the segment ends before the next reduction step or the horizon
@@ -446,16 +462,22 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
                                   windows[::-1, :, None])[:, :, 0]
             np.matmul(abs_c[j:j + b] + rows[:, :n], lr.T,
                       out=buf[s - b * n:s].reshape(b, n)[::-1])
-            if keep_stars:
-                for m in range(b):
-                    gens, radii = live_set(j + m, s - m * n)
-                    stars.append(Star(centres[j + m], gens, -radii, radii))
             t0 += b
         if stop > horizon:
             break
         s = end - (t0 + 1) * n  # the live history at the reduction step
         if zonotope:
-            gens, radii = live_set(stop, s)
+            # the live generators and radii, oldest first: the carried
+            # block, then buf[s:] without its zero radii
+            gens = ages_gens[:, ages_gens.shape[1] - (end - s):]
+            radii = buf[s:].reshape(-1, n)[::-1].ravel()
+            keep = radii != 0.0
+            keep[:n] |= base
+            gens, radii = gens[:, keep], radii[keep]
+            if carried is not None:
+                block = carried[:, stop - reduced_at]
+                gens = np.hstack((block, gens))
+                radii = np.concatenate((np.ones(block.shape[1]), radii))
             reduced = zono_reduce(Star(centres[stop], gens, -radii, radii), 2 * n)
             # unit coefficients; the centre stays, as mid = 0
             block = reduced.generators * reduced.coeff_hi
@@ -487,44 +509,42 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     return ReachResult(
         kind="numeric", method=method_name,
         labels=np.arange(horizon + 1, dtype=np.float64), lo=lo, hi=hi,
-        radii=np.zeros(horizon + 1), gen_counts=counts, stars=stars,
+        radii=np.zeros(horizon + 1), gen_counts=counts,
         normals=normals, supports=centres @ normals.T + q[:, n:],
-        wall_time=time.perf_counter() - start)
+        wall_time=time.perf_counter() - start,
+        _recurrence=(abar, lbar, theta, horizon, reduction_method,
+                     reduction_period))
 
 
-def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
-                            order: int = 20,
-                            keep_stars: bool = False) -> ReachResult:
+def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix) -> ReachResult:
     """Numeric flowpipe of the model with an explicit perturbation family.
 
     The supports of the model's unsafe normals are recorded at every step,
-    so safety_check against model.unsafe needs no stored sets; pass
-    keep_stars=True to keep the star of every step as well.
+    so safety_check against model.unsafe reads them; other directions
+    replay the recurrence (ReachResult.support).
     """
     if model.continuous:
-        abar, lbar = discretize(model.a, pert, model.step, order=order)
+        abar, lbar = discretize(model.a, pert, model.step)
     else:
         abar, lbar = model.a, pert
     normals = np.array([hs.normal for hs in model.unsafe],
                        dtype=np.float64).reshape(-1, model.dim)
     return _run_recurrence(abar, lbar, model.initial, model.horizon,
                            model.reduction_method, model.reduction_period,
-                           method_name="numeric", normals=normals,
-                           keep_stars=keep_stars)
+                           method_name="numeric", normals=normals)
 
 
-def ors_reach(model: ModelSpec, order: int = 20,
-              keep_stars: bool = False) -> ReachResult:
+def ors_reach(model: ModelSpec) -> ReachResult:
     """Numeric over-approximate flowpipe over the model horizon."""
-    return reach_with_perturbation(model, model.perturbation(), order=order,
-                                   keep_stars=keep_stars)
+    return reach_with_perturbation(model, model.perturbation())
 
 
 def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
     """Exact flowpipe of the unperturbed discrete map x -> A x.
 
     This is the numeric recurrence with a zero perturbation family, so it
-    keeps its stars and adds no generators.
+    adds no generators and records no supports; ReachResult.support
+    replays it in any direction.
     """
     a = np.asarray(a_discrete, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != theta.dim:
@@ -534,12 +554,11 @@ def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
     n = theta.dim
     return _run_recurrence(a, IntervalMatrix.zeros(n, n), theta, horizon,
                            "none", 1, method_name="nominal",
-                           normals=np.empty((0, n)), keep_stars=True)
+                           normals=np.empty((0, n)))
 
 
 def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
-                   method: str = "kagstrom1", norm_kind: str = "two",
-                   cond_max: float = 1e8) -> ReachResult:
+                   method: str = "kagstrom1", norm_kind: str = "two") -> ReachResult:
     """Nominal flow exp(At) Theta with a bloating radius per time point.
 
     The radius delta(t) = phi(t) ||exp(At)||_2 max_{x in Theta} ||x||_2
@@ -558,8 +577,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     if a.shape[-1:] != (theta.dim,):
         raise DimensionMismatch("initial box dimension must match the matrix")
     _require_finite(theta)
-    series = _bounds.bloat_series(a, pert, times, method, norm_kind,
-                                  cond_max=cond_max)
+    series = _bounds.bloat_series(a, pert, times, method, norm_kind)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         flows = scipy.linalg.expm(a * series.times[:, None, None])
@@ -612,49 +630,18 @@ def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:
     A half-space (normal, offset) is violated at a step iff the support of
     the step's set in direction normal is >= offset; symbolic sets add
     radius * ||normal||_2 on top of the nominal support, so an inf radius
-    is a violation (not proven safe).  Supports come from the rows the
-    numeric recurrence recorded for its model's unsafe normals, else from
-    the flows of a symbolic result or the kept stars of a numeric one; a
-    numeric result computed without keep_stars=True can only be checked
-    against those recorded normals.
+    is a violation (not proven safe).  Supports come from
+    ReachResult.support: recorded rows, symbolic flows, or one replay of
+    the numeric recurrence in the half-spaces' normals.
     """
     halfspaces = tuple(halfspaces)
     if not halfspaces:
         return SafetyVerdict(safe=True)
-    dirs = np.vstack([hs.normal for hs in halfspaces])
-    if dirs.shape[1] != result.lo.shape[1]:
-        raise DimensionMismatch("half-space normals must match the flowpipe")
     offsets = np.asarray([hs.offset for hs in halfspaces])
-    sups = _supports(result, dirs)
+    sups = result.support(np.vstack([hs.normal for hs in halfspaces]))
     hit = sups >= offsets
     if not hit.any():
         return SafetyVerdict(safe=True)
     k, j = (int(i) for i in np.argwhere(hit)[0])  # row-major order
     return SafetyVerdict(safe=False, step=k, halfspace=j,
                          support=float(sups[k, j]))
-
-
-def _supports(result: ReachResult, dirs: np.ndarray) -> np.ndarray:
-    """(steps, k) supports of the flowpipe in `dirs`, radii included.
-
-    Recorded supports are read directly.  A symbolic result gives the
-    support of each flow E Theta, max over the endpoint products of
-    (d E)_j with lo_j and hi_j, plus radius * ||d||_2 (inf where the
-    radius is); a numeric result evaluates its kept stars.
-    """
-    if result.normals is not None:
-        match = np.all(dirs[:, None, :] == result.normals[None, :, :], axis=2)
-        if np.all(match.any(axis=1)):
-            return result.supports[:, np.argmax(match, axis=1)]
-    if result.flows is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sups = _image_bounds(dirs @ result.flows, result.initial)[1]
-            sups += np.multiply.outer(result.radii, np.linalg.norm(dirs, axis=1))
-        sups[np.isinf(result.radii)] = np.inf
-        return sups
-    if result.stars is None:
-        raise ValueError(
-            "this flowpipe recorded supports only for its model's unsafe "
-            "normals; rerun it with keep_stars=True to check other "
-            "half-spaces")
-    return np.array([star.support_batch(dirs) for star in result.stars])

@@ -21,6 +21,9 @@ __all__ = [
     "interval_expm",
 ]
 
+# Largest order whose interval 2-norm sup is enumerated: 2^(2n-1) SVDs.
+MAX_DIM = 8
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -204,42 +207,40 @@ class IntervalMatrix:
         worst = np.abs(self.center) + self.radius
         return float(np.linalg.norm(worst, "fro"))
 
-    def two_norm_sup(self, max_dim: int = 8) -> float:
+    def two_norm_sup(self) -> float:
         """sup of the spectral norm over the matrix family.
 
         The supremum is attained on a vertex matrix of the form
         C + (y z^T) o Delta with sign vectors y, z, so it is computed by
         enumerating sign patterns (2^(2n-1) after symmetry), one batched
         SVD per stack of vertices.  Refuses with DimensionTooLarge when the
-        matrix order exceeds `max_dim`.
+        matrix order exceeds MAX_DIM.
         """
-        n, m = self.shape
-        if n != m:
-            raise DimensionMismatch("interval 2-norm sup requires a square matrix")
-        if n > max_dim:
-            raise DimensionTooLarge(
-                f"sign enumeration needs 2^(2n-1) spectral norms; n={n} exceeds max_dim={max_dim}"
-            )
-        c = self.center
-        r = self.radius
-        if not np.any(r):
-            return float(np.linalg.norm(c, 2))
+        batches = self._vertex_batches()
+        if not np.any(self.radius):
+            return float(np.linalg.norm(self.center, 2))
         return max(float(np.linalg.svd(batch, compute_uv=False)[:, 0].max())
-                   for batch in _sign_vertex_batches(c, r))
+                   for batch in batches)
 
-    def two_norm_vertices(self, max_dim: int = 8):
+    def two_norm_vertices(self):
         """Yield the sign-vertex candidates C + (y z^T) o Delta.
 
         (y, z) and (-y, -z) give the same matrix, so y[0] is fixed at +1
         and 2^(2n-1) matrices are produced.
         """
+        for batch in self._vertex_batches():
+            yield from batch
+
+    def _vertex_batches(self):
+        """Stacks of sign vertices, for a square matrix of order <= MAX_DIM."""
         n, m = self.shape
         if n != m:
             raise DimensionMismatch("interval 2-norm sup requires a square matrix")
-        if n > max_dim:
-            raise DimensionTooLarge(f"n={n} exceeds max_dim={max_dim}")
-        for batch in _sign_vertex_batches(self.center, self.radius):
-            yield from batch
+        if n > MAX_DIM:
+            raise DimensionTooLarge(
+                f"sign enumeration needs 2^(2n-1) spectral norms; n={n} exceeds max_dim={MAX_DIM}"
+            )
+        return _sign_vertex_batches(self.center, self.radius)
 
 
 def _sign_patterns(k: int) -> np.ndarray:

@@ -143,10 +143,6 @@ def parse_model(text: str) -> ModelSpec:
         except ValueError as exc:
             raise ModelFileError(f"{key}: {exc}") from None
 
-    horizon = _int(_require(doc, "horizon"), "horizon")
-    if horizon < 1:
-        raise ModelFileError("horizon: must be at least 1")
-
     red = doc.get("reduction") or {}
     if not isinstance(red, dict):
         raise ModelFileError("reduction: expected a mapping")
@@ -155,10 +151,6 @@ def parse_model(text: str) -> ModelSpec:
         raise ModelFileError(
             f"reduction.method: expected one of {REDUCTION_METHODS}, got {method!r}"
         )
-    period = red.get("period", 500)
-    period = _int(period, "reduction.period")
-    if period < 1:
-        raise ModelFileError("reduction.period: must be positive")
 
     try:
         return ModelSpec(
@@ -166,12 +158,12 @@ def parse_model(text: str) -> ModelSpec:
             a=a,
             uncertainty=tuple(cells),
             initial=Box(lo, hi),
-            horizon=horizon,
+            horizon=_require(doc, "horizon"),
             continuous=continuous,
             step=step,
             unsafe=tuple(planes),
             reduction_method=method,
-            reduction_period=period,
+            reduction_period=red.get("period", 500),
         )
     except (ValueError, DimensionMismatch) as exc:
         raise ModelFileError(str(exc)) from None

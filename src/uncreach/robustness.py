@@ -128,8 +128,7 @@ class ThresholdReport:
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
                          step: float = 0.05, cap: int = 200,
                          proportional_literal: bool = False,
-                         ord_matrix: OrdMatrix | None = None,
-                         order: int = 20) -> ThresholdReport:
+                         ord_matrix: OrdMatrix | None = None) -> ThresholdReport:
     """Largest safe budget on a grid p = 0, step, 2 step, ...
 
     Each budget is spread over the cells by the scheme, the numeric
@@ -157,9 +156,8 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
         assembled = distribute(model.a, cells, scores, p, scheme,
                                proportional_literal)
         pert = assembled.sub_point(model.a)
-        verdict = safety_check(
-            reach_with_perturbation(model, pert, order=order), model.unsafe
-        )
+        verdict = safety_check(reach_with_perturbation(model, pert),
+                               model.unsafe)
         trace.append((p, verdict.safe))
         if not verdict.safe:
             if i == 0:

@@ -87,10 +87,10 @@ def order_cells(a, gap_tol: float | None = None) -> OrdMatrix:
     return OrdMatrix(scores=scores, ranking=tuple(cells))
 
 
-def max_sv_radius(lam: IntervalMatrix, max_dim: int = 8) -> float:
+def max_sv_radius(lam: IntervalMatrix) -> float:
     """Largest singular value over the interval family, sup_E sigma_1(E).
 
     This is exactly the interval 2-norm sup, so ||E x||_2 <= radius for
     every member E and unit x.
     """
-    return lam.two_norm_sup(max_dim=max_dim)
+    return lam.two_norm_sup()

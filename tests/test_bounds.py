@@ -339,7 +339,6 @@ class TestSymbolicReach:
         res = symbolic_reach(np.array([[0.0]]), lam, theta,
                              np.array([0.0, 1.0]), method="loan")
         # the nominal set at t = 1 is exp(0) Theta, anchored at E 0 = 0
-        assert res.stars is None
         assert np.array_equal(res.flows[1], [[1.0]])
         assert res.initial is theta
         assert res.radii[1] == pytest.approx(math.e, rel=1e-14)

@@ -321,6 +321,14 @@ class TestErrorExits:
             assert result.exit_code == 2
             assert "model error" in result.stderr
 
+    def test_cell_listed_twice_is_exit_two(self, runner, tmp_path):
+        bad = tmp_path / "twice.yaml"
+        bad.write_text(JORDAN_YAML.replace(
+            "uncertainty:\n", "uncertainty:\n  - {row: 0, col: 0, relative: 0.5}\n"))
+        result = runner.invoke(main, ["reach", str(bad)])
+        assert result.exit_code == 2
+        assert "(0,0) listed twice" in result.stderr
+
     def test_missing_file_is_exit_two(self, runner, tmp_path):
         result = runner.invoke(main, ["reach", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 2

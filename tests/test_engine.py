@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.resources
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -141,6 +142,25 @@ class TestModelSpec:
             ModelSpec(**{**good, "initial": Box(np.zeros(2),
                                                 np.array([1.0, np.inf]))})
 
+    def test_rejects_cell_listed_twice(self):
+        # a second entry must not narrow the family the model lists
+        cells = (CellUncertainty(0, 0, relative=0.1),
+                 CellUncertainty(0, 0, interval=(0.0, 0.5)))
+        with pytest.raises(ValueError, match=r"\(0,0\) listed twice"):
+            dataclasses.replace(scalar_growth_model(), uncertainty=cells)
+
+    def test_horizon_and_period_must_be_integers(self):
+        for key, bad in [("horizon", 3.5), ("horizon", 3.0), ("horizon", True),
+                         ("reduction_period", 2.5),
+                         ("reduction_period", False)]:
+            with pytest.raises(ValueError, match=key):
+                dataclasses.replace(scalar_growth_model(), **{key: bad})
+        m = dataclasses.replace(scalar_growth_model(), horizon=np.int64(3),
+                                reduction_method="interval",
+                                reduction_period=np.int32(2))
+        assert type(m.horizon) is int and type(m.reduction_period) is int
+        assert len(ors_reach(m)) == 4
+
 
 class TestDiscretize:
     def test_zero_matrix_zero_family(self):
@@ -264,14 +284,12 @@ class TestOrsReach:
     def test_zonotope_reduction_contains_unreduced(self):
         m_none = girad_model(horizon=40, reduction="none")
         m_red = girad_model(horizon=40, reduction="zonotope", period=10)
-        res_none = ors_reach(m_none, keep_stars=True)
-        res_red = ors_reach(m_red, keep_stars=True)
         dirs = np.random.default_rng(9).normal(size=(50, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        sup_none = ors_reach(m_none).support(dirs)
+        sup_red = ors_reach(m_red).support(dirs)
         for k in (10, 20, 40):
-            sup_red = res_red.stars[k].support_batch(dirs)
-            sup_none = res_none.stars[k].support_batch(dirs)
-            assert np.all(sup_red >= sup_none - 1e-9)
+            assert np.all(sup_red[k] >= sup_none[k] - 1e-9)
 
     def test_uncertainty_widens_with_budget(self):
         # growing the entry range can only widen every step's box
@@ -541,6 +559,17 @@ def reference_run(abar, lbar, initial, horizon, reduction, period, normals):
             np.array([s.n_gens for s in stars]))
 
 
+def assert_replay_matches(res):
+    """A replay in the recorded normals gives the recorded supports
+    bitwise; one in +-e_i gives hi and -lo."""
+    n = res.lo.shape[1]
+    blank = dataclasses.replace(res, normals=None, supports=None)
+    assert np.array_equal(blank.support(res.normals), res.supports)
+    axes = res.support(np.vstack((np.eye(n), -np.eye(n))))
+    assert_close(axes[:, :n], res.hi)
+    assert_close(axes[:, n:], -res.lo)
+
+
 def assert_close(got, want):
     # relative 1e-12, and 1e-12 of the largest magnitude for entries that
     # cancel to about zero (acc4's lower bounds cross zero)
@@ -563,7 +592,6 @@ class TestStreamingRecurrence:
         assert_close(res.hi, hi)
         assert_close(res.supports, supports)
         assert np.array_equal(res.gen_counts, counts)
-        assert res.stars is None
         assert len(res) == model.horizon + 1
 
     @pytest.mark.parametrize("model", [
@@ -572,25 +600,18 @@ class TestStreamingRecurrence:
         *(pytest.param(short_acc4(reduction=r), id=f"acc4-{r}")
           for r in ("none", "interval", "zonotope"))])
     def test_kept_stars_match_recorded_rows(self, model):
-        res = ors_reach(model, keep_stars=True)
+        # no stars are kept: a replay in any direction stands in for them
+        res = ors_reach(model)
         normals = np.vstack([hs.normal for hs in model.unsafe])
         assert np.array_equal(res.normals, normals)
-        assert len(res.stars) == model.horizon + 1
-        ref_stars, lo, hi, supports, counts = reference_flowpipe(model)
-        assert np.array_equal(res.gen_counts, counts)
-        kept = [star.bounding_box() for star in res.stars]
-        kept_lo = np.array([box.lo for box in kept])
-        kept_hi = np.array([box.hi for box in kept])
-        assert_close(kept_lo, res.lo)
-        assert_close(kept_hi, res.hi)
-        assert_close(kept_lo, lo)
-        assert_close(kept_hi, hi)
-        assert_close(np.array([s.support_batch(normals) for s in res.stars]),
-                     supports)
-        for k, (star, ref) in enumerate(zip(res.stars, ref_stars)):
-            assert star.n_gens == res.gen_counts[k]
-            assert np.array_equal(star.coeff_lo, -star.coeff_hi)
-            assert_close(star.anchor, ref.anchor)
+        assert_replay_matches(res)
+        # a replay in other directions against the star operations
+        dirs = np.random.default_rng(5).normal(size=(4, model.dim))
+        abar, lbar = one_step_maps(model)
+        want = reference_run(abar, lbar, model.initial, model.horizon,
+                             model.reduction_method, model.reduction_period,
+                             dirs)[3]
+        assert_close(res.support(dirs), want)
 
     def test_boxes_are_built_from_bounds(self):
         res = ors_reach(discrete_model())
@@ -600,21 +621,30 @@ class TestStreamingRecurrence:
             assert np.array_equal(box.hi, res.hi[k])
 
     def test_foreign_halfspace_needs_kept_stars(self):
-        model = discrete_model()
-        other = (HalfSpace(np.array([0.0, 1.0, 0.0]), 5.0),)
-        with pytest.raises(ValueError, match="keep_stars=True"):
-            safety_check(ors_reach(model), other)
-        kept = safety_check(ors_reach(model, keep_stars=True), other)
-        assert kept.safe
+        # it no longer does: a normal the model does not list is replayed,
+        # and gives the verdict of a model that lists it
+        for reduction, offset in itertools.product(
+                ("none", "interval", "zonotope"), (5.0, 0.3)):
+            model = discrete_model(reduction=reduction, period=7)
+            other = (HalfSpace(np.array([0.0, 1.0, 1.0]), offset),)
+            listed = ors_reach(dataclasses.replace(model,
+                                                   unsafe=model.unsafe + other))
+            want = safety_check(listed, other)
+            got = safety_check(ors_reach(model), other)
+            assert (got.safe, got.step, got.halfspace) == (
+                want.safe, want.step, want.halfspace)
+            assert want.safe == (offset == 5.0)
+            if not got.safe:
+                assert got.support == pytest.approx(want.support, rel=1e-14)
         with pytest.raises(DimensionMismatch):
             safety_check(ors_reach(model), (HalfSpace(np.ones(2), 1.0),))
 
     def test_recorded_normals_serve_other_offsets(self):
         model = discrete_model()
         res = ors_reach(model)
-        kept = ors_reach(model, keep_stars=True)
+        replayed = dataclasses.replace(res, normals=None, supports=None)
         tight = (HalfSpace(model.unsafe[1].normal, 0.5),)
-        assert safety_check(res, tight) == safety_check(kept, tight)
+        assert safety_check(res, tight) == safety_check(replayed, tight)
         assert not safety_check(res, tight).safe
 
     def test_overflow_raises(self):
@@ -636,6 +666,22 @@ class TestStreamingRecurrence:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_foreign_halfspace_replays_in_linear_memory(self):
+        # unreduced 2050-step girad1: the replay keeps O(H (n + k)) radii
+        # and table rows; a copy of the live generators per step would
+        # take about 136 MB
+        model = shipped_girad(horizon=2050)
+        res = ors_reach(model)
+        other = (HalfSpace(np.array([1.0, 1.0]), 100.0),)
+        tracemalloc.start()
+        try:
+            verdict = safety_check(res, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.safe
+        assert peak < 2e6
 
     def test_unreduced_acc4_peak_memory(self):
         # the chunked recurrence reads windows of its n + k row table in
@@ -689,20 +735,14 @@ class TestChunkBoundaries:
             per = {"B": b, "B+3": b + 3, "beyond": horizon + 5}.get(
                 period, period)
             res = _run_recurrence(abar, lbar, theta, horizon, reduction, per,
-                                  "numeric", normals, keep_stars=True)
+                                  "numeric", normals)
             _, lo, hi, supports, counts = reference_run(
                 abar, lbar, theta, horizon, reduction, per, normals)
             assert_close(res.lo, lo)
             assert_close(res.hi, hi)
             assert_close(res.supports, supports)
             assert np.array_equal(res.gen_counts, counts), horizon
-            assert len(res.stars) == horizon + 1
-            kept = [star.bounding_box() for star in res.stars]
-            assert_close(np.array([box.lo for box in kept]), lo)
-            assert_close(np.array([box.hi for box in kept]), hi)
-            assert_close(np.array([s.support_batch(normals)
-                                   for s in res.stars]), supports)
-            assert [star.n_gens for star in res.stars] == list(counts)
+            assert_replay_matches(res)
 
 
 class TestCentredZonotopes:
