@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds as _bounds
-from ._expm import expm
+from ._expm import _CHUNK_ENTRIES, expm
 from .errors import DimensionMismatch
 from .intervals import IntervalMatrix, interval_expm
 from .stars import Box, Star, zono_reduce
@@ -198,6 +198,10 @@ class ReachResult:
     supports : (steps, k) support values in those directions, or None
     flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
                nominal set at step k is flows[k] @ initial; else None
+    flow_pad : symbolic route on a grid 0, h, 2h, ... with ||A||_F h <= 1:
+               (steps, dim) pad E_k max(|initial.lo|, |initial.hi|), E_k
+               an entrywise bound on |exp(A t_k) - flows[k]|, by which the
+               nominal box widens; else None
     initial  : symbolic route: the initial box Theta; else None
     _recurrence : numeric route: the O(n^2) inputs of the recurrence, which
                `support` replays in directions it did not record; else None
@@ -213,6 +217,7 @@ class ReachResult:
     normals: np.ndarray | None = None
     supports: np.ndarray | None = None
     flows: np.ndarray | None = None
+    flow_pad: np.ndarray | None = None
     initial: Box | None = None
     wall_time: float = 0.0
     phi: np.ndarray | None = None
@@ -231,10 +236,11 @@ class ReachResult:
 
         Recorded directions are read from `supports`.  A symbolic result
         gives the support of each flow E Theta, max over the endpoint
-        products of (d E)_j with lo_j and hi_j, plus radius * ||d||_2 (inf
-        where the radius is).  Other directions of a numeric result replay
-        its recurrence once with exactly `dirs` as normals: one more pass
-        in O(steps (n + k)) memory, the same boxes.
+        products of (d E)_j with lo_j and hi_j, plus flow_pad @ |d| where
+        there is a pad, plus radius * ||d||_2 (inf where the radius is).
+        Other directions of a numeric result replay its recurrence once
+        with exactly `dirs` as normals: one more pass in O(steps (n + k))
+        memory, the same boxes.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         if dirs.ndim != 2 or dirs.shape[1] != self.lo.shape[1]:
@@ -247,6 +253,8 @@ class ReachResult:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
             sups = _image_bounds(dirs @ self.flows, self.initial)[1]
+            if self.flow_pad is not None:
+                sups += self.flow_pad @ np.abs(dirs).T
             sups += np.multiply.outer(self.radii, np.linalg.norm(dirs, axis=1))
         sups[np.isinf(self.radii)] = np.inf
         return sups
@@ -291,6 +299,35 @@ def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mid = 0.5 * (lo + hi)
     rad = np.maximum(hi - mid, mid - lo)
     return mid, np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
+
+
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
+                   x_err: np.ndarray, out: np.ndarray) -> None:
+    """Write into out a bound on |F X - fl(f x)| for |F - f| <= f_err, |X - x| <= x_err.
+
+    F X - fl(f x) = (F - f) X + f (X - x) + (f x - fl(f x)), and the last
+    term is at most gamma_n |f| |x| for inner dimension n (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5), so the bound is
+    |f| (x_err + gamma_n |x|) + f_err (|x| + x_err).  Its own evaluation
+    rounds each entry by at most a factor 1 - gamma_(n+3), which the
+    final scaling by 1 + 2 gamma_(n+3) covers.
+    """
+    n = f.shape[1]
+    ax = np.abs(x)
+    tmp = ax * _gamma(n)
+    tmp += x_err
+    np.matmul(np.abs(f), tmp, out=out)
+    ax += x_err
+    out += np.matmul(f_err, ax, out=tmp)
+    out *= 1.0 + 2.0 * _gamma(n + 3)
 
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
@@ -565,13 +602,20 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     makes the padded set contain every perturbed trajectory point, since
     phi bounds the relative deviation of the perturbed exponential.
 
-    The whole grid is one stack of flows exp(A t), from one batched expm
-    (uncreach._expm) and one batched SVD for the 2-norms; the nominal box
-    of each flow E Theta takes the endpoint products E_ij lo_j, E_ij hi_j
-    of stars.box_core.  A radius beyond float range (phi saturated, or
-    the flow itself overflowed) is inf, and so are the box bounds from
-    that point on: unbounded, not proven safe.  The result keeps the flows
-    and Theta, not one Star per point; safety_check reads its supports.
+    The whole grid is one stack of flows.  A grid 0, h, 2h, ... (bitwise
+    np.arange(K) * h, as ModelSpec.times builds it) with ||A||_F h <= 1
+    takes them as powers F_k of expm(A h), each with an error bound
+    E_k >= |exp(A k h) - F_k| (_doubling_flows); the nominal box of
+    F_k Theta then widens by the pad E_k max(|lo|, |hi|) and
+    ||exp(A k h)||_2 is bounded by sigma_max(F_k) plus the sum of the
+    entries of E_k.  Any other grid, or a coarser step, takes one batched
+    expm (uncreach._expm) of A t over every point and has no pad.  One
+    batched SVD gives the 2-norms; the nominal box of each flow E Theta
+    takes the endpoint products E_ij lo_j, E_ij hi_j of stars.box_core.
+    A radius beyond float range (phi saturated, or the flow or its error
+    overflowed) is inf, and so are the box bounds from that point on:
+    unbounded, not proven safe.  The result keeps the flows, the pad and
+    Theta, not one Star per point; safety_check reads its supports.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):
@@ -580,14 +624,24 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     series = _bounds.bloat_series(a, pert, times, method, norm_kind)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        flows = scipy.linalg.expm(a * series.times[:, None, None])
+        doubled = _doubling_flows(a, series.times, theta)
+        if doubled is None:
+            flows = scipy.linalg.expm(a * series.times[:, None, None])
+            pad = None
+        else:
+            flows, pad, err_sums = doubled
         norms = np.full(series.times.shape, np.inf)
         finite = np.isfinite(flows).all(axis=(1, 2))
         norms[finite] = np.linalg.svd(flows[finite], compute_uv=False)[:, 0]
+        if pad is not None:
+            norms += err_sums
         radii = series.phi * norms * theta.max_norm()
         unbounded = ~np.isfinite(radii)
         radii[unbounded] = np.inf
         nlo, nhi = _image_bounds(flows, theta)
+        if pad is not None:
+            nlo -= pad
+            nhi += pad
         lo = nlo - radii[:, None]
         hi = nhi + radii[:, None]
     lo[unbounded] = -np.inf
@@ -602,10 +656,68 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         radii=radii,
         gen_counts=np.full(series.times.shape, theta.dim, dtype=np.int64),
         flows=flows,
+        flow_pad=pad,
         initial=theta,
         wall_time=wall,
         phi=series.phi.copy(),
     )
+
+
+# Largest theta = ||A||_F h for which a grid takes the powers of expm(A h).
+# interval_expm's Taylor tail theta^21 / (21! (1 - theta/22)) is below
+# 2.1e-20 there, so E_1 stays at rounding level.  At theta = 8.75
+# (girad1 with h = 1.5) it is about 2 per entry, while every entry of
+# exp(A h) is below 0.23, and the pad would swamp the box.
+_ORBIT_THETA = 1.0
+
+
+def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
+    """Flows of the grid 0, h, ..., (K-1) h as powers of expm(A h), or None.
+
+    None unless times is bitwise np.arange(K) * h with K >= 2, h > 0 and
+    ||A||_F h <= _ORBIT_THETA.  The flows are F_k = P^k for P = expm(A h),
+    by the doubling of _orbit, each doubled product carrying its error
+    bound from _product_error, from E_1 = max(M.hi - P, P - M.lo) pushed
+    one ulp outward, M = interval_expm(A, h); so E_k >= |exp(A k h) - F_k|.
+    Returns the (K, n, n) flows, the (K, n) pads E_k max(|lo|, |hi|) of
+    Theta and the (K,) entry sums of E_k, each at least ||E_k||_2; the
+    error stack itself is dropped.
+    """
+    count = len(times)
+    if count < 2 or times[0] != 0.0 or not times[1] > 0.0:
+        return None
+    h = times[1]
+    if not np.array_equal(times, np.arange(count) * h):
+        return None
+    lam = IntervalMatrix.from_point(a)
+    if lam.frobenius_sup() * h > _ORBIT_THETA:
+        return None
+    m = interval_expm(lam, h)
+    n = a.shape[0]
+    p = scipy.linalg.expm(a * h)
+    powers = np.empty((n, count * n))
+    errs = np.empty_like(powers)
+    powers[:, :n] = np.eye(n)
+    errs[:, :n] = 0.0
+    # step = P^done, within step_err of exp(A done h)
+    done, step = 1, p
+    step_err = np.nextafter(np.maximum(m.hi - p, p - m.lo), np.inf)
+    while done < count:
+        take = min(done, count - done)
+        src, dst = slice(0, take * n), slice(done * n, (done + take) * n)
+        np.matmul(step, powers[:, src], out=powers[:, dst])
+        _product_error(step, step_err, powers[:, src], errs[:, src], errs[:, dst])
+        done += take
+        if done < count:
+            square_err = np.empty_like(step_err)
+            _product_error(step, step_err, step, step_err, square_err)
+            step, step_err = step @ step, square_err
+    errs = errs.reshape(n, count, n)  # errs[i, k, j] = E_k[i, j]
+    pad = (errs @ np.maximum(np.abs(theta.lo), np.abs(theta.hi))).T.copy()
+    err_sums = errs.sum(axis=(0, 2))
+    del errs
+    flows = np.ascontiguousarray(powers.reshape(n, count, n).transpose(1, 0, 2))
+    return flows, pad, err_sums
 
 
 def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -613,10 +725,21 @@ def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
 
     m is (..., rows, dim); each bound is a sum of the smaller (larger) of
     the endpoint products m_ij lo_j and m_ij hi_j, as in stars.box_core.
+    The rows go in chunks of about _CHUNK_ENTRIES entries, so the
+    temporaries stay small whatever the stack; every row is summed as a
+    whole, so the bounds do not depend on the chunking.
     """
-    p1 = m * box.lo
-    p2 = m * box.hi
-    return np.minimum(p1, p2).sum(axis=-1), np.maximum(p1, p2).sum(axis=-1)
+    dim = m.shape[-1]
+    rows = m.reshape(-1, dim)
+    lo = np.empty(len(rows))
+    hi = np.empty(len(rows))
+    chunk = max(1, _CHUNK_ENTRIES // max(1, dim))
+    for i in range(0, len(rows), chunk):
+        p1 = rows[i:i + chunk] * box.lo
+        p2 = rows[i:i + chunk] * box.hi
+        np.minimum(p1, p2).sum(axis=-1, out=lo[i:i + chunk])
+        np.maximum(p1, p2, out=p1).sum(axis=-1, out=hi[i:i + chunk])
+    return lo.reshape(m.shape[:-1]), hi.reshape(m.shape[:-1])
 
 
 def _require_finite(theta: Box) -> None:

@@ -30,6 +30,7 @@ from uncreach import (
 )
 from uncreach._expm import expm
 from uncreach._kernels import box_core
+from uncreach.engine import _image_bounds
 from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -322,6 +323,8 @@ class TestSymbolicReach:
         res = symbolic_reach(GIRAD_A, IntervalMatrix.zeros(2, 2), theta,
                              np.linspace(0, 1, 11), method="kagstrom1")
         assert res.kind == "symbolic"
+        # linspace(0, 1, 11) is bitwise arange(11) * 0.1: the padded route
+        assert res.flow_pad is not None
         assert np.all(res.radii == 0.0)
         assert np.all(res.phi == 0.0)
 
@@ -460,3 +463,211 @@ class TestSymbolicReach:
         with pytest.raises(DimensionMismatch):
             symbolic_reach(GIRAD_A, IntervalMatrix.zeros(2, 2),
                            Box(np.zeros(1), np.ones(1)), np.array([0.0, 1.0]))
+
+
+SHIPPED_A = {
+    "girad1": GIRAD_A,
+    "twocell": TWOCELL_A,
+    "acc4": np.array([[-0.5, 0.0, 0.0, 0.5],
+                      [-1.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0]]),
+}
+SHIPPED_GRID = np.arange(2051) * 0.01  # the shipped models' 2050-step grid
+
+
+def oracle_matrices():
+    """(a, times): a Jordan block, an unstable matrix and random matrices
+    of order 1 to 6, each on a uniform grid of 300 points."""
+    rng = np.random.default_rng(4242)
+    cases = [(np.array([[-0.5, 1.0, 0.0], [0.0, -0.5, 1.0],
+                        [0.0, 0.0, -0.5]]), 0.03),
+             (rng.normal(size=(4, 4)) * 0.5 + 0.8 * np.eye(4), 0.02)]
+    for n in range(1, 7):
+        cases.append((rng.uniform(-1, 1, (n, n)), float(rng.uniform(0.005, 0.05))))
+    return [(a, np.arange(300) * h) for a, h in cases]
+
+
+def image_bounds_reference(flows, theta):
+    """The nominal box of each flow, unchunked: the endpoint products."""
+    p1 = flows * theta.lo
+    p2 = flows * theta.hi
+    return np.minimum(p1, p2).sum(axis=-1), np.maximum(p1, p2).sum(axis=-1)
+
+
+def per_point_reference(a, lam, theta, times, method):
+    """lo, hi and radii of the per-point route: one batched expm of A t."""
+    flows = expm(a * times[:, None, None])
+    phi = bloat_series(a, lam, times, method).phi
+    radii = phi * np.linalg.svd(flows, compute_uv=False)[:, 0] * theta.max_norm()
+    nlo, nhi = image_bounds_reference(flows, theta)
+    return flows, nlo - radii[:, None], nhi + radii[:, None], radii
+
+
+class TestDoublingFlows:
+    """Uniform grids 0, h, 2h, ...: flows as powers of expm(A h) with an
+    error pad, checked against a 40-digit mpmath exponential."""
+
+    @staticmethod
+    def check_against_mpmath(a, times, steps):
+        mpmath = pytest.importorskip("mpmath")
+        n = a.shape[0]
+        zero = IntervalMatrix.zeros(n, n)
+        # with Theta = {e_j} the pad is column j of the error bound E_k
+        columns = []
+        for j in range(n):
+            e = np.eye(n)[j]
+            res = symbolic_reach(a, zero, Box(e, e), times, method="loan")
+            assert res.flow_pad is not None
+            columns.append(res)
+        rng = np.random.default_rng(n)
+        lo = rng.uniform(-1, 1, n)
+        theta = Box(lo, lo + rng.uniform(0, 1, n))
+        boxed = symbolic_reach(a, zero, theta, times, method="loan")
+        worst = 0.0
+        with mpmath.workdps(40):
+            big_a = mpmath.matrix(a.tolist())
+            for k in steps:
+                ref = mpmath.expm(big_a * mpmath.mpf(times[k]))
+                for j, res in enumerate(columns):
+                    assert np.array_equal(res.flows[k], boxed.flows[k])
+                    for i in range(n):
+                        miss = abs(ref[i, j] - mpmath.mpf(res.flows[k][i, j]))
+                        bound = mpmath.mpf(res.flow_pad[k][i])
+                        assert miss <= bound, (k, i, j)
+                        if bound > 0:  # F_0 = I is exact
+                            worst = max(worst, float(miss / bound))
+                # the padded nominal box holds the box of exp(A t_k) Theta
+                for i in range(n):
+                    ends = [(ref[i, j] * mpmath.mpf(theta.lo[j]),
+                             ref[i, j] * mpmath.mpf(theta.hi[j])) for j in range(n)]
+                    assert mpmath.mpf(boxed.lo[k, i]) <= sum(min(e) for e in ends)
+                    assert mpmath.mpf(boxed.hi[k, i]) >= sum(max(e) for e in ends)
+        return worst
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_A))
+    def test_error_rows_hold_on_shipped_grids(self, name):
+        worst = self.check_against_mpmath(SHIPPED_A[name], SHIPPED_GRID,
+                                          range(0, len(SHIPPED_GRID), 186))
+        assert worst <= 0.75  # a bound, and not a loose one
+
+    def test_error_rows_hold_on_random_matrices(self):
+        for a, times in oracle_matrices():
+            self.check_against_mpmath(a, times, (1, 2, 7, 64, 150, 299))
+
+    def test_other_grids_take_the_per_point_route(self):
+        rng = np.random.default_rng(31)
+        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
+                                                np.full((2, 2), 0.01))
+        theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
+        grids = {
+            "ragged": ragged_grid(rng, count=25),
+            # `reach --t-start 0.5 --t-end 2.0` on a 0.01 step
+            "window": 0.5 + np.arange(151) * 0.01,
+            # ||A||_F h = 23.3 >= 22, where interval_expm would diverge
+            "theta": np.arange(6) * 4.0,
+            # ||A||_F h = 8.75: interval_expm's tail is about 2 per entry,
+            # while no entry of exp(A h) exceeds 0.23: a pad would swamp the box
+            "coarse": np.arange(15) * 1.5,
+            # ||A||_F h = 1.01, just past the orbit's cutoff
+            "cutoff": np.arange(40) * (1.01 / np.linalg.norm(GIRAD_A)),
+            "single": np.array([0.0]),
+        }
+        for name, times in grids.items():
+            for method in BLOAT_METHODS:
+                res = symbolic_reach(GIRAD_A, lam, theta, times, method=method)
+                assert res.flow_pad is None, name
+                flows, lo, hi, radii = per_point_reference(
+                    GIRAD_A, lam, theta, times, method)
+                assert np.array_equal(res.flows, flows), name
+                assert np.array_equal(res.radii, radii), name
+                assert np.array_equal(res.lo, lo), name
+                assert np.array_equal(res.hi, hi), name
+
+    def test_orbit_below_theta_one_keeps_widths_and_verdicts(self):
+        # ||A||_F h = 0.99 on girad1: the orbit with a pad; its boxes stay
+        # within 1e-10 of the per-point widths and every verdict holds
+        model = load_model(importlib.resources.files("uncreach.models") / "girad1.yaml")
+        times = np.arange(140) * (0.99 / np.linalg.norm(model.a))
+        for method in BLOAT_METHODS:
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 times, method=method)
+            assert res.flow_pad is not None
+            _, lo, hi, _ = per_point_reference(
+                model.a, model.perturbation(), model.initial, times, method)
+            assert np.all(res.lo <= lo) and np.all(res.hi >= hi)
+            np.testing.assert_allclose(res.hi - res.lo, hi - lo, rtol=1e-10)
+            verdict = safety_check(res, model.unsafe)
+            # the model's one half-space is x_1 >= 2: support hi[:, 0]
+            (unsafe,) = model.unsafe
+            assert np.array_equal(unsafe.normal, [1.0, 0.0])
+            hit = np.flatnonzero(hi[:, 0] >= unsafe.offset)
+            assert not verdict.safe and verdict.step == hit[0], method
+
+    def test_uniform_grid_pads_the_per_point_boxes(self):
+        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
+                                                np.full((2, 2), 0.01))
+        theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
+        for method in BLOAT_METHODS:
+            res = symbolic_reach(GIRAD_A, lam, theta, SHIPPED_GRID, method=method)
+            flows, lo, hi, radii = per_point_reference(
+                GIRAD_A, lam, theta, SHIPPED_GRID, method)
+            assert res.flow_pad.shape == (len(SHIPPED_GRID), 2)
+            assert np.all(res.flow_pad[0] == 0.0) and np.all(res.flow_pad[1:] > 0)
+            np.testing.assert_allclose(res.flows, flows, rtol=0, atol=1e-13)
+            assert np.all(res.radii >= radii)
+            assert np.all(res.lo <= lo) and np.all(res.hi >= hi)
+            np.testing.assert_allclose(res.hi - res.lo, hi - lo, rtol=1e-10)
+
+    def test_image_bounds_chunks_are_bitwise_whole(self):
+        rng = np.random.default_rng(8)
+        for shape in ((2051, 2, 2), (2051, 4, 4), (5000, 3, 7), (3, 9)):
+            m = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 5)
+            lo = rng.normal(size=shape[-1])
+            box = Box(lo, lo + rng.uniform(0, 2, shape[-1]))
+            got = _image_bounds(m, box)
+            ref = image_bounds_reference(m, box)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_flow_overflow_gives_unbounded_steps(self):
+        # exp(2t) leaves float range near t = 355; the uniform twin of
+        # TestSymbolicReach.test_flow_overflow_gives_unbounded_steps, on a
+        # step with ||A||_F h = 0.61 so that the orbit is taken
+        theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        times = np.arange(1601) * 0.25
+        for lam, overflow in (
+                (IntervalMatrix.from_center_radius(np.zeros((2, 2)),
+                                                   np.full((2, 2), 1e-3)), 1239),
+                (IntervalMatrix.zeros(2, 2), 1419)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = symbolic_reach(TWOCELL_A, lam, theta, times, method="loan")
+                verdict = safety_check(res, (HalfSpace(np.array([0.0, 1.0]), 1e300),))
+                boxes = res.boxes
+            assert res.flow_pad is not None
+            over = np.isinf(res.radii)
+            first = int(np.argmax(over))
+            # phi times the norm leaves float range first with a
+            # perturbation (t = 309.75), ||F_k||_2 without (t = 354.75):
+            # the steps of the per-point route
+            assert first == overflow and np.all(over[first:])
+            assert np.all(np.isfinite(res.radii[:first]))
+            assert np.all(res.lo[first:] == -np.inf) and np.all(res.hi[first:] == np.inf)
+            assert np.all(np.isfinite(res.lo[:first])) and np.all(np.isfinite(res.hi[:first]))
+            assert not np.isnan(res.radii).any() and boxes[-1].hi[1] == np.inf
+            assert not verdict.safe and verdict.step <= first
+
+    def test_support_along_axes_matches_box(self):
+        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
+                                                np.full((2, 2), 0.01))
+        theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
+        grids = (SHIPPED_GRID, ragged_grid(np.random.default_rng(3)))
+        for a, times in ((GIRAD_A, grids[0]), (GIRAD_A, grids[1]),
+                         (TWOCELL_A, np.arange(1601) * 0.25)):
+            for method in BLOAT_METHODS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = symbolic_reach(a, lam, theta, times, method=method)
+                    sups = res.support(np.vstack((np.eye(2), -np.eye(2))))
+                assert np.array_equal(sups[:, :2], res.hi)
+                assert np.array_equal(sups[:, 2:], -res.lo)
