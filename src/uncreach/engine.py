@@ -201,7 +201,9 @@ class ReachResult:
     flow_pad : symbolic route on a grid 0, h, 2h, ... with ||A||_F h <= 1:
                (steps, dim) pad E_k max(|initial.lo|, |initial.hi|), E_k
                an entrywise bound on |exp(A t_k) - flows[k]|, by which the
-               nominal box widens; else None
+               nominal box widens (the radius then bounds ||exp(A t_k)||_2
+               by an upper bound on sigma_max(flows[k]) plus the entry sum
+               of E_k); else None
     initial  : symbolic route: the initial box Theta; else None
     _recurrence : numeric route: the O(n^2) inputs of the recurrence, which
                `support` replays in directions it did not record; else None
@@ -328,6 +330,78 @@ def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
     ax += x_err
     out += np.matmul(f_err, ax, out=tmp)
     out *= 1.0 + 2.0 * _gamma(n + 3)
+
+
+# LAPACK bounds the error of each eigenvalue eigvalsh computes for a
+# symmetric A by p(n) u ||A||_2, with p(n) "a modestly growing function
+# of n" and no constant given (LAPACK Users' Guide, 3rd ed., 4.7).  We
+# take p(n) = _EIG_C n, at least 48 for the orders n >= 3 that use it:
+# on 18000 random, orthogonal, rank-one, badly scaled and nearly
+# singular Gram matrices of order 3 to 8, the largest eigenvalue was
+# never more than 15 u ||A||_2 from its 30-digit value (numpy 2.4 with
+# OpenBLAS).
+_EIG_C = 16
+# Covers the roundings of each sigma_max evaluation (see _sigma_max_bound).
+_SIGMA_SLACK = 1.0 + 2.0 * _gamma(5)
+
+
+def _sigma_max_bound(flows: np.ndarray) -> np.ndarray:
+    """An upper bound on sigma_max of each matrix of a (K, n, n) stack.
+
+    n = 1 gives |f| exactly.  Otherwise each matrix is scaled by the power
+    of two 2^-e that puts its largest entry magnitude in [1/2, 1), so that
+    nothing below overflows and sigma_max(F_s) >= 1/2; the scaling is
+    exact but for entries it takes below the normal range, whose error of
+    at most 2^-1075 each is far below u sigma_max(F_s).  Then
+      n = 2: the cancellation-free closed form
+             sigma_1 = (sqrt((a+d)^2 + (c-b)^2) + sqrt((a-d)^2 + (c+b)^2)) / 2
+             of F_s = [[a, b], [c, d]]: every operation adds or takes the
+             root of nonnegative terms, so the computed value is within
+             a factor 1 - gamma_5 of sigma_1(F_s);
+      n > 2: sigma_1(F_s)^2 = lambda_max(F_s^T F_s).  The computed Gram G
+             is within gamma_n |F_s|^T |F_s| of it (Higham, Accuracy and
+             Stability of Numerical Algorithms, 3.5), so within
+             gamma_n ||F_s||_F^2 in the 2-norm.  That is far below 1/4,
+             so ||G||_2 = lambda_max(G), and eigvalsh's largest
+             eigenvalue l is within _EIG_C n u lambda_max(G) of
+             lambda_max(G) (_EIG_C); so sigma_1(F_s)^2 <=
+             l / (1 - _EIG_C n u) + gamma_n ||F_s||_F^2.  That sum and its
+             root are evaluated within a factor 1 - 3u.
+    The result times _SIGMA_SLACK = 1 + 2 gamma_5, rounded, covers either
+    evaluation; times 2^e it is the bound, pushed one ulp up where it
+    falls below the normal range.  A matrix with a non-finite entry
+    gives inf, and so does a bound beyond float range.  The stack goes
+    in chunks of about _CHUNK_ENTRIES entries, as in _image_bounds.
+    """
+    n = flows.shape[-1]
+    if n == 1:
+        f = flows[:, 0, 0]
+        return np.where(np.isfinite(f), np.abs(f), np.inf)
+    out = np.empty(len(flows))
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(flows), chunk):
+            big = np.abs(flows[i:i + chunk]).max(axis=(1, 2))
+            finite = np.isfinite(big)
+            e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
+            fs = np.ldexp(flows[i:i + chunk], -e[:, None, None])
+            fs[~finite] = 0.0
+            if n == 2:
+                a, b, c, d = fs.reshape(-1, 4).T
+                s = np.sqrt(np.square(a + d) + np.square(c - b))
+                s += np.sqrt(np.square(a - d) + np.square(c + b))
+                s *= 0.5 * _SIGMA_SLACK
+            else:
+                lam = np.linalg.eigvalsh(fs.transpose(0, 2, 1) @ fs)[:, -1]
+                s = lam / (1.0 - _EIG_C * n * _UNIT)
+                s += np.square(fs).sum(axis=(1, 2)) * _gamma(n)
+                np.sqrt(s, out=s)
+                s *= _SIGMA_SLACK
+            s[~finite] = np.inf
+            np.ldexp(s, e, out=out[i:i + chunk])
+    low = (out > 0.0) & (out < np.finfo(np.float64).tiny)
+    out[low] = np.nextafter(out[low], np.inf)
+    return out
 
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
@@ -609,9 +683,12 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     F_k Theta then widens by the pad E_k max(|lo|, |hi|) and
     ||exp(A k h)||_2 is bounded by sigma_max(F_k) plus the sum of the
     entries of E_k.  Any other grid, or a coarser step, takes one batched
-    expm (uncreach._expm) of A t over every point and has no pad.  One
-    batched SVD gives the 2-norms; the nominal box of each flow E Theta
-    takes the endpoint products E_ij lo_j, E_ij hi_j of stars.box_core.
+    expm (uncreach._expm) of A t over every point and has no pad.  The
+    2-norm of each flow is an upper bound on its sigma_max that covers
+    the rounding of its own evaluation (_sigma_max_bound: a closed form
+    for n <= 2, the Gram matrix's largest eigenvalue above); the nominal
+    box of each flow E Theta takes the endpoint products E_ij lo_j,
+    E_ij hi_j of stars.box_core.
     A radius beyond float range (phi saturated, or the flow or its error
     overflowed) is inf, and so are the box bounds from that point on:
     unbounded, not proven safe.  The result keeps the flows, the pad and
@@ -630,9 +707,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
             pad = None
         else:
             flows, pad, err_sums = doubled
-        norms = np.full(series.times.shape, np.inf)
-        finite = np.isfinite(flows).all(axis=(1, 2))
-        norms[finite] = np.linalg.svd(flows[finite], compute_uv=False)[:, 0]
+        norms = _sigma_max_bound(flows)
         if pad is not None:
             norms += err_sums
         radii = series.phi * norms * theta.max_norm()

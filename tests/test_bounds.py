@@ -30,7 +30,7 @@ from uncreach import (
 )
 from uncreach._expm import expm
 from uncreach._kernels import box_core
-from uncreach.engine import _image_bounds
+from uncreach.engine import _image_bounds, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -399,12 +399,15 @@ class TestSymbolicReach:
                     np.testing.assert_allclose(res.flows[idx], ea, rtol=1e-13,
                                                atol=1e-15)
                 # kagstrom1 can leave float range on the later points:
-                # those radii must be inf on both sides
+                # those radii must be inf on both sides.  The route bounds
+                # sigma_max from above, the reference takes the SVD's: the
+                # radius is never below it, and at most 1e-14 above it
                 ref_radii = np.array(ref_radii)
                 over = np.isinf(ref_radii)
                 assert np.array_equal(np.isinf(res.radii), over)
-                assert np.all(np.abs(res.radii[~over] - ref_radii[~over])
-                              <= 4 * np.spacing(ref_radii[~over]))
+                assert np.all(res.radii[~over] >= ref_radii[~over])
+                assert np.all(res.radii[~over] <= ref_radii[~over] * (1 + 1e-14))
+                assert np.all(res.lo <= ref_lo) and np.all(res.hi >= ref_hi)
                 scale = 1e-13 * np.max(np.abs(np.array(ref_hi)[~over]))
                 np.testing.assert_allclose(res.lo, ref_lo, rtol=1e-13, atol=scale)
                 np.testing.assert_allclose(res.hi, ref_hi, rtol=1e-13, atol=scale)
@@ -496,7 +499,8 @@ def image_bounds_reference(flows, theta):
 
 
 def per_point_reference(a, lam, theta, times, method):
-    """lo, hi and radii of the per-point route: one batched expm of A t."""
+    """lo, hi and radii of the per-point route: one batched expm of A t,
+    and the SVD's sigma_max in the radii."""
     flows = expm(a * times[:, None, None])
     phi = bloat_series(a, lam, times, method).phi
     radii = phi * np.linalg.svd(flows, compute_uv=False)[:, 0] * theta.max_norm()
@@ -580,9 +584,10 @@ class TestDoublingFlows:
                 flows, lo, hi, radii = per_point_reference(
                     GIRAD_A, lam, theta, times, method)
                 assert np.array_equal(res.flows, flows), name
-                assert np.array_equal(res.radii, radii), name
-                assert np.array_equal(res.lo, lo), name
-                assert np.array_equal(res.hi, hi), name
+                # radii bound the SVD's from above, within 1e-14 relative
+                assert np.all(res.radii >= radii), name
+                assert np.all(res.radii <= radii * (1 + 1e-14)), name
+                assert np.all(res.lo <= lo) and np.all(res.hi >= hi), name
 
     def test_orbit_below_theta_one_keeps_widths_and_verdicts(self):
         # ||A||_F h = 0.99 on girad1: the orbit with a pad; its boxes stay
@@ -671,3 +676,88 @@ class TestDoublingFlows:
                     sups = res.support(np.vstack((np.eye(2), -np.eye(2))))
                 assert np.array_equal(sups[:, :2], res.hi)
                 assert np.array_equal(sups[:, 2:], -res.lo)
+
+
+def sigma_max_reference(f):
+    """sigma_max of one matrix from a 40-digit mpmath SVD."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return max(mpmath.svd_r(mpmath.matrix(f.tolist()), compute_uv=False))
+
+
+class TestSigmaMaxBound:
+    """_sigma_max_bound against a 40-digit SVD: never below sigma_max, at
+    most 1e-14 above it, relative, and no RuntimeWarning."""
+
+    @staticmethod
+    def check(stack):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigma_max_bound(stack)
+        assert got.shape == (len(stack),)
+        mpmath = pytest.importorskip("mpmath")
+        for f, bound in zip(stack, got):
+            ref = sigma_max_reference(f)
+            assert ref <= mpmath.mpf(bound) <= ref * (1 + mpmath.mpf(1e-14)), f
+        return got
+
+    @staticmethod
+    def cases(rng, n):
+        """Random matrices of spread magnitudes, rotations (every singular
+        value equal), rank-one matrices and entries near 1e+-300."""
+        cases = [rng.normal(size=(n, n)) * np.exp(rng.normal(size=(n, n)) * k)
+                 for k in (0, 1, 3) for _ in range(4)]
+        for scale in (1.0, 3e-7, 5e9):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            cases.append(scale * q)
+        cases += [np.outer(rng.normal(size=n), rng.normal(size=n)) for _ in range(3)]
+        cases += [rng.normal(size=(n, n)) * s for s in (1e300, 1e-300, 3e-290)]
+        return np.array(cases)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_encloses_the_svd_tightly(self, n):
+        self.check(self.cases(np.random.default_rng(n), n))
+
+    def test_scaled_rotations(self):
+        angles = np.linspace(0.0, 2 * np.pi, 13)
+        c, s = np.cos(angles), np.sin(angles)
+        rot = np.stack((np.stack((c, -s), axis=1), np.stack((s, c), axis=1)), axis=1)
+        for scale in (1.0, 0.37, 1e150, 1e-150):
+            self.check(rot * scale)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_empty_and_subnormal(self, n):
+        rng = np.random.default_rng(100 + n)
+        zero = self.check(np.zeros((1, n, n)))
+        assert zero[0] == 0.0
+        assert self.check(np.empty((0, n, n))).shape == (0,)
+        # every entry subnormal, at least 2^-1024 in magnitude so that the
+        # float grid there is finer than 1e-14 relative
+        tiny = np.ldexp(rng.uniform(1.0, 4.0, (4, n, n)), -1024)
+        tiny *= rng.choice((-1.0, 1.0), tiny.shape)
+        mixed = rng.normal(size=(4, n, n))
+        mixed[:, 0] = np.ldexp(rng.uniform(-1.0, 1.0, (4, n)), -1060)
+        self.check(np.concatenate((tiny, mixed)))
+        # a few units of the smallest subnormal: there the float grid is
+        # coarser than 1e-14 relative, and the bound is at most 2 steps up
+        eta = np.nextafter(0.0, 1.0)
+        deep = rng.integers(-3, 4, (6, n, n)) * eta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigma_max_bound(deep)
+        for f, bound in zip(deep, got):
+            ref = sigma_max_reference(f)
+            assert ref <= bound <= ref + 2 * eta
+
+    def test_non_finite_and_overflowing_matrices_give_inf(self):
+        for n in (1, 2, 3):
+            stack = np.ones((4, n, n))
+            stack[0, -1, 0] = np.inf
+            stack[1, 0, -1] = np.nan
+            stack[2] *= 1e308  # sigma_max = n 1e308, past float range for n > 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _sigma_max_bound(stack)
+            assert got[0] == np.inf and got[1] == np.inf
+            assert got[2] == (1e308 if n == 1 else np.inf)
+            assert n <= got[3] <= n * (1 + 1e-14)

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,54 @@ class TestIntervalExpm:
             interval_expm(m, 1.0, order=0)
         with pytest.raises(DimensionMismatch):
             interval_expm(IntervalMatrix.zeros(2, 3), 1.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_time_up_front(self, t):
+        point = IntervalMatrix.zeros(2, 2)
+        family = IntervalMatrix(-np.ones((2, 2)), np.ones((2, 2)))
+        for m in (point, family):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="time must be finite"):
+                    interval_expm(m, t)
+
+    @staticmethod
+    def four_way_reference(lo, hi, t, order=20):
+        """The series with every scalar product the hull of its four
+        endpoint products, whatever the family's widths."""
+        n = lo.shape[0]
+        lt_lo, lt_hi = lo * t, hi * t
+        acc_lo, acc_hi = np.eye(n), np.eye(n)
+        term_lo, term_hi = np.eye(n), np.eye(n)
+        for k in range(1, order + 1):
+            a, b = term_lo[:, :, None], term_hi[:, :, None]
+            c, d = lt_lo[None], lt_hi[None]
+            products = np.stack((a * c, a * d, b * c, b * d))
+            term_lo = products.min(axis=0).sum(axis=1) * (1.0 / k)
+            term_hi = products.max(axis=0).sum(axis=1) * (1.0 / k)
+            acc_lo = acc_lo + term_lo
+            acc_hi = acc_hi + term_hi
+        theta = IntervalMatrix(lo, hi).frobenius_sup() * t
+        tail = theta ** (order + 1) / (
+            math.factorial(order + 1) * (1.0 - theta / (order + 2)))
+        return acc_lo - tail, acc_hi + tail
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.01, 0.5])
+    def test_point_family_bitwise_equal_to_four_way_series(self, t):
+        rng = np.random.default_rng(int(t * 1e4))
+        for n in range(1, 9):
+            for _ in range(3):
+                a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.8)
+                out = interval_expm(IntervalMatrix.from_point(a), t)
+                lo, hi = self.four_way_reference(a, a, t)
+                assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
+                # one entry of nonzero width: the interval series
+                i, j = rng.integers(0, n, 2)
+                wide = a.copy()
+                wide[i, j] += 0.01
+                out = interval_expm(IntervalMatrix(a, wide), t)
+                lo, hi = self.four_way_reference(a, wide, t)
+                assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
 
     def test_contains_member_exponentials(self):
         rng = np.random.default_rng(2024)
