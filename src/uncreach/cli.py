@@ -7,6 +7,7 @@ exit 2 and analysis errors exit 1, both with a diagnostic on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -22,6 +23,7 @@ from .robustness import SCHEMES, robustness_threshold
 from .sensitivity import order_cells
 
 FMT = "{:.17g}"
+_SYMBOLIC_ROWS = ("labels", "lo", "hi", "radii", "gen_counts", "flows", "flow_pad", "phi")
 
 
 def _handle_errors(f):
@@ -63,11 +65,7 @@ def _verdict_line(verdict, labels, kind: str) -> str:
 
 
 def _bounds_cells(result, k: int) -> list[str]:
-    cells = []
-    for lo, hi in zip(result.lo[k], result.hi[k]):
-        cells.append(FMT.format(lo))
-        cells.append(FMT.format(hi))
-    return cells
+    return [FMT.format(v) for pair in zip(result.lo[k], result.hi[k]) for v in pair]
 
 
 def _numeric_csv(result) -> str:
@@ -112,7 +110,8 @@ def main() -> None:
               help="interval norm feeding the symbolic bounds")
 @click.option("--out", default="-", help="CSV destination ('-' = stdout)")
 @click.option("--t-start", type=float, default=None,
-              help="symbolic window start (default 0)")
+              help="symbolic window start (default 0; off the grid, the "
+                   "next grid point)")
 @click.option("--t-end", type=float, default=None,
               help="symbolic window end (default horizon*step)")
 @_handle_errors
@@ -121,7 +120,8 @@ def reach_cmd(model_path: str, method: str, norm: str, out: str,
     """Compute a flowpipe and report the safety verdict.
 
     Numeric rows: step, lo_1, hi_1, ..., lo_n, hi_n, gen_count.
-    Symbolic rows: t, phi, radius, lo_1, hi_1, ..., lo_n, hi_n.
+    Symbolic rows: t, phi, radius, lo_1, hi_1, ..., lo_n, hi_n.  A window
+    prints the rows of the grid from 0 to --t-end that lie in the window.
     """
     model = load_model(model_path)
     if method == "numeric":
@@ -132,23 +132,29 @@ def reach_cmd(model_path: str, method: str, norm: str, out: str,
     else:
         if not model.continuous:
             raise ValueError("symbolic bounds need a continuous model")
-        times = _window(model, t_start, t_end)
-        result = symbolic_reach(model.a, model.perturbation(), model.initial,
-                                times, method=method, norm_kind=norm)
+        times, first = _window(model, t_start, t_end)
+        full = symbolic_reach(model.a, model.perturbation(), model.initial,
+                              times, method=method, norm_kind=norm)
+        result = dataclasses.replace(full, **{
+            k: getattr(full, k)[first:] for k in _SYMBOLIC_ROWS})
         csv_text = _symbolic_csv(result)
     verdict = safety_check(result, model.unsafe)
     _write_text(out, csv_text)
     _echo_summary(out, _verdict_line(verdict, result.labels, result.kind))
 
 
-def _window(model, t_start: float | None, t_end: float | None) -> np.ndarray:
+def _window(model, t_start: float | None, t_end: float | None):
+    """The grid 0, h, ... up to t_end, and its first point at or past t_start."""
     start = 0.0 if t_start is None else float(t_start)
     end = model.horizon * model.step if t_end is None else float(t_end)
     if start < 0 or end < start:
         raise ValueError("need 0 <= t-start <= t-end")
-    count = int(round((end - start) / model.step))
-    times = start + np.arange(count + 1) * model.step
-    return times[times <= end + 1e-12]
+    times = np.arange(int(round(end / model.step)) + 1) * model.step
+    times = times[times <= end + 1e-12]
+    first = int(np.searchsorted(times, start - 1e-12))
+    if first == len(times):
+        raise ValueError(f"no grid point lies in [{start:g}, {end:g}]")
+    return times, first
 
 
 @main.command("order")

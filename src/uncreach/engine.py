@@ -198,12 +198,11 @@ class ReachResult:
     supports : (steps, k) support values in those directions, or None
     flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
                nominal set at step k is flows[k] @ initial; else None
-    flow_pad : symbolic route on a grid 0, h, 2h, ... with ||A||_F h <= 1:
-               (steps, dim) pad E_k max(|initial.lo|, |initial.hi|), E_k
-               an entrywise bound on |exp(A t_k) - flows[k]|, by which the
-               nominal box widens (the radius then bounds ||exp(A t_k)||_2
-               by an upper bound on sigma_max(flows[k]) plus the entry sum
-               of E_k); else None
+    flow_pad : symbolic route: (steps, dim) pad E_k max(|initial.lo|,
+               |initial.hi|), E_k an entrywise bound on |exp(A t_k) -
+               flows[k]|, by which the nominal box widens (the radius then
+               bounds ||exp(A t_k)||_2 by an upper bound on
+               sigma_max(flows[k]) plus the entry sum of E_k); else None
     initial  : symbolic route: the initial box Theta; else None
     _recurrence : numeric route: the O(n^2) inputs of the recurrence, which
                `support` replays in directions it did not record; else None
@@ -238,8 +237,8 @@ class ReachResult:
 
         Recorded directions are read from `supports`.  A symbolic result
         gives the support of each flow E Theta, max over the endpoint
-        products of (d E)_j with lo_j and hi_j, plus flow_pad @ |d| where
-        there is a pad, plus radius * ||d||_2 (inf where the radius is).
+        products of (d E)_j with lo_j and hi_j, plus flow_pad @ |d|, plus
+        radius * ||d||_2 (inf where the radius is).
         Other directions of a numeric result replay its recurrence once
         with exactly `dirs` as normals: one more pass in O(steps (n + k))
         memory, the same boxes.
@@ -255,8 +254,7 @@ class ReachResult:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
             sups = _image_bounds(dirs @ self.flows, self.initial)[1]
-            if self.flow_pad is not None:
-                sups += self.flow_pad @ np.abs(dirs).T
+            sups += self.flow_pad @ np.abs(dirs).T
             sups += np.multiply.outer(self.radii, np.linalg.norm(dirs, axis=1))
         sups[np.isinf(self.radii)] = np.inf
         return sups
@@ -676,19 +674,17 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     makes the padded set contain every perturbed trajectory point, since
     phi bounds the relative deviation of the perturbed exponential.
 
-    The whole grid is one stack of flows.  A grid 0, h, 2h, ... (bitwise
-    np.arange(K) * h, as ModelSpec.times builds it) with ||A||_F h <= 1
-    takes them as powers F_k of expm(A h), each with an error bound
-    E_k >= |exp(A k h) - F_k| (_doubling_flows); the nominal box of
-    F_k Theta then widens by the pad E_k max(|lo|, |hi|) and
-    ||exp(A k h)||_2 is bounded by sigma_max(F_k) plus the sum of the
-    entries of E_k.  Any other grid, or a coarser step, takes one batched
-    expm (uncreach._expm) of A t over every point and has no pad.  The
-    2-norm of each flow is an upper bound on its sigma_max that covers
-    the rounding of its own evaluation (_sigma_max_bound: a closed form
-    for n <= 2, the Gram matrix's largest eigenvalue above); the nominal
-    box of each flow E Theta takes the endpoint products E_ij lo_j,
-    E_ij hi_j of stars.box_core.
+    times must be bitwise np.arange(K) * h, as ModelSpec.times builds
+    it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
+    of one step, each with an error bound E_k >= |exp(A k h) - F_k|
+    (_doubling_flows); the nominal box of F_k Theta widens by the pad
+    E_k max(|lo|, |hi|), and ||exp(A k h)||_2 <= sigma_max(F_k) plus the
+    entry sum of E_k.  The sigma_max bound covers the rounding of its own
+    evaluation (_sigma_max_bound: a closed form for n <= 2, the Gram
+    matrix's largest eigenvalue above), and the radius is scaled to cover
+    the rounding of its own product; phi's own rounding is not covered.
+    The nominal box of each flow E Theta takes the endpoint products
+    E_ij lo_j, E_ij hi_j of stars.box_core.
     A radius beyond float range (phi saturated, or the flow or its error
     overflowed) is inf, and so are the box bounds from that point on:
     unbounded, not proven safe.  The result keeps the flows, the pad and
@@ -701,82 +697,79 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     series = _bounds.bloat_series(a, pert, times, method, norm_kind)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        doubled = _doubling_flows(a, series.times, theta)
-        if doubled is None:
-            flows = scipy.linalg.expm(a * series.times[:, None, None])
-            pad = None
-        else:
-            flows, pad, err_sums = doubled
-        norms = _sigma_max_bound(flows)
-        if pad is not None:
-            norms += err_sums
+        flows, pad, err_sums = _doubling_flows(a, series.times, theta)
+        norms = _sigma_max_bound(flows) + err_sums
         radii = series.phi * norms * theta.max_norm()
+        # phi (sigma + e) ||Theta|| (e the computed entry sum of E_k,
+        # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
+        # roundings to nearest: n/2 through the squares, their sum and the
+        # root, then the root, sigma + e and two products; so it is at least
+        # (1 - u)^M times its exact value, barring underflow.  The float
+        # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
+        # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1).
+        radii *= 1.0 + 2 * ((theta.dim + 10) // 4 + 1) * _UNIT
         unbounded = ~np.isfinite(radii)
         radii[unbounded] = np.inf
         nlo, nhi = _image_bounds(flows, theta)
-        if pad is not None:
-            nlo -= pad
-            nhi += pad
+        nlo -= pad
+        nhi += pad
         lo = nlo - radii[:, None]
         hi = nhi + radii[:, None]
     lo[unbounded] = -np.inf
     hi[unbounded] = np.inf
-    wall = time.perf_counter() - start
     return ReachResult(
-        kind="symbolic",
-        method=method,
-        labels=series.times.copy(),
-        lo=lo,
-        hi=hi,
-        radii=radii,
+        kind="symbolic", method=method, labels=series.times.copy(), lo=lo,
+        hi=hi, radii=radii,
         gen_counts=np.full(series.times.shape, theta.dim, dtype=np.int64),
-        flows=flows,
-        flow_pad=pad,
-        initial=theta,
-        wall_time=wall,
-        phi=series.phi.copy(),
-    )
+        flows=flows, flow_pad=pad, initial=theta,
+        wall_time=time.perf_counter() - start, phi=series.phi.copy())
 
 
-# Largest theta = ||A||_F h for which a grid takes the powers of expm(A h).
-# interval_expm's Taylor tail theta^21 / (21! (1 - theta/22)) is below
-# 2.1e-20 there, so E_1 stays at rounding level.  At theta = 8.75
-# (girad1 with h = 1.5) it is about 2 per entry, while every entry of
-# exp(A h) is below 0.23, and the pad would swamp the box.
+# Scaling target theta = ||A||_F h / 2^s of _doubling_flows: interval_expm's
+# Taylor tail theta^21 / (21! (1 - theta/22)) is below 2.1e-20 there, so
+# the step's error stays at rounding level (unscaled at theta = 8.75, girad1
+# with h = 1.5, it is about 2 per entry, while exp(A h) has none above 0.23).
 _ORBIT_THETA = 1.0
 
 
 def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
-    """Flows of the grid 0, h, ..., (K-1) h as powers of expm(A h), or None.
+    """Flows of the grid times = np.arange(K) * h (else ValueError) as powers.
 
-    None unless times is bitwise np.arange(K) * h with K >= 2, h > 0 and
-    ||A||_F h <= _ORBIT_THETA.  The flows are F_k = P^k for P = expm(A h),
-    by the doubling of _orbit, each doubled product carrying its error
-    bound from _product_error, from E_1 = max(M.hi - P, P - M.lo) pushed
-    one ulp outward, M = interval_expm(A, h); so E_k >= |exp(A k h) - F_k|.
-    Returns the (K, n, n) flows, the (K, n) pads E_k max(|lo|, |hi|) of
-    Theta and the (K,) entry sums of E_k, each at least ||E_k||_2; the
-    error stack itself is dropped.
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+    for the least s >= 0 with ||A||_F h / 2^s <= _ORBIT_THETA, P_s =
+    expm(A h / 2^s) is within E = max(M.hi - P_s, P_s - M.lo), pushed
+    one ulp outward, of exp(A h / 2^s), M = interval_expm(A, h / 2^s).
+    s squarings give P and E_1, and the doubling of _orbit the flows
+    F_k = P^k, each product carrying its error by _product_error; so
+    E_k >= |exp(A k h) - F_k|.  Returns the (K, n, n) flows, the (K, n)
+    pads E_k max(|lo|, |hi|) of Theta and the (K,) entry sums of E_k,
+    each at least ||E_k||_2; the error stack itself is dropped.
     """
     count = len(times)
-    if count < 2 or times[0] != 0.0 or not times[1] > 0.0:
-        return None
-    h = times[1]
-    if not np.array_equal(times, np.arange(count) * h):
-        return None
+    h = float(times[1]) if count > 1 else 0.0
+    if not (h > 0.0 or count < 2) or not np.array_equal(times, np.arange(count) * h):
+        raise ValueError("symbolic times must be a grid np.arange(K) * h with h > 0")
     lam = IntervalMatrix.from_point(a)
-    if lam.frobenius_sup() * h > _ORBIT_THETA:
-        return None
-    m = interval_expm(lam, h)
+    frac, e = math.frexp(lam.frobenius_sup() * h / _ORBIT_THETA)
+    s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
+    tau = math.ldexp(h, -s)
+    m = interval_expm(lam, tau)
     n = a.shape[0]
-    p = scipy.linalg.expm(a * h)
+    step = scipy.linalg.expm(a * tau)
+    step_err = np.nextafter(np.maximum(m.hi - step, step - m.lo), np.inf)
+
+    def square(step, step_err):
+        square_err = np.empty_like(step_err)
+        _product_error(step, step_err, step, step_err, square_err)
+        return step @ step, square_err
+
+    for _ in range(s):
+        step, step_err = square(step, step_err)
     powers = np.empty((n, count * n))
     errs = np.empty_like(powers)
     powers[:, :n] = np.eye(n)
     errs[:, :n] = 0.0
-    # step = P^done, within step_err of exp(A done h)
-    done, step = 1, p
-    step_err = np.nextafter(np.maximum(m.hi - p, p - m.lo), np.inf)
+    done = 1  # step = P^done, within step_err of exp(A done h)
     while done < count:
         take = min(done, count - done)
         src, dst = slice(0, take * n), slice(done * n, (done + take) * n)
@@ -784,9 +777,7 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
         _product_error(step, step_err, powers[:, src], errs[:, src], errs[:, dst])
         done += take
         if done < count:
-            square_err = np.empty_like(step_err)
-            _product_error(step, step_err, step, step_err, square_err)
-            step, step_err = step @ step, square_err
+            step, step_err = square(step, step_err)
     errs = errs.reshape(n, count, n)  # errs[i, k, j] = E_k[i, j]
     pad = (errs @ np.maximum(np.abs(theta.lo), np.abs(theta.hi))).T.copy()
     err_sums = errs.sum(axis=(0, 2))

@@ -202,10 +202,13 @@ class IntervalMatrix:
         """sup of the Frobenius norm over the matrix family.
 
         Equals || |center| + radius ||_F: the entrywise largest magnitudes
-        are attained independently.
+        are attained independently.  The entries are scaled by a power of
+        two first, exactly, so the sum of squares overflows only when the
+        norm itself does.
         """
         worst = np.abs(self.center) + self.radius
-        return float(np.linalg.norm(worst, "fro"))
+        e = np.frexp(worst.max())[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(worst, -e), "fro"), e))
 
     def two_norm_sup(self) -> float:
         """sup of the spectral norm over the matrix family.

@@ -30,7 +30,7 @@ from uncreach import (
 )
 from uncreach._expm import expm
 from uncreach._kernels import box_core
-from uncreach.engine import _image_bounds, _sigma_max_bound
+from uncreach.engine import _doubling_flows, _image_bounds, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -323,8 +323,8 @@ class TestSymbolicReach:
         res = symbolic_reach(GIRAD_A, IntervalMatrix.zeros(2, 2), theta,
                              np.linspace(0, 1, 11), method="kagstrom1")
         assert res.kind == "symbolic"
-        # linspace(0, 1, 11) is bitwise arange(11) * 0.1: the padded route
-        assert res.flow_pad is not None
+        # linspace(0, 1, 11) is bitwise arange(11) * 0.1, a grid it accepts
+        assert res.flow_pad.shape == (11, 2)
         assert np.all(res.radii == 0.0)
         assert np.all(res.phi == 0.0)
 
@@ -332,9 +332,12 @@ class TestSymbolicReach:
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.full((2, 2), 0.01))
         res = symbolic_reach(GIRAD_A, lam, theta, np.array([0.0]), method="loan")
+        # the one-point grid arange(1) * h: F_0 = I with a zero pad
         assert res.radii[0] == 0.0
-        assert np.allclose(res.boxes[0].lo, theta.lo)
-        assert np.allclose(res.boxes[0].hi, theta.hi)
+        assert np.array_equal(res.flows, [np.eye(2)])
+        assert np.array_equal(res.flow_pad, np.zeros((1, 2)))
+        assert np.array_equal(res.boxes[0].lo, theta.lo)
+        assert np.array_equal(res.boxes[0].hi, theta.hi)
 
     def test_scalar_worked_example(self):
         theta = Box(np.array([1.0]), np.array([1.0]))
@@ -368,9 +371,9 @@ class TestSymbolicReach:
 
     def test_matches_per_point_reference(self):
         # one expm, one linear map and one box per time point, as the
-        # route was first written, on nonuniform grids with repeats; the
-        # package's expm called one point at a time (its accuracy is
-        # checked against mpmath in test_expm.py)
+        # route was first written, on uniform grids, some with
+        # ||A||_F h > 1; the package's expm called one point at a time (its
+        # accuracy is checked against mpmath in test_expm.py)
         rng = np.random.default_rng(2024)
         compared = 0
         for _ in range(30):
@@ -379,7 +382,7 @@ class TestSymbolicReach:
             lam = random_interval_matrix(rng, n, scale=0.05)
             lo = rng.uniform(-1, 1, n)
             theta = Box(lo, lo + rng.uniform(0, 1, n))
-            times = ragged_grid(rng, count=25)
+            times = np.arange(25) * rng.uniform(0.02, 0.5)
             for method in BLOAT_METHODS:
                 if method == "kagstrom2" and spectral_data(a).cond_s > 1e8:
                     continue
@@ -392,28 +395,60 @@ class TestSymbolicReach:
                     nominal = linear_map(ea, theta.to_star())
                     nlo, nhi = box_core(nominal.anchor, nominal.generators,
                                         nominal.coeff_lo, nominal.coeff_hi)
-                    delta = phi[idx] * np.linalg.norm(ea, 2) * theta.max_norm()
+                    with np.errstate(over="ignore"):
+                        delta = phi[idx] * np.linalg.norm(ea, 2) * theta.max_norm()
                     ref_radii.append(delta)
                     ref_lo.append(nlo - delta)
                     ref_hi.append(nhi + delta)
-                    np.testing.assert_allclose(res.flows[idx], ea, rtol=1e-13,
-                                               atol=1e-15)
+                    np.testing.assert_allclose(
+                        res.flows[idx], ea, rtol=1e-13,
+                        atol=1e-13 * max(1.0, np.abs(ea).max()))
                 # kagstrom1 can leave float range on the later points:
                 # those radii must be inf on both sides.  The route bounds
-                # sigma_max from above, the reference takes the SVD's: the
-                # radius is never below it, and at most 1e-14 above it
+                # sigma_max from above and adds the flow's error, the
+                # reference takes the SVD's: the radius is never below it,
+                # and at most 1e-10 above it (the error's entry sum)
                 ref_radii = np.array(ref_radii)
                 over = np.isinf(ref_radii)
                 assert np.array_equal(np.isinf(res.radii), over)
                 assert np.all(res.radii[~over] >= ref_radii[~over])
-                assert np.all(res.radii[~over] <= ref_radii[~over] * (1 + 1e-14))
-                assert np.all(res.lo <= ref_lo) and np.all(res.hi >= ref_hi)
-                scale = 1e-13 * np.max(np.abs(np.array(ref_hi)[~over]))
-                np.testing.assert_allclose(res.lo, ref_lo, rtol=1e-13, atol=scale)
-                np.testing.assert_allclose(res.hi, ref_hi, rtol=1e-13, atol=scale)
+                assert np.all(res.radii[~over] <= ref_radii[~over] * (1 + 1e-10))
+                # the boxes hold the reference's up to the rounding of the
+                # box bounds themselves, two ulps, and stay close to them
+                ref_lo, ref_hi = np.array(ref_lo)[~over], np.array(ref_hi)[~over]
+                ulps = 2 * np.spacing(np.maximum(np.abs(ref_lo), np.abs(ref_hi)))
+                assert np.all(res.lo[~over] <= ref_lo + ulps)
+                assert np.all(res.hi[~over] >= ref_hi - ulps)
+                scale = 1e-11 * np.max(np.abs(ref_hi))
+                np.testing.assert_allclose(res.lo[~over], ref_lo, rtol=1e-13, atol=scale)
+                np.testing.assert_allclose(res.hi[~over], ref_hi, rtol=1e-13, atol=scale)
                 assert np.array_equal(res.gen_counts, np.full(times.shape, n))
                 compared += 1
         assert compared >= 80
+
+    @pytest.mark.parametrize("name", ["girad1", "twocell", "acc4"])
+    def test_radii_cover_their_own_rounding(self, name):
+        # every radius is at least the exact product of its factors: phi,
+        # the sigma_max bound plus the entry sum of the flow's error, and
+        # the exact max-norm of Theta (rounded to nearest, 1818 of girad1's
+        # 2051 radii fell below it), and at most 2e-15 above it: the factor
+        # 1 + 8 u and the roundings it covers
+        mpmath = pytest.importorskip("mpmath")
+        model = load_model(importlib.resources.files("uncreach.models") / f"{name}.yaml")
+        times = model.times()
+        res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                             times, method="loan")
+        flows, _, err_sums = _doubling_flows(model.a, times, model.initial)
+        sigma = _sigma_max_bound(flows)
+        with mpmath.workdps(50):
+            ends = zip(model.initial.lo, model.initial.hi)
+            theta_norm = mpmath.sqrt(sum(max(mpmath.mpf(lo) ** 2, mpmath.mpf(hi) ** 2)
+                                         for lo, hi in ends))
+            for k in range(len(times)):
+                exact = (mpmath.mpf(res.phi[k]) * theta_norm
+                         * (mpmath.mpf(sigma[k]) + mpmath.mpf(err_sums[k])))
+                assert mpmath.mpf(res.radii[k]) >= exact, k
+                assert res.radii[k] <= exact * (1 + mpmath.mpf(2e-15)), k
 
     def test_bound_overflow_gives_unbounded_steps(self):
         path = importlib.resources.files("uncreach") / "models" / "acc4.yaml"
@@ -439,24 +474,39 @@ class TestSymbolicReach:
         assert late.step == first and late.support == math.inf
 
     def test_flow_overflow_gives_unbounded_steps(self):
-        # exp(2t) leaves float range near t = 355 on this unstable matrix
+        # exp(2t) leaves float range near t = 355 on this unstable matrix.
+        # On coarse steps (||A||_F h = 612 and 980, ten squarings) the orbit
+        # overflows at t = 500, or the squarings themselves do
         theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
                                                 np.full((2, 2), 1e-3))
-        times = np.array([0.0, 1.0, 100.0, 400.0, 1000.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = symbolic_reach(TWOCELL_A, lam, theta, times, method="loan")
-            verdict = safety_check(res, (HalfSpace(np.array([0.0, 1.0]), 1e300),))
-        assert np.all(np.isfinite(res.radii[:2]))
-        assert np.all(res.radii[3:] == np.inf)
-        assert np.all(res.lo[3:] == -np.inf) and np.all(res.hi[3:] == np.inf)
-        assert not verdict.safe and verdict.step == 3
-        # phi = 0 times an overflowed norm is unbounded too, not NaN
-        nominal = symbolic_reach(TWOCELL_A, IntervalMatrix.zeros(2, 2), theta,
-                                 times, method="loan")
-        assert np.array_equal(nominal.radii, [0.0, 0.0, 0.0, np.inf, np.inf])
-        assert np.all(nominal.hi[3:] == np.inf)
+        for step, finite in ((250.0, 2), (400.0, 1)):
+            times = np.arange(5) * step
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = symbolic_reach(TWOCELL_A, lam, theta, times, method="loan")
+                verdict = safety_check(res, (HalfSpace(np.array([0.0, 1.0]), 1e300),))
+            assert np.all(np.isfinite(res.radii[:finite]))
+            assert np.all(res.radii[finite:] == np.inf)
+            assert np.all(res.lo[finite:] == -np.inf) and np.all(res.hi[finite:] == np.inf)
+            assert not verdict.safe and verdict.step == finite
+            # phi = 0 times an overflowed norm is unbounded too, not NaN
+            nominal = symbolic_reach(TWOCELL_A, IntervalMatrix.zeros(2, 2), theta,
+                                     times, method="loan")
+            assert np.array_equal(nominal.radii[:finite], np.zeros(finite))
+            assert np.all(nominal.radii[finite:] == np.inf)
+            assert np.all(nominal.hi[finite:] == np.inf)
+
+    def test_huge_matrix_is_scaled_not_diverging(self):
+        # ||A||_F h = 1.4e158: 526 squarings of expm(A h / 2^526), and
+        # exp(-1e158) underflows to a zero flow with a zero pad
+        theta = Box(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        res = symbolic_reach(-1e160 * np.eye(2), IntervalMatrix.zeros(2, 2),
+                             theta, np.arange(3) * 0.01, method="loan")
+        assert np.array_equal(res.flows[1:], np.zeros((2, 2, 2)))
+        assert np.array_equal(res.flow_pad, np.zeros((3, 2)))
+        assert np.array_equal(res.lo[1:], np.zeros((2, 2)))
+        assert np.array_equal(res.hi[1:], np.zeros((2, 2)))
 
     def test_rejects_infinite_initial_box(self):
         theta = Box(np.array([0.0, -np.inf]), np.array([1.0, 0.0]))
@@ -499,8 +549,8 @@ def image_bounds_reference(flows, theta):
 
 
 def per_point_reference(a, lam, theta, times, method):
-    """lo, hi and radii of the per-point route: one batched expm of A t,
-    and the SVD's sigma_max in the radii."""
+    """lo, hi and radii of the per-point reference: one batched expm of
+    A t, no error pad, and the SVD's sigma_max in the radii."""
     flows = expm(a * times[:, None, None])
     phi = bloat_series(a, lam, times, method).phi
     radii = phi * np.linalg.svd(flows, compute_uv=False)[:, 0] * theta.max_norm()
@@ -522,7 +572,7 @@ class TestDoublingFlows:
         for j in range(n):
             e = np.eye(n)[j]
             res = symbolic_reach(a, zero, Box(e, e), times, method="loan")
-            assert res.flow_pad is not None
+            assert res.flow_pad.shape == (len(times), n)
             columns.append(res)
         rng = np.random.default_rng(n)
         lo = rng.uniform(-1, 1, n)
@@ -559,35 +609,53 @@ class TestDoublingFlows:
         for a, times in oracle_matrices():
             self.check_against_mpmath(a, times, (1, 2, 7, 64, 150, 299))
 
-    def test_other_grids_take_the_per_point_route(self):
-        rng = np.random.default_rng(31)
+    # girad1 steps with ||A||_F h past 1: interval_expm at h itself would
+    # diverge at 23.3 >= 22, and at 8.75 its tail is about 2 per entry
+    # while no entry of exp(A h) exceeds 0.23; scaled by 2^-s it is not
+    COARSE_GRIDS = {
+        "cutoff": np.arange(40) * (1.01 / np.linalg.norm(GIRAD_A)),
+        "coarse": np.arange(15) * 1.5,
+        "theta": np.arange(6) * 4.0,
+    }
+
+    @pytest.mark.parametrize("name", sorted(COARSE_GRIDS))
+    def test_coarse_grids_are_padded(self, name):
+        times = self.COARSE_GRIDS[name]
+        self.check_against_mpmath(GIRAD_A, times, range(len(times)))
+        # the padded boxes hold the per-point ones, within 1e-11 of their
+        # widths, and every verdict on the model's half-space x_1 >= 2 holds
+        model = load_model(importlib.resources.files("uncreach.models") / "girad1.yaml")
+        (unsafe,) = model.unsafe
+        assert np.array_equal(unsafe.normal, [1.0, 0.0])
+        for method in BLOAT_METHODS:
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 times, method=method)
+            assert res.flow_pad.shape == (len(times), 2)
+            _, lo, hi, radii = per_point_reference(
+                model.a, model.perturbation(), model.initial, times, method)
+            assert np.all(res.radii >= radii)
+            assert np.all(res.lo <= lo) and np.all(res.hi >= hi)
+            np.testing.assert_allclose(res.hi - res.lo, hi - lo, rtol=1e-11)
+            verdict = safety_check(res, model.unsafe)
+            hit = np.flatnonzero(hi[:, 0] >= unsafe.offset)
+            assert verdict.safe == (len(hit) == 0), method
+            assert verdict.safe or verdict.step == hit[0], method
+
+    @pytest.mark.parametrize("times", [
+        ragged_grid(np.random.default_rng(31), count=25),
+        np.array([0.0, 0.5, 0.5, 1.0]),                # repeated
+        np.zeros(3),                                   # h = 0
+        0.5 + np.arange(151) * 0.01,                   # a window after 0
+        np.array([0.5]),
+        # 0.1 summed: 6 of its points are 1 ulp off np.arange(11) * 0.1
+        np.concatenate(([0.0], np.cumsum(np.full(10, 0.1)))),
+    ], ids=["ragged", "repeated", "zero-step", "window", "single-late", "summed"])
+    def test_other_grids_raise(self, times):
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
                                                 np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
-        grids = {
-            "ragged": ragged_grid(rng, count=25),
-            # `reach --t-start 0.5 --t-end 2.0` on a 0.01 step
-            "window": 0.5 + np.arange(151) * 0.01,
-            # ||A||_F h = 23.3 >= 22, where interval_expm would diverge
-            "theta": np.arange(6) * 4.0,
-            # ||A||_F h = 8.75: interval_expm's tail is about 2 per entry,
-            # while no entry of exp(A h) exceeds 0.23: a pad would swamp the box
-            "coarse": np.arange(15) * 1.5,
-            # ||A||_F h = 1.01, just past the orbit's cutoff
-            "cutoff": np.arange(40) * (1.01 / np.linalg.norm(GIRAD_A)),
-            "single": np.array([0.0]),
-        }
-        for name, times in grids.items():
-            for method in BLOAT_METHODS:
-                res = symbolic_reach(GIRAD_A, lam, theta, times, method=method)
-                assert res.flow_pad is None, name
-                flows, lo, hi, radii = per_point_reference(
-                    GIRAD_A, lam, theta, times, method)
-                assert np.array_equal(res.flows, flows), name
-                # radii bound the SVD's from above, within 1e-14 relative
-                assert np.all(res.radii >= radii), name
-                assert np.all(res.radii <= radii * (1 + 1e-14)), name
-                assert np.all(res.lo <= lo) and np.all(res.hi >= hi), name
+        with pytest.raises(ValueError, match="grid"):
+            symbolic_reach(GIRAD_A, lam, theta, times, method="loan")
 
     def test_orbit_below_theta_one_keeps_widths_and_verdicts(self):
         # ||A||_F h = 0.99 on girad1: the orbit with a pad; its boxes stay
@@ -635,9 +703,9 @@ class TestDoublingFlows:
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_flow_overflow_gives_unbounded_steps(self):
-        # exp(2t) leaves float range near t = 355; the uniform twin of
+        # exp(2t) leaves float range near t = 355; the fine-step twin of
         # TestSymbolicReach.test_flow_overflow_gives_unbounded_steps, on a
-        # step with ||A||_F h = 0.61 so that the orbit is taken
+        # step with ||A||_F h = 0.61, taken without squarings
         theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
         times = np.arange(1601) * 0.25
         for lam, overflow in (
@@ -654,7 +722,7 @@ class TestDoublingFlows:
             first = int(np.argmax(over))
             # phi times the norm leaves float range first with a
             # perturbation (t = 309.75), ||F_k||_2 without (t = 354.75):
-            # the steps of the per-point route
+            # the steps of the per-point reference
             assert first == overflow and np.all(over[first:])
             assert np.all(np.isfinite(res.radii[:first]))
             assert np.all(res.lo[first:] == -np.inf) and np.all(res.hi[first:] == np.inf)
@@ -666,8 +734,7 @@ class TestDoublingFlows:
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
                                                 np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
-        grids = (SHIPPED_GRID, ragged_grid(np.random.default_rng(3)))
-        for a, times in ((GIRAD_A, grids[0]), (GIRAD_A, grids[1]),
+        for a, times in ((GIRAD_A, SHIPPED_GRID), (GIRAD_A, np.arange(15) * 1.5),
                          (TWOCELL_A, np.arange(1601) * 0.25)):
             for method in BLOAT_METHODS:
                 with warnings.catch_warnings():

@@ -133,6 +133,32 @@ class TestReachSymbolic:
         assert len(rows) == 3  # 0.98, 0.99, 1.00
         assert rows[0][0] == pytest.approx(0.98)
 
+    def test_window_rows_are_the_full_grid_rows(self, runner):
+        # a window runs the grid from 0 and prints its own rows of it,
+        # byte for byte, labels included
+        full = runner.invoke(main, ["reach", GIRAD, "--method", "loan",
+                                    "--t-end", "2.0"])
+        window = runner.invoke(main, ["reach", GIRAD, "--method", "loan",
+                                      "--t-start", "0.5", "--t-end", "2.0"])
+        assert full.exit_code == 0 and window.exit_code == 0, window.stderr
+        rows = window.stdout.splitlines()
+        assert len(rows) == 151
+        assert rows == full.stdout.splitlines()[-151:]
+        assert window.stderr == full.stderr  # the verdict is past t = 0.5
+
+    def test_off_grid_t_start_starts_at_the_next_grid_point(self, runner):
+        full = runner.invoke(main, ["reach", TWOCELL, "--method", "loan"])
+        window = runner.invoke(main, ["reach", TWOCELL, "--method", "loan",
+                                      "--t-start", "0.975"])
+        assert window.exit_code == 0
+        assert window.stdout.splitlines() == full.stdout.splitlines()[-3:]
+        assert parse_csv(window.stdout)[0][0] == pytest.approx(0.98)
+        # a window between two grid points holds none of them
+        empty = runner.invoke(main, ["reach", TWOCELL, "--method", "loan",
+                                     "--t-start", "0.975", "--t-end", "0.978"])
+        assert empty.exit_code == 1
+        assert "no grid point" in empty.stderr
+
     def test_norm_choice_changes_radius(self, runner):
         two = runner.invoke(main, ["reach", TWOCELL, "--method", "loan",
                                    "--norm", "two", "--t-end", "0.1"])

@@ -395,8 +395,7 @@ class TestSafetyCheck:
                 np.zeros((n, n)), rng.uniform(0, 0.05, (n, n)))
             lo = rng.uniform(-1, 1, n)
             theta = Box(lo, lo + rng.uniform(0, 1, n))
-            times = np.sort(np.concatenate(([0.0], rng.uniform(0, 2, 30))))
-            times[3:6] = times[3]
+            times = np.arange(31) * rng.uniform(0.02, 0.1)
             res = symbolic_reach(a, lam, theta, times, method="loan")
             dirs = rng.normal(size=(3, n))
             ref = np.array([

@@ -184,6 +184,21 @@ class TestNorms:
                            np.array([[1.0, -0.9], [0.0, 2.0]]))
         assert m.frobenius_sup() == pytest.approx(SQRT_621, rel=1e-15)
 
+    def test_frobenius_sup_scales_without_overflow(self):
+        # the power-of-two scaling is exact: bitwise the unscaled norm in
+        # the normal range, and finite past sqrt(float max)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            m = rng.normal(size=(n, n)) * np.exp(rng.normal(size=(n, n)) * 5)
+            lam = IntervalMatrix.from_center_radius(m, np.abs(rng.normal(size=(n, n))))
+            worst = np.abs(lam.center) + lam.radius
+            assert lam.frobenius_sup() == float(np.linalg.norm(worst, "fro"))
+        big = IntervalMatrix.from_point(np.array([[3e200, -4e200], [0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert big.frobenius_sup() == pytest.approx(5e200, rel=1e-15)
+
     def test_two_norm_sup_point(self):
         m = np.array([[1.0, -1.0], [0.0, 2.0]])
         assert IntervalMatrix.from_point(m).two_norm_sup() == pytest.approx(
