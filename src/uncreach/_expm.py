@@ -1,15 +1,13 @@
-"""Matrix exponential of a stack of matrices, in numpy alone.
+"""Matrix exponential of one square matrix, in numpy alone.
 
 Scaling and squaring with a diagonal Pade approximant r_m (Higham, "The
 scaling and squaring method for the matrix exponential revisited", SIAM J.
-Matrix Anal. Appl. 26, 2005).  Each matrix gets the lowest degree m in
+Matrix Anal. Appl. 26, 2005).  The matrix gets the lowest degree m in
 3, 5, 7, 9 whose theta_m bounds its 1-norm; otherwise m = 13 and it is
 scaled by 2^-s so that its 1-norm is at most theta_13, and r_13 is squared
-s times.  Degree and s depend on the matrix alone, so a matrix gets the
-same bits whether it comes alone or in a stack.  A diagonal matrix takes
-exp of its diagonal (so exp(0) = I exactly), a zero row i gives the exact
-unit row e_i, and a matrix with a non-finite entry gives NaN rather than
-an error.
+s times.  A diagonal matrix takes exp of its diagonal (so exp(0) = I
+exactly), a zero row i gives the exact unit row e_i, and a matrix with a
+non-finite entry gives NaN rather than an error.
 """
 
 from __future__ import annotations
@@ -35,63 +33,32 @@ _PADE = {
          16380., 182., 1.),
 }
 
-# Entries per chunk of the stack: bounds the Pade temporaries whatever the
-# stack length.
-_CHUNK_ENTRIES = 4096
-
-
 def expm(a) -> np.ndarray:
-    """exp(a) for a float array of shape (..., n, n)."""
+    """exp(a) for one square float matrix a of shape (n, n)."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("expm needs square matrices in the last two axes")
-    n = a.shape[-1]
-    out = np.empty_like(a)
-    flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, n * n))
-    for i in range(0, len(flat), chunk):
-        _expm_chunk(flat[i:i + chunk], flat_out[i:i + chunk])
-    return out
-
-
-def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
-    """exp of each matrix of the (k, n, n) stack a, written into out."""
-    n = a.shape[-1]
-    norm = np.abs(a).sum(axis=1).max(axis=1)  # inf or NaN if an entry is
-    finite = np.isfinite(norm)
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    plain = finite & (np.count_nonzero(a, axis=(1, 2))
-                      == np.count_nonzero(diag, axis=1))
-    out[~finite] = np.nan
-    out[plain] = 0.0
-    np.einsum("kii->ki", out)[plain] = np.exp(diag[plain])
-    general = np.flatnonzero(finite & ~plain)
-    degree = np.full(general.size, 13)
-    for m in (9, 7, 5, 3):
-        degree[norm[general] <= _THETA[m]] = m
-    for m in _PADE:
-        pick = general[degree == m]
-        if pick.size == 0:
-            continue
-        x = a[pick]
-        s = np.zeros(pick.size, dtype=np.int64)
-        if m == 13:
-            s = np.ceil(np.log2(norm[pick] / _THETA[13]))
-            s = np.maximum(s, 0).astype(np.int64)
-            x = np.ldexp(x, -s[:, None, None])
-        x = _pade(x, m)
-        # a zero row i of a leaves x_i = x_i(0) constant, so exp(a)_i = e_i;
-        # the solve can miss that by an ulp, and squaring keeps it exact
-        zero = ~a[pick].any(axis=2)
-        x[zero] = np.eye(n)[np.nonzero(zero)[1]]
-        for k in range(int(s.max())):
-            sq = s > k
-            x[sq] = x[sq] @ x[sq]
-        out[pick] = x
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expm needs one square matrix")
+    n = a.shape[0]
+    norm = np.abs(a).sum(axis=0).max()  # inf or NaN if an entry is
+    if not np.isfinite(norm):
+        return np.full((n, n), np.nan)
+    diag = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    m = next((m for m in (3, 5, 7, 9) if norm <= _THETA[m]), 13)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA[13])))) if m == 13 else 0
+    x = _pade(np.ldexp(a, -s), m)
+    # a zero row i of a leaves x_i = x_i(0) constant, so exp(a)_i = e_i;
+    # the solve can miss that by an ulp, and squaring keeps it exact
+    zero = ~a.any(axis=1)
+    x[zero] = np.eye(n)[zero]
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """r_m(a) = (V - U)^-1 (V + U) for a stack a."""
+    """r_m(a) = (V - U)^-1 (V + U)."""
     b = _PADE[m]
     eye = np.eye(a.shape[-1])
     a2 = a @ a

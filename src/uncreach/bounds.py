@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveMatrix, DimensionMismatch
-from .intervals import IntervalMatrix
+from .intervals import IntervalMatrix, _frobenius
 
 __all__ = [
     "SpectralData",
@@ -39,6 +39,9 @@ __all__ = [
 
 BLOAT_METHODS = ("kagstrom1", "kagstrom2", "loan")
 NORM_KINDS = ("two", "frobenius")
+
+# Largest eigenvector condition number kagstrom2 accepts.
+_COND_MAX = 1e8
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,12 @@ def kagstrom1(a, lambda_norm: float, t):
     Schur form A = Q (D + N) Q*.  ||A||_F >= ||N||_F >= ||N||_2 (Q is
     unitary and N the strict upper triangle of D + N), so the Frobenius
     norm of A dominates it without a Schur form; ||A||_2 does not.
+    ||A||_F is evaluated scaled (_frobenius), so it overflows only when
+    it exceeds float range.
     """
     a = _square(a)
     t = _check_args(lambda_norm, t)
-    norm_a = float(np.linalg.norm(a, "fro"))
+    norm_a = _frobenius(a)
     n = a.shape[0]
 
     def formula(t):
@@ -135,19 +140,19 @@ def kagstrom1(a, lambda_norm: float, t):
     return _evaluate(formula, lambda_norm, t)
 
 
-def kagstrom2(a, lambda_norm: float, t, cond_max: float = 1e8):
+def kagstrom2(a, lambda_norm: float, t):
     """Eigenbasis bound K e^(eps t)(e^(K ||Lambda|| t) - 1).
 
     K is the condition number of the eigenvector matrix and eps the
     largest eigenvalue modulus.  Raises DefectiveMatrix when the
-    eigenbasis is numerically unusable (cond above cond_max).
+    eigenbasis is numerically unusable (cond above _COND_MAX).
     """
     t = _check_args(lambda_norm, t)
     sd = spectral_data(a)
-    if not math.isfinite(sd.cond_s) or sd.cond_s > cond_max:
+    if not math.isfinite(sd.cond_s) or sd.cond_s > _COND_MAX:
         raise DefectiveMatrix(
             f"kagstrom2 bound unusable: eigenvector condition {sd.cond_s:.3g} "
-            f"exceeds {cond_max:.3g}"
+            f"exceeds {_COND_MAX:.3g}"
         )
     k = sd.cond_s
     return _evaluate(

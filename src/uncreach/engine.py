@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds as _bounds
-from ._expm import _CHUNK_ENTRIES, expm
+from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import IntervalMatrix, interval_expm
 from .stars import Box, Star, zono_reduce
@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 REDUCTION_METHODS = ("none", "interval", "zonotope")
+
+# Entries per chunk of a stack in _sigma_max_bound and _image_bounds: bounds
+# their temporaries whatever the stack length.
+_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -402,22 +406,39 @@ def _sigma_max_bound(flows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit(a: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
+def _square(a: np.ndarray, a_err: np.ndarray | None):
+    """a @ a, and given a_err >= |A - a| a bound on |A A - a @ a|, else None."""
+    err = None
+    if a_err is not None:
+        err = np.empty_like(a_err)
+        _product_error(a, a_err, a, a_err, err)
+    return a @ a, err
+
+
+def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
+           a_err: np.ndarray | None = None):
     """a^0 x0, a^1 x0, ..., a^(count-1) x0 side by side, by doubling.
 
-    For x0 of shape (n, w) the result is (n, count * w).
+    For x0 of shape (n, w) the result is (n, count * w).  Given a_err, a
+    bound on |A - a|, it returns (powers, errors): block k of errors
+    bounds |A^k x0 - block k of powers|, each doubled product and each
+    squaring carrying its error by _product_error (x0 is exact).
     """
     w = x0.shape[1]
     out = np.empty((x0.shape[0], count * w))
     out[:, :w] = x0
-    done, step = 1, a  # step = a^done
+    errs = None if a_err is None else np.zeros_like(out)
+    done, step, step_err = 1, a, a_err  # step = a^done, within step_err
     while done < count:
         take = min(done, count - done)
-        np.matmul(step, out[:, :take * w], out=out[:, done * w:(done + take) * w])
+        src, dst = slice(0, take * w), slice(done * w, (done + take) * w)
+        np.matmul(step, out[:, src], out=out[:, dst])
+        if errs is not None:
+            _product_error(step, step_err, out[:, src], errs[:, src], errs[:, dst])
         done += take
         if done < count:
-            step = step @ step
-    return out
+            step, step_err = _square(step, step_err)
+    return out if errs is None else (out, errs)
 
 
 def _chunk_steps(n: int) -> int:
@@ -739,11 +760,10 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     for the least s >= 0 with ||A||_F h / 2^s <= _ORBIT_THETA, P_s =
     expm(A h / 2^s) is within E = max(M.hi - P_s, P_s - M.lo), pushed
     one ulp outward, of exp(A h / 2^s), M = interval_expm(A, h / 2^s).
-    s squarings give P and E_1, and the doubling of _orbit the flows
-    F_k = P^k, each product carrying its error by _product_error; so
-    E_k >= |exp(A k h) - F_k|.  Returns the (K, n, n) flows, the (K, n)
-    pads E_k max(|lo|, |hi|) of Theta and the (K,) entry sums of E_k,
-    each at least ||E_k||_2; the error stack itself is dropped.
+    s squarings (_square) give P and E_1, and _orbit with error rows the
+    flows F_k = P^k and E_k >= |exp(A k h) - F_k|.  Returns the (K, n, n)
+    flows, the (K, n) pads E_k max(|lo|, |hi|) of Theta and the (K,)
+    entry sums of E_k, each at least ||E_k||_2, but not the E_k.
     """
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
@@ -757,27 +777,9 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     n = a.shape[0]
     step = scipy.linalg.expm(a * tau)
     step_err = np.nextafter(np.maximum(m.hi - step, step - m.lo), np.inf)
-
-    def square(step, step_err):
-        square_err = np.empty_like(step_err)
-        _product_error(step, step_err, step, step_err, square_err)
-        return step @ step, square_err
-
     for _ in range(s):
-        step, step_err = square(step, step_err)
-    powers = np.empty((n, count * n))
-    errs = np.empty_like(powers)
-    powers[:, :n] = np.eye(n)
-    errs[:, :n] = 0.0
-    done = 1  # step = P^done, within step_err of exp(A done h)
-    while done < count:
-        take = min(done, count - done)
-        src, dst = slice(0, take * n), slice(done * n, (done + take) * n)
-        np.matmul(step, powers[:, src], out=powers[:, dst])
-        _product_error(step, step_err, powers[:, src], errs[:, src], errs[:, dst])
-        done += take
-        if done < count:
-            step, step_err = square(step, step_err)
+        step, step_err = _square(step, step_err)
+    powers, errs = _orbit(step, np.eye(n), count, step_err)
     errs = errs.reshape(n, count, n)  # errs[i, k, j] = E_k[i, j]
     pad = (errs @ np.maximum(np.abs(theta.lo), np.abs(theta.hi))).T.copy()
     err_sums = errs.sum(axis=(0, 2))

@@ -24,6 +24,9 @@ __all__ = [
 # Largest order whose interval 2-norm sup is enumerated: 2^(2n-1) SVDs.
 MAX_DIM = 8
 
+# Terms of the Taylor series interval_expm sums, after the identity.
+_TAYLOR_ORDER = 20
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -78,6 +81,13 @@ def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
         return x
     return Interval(float(x), float(x))
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F, m scaled by a power of two first, exactly, so that the sum
+    of squares overflows only when the norm itself does."""
+    e = np.frexp(np.abs(m).max())[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e), "fro"), e))
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -202,13 +212,9 @@ class IntervalMatrix:
         """sup of the Frobenius norm over the matrix family.
 
         Equals || |center| + radius ||_F: the entrywise largest magnitudes
-        are attained independently.  The entries are scaled by a power of
-        two first, exactly, so the sum of squares overflows only when the
-        norm itself does.
+        are attained independently (_frobenius).
         """
-        worst = np.abs(self.center) + self.radius
-        e = np.frexp(worst.max())[1]
-        return float(np.ldexp(np.linalg.norm(np.ldexp(worst, -e), "fro"), e))
+        return _frobenius(np.abs(self.center) + self.radius)
 
     def two_norm_sup(self) -> float:
         """sup of the spectral norm over the matrix family.
@@ -289,15 +295,15 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
     return pr.min(axis=0).sum(axis=1), pr.max(axis=0).sum(axis=1)
 
 
-def interval_expm(lam: IntervalMatrix, t: float, order: int = 20) -> IntervalMatrix:
+def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     """Interval matrix containing { expm(M t) : M in lam }.
 
-    Sums the Taylor series through `order` with interval arithmetic and
-    widens every entry by the rigorous tail bound
+    Sums the Taylor series through order N = _TAYLOR_ORDER with interval
+    arithmetic and widens every entry by the rigorous tail bound
 
-        r = theta^(order+1) / ((order+1)! (1 - theta/(order+2))),
+        r = theta^(N+1) / ((N+1)! (1 - theta/(N+2))),
 
-    theta = frobenius_sup(lam) * t, valid while theta < order + 2
+    theta = frobenius_sup(lam) * t, valid while theta < N + 2
     (RemainderDiverges otherwise).  Each scalar |R_ij| <= ||R||_2 <= r.
     A point family (lo == hi) runs each round as one point product: its
     four endpoint products are equal, so the single product summed in the
@@ -311,19 +317,16 @@ def interval_expm(lam: IntervalMatrix, t: float, order: int = 20) -> IntervalMat
         raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if order < 1:
-        raise ValueError("order must be at least 1")
     theta = lam.frobenius_sup() * t
-    if theta >= order + 2:
+    if theta >= _TAYLOR_ORDER + 2:
         raise RemainderDiverges(
-            f"theta={theta:.3g} >= order+2={order + 2}; raise the order or shrink t"
-        )
+            f"theta={theta:.3g} >= order+2={_TAYLOR_ORDER + 2}; shrink t")
     # the series runs on bare bound arrays; t >= 0 and 1/k > 0 scale
     # them without swapping, and the result is validated once
     if lam.is_point():
         lt = lam.lo * t
         acc, term = np.eye(n), np.eye(n)
-        for k in range(1, order + 1):
+        for k in range(1, _TAYLOR_ORDER + 1):
             term = (term[:, :, None] * lt[None]).sum(axis=1)
             term *= 1.0 / k
             acc += term
@@ -332,13 +335,12 @@ def interval_expm(lam: IntervalMatrix, t: float, order: int = 20) -> IntervalMat
         lt_lo, lt_hi = lam.lo * t, lam.hi * t
         acc_lo, acc_hi = np.eye(n), np.eye(n)
         term_lo, term_hi = np.eye(n), np.eye(n)
-        for k in range(1, order + 1):
+        for k in range(1, _TAYLOR_ORDER + 1):
             term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
             term_lo *= 1.0 / k
             term_hi *= 1.0 / k
             acc_lo += term_lo
             acc_hi += term_hi
-    tail = theta ** (order + 1) / (
-        math.factorial(order + 1) * (1.0 - theta / (order + 2))
-    )
+    tail = theta ** (_TAYLOR_ORDER + 1) / (
+        math.factorial(_TAYLOR_ORDER + 1) * (1.0 - theta / (_TAYLOR_ORDER + 2)))
     return IntervalMatrix(acc_lo - tail, acc_hi + tail)

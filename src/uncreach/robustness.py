@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import ModelSpec, reach_with_perturbation, safety_check
 from .intervals import IntervalMatrix
-from .sensitivity import OrdMatrix, order_cells
+from .sensitivity import order_cells
 
 __all__ = [
     "SCHEMES",
@@ -127,8 +127,7 @@ class ThresholdReport:
 
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
                          step: float = 0.05, cap: int = 200,
-                         proportional_literal: bool = False,
-                         ord_matrix: OrdMatrix | None = None) -> ThresholdReport:
+                         proportional_literal: bool = False) -> ThresholdReport:
     """Largest safe budget on a grid p = 0, step, 2 step, ...
 
     Each budget is spread over the cells by the scheme, the numeric
@@ -147,9 +146,9 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     if scheme == "equal":
         scores = np.zeros(model.a.shape)
     else:
-        scores = (ord_matrix or order_cells(model.a)).scores
+        scores = order_cells(model.a).scores
     trace: list[tuple[float, bool]] = []
-    prev_pert: IntervalMatrix | None = None
+    prev_pert = IntervalMatrix.zeros(model.dim, model.dim)
     prev_p = 0.0
     for i in range(cap):
         p = i * step
@@ -160,22 +159,12 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
                                model.unsafe)
         trace.append((p, verdict.safe))
         if not verdict.safe:
-            if i == 0:
-                zero = IntervalMatrix.zeros(model.dim, model.dim)
-                return ThresholdReport(
-                    scheme=scheme, cells=cells, step=step, final_budget=0.0,
-                    norm=0.0, iterations=1, trace=tuple(trace),
-                    safe_uncertainty=zero, already_unsafe=True,
-                )
-            return ThresholdReport(
-                scheme=scheme, cells=cells, step=step, final_budget=prev_p,
-                norm=prev_pert.frobenius_sup(), iterations=i + 1,
-                trace=tuple(trace), safe_uncertainty=prev_pert,
-            )
+            break
         prev_pert = pert
         prev_p = p
     return ThresholdReport(
         scheme=scheme, cells=cells, step=step, final_budget=prev_p,
-        norm=prev_pert.frobenius_sup(), iterations=cap, trace=tuple(trace),
-        safe_uncertainty=prev_pert, cap_reached=True,
+        norm=prev_pert.frobenius_sup(), iterations=len(trace),
+        trace=tuple(trace), safe_uncertainty=prev_pert,
+        already_unsafe=not trace[0][1], cap_reached=trace[-1][1],
     )

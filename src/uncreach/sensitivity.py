@@ -27,12 +27,16 @@ __all__ = [
 ]
 
 
-def _top_svd(a: np.ndarray, gap_tol: float | None):
+# sigma_1 counts as simple when sigma_1 - sigma_2 >= _GAP_RTOL sigma_1.
+_GAP_RTOL = 1e-10
+
+
+def _top_svd(a: np.ndarray):
     """Largest singular triple of a, guarding simplicity of sigma_1."""
     u, s, vt = np.linalg.svd(a)
     sigma1 = float(s[0])
     if s.shape[0] > 1:
-        tol = 1e-10 * sigma1 if gap_tol is None else gap_tol
+        tol = _GAP_RTOL * sigma1
         gap = sigma1 - float(s[1])
         if gap < tol:
             raise DegenerateSV(
@@ -41,18 +45,18 @@ def _top_svd(a: np.ndarray, gap_tol: float | None):
     return u[:, 0], sigma1, vt[0, :]
 
 
-def sv_change(a, b, gap_tol: float | None = None) -> float:
+def sv_change(a, b) -> float:
     """First-order change |u_1^T B v_1| of sigma_1(A) in direction B.
 
     Requires the largest singular value of A to be simple: the gap
-    sigma_1 - sigma_2 must be at least gap_tol (default 1e-10 sigma_1),
-    else DegenerateSV is raised.
+    sigma_1 - sigma_2 must be at least _GAP_RTOL sigma_1, else
+    DegenerateSV is raised.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise DimensionMismatch("matrices must share a 2-d shape")
-    u1, _, v1 = _top_svd(a, gap_tol)
+    u1, _, v1 = _top_svd(a)
     return float(abs(u1 @ b @ v1))
 
 
@@ -70,7 +74,7 @@ class OrdMatrix:
         return self.ranking[max(len(self.ranking) - k, 0):]
 
 
-def order_cells(a, gap_tol: float | None = None) -> OrdMatrix:
+def order_cells(a) -> OrdMatrix:
     """Rank all cells of a square matrix by first-order sigma_1 sensitivity.
 
     One SVD gives every score Ord[i,j] = |A[i,j]| |u_1[i]| |v_1[j]|; the
@@ -79,7 +83,7 @@ def order_cells(a, gap_tol: float | None = None) -> OrdMatrix:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("ordering is defined for square matrices")
-    u1, _, v1 = _top_svd(a, gap_tol)
+    u1, _, v1 = _top_svd(a)
     scores = np.abs(a) * np.abs(u1)[:, None] * np.abs(v1)[None, :]
     n = a.shape[0]
     cells = [(i, j) for i in range(n) for j in range(n)]

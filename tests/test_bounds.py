@@ -120,6 +120,20 @@ class TestKagstrom1:
         with pytest.raises(ValueError):
             kagstrom1(GIRAD_A, 0.1, -1.0)
 
+    def test_frobenius_norm_past_sqrt_of_float_range(self):
+        # ||A||_F = sqrt(2) 1e160: its sum of squares leaves float range,
+        # the norm itself does not, and neither does phi at a tiny ||Lambda||
+        a = -1e160 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kagstrom1(a, 1e-170, 1.0)
+            p = 1.0 + math.sqrt(2.0) * 1e160
+            assert got == pytest.approx(p * math.expm1(p * 1e-170), rel=1e-12)
+            res = symbolic_reach(a, IntervalMatrix.zeros(2, 2),
+                                 Box(np.zeros(2), np.ones(2)),
+                                 np.arange(3) * 0.01, method="kagstrom1")
+        assert np.array_equal(res.phi, np.zeros(3))
+
 
 class TestKagstrom2:
     def test_zero_time(self):
@@ -135,13 +149,16 @@ class TestKagstrom2:
             kagstrom2(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1, 1.0)
         assert "kagstrom2" in str(exc.value)
 
-    def test_cond_max_is_configurable(self):
-        a = np.array([[1.0, 5.0], [0.0, 1.1]])
-        sd = spectral_data(a)
-        assert sd.cond_s > 10.0
-        with pytest.raises(DefectiveMatrix):
-            kagstrom2(a, 0.1, 1.0, cond_max=sd.cond_s / 2)
-        assert kagstrom2(a, 0.1, 1.0, cond_max=sd.cond_s * 2) > 0.0
+    def test_default_condition_threshold(self):
+        # eigenvector condition about 2 / d for [[1, 1], [0, 1 + d]]: a
+        # finite condition above 1e8 is refused, one far below it is not
+        near = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]])
+        assert 1e8 < spectral_data(near).cond_s < math.inf
+        with pytest.raises(DefectiveMatrix, match="exceeds 1e"):
+            kagstrom2(near, 0.1, 1.0)
+        far = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-3]])
+        assert spectral_data(far).cond_s < 1e4
+        assert kagstrom2(far, 0.1, 1.0) > 0.0
 
 
 class TestLoan:
@@ -549,9 +566,9 @@ def image_bounds_reference(flows, theta):
 
 
 def per_point_reference(a, lam, theta, times, method):
-    """lo, hi and radii of the per-point reference: one batched expm of
-    A t, no error pad, and the SVD's sigma_max in the radii."""
-    flows = expm(a * times[:, None, None])
+    """lo, hi and radii of the per-point reference: one expm of A t per
+    time point, no error pad, and the SVD's sigma_max in the radii."""
+    flows = np.array([expm(a * t) for t in times])
     phi = bloat_series(a, lam, times, method).phi
     radii = phi * np.linalg.svd(flows, compute_uv=False)[:, 0] * theta.max_norm()
     nlo, nhi = image_bounds_reference(flows, theta)

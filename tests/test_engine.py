@@ -31,7 +31,8 @@ from uncreach import (
     safety_check,
     zono_reduce,
 )
-from uncreach.engine import _centre_radius, _chunk_steps, _run_recurrence, _split
+from uncreach.engine import (
+    _centre_radius, _chunk_steps, _orbit, _run_recurrence, _split)
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -742,6 +743,42 @@ class TestChunkBoundaries:
             assert_close(res.supports, supports)
             assert np.array_equal(res.gen_counts, counts), horizon
             assert_replay_matches(res)
+
+
+class TestOrbit:
+    """The one doubling: powers a^k x0, with or without error rows."""
+
+    def test_error_rows_leave_the_powers_bitwise(self):
+        rng = np.random.default_rng(404)
+        for n in (1, 2, 3, 5):
+            a = rng.normal(size=(n, n)) / n
+            a_err = rng.uniform(0, 1e-12, (n, n))
+            for x0 in (np.eye(n), rng.normal(size=(n, 2))):
+                for count in (1, 2, 3, 7, 64):
+                    plain = _orbit(a, x0, count)
+                    powers, errs = _orbit(a, x0, count, a_err)
+                    assert np.array_equal(powers, plain)
+                    assert errs.shape == plain.shape
+                    w = x0.shape[1]
+                    assert not errs[:, :w].any() and np.all(errs >= 0)
+
+    def test_error_rows_bound_every_member_power(self):
+        # A = a + S o a_err at sign vertices S: A^k x0 in exact rational
+        # arithmetic lies within block k of the error rows
+        rng = np.random.default_rng(405)
+        n, count = 2, 9
+        a = rng.normal(size=(n, n)) * 0.7
+        a_err = rng.uniform(0, 1e-3, (n, n))
+        x0 = rng.normal(size=(n, 1))
+        powers, errs = _orbit(a, x0, count, a_err)
+        for signs in itertools.product((-1, 1), repeat=n * n):
+            member = a + np.reshape(signs, (n, n)) * a_err
+            exact = [[Fraction(v) for v in row] for row in member]
+            x = [Fraction(v) for v in x0[:, 0]]
+            for k in range(count):
+                for i in range(n):
+                    assert abs(x[i] - Fraction(powers[i, k])) <= Fraction(errs[i, k])
+                x = [sum(exact[i][j] * x[j] for j in range(n)) for i in range(n)]
 
 
 class TestCentredZonotopes:

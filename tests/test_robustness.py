@@ -209,16 +209,6 @@ class TestRobustnessThreshold:
                                       step=0.5, cap=10)
         assert report.iterations >= 1
 
-    def test_harmonic_uses_precomputed_ordering(self):
-        from uncreach import order_cells
-        model = scalar_model(offset=2.0, horizon=3)
-        ord_m = order_cells(model.a)
-        r_auto = robustness_threshold(model, ((0, 0),), scheme="harmonic",
-                                      step=0.05, cap=50)
-        r_given = robustness_threshold(model, ((0, 0),), scheme="harmonic",
-                                       step=0.05, cap=50, ord_matrix=ord_m)
-        assert r_auto.final_budget == r_given.final_budget
-
     def test_validation(self):
         model = scalar_model()
         with pytest.raises(ValueError):

@@ -70,11 +70,11 @@ class TestSvChange:
         with pytest.raises(DegenerateSV):
             sv_change(np.eye(2), np.ones((2, 2)))
 
-    def test_gap_tol_override(self):
-        a = np.diag([1.0, 1.0 - 1e-6])
+    def test_default_gap_tolerance(self):
+        # sigma_1 is simple when sigma_1 - sigma_2 >= 1e-10 sigma_1
         with pytest.raises(DegenerateSV):
-            sv_change(a, np.ones((2, 2)), gap_tol=1e-3)
-        assert sv_change(a, np.ones((2, 2)), gap_tol=1e-9) >= 0.0
+            sv_change(np.diag([1.0, 1.0 - 1e-12]), np.ones((2, 2)))
+        assert sv_change(np.diag([1.0, 1.0 - 1e-8]), np.ones((2, 2))) == 1.0
 
     def test_shape_check(self):
         with pytest.raises(DimensionMismatch):
