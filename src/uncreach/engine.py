@@ -1,13 +1,14 @@
 """Reachability pipelines for linear systems with interval uncertainty.
 
-Numeric route: discretize to a point matrix Abar plus interval remainder
-Lbar, enclose Abar + Lbar in P +- Lr with P = Abar + Lm (Lm the midpoint
-of Lbar), then iterate the star recurrence
+Numeric route: the one-step family M is A (+) Lambda, the perturbation
+family added to A and pushed outward where the sum rounds, or for a
+continuous model interval_expm(A (+) Lambda, h).  M is enclosed in
+P +- Lr, P its centre, and the star recurrence
 
-    R_0 = Theta,    R_k = P R_{k-1}  (+)  box([-Lr, Lr] R_{k-1}),
+    R_0 = Theta,    R_k = P R_{k-1}  (+)  box([-Lr, Lr] R_{k-1})
 
-whose k-th set contains x_k = (Abar + E)^k x_0 for every fixed E in Lbar
-and x_0 in Theta.  Each set is a centred zonotope whose centre and
+has a k-th set that contains x_k = F^k x_0 for every fixed F in M and
+x_0 in Theta.  Each set is a centred zonotope whose centre and
 generators P^a e_i follow the point map, the generators scaled by a
 history of radii: a table of |P^a| rows, built once per flowpipe, maps
 that history to boxes, supports and fresh radii, and a few batched
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +34,9 @@ from .errors import DimensionMismatch
 from .intervals import IntervalMatrix, interval_expm
 from .stars import Box, Star, zono_reduce
 
-# Both expm calls go through this namespace because the benchmark's tracer
-# (perfbench/spans.py) times `engine.scipy.linalg.expm` as `engine.expm`.
+# The symbolic step's expm goes through this namespace because the
+# benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
+# as `engine.expm`.
 # The next benchmark change should wrap `engine.expm` directly and delete
 # this shim; scipy itself is not imported.
 scipy = types.SimpleNamespace(linalg=types.SimpleNamespace(expm=expm))
@@ -89,6 +91,37 @@ class CellUncertainty:
             object.__setattr__(self, "interval", (float(lo), float(hi)))
 
 
+def _check_cells(cells, n: int) -> tuple[tuple[int, int], ...]:
+    """(row, col) pairs as ints, each an integer (not a bool) in range and
+    listed once, else ValueError."""
+    out = []
+    for i, j in cells:
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in (i, j)):
+            raise ValueError(f"cell ({i!r},{j!r}) indices must be integers")
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"cell ({i},{j}) out of range for dimension {n}")
+        if (i, j) in out:
+            raise ValueError(f"cell ({i},{j}) listed twice")
+        out.append((i, j))
+    return tuple(out)
+
+
+def _widen(a: np.ndarray, cells) -> IntervalMatrix:
+    """A with each CellUncertainty's entry widened to a -+ relative |a|, or
+    set to its interval."""
+    lo, hi = a.copy(), a.copy()
+    for cell in cells:
+        i, j = cell.row, cell.col
+        if cell.relative is not None:
+            r = cell.relative * abs(a[i, j])
+            lo[i, j], hi[i, j] = a[i, j] - r, a[i, j] + r
+        else:
+            lo[i, j], hi[i, j] = cell.interval
+    return IntervalMatrix(lo, hi)
+
+
 @dataclass(frozen=True, eq=False)
 class HalfSpace:
     """Unsafe half-space { x : normal . x >= offset }."""
@@ -131,18 +164,14 @@ class ModelSpec:
             raise ValueError("dynamics matrix must be finite")
         n = a.shape[0]
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "uncertainty", tuple(self.uncertainty))
+        cells = tuple(self.uncertainty)
+        pairs = _check_cells([(c.row, c.col) for c in cells], n)
+        object.__setattr__(self, "uncertainty", tuple(
+            replace(c, row=i, col=j) for c, (i, j) in zip(cells, pairs)))
         object.__setattr__(self, "unsafe", tuple(self.unsafe))
         if self.initial.dim != n:
             raise DimensionMismatch("initial box dimension must match the matrix")
         _require_finite(self.initial)
-        listed = set()
-        for cell in self.uncertainty:
-            if not (0 <= cell.row < n and 0 <= cell.col < n):
-                raise ValueError(f"uncertainty cell ({cell.row},{cell.col}) out of range")
-            if (cell.row, cell.col) in listed:
-                raise ValueError(f"uncertainty cell ({cell.row},{cell.col}) listed twice")
-            listed.add((cell.row, cell.col))
         for hs in self.unsafe:
             if hs.normal.shape[0] != n:
                 raise DimensionMismatch("half-space normal must match the dimension")
@@ -167,16 +196,7 @@ class ModelSpec:
 
     def lambda_u(self) -> IntervalMatrix:
         """Uncertain dynamics family: point A with the listed cells widened."""
-        lo = self.a.copy()
-        hi = self.a.copy()
-        for cell in self.uncertainty:
-            if cell.relative is not None:
-                r = cell.relative * abs(self.a[cell.row, cell.col])
-                lo[cell.row, cell.col] = self.a[cell.row, cell.col] - r
-                hi[cell.row, cell.col] = self.a[cell.row, cell.col] + r
-            else:
-                lo[cell.row, cell.col], hi[cell.row, cell.col] = cell.interval
-        return IntervalMatrix(lo, hi)
+        return _widen(self.a, self.uncertainty)
 
     def perturbation(self) -> IntervalMatrix:
         """Perturbation part Lambda = lambda_u - A (zero outside listed cells)."""
@@ -208,8 +228,10 @@ class ReachResult:
                bounds ||exp(A t_k)||_2 by an upper bound on
                sigma_max(flows[k]) plus the entry sum of E_k); else None
     initial  : symbolic route: the initial box Theta; else None
-    _recurrence : numeric route: the O(n^2) inputs of the recurrence, which
-               `support` replays in directions it did not record; else None
+    _recurrence : numeric route: the O(n^2) inputs of the recurrence (the
+               one-step family M, Theta, the horizon and the reduction
+               policy), which `support` replays in directions it did not
+               record; else None
     """
 
     kind: str
@@ -274,33 +296,45 @@ class SafetyVerdict:
     support: float | None = None
 
 
-def discretize(a, pert: IntervalMatrix, h: float) -> tuple[np.ndarray, IntervalMatrix]:
-    """Split exp((A+Lambda) h) into a point matrix and interval remainder.
+def discretize(a, pert: IntervalMatrix, h: float) -> IntervalMatrix:
+    """The one-step family M = interval_expm(A (+) Lambda, h).
 
-    Returns (Abar, Lbar) with Abar = expm(A h) and Lbar = M - Abar
-    entrywise, M the interval exponential of A + Lambda.  The one-step map
-    of every member system lies in Abar + Lbar; the nominal part stays a
-    point so all conservatism sits in Lbar.
+    M contains exp((A + E) h) for every E in Lambda; A (+) Lambda is the
+    sum pushed outward where it rounds (_add_outward).
     """
+    lam = _add_outward(a, pert)
+    if not (h > 0) or not math.isfinite(h):
+        raise ValueError("step must be positive")
+    return interval_expm(lam, h)
+
+
+def _add_outward(a, pert: IntervalMatrix) -> IntervalMatrix:
+    """A (+) Lambda: [A + lo, A + hi] rounded to nearest, each bound that
+    rounded inward (TwoSum's exact error) pushed one ulp outward, so that
+    it contains A + Lambda exactly."""
     a = np.asarray(a, dtype=np.float64)
     if a.shape != pert.shape:
         raise DimensionMismatch("matrix and perturbation shapes differ")
-    if not (h > 0) or not math.isfinite(h):
-        raise ValueError("step must be positive")
-    m = interval_expm(IntervalMatrix.from_point(a) + pert, h)
-    abar = scipy.linalg.expm(a * h)
-    return abar, m.sub_point(abar)
+    bounds = []
+    for b, sign in ((pert.lo, -1.0), (pert.hi, 1.0)):
+        s = a + b
+        back = s - a
+        err = (a - (s - back)) + (b - back)  # a + b = s + err exactly
+        bounds.append(np.where(sign * err > 0.0,
+                               np.nextafter(s, sign * np.inf), s))
+    return IntervalMatrix(*bounds)
 
 
 def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre and radius whose c - r and c + r round to at most lo, at least hi.
 
-    The radius rounded to nearest can fall short of the true distance by
-    half an ulp, so every nonzero radius is pushed one ulp outward: then
-    c - r < lo and c + r > hi hold exactly, and rounding keeps them as
-    <= and >=.  Point entries keep radius zero.
+    The centre is 0.5 lo + 0.5 hi, which cannot overflow, and a point
+    entry's own value.  The radius rounded to nearest can fall short of
+    the true distance by half an ulp, so every nonzero radius is pushed
+    one ulp outward: then c - r < lo and c + r > hi hold exactly, and
+    rounding keeps them as <= and >=.  Point entries keep radius zero.
     """
-    mid = 0.5 * (lo + hi)
+    mid = np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)
     rad = np.maximum(hi - mid, mid - lo)
     return mid, np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
 
@@ -446,20 +480,6 @@ def _chunk_steps(n: int) -> int:
     return max(1, 64 // n)
 
 
-def _split(abar: np.ndarray, lbar: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Point map P and radius Lr with Abar + Lbar inside P +- Lr exactly.
-
-    P is Abar + Lm rounded, Lm +- Lr the outward split of Lbar; where the
-    exact rounding error e of P (TwoSum) is nonzero, Lr grows to Lr + |e|
-    pushed one ulp outward.
-    """
-    lm, lr = _centre_radius(lbar.lo, lbar.hi)
-    p = abar + lm
-    back = p - abar
-    err = np.abs((abar - (p - back)) + (lm - back))
-    return p, np.where(err > 0.0, np.nextafter(lr + err, np.inf), lr)
-
-
 def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.ndarray:
     """Blocks W_d Lr, W_d = sum_{a+b=d} T_a V_b, for d < chunk - 1.
 
@@ -480,18 +500,18 @@ def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.
     return w
 
 
-def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
-                    horizon: int, reduction_method: str,
-                    reduction_period: int, method_name: str,
-                    normals: np.ndarray) -> ReachResult:
+def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
+                    reduction_method: str, reduction_period: int,
+                    method_name: str, normals: np.ndarray) -> ReachResult:
     """Run the recurrence on centred zonotopes (Girard, HSCC 2005).
 
-    Abar + Lbar is enclosed in P +- Lr (_split), Theta split into
-    c_0 +- r_0.  Each set is a centre c plus generators P^a e_i r_i with
-    coefficients in [-1, 1], one block of radii r per age a, so the fresh
-    block box([-Lr, Lr] R) (Althoff, Stursberg & Buss, CDC 2007) has
-    radius Lr (|c| + sum |g|) over the generators g, and the next centre
-    is P c: a point orbit computed up front, which reductions never move.
+    The one-step family M is enclosed in P +- Lr and Theta in c_0 +- r_0
+    (_centre_radius).  Each set is a centre c plus generators P^a e_i r_i
+    with coefficients in [-1, 1], one block of radii r per age a, so the
+    fresh block box([-Lr, Lr] R) (Althoff, Stursberg & Buss, CDC 2007)
+    has radius Lr (|c| + sum |g|) over the generators g, and the next
+    centre is P c: a point orbit computed up front, which reductions
+    never move.
 
     Once per flowpipe, `table` stacks for each age a, youngest first, the
     blocks T_a of rows |P^a| and |N P^a| (N the `normals`).  The radius
@@ -525,13 +545,10 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
     """
     start = time.perf_counter()
     n = theta.dim
-    abar = np.ascontiguousarray(abar, dtype=np.float64)
-    if abar.shape != (n, n) or lbar.shape != (n, n):
-        raise DimensionMismatch("matrices must be square and match the box")
-    if not np.all(np.isfinite(abar)):
-        raise ValueError("discrete dynamics matrix must be finite")
+    if m.shape != (n, n):
+        raise DimensionMismatch("family must be square and match the box")
     _require_finite(theta)
-    p, lr = _split(abar, lbar)
+    p, lr = _centre_radius(m.lo, m.hi)
     c0, r0 = _centre_radius(theta.lo, theta.hi)
     zonotope = reduction_method == "zonotope"
     period = reduction_period if reduction_method != "none" else horizon + 1
@@ -642,8 +659,7 @@ def _run_recurrence(abar: np.ndarray, lbar: IntervalMatrix, theta: Box,
         radii=np.zeros(horizon + 1), gen_counts=counts,
         normals=normals, supports=centres @ normals.T + q[:, n:],
         wall_time=time.perf_counter() - start,
-        _recurrence=(abar, lbar, theta, horizon, reduction_method,
-                     reduction_period))
+        _recurrence=(m, theta, horizon, reduction_method, reduction_period))
 
 
 def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix) -> ReachResult:
@@ -654,12 +670,12 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix) -> ReachResu
     replay the recurrence (ReachResult.support).
     """
     if model.continuous:
-        abar, lbar = discretize(model.a, pert, model.step)
+        m = discretize(model.a, pert, model.step)
     else:
-        abar, lbar = model.a, pert
+        m = _add_outward(model.a, pert)
     normals = np.array([hs.normal for hs in model.unsafe],
                        dtype=np.float64).reshape(-1, model.dim)
-    return _run_recurrence(abar, lbar, model.initial, model.horizon,
+    return _run_recurrence(m, model.initial, model.horizon,
                            model.reduction_method, model.reduction_period,
                            method_name="numeric", normals=normals)
 
@@ -672,19 +688,15 @@ def ors_reach(model: ModelSpec) -> ReachResult:
 def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
     """Exact flowpipe of the unperturbed discrete map x -> A x.
 
-    This is the numeric recurrence with a zero perturbation family, so it
-    adds no generators and records no supports; ReachResult.support
-    replays it in any direction.
+    This is the numeric recurrence on the point family A, so it adds no
+    generators and records no supports; ReachResult.support replays it in
+    any direction.
     """
-    a = np.asarray(a_discrete, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != theta.dim:
-        raise DimensionMismatch("matrix must be square and match the box")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    n = theta.dim
-    return _run_recurrence(a, IntervalMatrix.zeros(n, n), theta, horizon,
-                           "none", 1, method_name="nominal",
-                           normals=np.empty((0, n)))
+    return _run_recurrence(IntervalMatrix.from_point(a_discrete), theta,
+                           horizon, "none", 1, method_name="nominal",
+                           normals=np.empty((0, theta.dim)))
 
 
 def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,

@@ -85,9 +85,10 @@ def _as_interval(x) -> Interval:
 
 def _frobenius(m: np.ndarray) -> float:
     """||m||_F, m scaled by a power of two first, exactly, so that the sum
-    of squares overflows only when the norm itself does."""
+    of squares overflows only when the norm itself does (then inf)."""
     e = np.frexp(np.abs(m).max())[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e), "fro"), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e), "fro"), e))
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -211,10 +212,10 @@ class IntervalMatrix:
     def frobenius_sup(self) -> float:
         """sup of the Frobenius norm over the matrix family.
 
-        Equals || |center| + radius ||_F: the entrywise largest magnitudes
+        Equals || max(|lo|, |hi|) ||_F: the entrywise largest magnitudes
         are attained independently (_frobenius).
         """
-        return _frobenius(np.abs(self.center) + self.radius)
+        return _frobenius(np.maximum(np.abs(self.lo), np.abs(self.hi)))
 
     def two_norm_sup(self) -> float:
         """sup of the spectral norm over the matrix family.

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelSpec, reach_with_perturbation, safety_check
+from .engine import (CellUncertainty, ModelSpec, _check_cells, _widen,
+                     reach_with_perturbation, safety_check)
 from .intervals import IntervalMatrix
 from .sensitivity import order_cells
 
@@ -80,28 +81,9 @@ def distribute(a, cells, scores: np.ndarray, p: float, scheme: str,
         raise ValueError("budget must be nonnegative")
     cells = _check_cells(cells, a.shape[0])
     w = budget_weights(cells, scores, scheme, proportional_literal)
-    lo = a.copy()
-    hi = a.copy()
     k = len(cells)
-    for idx, (i, j) in enumerate(cells):
-        r = p * k * w[idx] * abs(a[i, j])
-        lo[i, j] = a[i, j] - r
-        hi[i, j] = a[i, j] + r
-    return IntervalMatrix(lo, hi)
-
-
-def _check_cells(cells, n: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    seen = set()
-    for cell in cells:
-        i, j = int(cell[0]), int(cell[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"cell ({i},{j}) out of range for dimension {n}")
-        if (i, j) in seen:
-            raise ValueError(f"cell ({i},{j}) listed twice")
-        seen.add((i, j))
-        out.append((i, j))
-    return tuple(out)
+    return _widen(a, [CellUncertainty(i, j, relative=p * k * wi)
+                      for (i, j), wi in zip(cells, w)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -490,6 +490,19 @@ class TestSymbolicReach:
         late = safety_check(res, (far,))
         assert late.step == first and late.support == math.inf
 
+    @pytest.mark.parametrize("method", ["loan", "kagstrom1"])
+    def test_entries_past_half_float_max(self, method):
+        # ||A||_F h = 1.4e306 needs about 1018 squarings; the scaling comes
+        # from frobenius_sup, which used to overflow to inf here
+        theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = symbolic_reach(-1e308 * np.eye(2), IntervalMatrix.zeros(2, 2),
+                                 theta, np.arange(3) * 0.01, method=method)
+        assert np.array_equal(res.lo[0], theta.lo)
+        assert np.all(np.isfinite(res.radii))
+        assert np.all(res.lo[1:] <= 0.0) and np.all(res.hi[1:] >= 0.0)
+
     def test_flow_overflow_gives_unbounded_steps(self):
         # exp(2t) leaves float range near t = 355 on this unstable matrix.
         # On coarse steps (||A||_F h = 612 and 980, ten squarings) the orbit

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.resources
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,11 +29,14 @@ from uncreach import (
     nominal_reach,
     ors_reach,
     reach_with_perturbation,
+    robustness_threshold,
     safety_check,
+    symbolic_reach,
     zono_reduce,
 )
+from uncreach import engine
 from uncreach.engine import (
-    _centre_radius, _chunk_steps, _orbit, _run_recurrence, _split)
+    _add_outward, _centre_radius, _chunk_steps, _orbit, _run_recurrence)
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -150,6 +154,23 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=r"\(0,0\) listed twice"):
             dataclasses.replace(scalar_growth_model(), uncertainty=cells)
 
+    def test_cell_indices_must_be_integers(self):
+        # a float index used to pass the check and fail in the recurrence,
+        # and a bool one to widen a whole row through numpy indexing
+        for row, col in [(0.5, 0), (1.0, 0), (True, 0), (0, False),
+                         (np.float64(1.0), 0)]:
+            with pytest.raises(ValueError, match="integers"):
+                dataclasses.replace(
+                    girad_model(), uncertainty=(
+                        CellUncertainty(row, col, relative=0.1),))
+        m = dataclasses.replace(girad_model(), uncertainty=(
+            CellUncertainty(np.int64(1), np.int32(0), relative=0.1),))
+        cell = m.uncertainty[0]
+        assert type(cell.row) is int and type(cell.col) is int
+        assert (cell.row, cell.col) == (1, 0)
+        lam = m.lambda_u()
+        assert np.array_equal(lam.lo == lam.hi, [[True, True], [False, True]])
+
     def test_horizon_and_period_must_be_integers(self):
         for key, bad in [("horizon", 3.5), ("horizon", 3.0), ("horizon", True),
                          ("reduction_period", 2.5),
@@ -165,20 +186,26 @@ class TestModelSpec:
 
 class TestDiscretize:
     def test_zero_matrix_zero_family(self):
-        abar, lambar = discretize(np.zeros((2, 2)), IntervalMatrix.zeros(2, 2), 0.5)
-        assert np.allclose(abar, np.eye(2), atol=1e-15)
-        assert np.all(np.abs(lambar.lo) <= 1e-18)
-        assert np.all(np.abs(lambar.hi) <= 1e-18)
+        m = discretize(np.zeros((2, 2)), IntervalMatrix.zeros(2, 2), 0.5)
+        assert isinstance(m, IntervalMatrix)
+        assert m.contains(np.eye(2))
+        assert np.all(m.hi - m.lo <= 1e-18)
 
     def test_nominal_matches_dense_expm(self):
-        abar, _ = discretize(GIRAD_A, IntervalMatrix.zeros(2, 2), 0.1)
-        assert np.allclose(abar, scipy.linalg.expm(GIRAD_A * 0.1), atol=1e-13)
+        m = discretize(GIRAD_A, IntervalMatrix.zeros(2, 2), 0.1)
+        want = scipy.linalg.expm(GIRAD_A * 0.1)
+        assert m.contains(want, tol=1e-15)
+        assert np.allclose(m.center, want, atol=1e-13)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
             discretize(GIRAD_A, IntervalMatrix.zeros(2, 2), 0.0)
         with pytest.raises(ValueError):
             discretize(GIRAD_A, IntervalMatrix.zeros(2, 2), -0.1)
+        with pytest.raises(ValueError):
+            discretize(GIRAD_A, IntervalMatrix.zeros(2, 2), np.inf)
+        with pytest.raises(DimensionMismatch):
+            discretize(GIRAD_A, IntervalMatrix.zeros(3, 3), 0.1)
 
     def test_contains_sampled_exponentials(self):
         rng = np.random.default_rng(88)
@@ -187,11 +214,10 @@ class TestDiscretize:
             a = rng.uniform(-1, 1, (n, n))
             pert = IntervalMatrix.from_center_radius(np.zeros((n, n)),
                                                      rng.uniform(0, 0.1, (n, n)))
-            abar, lambar = discretize(a, pert, 0.1)
-            hull = lambar + IntervalMatrix.from_point(abar)
+            m = discretize(a, pert, 0.1)
             for _ in range(10):
                 e = pert.sample(rng)
-                assert hull.contains(scipy.linalg.expm((a + e) * 0.1), tol=1e-9)
+                assert m.contains(scipy.linalg.expm((a + e) * 0.1), tol=1e-9)
 
 
 class TestOrsReach:
@@ -313,6 +339,24 @@ class TestReachWithPerturbation:
     def test_shape_check(self):
         with pytest.raises(DimensionMismatch):
             reach_with_perturbation(girad_model(horizon=2), IntervalMatrix.zeros(3, 3))
+        with pytest.raises(DimensionMismatch):
+            reach_with_perturbation(scalar_growth_model(), IntervalMatrix.zeros(2, 2))
+
+    def test_numeric_route_takes_no_expm(self, monkeypatch):
+        # the one-step family is enclosed by its own centre and radius, so
+        # no flowpipe takes a Pade exponential; the symbolic step still does
+        expm, calls = engine.scipy.linalg.expm, []
+        monkeypatch.setattr(engine.scipy.linalg, "expm",
+                            lambda x: calls.append(x) or expm(x))
+        for name in ("girad1", "acc4", "twocell", "grow1d"):
+            ors_reach(shipped(name))
+        robustness_threshold(shipped("girad1"), [(0, 0), (1, 0)], step=0.05)
+        robustness_threshold(shipped("acc4"), [(0, 0), (2, 3)],
+                             scheme="proportional", step=0.8)
+        assert calls == []
+        m = shipped("girad1")
+        symbolic_reach(m.a, m.perturbation(), m.initial, np.arange(3) * m.step)
+        assert len(calls) == 1
 
 
 class TestNominalReach:
@@ -511,11 +555,16 @@ def period_beyond_horizon(reduction="none"):
     return shipped_girad(horizon=40, reduction=reduction, period=500)
 
 
-def one_step_maps(model):
-    """(Abar, Lbar) as the numeric route uses them."""
+def shipped(name):
+    return load_model(
+        importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
+
+
+def one_step_family(model):
+    """The one-step family M as the numeric route forms it."""
     if model.continuous:
         return discretize(model.a, model.perturbation(), model.step)
-    return model.a, model.perturbation()
+    return _add_outward(model.a, model.perturbation())
 
 
 def recentre(s):
@@ -528,19 +577,18 @@ def recentre(s):
 def reference_flowpipe(model):
     """Stars, boxes, supports and generator counts of the model's flowpipe
     from the public star operations (see reference_run)."""
-    abar, lbar = one_step_maps(model)
     normals = np.vstack([hs.normal for hs in model.unsafe])
-    return reference_run(abar, lbar, model.initial, model.horizon,
+    return reference_run(one_step_family(model), model.initial, model.horizon,
                          model.reduction_method, model.reduction_period,
                          normals)
 
 
-def reference_run(abar, lbar, initial, horizon, reduction, period, normals):
+def reference_run(m, initial, horizon, reduction, period, normals):
     """Stars, boxes, supports and generator counts from the public star
     operations, each set kept centred: the set moves by P and gains the
-    lambda_box block of [-Lr, Lr] (Abar + Lbar split as engine._split),
+    lambda_box block of [-Lr, Lr] (M split as engine._centre_radius),
     and Theta and every interval hull are re-centred."""
-    p, lr = _split(abar, lbar)
+    p, lr = _centre_radius(m.lo, m.hi)
     s = recentre(initial.to_star())
     stars = [s]
     for k in range(1, horizon + 1):
@@ -607,8 +655,8 @@ class TestStreamingRecurrence:
         assert_replay_matches(res)
         # a replay in other directions against the star operations
         dirs = np.random.default_rng(5).normal(size=(4, model.dim))
-        abar, lbar = one_step_maps(model)
-        want = reference_run(abar, lbar, model.initial, model.horizon,
+        want = reference_run(one_step_family(model), model.initial,
+                             model.horizon,
                              model.reduction_method, model.reduction_period,
                              dirs)[3]
         assert_close(res.support(dirs), want)
@@ -701,22 +749,22 @@ class TestStreamingRecurrence:
 
 
 def chunk_case(n):
-    """Discrete one-step maps, box and normals for the chunk-edge tests.
+    """Discrete one-step family, box and normals for the chunk-edge tests.
 
-    Abar is scaled to spectral radius 0.95 so that long horizons stay
-    finite; Lbar has a nonzero midpoint, exact entries and an exact row,
-    Theta a flat coordinate.
+    The family is centred on a matrix of spectral radius about 0.95, so
+    that long horizons stay finite, plus a small nonzero offset; it has
+    point entries and a point row, Theta a flat coordinate.
     """
     rng = np.random.default_rng([2005, n])
     abar = rng.uniform(-1, 1, (n, n))
     abar *= 0.95 / max(np.max(np.abs(np.linalg.eigvals(abar))), 1e-3)
-    mid = rng.normal(scale=0.01, size=(n, n))
+    centre = abar + rng.normal(scale=0.01, size=(n, n))
     rad = rng.uniform(0, 0.02, (n, n)) * (rng.random((n, n)) < 0.7)
     rad[0] = 0.0
     lo = rng.uniform(-1, 1, n)
     hi = lo + rng.uniform(0.1, 1, n)
     hi[n - 1] = lo[n - 1]
-    return (abar, IntervalMatrix(mid - rad, mid + rad), Box(lo, hi),
+    return (IntervalMatrix(centre - rad, centre + rad), Box(lo, hi),
             rng.normal(size=(2, n)))
 
 
@@ -730,14 +778,14 @@ class TestChunkBoundaries:
           for p in (1, 7, "B", "B+3", "beyond"))])
     def test_matches_star_operations(self, n, reduction, period):
         b = _chunk_steps(n)
-        abar, lbar, theta, normals = chunk_case(n)
+        m, theta, normals = chunk_case(n)
         for horizon in (0, 1, b - 1, b, b + 1, 3 * b + 2):
             per = {"B": b, "B+3": b + 3, "beyond": horizon + 5}.get(
                 period, period)
-            res = _run_recurrence(abar, lbar, theta, horizon, reduction, per,
+            res = _run_recurrence(m, theta, horizon, reduction, per,
                                   "numeric", normals)
             _, lo, hi, supports, counts = reference_run(
-                abar, lbar, theta, horizon, reduction, per, normals)
+                m, theta, horizon, reduction, per, normals)
             assert_close(res.lo, lo)
             assert_close(res.hi, hi)
             assert_close(res.supports, supports)
@@ -796,11 +844,10 @@ class TestCentredZonotopes:
 
     @pytest.mark.parametrize("name", ["girad1", "acc4", "twocell", "grow1d"])
     def test_split_never_shrinks_shipped_remainders(self, name):
-        _, lbar = one_step_maps(load_model(
-            importlib.resources.files("uncreach") / "models" / f"{name}.yaml"))
-        mid, rad = _centre_radius(lbar.lo, lbar.hi)
-        assert np.all(mid - rad <= lbar.lo) and np.all(mid + rad >= lbar.hi)
-        assert np.array_equal(rad == 0.0, lbar.lo == lbar.hi)
+        m = one_step_family(shipped(name))
+        mid, rad = _centre_radius(m.lo, m.hi)
+        assert np.all(mid - rad <= m.lo) and np.all(mid + rad >= m.hi)
+        assert np.array_equal(rad == 0.0, m.lo == m.hi)
 
     def test_centred_fresh_block_matches_lambda_box(self):
         rng = np.random.default_rng(2005)
@@ -813,7 +860,7 @@ class TestCentredZonotopes:
             c = rng.normal(size=n)
             gens = rng.normal(size=(n, m))
             r = rng.uniform(0, 2, m)
-            _, lr = _split(rng.normal(size=(n, n)), lam)
+            _, lr = _centre_radius(lam.lo, lam.hi)
             # the engine's fresh radius Lr (|c| + q[:n]), q[:n] = sum |g r|
             rad = lr @ (np.abs(c) + np.abs(gens * r).sum(axis=1))
             want = lambda_box(IntervalMatrix(-lr, lr), Star(c, gens, -r, r))
@@ -821,10 +868,9 @@ class TestCentredZonotopes:
             assert np.all(np.abs(-rad - want.coeff_lo) <= 1e-12 * scale)
             assert np.all(np.abs(rad - want.coeff_hi) <= 1e-12 * scale)
 
-    def test_split_contains_remainder_exactly(self):
-        # [Abar + Lbar.lo, Abar + Lbar.hi] lies inside [P - Lr, P + Lr] in
-        # exact rational arithmetic, also where Abar + Lm rounds away a
-        # midpoint far below Abar's ulp
+    def test_outward_sum_contains_exact_sum(self):
+        # A (+) Lambda contains A + Lambda in exact rational arithmetic,
+        # also where the sum rounds away an entry far below A's ulp
         rng = np.random.default_rng(1848)
         one = np.ones((1, 1))
         cases = [(one, IntervalMatrix(1e-17 * one, 1e-17 * one)),
@@ -833,27 +879,51 @@ class TestCentredZonotopes:
                  (1e8 * one, IntervalMatrix(1e-8 * one, 3e-8 * one))]
         for _ in range(200):
             n = int(rng.integers(1, 5))
-            abar = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
             mid = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-20, 2, (n, n))
             rad = (np.abs(mid) * 10.0 ** rng.uniform(-17, 0, (n, n))
                    * (rng.random((n, n)) < 0.7))
-            cases.append((abar, IntervalMatrix(mid - rad, mid + rad)))
+            cases.append((a, IntervalMatrix(mid - rad, mid + rad)))
         naive_misses = 0
-        for abar, lbar in cases:
-            p, lr = _split(abar, lbar)
-            _, rad = _centre_radius(lbar.lo, lbar.hi)
-            for a, lo, hi, pi, ri, r0 in zip(*(np.ravel(x) for x in (
-                    abar, lbar.lo, lbar.hi, p, lr, rad))):
-                a, lo, hi, pi, ri, r0 = map(Fraction, (a, lo, hi, pi, ri, r0))
-                assert pi - ri <= a + lo and a + hi <= pi + ri
-                naive_misses += pi - r0 > a + lo or a + hi > pi + r0
-        # without the rounding error, Lbar's own radius falls short
+        for a, lam in cases:
+            got = _add_outward(a, lam)
+            for x, lo, hi, glo, ghi in zip(*(np.ravel(v) for v in (
+                    a, lam.lo, lam.hi, got.lo, got.hi))):
+                x, lo, hi, glo, ghi = map(Fraction, (x, lo, hi, glo, ghi))
+                assert glo <= x + lo and x + hi <= ghi
+            near = IntervalMatrix.from_point(a) + lam
+            naive_misses += np.count_nonzero((near.lo != got.lo) | (near.hi != got.hi))
+        # the sum rounded to nearest falls short somewhere
         assert naive_misses > 0
+        # an exact sum keeps its bounds, so a point family stays a point
+        a = np.array([[0.3, -1.7], [2.0, 0.1]])
+        exact = _add_outward(a, IntervalMatrix.zeros(2, 2))
+        assert np.array_equal(exact.lo, a) and np.array_equal(exact.hi, a)
+
+    @pytest.mark.parametrize("name", ["girad1", "acc4", "twocell", "grow1d"])
+    def test_centre_radius_contains_family_exactly(self, name):
+        # M lies inside P +- Lr in exact rational arithmetic: for the
+        # shipped one-step families and for random ones
+        rng = np.random.default_rng([1849, len(name)])
+        lo = rng.normal(size=(40, 3, 3)) * 10.0 ** rng.integers(-8, 8, (40, 3, 3))
+        hi = lo + np.abs(lo) * 10.0 ** rng.uniform(-16, 0, lo.shape)
+        hi[:, 0] = lo[:, 0]
+        m = one_step_family(shipped(name))
+        for flo, fhi in [(m.lo, m.hi), *zip(lo, hi)]:
+            p, lr = _centre_radius(flo, fhi)
+            for fl, fh, c, r in zip(*(np.ravel(v) for v in (flo, fhi, p, lr))):
+                fl, fh, c, r = map(Fraction, (fl, fh, c, r))
+                assert c - r <= fl and fh <= c + r
 
     def test_zero_family_adds_no_radius(self):
-        abar = np.array([[0.3, -1.7], [2.0, 0.1]])
-        p, lr = _split(abar, IntervalMatrix.zeros(2, 2))
-        assert np.array_equal(p, abar) and not np.any(lr)
+        # a point family's centre is the point itself, also above half the
+        # float maximum and below the normal range, and its radius is zero
+        a = np.array([[0.3, -1.7], [1.7e308, -np.finfo(float).max],
+                      [5e-324, -3e-320]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, lr = _centre_radius(a, a)
+        assert np.array_equal(p, a) and not np.any(lr)
 
     def test_random_models_contain_vertex_trajectories(self):
         rng = np.random.default_rng(31337)
@@ -864,14 +934,17 @@ class TestCentredZonotopes:
             assert_contains_vertex_trajectories(rng, model, res.lo, res.hi, trial)
 
     def test_never_looser_than_abar_recurrence(self):
-        # moving by P = Abar + Lm and boxing [-Lr, Lr] gives boxes inside
-        # those of the recurrence that moves by Abar and boxes Lbar
+        # moving by the centre P of M and boxing [-Lr, Lr] gives boxes
+        # inside those of the recurrence that moves by Abar = expm(A h) (A
+        # for a discrete model) and boxes Lbar = M - Abar
         rng = np.random.default_rng(2007)
         for trial in range(100):
             model = random_model(rng, ("none", "interval")[trial % 2],
                                  f"looser{trial}")
             res = ors_reach(model)
-            abar, lbar = one_step_maps(model)
+            abar = (scipy.linalg.expm(model.a * model.step)
+                    if model.continuous else model.a)
+            lbar = one_step_family(model).sub_point(abar)
             lo, hi = abar_recurrence_boxes(abar, lbar, model)
             slack = 1e-12 * np.maximum(np.abs(lo), np.abs(hi)).max(
                 axis=1, keepdims=True)

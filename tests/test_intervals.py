@@ -199,6 +199,21 @@ class TestNorms:
             warnings.simplefilter("error")
             assert big.frobenius_sup() == pytest.approx(5e200, rel=1e-15)
 
+    def test_frobenius_sup_past_half_float_max(self):
+        # entries above 8.99e307, where a centre 0.5 (lo + hi) overflows:
+        # the norm is in range and exact; a norm beyond it is inf, and
+        # neither warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = IntervalMatrix.from_point(np.diag([-1e308, 0.0]))
+            assert point.frobenius_sup() == pytest.approx(1e308, rel=1e-15)
+            wide = IntervalMatrix(np.array([[0.9e308, -1e308]]),
+                                  np.array([[1e308, -0.9e308]]))
+            assert wide.frobenius_sup() == pytest.approx(math.sqrt(2) * 1e308,
+                                                         rel=1e-15)
+            over = IntervalMatrix(np.full((2, 2), -1.5e308), np.full((2, 2), 1e308))
+            assert over.frobenius_sup() == math.inf
+
     def test_two_norm_sup_point(self):
         m = np.array([[1.0, -1.0], [0.0, 2.0]])
         assert IntervalMatrix.from_point(m).two_norm_sup() == pytest.approx(
@@ -306,6 +321,14 @@ class TestIntervalExpm:
             interval_expm(m, -1.0)
         with pytest.raises(DimensionMismatch):
             interval_expm(IntervalMatrix.zeros(2, 3), 1.0)
+
+    def test_entries_past_half_float_max(self):
+        # theta comes from frobenius_sup, which no longer forms a centre
+        # 0.5 (lo + hi) that overflows above 8.99e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = interval_expm(IntervalMatrix.from_point(-1e308 * np.eye(2)), 1e-310)
+        assert m.contains(np.exp(-1e308 * 1e-310) * np.eye(2), tol=1e-15)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_time_up_front(self, t):

@@ -1,5 +1,7 @@
 """Tests for budget weighting, distribution and the robustness threshold search."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from uncreach import (
     ModelSpec,
     budget_weights,
     distribute,
+    load_model,
     ors_reach,
     robustness_threshold,
     safety_check,
@@ -130,6 +133,22 @@ class TestDistribute:
         with pytest.raises(ValueError):
             distribute(a, ((2, 0),), np.zeros((2, 2)), 0.1, "equal")
 
+    def test_radius_is_p_k_w_abs_a_bitwise(self):
+        # the radius of cell (i, j) is ((p k) w_ij) |A[i, j]|, in this order
+        rng = np.random.default_rng(70)
+        a = rng.normal(size=(3, 3))
+        scores = rng.uniform(size=(3, 3))
+        cells = ((0, 1), (2, 2), (1, 0))
+        for scheme in SCHEMES:
+            w = budget_weights(cells, scores, scheme)
+            for p in (0.0, 0.05, 0.3, 1.7):
+                lam = distribute(a, cells, scores, p, scheme)
+                lo, hi = a.copy(), a.copy()
+                for (i, j), wi in zip(cells, w):
+                    r = p * 3 * wi * abs(a[i, j])
+                    lo[i, j], hi[i, j] = a[i, j] - r, a[i, j] + r
+                assert np.array_equal(lam.lo, lo) and np.array_equal(lam.hi, hi)
+
 
 class TestRobustnessThreshold:
     def test_scalar_worked_example(self):
@@ -223,3 +242,19 @@ class TestRobustnessThreshold:
             robustness_threshold(model, ((0, 0), (0, 0)))
         with pytest.raises(ValueError):
             robustness_threshold(model, ((3, 0),))
+
+    def test_cell_indices_must_be_integers(self):
+        # a float index used to be truncated, so (0.5, 0) analysed cell
+        # (0, 0), and a bool one read as 0 or 1
+        model = load_model(
+            importlib.resources.files("uncreach") / "models" / "grow1d.yaml")
+        for cells in ([(0.5, 0)], [(True, False)], [(0, np.float64(0.0))]):
+            with pytest.raises(ValueError, match="integers"):
+                robustness_threshold(model, cells, step=0.05)
+            with pytest.raises(ValueError, match="integers"):
+                distribute(model.a, cells, np.zeros((1, 1)), 0.1, "equal")
+        report = robustness_threshold(model, [(np.int64(0), np.int32(0))],
+                                      step=0.05)
+        assert report.cells == ((0, 0),)
+        assert all(type(v) is int for v in report.cells[0])
+        assert report.final_budget == 0.1
