@@ -30,7 +30,6 @@ from .errors import (
     DefectiveMatrix,
     DegenerateSV,
     DimensionMismatch,
-    DimensionTooLarge,
     ModelFileError,
     ReachError,
     RemainderDiverges,
@@ -54,7 +53,6 @@ __all__ = [
     "DefectiveMatrix",
     "DegenerateSV",
     "DimensionMismatch",
-    "DimensionTooLarge",
     "HalfSpace",
     "Interval",
     "IntervalMatrix",

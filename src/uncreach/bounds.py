@@ -181,7 +181,8 @@ def bloat_factor(a, lambda_norm: float, t, method: str):
 
 
 def interval_norm(lam: IntervalMatrix, kind: str) -> float:
-    """Interval matrix norm sup used to instantiate the bounds."""
+    """The interval norm sup that instantiates the bounds: frobenius_sup
+    (exact) or two_norm_sup (an upper bound, exact on zero-centred ones)."""
     if kind == "two":
         return lam.two_norm_sup()
     if kind == "frobenius":

@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
-from .intervals import IntervalMatrix, interval_expm
+from .intervals import (_CHUNK_ENTRIES, _UNIT, IntervalMatrix, _centre_radius,
+                        _gamma, _sigma_max_bound, interval_expm)
 from .stars import Box, Star, zono_reduce
 
 # The symbolic step's expm goes through this namespace because the
@@ -57,10 +58,6 @@ __all__ = [
 ]
 
 REDUCTION_METHODS = ("none", "interval", "zonotope")
-
-# Entries per chunk of a stack in _sigma_max_bound and _image_bounds: bounds
-# their temporaries whatever the stack length.
-_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -325,28 +322,6 @@ def _add_outward(a, pert: IntervalMatrix) -> IntervalMatrix:
     return IntervalMatrix(*bounds)
 
 
-def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and radius whose c - r and c + r round to at most lo, at least hi.
-
-    The centre is 0.5 lo + 0.5 hi, which cannot overflow, and a point
-    entry's own value.  The radius rounded to nearest can fall short of
-    the true distance by half an ulp, so every nonzero radius is pushed
-    one ulp outward: then c - r < lo and c + r > hi hold exactly, and
-    rounding keeps them as <= and >=.  Point entries keep radius zero.
-    """
-    mid = np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)
-    rad = np.maximum(hi - mid, mid - lo)
-    return mid, np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
-
-
-_UNIT = 2.0 ** -53  # unit roundoff of float64
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * _UNIT / (1.0 - k * _UNIT)
-
-
 def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
                    x_err: np.ndarray, out: np.ndarray) -> None:
     """Write into out a bound on |F X - fl(f x)| for |F - f| <= f_err, |X - x| <= x_err.
@@ -366,78 +341,6 @@ def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
     ax += x_err
     out += np.matmul(f_err, ax, out=tmp)
     out *= 1.0 + 2.0 * _gamma(n + 3)
-
-
-# LAPACK bounds the error of each eigenvalue eigvalsh computes for a
-# symmetric A by p(n) u ||A||_2, with p(n) "a modestly growing function
-# of n" and no constant given (LAPACK Users' Guide, 3rd ed., 4.7).  We
-# take p(n) = _EIG_C n, at least 48 for the orders n >= 3 that use it:
-# on 18000 random, orthogonal, rank-one, badly scaled and nearly
-# singular Gram matrices of order 3 to 8, the largest eigenvalue was
-# never more than 15 u ||A||_2 from its 30-digit value (numpy 2.4 with
-# OpenBLAS).
-_EIG_C = 16
-# Covers the roundings of each sigma_max evaluation (see _sigma_max_bound).
-_SIGMA_SLACK = 1.0 + 2.0 * _gamma(5)
-
-
-def _sigma_max_bound(flows: np.ndarray) -> np.ndarray:
-    """An upper bound on sigma_max of each matrix of a (K, n, n) stack.
-
-    n = 1 gives |f| exactly.  Otherwise each matrix is scaled by the power
-    of two 2^-e that puts its largest entry magnitude in [1/2, 1), so that
-    nothing below overflows and sigma_max(F_s) >= 1/2; the scaling is
-    exact but for entries it takes below the normal range, whose error of
-    at most 2^-1075 each is far below u sigma_max(F_s).  Then
-      n = 2: the cancellation-free closed form
-             sigma_1 = (sqrt((a+d)^2 + (c-b)^2) + sqrt((a-d)^2 + (c+b)^2)) / 2
-             of F_s = [[a, b], [c, d]]: every operation adds or takes the
-             root of nonnegative terms, so the computed value is within
-             a factor 1 - gamma_5 of sigma_1(F_s);
-      n > 2: sigma_1(F_s)^2 = lambda_max(F_s^T F_s).  The computed Gram G
-             is within gamma_n |F_s|^T |F_s| of it (Higham, Accuracy and
-             Stability of Numerical Algorithms, 3.5), so within
-             gamma_n ||F_s||_F^2 in the 2-norm.  That is far below 1/4,
-             so ||G||_2 = lambda_max(G), and eigvalsh's largest
-             eigenvalue l is within _EIG_C n u lambda_max(G) of
-             lambda_max(G) (_EIG_C); so sigma_1(F_s)^2 <=
-             l / (1 - _EIG_C n u) + gamma_n ||F_s||_F^2.  That sum and its
-             root are evaluated within a factor 1 - 3u.
-    The result times _SIGMA_SLACK = 1 + 2 gamma_5, rounded, covers either
-    evaluation; times 2^e it is the bound, pushed one ulp up where it
-    falls below the normal range.  A matrix with a non-finite entry
-    gives inf, and so does a bound beyond float range.  The stack goes
-    in chunks of about _CHUNK_ENTRIES entries, as in _image_bounds.
-    """
-    n = flows.shape[-1]
-    if n == 1:
-        f = flows[:, 0, 0]
-        return np.where(np.isfinite(f), np.abs(f), np.inf)
-    out = np.empty(len(flows))
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    with np.errstate(over="ignore"):
-        for i in range(0, len(flows), chunk):
-            big = np.abs(flows[i:i + chunk]).max(axis=(1, 2))
-            finite = np.isfinite(big)
-            e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
-            fs = np.ldexp(flows[i:i + chunk], -e[:, None, None])
-            fs[~finite] = 0.0
-            if n == 2:
-                a, b, c, d = fs.reshape(-1, 4).T
-                s = np.sqrt(np.square(a + d) + np.square(c - b))
-                s += np.sqrt(np.square(a - d) + np.square(c + b))
-                s *= 0.5 * _SIGMA_SLACK
-            else:
-                lam = np.linalg.eigvalsh(fs.transpose(0, 2, 1) @ fs)[:, -1]
-                s = lam / (1.0 - _EIG_C * n * _UNIT)
-                s += np.square(fs).sum(axis=(1, 2)) * _gamma(n)
-                np.sqrt(s, out=s)
-                s *= _SIGMA_SLACK
-            s[~finite] = np.inf
-            np.ldexp(s, e, out=out[i:i + chunk])
-    low = (out > 0.0) & (out < np.finfo(np.float64).tiny)
-    out[low] = np.nextafter(out[low], np.inf)
-    return out
 
 
 def _square(a: np.ndarray, a_err: np.ndarray | None):

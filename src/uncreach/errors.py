@@ -9,10 +9,6 @@ class DimensionMismatch(ReachError):
     """Operands have incompatible shapes."""
 
 
-class DimensionTooLarge(ReachError):
-    """Exact interval 2-norm enumeration refused beyond the size threshold."""
-
-
 class RemainderDiverges(ReachError):
     """Taylor remainder bound for the interval exponential does not converge."""
 

@@ -92,9 +92,8 @@ def order_cells(a) -> OrdMatrix:
 
 
 def max_sv_radius(lam: IntervalMatrix) -> float:
-    """Largest singular value over the interval family, sup_E sigma_1(E).
-
-    This is exactly the interval 2-norm sup, so ||E x||_2 <= radius for
-    every member E and unit x.
+    """An upper bound on sup_E sigma_1(E) over the interval family: the
+    interval 2-norm bound two_norm_sup, exact up to rounding on zero-centred
+    and point families, so ||E x||_2 <= radius for every member E and unit x.
     """
     return lam.two_norm_sup()

@@ -6,7 +6,6 @@ import pytest
 from uncreach import (
     DegenerateSV,
     DimensionMismatch,
-    DimensionTooLarge,
     IntervalMatrix,
     max_sv_radius,
     order_cells,
@@ -172,6 +171,9 @@ class TestMaxSvRadius:
         for _ in range(1000):
             assert np.linalg.norm(lam.sample(rng), 2) <= r + 1e-9
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            max_sv_radius(IntervalMatrix.zeros(9, 9))
+    def test_zero_centred_family_past_order_eight(self):
+        # sup sigma_1 over |E| <= R is sigma_1(R), at any order
+        rng = np.random.default_rng(22)
+        r = rng.uniform(0, 1, (12, 12))
+        want = np.linalg.norm(r, 2)
+        assert want <= max_sv_radius(IntervalMatrix(-r, r)) <= (1 + 1e-13) * want
