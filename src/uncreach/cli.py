@@ -184,7 +184,7 @@ def order_cmd(model_path: str, out: str) -> None:
 @click.option("--step", default=0.05, type=float, show_default=True,
               help="budget grid spacing")
 @click.option("--cap", default=200, type=int, show_default=True,
-              help="maximum number of budgets to try")
+              help="size of the budget grid 0, step, ..., (cap - 1) step")
 @click.option("--proportional-literal", is_flag=True,
               help="literal sum-of-smaller-scores weights (see README)")
 @click.option("--out", default="-", help="JSON destination ('-' = stdout)")
@@ -209,6 +209,7 @@ def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
         "already_unsafe": report.already_unsafe,
         "cap_reached": report.cap_reached,
         "trace": [[p, safe] for p, safe in report.trace],
+        "evaluated": list(report.evaluated),
         "safe_uncertainty": {
             "lo": [[float(v) for v in row] for row in report.safe_uncertainty.lo],
             "hi": [[float(v) for v in row] for row in report.safe_uncertainty.hi],

@@ -403,9 +403,11 @@ def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
                     reduction_method: str, reduction_period: int,
-                    method_name: str, normals: np.ndarray) -> ReachResult:
+                    method_name: str, normals: np.ndarray,
+                    until: np.ndarray | None = None) -> ReachResult:
     """Run the recurrence on centred zonotopes (Girard, HSCC 2005).
 
     The one-step family M is enclosed in P +- Lr and Theta in c_0 +- r_0
@@ -442,9 +444,24 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     come from one stacked product; their absolute row sums are added to
     q, and the history restarts from a zero block.
 
+    A segment is the steps from one reduction (or step 0) up to the next
+    reduction step, or to the horizon.  The supports of a segment's
+    steps replace their q[n:] by one product per segment, once the
+    tables are freed.  Given `until`, one offset per normal, the product
+    runs at the segment's end instead, before its reduction, and the
+    recurrence stops after the first segment in which a support reaches
+    its offset or a step is not finite.  That result ends with the
+    segment, a bitwise prefix of the full flowpipe (the same products on
+    the same segments), and its _recurrence records the shortened
+    horizon.  From the first step whose centre, radii or supports are
+    not finite on, the boxes are -inf/inf and the supports inf; a
+    reduction step whose live set a Star refuses as not finite is such
+    a step, and the recurrence stops there.
+
     Generator counts follow the Star operations: n for Theta and for a
     hull, then the nonzero fresh radii, and at most 2n after a zonotope
-    reduction.  Inputs and the flowpipe are each validated once.
+    reduction; from a step that is not finite on, no more are added.
+    Inputs are validated once.
     """
     start = time.perf_counter()
     n = theta.dim
@@ -478,6 +495,10 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
     ages = sliding_window_view(table, width, axis=1)
     inchunk = _inchunk_table(table, lr, n, chunk)
+    if not np.all(np.isfinite(inchunk)):
+        # a block that overflows would meet the zero blocks of steps not
+        # yet run (inf * 0 = nan) and spoil finite steps: one step a chunk
+        chunk = 1
     # a chunk's known |c| + q[:n], youngest first, then chunk - 1 zero
     # blocks: recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
     known = np.zeros(n * (2 * chunk - 1))
@@ -490,6 +511,9 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     carried = carried_sums = None
     reduced_at = 0
     events = [(0, n)]  # (step, generator count) where the count restarts
+    last = horizon + 1  # steps run
+    bad = None  # a step whose set is unbounded, if the loop met one
+    closed = 0  # steps whose supports N c + q[n:] replaced their q[n:]
 
     for first_step in range(0, horizon + 1, period):
         # the segment ends before the next reduction step or the horizon
@@ -515,6 +539,14 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             t0 += b
         if stop > horizon:
             break
+        if until is not None:
+            seg = slice(first_step, stop)
+            q[seg, n:] += centres[seg] @ normals.T
+            closed = stop
+            if (np.any(q[seg, n:] >= until)
+                    or _first_unbounded(centres[seg], q[seg]) is not None):
+                last = stop
+                break
         s = end - (t0 + 1) * n  # the live history at the reduction step
         if zonotope:
             # the live generators and radii, oldest first: the carried
@@ -528,7 +560,14 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
                 block = carried[:, stop - reduced_at]
                 gens = np.hstack((block, gens))
                 radii = np.concatenate((np.ones(block.shape[1]), radii))
-            reduced = zono_reduce(Star(centres[stop], gens, -radii, radii), 2 * n)
+            try:
+                reduced = zono_reduce(Star(centres[stop], gens, -radii, radii),
+                                      2 * n)
+            except ValueError:
+                # a Star refuses entries that are not finite: the set at
+                # the reduction step is unbounded
+                bad, last = stop, min(stop + period, horizon + 1)
+                break
             # unit coefficients; the centre stays, as mid = 0
             block = reduced.generators * reduced.coeff_hi
             prods = (signed.reshape(-1, n) @ block).reshape(
@@ -544,33 +583,60 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
 
     # free the tables first: building the result arrays sets the peak
     del table, ages, signed, inchunk
-    lo = centres - q[:, :n]
-    hi = centres + q[:, :n]
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("flowpipe is not finite: the recurrence overflowed")
+    count = horizon + 1 if until is None else last
+    # the same segments as above, so that a prefix is bitwise the same
+    for first_step in range(closed, count, period):
+        seg = slice(first_step, min(first_step + period, count))
+        q[seg, n:] += centres[seg] @ normals.T
+    first = _first_unbounded(centres[:count], q[:count])
+    if first is not None:
+        bad = first if bad is None else min(bad, first)
+    lo = centres[:count] - q[:count, :n]
+    hi = centres[:count] + q[:count, :n]
     # generator counts: restart at each event, then add the nonzero radii
     # of every fresh block (the same products the loop wrote into buf)
-    added = np.zeros(horizon + 1, dtype=np.int64)
-    added[1:] = np.count_nonzero((abs_c[:-1] + q[:-1, :n]) @ lr.T, axis=1)
+    fresh = count if bad is None else bad + 1
+    added = np.zeros(count, dtype=np.int64)
+    added[1:fresh] = np.count_nonzero(
+        (abs_c[:fresh - 1] + q[:fresh - 1, :n]) @ lr.T, axis=1)
+    sups = q[:count, n:].copy()
+    if bad is not None:
+        lo[bad:], hi[bad:], sups[bad:] = -np.inf, np.inf, np.inf
     added = np.cumsum(added)
-    steps, bases = (np.array(v) for v in zip(*events))
-    seg = np.searchsorted(steps, np.arange(horizon + 1), side="right") - 1
+    steps, bases = (np.array(v) for v in zip(*(
+        e for e in events if bad is None or e[0] <= bad)))
+    seg = np.searchsorted(steps, np.arange(count), side="right") - 1
     counts = bases[seg] + added - added[steps[seg]]
     return ReachResult(
         kind="numeric", method=method_name,
-        labels=np.arange(horizon + 1, dtype=np.float64), lo=lo, hi=hi,
-        radii=np.zeros(horizon + 1), gen_counts=counts,
-        normals=normals, supports=centres @ normals.T + q[:, n:],
+        labels=np.arange(count, dtype=np.float64), lo=lo, hi=hi,
+        radii=np.zeros(count), gen_counts=counts,
+        normals=normals, supports=sups,
         wall_time=time.perf_counter() - start,
-        _recurrence=(m, theta, horizon, reduction_method, reduction_period))
+        _recurrence=(m, theta, count - 1, reduction_method, reduction_period))
 
 
-def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix) -> ReachResult:
+def _first_unbounded(centres: np.ndarray, q: np.ndarray) -> int | None:
+    """First step whose centre, or radii and supports q, are not all
+    finite, else None."""
+    # a sum that overflows only sends finite rows to the exact check
+    if math.isfinite(centres.sum() + q.sum()):
+        return None
+    finite = np.isfinite(centres).all(axis=1) & np.isfinite(q).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
+                            until_unsafe: bool = False) -> ReachResult:
     """Numeric flowpipe of the model with an explicit perturbation family.
 
     The supports of the model's unsafe normals are recorded at every step,
     so safety_check against model.unsafe reads them; other directions
-    replay the recurrence (ReachResult.support).
+    replay the recurrence (ReachResult.support).  With until_unsafe the
+    flowpipe ends with the first segment (the steps up to a reduction,
+    or to the horizon) in which a support reaches its offset or a set is
+    unbounded: a bitwise prefix of the full flowpipe, which gives the
+    same safety_check verdict against model.unsafe.
     """
     if model.continuous:
         m = discretize(model.a, pert, model.step)
@@ -578,9 +644,11 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix) -> ReachResu
         m = _add_outward(model.a, pert)
     normals = np.array([hs.normal for hs in model.unsafe],
                        dtype=np.float64).reshape(-1, model.dim)
+    until = (np.array([hs.offset for hs in model.unsafe], dtype=np.float64)
+             if until_unsafe else None)
     return _run_recurrence(m, model.initial, model.horizon,
                            model.reduction_method, model.reduction_period,
-                           method_name="numeric", normals=normals)
+                           method_name="numeric", normals=normals, until=until)
 
 
 def ors_reach(model: ModelSpec) -> ReachResult:

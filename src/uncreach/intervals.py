@@ -44,11 +44,11 @@ class Interval:
 
     @property
     def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi  # lo + hi may overflow
 
     @property
     def radius(self) -> float:
-        return 0.5 * (self.hi - self.lo)
+        return 0.5 * self.hi - 0.5 * self.lo  # hi - lo may overflow
 
     @property
     def width(self) -> float:
@@ -247,7 +247,7 @@ class IntervalMatrix:
 
     @property
     def radius(self) -> np.ndarray:
-        return 0.5 * (self.hi - self.lo)
+        return 0.5 * self.hi - 0.5 * self.lo  # hi - lo may overflow
 
     def is_point(self) -> bool:
         return bool(np.all(self.lo == self.hi))
@@ -257,9 +257,11 @@ class IntervalMatrix:
         return bool(np.all(m >= self.lo - tol) and np.all(m <= self.hi + tol))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """A uniformly drawn member matrix."""
+        """A uniformly drawn member matrix: centre + (2u - 1) radius, which
+        cannot overflow, clipped to the bounds its rounding may pass."""
         u = rng.random(self.shape)
-        return self.lo + u * (self.hi - self.lo)
+        return np.clip(self.center + (2.0 * u - 1.0) * self.radius,
+                       self.lo, self.hi)
 
     def __getitem__(self, idx) -> Interval:
         i, j = idx

@@ -1,10 +1,11 @@
 """Search for the largest safe uncertainty budget over chosen cells.
 
 Budgets p = 0, step, 2 step, ... are distributed over the selected cells
-as symmetric relative radii; each candidate family runs through the
-numeric pipeline and the first unsafe budget ends the search.  The report
-carries the last safe family and the Frobenius sup of its perturbation
-part, i.e. of the radii matrix, not of the dynamics.
+as symmetric relative radii; a gallop and a bisection over the grid run
+the numeric pipeline on a few candidate families to find the first
+unsafe budget.  The report carries the last safe family and the
+Frobenius sup of its perturbation part, i.e. of the radii matrix, not of
+the dynamics.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _widen,
                      reach_with_perturbation, safety_check)
+from .errors import RemainderDiverges
 from .intervals import IntervalMatrix
 from .sensitivity import order_cells
 
@@ -93,6 +95,9 @@ class ThresholdReport:
     safe_uncertainty is the PERTURBATION family of the last safe budget
     (center zero, radii at the selected cells); norm is its Frobenius sup,
     which is 0 when the model is already unsafe without perturbation.
+    trace lists every grid budget up to the first unsafe one with its
+    verdict; evaluated lists the budgets whose flowpipes ran, in run
+    order.
     """
 
     scheme: str
@@ -105,18 +110,29 @@ class ThresholdReport:
     safe_uncertainty: IntervalMatrix
     already_unsafe: bool = False
     cap_reached: bool = False
+    evaluated: tuple[float, ...] = ()
 
 
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
                          step: float = 0.05, cap: int = 200,
                          proportional_literal: bool = False) -> ThresholdReport:
-    """Largest safe budget on a grid p = 0, step, 2 step, ...
+    """Largest safe budget on the grid p = i step, i = 0, ..., cap - 1.
 
-    Each budget is spread over the cells by the scheme, the numeric
-    pipeline runs on the perturbed family, and the search stops at the
-    first unsafe budget (returning the previous, safe family) or after
-    `cap` budgets (cap_reached flag).  A model unsafe at p = 0 reports
-    already_unsafe with norm 0.  The search is deterministic.
+    Each budget is spread over the cells by the scheme and the numeric
+    pipeline runs on the perturbed family.  The search gallops over the
+    grid index (1, 2, 4, ..., at most cap - 1) to the first unsafe probe,
+    then bisects until the last safe index and the next one, unsafe,
+    have both run (Bentley & Yao, IPL 5, 1976); index 0 runs only when
+    index 1 is unsafe.  The families nest (distribute), so the safe
+    flowpipe at the last safe index encloses every trajectory of every
+    smaller budget's family: the trace marks those budgets safe without
+    running them, and equals a scan's from 0 wherever the verdict is
+    monotone in the budget.  The search stops at the first unsafe budget
+    (returning the previous, safe family) or with every grid budget safe
+    (cap_reached flag).  A trial whose flowpipe overflows, or whose
+    discretization remainder diverges, is unsafe.  A model unsafe at
+    p = 0 reports already_unsafe with norm 0.  The search is
+    deterministic.
     """
     if step <= 0 or not math.isfinite(step):
         raise ValueError("step must be positive")
@@ -129,24 +145,41 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
         scores = np.zeros(model.a.shape)
     else:
         scores = order_cells(model.a).scores
-    trace: list[tuple[float, bool]] = []
-    prev_pert = IntervalMatrix.zeros(model.dim, model.dim)
-    prev_p = 0.0
-    for i in range(cap):
-        p = i * step
-        assembled = distribute(model.a, cells, scores, p, scheme,
-                               proportional_literal)
-        pert = assembled.sub_point(model.a)
-        verdict = safety_check(reach_with_perturbation(model, pert),
-                               model.unsafe)
-        trace.append((p, verdict.safe))
-        if not verdict.safe:
-            break
-        prev_pert = pert
-        prev_p = p
+    evaluated: list[float] = []
+
+    def perturbation(i: int) -> IntervalMatrix:
+        return distribute(model.a, cells, scores, i * step, scheme,
+                          proportional_literal).sub_point(model.a)
+
+    def proven_safe(i: int) -> bool:
+        evaluated.append(i * step)
+        try:
+            res = reach_with_perturbation(model, perturbation(i),
+                                          until_unsafe=True)
+        except RemainderDiverges:
+            return False
+        return safety_check(res, model.unsafe).safe
+
+    safe, unsafe = -1, cap  # the last index proven safe, the first unsafe
+    while unsafe - safe > 1:
+        if unsafe == cap:  # gallop: 1, 2, 4, ..., at most cap - 1
+            probe = min(max(1, 2 * safe), cap - 1)
+        else:  # bisect
+            probe = (safe + unsafe) // 2
+        if proven_safe(probe):
+            safe = probe
+        else:
+            unsafe = probe
+    trace = [(i * step, True) for i in range(safe + 1)]
+    if unsafe < cap:
+        trace.append((unsafe * step, False))
+    pert = (perturbation(safe) if safe >= 0
+            else IntervalMatrix.zeros(model.dim, model.dim))
     return ThresholdReport(
-        scheme=scheme, cells=cells, step=step, final_budget=prev_p,
-        norm=prev_pert.frobenius_sup(), iterations=len(trace),
-        trace=tuple(trace), safe_uncertainty=prev_pert,
+        scheme=scheme, cells=cells, step=step,
+        final_budget=safe * step if safe >= 0 else 0.0,
+        norm=pert.frobenius_sup(),
+        iterations=len(trace), trace=tuple(trace), safe_uncertainty=pert,
         already_unsafe=not trace[0][1], cap_reached=trace[-1][1],
+        evaluated=tuple(evaluated),
     )

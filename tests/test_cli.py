@@ -254,6 +254,20 @@ class TestRobust:
         assert doc["safe_uncertainty"]["lo"][0][0] == pytest.approx(-0.1, abs=1e-12)
         assert doc["safe_uncertainty"]["hi"][0][0] == pytest.approx(0.1, abs=1e-12)
         assert "largest safe budget" in result.stderr
+        # budgets 0.05, 0.1 and 0.2 ran, then 0.15 between the last two
+        assert doc["evaluated"] == pytest.approx([0.05, 0.1, 0.2, 0.15], abs=1e-15)
+
+    def test_overflowing_trial_is_unsafe(self, runner):
+        # budget 50 overflows the flowpipe: not proven safe, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(main, ["robust", GIRAD, "--cell", "0,0",
+                                          "--cell", "1,1", "--step", "50"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert doc["final_budget"] == 0.0
+        assert doc["trace"] == [[0.0, True], [50.0, False]]
+        assert doc["evaluated"] == [50.0, 0.0]
 
     def test_multiple_cells_and_scheme(self, runner):
         result = runner.invoke(main, ["robust", TWOCELL, "--cell", "0,0",

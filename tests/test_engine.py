@@ -555,6 +555,33 @@ def period_beyond_horizon(reduction="none"):
     return shipped_girad(horizon=40, reduction=reduction, period=500)
 
 
+GROW2_A = np.array([[1.0, -1.0], [0.0, 2.0]])
+GROW2_CELLS = tuple(CellUncertainty(i, j, interval=(GROW2_A[i, j] - 1e-3,
+                                                    GROW2_A[i, j] + 1e-3))
+                    for i in range(2) for j in range(2))
+
+
+def grow2_model(cells=GROW2_CELLS, reduction="none", period=500):
+    # twocell's unstable matrix on 1600 steps of 0.25: the flow leaves
+    # float range near t = 355
+    return ModelSpec(
+        name="grow2", a=GROW2_A, uncertainty=cells,
+        initial=Box(np.array([1.0, 0.0]), np.array([2.0, 1.0])),
+        horizon=1600, continuous=True, step=0.25,
+        unsafe=(HalfSpace(np.array([0.0, 1.0]), 1e300),),
+        reduction_method=reduction, reduction_period=period)
+
+
+def blowup_model(reduction="none", period=7, horizon=40):
+    # x' = a x, a in [0.9e10, 1.1e10]: the box leaves float range at step 31
+    return ModelSpec(name="blowup", a=np.array([[1e10]]),
+                     uncertainty=(CellUncertainty(0, 0, relative=0.1),),
+                     initial=Box(np.array([1.0]), np.array([2.0])),
+                     horizon=horizon, continuous=False,
+                     unsafe=(HalfSpace(np.array([1.0]), 1.0),),
+                     reduction_method=reduction, reduction_period=period)
+
+
 def shipped(name):
     return load_model(
         importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
@@ -695,13 +722,38 @@ class TestStreamingRecurrence:
         assert safety_check(res, tight) == safety_check(replayed, tight)
         assert not safety_check(res, tight).safe
 
-    def test_overflow_raises(self):
-        model = ModelSpec(name="blowup", a=np.array([[1e10]]),
-                          uncertainty=(CellUncertainty(0, 0, relative=0.1),),
-                          initial=Box(np.array([1.0]), np.array([2.0])),
-                          horizon=40, continuous=False)
-        with pytest.raises(ValueError), np.errstate(all="ignore"):
-            ors_reach(model)
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_overflow_gives_unbounded_steps(self, reduction):
+        # the numeric twin of TestSymbolicReach's test of the same name in
+        # tests/test_bounds.py: exp(2t) leaves float range near t = 355,
+        # step 1420 of h = 0.25, and the perturbed family one step earlier.
+        # From there the boxes are -inf/inf and the supports inf, without a
+        # warning or a NaN, whatever the reduction
+        for cells, overflow in ((GROW2_CELLS, 1419), ((), 1420)):
+            model = grow2_model(cells, reduction)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = ors_reach(model)
+                verdict = safety_check(res, model.unsafe)
+            assert len(res) == model.horizon + 1
+            for bound in (res.lo, res.hi, res.supports):
+                assert not np.isnan(bound).any()
+                assert np.all(np.isfinite(bound[:overflow]))
+            assert np.all(res.lo[overflow:] == -np.inf)
+            assert np.all(res.hi[overflow:] == np.inf)
+            assert np.all(res.supports[overflow:] == np.inf)
+            assert not verdict.safe and verdict.step < overflow
+            # no generators are added to an unbounded set
+            assert np.all(res.gen_counts[overflow:] == res.gen_counts[overflow])
+        # the discrete blowup overflows at step 31: within a chunk of the
+        # recurrence, and (period 31) at a reduction step
+        for period in (7, 31):
+            model = blowup_model(reduction, period)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = ors_reach(model)
+            assert np.all(np.isfinite(res.hi[:31])) and np.all(res.hi[31:] == np.inf)
+            assert np.all(res.lo[31:] == -np.inf)
 
     def test_memory_does_not_grow_with_stored_sets(self):
         # unreduced: 4102 generators at the last step; keeping every star
@@ -766,6 +818,74 @@ def chunk_case(n):
     hi[n - 1] = lo[n - 1]
     return (IntervalMatrix(centre - rad, centre + rad), Box(lo, hi),
             rng.normal(size=(2, n)))
+
+
+def with_offsets(model, offsets):
+    return dataclasses.replace(model, unsafe=tuple(
+        HalfSpace(hs.normal, float(o)) for hs, o in zip(model.unsafe, offsets)))
+
+
+class TestUntilUnsafe:
+    @pytest.mark.parametrize("make", [
+        lambda r: discrete_model(reduction=r, period=7),
+        short_acc4,
+        lambda r: shipped_girad(reduction=r, period=50),
+        lambda r: grow2_model(reduction=r, period=300),
+    ], ids=["discrete", "acc4", "girad", "grow2"])
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_truncation_is_a_prefix(self, make, reduction):
+        # the flowpipe ends with the segment (up to a reduction step, or
+        # to the horizon) of the first violation, and equals the first K
+        # steps of the full flowpipe bitwise; a safe model runs in full
+        model = make(reduction)
+        period = (model.reduction_period if reduction != "none"
+                  else model.horizon + 1)
+        sups = ors_reach(model).supports
+        finite = np.isfinite(sups).all(axis=1)
+        last = int(np.count_nonzero(finite)) - 1
+        big = np.full(sups.shape[1], np.finfo(float).max)
+        cases = [big]  # safe, unless a set overflows
+        for k in (0, 1, last // 3, last // 2, last):
+            cases.append(np.where(np.arange(len(big)) == k % len(big),
+                                  sups[k], big))
+        for offsets in cases:
+            m = with_offsets(model, offsets)
+            full = reach_with_perturbation(m, m.perturbation())
+            cut = reach_with_perturbation(m, m.perturbation(),
+                                          until_unsafe=True)
+            verdict = safety_check(full, m.unsafe)
+            if verdict.safe:
+                want = model.horizon + 1
+            else:
+                want = min(model.horizon + 1,
+                           (verdict.step // period + 1) * period)
+            assert len(cut) == want and cut._recurrence[2] == want - 1
+            for got, ref in ((cut.lo, full.lo), (cut.hi, full.hi),
+                             (cut.supports, full.supports),
+                             (cut.gen_counts, full.gen_counts),
+                             (cut.labels, full.labels)):
+                assert np.array_equal(got, ref[:want])
+            assert safety_check(cut, m.unsafe) == verdict
+
+    def test_unbounded_set_ends_the_flowpipe(self):
+        # no offset is reached before the overflow: grow2's at step 1419,
+        # in the fifth segment of 300 steps, and the blowup's at step 31,
+        # a zonotope reduction step, which starts the segment up to 62
+        for model, overflow, length in (
+                (grow2_model(reduction="interval", period=300), 1419, 1500),
+                (blowup_model("zonotope", 31, horizon=80), 31, 62)):
+            model = with_offsets(model, [np.finfo(float).max])
+            full = ors_reach(model)
+            cut = reach_with_perturbation(model, model.perturbation(),
+                                          until_unsafe=True)
+            assert len(full) == model.horizon + 1 and len(cut) == length
+            for got, ref in ((cut.lo, full.lo), (cut.hi, full.hi),
+                             (cut.supports, full.supports),
+                             (cut.gen_counts, full.gen_counts)):
+                assert np.array_equal(got, ref[:length])
+            assert np.all(np.isfinite(cut.hi[:overflow]))
+            assert np.all(cut.hi[overflow:] == np.inf)
+            assert safety_check(cut, model.unsafe).step == overflow
 
 
 class TestChunkBoundaries:

@@ -128,6 +128,20 @@ class TestIntervalMatrix:
             assert m.contains(m.sample(rng))
         assert not m.contains(np.array([[2.0, 0.0]]))
 
+    def test_radius_and_sample_past_half_float_max(self):
+        # hi - lo = 2.5e308 is past the float maximum, every member is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = IntervalMatrix(np.array([[-1.5e308]]), np.array([[1e308]]))
+            assert m.radius[0, 0] == 1.25e308
+            assert Interval(-1.5e308, 1e308).radius == 1.25e308
+            assert Interval(1e308, 1.5e308).center == 1.25e308
+            rng = np.random.default_rng(8)
+            draws = np.array([m.sample(rng) for _ in range(200)])
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws >= -1.5e308) and np.all(draws <= 1e308)
+        assert draws.min() < -1e308 and draws.max() > 0.5e308
+
 
 class TestIntervalMatmul:
     def test_identity(self):

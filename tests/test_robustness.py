@@ -1,6 +1,10 @@
 """Tests for budget weighting, distribution and the robustness threshold search."""
 
+import dataclasses
 import importlib.resources
+import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +13,19 @@ from uncreach import (
     Box,
     CellUncertainty,
     HalfSpace,
+    IntervalMatrix,
     ModelSpec,
+    ThresholdReport,
     budget_weights,
     distribute,
     load_model,
+    order_cells,
     ors_reach,
+    reach_with_perturbation,
     robustness_threshold,
     safety_check,
 )
+from uncreach.engine import _check_cells
 from uncreach.robustness import SCHEMES
 
 
@@ -258,3 +267,177 @@ class TestRobustnessThreshold:
         assert report.cells == ((0, 0),)
         assert all(type(v) is int for v in report.cells[0])
         assert report.final_budget == 0.1
+
+
+def shipped(name):
+    return load_model(
+        importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
+
+
+def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
+                   step: float = 0.05, cap: int = 200,
+                   proportional_literal: bool = False) -> ThresholdReport:
+    """The linear scan robustness_threshold replaced, as its reference:
+    one full flowpipe per grid budget, from 0 up to the first unsafe one."""
+    if step <= 0 or not math.isfinite(step):
+        raise ValueError("step must be positive")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    cells = _check_cells(cells, model.dim)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "equal":
+        scores = np.zeros(model.a.shape)
+    else:
+        scores = order_cells(model.a).scores
+    trace: list[tuple[float, bool]] = []
+    prev_pert = IntervalMatrix.zeros(model.dim, model.dim)
+    prev_p = 0.0
+    for i in range(cap):
+        p = i * step
+        assembled = distribute(model.a, cells, scores, p, scheme,
+                               proportional_literal)
+        pert = assembled.sub_point(model.a)
+        verdict = safety_check(reach_with_perturbation(model, pert),
+                               model.unsafe)
+        trace.append((p, verdict.safe))
+        if not verdict.safe:
+            break
+        prev_pert = pert
+        prev_p = p
+    return ThresholdReport(
+        scheme=scheme, cells=cells, step=step, final_budget=prev_p,
+        norm=prev_pert.frobenius_sup(), iterations=len(trace),
+        trace=tuple(trace), safe_uncertainty=prev_pert,
+        already_unsafe=not trace[0][1], cap_reached=trace[-1][1],
+    )
+
+
+def random_search_case(rng, reduction):
+    """A random model with n <= 4, discrete or continuous, a few uncertain
+    cells and one unsafe half-space placed from just below to well above
+    the nominal flowpipe's largest support; and a scheme, step and cap."""
+    n = int(rng.integers(1, 5))
+    a = rng.uniform(-1, 1, (n, n))
+    continuous = bool(rng.random() < 0.5)
+    if not continuous:
+        a /= 1.05 * max(1.0, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    flat = rng.choice(n * n, size=int(rng.integers(1, min(3, n * n) + 1)),
+                      replace=False)
+    cells = [(int(f) // n, int(f) % n) for f in flat]
+    lo = rng.uniform(-1, 1, n)
+    model = ModelSpec(
+        name="random", a=a, uncertainty=(),
+        initial=Box(lo, lo + rng.uniform(0, 0.5, n)),
+        horizon=int(rng.integers(5, 30)), continuous=continuous,
+        step=0.1 if continuous else None,
+        unsafe=(HalfSpace(rng.normal(size=n), 0.0),),
+        reduction_method=reduction, reduction_period=int(rng.integers(1, 12)))
+    top = float(ors_reach(model).supports.max())
+    margin = float(rng.choice([-0.1, 0.005, 0.02, 0.05, 0.1, 0.3, 2.0]))
+    model = dataclasses.replace(model, unsafe=(
+        HalfSpace(model.unsafe[0].normal, top + margin * (abs(top) + 0.1)),))
+    scheme = SCHEMES[int(rng.integers(len(SCHEMES)))]
+    step = float(rng.choice([0.002, 0.01, 0.05, 0.2]))
+    cap = int(rng.choice([1, 2, 3, 7, 16, 40, 100, 100]))
+    return model, cells, scheme, step, cap
+
+
+FIELDS = ("scheme", "cells", "step", "final_budget", "norm", "iterations",
+          "trace", "already_unsafe", "cap_reached")
+
+
+class TestSearchAgainstScan:
+    @pytest.mark.parametrize("reduction", ["none", "interval"])
+    def test_matches_brute_force_scan(self, reduction):
+        rng = np.random.default_rng(160 + len(reduction))
+        seen = set()
+        for trial in range(60):
+            model, cells, scheme, step, cap = random_search_case(rng, reduction)
+            want = scan_threshold(model, cells, scheme, step, cap)
+            got = robustness_threshold(model, cells, scheme, step, cap)
+            for name in FIELDS:
+                assert getattr(got, name) == getattr(want, name), (trial, name)
+            for bound in ("lo", "hi"):
+                assert np.array_equal(getattr(got.safe_uncertainty, bound),
+                                      getattr(want.safe_uncertainty, bound))
+            assert len(got.evaluated) <= want.iterations + want.already_unsafe
+            assert got.evaluated and set(got.evaluated) <= {
+                i * step for i in range(cap)}
+            seen.add("already unsafe" if want.already_unsafe else
+                     "cap reached" if want.cap_reached else "bracketed")
+            seen.add(("continuous" if model.continuous else "discrete", scheme))
+        assert {"already unsafe", "cap reached", "bracketed"} <= seen
+        assert {(kind, scheme) for kind in ("continuous", "discrete")
+                for scheme in SCHEMES} <= seen
+
+    def test_zonotope_reduction_certifies_its_budget(self):
+        # zonotope reduction need not be monotone in the budget: the search
+        # only promises a proven-safe final budget, bracketed by an
+        # evaluated unsafe one
+        rng = np.random.default_rng(163)
+        for trial in range(30):
+            model, cells, scheme, step, cap = random_search_case(rng, "zonotope")
+            got = robustness_threshold(model, cells, scheme, step, cap)
+            if not got.already_unsafe:
+                own = reach_with_perturbation(model, got.safe_uncertainty)
+                assert safety_check(own, model.unsafe).safe, trial
+            if not got.cap_reached:
+                budget = got.trace[-1][0]
+                assert budget in got.evaluated
+                pert = distribute(model.a, cells, order_cells(model.a).scores,
+                                  budget, scheme).sub_point(model.a)
+                assert not safety_check(reach_with_perturbation(model, pert),
+                                        model.unsafe).safe, trial
+
+    def test_shipped_searches_gallop(self):
+        # the benchmark's two searches and acc4 at the finer step: the
+        # budgets a scan certifies, from a few flowpipes each
+        for name, cells, scheme, step, final, runs in (
+                ("girad1", [(0, 0), (1, 0)], "equal", 0.05, 0.25,
+                 (1, 2, 4, 8, 6, 5)),
+                ("acc4", [(0, 0), (2, 3)], "proportional", 0.8, 1.6,
+                 (1, 2, 4, 3)),
+                ("acc4", [(0, 0), (2, 3)], "equal", 0.05, 1.2000000000000002,
+                 (1, 2, 4, 8, 16, 32, 24, 28, 26, 25))):
+            report = robustness_threshold(shipped(name), cells, scheme, step)
+            assert report.final_budget == final
+            assert report.evaluated == tuple(i * step for i in runs)
+
+
+class TestTrialsThatOverflow:
+    @pytest.mark.parametrize("step", [50.0, 5000.0])
+    def test_overflow_and_divergence_are_unsafe(self, step):
+        # at budget 50 the flowpipe overflows, at 5000 the remainder of
+        # interval_expm diverges: both trials are "not proven safe", so
+        # budget 0 (which is safe) is the answer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = robustness_threshold(shipped("girad1"), [(0, 0), (1, 1)],
+                                          step=step)
+        assert report.final_budget == 0.0
+        assert report.trace == ((0.0, True), (step, False))
+        assert report.evaluated == (step, 0.0)
+        assert not report.already_unsafe and not report.cap_reached
+
+
+class TestGallopCounts:
+    def test_index_zero_runs_only_when_index_one_fails(self):
+        for offset, evaluated in ((1.25, (0.05, 0.1, 0.2, 0.15)),
+                                  (1.02, (0.05, 0.0)), (0.5, (0.05, 0.0))):
+            report = robustness_threshold(scalar_model(offset=offset),
+                                          ((0, 0),), step=0.05)
+            assert report.evaluated == pytest.approx(evaluated, abs=1e-15)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6, 9, 200])
+    def test_cap_bounds_the_grid(self, cap):
+        # never unsafe: every probe up to index cap - 1 is safe
+        model = ModelSpec(
+            name="decay", a=np.array([[0.1]]), uncertainty=(),
+            initial=Box(np.array([1.0]), np.array([1.0])),
+            horizon=3, continuous=False,
+            unsafe=(HalfSpace(np.array([1.0]), 100.0),))
+        report = robustness_threshold(model, ((0, 0),), step=0.05, cap=cap)
+        probes = sorted({min(2 ** e, cap - 1) for e in range(10)})
+        assert report.cap_reached and report.iterations == cap
+        assert report.evaluated == tuple(i * 0.05 for i in probes)
