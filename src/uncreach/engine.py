@@ -33,7 +33,7 @@ from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_CHUNK_ENTRIES, _UNIT, IntervalMatrix, _centre_radius,
                         _gamma, _sigma_max_bound, interval_expm)
-from .stars import Box, Star, zono_reduce
+from .stars import Box
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -225,6 +225,11 @@ class ReachResult:
                bounds ||exp(A t_k)||_2 by an upper bound on
                sigma_max(flows[k]) plus the entry sum of E_k); else None
     initial  : symbolic route: the initial box Theta; else None
+    invariant : numeric route with until_unsafe: (t1, t2), the steps of
+               two restart boxes, the box of t2 inside that of t1, when
+               the flowpipe stopped at t2 with every step before it safe:
+               every trajectory is at step t >= t1 in the box of step
+               t1 + (t - t1) mod (t2 - t1), safe for all time; else None
     _recurrence : numeric route: the O(n^2) inputs of the recurrence (the
                one-step family M, Theta, the horizon and the reduction
                policy), which `support` replays in directions it did not
@@ -245,6 +250,7 @@ class ReachResult:
     initial: Box | None = None
     wall_time: float = 0.0
     phi: np.ndarray | None = None
+    invariant: tuple[int, int] | None = None
     _recurrence: tuple | None = field(default=None, repr=False)
 
     @cached_property
@@ -439,10 +445,10 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     Every radius stays a sum of nonnegative products.  No chunk crosses
     a reduction step.  There an interval reduction resets the history to
     the hull radius sum_a |P^a| h_{j-a} at age 0, and a zonotope
-    reduction (stars.zono_reduce) turns every live generator into a
-    carried block C whose rows at each later age, P^a C and N P^a C,
-    come from one stacked product; their absolute row sums are added to
-    q, and the history restarts from a zero block.
+    reduction (_zono_reduce) turns every live generator into a carried
+    block C whose rows at each later age, P^a C and N P^a C, come from
+    one stacked product; their absolute row sums are added to q, and the
+    history restarts from a zero block.
 
     A segment is the steps from one reduction (or step 0) up to the next
     reduction step, or to the horizon.  The supports of a segment's
@@ -450,12 +456,21 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     tables are freed.  Given `until`, one offset per normal, the product
     runs at the segment's end instead, before its reduction, and the
     recurrence stops after the first segment in which a support reaches
-    its offset or a step is not finite.  That result ends with the
-    segment, a bitwise prefix of the full flowpipe (the same products on
-    the same segments), and its _recurrence records the shortened
-    horizon.  From the first step whose centre, radii or supports are
-    not finite on, the boxes are -inf/inf and the supports inf; a
-    reduction step whose live set a Star refuses as not finite is such
+    its offset or a step is not finite.  Under interval reduction it
+    also stops at a reduction step t2 whose segments all passed, if its
+    box c_t2 +- hull lies inside an earlier restart box: Theta's c_0 +-
+    r_0 at t1 = 0, or the box of an earlier reduction step t1 (_inside).
+    The family is time-invariant, and the recurrence from a restart
+    box B encloses F^k B, so every trajectory is at step t >= t1 in the
+    set of step t1 + (t - t1) mod (t2 - t1) (Blanchini, Automatica 35,
+    1999): steps 0 .. t2 - 1, all checked, hold the flowpipe for all
+    time, and `invariant` records (t1, t2).  A zonotope reduction never
+    stops there, as its restart is no box.  A result cut at either stop
+    ends with its segment, a bitwise prefix of the full flowpipe (the
+    same products on the same segments), and its _recurrence records
+    the shortened horizon.  From the first step whose centre, radii or
+    supports are not finite on, the boxes are -inf/inf and the supports
+    inf; a zonotope reduction step whose live set is not finite is such
     a step, and the recurrence stops there.
 
     Generator counts follow the Star operations: n for Theta and for a
@@ -514,6 +529,10 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     last = horizon + 1  # steps run
     bad = None  # a step whose set is unbounded, if the loop met one
     closed = 0  # steps whose supports N c + q[n:] replaced their q[n:]
+    invariant = None
+    # restart boxes (step, centre, radius) of an interval reduction
+    restarts = ([(0, c0, r0)] if until is not None
+                and reduction_method == "interval" else None)
 
     for first_step in range(0, horizon + 1, period):
         # the segment ends before the next reduction step or the horizon
@@ -560,29 +579,34 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
                 block = carried[:, stop - reduced_at]
                 gens = np.hstack((block, gens))
                 radii = np.concatenate((np.ones(block.shape[1]), radii))
-            try:
-                reduced = zono_reduce(Star(centres[stop], gens, -radii, radii),
-                                      2 * n)
-            except ValueError:
-                # a Star refuses entries that are not finite: the set at
-                # the reduction step is unbounded
+            block = _zono_reduce(centres[stop], gens * radii)
+            if block is None:  # the set at the reduction step is unbounded
                 bad, last = stop, min(stop + period, horizon + 1)
                 break
-            # unit coefficients; the centre stays, as mid = 0
-            block = reduced.generators * reduced.coeff_hi
             prods = (signed.reshape(-1, n) @ block).reshape(
                 table.shape[0], span + 1, -1)  # (row, age, column)
             carried = prods[:n]
             carried_sums = np.abs(prods).sum(axis=2).T.copy()
             buf[end - n:] = 0.0
             base, reduced_at = False, stop
-            events.append((stop, reduced.n_gens))
+            events.append((stop, block.shape[1]))
         else:
-            buf[end - n:] = table[:n, :end - s] @ buf[s:]  # the hull
+            hull = table[:n, :end - s] @ buf[s:]
+            if restarts is not None:
+                # restart boxes the step's box lies in, latest first; the
+                # hull at a step whose segment fails the next check, say
+                # not finite, is never compared against
+                t1 = next((t for t, c, r in reversed(restarts)
+                           if _inside(centres[stop], hull, c, r)), None)
+                if t1 is not None:
+                    invariant, last = (t1, stop), stop
+                    break
+                restarts.append((stop, centres[stop], hull))
+            buf[end - n:] = hull
             events.append((stop, n))
 
     # free the tables first: building the result arrays sets the peak
-    del table, ages, signed, inchunk
+    del table, ages, signed, inchunk, restarts
     count = horizon + 1 if until is None else last
     # the same segments as above, so that a prefix is bitwise the same
     for first_step in range(closed, count, period):
@@ -612,8 +636,37 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
         labels=np.arange(count, dtype=np.float64), lo=lo, hi=hi,
         radii=np.zeros(count), gen_counts=counts,
         normals=normals, supports=sups,
-        wall_time=time.perf_counter() - start,
+        wall_time=time.perf_counter() - start, invariant=invariant,
         _recurrence=(m, theta, count - 1, reduction_method, reduction_period))
+
+
+def _inside(c2: np.ndarray, r2: np.ndarray, c1: np.ndarray,
+            r1: np.ndarray) -> bool:
+    """Whether the box c2 +- r2 lies inside c1 +- r1: |c2 - c1| + r2 <= r1,
+    the difference and the sum each pushed one ulp up, so that rounding
+    can refuse a containment but never grant one (NaN refuses too)."""
+    d = np.nextafter(np.abs(c2 - c1), np.inf)
+    return bool(np.all(np.nextafter(d + r2, np.inf) <= r1))
+
+
+def _zono_reduce(centre: np.ndarray, gens: np.ndarray) -> np.ndarray | None:
+    """Generators of a zonotope reduction of centre + gens c, |c| <= 1, to
+    at most 2n columns, or None if the centre or gens are not all finite
+    (gens scaled by a radius that is not finite are not finite either).
+
+    Girard's order reduction (HSCC 2005): the n columns of largest
+    Euclidean norm stay in index order, ties to the lower index, and the
+    box of the rest becomes n axis columns.  Up to 2n columns stay as
+    they are.
+    """
+    if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
+        return None
+    n = gens.shape[0]
+    if gens.shape[1] <= 2 * n:
+        return gens
+    order = np.argsort(-np.linalg.norm(gens, axis=0), kind="stable")
+    box = np.abs(gens[:, order[n:]]).sum(axis=1)
+    return np.hstack((gens[:, np.sort(order[:n])], np.diag(box)))
 
 
 def _first_unbounded(centres: np.ndarray, q: np.ndarray) -> int | None:
@@ -636,7 +689,13 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
     flowpipe ends with the first segment (the steps up to a reduction,
     or to the horizon) in which a support reaches its offset or a set is
     unbounded: a bitwise prefix of the full flowpipe, which gives the
-    same safety_check verdict against model.unsafe.
+    same safety_check verdict against model.unsafe.  Under interval
+    reduction it also ends before the first reduction step whose box
+    lies inside Theta's or an earlier reduction step's box, every step
+    before it safe: then `invariant` holds that pair of steps (t1, t2),
+    every trajectory is at each step t >= t1 in the box of step
+    t1 + (t - t1) mod (t2 - t1), and the verdict `safe` holds for all
+    time, not only to the horizon.
     """
     if model.continuous:
         m = discretize(model.a, pert, model.step)

@@ -348,15 +348,21 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
     """Bounds of the interval matrix product [alo, ahi] @ [blo, bhi].
 
     Each scalar product [a,b]*[c,d] is the tight hull of the four
-    endpoint products; entries are summed exactly (up to rounding).
+    endpoint products, taken in the order ac, ad, bc, bd; entries are
+    summed exactly (up to rounding).
     """
-    # (rows, inner, cols) tensors of all endpoint products
+    # (rows, inner, cols) tensors of the endpoint products
     a = alo[:, :, None]
     b = ahi[:, :, None]
     c = blo[None, :, :]
     d = bhi[None, :, :]
-    pr = np.stack((a * c, a * d, b * c, b * d))
-    return pr.min(axis=0).sum(axis=1), pr.max(axis=0).sum(axis=1)
+    ac, ad, bc, bd = a * c, a * d, b * c, b * d
+    lo = np.minimum(ac, ad)
+    hi = np.maximum(ac, ad, out=ac)
+    for pr in (bc, bd):
+        np.minimum(lo, pr, out=lo)
+        np.maximum(hi, pr, out=hi)
+    return lo.sum(axis=1), hi.sum(axis=1)
 
 
 def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:

@@ -132,7 +132,10 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     (cap_reached flag).  A trial whose flowpipe overflows, or whose
     discretization remainder diverges, is unsafe.  A model unsafe at
     p = 0 reports already_unsafe with norm 0.  The search is
-    deterministic.
+    deterministic.  Each trial runs with until_unsafe: an unsafe one
+    ends with its violating segment, and under interval reduction a
+    safe one may end at a restart box inside an earlier one, which
+    proves it safe for all time, not only to the horizon.
     """
     if step <= 0 or not math.isfinite(step):
         raise ValueError("step must be positive")

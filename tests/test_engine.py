@@ -36,7 +36,9 @@ from uncreach import (
 )
 from uncreach import engine
 from uncreach.engine import (
-    _add_outward, _centre_radius, _chunk_steps, _orbit, _run_recurrence)
+    _add_outward, _centre_radius, _chunk_steps, _inside, _orbit,
+    _run_recurrence)
+from uncreach.robustness import distribute
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -825,18 +827,37 @@ def with_offsets(model, offsets):
         HalfSpace(hs.normal, float(o)) for hs, o in zip(model.unsafe, offsets)))
 
 
+def invariant_step(res, model):
+    """The first interval reduction step whose box, read from the
+    flowpipe's bounds, lies inside Theta's or an earlier reduction step's
+    box, or None."""
+    if model.reduction_method != "interval":
+        return None
+    restarts = [0]
+    for t in range(model.reduction_period, model.horizon + 1,
+                   model.reduction_period):
+        if any(np.all(res.lo[t] >= res.lo[s]) and np.all(res.hi[t] <= res.hi[s])
+               for s in restarts):
+            return t
+        restarts.append(t)
+    return None
+
+
 class TestUntilUnsafe:
     @pytest.mark.parametrize("make", [
         lambda r: discrete_model(reduction=r, period=7),
         short_acc4,
         lambda r: shipped_girad(reduction=r, period=50),
         lambda r: grow2_model(reduction=r, period=300),
-    ], ids=["discrete", "acc4", "girad", "grow2"])
+        lambda r: shipped_girad(horizon=1000, reduction=r, period=37),
+    ], ids=["discrete", "acc4", "girad", "grow2", "girad-invariant"])
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_truncation_is_a_prefix(self, make, reduction):
         # the flowpipe ends with the segment (up to a reduction step, or
         # to the horizon) of the first violation, and equals the first K
-        # steps of the full flowpipe bitwise; a safe model runs in full
+        # steps of the full flowpipe bitwise; a safe model runs in full,
+        # or under interval reduction up to the first restart box inside
+        # an earlier one
         model = make(reduction)
         period = (model.reduction_period if reduction != "none"
                   else model.horizon + 1)
@@ -855,7 +876,12 @@ class TestUntilUnsafe:
                                           until_unsafe=True)
             verdict = safety_check(full, m.unsafe)
             if verdict.safe:
-                want = model.horizon + 1
+                t2 = invariant_step(full, m)
+                want = model.horizon + 1 if t2 is None else min(
+                    model.horizon + 1, t2)
+                assert (cut.invariant is None) == (t2 is None)
+                if t2 is not None:
+                    assert cut.invariant[1] == t2
             else:
                 want = min(model.horizon + 1,
                            (verdict.step // period + 1) * period)
@@ -886,6 +912,165 @@ class TestUntilUnsafe:
             assert np.all(np.isfinite(cut.hi[:overflow]))
             assert np.all(cut.hi[overflow:] == np.inf)
             assert safety_check(cut, model.unsafe).step == overflow
+
+
+def vertex_steps(family, model):
+    """One-step matrices of the vertex members of a dynamics family: each
+    uncertain cell at one end of its interval."""
+    cells = np.argwhere(family.lo != family.hi)
+    for ends in itertools.product((False, True), repeat=len(cells)):
+        e = family.lo.copy()
+        for (i, j), end in zip(cells, ends):
+            if end:
+                e[i, j] = family.hi[i, j]
+        yield scipy.linalg.expm(e * model.step) if model.continuous else e
+
+
+def assert_invariant_encloses(res, family, model, periods=5):
+    """Vertex-member trajectories from Theta's corners over `periods`
+    horizons lie, at every step t >= t1, in the box of step
+    t1 + (t - t1) mod (t2 - t1) of the certified flowpipe (before t1 in
+    their own step's box), within a relative 1e-9."""
+    t1, t2 = res.invariant
+    assert 0 <= t1 < t2 == len(res)
+    steps = np.arange(periods * model.horizon + 1)
+    box = np.where(steps < t2, steps, t1 + (steps - t1) % (t2 - t1))
+    lo, hi = res.lo[box][:, :, None], res.hi[box][:, :, None]
+    tol = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
+    corners = np.array(list(itertools.product(
+        *zip(model.initial.lo, model.initial.hi)))).T
+    for f in vertex_steps(family, model):
+        x = np.empty((len(steps),) + corners.shape)
+        x[0] = corners
+        for t in steps[1:]:
+            x[t] = f @ x[t - 1]
+        assert np.all(x >= lo - tol) and np.all(x <= hi + tol)
+
+
+def random_contracting_model(rng, continuous):
+    n = int(rng.integers(1, 4))
+    a = rng.uniform(-1, 1, (n, n))
+    if continuous:
+        a -= (np.max(np.linalg.eigvals(a).real) + rng.uniform(0.2, 1.0)) * np.eye(n)
+    else:
+        a *= rng.uniform(0.5, 0.95) / max(np.max(np.abs(np.linalg.eigvals(a))), 1e-3)
+    cells = rng.permutation([(i, j) for i in range(n) for j in range(n)])
+    lo = rng.uniform(-1, 1, n)
+    return ModelSpec(
+        name="contracting", a=a,
+        uncertainty=tuple(CellUncertainty(int(i), int(j),
+                                          relative=float(rng.uniform(0, 0.05)))
+                          for i, j in cells[:int(rng.integers(1, 4))]),
+        initial=Box(lo, lo + rng.uniform(0.05, 0.5, n)),
+        horizon=int(rng.integers(40, 120)), continuous=continuous,
+        step=float(rng.uniform(0.05, 0.3)) if continuous else None,
+        unsafe=(HalfSpace(rng.normal(size=n), 5.0 * n),),
+        reduction_method="interval", reduction_period=int(rng.integers(1, 13)))
+
+
+class TestInvariantStop:
+    @pytest.mark.parametrize("budget", [0.05, 0.1, 0.2, 0.25])
+    def test_shipped_budgets_are_safe_for_all_time(self, budget):
+        # girad1's safe trials in the benchmark's search: the hull at step
+        # 1000 lies in the hull at 500, so the flowpipe ends at step 1000
+        model = shipped("girad1")
+        family = distribute(model.a, [(0, 0), (1, 0)], np.zeros((2, 2)),
+                            budget, "equal")
+        pert = family.sub_point(model.a)
+        cut = reach_with_perturbation(model, pert, until_unsafe=True)
+        full = reach_with_perturbation(model, pert)
+        assert cut.invariant == (500, 1000) and len(cut) == 1000
+        assert cut._recurrence[2] == 999
+        assert safety_check(cut, model.unsafe).safe
+        assert safety_check(full, model.unsafe).safe and full.invariant is None
+        for got, ref in ((cut.lo, full.lo), (cut.hi, full.hi),
+                         (cut.supports, full.supports),
+                         (cut.gen_counts, full.gen_counts)):
+            assert np.array_equal(got, ref[:1000])
+        assert_invariant_encloses(cut, family, model)
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_random_contracting_models(self, continuous):
+        rng = np.random.default_rng(17 + continuous)
+        certified = 0
+        for trial in range(25):
+            model = random_contracting_model(rng, continuous)
+            cut = reach_with_perturbation(model, model.perturbation(),
+                                          until_unsafe=True)
+            if cut.invariant is None:
+                continue
+            certified += 1
+            assert len(cut) <= model.horizon
+            assert safety_check(ors_reach(model), model.unsafe).safe, trial
+            assert_invariant_encloses(cut, model.lambda_u(), model)
+        assert certified >= 3
+
+    def test_only_interval_reduction_certifies(self):
+        # a zonotope reduction would need zonotope-in-zonotope containment,
+        # no reduction has no restarts, and ors_reach never stops early
+        model = shipped("girad1")
+        assert reach_with_perturbation(model, model.perturbation(),
+                                       until_unsafe=True).invariant == (1000, 1500)
+        full = ors_reach(model)
+        assert full.invariant is None and len(full) == model.horizon + 1
+        for reduction in ("none", "zonotope"):
+            other = dataclasses.replace(model, reduction_method=reduction)
+            cut = reach_with_perturbation(other, other.perturbation(),
+                                          until_unsafe=True)
+            assert cut.invariant is None and len(cut) == model.horizon + 1
+        # without until_unsafe no step is checked, so none is certified
+        assert reach_with_perturbation(model, model.perturbation()).invariant is None
+
+    def test_containment_rounds_against_itself(self):
+        # _inside grants only what exact arithmetic grants: boxes at an ulp
+        # from the boundary against Fractions, and a tie refused
+        rng = np.random.default_rng(171)
+        granted = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 4))
+            c1 = rng.uniform(-2, 2, n) * 10.0 ** rng.integers(-3, 4)
+            r1 = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-3, 4)
+            c2 = c1 + rng.uniform(-1, 1, n) * r1 * rng.choice([1e-16, 1e-8, 0.5])
+            r2 = np.nextafter(r1 - np.abs(c2 - c1),
+                              rng.choice([-np.inf, np.inf], n))
+            r2 = np.maximum(r2, 0.0)
+            exact = all(abs(Fraction(x) - Fraction(y)) + Fraction(r) <= Fraction(s)
+                        for x, y, r, s in zip(c2, c1, r2, r1))
+            got = _inside(c2, r2, c1, r1)
+            assert not got or exact
+            granted += got
+        assert granted > 100
+        c, r = np.array([0.3]), np.array([0.2])
+        assert not _inside(c, r, c, r)
+        assert _inside(c, 0.5 * r, c, r)
+        # 1 - 2^-53 + 1.5 2^-53 rounds to 1 = r1, yet exceeds it
+        assert not _inside(np.array([1.5 * 2.0 ** -53]), np.array([1 - 2.0 ** -53]),
+                           np.array([0.0]), np.array([1.0]))
+        assert not _inside(np.array([np.nan]), r, c, r)
+
+    def test_heat_rod_overflow_is_a_verdict(self):
+        # the 64-cell heat rod of the scaling probe: its one-step family is
+        # so wide that the flowpipe leaves float range at step 196, without
+        # a RuntimeWarning, and the verdict is unsafe from step 1
+        n = 64
+        a = (n + 1) ** 2 / 100 * (np.diag(np.full(n, -2.0)) + np.eye(n, k=1)
+                                  + np.eye(n, k=-1))
+        rod = ModelSpec(
+            name="heat-rod-64", a=a,
+            uncertainty=tuple(CellUncertainty(i, i, relative=0.02)
+                              for i in range(n // 8, n, n // 4)),
+            initial=Box(np.full(n, 0.9), np.full(n, 1.1)), horizon=1000,
+            continuous=True, step=0.01,
+            unsafe=(HalfSpace(np.eye(n)[0], 2.0),),
+            reduction_method="interval", reduction_period=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ors_reach(rod)
+            verdict = safety_check(res, rod.unsafe)
+        assert len(res) == 1001
+        assert np.all(np.isfinite(res.hi[:196])) and np.all(np.isfinite(res.lo[:196]))
+        assert np.all(res.hi[196:] == np.inf) and np.all(res.lo[196:] == -np.inf)
+        assert not verdict.safe and verdict.step == 1
 
 
 class TestChunkBoundaries:
@@ -987,6 +1172,31 @@ class TestCentredZonotopes:
             scale = np.abs(want.coeff_lo) + np.abs(want.coeff_hi)
             assert np.all(np.abs(-rad - want.coeff_lo) <= 1e-12 * scale)
             assert np.all(np.abs(rad - want.coeff_hi) <= 1e-12 * scale)
+
+    def test_reduction_matches_star_reduction_bitwise(self):
+        # the recurrence reduces its own scaled generators: the same
+        # columns as stars.zono_reduce of the Star with those radii,
+        # including norm ties, and None where a Star refuses the set
+        rng = np.random.default_rng(1705)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(0, 4 * n + 3))
+            gens = rng.normal(size=(n, m))
+            r = rng.uniform(0, 2, m) * (rng.random(m) < 0.9)
+            if m > 2 and rng.random() < 0.3:
+                gens[:, 1] = gens[:, 0]  # tied norms
+                r[1] = r[0]
+            c = rng.normal(size=n)
+            want = zono_reduce(Star(c, gens, -r, r), 2 * n)
+            got = engine._zono_reduce(c, gens * r)
+            assert np.array_equal(got, want.generators * want.coeff_hi)
+            assert got.shape[1] == want.n_gens
+        # a Star refuses a centre or radius that is not finite
+        gens = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert engine._zono_reduce(np.array([np.inf, 0.0]), gens) is None
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            for bad in (np.inf, np.nan):
+                assert engine._zono_reduce(np.zeros(2), gens * bad) is None
 
     def test_outward_sum_contains_exact_sum(self):
         # A (+) Lambda contains A + Lambda in exact rational arithmetic,

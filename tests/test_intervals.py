@@ -182,6 +182,28 @@ class TestIntervalMatmul:
                 e2 = l2.sample(rng)
                 assert prod.contains(e1 @ e2, tol=1e-9)
 
+    def test_endpoint_hull_is_the_stacked_hull_bitwise(self):
+        # the endpoint products' min and max, taken pairwise in the order
+        # ac, ad, bc, bd, equal the hull over a stack of all four, signed
+        # zeros included
+        rng = np.random.default_rng(1717)
+        for _ in range(300):
+            r, k, c = rng.integers(1, 9, size=3)
+            mats = []
+            for shape in ((r, k), (k, c)):
+                lo = rng.normal(size=shape) * rng.choice([1.0, 1e-3, 1e3])
+                lo[rng.random(shape) < 0.2] = 0.0
+                lo[rng.random(shape) < 0.1] = -0.0
+                mats.append((lo, lo + rng.choice([0.0, 1e-3, 0.5])
+                             * rng.random(shape)))
+            (alo, ahi), (blo, bhi) = mats
+            a, b = alo[:, :, None], ahi[:, :, None]
+            cc, d = blo[None], bhi[None]
+            pr = np.stack((a * cc, a * d, b * cc, b * d))
+            got = IntervalMatrix(alo, ahi) @ IntervalMatrix(blo, bhi)
+            assert got.lo.tobytes() == pr.min(axis=0).sum(axis=1).tobytes()
+            assert got.hi.tobytes() == pr.max(axis=0).sum(axis=1).tobytes()
+
 
 class TestNorms:
     def test_frobenius_sup_zero(self):

@@ -25,6 +25,7 @@ from uncreach import (
     robustness_threshold,
     safety_check,
 )
+from uncreach import robustness
 from uncreach.engine import _check_cells
 from uncreach.robustness import SCHEMES
 
@@ -403,6 +404,26 @@ class TestSearchAgainstScan:
             report = robustness_threshold(shipped(name), cells, scheme, step)
             assert report.final_budget == final
             assert report.evaluated == tuple(i * step for i in runs)
+
+
+    def test_safe_trials_end_at_an_invariant_box(self, monkeypatch):
+        # girad1's safe trials stop at step 1000, whose hull lies in the
+        # hull at step 500; the unsafe ones end with their violating
+        # segment, and the report is the scan's
+        runs = []
+
+        def recording(*args, **kwargs):
+            res = reach_with_perturbation(*args, **kwargs)
+            runs.append((len(res), res.invariant))
+            return res
+
+        monkeypatch.setattr(robustness, "reach_with_perturbation", recording)
+        report = robustness_threshold(shipped("girad1"), [(0, 0), (1, 0)],
+                                      "equal", 0.05)
+        assert report.final_budget == 0.25
+        assert report.evaluated == tuple(i * 0.05 for i in (1, 2, 4, 8, 6, 5))
+        assert runs == [(1000, (500, 1000))] * 3 + [
+            (500, None), (2051, None), (1000, (500, 1000))]
 
 
 class TestTrialsThatOverflow:
