@@ -32,9 +32,8 @@ from .errors import (
     DimensionMismatch,
     ModelFileError,
     ReachError,
-    RemainderDiverges,
 )
-from .intervals import Interval, IntervalMatrix, interval_expm
+from .intervals import IntervalMatrix, interval_expm
 from .modelfile import load_model, model_to_dict, parse_model, save_model, \
     serialize_model
 from .robustness import ThresholdReport, budget_weights, distribute, \
@@ -54,14 +53,12 @@ __all__ = [
     "DegenerateSV",
     "DimensionMismatch",
     "HalfSpace",
-    "Interval",
     "IntervalMatrix",
     "ModelFileError",
     "ModelSpec",
     "OrdMatrix",
     "ReachError",
     "ReachResult",
-    "RemainderDiverges",
     "SafetyVerdict",
     "Star",
     "ThresholdReport",

@@ -32,7 +32,8 @@ from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_CHUNK_ENTRIES, _UNIT, IntervalMatrix, _centre_radius,
-                        _gamma, _sigma_max_bound, interval_expm)
+                        _gamma, _product_error, _sigma_max_bound, _square,
+                        interval_expm)
 from .stars import Box
 
 # The symbolic step's expm goes through this namespace because the
@@ -303,7 +304,10 @@ def discretize(a, pert: IntervalMatrix, h: float) -> IntervalMatrix:
     """The one-step family M = interval_expm(A (+) Lambda, h).
 
     M contains exp((A + E) h) for every E in Lambda; A (+) Lambda is the
-    sum pushed outward where it rounds (_add_outward).
+    sum pushed outward where it rounds (_add_outward).  interval_expm
+    scales and squares where ||A (+) Lambda||_F h > 1; an entry that
+    leaves float range there is (-inf, inf), and a flowpipe of such an M
+    is unbounded from step 1.
     """
     lam = _add_outward(a, pert)
     if not (h > 0) or not math.isfinite(h):
@@ -326,36 +330,6 @@ def _add_outward(a, pert: IntervalMatrix) -> IntervalMatrix:
         bounds.append(np.where(sign * err > 0.0,
                                np.nextafter(s, sign * np.inf), s))
     return IntervalMatrix(*bounds)
-
-
-def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
-                   x_err: np.ndarray, out: np.ndarray) -> None:
-    """Write into out a bound on |F X - fl(f x)| for |F - f| <= f_err, |X - x| <= x_err.
-
-    F X - fl(f x) = (F - f) X + f (X - x) + (f x - fl(f x)), and the last
-    term is at most gamma_n |f| |x| for inner dimension n (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.5), so the bound is
-    |f| (x_err + gamma_n |x|) + f_err (|x| + x_err).  Its own evaluation
-    rounds each entry by at most a factor 1 - gamma_(n+3), which the
-    final scaling by 1 + 2 gamma_(n+3) covers.
-    """
-    n = f.shape[1]
-    ax = np.abs(x)
-    tmp = ax * _gamma(n)
-    tmp += x_err
-    np.matmul(np.abs(f), tmp, out=out)
-    ax += x_err
-    out += np.matmul(f_err, ax, out=tmp)
-    out *= 1.0 + 2.0 * _gamma(n + 3)
-
-
-def _square(a: np.ndarray, a_err: np.ndarray | None):
-    """a @ a, and given a_err >= |A - a| a bound on |A A - a @ a|, else None."""
-    err = None
-    if a_err is not None:
-        err = np.empty_like(a_err)
-        _product_error(a, a_err, a, a_err, err)
-    return a @ a, err
 
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
@@ -788,39 +762,26 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         wall_time=time.perf_counter() - start, phi=series.phi.copy())
 
 
-# Scaling target theta = ||A||_F h / 2^s of _doubling_flows: interval_expm's
-# Taylor tail theta^21 / (21! (1 - theta/22)) is below 2.1e-20 there, so
-# the step's error stays at rounding level (unscaled at theta = 8.75, girad1
-# with h = 1.5, it is about 2 per entry, while exp(A h) has none above 0.23).
-_ORBIT_THETA = 1.0
-
-
 def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     """Flows of the grid times = np.arange(K) * h (else ValueError) as powers.
 
-    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
-    for the least s >= 0 with ||A||_F h / 2^s <= _ORBIT_THETA, P_s =
-    expm(A h / 2^s) is within E = max(M.hi - P_s, P_s - M.lo), pushed
-    one ulp outward, of exp(A h / 2^s), M = interval_expm(A, h / 2^s).
-    s squarings (_square) give P and E_1, and _orbit with error rows the
-    flows F_k = P^k and E_k >= |exp(A k h) - F_k|.  Returns the (K, n, n)
-    flows, the (K, n) pads E_k max(|lo|, |hi|) of Theta and the (K,)
-    entry sums of E_k, each at least ||E_k||_2, but not the E_k.
+    The step P = expm(A h) is within E = max(M.hi - P, P - M.lo) of
+    exp(A h), M = interval_expm(A, h), which scales and squares itself;
+    E is pushed one ulp outward, and a zero stays zero (then P equals
+    both bounds).  _orbit with error rows gives the flows F_k = P^k and
+    E_k >= |exp(A k h) - F_k|.  Returns the (K, n, n) flows, the (K, n)
+    pads E_k max(|lo|, |hi|) of Theta and the (K,) entry sums of E_k,
+    each at least ||E_k||_2, but not the E_k.
     """
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
     if not (h > 0.0 or count < 2) or not np.array_equal(times, np.arange(count) * h):
         raise ValueError("symbolic times must be a grid np.arange(K) * h with h > 0")
-    lam = IntervalMatrix.from_point(a)
-    frac, e = math.frexp(lam.frobenius_sup() * h / _ORBIT_THETA)
-    s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
-    tau = math.ldexp(h, -s)
-    m = interval_expm(lam, tau)
+    m = interval_expm(IntervalMatrix.from_point(a), h)
+    step = scipy.linalg.expm(a * h)
+    dist = np.maximum(m.hi - step, step - m.lo)
+    step_err = np.where(dist == 0.0, 0.0, np.nextafter(dist, np.inf))
     n = a.shape[0]
-    step = scipy.linalg.expm(a * tau)
-    step_err = np.nextafter(np.maximum(m.hi - step, step - m.lo), np.inf)
-    for _ in range(s):
-        step, step_err = _square(step, step_err)
     powers, errs = _orbit(step, np.eye(n), count, step_err)
     errs = errs.reshape(n, count, n)  # errs[i, k, j] = E_k[i, j]
     pad = (errs @ np.maximum(np.abs(theta.lo), np.abs(theta.hi))).T.copy()

@@ -9,10 +9,6 @@ class DimensionMismatch(ReachError):
     """Operands have incompatible shapes."""
 
 
-class RemainderDiverges(ReachError):
-    """Taylor remainder bound for the interval exponential does not converge."""
-
-
 class DefectiveMatrix(ReachError):
     """Eigenvector matrix is too ill-conditioned for a similarity-based bound."""
 

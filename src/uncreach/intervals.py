@@ -1,9 +1,13 @@
-"""Interval scalars, interval matrices, their norms and exponential.
+"""Interval matrices, their norms and exponential.
 
 An interval matrix L = [lo, hi] stands for the set of real matrices
-{ M : lo <= M <= hi entrywise }.  Arithmetic is outward in exact real
-arithmetic; rounding is not directed, so consumers that need slack add
-it, but _centre_radius and _sigma_max_bound cover their own rounding.
+{ M : lo <= M <= hi entrywise }; a bound may be -inf or inf (an entry an
+exponential took out of float range), never NaN.  Arithmetic is outward
+in exact real arithmetic; rounding is not directed, so consumers that
+need slack add it, but _centre_radius, _sigma_max_bound, _product_error
+and interval_expm's squarings cover their own rounding.  interval_expm
+scales and squares, so it is inclusion-isotone only between families
+with the same number of squarings; each of its results is an enclosure.
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RemainderDiverges
+from .errors import DimensionMismatch
 
 __all__ = [
-    "Interval",
     "IntervalMatrix",
     "interval_expm",
 ]
@@ -29,72 +32,12 @@ _TAYLOR_ORDER = 20
 _CHUNK_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed real interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError("lower endpoint has to be smaller or equal to upper")
-
-    @property
-    def center(self) -> float:
-        return 0.5 * self.lo + 0.5 * self.hi  # lo + hi may overflow
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * self.hi - 0.5 * self.lo  # hi - lo may overflow
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def __add__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "Interval | float") -> "Interval":
-        return self + (-_as_interval(other))
-
-    def __mul__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        p = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(p), max(p))
-
-    __rmul__ = __mul__
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval(float(x), float(x))
-
-
 def _frobenius(m: np.ndarray) -> float:
     """||m||_F, m scaled by a power of two first, exactly, so that the sum
     of squares overflows only when the norm itself does (then inf)."""
     e = np.frexp(np.abs(m).max())[1]
     with np.errstate(over="ignore"):
         return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e), "fro"), e))
-
-
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} must be finite")
 
 
 def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,11 +47,17 @@ def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     entry's own value.  The radius rounded to nearest can fall short of
     the true distance by half an ulp, so every nonzero radius is pushed
     one ulp outward: then c - r < lo and c + r > hi hold exactly, and
-    rounding keeps them as <= and >=.  Point entries keep radius zero.
+    rounding keeps them as <= and >=.  Point entries keep radius zero,
+    and entries with an infinite bound get centre 0 and radius inf.
     """
+    unbounded = np.isinf(lo) | np.isinf(hi)
+    if unbounded.any():
+        lo, hi = np.where(unbounded, 0.0, lo), np.where(unbounded, 0.0, hi)
     mid = np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)
     rad = np.maximum(hi - mid, mid - lo)
-    return mid, np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
+    rad = np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
+    rad[unbounded] = np.inf
+    return mid, rad
 
 
 _UNIT = 2.0 ** -53  # unit roundoff of float64
@@ -117,6 +66,37 @@ _UNIT = 2.0 ** -53  # unit roundoff of float64
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u)."""
     return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
+                   x_err: np.ndarray, out: np.ndarray) -> None:
+    """Write into out a bound on |F X - fl(f x)| for |F - f| <= f_err, |X - x| <= x_err.
+
+    F X - fl(f x) = (F - f) X + f (X - x) + (f x - fl(f x)), and the last
+    term is at most gamma_n |f| |x| for inner dimension n (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5), so the bound is
+    |f| (x_err + gamma_n |x|) + f_err (|x| + x_err), Rump's midpoint-radius
+    product (BIT 39, 1999).  Its own evaluation rounds each entry by at
+    most a factor 1 - gamma_(n+3), which the final scaling by
+    1 + 2 gamma_(n+3) covers.
+    """
+    n = f.shape[1]
+    ax = np.abs(x)
+    tmp = ax * _gamma(n)
+    tmp += x_err
+    np.matmul(np.abs(f), tmp, out=out)
+    ax += x_err
+    out += np.matmul(f_err, ax, out=tmp)
+    out *= 1.0 + 2.0 * _gamma(n + 3)
+
+
+def _square(a: np.ndarray, a_err: np.ndarray | None):
+    """a @ a, and given a_err >= |A - a| a bound on |A A - a @ a|, else None."""
+    err = None
+    if a_err is not None:
+        err = np.empty_like(a_err)
+        _product_error(a, a_err, a, a_err, err)
+    return a @ a, err
 
 
 # LAPACK bounds the error of each eigenvalue eigvalsh computes for a
@@ -196,7 +176,8 @@ class IntervalMatrix:
     """Entrywise interval matrix given by lower and upper bound arrays.
 
     The arrays are float64, shape (rows, cols), and are treated as
-    immutable after construction.
+    immutable after construction.  Bounds may be -inf/inf but not NaN,
+    as for Box.
     """
 
     lo: np.ndarray
@@ -209,8 +190,8 @@ class IntervalMatrix:
             raise DimensionMismatch(
                 f"bound arrays must be matching 2-d arrays, got {lo.shape} and {hi.shape}"
             )
-        _check_finite(lo, "interval matrix bounds")
-        _check_finite(hi, "interval matrix bounds")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("interval matrix bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound in some entry")
         object.__setattr__(self, "lo", lo)
@@ -263,10 +244,6 @@ class IntervalMatrix:
         return np.clip(self.center + (2.0 * u - 1.0) * self.radius,
                        self.lo, self.hi)
 
-    def __getitem__(self, idx) -> Interval:
-        i, j = idx
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntervalMatrix") -> "IntervalMatrix":
@@ -276,12 +253,6 @@ class IntervalMatrix:
         return IntervalMatrix(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
-
-    def __sub__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        other = _as_im(other)
-        if other.shape != self.shape:
-            raise DimensionMismatch("shape mismatch in interval subtraction")
-        return IntervalMatrix(self.lo - other.hi, self.hi - other.lo)
 
     def sub_point(self, m: np.ndarray) -> "IntervalMatrix":
         """Entrywise translate by a point matrix: [lo - m, hi - m]."""
@@ -365,20 +336,37 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
     return lo.sum(axis=1), hi.sum(axis=1)
 
 
+# Scaling target of interval_expm: theta = ||M||_F t / 2^s <= 1, where the
+# Taylor tail theta^21 / (21! (1 - theta/22)) is below 2.1e-20, so a step's
+# error stays at rounding level (unscaled at theta = 8.75, girad1 with
+# h = 1.5, it is about 2 per entry, while exp(A h) has none above 0.23).
+_SCALED_THETA = 1.0
+
+
 def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     """Interval matrix containing { expm(M t) : M in lam }.
 
-    Sums the Taylor series through order N = _TAYLOR_ORDER with interval
-    arithmetic and widens every entry by the rigorous tail bound
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+    theta = frobenius_sup(lam) * t, and s >= 0 the least with
+    theta / 2^s <= _SCALED_THETA.  The Taylor series of exp(M t / 2^s)
+    through order N = _TAYLOR_ORDER is summed with interval arithmetic,
+    and every entry widened by the rigorous tail bound
 
-        r = theta^(N+1) / ((N+1)! (1 - theta/(N+2))),
+        r = theta_s^(N+1) / ((N+1)! (1 - theta_s/(N+2))),
 
-    theta = frobenius_sup(lam) * t, valid while theta < N + 2
-    (RemainderDiverges otherwise).  Each scalar |R_ij| <= ||R||_2 <= r.
-    A point family (lo == hi) runs each round as one point product: its
-    four endpoint products are equal, so the single product summed in the
-    same order gives bitwise the result of _endpoint_product.  t must be
-    finite and nonnegative.
+    theta_s = theta / 2^s.  Each scalar |R_ij| <= ||R||_2 <= r.  A point
+    family (lo == hi) runs each round as one point product: its four
+    endpoint products are equal, so the single product summed in the same
+    order gives bitwise the result of _endpoint_product.  For s > 0 the
+    sum's centre and radius (_centre_radius) are squared s times, the
+    rounding of each product covered (_square), and the bounds c -+ r
+    pushed one ulp outward where r > 0; s = 0 returns the sum itself.
+    The sum's own rounding is not covered, and s squarings amplify it
+    up to 2^s times, as they do the radius.  An entry that leaves float
+    range is (-inf, inf), and a non-finite theta gives (-inf, inf)
+    everywhere; underflow is not covered.  Since s depends on lam, the
+    result is inclusion-isotone only between families with the same s.
+    t must be finite and nonnegative.
     """
     n, m = lam.shape
     if n != m:
@@ -388,13 +376,15 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     if t < 0:
         raise ValueError("time must be nonnegative")
     theta = lam.frobenius_sup() * t
-    if theta >= _TAYLOR_ORDER + 2:
-        raise RemainderDiverges(
-            f"theta={theta:.3g} >= order+2={_TAYLOR_ORDER + 2}; shrink t")
-    # the series runs on bare bound arrays; t >= 0 and 1/k > 0 scale
+    if not math.isfinite(theta):
+        return IntervalMatrix(np.full((n, n), -np.inf), np.full((n, n), np.inf))
+    frac, e = math.frexp(theta / _SCALED_THETA)
+    s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
+    theta = math.ldexp(theta, -s)
+    # the series runs on bare bound arrays; t >= 0, 2^-s and 1/k > 0 scale
     # them without swapping, and the result is validated once
     if lam.is_point():
-        lt = lam.lo * t
+        lt = np.ldexp(lam.lo * t, -s)
         acc, term = np.eye(n), np.eye(n)
         for k in range(1, _TAYLOR_ORDER + 1):
             term = (term[:, :, None] * lt[None]).sum(axis=1)
@@ -402,7 +392,7 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
             acc += term
         acc_lo = acc_hi = acc
     else:
-        lt_lo, lt_hi = lam.lo * t, lam.hi * t
+        lt_lo, lt_hi = np.ldexp(lam.lo * t, -s), np.ldexp(lam.hi * t, -s)
         acc_lo, acc_hi = np.eye(n), np.eye(n)
         term_lo, term_hi = np.eye(n), np.eye(n)
         for k in range(1, _TAYLOR_ORDER + 1):
@@ -413,4 +403,15 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
             acc_hi += term_hi
     tail = theta ** (_TAYLOR_ORDER + 1) / (
         math.factorial(_TAYLOR_ORDER + 1) * (1.0 - theta / (_TAYLOR_ORDER + 2)))
-    return IntervalMatrix(acc_lo - tail, acc_hi + tail)
+    lo, hi = acc_lo - tail, acc_hi + tail
+    if s:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, r = _centre_radius(lo, hi)
+            for _ in range(s):
+                c, r = _square(c, r)
+            wide = r > 0.0
+            lo = np.where(wide, np.nextafter(c - r, -np.inf), c)
+            hi = np.where(wide, np.nextafter(c + r, np.inf), c)
+        out = ~(np.isfinite(c) & np.isfinite(r))
+        lo[out], hi[out] = -np.inf, np.inf
+    return IntervalMatrix(lo, hi)

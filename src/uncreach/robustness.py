@@ -17,7 +17,6 @@ import numpy as np
 
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _widen,
                      reach_with_perturbation, safety_check)
-from .errors import RemainderDiverges
 from .intervals import IntervalMatrix
 from .sensitivity import order_cells
 
@@ -127,10 +126,14 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     flowpipe at the last safe index encloses every trajectory of every
     smaller budget's family: the trace marks those budgets safe without
     running them, and equals a scan's from 0 wherever the verdict is
-    monotone in the budget.  The search stops at the first unsafe budget
-    (returning the previous, safe family) or with every grid budget safe
-    (cap_reached flag).  A trial whose flowpipe overflows, or whose
-    discretization remainder diverges, is unsafe.  A model unsafe at
+    monotone in the budget.  It is wherever the trials' one-step
+    families take the same number of squarings in interval_expm (none
+    while ||A (+) Lambda||_F h <= 1), which is inclusion-isotone only
+    then; elsewhere the search may report another budget than a scan,
+    but every budget it certifies is proven.  The search stops at the
+    first unsafe budget (returning the previous, safe family) or with
+    every grid budget safe (cap_reached flag).  A trial whose flowpipe
+    or one-step family overflows is unsafe.  A model unsafe at
     p = 0 reports already_unsafe with norm 0.  The search is
     deterministic.  Each trial runs with until_unsafe: an unsafe one
     ends with its violating segment, and under interval reduction a
@@ -156,11 +159,7 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
 
     def proven_safe(i: int) -> bool:
         evaluated.append(i * step)
-        try:
-            res = reach_with_perturbation(model, perturbation(i),
-                                          until_unsafe=True)
-        except RemainderDiverges:
-            return False
+        res = reach_with_perturbation(model, perturbation(i), until_unsafe=True)
         return safety_check(res, model.unsafe).safe
 
     safe, unsafe = -1, cap  # the last index proven safe, the first unsafe

@@ -562,8 +562,9 @@ class TestSymbolicReach:
                 x = step @ x
 
     def test_huge_matrix_is_scaled_not_diverging(self):
-        # ||A||_F h = 1.4e158: 526 squarings of expm(A h / 2^526), and
-        # exp(-1e158) underflows to a zero flow with a zero pad
+        # ||A||_F h = 1.4e158: interval_expm takes 526 squarings, and
+        # exp(-1e158) underflows to a zero flow; its distance to the
+        # enclosure is exactly zero, so the pad stays zero
         theta = Box(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         res = symbolic_reach(-1e160 * np.eye(2), IntervalMatrix.zeros(2, 2),
                              theta, np.arange(3) * 0.01, method="loan")
@@ -673,9 +674,9 @@ class TestDoublingFlows:
         for a, times in oracle_matrices():
             self.check_against_mpmath(a, times, (1, 2, 7, 64, 150, 299))
 
-    # girad1 steps with ||A||_F h past 1: interval_expm at h itself would
-    # diverge at 23.3 >= 22, and at 8.75 its tail is about 2 per entry
-    # while no entry of exp(A h) exceeds 0.23; scaled by 2^-s it is not
+    # girad1 steps with ||A||_F h past 1: an unscaled series would have
+    # no tail bound at 23.3 >= 22, and at 8.75 a tail of about 2 per entry
+    # while no entry of exp(A h) exceeds 0.23; interval_expm scales by 2^-s
     COARSE_GRIDS = {
         "cutoff": np.arange(40) * (1.01 / np.linalg.norm(GIRAD_A)),
         "coarse": np.arange(15) * 1.5,

@@ -222,6 +222,61 @@ class TestDiscretize:
                 assert m.contains(scipy.linalg.expm((a + e) * 0.1), tol=1e-9)
 
 
+def heat_rod(n):
+    """The ROADMAP scaling probe's heat rod: the tridiagonal Laplacian
+    scaled by (n+1)^2 / 100, 2% relative uncertainty on four diagonal
+    cells, h = 0.01, 1000 steps, interval reduction every 100, unsafe
+    x_0 >= 2."""
+    a = (n + 1) ** 2 / 100 * (np.diag(np.full(n, -2.0)) + np.eye(n, k=1)
+                              + np.eye(n, k=-1))
+    return ModelSpec(
+        name=f"heat-rod-{n}", a=a,
+        uncertainty=tuple(CellUncertainty(i, i, relative=0.02)
+                          for i in range(n // 8, n, n // 4)),
+        initial=Box(np.full(n, 0.9), np.full(n, 1.1)), horizon=1000,
+        continuous=True, step=0.01, unsafe=(HalfSpace(np.eye(n)[0], 2.0),),
+        reduction_method="interval", reduction_period=100)
+
+
+class TestScaledDiscretization:
+    """One-step families with ||A (+) Lambda||_F h > 1: interval_expm
+    scales and squares them, and an overflow is an unbounded flowpipe."""
+
+    def test_heat_rod_128_is_finite_and_safe(self):
+        # theta = 46.1 used to raise; the family now takes s = 6 squarings
+        rod = heat_rod(128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ors_reach(rod)
+            verdict = safety_check(res, rod.unsafe)
+        assert len(res) == 1001 and verdict.safe
+        assert np.all(np.isfinite(res.lo)) and np.all(np.isfinite(res.hi))
+        assert_contains_vertex_trajectories(np.random.default_rng(128), rod,
+                                            res.lo, res.hi, "rod128")
+
+    def test_overflowing_family_is_unbounded_from_step_one(self):
+        # exp(A h) = diag(e^1000, e^-1000): the squarings leave float
+        # range, discretize's entries there are (-inf, inf), and the
+        # flowpipe is unbounded from step 1, without a RuntimeWarning
+        model = ModelSpec(
+            name="overflow", a=np.diag([100.0, -100.0]),
+            uncertainty=(CellUncertainty(0, 0, relative=0.01),),
+            initial=Box(np.array([0.9, -0.1]), np.array([1.1, 0.1])),
+            horizon=5, continuous=True, step=10.0,
+            unsafe=(HalfSpace(np.array([1.0, 0.0]), 2.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = discretize(model.a, model.perturbation(), model.step)
+            res = ors_reach(model)
+            verdict = safety_check(res, model.unsafe)
+        assert m.lo[0, 0] == -np.inf and m.hi[0, 0] == np.inf
+        assert np.all(np.isfinite(res.lo[0])) and np.all(np.isfinite(res.hi[0]))
+        assert Box(res.lo[0], res.hi[0]).contains_box(model.initial)
+        assert np.all(res.lo[1:] == -np.inf) and np.all(res.hi[1:] == np.inf)
+        assert np.all(res.supports[1:] == np.inf)
+        assert not verdict.safe and verdict.step == 1
+
+
 class TestOrsReach:
     def test_scalar_worked_example(self):
         res = ors_reach(scalar_growth_model())
@@ -1048,29 +1103,21 @@ class TestInvariantStop:
                            np.array([0.0]), np.array([1.0]))
         assert not _inside(np.array([np.nan]), r, c, r)
 
-    def test_heat_rod_overflow_is_a_verdict(self):
-        # the 64-cell heat rod of the scaling probe: its one-step family is
-        # so wide that the flowpipe leaves float range at step 196, without
-        # a RuntimeWarning, and the verdict is unsafe from step 1
-        n = 64
-        a = (n + 1) ** 2 / 100 * (np.diag(np.full(n, -2.0)) + np.eye(n, k=1)
-                                  + np.eye(n, k=-1))
-        rod = ModelSpec(
-            name="heat-rod-64", a=a,
-            uncertainty=tuple(CellUncertainty(i, i, relative=0.02)
-                              for i in range(n // 8, n, n // 4)),
-            initial=Box(np.full(n, 0.9), np.full(n, 1.1)), horizon=1000,
-            continuous=True, step=0.01,
-            unsafe=(HalfSpace(np.eye(n)[0], 2.0),),
-            reduction_method="interval", reduction_period=100)
+    def test_heat_rod_64_is_finite_and_safe(self):
+        # the 64-cell heat rod of the scaling probe: its one-step family,
+        # at ||A (+) Lambda||_F h = 8.26, is scaled and squared, where the
+        # unscaled series gave a family so wide that the flowpipe left
+        # float range at step 196; now every step is finite, the verdict
+        # safe, without a RuntimeWarning
+        rod = heat_rod(64)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = ors_reach(rod)
             verdict = safety_check(res, rod.unsafe)
-        assert len(res) == 1001
-        assert np.all(np.isfinite(res.hi[:196])) and np.all(np.isfinite(res.lo[:196]))
-        assert np.all(res.hi[196:] == np.inf) and np.all(res.lo[196:] == -np.inf)
-        assert not verdict.safe and verdict.step == 1
+        assert len(res) == 1001 and verdict.safe
+        assert np.all(np.isfinite(res.lo)) and np.all(np.isfinite(res.hi))
+        assert_contains_vertex_trajectories(np.random.default_rng(64), rod,
+                                            res.lo, res.hi, "rod64")
 
 
 class TestChunkBoundaries:

@@ -1,4 +1,4 @@
-"""Tests for interval scalars, interval matrices, norms and the exponential."""
+"""Tests for interval matrices, their norms and the exponential."""
 
 import importlib.resources
 import math
@@ -10,70 +10,13 @@ import scipy.linalg
 
 from uncreach import (
     DimensionMismatch,
-    Interval,
     IntervalMatrix,
-    RemainderDiverges,
     interval_expm,
     load_model,
 )
 
 # analytic values, frozen independently of the library
 SQRT_621 = 2.4919871588754225        # sqrt(6.21)
-
-
-class TestInterval:
-    def test_creation_and_accessors(self):
-        iv = Interval(1.0, 3.0)
-        assert iv.lo == 1.0 and iv.hi == 3.0
-        assert iv.center == 2.0
-        assert iv.radius == 1.0
-        assert iv.width == 2.0
-
-    def test_invalid_endpoints(self):
-        with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
-        with pytest.raises(ValueError):
-            Interval(0.0, math.inf)
-        with pytest.raises(ValueError):
-            Interval(math.nan, 1.0)
-
-    def test_add(self):
-        c = Interval(1.0, 2.0) + Interval(3.0, 4.0)
-        assert c.lo == 4.0 and c.hi == 6.0
-
-    def test_add_scalar(self):
-        c = Interval(0.0, 1.0) + 1.5
-        assert c.lo == 1.5 and c.hi == 2.5
-
-    def test_sub(self):
-        c = Interval(3.0, 5.0) - Interval(1.0, 2.0)
-        assert c.lo == 1.0 and c.hi == 4.0
-
-    def test_mul_mixed_signs(self):
-        c = Interval(-1.0, 1.0) * Interval(-1.0, 1.0)
-        assert c.lo == -1.0 and c.hi == 1.0
-
-    def test_mul_zero_annihilates(self):
-        c = Interval(0.0, 0.0) * Interval(5.0, 9.0)
-        assert c.lo == 0.0 and c.hi == 0.0
-
-    def test_contains(self):
-        iv = Interval(1.0, 3.0)
-        assert iv.contains(1.0) and iv.contains(3.0) and iv.contains(2.0)
-        assert not iv.contains(0.999)
-        assert iv.contains(0.999, tol=0.01)
-
-    def test_mul_contains_pointwise_products(self):
-        rng = np.random.default_rng(101)
-        for _ in range(200):
-            a, b = sorted(rng.uniform(-3, 3, size=2))
-            c, d = sorted(rng.uniform(-3, 3, size=2))
-            x = Interval(a, b)
-            y = Interval(c, d)
-            prod = x * y
-            for _ in range(10):
-                p = rng.uniform(a, b) * rng.uniform(c, d)
-                assert prod.contains(p, tol=1e-12)
 
 
 class TestIntervalMatrix:
@@ -99,18 +42,19 @@ class TestIntervalMatrix:
         with pytest.raises(DimensionMismatch):
             IntervalMatrix(np.zeros(3), np.zeros(3))
 
-    def test_getitem(self):
-        m = IntervalMatrix(np.array([[0.0, 1.0]]), np.array([[0.5, 1.0]]))
-        iv = m[0, 0]
-        assert isinstance(iv, Interval)
-        assert iv.lo == 0.0 and iv.hi == 0.5
+    def test_infinite_bounds_are_a_family(self):
+        # an entry out of float range is (-inf, inf), as on a Box
+        m = IntervalMatrix(np.array([[-np.inf, 0.0]]), np.array([[np.inf, 1.0]]))
+        assert m.contains(np.array([[1e308, 0.5]]))
+        with pytest.raises(ValueError, match="NaN"):
+            IntervalMatrix(np.array([[-np.inf]]), np.array([[np.nan]]))
 
     def test_add_sub_scale(self):
         m = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]]))
         s = m + m
         assert s.lo[0, 0] == 0.0 and s.hi[0, 0] == 2.0
-        d = m - m
-        assert d.lo[0, 0] == -1.0 and d.hi[0, 0] == 1.0
+        d = m.sub_point(np.array([[0.5]]))
+        assert d.lo[0, 0] == -0.5 and d.hi[0, 0] == 0.5
         neg = m.scale(-2.0)
         assert neg.lo[0, 0] == -2.0 and neg.hi[0, 0] == 0.0
         with pytest.raises(DimensionMismatch):
@@ -134,8 +78,6 @@ class TestIntervalMatrix:
             warnings.simplefilter("error")
             m = IntervalMatrix(np.array([[-1.5e308]]), np.array([[1e308]]))
             assert m.radius[0, 0] == 1.25e308
-            assert Interval(-1.5e308, 1e308).radius == 1.25e308
-            assert Interval(1e308, 1.5e308).center == 1.25e308
             rng = np.random.default_rng(8)
             draws = np.array([m.sample(rng) for _ in range(200)])
         assert np.all(np.isfinite(draws))
@@ -369,9 +311,50 @@ class TestIntervalExpm:
         assert out.hi[0, 0] == pytest.approx(math.e, rel=1e-15)
         assert out.hi[0, 0] - out.lo[0, 0] < 1e-12
 
-    def test_remainder_diverges(self):
-        with pytest.raises(RemainderDiverges):
-            interval_expm(IntervalMatrix.from_point(np.array([[30.0]])), 1.0)
+    @pytest.mark.parametrize("theta", [1.5, 30.0, 1e3])
+    def test_scaled_series_encloses_members(self, theta):
+        # past theta = 1 the series runs at t / 2^s and is squared s times:
+        # stable random families, and a rotation whose exponential stays
+        # of norm 1, enclose sampled and vertex members' exponentials up to
+        # the relative rounding of the series, which the squarings amplify
+        rng = np.random.default_rng(int(theta * 10))
+        families = [IntervalMatrix.from_point(np.array([[0.0, 1.0], [-1.0, 0.0]]))]
+        for n in (1, 2, 3, 4, 6):
+            for wide in (False, True):
+                c = rng.normal(size=(n, n))
+                c -= (np.linalg.eigvals(c).real.max() + 0.5) * np.eye(n)
+                r = rng.uniform(0, 0.02, (n, n)) * (rng.random((n, n)) < 0.5)
+                families.append(IntervalMatrix.from_center_radius(c, wide * r))
+        for lam in families:
+            t = theta / lam.frobenius_sup()
+            out = interval_expm(lam, t)
+            assert np.all(np.isfinite(out.lo)) and np.all(np.isfinite(out.hi))
+            for k in range(8):
+                member = (lam.sample(rng) if k % 2
+                          else np.where(rng.random(lam.shape) < 0.5, lam.lo, lam.hi))
+                e = scipy.linalg.expm(member * t)
+                assert out.contains(e, tol=1e-11 * np.abs(e).max()), (theta, lam)
+        # the rotation's enclosure stays at rounding level
+        rotation = interval_expm(families[0], theta / math.sqrt(2))
+        assert np.all(rotation.hi - rotation.lo < 1e-11)
+
+    def test_squaring_overflow_is_unbounded(self):
+        # exp(1000) is past the float maximum: the squarings overflow, and
+        # the entries are (-inf, inf), without a RuntimeWarning; so is
+        # every entry of a family whose theta is not finite
+        grow = IntervalMatrix.from_point(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = interval_expm(grow, 1000.0)
+            wild = interval_expm(IntervalMatrix.from_point(np.full((2, 2), 1e308)), 10.0)
+        assert out.lo[0, 0] == -np.inf and out.hi[0, 0] == np.inf
+        assert out.lo[1, 1] <= 0.0 <= out.hi[1, 1]  # exp(-1000) underflows
+        assert np.all(wild.lo == -np.inf) and np.all(wild.hi == np.inf)
+        # such a family has centre 0 and radius inf there, as a Box has
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(wild.center, np.zeros((2, 2)))
+            assert wild.two_norm_sup() == np.inf and wild.frobenius_sup() == np.inf
 
     def test_argument_validation(self):
         m = IntervalMatrix.zeros(2, 2)
@@ -425,6 +408,8 @@ class TestIntervalExpm:
         for n in range(1, 9):
             for _ in range(3):
                 a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.8)
+                # only unscaled steps, theta <= 1, are the series alone
+                a *= min(1.0, 0.5 / max(t * np.linalg.norm(a), 1e-300))
                 out = interval_expm(IntervalMatrix.from_point(a), t)
                 lo, hi = self.four_way_reference(a, a, t)
                 assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
@@ -480,7 +465,8 @@ class TestIntervalExpm:
             lo = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.8)
             lam = IntervalMatrix(lo, lo + rng.uniform(0, 0.5, (n, n))
                                  * (rng.random((n, n)) < 0.6))
-            t = float(rng.uniform(0, 2)) / max(1.0, lam.frobenius_sup())
+            # theta <= 1: only unscaled steps are the series alone
+            t = float(rng.uniform(0, 1)) / max(1.0, lam.frobenius_sup())
             out = interval_expm(lam, t)
             want_lo, want_hi = self.taylor_oracle(lam, t)
             assert np.array_equal(out.lo, want_lo)

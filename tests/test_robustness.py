@@ -429,8 +429,9 @@ class TestSearchAgainstScan:
 class TestTrialsThatOverflow:
     @pytest.mark.parametrize("step", [50.0, 5000.0])
     def test_overflow_and_divergence_are_unsafe(self, step):
-        # at budget 50 the flowpipe overflows, at 5000 the remainder of
-        # interval_expm diverges: both trials are "not proven safe", so
+        # at budget 50 the flowpipe overflows, and at 5000 interval_expm
+        # scales and squares a one-step family 1e22 wide, whose flowpipe
+        # overflows by step 15: both trials are "not proven safe", so
         # budget 0 (which is safe) is the answer
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
