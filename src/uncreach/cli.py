@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .bounds import BLOAT_METHODS, NORM_KINDS
 from .engine import ors_reach, safety_check, symbolic_reach
 from .errors import ModelFileError, ReachError
 from .modelfile import load_model
@@ -104,9 +105,9 @@ def main() -> None:
 @main.command("reach")
 @click.argument("model_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", default="numeric",
-              type=click.Choice(["numeric", "kagstrom1", "kagstrom2", "loan"]),
+              type=click.Choice(("numeric",) + BLOAT_METHODS),
               help="numeric star recurrence or a symbolic bloating bound")
-@click.option("--norm", default="two", type=click.Choice(["two", "frobenius"]),
+@click.option("--norm", default="two", type=click.Choice(NORM_KINDS),
               help="interval norm feeding the symbolic bounds")
 @click.option("--out", default="-", help="CSV destination ('-' = stdout)")
 @click.option("--t-start", type=float, default=None,

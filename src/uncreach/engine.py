@@ -141,7 +141,15 @@ class HalfSpace:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A linear model with interval uncertainty, initial box and unsafe sets."""
+    """A linear model with interval uncertainty, initial box and unsafe sets.
+
+    The one judge of model values, for the API and model files alike (the
+    file reader checks only the document's shape).  With CellUncertainty,
+    HalfSpace and Box it checks every field: among others a nonempty
+    string name, a bool continuous (numpy bools too), a positive finite
+    step when continuous, finite numbers, cells in range and listed once.
+    A bad value raises ValueError, a bad shape DimensionMismatch.
+    """
 
     name: str
     a: np.ndarray
@@ -155,6 +163,11 @@ class ModelSpec:
     reduction_period: int = 500
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name must be a nonempty string, got {self.name!r}")
+        if not isinstance(self.continuous, (bool, np.bool_)):
+            raise ValueError(f"continuous must be a bool, got {self.continuous!r}")
+        object.__setattr__(self, "continuous", bool(self.continuous))
         a = np.asarray(self.a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("dynamics matrix must be square")

@@ -79,15 +79,26 @@ def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
     product (BIT 39, 1999).  Its own evaluation rounds each entry by at
     most a factor 1 - gamma_(n+3), which the final scaling by
     1 + 2 gamma_(n+3) covers.
+
+    That covers rounding but not underflow.  With gradual underflow a
+    product is fl(a b) = a b (1 + delta) + eta with |eta| <= 2^-1075, and
+    a sum has no eta (Higham, 2.1).  Entry (i, j) misses up to n etas of
+    fl(f x), n of each of the bound's two inner products, and |f_ik| eta
+    for each gamma_n |x_kj| the bound rounds: 3n + sum_k |f_ik| etas in
+    all, grown by at most 1 + gamma_n through the sums.  The term
+    (3n + sum_k |f_ik|) 2^-1074 added to row i is twice that, which
+    covers the growth and the term's own rounding.
     """
     n = f.shape[1]
+    af = np.abs(f)
     ax = np.abs(x)
     tmp = ax * _gamma(n)
     tmp += x_err
-    np.matmul(np.abs(f), tmp, out=out)
+    np.matmul(af, tmp, out=out)
     ax += x_err
     out += np.matmul(f_err, ax, out=tmp)
     out *= 1.0 + 2.0 * _gamma(n + 3)
+    out += (af.sum(axis=1, keepdims=True) + 3 * n) * 2.0 ** -1074
 
 
 def _square(a: np.ndarray, a_err: np.ndarray | None):

@@ -1,20 +1,24 @@
-"""Textual model files (YAML): parse, validate, serialize.
+"""Textual model files (YAML): parse, serialize.
 
 A model document carries name, dimension, dynamics (row-major matrix,
 continuous flag, step), per-cell uncertainty, initial box, unsafe
-half-spaces, horizon and the reduction policy.  All numbers must be
-finite; malformed documents raise ModelFileError with the offending key.
+half-spaces, horizon and the reduction policy.  parse_model checks the
+document's shape (required keys, mappings, lists and their lengths, no
+step for a discrete model) and converts numbers with float(); ModelSpec
+and its parts (CellUncertainty, HalfSpace, Box) judge every value.  Any
+malformed document raises ModelFileError: a part's error names the
+document key (uncertainty[1], initial.box, ...), ModelSpec's names the
+field.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .engine import CellUncertainty, HalfSpace, ModelSpec, REDUCTION_METHODS
+from .engine import CellUncertainty, HalfSpace, ModelSpec
 from .errors import DimensionMismatch, ModelFileError
 from .stars import Box
 
@@ -27,146 +31,97 @@ __all__ = [
 ]
 
 
-def _finite(x, key: str) -> float:
-    try:
-        val = float(x)
-    except (TypeError, ValueError):
-        raise ModelFileError(f"{key}: expected a number, got {x!r}") from None
-    if not math.isfinite(val):
-        raise ModelFileError(f"{key}: must be finite, got {x!r}")
-    return val
-
-
-def _int(x, key: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ModelFileError(f"{key}: expected an integer, got {x!r}")
-    return x
-
-
 def _require(doc: dict, key: str):
     if key not in doc:
         raise ModelFileError(f"missing required key {key!r}")
     return doc[key]
 
 
+def _mapping(x, key: str) -> dict:
+    if not isinstance(x, dict):
+        raise ModelFileError(f"{key}: expected a mapping")
+    return x
+
+
+def _list(x, key: str, length: int | None = None) -> list:
+    """x itself, if it is a list (of the given length)."""
+    if not isinstance(x, list) or length not in (None, len(x)):
+        entries = "" if length is None else f" of {length} entries"
+        raise ModelFileError(f"{key}: expected a list{entries}")
+    return x
+
+
+def _number(x, key: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelFileError(f"{key}: expected a number, got {x!r}") from None
+
+
+def _numbers(x, key: str, length: int) -> list[float]:
+    return [_number(v, key) for v in _list(x, key, length)]
+
+
+def _build(key: str | None, make, *args, **kwargs):
+    """make(*args, **kwargs), its errors as a ModelFileError (after key, if any)."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, DimensionMismatch) as exc:
+        raise ModelFileError(f"{key}: {exc}" if key else str(exc)) from None
+
+
 def parse_model(text: str) -> ModelSpec:
-    """Parse and validate a model document from YAML text."""
+    """Parse a model document from YAML text (see the module docstring)."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ModelFileError(f"not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFileError("model document must be a mapping")
-
+    doc = _mapping(doc, "model document")
     name = _require(doc, "name")
-    if not isinstance(name, str) or not name:
-        raise ModelFileError("name: expected a nonempty string")
-    n = _int(_require(doc, "dimension"), "dimension")
-    if n < 1:
-        raise ModelFileError("dimension: must be at least 1")
+    n = _require(doc, "dimension")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ModelFileError(f"dimension: expected a positive integer, got {n!r}")
 
-    dyn = _require(doc, "dynamics")
-    if not isinstance(dyn, dict):
-        raise ModelFileError("dynamics: expected a mapping")
-    flat = _require(dyn, "matrix")
-    if not isinstance(flat, list) or len(flat) != n * n:
-        raise ModelFileError(
-            f"dynamics.matrix: expected a row-major list of {n * n} numbers"
-        )
-    a = np.asarray(
-        [_finite(v, "dynamics.matrix") for v in flat], dtype=np.float64
-    ).reshape(n, n)
-    continuous = dyn.get("continuous", True)
-    if not isinstance(continuous, bool):
-        raise ModelFileError("dynamics.continuous: expected a boolean")
-    step = None
-    if continuous:
-        step = _finite(_require(dyn, "step"), "dynamics.step")
-        if step <= 0:
-            raise ModelFileError("dynamics.step: must be positive")
-    elif "step" in dyn and dyn["step"] is not None:
-        raise ModelFileError("dynamics.step: only meaningful for continuous models")
+    dyn = _mapping(_require(doc, "dynamics"), "dynamics")
+    a = np.reshape(_numbers(_require(dyn, "matrix"), "dynamics.matrix", n * n), (n, n))
+    red = _mapping(doc.get("reduction") or {}, "reduction")
+    # the document's optional keys; ModelSpec holds their defaults
+    spec = {field: src[key] for src, key, field in (
+        (dyn, "continuous", "continuous"), (red, "method", "reduction_method"),
+        (red, "period", "reduction_period")) if key in src}
+    if dyn.get("step") is not None:
+        if dyn.get("continuous") is False:
+            raise ModelFileError("dynamics.step: only meaningful for continuous models")
+        spec["step"] = _number(dyn["step"], "dynamics.step")
 
     cells = []
-    for idx, item in enumerate(doc.get("uncertainty") or []):
+    for idx, item in enumerate(_list(doc.get("uncertainty") or [], "uncertainty")):
         key = f"uncertainty[{idx}]"
-        if not isinstance(item, dict):
-            raise ModelFileError(f"{key}: expected a mapping")
-        row = _int(_require(item, "row"), f"{key}.row")
-        col = _int(_require(item, "col"), f"{key}.col")
-        has_rel = "relative" in item
-        has_iv = "interval" in item
-        if has_rel == has_iv:
-            raise ModelFileError(f"{key}: give exactly one of relative or interval")
-        try:
-            if has_rel:
-                rel = _finite(item["relative"], f"{key}.relative")
-                cells.append(CellUncertainty(row, col, relative=rel))
-            else:
-                iv = item["interval"]
-                if not isinstance(iv, list) or len(iv) != 2:
-                    raise ModelFileError(f"{key}.interval: expected [lo, hi]")
-                lo = _finite(iv[0], f"{key}.interval")
-                hi = _finite(iv[1], f"{key}.interval")
-                cells.append(CellUncertainty(row, col, interval=(lo, hi)))
-        except ValueError as exc:
-            raise ModelFileError(f"{key}: {exc}") from None
+        item = _mapping(item, key)
+        form = {}
+        if "relative" in item:
+            form["relative"] = _number(item["relative"], f"{key}.relative")
+        if "interval" in item:
+            form["interval"] = tuple(_numbers(item["interval"], f"{key}.interval", 2))
+        cells.append(_build(key, CellUncertainty, _require(item, "row"),
+                            _require(item, "col"), **form))
 
-    init = _require(doc, "initial")
-    if not isinstance(init, dict):
-        raise ModelFileError("initial: expected a mapping")
-    box_rows = _require(init, "box")
-    if not isinstance(box_rows, list) or len(box_rows) != n:
-        raise ModelFileError(f"initial.box: expected {n} [lo, hi] pairs")
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i, pair in enumerate(box_rows):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ModelFileError(f"initial.box[{i}]: expected [lo, hi]")
-        lo[i] = _finite(pair[0], f"initial.box[{i}]")
-        hi[i] = _finite(pair[1], f"initial.box[{i}]")
-        if lo[i] > hi[i]:
-            raise ModelFileError(f"initial.box[{i}]: lower bound exceeds upper")
+    init = _mapping(_require(doc, "initial"), "initial")
+    pairs = [_numbers(pair, f"initial.box[{i}]", 2)
+             for i, pair in enumerate(_list(_require(init, "box"), "initial.box", n))]
+    initial = _build("initial.box", Box, *np.array(pairs).T)
 
     planes = []
-    for idx, item in enumerate(doc.get("unsafe") or []):
+    for idx, item in enumerate(_list(doc.get("unsafe") or [], "unsafe")):
         key = f"unsafe[{idx}]"
-        if not isinstance(item, dict):
-            raise ModelFileError(f"{key}: expected a mapping")
-        normal = _require(item, "normal")
-        if not isinstance(normal, list) or len(normal) != n:
-            raise ModelFileError(f"{key}.normal: expected {n} numbers")
-        vec = np.asarray([_finite(v, f"{key}.normal") for v in normal])
-        offset = _finite(_require(item, "offset"), f"{key}.offset")
-        try:
-            planes.append(HalfSpace(vec, offset))
-        except ValueError as exc:
-            raise ModelFileError(f"{key}: {exc}") from None
+        item = _mapping(item, key)
+        normal = _numbers(_require(item, "normal"), f"{key}.normal", n)
+        offset = _number(_require(item, "offset"), f"{key}.offset")
+        planes.append(_build(key, HalfSpace, normal, offset))
 
-    red = doc.get("reduction") or {}
-    if not isinstance(red, dict):
-        raise ModelFileError("reduction: expected a mapping")
-    method = red.get("method", "none")
-    if method not in REDUCTION_METHODS:
-        raise ModelFileError(
-            f"reduction.method: expected one of {REDUCTION_METHODS}, got {method!r}"
-        )
-
-    try:
-        return ModelSpec(
-            name=name,
-            a=a,
-            uncertainty=tuple(cells),
-            initial=Box(lo, hi),
-            horizon=_require(doc, "horizon"),
-            continuous=continuous,
-            step=step,
-            unsafe=tuple(planes),
-            reduction_method=method,
-            reduction_period=red.get("period", 500),
-        )
-    except (ValueError, DimensionMismatch) as exc:
-        raise ModelFileError(str(exc)) from None
+    return _build(None, ModelSpec, name=name, a=a, uncertainty=tuple(cells),
+                  initial=initial, horizon=_require(doc, "horizon"),
+                  unsafe=tuple(planes), **spec)
 
 
 def load_model(path) -> ModelSpec:
@@ -180,39 +135,25 @@ def load_model(path) -> ModelSpec:
 
 def model_to_dict(model: ModelSpec) -> dict:
     """Canonical plain-data form of a model (the serialize target)."""
-    doc: dict = {
+    dynamics = {"matrix": model.a.ravel().tolist(), "continuous": model.continuous}
+    if model.continuous:
+        dynamics["step"] = float(model.step)
+    return {
         "name": model.name,
         "dimension": model.dim,
-        "dynamics": {
-            "matrix": [float(v) for v in model.a.ravel()],
-            "continuous": model.continuous,
-        },
+        "dynamics": dynamics,
+        "uncertainty": [
+            {"row": c.row, "col": c.col} | (
+                {"interval": list(c.interval)} if c.relative is None
+                else {"relative": float(c.relative)})
+            for c in model.uncertainty],
+        "initial": {"box": np.column_stack((model.initial.lo, model.initial.hi)).tolist()},
+        "unsafe": [{"normal": hs.normal.tolist(), "offset": hs.offset}
+                   for hs in model.unsafe],
+        "horizon": model.horizon,
+        "reduction": {"method": model.reduction_method,
+                      "period": model.reduction_period},
     }
-    if model.continuous:
-        doc["dynamics"]["step"] = float(model.step)
-    cells = []
-    for c in model.uncertainty:
-        item: dict = {"row": c.row, "col": c.col}
-        if c.relative is not None:
-            item["relative"] = float(c.relative)
-        else:
-            item["interval"] = [float(c.interval[0]), float(c.interval[1])]
-        cells.append(item)
-    doc["uncertainty"] = cells
-    doc["initial"] = {
-        "box": [[float(lo), float(hi)] for lo, hi in zip(model.initial.lo,
-                                                         model.initial.hi)]
-    }
-    doc["unsafe"] = [
-        {"normal": [float(v) for v in hs.normal], "offset": float(hs.offset)}
-        for hs in model.unsafe
-    ]
-    doc["horizon"] = model.horizon
-    doc["reduction"] = {
-        "method": model.reduction_method,
-        "period": model.reduction_period,
-    }
-    return doc
 
 
 def serialize_model(model: ModelSpec) -> str:

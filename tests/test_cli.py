@@ -369,6 +369,17 @@ class TestErrorExits:
         assert result.exit_code == 2
         assert "(0,0) listed twice" in result.stderr
 
+    def test_scalar_for_a_list_is_exit_two(self, runner, tmp_path):
+        # these used to escape the reader as a TypeError, exit 1
+        no_cells = JORDAN_YAML.replace(
+            "uncertainty:\n  - {row: 0, col: 0, interval: [-0.1, 0.1]}\n", "")
+        bad = tmp_path / "scalar.yaml"
+        for edit in ("uncertainty: 3", "unsafe: true"):
+            bad.write_text(no_cells + edit + "\n")
+            result = runner.invoke(main, ["reach", str(bad)])
+            assert result.exit_code == 2, edit
+            assert result.stderr.startswith("model error: "), edit
+
     def test_missing_file_is_exit_two(self, runner, tmp_path):
         result = runner.invoke(main, ["reach", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 2

@@ -149,6 +149,21 @@ class TestModelSpec:
             ModelSpec(**{**good, "initial": Box(np.zeros(2),
                                                 np.array([1.0, np.inf]))})
 
+    def test_name_and_continuous_are_checked(self):
+        # the model file used to be the only place checking these, so the
+        # API accepted continuous="no" and ran the model as continuous
+        good = dict(name="m", a=np.eye(1), uncertainty=(),
+                    initial=Box(np.zeros(1), np.ones(1)), horizon=2,
+                    continuous=False)
+        for bad in ({"name": ""}, {"name": 3}, {"name": None},
+                    {"continuous": "no", "step": 0.1},
+                    {"continuous": 1, "step": 0.1},
+                    {"continuous": None, "step": 0.1}):
+            with pytest.raises(ValueError, match="(name|continuous) must be"):
+                ModelSpec(**{**good, **bad})
+        m = ModelSpec(**{**good, "continuous": np.bool_(True), "step": 0.1})
+        assert m.continuous is True
+
     def test_rejects_cell_listed_twice(self):
         # a second entry must not narrow the family the model lists
         cells = (CellUncertainty(0, 0, relative=0.1),

@@ -3,6 +3,7 @@
 import importlib.resources
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from uncreach import (
     interval_expm,
     load_model,
 )
+from uncreach.intervals import _product_error
 
 # analytic values, frozen independently of the library
 SQRT_621 = 2.4919871588754225        # sqrt(6.21)
@@ -145,6 +147,29 @@ class TestIntervalMatmul:
             got = IntervalMatrix(alo, ahi) @ IntervalMatrix(blo, bhi)
             assert got.lo.tobytes() == pr.min(axis=0).sum(axis=1).tobytes()
             assert got.hi.tobytes() == pr.max(axis=0).sum(axis=1).tobytes()
+
+
+class TestProductError:
+    def test_covers_underflow(self):
+        # products below the float range round to subnormals or zero, which
+        # the relative gamma_n term cannot see: each bound must still hold
+        # against the exact product, taken in Fractions
+        rng = np.random.default_rng(11)
+        # (1e10, 1e-300): the products are normal, gamma_n |x| is not
+        for f_scale, x_scale in ((1e-160, 1e-160), (1e-170, 1e-170),
+                                 (1e-200, 1e-200), (1e10, 1e-300), (1.0, 1.0)):
+            for _ in range(20):
+                n = int(rng.integers(1, 5))
+                f = rng.normal(size=(n, n)) * f_scale
+                x = rng.normal(size=(n, 3)) * x_scale
+                out = np.empty((n, 3))
+                _product_error(f, np.zeros((n, n)), x, np.zeros((n, 3)), out)
+                got = f @ x
+                for i in range(n):
+                    for j in range(3):
+                        exact = sum(Fraction(f[i, k]) * Fraction(x[k, j])
+                                    for k in range(n))
+                        assert abs(exact - Fraction(got[i, j])) <= Fraction(out[i, j])
 
 
 class TestNorms:

@@ -1,9 +1,11 @@
 """Tests for the YAML model format: parsing, validation and round trips."""
 
+import copy
 import importlib.resources
 
 import numpy as np
 import pytest
+import yaml
 
 from uncreach import (
     ModelFileError,
@@ -26,6 +28,42 @@ initial:
     - [0.0, 1.0]
 horizon: 3
 """
+
+EVERY_KEY = """\
+name: every-key
+dimension: 2
+dynamics:
+  matrix: [0.5, 0.1, 0.0, 0.5]
+  continuous: true
+  step: 0.1
+uncertainty:
+  - {row: 0, col: 0, relative: 0.1}
+  - {row: 0, col: 1, interval: [0.0, 0.2]}
+initial:
+  box:
+    - [0.0, 1.0]
+    - [-1.0, 1.0]
+unsafe:
+  - {normal: [1.0, 0.0], offset: 2.0}
+horizon: 3
+reduction:
+  method: interval
+  period: 2
+"""
+# what a hand-edited file may hold where a value is expected
+REPLACEMENTS = yaml.safe_load(
+    '["x", "1.5", true, false, null, [], {}, .nan, .inf, -1, 0, 2.5, 3, '
+    '[1.0], {a: 1}, "", [[1.0, 2.0]]]')
+DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # the C one is faster
+
+
+def node_paths(node, path=()):
+    """Key/index paths of every mapping value and list entry below node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
 
 
 def shipped(name):
@@ -171,6 +209,34 @@ class TestParseErrors:
         bad = MINIMAL + "reduction:\n  method: interval\n  period: 0\n"
         with pytest.raises(ModelFileError):
             parse_model(bad)
+
+
+class TestMalformedDocuments:
+    def test_every_edit_parses_or_is_a_model_file_error(self):
+        # each node replaced by each value or deleted: the reader either
+        # accepts the document or names the key, it never crashes (a scalar
+        # where the uncertainty or unsafe list belongs used to raise
+        # TypeError)
+        doc = yaml.safe_load(EVERY_KEY)
+        model_to_dict(parse_model(EVERY_KEY))
+        delete = object()
+        edits = 0
+        for path in node_paths(doc):
+            for value in REPLACEMENTS + [delete]:
+                edit = copy.deepcopy(doc)
+                parent = edit
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is delete:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)
+                try:
+                    model_to_dict(parse_model(yaml.dump(edit, Dumper=DUMPER)))
+                except ModelFileError:
+                    pass
+                edits += 1
+        assert edits == 39 * 18
 
 
 class TestRoundTrip:
