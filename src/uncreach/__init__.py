@@ -1,7 +1,6 @@
 """Over-approximate reachability and safety robustness for linear systems
 whose dynamics matrix carries per-cell interval uncertainty."""
 
-from ._kernels import BACKEND
 from .bounds import (
     BloatSeries,
     bloat_factor,
@@ -33,16 +32,17 @@ from .errors import (
     ModelFileError,
     ReachError,
 )
-from .intervals import IntervalMatrix, interval_expm
+from .intervals import Box, IntervalMatrix, interval_expm
 from .modelfile import load_model, model_to_dict, parse_model, save_model, \
     serialize_model
 from .robustness import ThresholdReport, budget_weights, distribute, \
     robustness_threshold
 from .sensitivity import OrdMatrix, max_sv_radius, order_cells, sv_change
-from .stars import Box, Star, compact, interval_reduce, lambda_box, linear_map, \
-    minkowski_sum, zono_reduce
 
 __version__ = "0.1.0"
+
+# Every array operation runs in numpy; perfbench/run.py reports this name.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
@@ -60,25 +60,19 @@ __all__ = [
     "ReachError",
     "ReachResult",
     "SafetyVerdict",
-    "Star",
     "ThresholdReport",
     "bloat_factor",
     "bloat_series",
     "budget_weights",
-    "compact",
     "discretize",
     "distribute",
     "interval_expm",
     "interval_norm",
-    "interval_reduce",
     "kagstrom1",
     "kagstrom2",
-    "lambda_box",
-    "linear_map",
     "load_model",
     "loan",
     "max_sv_radius",
-    "minkowski_sum",
     "model_to_dict",
     "nominal_reach",
     "order_cells",
@@ -93,5 +87,4 @@ __all__ = [
     "spectral_data",
     "sv_change",
     "symbolic_reach",
-    "zono_reduce",
 ]

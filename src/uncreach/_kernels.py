@@ -15,13 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BACKEND",
     "lambda_box_core",
     "support_core",
     "box_core",
 ]
-
-BACKEND = "numpy"
 
 
 def lambda_box_core(llo, lhi, anchor, gens, clo, chi):

@@ -31,10 +31,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
-from .intervals import (_CHUNK_ENTRIES, _UNIT, IntervalMatrix, _centre_radius,
-                        _gamma, _product_error, _sigma_max_bound, _square,
-                        interval_expm)
-from .stars import Box
+from .intervals import (_CHUNK_ENTRIES, _UNIT, Box, IntervalMatrix,
+                        _centre_radius, _product_error, _sigma_max_bound,
+                        _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -734,7 +733,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     matrix's largest eigenvalue above), and the radius is scaled to cover
     the rounding of its own product; phi's own rounding is not covered.
     The nominal box of each flow E Theta takes the endpoint products
-    E_ij lo_j, E_ij hi_j of stars.box_core.
+    E_ij lo_j, E_ij hi_j (_image_bounds).
     A radius beyond float range (phi saturated, or the flow or its error
     overflowed) is inf, and so are the box bounds from that point on:
     unbounded, not proven safe.  The result keeps the flows, the pad and
@@ -808,7 +807,7 @@ def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of m x over x in box, for each row of m.
 
     m is (..., rows, dim); each bound is a sum of the smaller (larger) of
-    the endpoint products m_ij lo_j and m_ij hi_j, as in stars.box_core.
+    the endpoint products m_ij lo_j and m_ij hi_j.
     The rows go in chunks of about _CHUNK_ENTRIES entries, so the
     temporaries stay small whatever the stack; every row is summed as a
     whole, so the bounds do not depend on the chunking.

@@ -1,13 +1,14 @@
-"""Interval matrices, their norms and exponential.
+"""Boxes and interval matrices, their norms and exponential.
 
-An interval matrix L = [lo, hi] stands for the set of real matrices
-{ M : lo <= M <= hi entrywise }; a bound may be -inf or inf (an entry an
-exponential took out of float range), never NaN.  Arithmetic is outward
-in exact real arithmetic; rounding is not directed, so consumers that
-need slack add it, but _centre_radius, _sigma_max_bound, _product_error
-and interval_expm's squarings cover their own rounding.  interval_expm
-scales and squares, so it is inclusion-isotone only between families
-with the same number of squarings; each of its results is an enclosure.
+A box or interval matrix [lo, hi] stands for the set of real vectors or
+matrices { M : lo <= M <= hi entrywise }; a bound may be -inf or inf (an
+entry an exponential took out of float range), never NaN.  Arithmetic
+is outward in exact real arithmetic; rounding is not directed, so
+consumers that need slack add it, but _centre_radius, _sigma_max_bound,
+_product_error and interval_expm's squarings cover their own rounding.
+interval_expm scales and squares, so it is inclusion-isotone only
+between families with the same number of squarings; each of its results
+is an enclosure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 __all__ = [
+    "Box",
     "IntervalMatrix",
     "interval_expm",
 ]
@@ -182,31 +184,90 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class IntervalMatrix:
-    """Entrywise interval matrix given by lower and upper bound arrays.
+def _check_bounds(obj, what: str, ndim: int) -> None:
+    """The bounds rule of Box and IntervalMatrix: store obj.lo and obj.hi as
+    contiguous float64 arrays of one ndim-d shape, else DimensionMismatch;
+    a bound may be -inf or inf, and NaN or lo > hi is a ValueError."""
+    lo = np.ascontiguousarray(np.asarray(obj.lo, dtype=np.float64))
+    hi = np.ascontiguousarray(np.asarray(obj.hi, dtype=np.float64))
+    if lo.ndim != ndim or lo.shape != hi.shape:
+        raise DimensionMismatch(f"{what} bounds must be matching {ndim}-d "
+                                f"arrays, got {lo.shape} and {hi.shape}")
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise ValueError(f"{what} bounds must not be NaN")
+    if np.any(lo > hi):
+        raise ValueError(f"{what} lower bound exceeds upper bound")
+    object.__setattr__(obj, "lo", lo)
+    object.__setattr__(obj, "hi", hi)
 
-    The arrays are float64, shape (rows, cols), and are treated as
-    immutable after construction.  Bounds may be -inf/inf but not NaN,
-    as for Box.
+
+@dataclass(frozen=True, eq=False)
+class Box:
+    """Axis-aligned box given by per-axis lower/upper bounds.
+
+    Bounds may be -inf/inf (an unbounded flowpipe step) but not NaN;
+    center is 0 along an axis with both bounds infinite, and sample
+    refuses a box with any infinite bound.
     """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.ascontiguousarray(np.asarray(self.lo, dtype=np.float64))
-        hi = np.ascontiguousarray(np.asarray(self.hi, dtype=np.float64))
-        if lo.ndim != 2 or lo.shape != hi.shape:
-            raise DimensionMismatch(
-                f"bound arrays must be matching 2-d arrays, got {lo.shape} and {hi.shape}"
-            )
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("interval matrix bounds must not be NaN")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound in some entry")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _check_bounds(self, "box", 1)
+
+    @property
+    def dim(self) -> int:
+        return self.lo.shape[0]
+
+    @property
+    def center(self) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # 0.5 (lo + hi) may overflow
+            mid = np.where(self.lo == self.hi, self.lo, 0.5 * self.lo + 0.5 * self.hi)
+        mid[np.isneginf(self.lo) & np.isposinf(self.hi)] = 0.0
+        return mid
+
+    @property
+    def radius(self) -> np.ndarray:
+        return 0.5 * self.hi - 0.5 * self.lo  # hi - lo may overflow
+
+    def widths(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    def volume(self) -> float:
+        return float(np.prod(self.hi - self.lo))
+
+    def contains(self, x, tol: float = 0.0) -> bool:
+        x = np.asarray(x, dtype=np.float64)
+        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
+    def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
+        return self.contains(other.lo, tol) and self.contains(other.hi, tol)
+
+    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+        """(count, dim) array of uniform member points of a bounded box."""
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("cannot sample an unbounded box")
+        return self.lo + rng.random((count, self.dim)) * (self.hi - self.lo)
+
+    def max_norm(self) -> float:
+        """max ||x||_2 over the box (attained at a vertex, per-axis split)."""
+        return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalMatrix:
+    """Entrywise interval matrix given by lower and upper bound arrays.
+
+    The arrays are float64, shape (rows, cols), and are treated as
+    immutable after construction.  Bounds follow Box's rule (_check_bounds).
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_bounds(self, "interval matrix", 2)
 
     # -- constructors ----------------------------------------------------
 
@@ -237,16 +298,11 @@ class IntervalMatrix:
     def center(self) -> np.ndarray:
         return _centre_radius(self.lo, self.hi)[0]
 
-    @property
-    def radius(self) -> np.ndarray:
-        return 0.5 * self.hi - 0.5 * self.lo  # hi - lo may overflow
+    radius = Box.radius
+    contains = Box.contains
 
     def is_point(self) -> bool:
         return bool(np.all(self.lo == self.hi))
-
-    def contains(self, m: np.ndarray, tol: float = 0.0) -> bool:
-        m = np.asarray(m, dtype=np.float64)
-        return bool(np.all(m >= self.lo - tol) and np.all(m <= self.hi + tol))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A uniformly drawn member matrix: centre + (2u - 1) radius, which

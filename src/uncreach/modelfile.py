@@ -4,15 +4,17 @@ A model document carries name, dimension, dynamics (row-major matrix,
 continuous flag, step), per-cell uncertainty, initial box, unsafe
 half-spaces, horizon and the reduction policy.  parse_model checks the
 document's shape (required keys, mappings, lists and their lengths, no
-step for a discrete model) and converts numbers with float(); ModelSpec
-and its parts (CellUncertainty, HalfSpace, Box) judge every value.  Any
-malformed document raises ModelFileError: a part's error names the
-document key (uncertainty[1], initial.box, ...), ModelSpec's names the
-field.
+step for a discrete model; an optional block is empty only when missing
+or null) and takes YAML 1.2 numbers, not bools or strings, as floats;
+ModelSpec and its parts (CellUncertainty, HalfSpace, Box) judge every
+value.  Any malformed document raises ModelFileError: a part's error
+names the document key (uncertainty[1], initial.box, ...), ModelSpec's
+names the field.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ import yaml
 
 from .engine import CellUncertainty, HalfSpace, ModelSpec
 from .errors import DimensionMismatch, ModelFileError
-from .stars import Box
+from .intervals import Box
 
 __all__ = [
     "load_model",
@@ -29,6 +31,19 @@ __all__ = [
     "serialize_model",
     "save_model",
 ]
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's YAML 1.1 safe loader, reading YAML 1.2's 1e-3 and 1.0e3 as floats."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """PyYAML's safe dumper, quoting the strings _Loader reads as floats."""
+
+
+yaml.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"),
+    Loader=_Loader, Dumper=_Dumper)
 
 
 def _require(doc: dict, key: str):
@@ -53,9 +68,11 @@ def _list(x, key: str, length: int | None = None) -> list:
 
 def _number(x, key: str) -> float:
     try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelFileError(f"{key}: expected a number, got {x!r}") from None
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return float(x)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ModelFileError(f"{key}: expected a number, got {x!r}")
 
 
 def _numbers(x, key: str, length: int) -> list[float]:
@@ -73,10 +90,13 @@ def _build(key: str | None, make, *args, **kwargs):
 def parse_model(text: str) -> ModelSpec:
     """Parse a model document from YAML text (see the module docstring)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ModelFileError(f"not valid YAML: {exc}") from None
     doc = _mapping(doc, "model document")
+    for key, empty in (("uncertainty", []), ("unsafe", []), ("reduction", {})):
+        if doc.get(key) is None:
+            doc[key] = empty
     name = _require(doc, "name")
     n = _require(doc, "dimension")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -84,7 +104,7 @@ def parse_model(text: str) -> ModelSpec:
 
     dyn = _mapping(_require(doc, "dynamics"), "dynamics")
     a = np.reshape(_numbers(_require(dyn, "matrix"), "dynamics.matrix", n * n), (n, n))
-    red = _mapping(doc.get("reduction") or {}, "reduction")
+    red = _mapping(doc["reduction"], "reduction")
     # the document's optional keys; ModelSpec holds their defaults
     spec = {field: src[key] for src, key, field in (
         (dyn, "continuous", "continuous"), (red, "method", "reduction_method"),
@@ -95,7 +115,7 @@ def parse_model(text: str) -> ModelSpec:
         spec["step"] = _number(dyn["step"], "dynamics.step")
 
     cells = []
-    for idx, item in enumerate(_list(doc.get("uncertainty") or [], "uncertainty")):
+    for idx, item in enumerate(_list(doc["uncertainty"], "uncertainty")):
         key = f"uncertainty[{idx}]"
         item = _mapping(item, key)
         form = {}
@@ -112,7 +132,7 @@ def parse_model(text: str) -> ModelSpec:
     initial = _build("initial.box", Box, *np.array(pairs).T)
 
     planes = []
-    for idx, item in enumerate(_list(doc.get("unsafe") or [], "unsafe")):
+    for idx, item in enumerate(_list(doc["unsafe"], "unsafe")):
         key = f"unsafe[{idx}]"
         item = _mapping(item, key)
         normal = _numbers(_require(item, "normal"), f"{key}.normal", n)
@@ -157,7 +177,7 @@ def model_to_dict(model: ModelSpec) -> dict:
 
 
 def serialize_model(model: ModelSpec) -> str:
-    return yaml.safe_dump(model_to_dict(model), sort_keys=False)
+    return yaml.dump(model_to_dict(model), Dumper=_Dumper, sort_keys=False)
 
 
 def save_model(model: ModelSpec, path) -> None:

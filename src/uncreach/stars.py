@@ -4,17 +4,20 @@ A star <a, G, [lo, hi]> is the set { a + G c : lo <= c <= hi } with anchor
 a in R^n, generator matrix G in R^(n x m) and per-coordinate coefficient
 bounds.  With box predicates every star is a zonotope, so supports, hulls
 and reductions all have closed forms and no linear programming is needed.
+No flowpipe runs on them: they are the tests' step-by-step oracle for
+engine's recurrence and the benchmark tracer's hooks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch
-from .intervals import IntervalMatrix
+from .intervals import Box, IntervalMatrix
 
 __all__ = [
     "Box",
@@ -29,85 +32,13 @@ __all__ = [
 ]
 
 
-def _vec(x, name: str, finite: bool = True) -> np.ndarray:
+def _vec(x, name: str) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be a vector, got shape {a.shape}")
-    if finite:
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{name} must be finite")
-    elif np.any(np.isnan(a)):
-        raise ValueError(f"{name} must not be NaN")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Axis-aligned box given by per-axis lower/upper bounds.
-
-    Bounds may be -inf/inf (an unbounded flowpipe step) but not NaN;
-    center is 0 along an axis with both bounds infinite, and sample
-    refuses a box with any infinite bound.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = _vec(self.lo, "box lower bound", finite=False)
-        hi = _vec(self.hi, "box upper bound", finite=False)
-        if lo.shape != hi.shape:
-            raise DimensionMismatch("box bounds must have equal length")
-        if np.any(lo > hi):
-            raise ValueError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            mid = 0.5 * (self.lo + self.hi)
-        mid[np.isneginf(self.lo) & np.isposinf(self.hi)] = 0.0
-        return mid
-
-    @property
-    def radius(self) -> np.ndarray:
-        return 0.5 * (self.hi - self.lo)
-
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
-        return bool(
-            np.all(other.lo >= self.lo - tol) and np.all(other.hi <= self.hi + tol)
-        )
-
-    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """(count, dim) array of uniform member points of a bounded box."""
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise ValueError("cannot sample an unbounded box")
-        u = rng.random((count, self.dim))
-        return self.lo + u * (self.hi - self.lo)
-
-    def max_norm(self) -> float:
-        """max ||x||_2 over the box (attained at a vertex, per-axis split)."""
-        return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
-
-    def to_star(self) -> "Star":
-        """Star <0, I, [lo, hi]> with one axis generator per dimension."""
-        n = self.dim
-        return Star(np.zeros(n), np.eye(n), self.lo.copy(), self.hi.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +71,14 @@ class Star:
         object.__setattr__(self, "coeff_hi", chi)
 
     @classmethod
+    def from_box(cls, box: Box) -> "Star":
+        """Star <0, I, [lo, hi]> with one axis generator per dimension."""
+        return cls(np.zeros(box.dim), np.eye(box.dim), box.lo.copy(), box.hi.copy())
+
+    @classmethod
     def point(cls, x) -> "Star":
         x = _vec(x, "point")
-        n = x.shape[0]
-        return cls(x, np.zeros((n, 0)), np.zeros(0), np.zeros(0))
+        return cls(x, np.zeros((x.shape[0], 0)), np.zeros(0), np.zeros(0))
 
     @property
     def dim(self) -> int:
@@ -175,10 +110,8 @@ class Star:
         )
 
     def bounding_box(self) -> Box:
-        lo, hi = _kernels.box_core(
-            self.anchor, self.generators, self.coeff_lo, self.coeff_hi
-        )
-        return Box(lo, hi)
+        return Box(*_kernels.box_core(self.anchor, self.generators,
+                                      self.coeff_lo, self.coeff_hi))
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """(count, dim) member points from uniform coefficient draws."""
@@ -198,15 +131,9 @@ class Star:
         return bool(np.all(dirs @ x <= self.support_batch(dirs) + tol))
 
 
-_DIR_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def membership_directions(dim: int, extra: int = 100, seed: int = 20240) -> np.ndarray:
-    """2*dim axis directions plus `extra` fixed-seed random unit rows."""
-    key = (dim, extra)
-    cached = _DIR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """2*dim axis directions plus `extra` seeded random unit rows (cached, shared)."""
     eye = np.eye(dim)
     rows = [eye, -eye]
     if extra > 0:
@@ -215,9 +142,7 @@ def membership_directions(dim: int, extra: int = 100, seed: int = 20240) -> np.n
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         rows.append(raw / norms)
-    dirs = np.ascontiguousarray(np.vstack(rows))
-    _DIR_CACHE[key] = dirs
-    return dirs
+    return np.ascontiguousarray(np.vstack(rows))
 
 
 def linear_map(a: np.ndarray, s: Star) -> Star:
@@ -269,8 +194,7 @@ def compact(s: Star) -> Star:
 
 def interval_reduce(s: Star) -> Star:
     """Axis-aligned box hull as a star <0, I, d> with exactly dim generators."""
-    box = s.bounding_box()
-    return box.to_star()
+    return Star.from_box(s.bounding_box())
 
 
 def zono_reduce(s: Star, target_m: int) -> Star:
@@ -293,9 +217,7 @@ def zono_reduce(s: Star, target_m: int) -> Star:
     gens = s.generators * half  # columns scaled to [-1, 1] coefficients
     norms = np.linalg.norm(gens, axis=0)
     order = np.argsort(-norms, kind="stable")
-    keep = order[: target_m - n]
-    merge = order[target_m - n:]
-    keep = np.sort(keep)
+    keep, merge = np.sort(order[: target_m - n]), order[target_m - n:]
     d = np.abs(gens[:, merge]).sum(axis=1)
     out_gens = np.hstack((gens[:, keep], np.diag(d)))
     ones = np.ones(out_gens.shape[1])

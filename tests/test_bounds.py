@@ -21,7 +21,6 @@ from uncreach import (
     interval_norm,
     kagstrom1,
     kagstrom2,
-    linear_map,
     load_model,
     loan,
     p_poly,
@@ -31,6 +30,7 @@ from uncreach import (
 )
 from uncreach._expm import expm
 from uncreach._kernels import box_core
+from uncreach.stars import Star, linear_map
 from uncreach.engine import _doubling_flows, _image_bounds
 from uncreach.intervals import _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
@@ -423,7 +423,7 @@ class TestSymbolicReach:
                 ref_lo, ref_hi, ref_radii = [], [], []
                 for idx, t in enumerate(times):
                     ea = expm(a * t)
-                    nominal = linear_map(ea, theta.to_star())
+                    nominal = linear_map(ea, Star.from_box(theta))
                     nlo, nhi = box_core(nominal.anchor, nominal.generators,
                                         nominal.coeff_lo, nominal.coeff_hi)
                     with np.errstate(over="ignore"):

@@ -380,6 +380,22 @@ class TestErrorExits:
             assert result.exit_code == 2, edit
             assert result.stderr.startswith("model error: "), edit
 
+    def test_falsy_unsafe_block_is_exit_two(self, runner, tmp_path):
+        # x -> 2x from [1, 1] is unsafe at step 1 against x >= 1.5;
+        # `unsafe: false` used to mean no unsafe sets, verdict safe
+        model = tmp_path / "double.yaml"
+        text = ("name: double\ndimension: 1\n"
+                "dynamics:\n  matrix: [2.0]\n  continuous: false\n"
+                "initial:\n  box:\n    - [1.0, 1.0]\nhorizon: 2\n")
+        model.write_text(text + "unsafe: [{normal: [1.0], offset: 1.5}]\n")
+        result = runner.invoke(main, ["reach", str(model)])
+        assert result.exit_code == 0
+        assert "unsafe" in result.stderr and "step 1" in result.stderr
+        model.write_text(text + "unsafe: false\n")
+        result = runner.invoke(main, ["reach", str(model)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("model error: unsafe: ")
+
     def test_missing_file_is_exit_two(self, runner, tmp_path):
         result = runner.invoke(main, ["reach", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 2

@@ -18,27 +18,22 @@ from uncreach import (
     HalfSpace,
     IntervalMatrix,
     ModelSpec,
-    Star,
-    compact,
     discretize,
-    interval_reduce,
-    lambda_box,
-    linear_map,
     load_model,
-    minkowski_sum,
     nominal_reach,
     ors_reach,
     reach_with_perturbation,
     robustness_threshold,
     safety_check,
     symbolic_reach,
-    zono_reduce,
 )
 from uncreach import engine
 from uncreach.engine import (
     _add_outward, _centre_radius, _chunk_steps, _inside, _orbit,
     _run_recurrence)
 from uncreach.robustness import distribute
+from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
+                            linear_map, minkowski_sum, zono_reduce)
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -516,7 +511,7 @@ class TestSafetyCheck:
             res = symbolic_reach(a, lam, theta, times, method="loan")
             dirs = rng.normal(size=(3, n))
             ref = np.array([
-                linear_map(expm(a * t), theta.to_star())
+                linear_map(expm(a * t), Star.from_box(theta))
                 .support_batch(dirs) + r * np.linalg.norm(dirs, axis=1)
                 for t, r in zip(times, res.radii)])
             # offsets crossed part way along the grid, one per normal
@@ -688,7 +683,7 @@ def reference_run(m, initial, horizon, reduction, period, normals):
     lambda_box block of [-Lr, Lr] (M split as engine._centre_radius),
     and Theta and every interval hull are re-centred."""
     p, lr = _centre_radius(m.lo, m.hi)
-    s = recentre(initial.to_star())
+    s = recentre(Star.from_box(initial))
     stars = [s]
     for k in range(1, horizon + 1):
         u = compact(lambda_box(IntervalMatrix(-lr, lr), s))
@@ -1396,7 +1391,7 @@ def abar_recurrence_boxes(abar, lbar, model):
     """Boxes of the recurrence R_k = Abar R_{k-1} (+) lambda_box(Lbar,
     R_{k-1}), the fresh block re-centred, with the model's interval
     reductions."""
-    s = recentre(model.initial.to_star())
+    s = recentre(Star.from_box(model.initial))
     boxes = [s.bounding_box()]
     for k in range(1, model.horizon + 1):
         u = compact(recentre(lambda_box(lbar, s)))

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from uncreach import (
+    Box,
     DimensionMismatch,
     IntervalMatrix,
     interval_expm,
@@ -85,6 +86,38 @@ class TestIntervalMatrix:
         assert np.all(np.isfinite(draws))
         assert np.all(draws >= -1.5e308) and np.all(draws <= 1e308)
         assert draws.min() < -1e308 and draws.max() > 0.5e308
+
+
+class TestBox:
+    def test_center_and_radius_past_half_float_max(self):
+        # 0.5 (lo + hi) and 0.5 (hi - lo) overflow here, every member is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Box(np.array([0.9e308]), np.array([1e308])).center[0] == 0.95e308
+            assert Box(np.array([-1.5e308]), np.array([1e308])).radius[0] == 1.25e308
+            both = Box(np.array([-np.inf, -np.inf, 1.0]), np.array([np.inf, 2.0, np.inf]))
+            assert np.array_equal(both.center, [0.0, -np.inf, np.inf])
+            assert np.array_equal(both.radius, [np.inf, np.inf, np.inf])
+
+    def test_point_box_center_is_the_point(self):
+        # each half of an odd subnormal rounds to even: 0.5 lo + 0.5 hi is 0
+        tiny = np.array([5e-324, -5e-324, 3 * 5e-324, 1.0])
+        b = Box(tiny, tiny.copy())
+        assert np.array_equal(b.center, tiny) and b.contains(b.center)
+        assert np.array_equal(b.radius, np.zeros(4))
+
+    def test_center_and_radius_bitwise_on_normal_numbers(self):
+        # the overflow-free forms round as the old ones wherever those are
+        # finite and no half falls below the normal range
+        rng = np.random.default_rng(20)
+        lo = rng.normal(size=5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        hi = lo + np.abs(rng.normal(size=5000)) * 10.0 ** rng.integers(-300, 300, 5000)
+        keep = np.isfinite(lo + hi) & np.isfinite(hi - lo)
+        keep &= np.minimum(np.abs(lo), np.abs(hi)) > 4.0 * np.finfo(np.float64).tiny
+        b = Box(lo[keep], hi[keep])
+        assert keep.sum() > 4000
+        assert np.array_equal(b.center, 0.5 * (b.lo + b.hi))
+        assert np.array_equal(b.radius, 0.5 * (b.hi - b.lo))
 
 
 class TestIntervalMatmul:

@@ -211,6 +211,53 @@ class TestParseErrors:
             parse_model(bad)
 
 
+class TestStrictValues:
+    # true, "1.5" and unsafe: false used to pass as 1.0, 1.5 and no unsafe sets
+    def test_bool_in_a_number_place(self):
+        for old, new in (("matrix: [1.0]", "matrix: [true]"),
+                         ("- [0.0, 1.0]", "- [false, 1.0]")):
+            with pytest.raises(ModelFileError, match="expected a number"):
+                parse_model(edited(MINIMAL, old, new))
+        for cell in ("{row: 0, col: 0, relative: true}",
+                     "{row: 0, col: 0, interval: [0.5, true]}"):
+            with pytest.raises(ModelFileError, match=r"uncertainty\[0\]"):
+                parse_model(edited(MINIMAL, "uncertainty: []",
+                                   f"uncertainty:\n  - {cell}"))
+        with pytest.raises(ModelFileError, match=r"unsafe\[0\].offset"):
+            parse_model(MINIMAL + "unsafe:\n  - {normal: [1.0], offset: false}\n")
+
+    def test_string_in_a_number_place(self):
+        for value in ('"1.5"', "'2'", '"1e-3"'):
+            with pytest.raises(ModelFileError, match="expected a number"):
+                parse_model(edited(MINIMAL, "matrix: [1.0]", f"matrix: [{value}]"))
+        # YAML 1.2 exponents, which PyYAML's YAML 1.1 rules read as strings
+        for value, number in (("1e-3", 1e-3), ("1.0e3", 1e3), ("-2E+1", -20.0),
+                              (".5e1", 5.0), ("1.0e-3", 1e-3)):
+            m = parse_model(edited(MINIMAL, "matrix: [1.0]", f"matrix: [{value}]"))
+            assert m.a[0, 0] == number
+        bad = edited(MINIMAL, "continuous: false", 'continuous: true\n  step: "0.1"')
+        with pytest.raises(ModelFileError, match="dynamics.step"):
+            parse_model(bad)
+
+    def test_number_like_name_round_trips(self):
+        # a name that YAML 1.2 reads as a float is written quoted
+        for name in ("1e5", "1.0e3", "-2E+1", "12", "tiny"):
+            m = parse_model(MINIMAL.replace("name: tiny", f"name: '{name}'"))
+            assert parse_model(serialize_model(m)).name == name
+
+    def test_falsy_block_is_not_an_absent_one(self):
+        base = MINIMAL.replace("uncertainty: []\n", "")
+        for key in ("uncertainty", "unsafe", "reduction"):
+            for value in ("false", "0", '""', "{}" if key != "reduction" else "[]"):
+                with pytest.raises(ModelFileError, match=key):
+                    parse_model(base + f"{key}: {value}\n")
+            # only a missing or null block is empty
+            for text in (base, base + f"{key}:\n", base + f"{key}: null\n"):
+                m = parse_model(text)
+                assert m.uncertainty == () and m.unsafe == ()
+                assert m.reduction_method == "none"
+
+
 class TestMalformedDocuments:
     def test_every_edit_parses_or_is_a_model_file_error(self):
         # each node replaced by each value or deleted: the reader either

@@ -1,24 +1,27 @@
 """Tests for boxes, generator-form star sets and the reduction operators."""
 
+import importlib.resources
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from uncreach import (
-    Box,
-    DimensionMismatch,
-    IntervalMatrix,
+import uncreach
+from uncreach import Box, DimensionMismatch, IntervalMatrix
+from uncreach.stars import (
     Star,
     compact,
     interval_reduce,
     lambda_box,
     linear_map,
+    membership_directions,
     minkowski_sum,
     zono_reduce,
 )
-from uncreach.stars import membership_directions
 
 
 def unit_square():
@@ -103,7 +106,7 @@ class TestBox:
 
     def test_to_star_roundtrip(self):
         b = Box(np.array([-1.0, 2.0]), np.array([0.0, 5.0]))
-        s = b.to_star()
+        s = Star.from_box(b)
         back = s.bounding_box()
         assert np.allclose(back.lo, b.lo) and np.allclose(back.hi, b.hi)
 
@@ -179,6 +182,11 @@ class TestMembershipDirections:
 
     def test_deterministic(self):
         assert np.array_equal(membership_directions(2), membership_directions(2))
+
+    def test_seed_is_part_of_the_cache_key(self):
+        # the cache used to be keyed on (dim, extra) and returned the first seed's rows
+        first = membership_directions(2, 5, seed=1)
+        assert not np.array_equal(membership_directions(2, 5, seed=2), first)
 
 
 class TestLinearMap:
@@ -350,3 +358,30 @@ class TestZonoReduce:
             assert out.n_gens <= 6
             for d in dirs:
                 assert out.support(d) >= s.support(d) - 1e-10
+
+
+class TestLeafLayer:
+    # no package module imports the Star layer: it is the tests' oracle
+    STAR_LAYER = {"uncreach.stars", "uncreach._kernels"}
+
+    def test_package_and_cli_load_no_star_layer(self):
+        # fresh interpreters, importing the same uncreach as this one
+        root = os.path.dirname(os.path.dirname(uncreach.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (root, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, uncreach; "
+                f"sys.exit(bool({self.STAR_LAYER!r} & set(sys.modules)))")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        girad = importlib.resources.files("uncreach") / "models" / "girad1.yaml"
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "uncreach.cli", "norms",
+             str(girad)], capture_output=True, text=True, check=True, env=env)
+        assert run.stdout.startswith("frobenius_sup ")
+        loaded = {line.rsplit("|", 1)[-1].strip()
+                  for line in run.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "uncreach.engine" in loaded
+        assert not self.STAR_LAYER & loaded
+
+    def test_box_is_one_class(self):
+        assert uncreach.Box is uncreach.stars.Box is uncreach.intervals.Box
