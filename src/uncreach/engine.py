@@ -31,8 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
-from .intervals import (_CHUNK_ENTRIES, _UNIT, Box, IntervalMatrix,
-                        _centre_radius, _product_error, _sigma_max_bound,
+from .intervals import (_UNIT, Box, IntervalMatrix, _centre_radius,
+                        _product_error, _row_chunks, _sigma_max_bound,
                         _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
@@ -88,19 +88,22 @@ class CellUncertainty:
             object.__setattr__(self, "interval", (float(lo), float(hi)))
 
 
-def _check_cells(cells, n: int) -> tuple[tuple[int, int], ...]:
+def _check_cells(cells, n: int,
+                 key: str | None = None) -> tuple[tuple[int, int], ...]:
     """(row, col) pairs as ints, each an integer (not a bool) in range and
-    listed once, else ValueError."""
+    listed once, else ValueError; given a key, the message starts with the
+    cell's position, as in "uncertainty[2]: "."""
     out = []
-    for i, j in cells:
+    for pos, (i, j) in enumerate(cells):
+        where = "" if key is None else f"{key}[{pos}]: "
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
                for v in (i, j)):
-            raise ValueError(f"cell ({i!r},{j!r}) indices must be integers")
+            raise ValueError(f"{where}cell ({i!r},{j!r}) indices must be integers")
         i, j = int(i), int(j)
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"cell ({i},{j}) out of range for dimension {n}")
+            raise ValueError(f"{where}cell ({i},{j}) out of range for dimension {n}")
         if (i, j) in out:
-            raise ValueError(f"cell ({i},{j}) listed twice")
+            raise ValueError(f"{where}cell ({i},{j}) listed twice")
         out.append((i, j))
     return tuple(out)
 
@@ -171,11 +174,13 @@ class ModelSpec:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("dynamics matrix must be square")
         if not np.all(np.isfinite(a)):
-            raise ValueError("dynamics matrix must be finite")
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"dynamics matrix entry ({i},{j}) must be finite, "
+                             f"got {float(a[i, j])}")
         n = a.shape[0]
         object.__setattr__(self, "a", a)
         cells = tuple(self.uncertainty)
-        pairs = _check_cells([(c.row, c.col) for c in cells], n)
+        pairs = _check_cells([(c.row, c.col) for c in cells], n, "uncertainty")
         object.__setattr__(self, "uncertainty", tuple(
             replace(c, row=i, col=j) for c, (i, j) in zip(cells, pairs)))
         object.__setattr__(self, "unsafe", tuple(self.unsafe))
@@ -345,16 +350,18 @@ def _add_outward(a, pert: IntervalMatrix) -> IntervalMatrix:
 
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
-           a_err: np.ndarray | None = None):
+           a_err: np.ndarray | None = None, out: np.ndarray | None = None):
     """a^0 x0, a^1 x0, ..., a^(count-1) x0 side by side, by doubling.
 
-    For x0 of shape (n, w) the result is (n, count * w).  Given a_err, a
-    bound on |A - a|, it returns (powers, errors): block k of errors
-    bounds |A^k x0 - block k of powers|, each doubled product and each
-    squaring carrying its error by _product_error (x0 is exact).
+    For x0 of shape (n, w) the result is (n, count * w), written into
+    `out` if given.  Given a_err, a bound on |A - a|, it returns (powers,
+    errors): block k of errors bounds |A^k x0 - block k of powers|, each
+    doubled product and each squaring carrying its error by
+    _product_error (x0 is exact).
     """
     w = x0.shape[1]
-    out = np.empty((x0.shape[0], count * w))
+    if out is None:
+        out = np.empty((x0.shape[0], count * w))
     out[:, :w] = x0
     errs = None if a_err is None else np.zeros_like(out)
     done, step, step_err = 1, a, a_err  # step = a^done, within step_err
@@ -461,8 +468,19 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
 
     Generator counts follow the Star operations: n for Theta and for a
     hull, then the nonzero fresh radii, and at most 2n after a zonotope
-    reduction; from a step that is not finite on, no more are added.
-    Inputs are validated once.
+    reduction; from a step that is not finite on, no more are added.  The
+    fresh radii are read off the history buffer, where the loop wrote
+    them: a segment is counted before its reduction resets the buffer,
+    the last one after the tables are freed.
+
+    Memory: each O(H n) array exists once.  The peak holds the centres,
+    their magnitudes |c|, q, the history buffer and, once a reduction has
+    counted a segment, the counts; with them the tables in the loop (an
+    unreduced table has H + 1 ages and sets the peak), or the supports'
+    copy in the result pass.  That pass writes lo into the buffer of |c|
+    and hi into the centres', copies the supports out of q and frees q,
+    so a cut result's lo, hi and gen_counts are leading slices of
+    horizon-length buffers.  Inputs are validated once.
     """
     start = time.perf_counter()
     n = theta.dim
@@ -476,19 +494,18 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     # a reduction leaves one block in the history: the hull, or zero
     span = min(horizon, period)
     chunk = min(_chunk_steps(n), span + 1)
-    powers = _orbit(p, np.eye(n), span + 1)
     # rows |P^a| and |N P^a| per age a, then chunk - 1 zero blocks, so
     # every window of span + 1 ages below starts in the table
     width = (span + 1) * n
     table = np.zeros((n + normals.shape[0], width + (chunk - 1) * n))
-    table[:n, :width] = powers
-    np.matmul(normals, powers, out=table[n:, :width])
-    signed = table[:, :width].copy() if zonotope else None
-    np.abs(table, out=table)
+    _orbit(p, np.eye(n), span + 1, out=table[:n, :width])
+    np.matmul(normals, table[:n, :width], out=table[n:, :width])
+    signed = ages_gens = None
     if zonotope:
+        signed = table[:, :width].copy()
         # generators of every age, oldest first: a live window is a tail
-        ages_gens = powers.reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
-    del powers
+        ages_gens = signed[:n].reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
+    np.abs(table, out=table)
     centres = _orbit(p, c0[:, None], horizon + 1).T.copy()
     abs_c = np.abs(centres)
     q = np.empty((horizon + 1, table.shape[0]))
@@ -511,7 +528,10 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     base = True  # the oldest block is Theta or a hull, counted in full
     carried = carried_sums = None
     reduced_at = 0
-    events = [(0, n)]  # (step, generator count) where the count restarts
+    restart_count = n  # generators at the segment's first step
+    # generator counts per step, allocated by the first _count_segment:
+    # not beside an unreduced flowpipe's table, which sets its peak
+    counts = None
     last = horizon + 1  # steps run
     bad = None  # a step whose set is unbounded, if the loop met one
     closed = 0  # steps whose supports N c + q[n:] replaced their q[n:]
@@ -573,9 +593,8 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
                 table.shape[0], span + 1, -1)  # (row, age, column)
             carried = prods[:n]
             carried_sums = np.abs(prods).sum(axis=2).T.copy()
-            buf[end - n:] = 0.0
+            restart, next_count = 0.0, block.shape[1]
             base, reduced_at = False, stop
-            events.append((stop, block.shape[1]))
         else:
             hull = table[:n, :end - s] @ buf[s:]
             if restarts is not None:
@@ -588,35 +607,36 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
                     invariant, last = (t1, stop), stop
                     break
                 restarts.append((stop, centres[stop], hull))
-            buf[end - n:] = hull
-            events.append((stop, n))
+            restart, next_count = hull, n
+        counts = _count_segment(counts, horizon + 1, first_step, restart_count,
+                                buf[s:end - n].reshape(t0, n))
+        buf[end - n:] = restart
+        restart_count = next_count
 
-    # free the tables first: building the result arrays sets the peak
-    del table, ages, signed, inchunk, restarts
+    # free the tables: from here on centres, abs_c, q and buf set the peak
+    del table, ages, signed, ages_gens, inchunk, restarts, carried, carried_sums
     count = horizon + 1 if until is None else last
     # the same segments as above, so that a prefix is bitwise the same
-    for first_step in range(closed, count, period):
-        seg = slice(first_step, min(first_step + period, count))
+    for seg_start in range(closed, count, period):
+        seg = slice(seg_start, min(seg_start + period, count))
         q[seg, n:] += centres[seg] @ normals.T
     first = _first_unbounded(centres[:count], q[:count])
     if first is not None:
         bad = first if bad is None else min(bad, first)
-    lo = centres[:count] - q[:count, :n]
-    hi = centres[:count] + q[:count, :n]
-    # generator counts: restart at each event, then add the nonzero radii
-    # of every fresh block (the same products the loop wrote into buf)
-    fresh = count if bad is None else bad + 1
-    added = np.zeros(count, dtype=np.int64)
-    added[1:fresh] = np.count_nonzero(
-        (abs_c[:fresh - 1] + q[:fresh - 1, :n]) @ lr.T, axis=1)
+    lo, hi = abs_c[:count], centres[:count]
+    for i in range(n):  # by column: numpy buffers a copy of q[:, :n] whole
+        np.subtract(hi[:, i], q[:count, i], out=lo[:, i])
+        hi[:, i] += q[:count, i]
     sups = q[:count, n:].copy()
+    del q
+    s = end - (t0 + 1) * n  # the last segment's history
+    counts = _count_segment(counts, horizon + 1, first_step, restart_count,
+                            buf[s:end - n].reshape(t0, n))[:count]
+    del buf
     if bad is not None:
         lo[bad:], hi[bad:], sups[bad:] = -np.inf, np.inf, np.inf
-    added = np.cumsum(added)
-    steps, bases = (np.array(v) for v in zip(*(
-        e for e in events if bad is None or e[0] <= bad)))
-    seg = np.searchsorted(steps, np.arange(count), side="right") - 1
-    counts = bases[seg] + added - added[steps[seg]]
+        # no generators are added to an unbounded set
+        counts[bad + 1:] = counts[bad]
     return ReachResult(
         kind="numeric", method=method_name,
         labels=np.arange(count, dtype=np.float64), lo=lo, hi=hi,
@@ -624,6 +644,26 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
         normals=normals, supports=sups,
         wall_time=time.perf_counter() - start, invariant=invariant,
         _recurrence=(m, theta, count - 1, reduction_method, reduction_period))
+
+
+def _count_segment(counts: np.ndarray | None, size: int, first: int,
+                   restart: int, fresh: np.ndarray) -> np.ndarray:
+    """Write a segment's generator counts into counts[first:], allocating
+    counts of `size` steps if None, and return counts.
+
+    The segment starts at step `first` with `restart` generators, and each
+    later step adds the nonzero radii of its fresh block; `fresh` holds
+    those blocks as the history buffer does, youngest first, so its last
+    row is the block of step first + 1.  Counts past `size` are dropped.
+    """
+    if counts is None:
+        counts = np.empty(size, dtype=np.int64)
+    seg = counts[first:first + len(fresh) + 1]
+    seg[0] = restart
+    # the count of nonzero radii per block, summed in the counts' int64
+    np.add.reduce(fresh[::-1][:len(seg) - 1] != 0.0, axis=1, out=seg[1:])
+    np.add.accumulate(seg, out=seg)
+    return counts
 
 
 def _inside(c2: np.ndarray, r2: np.ndarray, c1: np.ndarray,
@@ -808,20 +848,19 @@ def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
 
     m is (..., rows, dim); each bound is a sum of the smaller (larger) of
     the endpoint products m_ij lo_j and m_ij hi_j.
-    The rows go in chunks of about _CHUNK_ENTRIES entries, so the
-    temporaries stay small whatever the stack; every row is summed as a
-    whole, so the bounds do not depend on the chunking.
+    The rows go in chunks of about _CHUNK_ENTRIES entries (_row_chunks),
+    so the temporaries stay small whatever the stack; every row is summed
+    as a whole, so the bounds do not depend on the chunking.
     """
     dim = m.shape[-1]
     rows = m.reshape(-1, dim)
     lo = np.empty(len(rows))
     hi = np.empty(len(rows))
-    chunk = max(1, _CHUNK_ENTRIES // max(1, dim))
-    for i in range(0, len(rows), chunk):
-        p1 = rows[i:i + chunk] * box.lo
-        p2 = rows[i:i + chunk] * box.hi
-        np.minimum(p1, p2).sum(axis=-1, out=lo[i:i + chunk])
-        np.maximum(p1, p2, out=p1).sum(axis=-1, out=hi[i:i + chunk])
+    for i in _row_chunks(len(rows), dim):
+        p1 = rows[i] * box.lo
+        p2 = rows[i] * box.hi
+        np.minimum(p1, p2).sum(axis=-1, out=lo[i])
+        np.maximum(p1, p2, out=p1).sum(axis=-1, out=hi[i])
     return lo.reshape(m.shape[:-1]), hi.reshape(m.shape[:-1])
 
 

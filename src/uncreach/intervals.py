@@ -29,9 +29,16 @@ __all__ = [
 # Terms of the Taylor series interval_expm sums, after the identity.
 _TAYLOR_ORDER = 20
 
-# Entries per chunk of a stack in _sigma_max_bound and engine._image_bounds:
-# bounds their temporaries whatever the stack length.
+# Entries per chunk of a stack in _sigma_max_bound, engine._image_bounds,
+# and of the endpoint products in _endpoint_product and interval_expm:
+# bounds their temporaries whatever the stack length or matrix order.
 _CHUNK_ENTRIES = 4096
+
+
+def _row_chunks(rows: int, per_row: int):
+    """Slices of about _CHUNK_ENTRIES // per_row rows each, covering rows."""
+    step = max(1, _CHUNK_ENTRIES // max(1, per_row))
+    return (slice(i, i + step) for i in range(0, rows, step))
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -151,20 +158,19 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
     evaluation; times 2^e it is the bound, pushed one ulp up where it
     falls below the normal range.  A matrix with a non-finite entry
     gives inf, and so does a bound beyond float range.  The stack goes
-    in chunks of about _CHUNK_ENTRIES entries, as in engine._image_bounds.
+    in chunks of about _CHUNK_ENTRIES entries (_row_chunks).
     """
     n = stack.shape[-1]
     if n == 1:
         f = stack[:, 0, 0]
         return np.where(np.isfinite(f), np.abs(f), np.inf)
     out = np.empty(len(stack))
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     with np.errstate(over="ignore"):
-        for i in range(0, len(stack), chunk):
-            big = np.abs(stack[i:i + chunk]).max(axis=(1, 2))
+        for i in _row_chunks(len(stack), n * n):
+            big = np.abs(stack[i]).max(axis=(1, 2))
             finite = np.isfinite(big)
             e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
-            fs = np.ldexp(stack[i:i + chunk], -e[:, None, None])
+            fs = np.ldexp(stack[i], -e[:, None, None])
             fs[~finite] = 0.0
             if n == 2:
                 a, b, c, d = fs.reshape(-1, 4).T
@@ -178,7 +184,7 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
                 np.sqrt(s, out=s)
                 s *= _SIGMA_SLACK
             s[~finite] = np.inf
-            np.ldexp(s, e, out=out[i:i + chunk])
+            np.ldexp(s, e, out=out[i])
     low = (out > 0.0) & (out < np.finfo(np.float64).tiny)
     out[low] = np.nextafter(out[low], np.inf)
     return out
@@ -387,20 +393,27 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
 
     Each scalar product [a,b]*[c,d] is the tight hull of the four
     endpoint products, taken in the order ac, ad, bc, bd; entries are
-    summed exactly (up to rounding).
+    summed exactly (up to rounding).  The rows of a go in chunks of about
+    _CHUNK_ENTRIES endpoint products (_row_chunks); every entry is summed
+    as a whole, so the bounds do not depend on the chunking.
     """
-    # (rows, inner, cols) tensors of the endpoint products
-    a = alo[:, :, None]
-    b = ahi[:, :, None]
+    lo = np.empty((alo.shape[0], blo.shape[1]))
+    hi = np.empty_like(lo)
     c = blo[None, :, :]
     d = bhi[None, :, :]
-    ac, ad, bc, bd = a * c, a * d, b * c, b * d
-    lo = np.minimum(ac, ad)
-    hi = np.maximum(ac, ad, out=ac)
-    for pr in (bc, bd):
-        np.minimum(lo, pr, out=lo)
-        np.maximum(hi, pr, out=hi)
-    return lo.sum(axis=1), hi.sum(axis=1)
+    for rows in _row_chunks(lo.shape[0], blo.size):
+        # (rows, inner, cols) tensors of the endpoint products
+        a = alo[rows, :, None]
+        b = ahi[rows, :, None]
+        ac, ad, bc, bd = a * c, a * d, b * c, b * d
+        plo = np.minimum(ac, ad)
+        phi = np.maximum(ac, ad, out=ac)
+        for pr in (bc, bd):
+            np.minimum(plo, pr, out=plo)
+            np.maximum(phi, pr, out=phi)
+        plo.sum(axis=1, out=lo[rows])
+        phi.sum(axis=1, out=hi[rows])
+    return lo, hi
 
 
 # Scaling target of interval_expm: theta = ||M||_F t / 2^s <= 1, where the
@@ -424,7 +437,9 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     theta_s = theta / 2^s.  Each scalar |R_ij| <= ||R||_2 <= r.  A point
     family (lo == hi) runs each round as one point product: its four
     endpoint products are equal, so the single product summed in the same
-    order gives bitwise the result of _endpoint_product.  For s > 0 the
+    order gives bitwise the result of _endpoint_product.  Either product
+    goes in row chunks (_row_chunks), so its (rows, n, n) temporaries stay
+    near _CHUNK_ENTRIES entries whatever n.  For s > 0 the
     sum's centre and radius (_centre_radius) are squared s times, the
     rounding of each product covered (_square), and the bounds c -+ r
     pushed one ulp outward where r > 0; s = 0 returns the sum itself.
@@ -453,8 +468,11 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     if lam.is_point():
         lt = np.ldexp(lam.lo * t, -s)
         acc, term = np.eye(n), np.eye(n)
+        new = np.empty((n, n))
         for k in range(1, _TAYLOR_ORDER + 1):
-            term = (term[:, :, None] * lt[None]).sum(axis=1)
+            for rows in _row_chunks(n, n * n):
+                (term[rows, :, None] * lt[None]).sum(axis=1, out=new[rows])
+            term, new = new, term
             term *= 1.0 / k
             acc += term
         acc_lo = acc_hi = acc

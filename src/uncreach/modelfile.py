@@ -9,7 +9,8 @@ or null) and takes YAML 1.2 numbers, not bools or strings, as floats;
 ModelSpec and its parts (CellUncertainty, HalfSpace, Box) judge every
 value.  Any malformed document raises ModelFileError: a part's error
 names the document key (uncertainty[1], initial.box, ...), ModelSpec's
-names the field.
+names the field, the position of a bad cell (uncertainty[1]) or the
+entry (i,j) of a non-finite matrix entry.
 """
 
 from __future__ import annotations

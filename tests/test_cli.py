@@ -281,7 +281,9 @@ class TestRobust:
     def test_cell_out_of_range(self, runner):
         result = runner.invoke(main, ["robust", GROW1D, "--cell", "5,0"])
         assert result.exit_code == 1
-        assert "out of range" in result.stderr
+        # a --cell is no model file entry: no uncertainty[i] position
+        assert "cell (5,0) out of range for dimension 1" in result.stderr
+        assert "uncertainty[" not in result.stderr
 
     def test_cell_must_parse(self, runner):
         result = runner.invoke(main, ["robust", GROW1D, "--cell", "x"])
@@ -368,6 +370,20 @@ class TestErrorExits:
         result = runner.invoke(main, ["reach", str(bad)])
         assert result.exit_code == 2
         assert "(0,0) listed twice" in result.stderr
+
+    def test_model_errors_name_the_position(self, runner, tmp_path):
+        # a cell's index error names its entry of the uncertainty list,
+        # and a non-finite matrix entry its (row, col)
+        bad = tmp_path / "bad.yaml"
+        for old, new, message in (
+                ("- {row: 0, col: 0,", "- {row: x, col: 0,",
+                 "uncertainty[0]: cell ('x',0) indices must be integers"),
+                ("matrix: [0.0, 1.0, 0.0, 0.0]", "matrix: [0.0, 1.0, .inf, 0.0]",
+                 "dynamics matrix entry (1,0) must be finite, got inf")):
+            bad.write_text(JORDAN_YAML.replace(old, new))
+            result = runner.invoke(main, ["reach", str(bad)])
+            assert result.exit_code == 2
+            assert result.stderr == f"model error: {message}\n"
 
     def test_scalar_for_a_list_is_exit_two(self, runner, tmp_path):
         # these used to escape the reader as a TypeError, exit 1

@@ -29,8 +29,8 @@ from uncreach import (
 )
 from uncreach import engine
 from uncreach.engine import (
-    _add_outward, _centre_radius, _chunk_steps, _inside, _orbit,
-    _run_recurrence)
+    _add_outward, _centre_radius, _chunk_steps, _count_segment, _inside,
+    _orbit, _run_recurrence)
 from uncreach.robustness import distribute
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
@@ -854,17 +854,33 @@ class TestStreamingRecurrence:
         # the chunked recurrence reads windows of its n + k row table in
         # place: a table with 2n + k rows (generators moved by Abar, each
         # age boxed through Lm) or a chunk-by-window temporary would lift
-        # this peak above 0.8 MB
-        model = dataclasses.replace(load_model(
-            importlib.resources.files("uncreach") / "models" / "acc4.yaml"),
-            reduction_method="none")
-        tracemalloc.start()
-        try:
-            ors_reach(model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.8e6
+        # this peak above 0.8 MB, and so would counting the generators
+        # beside the table (0.71 MB) or allocating the counts there
+        # (0.64 MB); it is 0.622 MB
+        model = dataclasses.replace(shipped("acc4"), reduction_method="none")
+        assert ors_reach_peak(model) < 0.65e6
+
+    @pytest.mark.parametrize("reduction,period", [("interval", 500),
+                                                  ("zonotope", 50)])
+    def test_reduced_acc4_peak_memory(self, reduction, period):
+        # the benchmark's reduced acc4 runs peak at 0.361 and 0.325 MB: one
+        # (H + 1)-row array each for the centres, |centres|, q and the
+        # counts, lo and hi written over the first two.  A result pass that
+        # recounted the generators by a product and built lo and hi anew
+        # peaked at 0.543 and 0.583 MB
+        model = dataclasses.replace(shipped("acc4"), reduction_method=reduction,
+                                    reduction_period=period)
+        assert ors_reach_peak(model) < 0.45e6
+
+
+def ors_reach_peak(model):
+    """tracemalloc's peak in bytes over one ors_reach of the model."""
+    tracemalloc.start()
+    try:
+        ors_reach(model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def chunk_case(n):
@@ -1113,6 +1129,12 @@ class TestInvariantStop:
                            np.array([0.0]), np.array([1.0]))
         assert not _inside(np.array([np.nan]), r, c, r)
 
+    def test_heat_rod_64_peak_memory(self):
+        # 5.2 MB, 3.4 MB of it the table of 101 ages of |P^a|: a separate
+        # powers array would add 3.3 MB, and interval_expm's (n, n, n)
+        # endpoint products without row chunks 5.7 MB
+        assert ors_reach_peak(heat_rod(64)) < 6e6
+
     def test_heat_rod_64_is_finite_and_safe(self):
         # the 64-cell heat rod of the scaling probe: its one-step family,
         # at ||A (+) Lambda||_F h = 8.26, is scaled and squared, where the
@@ -1153,6 +1175,98 @@ class TestChunkBoundaries:
             assert_close(res.supports, supports)
             assert np.array_equal(res.gen_counts, counts), horizon
             assert_replay_matches(res)
+
+
+def product_recount(res, model):
+    """Generator counts recounted as one product over the flowpipe: n at
+    step 0 and at an interval reduction step, min(2n, the count so far)
+    at a zonotope reduction step, and at every other step the count
+    before plus the nonzero entries of Lr (|c_j| + q_j[:n]), the fresh
+    block the step receives; from the first unbounded step on, none.
+    |c_j| + q_j[:n] is max(hi_j, -lo_j) bitwise, as c + q and c - q
+    round alike.  A zonotope reduction at an unbounded step does not
+    run, so it restarts nothing."""
+    n, count = model.dim, len(res)
+    family = one_step_family(model)
+    lr = _centre_radius(family.lo, family.hi)[1]
+    finite = np.isfinite(res.lo).all(axis=1) & np.isfinite(res.hi).all(axis=1)
+    bad = count if finite.all() else int(np.argmin(finite))
+    added = np.zeros(count, dtype=np.int64)
+    v = np.maximum(res.hi, -res.lo)[:bad]
+    with np.errstate(over="ignore"):  # a block may overflow before bad
+        added[1:bad + 1] = np.count_nonzero(v @ lr.T, axis=1)[:count - 1]
+    counts = np.empty(count, dtype=np.int64)
+    counts[0] = n
+    for k in range(1, count):
+        counts[k] = counts[k - 1] + added[k]
+        if model.reduction_method != "none" and k % model.reduction_period == 0:
+            if model.reduction_method == "interval" and k <= bad:
+                counts[k] = n
+            elif model.reduction_method == "zonotope" and k < bad:
+                counts[k] = min(2 * n, counts[k])
+    return counts
+
+
+class TestGeneratorCounts:
+    """Counts read off the history buffer against a product recount."""
+
+    def test_segment_counts(self):
+        # blocks youngest first, as the loop writes them: steps 3, 2, 1
+        fresh = np.array([[0.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        counts = _count_segment(None, 6, 1, 5, fresh)
+        assert counts.dtype == np.int64 and len(counts) == 6
+        assert np.array_equal(counts[1:5], [5, 7, 7, 8])
+        # a later segment from step 4 overwrites step 4, and counts past
+        # the size are dropped
+        assert _count_segment(counts, 6, 4, 2, fresh) is counts
+        assert np.array_equal(counts[1:], [5, 7, 7, 2, 4])
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_random_models_match_product_recount(self, reduction):
+        rng = np.random.default_rng([2021, len(reduction)])
+        cut = 0
+        for trial in range(30):
+            model = random_model(rng, reduction, f"counts{trial}")
+            model = dataclasses.replace(model, unsafe=(
+                HalfSpace(rng.normal(size=model.dim), 1.0),))
+            full = ors_reach(model)
+            assert np.array_equal(full.gen_counts,
+                                  product_recount(full, model)), trial
+            # until_unsafe stops at the segment of a support at step k,
+            # which without reduction ends at the horizon
+            k = int(rng.integers(0, len(full)))
+            m = with_offsets(model, full.supports[k])
+            res = reach_with_perturbation(m, m.perturbation(), until_unsafe=True)
+            cut += len(res) < len(full)
+            assert np.array_equal(res.gen_counts, product_recount(res, m)), trial
+        assert cut >= 5 or reduction == "none"
+
+    def test_invariant_stops_match_product_recount(self):
+        rng = np.random.default_rng(2105)
+        certified = 0
+        for continuous in (False, True):
+            for trial in range(25):
+                model = random_contracting_model(rng, continuous)
+                res = reach_with_perturbation(model, model.perturbation(),
+                                              until_unsafe=True)
+                certified += res.invariant is not None
+                assert np.array_equal(res.gen_counts,
+                                      product_recount(res, model)), trial
+        assert certified >= 3
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_overflow_matches_product_recount(self, reduction):
+        # the blowup leaves float range at step 31: in a chunk (period 7)
+        # and at a reduction step (period 31), run in full and cut
+        for period in (7, 31):
+            model = with_offsets(blowup_model(reduction, period, horizon=80),
+                                 [np.finfo(float).max])
+            for until in (False, True):
+                res = reach_with_perturbation(model, model.perturbation(),
+                                              until_unsafe=until)
+                assert np.all(res.hi[31:] == np.inf)
+                assert np.array_equal(res.gen_counts,
+                                      product_recount(res, model))
 
 
 class TestOrbit:

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from uncreach import (
     interval_expm,
     load_model,
 )
+from uncreach import intervals
 from uncreach.intervals import _product_error
 
 # analytic values, frozen independently of the library
@@ -478,6 +480,45 @@ class TestIntervalExpm:
                 out = interval_expm(IntervalMatrix(a, wide), t)
                 lo, hi = self.four_way_reference(a, wide, t)
                 assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
+
+    def test_row_chunks_are_the_unchunked_product(self, monkeypatch):
+        # interval_expm's series and IntervalMatrix @ go in row chunks of
+        # about _CHUNK_ENTRIES endpoint products.  Whatever the chunk
+        # (single rows, the default, or one chunk: the whole (n, n, n)
+        # tensors), the results are bitwise the same, scaled steps
+        # included, and equal the stacked hull of the full tensors
+        rng = np.random.default_rng(4096)
+        chunks = (1, intervals._CHUNK_ENTRIES, 10 ** 9)
+        for n in (1, 2, 5, 16, 17, 33, 40):
+            c = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.8)
+            r = rng.uniform(0, 0.05, (n, n)) * (rng.random((n, n)) < 0.5)
+            fams = (IntervalMatrix.from_point(c), IntervalMatrix(c - r, c + r))
+            b = IntervalMatrix(c.T - r, c.T + r + 0.1)
+            got = {}
+            for entries in chunks:
+                monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
+                got[entries] = [(m.lo.tobytes(), m.hi.tobytes()) for m in (
+                    *(interval_expm(f, t) for f in fams for t in (0.01, 2.0)),
+                    fams[1] @ b)]
+            assert got[chunks[0]] == got[chunks[1]] == got[chunks[2]], n
+            a, d = fams[1].lo[:, :, None], fams[1].hi[:, :, None]
+            pr = np.stack((a * b.lo[None], a * b.hi[None],
+                           d * b.lo[None], d * b.hi[None]))
+            assert got[1][-1] == (pr.min(axis=0).sum(axis=1).tobytes(),
+                                  pr.max(axis=0).sum(axis=1).tobytes())
+        monkeypatch.undo()
+        # at n = 64 a chunk is one row, 4096 products per tensor: the
+        # whole tensors peaked at 10.8 MB (2.4 MB for a point family)
+        c = rng.normal(size=(64, 64)) / 8
+        for fam in (IntervalMatrix.from_point(c),
+                    IntervalMatrix(c - 0.01, c + 0.01)):
+            tracemalloc.start()
+            try:
+                interval_expm(fam, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
     def test_contains_member_exponentials(self):
         rng = np.random.default_rng(2024)

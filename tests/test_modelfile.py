@@ -194,6 +194,26 @@ class TestParseErrors:
         with pytest.raises(ModelFileError):
             parse_model(bad)
 
+    @pytest.mark.parametrize("cell,message", [
+        ("{row: 0, col: 0, relative: 0.2}", "uncertainty[1]: cell (0,0) listed twice"),
+        ("{row: 2, col: 0, relative: 0.2}",
+         "uncertainty[1]: cell (2,0) out of range for dimension 2"),
+        ("{row: 1, col: 0.5, relative: 0.2}",
+         "uncertainty[1]: cell (1,0.5) indices must be integers")])
+    def test_cell_errors_name_the_position(self, cell, message):
+        bad = edited(EVERY_KEY, "  - {row: 0, col: 1, interval: [0.0, 0.2]}",
+                     f"  - {cell}")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model(bad)
+        assert str(exc.value) == message
+
+    def test_non_finite_matrix_entry_is_named(self):
+        bad = edited(EVERY_KEY, "matrix: [0.5, 0.1, 0.0, 0.5]",
+                     "matrix: [0.5, 0.1, -.inf, .nan]")
+        with pytest.raises(ModelFileError) as exc:
+            parse_model(bad)
+        assert str(exc.value) == "dynamics matrix entry (1,0) must be finite, got -inf"
+
     def test_unsafe_normal_length(self):
         bad = MINIMAL + "unsafe:\n  - {normal: [1.0, 0.0], offset: 1.0}\n"
         with pytest.raises(ModelFileError):
