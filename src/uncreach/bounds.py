@@ -37,7 +37,6 @@ __all__ = [
     "NORM_KINDS",
 ]
 
-BLOAT_METHODS = ("kagstrom1", "kagstrom2", "loan")
 NORM_KINDS = ("two", "frobenius")
 
 # Largest eigenvector condition number kagstrom2 accepts.
@@ -169,15 +168,15 @@ def loan(a, lambda_norm: float, t):
                      lambda_norm, t)
 
 
+_BOUNDS = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}
+BLOAT_METHODS = tuple(_BOUNDS)
+
+
 def bloat_factor(a, lambda_norm: float, t, method: str):
     """phi of one method at a float t (a float) or a time array (an array)."""
-    if method == "kagstrom1":
-        return kagstrom1(a, lambda_norm, t)
-    if method == "kagstrom2":
-        return kagstrom2(a, lambda_norm, t)
-    if method == "loan":
-        return loan(a, lambda_norm, t)
-    raise ValueError(f"unknown bloat method {method!r}")
+    if method not in BLOAT_METHODS:  # a tuple: an unhashable method is unknown too
+        raise ValueError(f"unknown bloat method {method!r}")
+    return _BOUNDS[method](a, lambda_norm, t)
 
 
 def interval_norm(lam: IntervalMatrix, kind: str) -> float:

@@ -57,34 +57,20 @@ def _echo_summary(out: str, message: str) -> None:
 def _verdict_line(verdict, labels, kind: str) -> str:
     if verdict.safe:
         return f"verdict: safe ({len(labels)} sets checked)"
-    where = (
-        f"t={FMT.format(labels[verdict.step])}"
-        if kind == "symbolic"
-        else f"step {int(labels[verdict.step])}"
-    )
-    return f"verdict: unsafe at {where}, half-space {verdict.halfspace}"
+    label = labels[verdict.step]
+    where = f"t={FMT.format(label)}" if kind == "symbolic" else f"step {int(label)}"
+    return f"verdict: not proven safe at {where}, half-space {verdict.halfspace}"
 
 
-def _bounds_cells(result, k: int) -> list[str]:
-    return [FMT.format(v) for pair in zip(result.lo[k], result.hi[k]) for v in pair]
+def _csv(*columns) -> str:
+    """One row per step: the (steps,) or (steps, k) columns side by side."""
+    rows = np.column_stack(columns).tolist()
+    return "".join(",".join(map(FMT.format, row)) + "\n" for row in rows)
 
 
-def _numeric_csv(result) -> str:
-    lines = [
-        ",".join([str(int(result.labels[k]))] + _bounds_cells(result, k)
-                 + [str(int(result.gen_counts[k]))])
-        for k in range(len(result))
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _symbolic_csv(result) -> str:
-    lines = [
-        ",".join([FMT.format(result.labels[k]), FMT.format(result.phi[k]),
-                  FMT.format(result.radii[k])] + _bounds_cells(result, k))
-        for k in range(len(result))
-    ]
-    return "\n".join(lines) + "\n"
+def _write_json(out: str, doc: dict) -> None:
+    # arrays and numpy scalars alike have tolist
+    _write_text(out, json.dumps(doc, indent=2, default=lambda o: o.tolist()) + "\n")
 
 
 def _parse_cell(text: str) -> tuple[int, int]:
@@ -129,7 +115,6 @@ def reach_cmd(model_path: str, method: str, norm: str, out: str,
         if t_start is not None or t_end is not None:
             raise ValueError("--t-start/--t-end apply to symbolic methods only")
         result = ors_reach(model)
-        csv_text = _numeric_csv(result)
     else:
         if not model.continuous:
             raise ValueError("symbolic bounds need a continuous model")
@@ -138,9 +123,11 @@ def reach_cmd(model_path: str, method: str, norm: str, out: str,
                               times, method=method, norm_kind=norm)
         result = dataclasses.replace(full, **{
             k: getattr(full, k)[first:] for k in _SYMBOLIC_ROWS})
-        csv_text = _symbolic_csv(result)
     verdict = safety_check(result, model.unsafe)
-    _write_text(out, csv_text)
+    bounds = np.dstack((result.lo, result.hi)).reshape(len(result), -1)
+    columns = ((result.labels, bounds, result.gen_counts) if method == "numeric"
+               else (result.labels, result.phi, result.radii, bounds))
+    _write_text(out, _csv(*columns))
     _echo_summary(out, _verdict_line(verdict, result.labels, result.kind))
 
 
@@ -169,12 +156,12 @@ def order_cmd(model_path: str, out: str) -> None:
     doc = {
         "model": model.name,
         "dimension": model.dim,
-        "scores": [[float(v) for v in row] for row in om.scores],
-        "ranking": [[i, j] for i, j in om.ranking],
-        "top": [[i, j] for i, j in om.top(5)],
-        "bottom": [[i, j] for i, j in om.bottom(5)],
+        "scores": om.scores,
+        "ranking": om.ranking,
+        "top": om.top(5),
+        "bottom": om.bottom(5),
     }
-    _write_text(out, json.dumps(doc, indent=2) + "\n")
+    _write_json(out, doc)
 
 
 @main.command("robust")
@@ -202,21 +189,19 @@ def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
     doc = {
         "model": model.name,
         "scheme": report.scheme,
-        "cells": [[i, j] for i, j in report.cells],
+        "cells": report.cells,
         "step": report.step,
         "final_budget": report.final_budget,
         "norm": report.norm,
         "iterations": report.iterations,
         "already_unsafe": report.already_unsafe,
         "cap_reached": report.cap_reached,
-        "trace": [[p, safe] for p, safe in report.trace],
-        "evaluated": list(report.evaluated),
-        "safe_uncertainty": {
-            "lo": [[float(v) for v in row] for row in report.safe_uncertainty.lo],
-            "hi": [[float(v) for v in row] for row in report.safe_uncertainty.hi],
-        },
+        "trace": report.trace,
+        "evaluated": report.evaluated,
+        "safe_uncertainty": {"lo": report.safe_uncertainty.lo,
+                             "hi": report.safe_uncertainty.hi},
     }
-    _write_text(out, json.dumps(doc, indent=2) + "\n")
+    _write_json(out, doc)
     _echo_summary(out, f"largest safe budget {FMT.format(report.final_budget)} "
                        f"(norm {FMT.format(report.norm)})")
 

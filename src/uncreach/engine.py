@@ -149,7 +149,8 @@ class ModelSpec:
     file reader checks only the document's shape).  With CellUncertainty,
     HalfSpace and Box it checks every field: among others a nonempty
     string name, a bool continuous (numpy bools too), a positive finite
-    step when continuous, finite numbers, cells in range and listed once.
+    step when continuous and none when discrete, finite numbers, cells in
+    range and listed once.
     A bad value raises ValueError, a bad shape DimensionMismatch.
     """
 
@@ -200,6 +201,8 @@ class ModelSpec:
         if self.continuous:
             if self.step is None or not (self.step > 0) or not math.isfinite(self.step):
                 raise ValueError("continuous models need a positive step")
+        elif self.step is not None:
+            raise ValueError("step is only meaningful for continuous models")
         if self.reduction_method not in REDUCTION_METHODS:
             raise ValueError(f"unknown reduction method {self.reduction_method!r}")
         if self.reduction_period < 1:
@@ -525,7 +528,6 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     end = n * (span + 2)
     buf = np.empty(end)
     buf[end - n:] = r0
-    base = True  # the oldest block is Theta or a hull, counted in full
     carried = carried_sums = None
     reduced_at = 0
     restart_count = n  # generators at the segment's first step
@@ -579,7 +581,7 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             gens = ages_gens[:, ages_gens.shape[1] - (end - s):]
             radii = buf[s:].reshape(-1, n)[::-1].ravel()
             keep = radii != 0.0
-            keep[:n] |= base
+            keep[:n] |= carried is None  # Theta, kept in full until reduced
             gens, radii = gens[:, keep], radii[keep]
             if carried is not None:
                 block = carried[:, stop - reduced_at]
@@ -594,7 +596,7 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             carried = prods[:n]
             carried_sums = np.abs(prods).sum(axis=2).T.copy()
             restart, next_count = 0.0, block.shape[1]
-            base, reduced_at = False, stop
+            reduced_at = stop
         else:
             hull = table[:n, :end - s] @ buf[s:]
             if restarts is not None:

@@ -3,14 +3,14 @@
 A model document carries name, dimension, dynamics (row-major matrix,
 continuous flag, step), per-cell uncertainty, initial box, unsafe
 half-spaces, horizon and the reduction policy.  parse_model checks the
-document's shape (required keys, mappings, lists and their lengths, no
-step for a discrete model; an optional block is empty only when missing
-or null) and takes YAML 1.2 numbers, not bools or strings, as floats;
-ModelSpec and its parts (CellUncertainty, HalfSpace, Box) judge every
-value.  Any malformed document raises ModelFileError: a part's error
-names the document key (uncertainty[1], initial.box, ...), ModelSpec's
-names the field, the position of a bad cell (uncertainty[1]) or the
-entry (i,j) of a non-finite matrix entry.
+document's shape (required keys, mappings, lists and their lengths; an
+optional block is empty only when missing or null) and takes YAML 1.2
+numbers, not bools or strings, as floats; ModelSpec and its parts
+(CellUncertainty, HalfSpace, Box) judge every value, among them a step
+given to a discrete model.  Any malformed document raises
+ModelFileError: a part's error names the document key (uncertainty[1],
+initial.box, ...), ModelSpec's names the field, the position of a bad
+cell (uncertainty[1]) or the entry (i,j) of a non-finite matrix entry.
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ def parse_model(text: str) -> ModelSpec:
         (dyn, "continuous", "continuous"), (red, "method", "reduction_method"),
         (red, "period", "reduction_period")) if key in src}
     if dyn.get("step") is not None:
-        if dyn.get("continuous") is False:
-            raise ModelFileError("dynamics.step: only meaningful for continuous models")
         spec["step"] = _number(dyn["step"], "dynamics.step")
 
     cells = []

@@ -203,13 +203,15 @@ class TestLoan:
 
 class TestBloatFactor:
     def test_dispatch(self):
+        assert BLOAT_METHODS == ("kagstrom1", "kagstrom2", "loan")
         for method in BLOAT_METHODS:
             direct = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}[method]
             assert bloat_factor(GIRAD_A, 0.1, 0.5, method) == direct(GIRAD_A, 0.1, 0.5)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            bloat_factor(GIRAD_A, 0.1, 0.5, "tight")
+        for bad in ("tight", ["loan"]):
+            with pytest.raises(ValueError, match=r"unknown bloat method"):
+                bloat_factor(GIRAD_A, 0.1, 0.5, bad)
 
 
 def ragged_grid(rng, count=40, end=3.0):
@@ -346,6 +348,25 @@ class TestBloatSeries:
         with pytest.raises(DefectiveMatrix):
             bloat_series(np.array([[0.0, 1.0], [0.0, 0.0]]),
                          IntervalMatrix.zeros(2, 2), np.array([0.0, 1.0]), "kagstrom2")
+        with pytest.raises(ValueError, match="1-d grid"):
+            bloat_series(GIRAD_A, lam, np.zeros((2, 2)), "loan")
+
+    def test_two_norm_is_looked_up_on_the_class(self, monkeypatch):
+        # a tracer that patches IntervalMatrix.two_norm_sup must see the
+        # 2-norm call; a function taken at import would bypass the patch
+        calls = []
+        original = IntervalMatrix.two_norm_sup
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(IntervalMatrix, "two_norm_sup", counted)
+        lam = IntervalMatrix.from_center_radius(
+            np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
+        out = bloat_series(GIRAD_A, lam, np.array([0.0, 0.5]), "loan", "two")
+        assert calls == [lam]
+        assert out.lambda_norm == original(lam)
 
 
 class TestSymbolicReach:

@@ -93,8 +93,7 @@ class TestReachNumeric:
             "horizon: 2\n")
         result = runner.invoke(main, ["reach", str(model)])
         assert result.exit_code == 0
-        assert "unsafe" in result.stderr
-        assert "step 2" in result.stderr
+        assert result.stderr == "verdict: not proven safe at step 2, half-space 0\n"
 
     def test_out_file_moves_verdict_to_stdout(self, runner, tmp_path):
         out = tmp_path / "flow.csv"
@@ -187,7 +186,7 @@ class TestReachSymbolic:
         assert all(np.isfinite(r[2]) for r in rows[:709])
         assert rows[709][2:] == [np.inf] + [-np.inf, np.inf] * 4
         assert ",inf,-inf,inf" in result.stdout.splitlines()[-1]
-        assert ("verdict: unsafe at t=1.0900000000000001, half-space 0"
+        assert ("verdict: not proven safe at t=1.0900000000000001, half-space 0"
                 in result.stderr)
 
     def test_defective_matrix_names_the_bound(self, runner, tmp_path):
@@ -363,6 +362,18 @@ class TestErrorExits:
             assert result.exit_code == 2
             assert "model error" in result.stderr
 
+    def test_cell_that_is_not_two_integers_is_exit_one(self, runner):
+        result = runner.invoke(main, ["robust", GIRAD, "--cell", "1,x"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: cell '1,x' must hold two integers\n"
+
+    def test_window_ending_before_its_start_is_exit_one(self, runner):
+        result = runner.invoke(main, ["reach", GIRAD, "--method", "loan",
+                                      "--t-start", "1", "--t-end", "0.5"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: need 0 <= t-start <= t-end\n"
+        assert result.stdout == ""
+
     def test_cell_listed_twice_is_exit_two(self, runner, tmp_path):
         bad = tmp_path / "twice.yaml"
         bad.write_text(JORDAN_YAML.replace(
@@ -406,7 +417,7 @@ class TestErrorExits:
         model.write_text(text + "unsafe: [{normal: [1.0], offset: 1.5}]\n")
         result = runner.invoke(main, ["reach", str(model)])
         assert result.exit_code == 0
-        assert "unsafe" in result.stderr and "step 1" in result.stderr
+        assert "verdict: not proven safe at step 1, half-space 0" in result.stderr
         model.write_text(text + "unsafe: false\n")
         result = runner.invoke(main, ["reach", str(model)])
         assert result.exit_code == 2

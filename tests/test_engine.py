@@ -136,6 +136,10 @@ class TestModelSpec:
                          "reduction_period": 0})
         with pytest.raises(DimensionMismatch):
             ModelSpec(**{**good, "initial": Box(np.zeros(3), np.ones(3))})
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            ModelSpec(**{**good, "a": np.ones((2, 3))})
+        with pytest.raises(DimensionMismatch, match="normal must match"):
+            ModelSpec(**{**good, "unsafe": (HalfSpace(np.ones(3), 1.0),)})
         with pytest.raises(ValueError):
             ModelSpec(**{**good, "uncertainty": (CellUncertainty(2, 0, relative=0.1),)})
         with pytest.raises(ValueError):
@@ -143,6 +147,12 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="finite"):
             ModelSpec(**{**good, "initial": Box(np.zeros(2),
                                                 np.array([1.0, np.inf]))})
+
+    def test_discrete_model_takes_no_step(self):
+        # model_to_dict writes no step for a discrete model, so a model
+        # holding one would change in a save/load round trip
+        with pytest.raises(ValueError, match="step is only meaningful"):
+            dataclasses.replace(scalar_growth_model(), step=0.1)
 
     def test_name_and_continuous_are_checked(self):
         # the model file used to be the only place checking these, so the
@@ -448,6 +458,12 @@ class TestNominalReach:
         theta = Box(np.array([-np.inf, 0.0]), np.ones(2))
         with pytest.raises(ValueError, match="finite"):
             nominal_reach(np.eye(2), theta, 3)
+
+    def test_rejects_mismatched_box_and_negative_horizon(self):
+        with pytest.raises(DimensionMismatch, match="match the box"):
+            nominal_reach(np.eye(2), Box(np.zeros(3), np.ones(3)), 3)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            nominal_reach(np.eye(2), Box(np.zeros(2), np.ones(2)), -1)
 
 
 class TestSafetyCheck:

@@ -64,6 +64,8 @@ class TestIntervalMatrix:
         assert neg.lo[0, 0] == -2.0 and neg.hi[0, 0] == 0.0
         with pytest.raises(DimensionMismatch):
             m + IntervalMatrix.zeros(2, 2)
+        with pytest.raises(DimensionMismatch, match="point subtraction"):
+            m.sub_point(np.eye(2))
 
     def test_sub_point(self):
         m = IntervalMatrix(np.array([[0.9]]), np.array([[1.1]]))

@@ -246,6 +246,12 @@ class TestStrictValues:
         with pytest.raises(ModelFileError, match=r"unsafe\[0\].offset"):
             parse_model(MINIMAL + "unsafe:\n  - {normal: [1.0], offset: false}\n")
 
+    def test_integer_beyond_float_range(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(ModelFileError,
+                           match=r"dynamics.matrix: expected a number, got 10{400}$"):
+            parse_model(edited(MINIMAL, "matrix: [1.0]", f"matrix: [{huge}]"))
+
     def test_string_in_a_number_place(self):
         for value in ('"1.5"', "'2'", '"1e-3"'):
             with pytest.raises(ModelFileError, match="expected a number"):
