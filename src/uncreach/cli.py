@@ -135,6 +135,9 @@ def _window(model, t_start: float | None, t_end: float | None):
     """The grid 0, h, ... up to t_end, and its first point at or past t_start."""
     start = 0.0 if t_start is None else float(t_start)
     end = model.horizon * model.step if t_end is None else float(t_end)
+    for flag, value in (("--t-start", start), ("--t-end", end)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if start < 0 or end < start:
         raise ValueError("need 0 <= t-start <= t-end")
     times = np.arange(int(round(end / model.step)) + 1) * model.step

@@ -20,6 +20,7 @@ closed-form bound, for the whole time grid at once (see symbolic_reach).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import types
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_UNIT, Box, IntervalMatrix, _centre_radius,
-                        _product_error, _row_chunks, _sigma_max_bound,
+                        _endpoint_product, _product_error, _sigma_max_bound,
                         _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
@@ -60,6 +61,18 @@ __all__ = [
 REDUCTION_METHODS = ("none", "interval", "zonotope")
 
 
+def _real(value, what: str) -> float:
+    """value as a float if it is a real number and not a (numpy) bool, else
+    ValueError naming what: the one test of a model's scalar values, for
+    the API and model files alike."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CellUncertainty:
     """Uncertainty of one dynamics-matrix entry.
@@ -77,15 +90,17 @@ class CellUncertainty:
         if (self.relative is None) == (self.interval is None):
             raise ValueError("give exactly one of relative or interval")
         if self.relative is not None:
-            if not math.isfinite(self.relative) or self.relative < 0:
+            relative = _real(self.relative, "relative")
+            if not math.isfinite(relative) or relative < 0:
                 raise ValueError("relative fraction must be finite and nonnegative")
+            object.__setattr__(self, "relative", relative)
         else:
-            lo, hi = self.interval
+            lo, hi = (_real(v, "interval endpoint") for v in self.interval)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("interval endpoints must be finite")
             if lo > hi:
                 raise ValueError("interval lower endpoint exceeds upper")
-            object.__setattr__(self, "interval", (float(lo), float(hi)))
+            object.__setattr__(self, "interval", (lo, hi))
 
 
 def _check_cells(cells, n: int,
@@ -135,10 +150,11 @@ class HalfSpace:
             raise ValueError("normal must be a finite vector")
         if not np.any(normal):
             raise ValueError("normal must be nonzero")
-        if not math.isfinite(self.offset):
+        offset = _real(self.offset, "offset")
+        if not math.isfinite(offset):
             raise ValueError("offset must be finite")
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +165,8 @@ class ModelSpec:
     file reader checks only the document's shape).  With CellUncertainty,
     HalfSpace and Box it checks every field: among others a nonempty
     string name, a bool continuous (numpy bools too), a positive finite
-    step when continuous and none when discrete, finite numbers, cells in
-    range and listed once.
+    step when continuous and none when discrete, finite numbers (each
+    scalar a real number, not a bool: _real), cells in range and listed once.
     A bad value raises ValueError, a bad shape DimensionMismatch.
     """
 
@@ -198,6 +214,8 @@ class ModelSpec:
             object.__setattr__(self, key, int(value))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.step is not None:
+            object.__setattr__(self, "step", _real(self.step, "step"))
         if self.continuous:
             if self.step is None or not (self.step > 0) or not math.isfinite(self.step):
                 raise ValueError("continuous models need a positive step")
@@ -286,8 +304,8 @@ class ReachResult:
         """(steps, k) supports of the flowpipe in the k rows of dirs.
 
         Recorded directions are read from `supports`.  A symbolic result
-        gives the support of each flow E Theta, max over the endpoint
-        products of (d E)_j with lo_j and hi_j, plus flow_pad @ |d|, plus
+        gives the support of each flow E Theta, the upper bound of the
+        product (d E) Theta (_image_bounds), plus flow_pad @ |d|, plus
         radius * ||d||_2 (inf where the radius is).
         Other directions of a numeric result replay its recurrence once
         with exactly `dirs` as normals: one more pass in O(steps (n + k))
@@ -774,8 +792,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     evaluation (_sigma_max_bound: a closed form for n <= 2, the Gram
     matrix's largest eigenvalue above), and the radius is scaled to cover
     the rounding of its own product; phi's own rounding is not covered.
-    The nominal box of each flow E Theta takes the endpoint products
-    E_ij lo_j, E_ij hi_j (_image_bounds).
+    The nominal box of each flow E Theta is one interval product (_image_bounds).
     A radius beyond float range (phi saturated, or the flow or its error
     overflowed) is inf, and so are the box bounds from that point on:
     unbounded, not proven safe.  The result keeps the flows, the pad and
@@ -848,21 +865,11 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
 def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of m x over x in box, for each row of m.
 
-    m is (..., rows, dim); each bound is a sum of the smaller (larger) of
-    the endpoint products m_ij lo_j and m_ij hi_j.
-    The rows go in chunks of about _CHUNK_ENTRIES entries (_row_chunks),
-    so the temporaries stay small whatever the stack; every row is summed
-    as a whole, so the bounds do not depend on the chunking.
+    m is (..., rows, dim); its rows, a point, times the box as a column
+    (_endpoint_product): sums of the smaller (larger) of m_ij lo_j, m_ij hi_j.
     """
-    dim = m.shape[-1]
-    rows = m.reshape(-1, dim)
-    lo = np.empty(len(rows))
-    hi = np.empty(len(rows))
-    for i in _row_chunks(len(rows), dim):
-        p1 = rows[i] * box.lo
-        p2 = rows[i] * box.hi
-        np.minimum(p1, p2).sum(axis=-1, out=lo[i])
-        np.maximum(p1, p2, out=p1).sum(axis=-1, out=hi[i])
+    rows = m.reshape(-1, m.shape[-1])
+    lo, hi = _endpoint_product(rows, rows, box.lo[:, None], box.hi[:, None])
     return lo.reshape(m.shape[:-1]), hi.reshape(m.shape[:-1])
 
 

@@ -29,9 +29,10 @@ __all__ = [
 # Terms of the Taylor series interval_expm sums, after the identity.
 _TAYLOR_ORDER = 20
 
-# Entries per chunk of a stack in _sigma_max_bound, engine._image_bounds,
-# and of the endpoint products in _endpoint_product and interval_expm:
-# bounds their temporaries whatever the stack length or matrix order.
+# Entries per chunk of a stack in _sigma_max_bound and of the endpoint
+# products in _endpoint_product (so IntervalMatrix @, interval_expm and
+# engine._image_bounds): bounds their temporaries whatever the stack
+# length or matrix order.
 _CHUNK_ENTRIES = 4096
 
 
@@ -391,28 +392,34 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
                       bhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of the interval matrix product [alo, ahi] @ [blo, bhi].
 
-    Each scalar product [a,b]*[c,d] is the tight hull of the four
-    endpoint products, taken in the order ac, ad, bc, bd; entries are
-    summed exactly (up to rounding).  The rows of a go in chunks of about
-    _CHUNK_ENTRIES endpoint products (_row_chunks); every entry is summed
-    as a whole, so the bounds do not depend on the chunking.
+    Each scalar product [a,b]*[c,d] is the tight hull of the endpoint
+    products ac, ad, bc, bd, in that order; entries are summed exactly
+    (up to rounding).  A factor whose bounds are one array (alo is ahi) is
+    a point, whose equal products are formed once: a point and an interval
+    take two, and two points one, returning one array as both bounds.  A
+    repeated product does not change a hull, so the bounds are bitwise
+    those of four products on copies.  The rows of a go in chunks of about
+    _CHUNK_ENTRIES endpoint products (_row_chunks), each chunk's tensors
+    freed before the next; every entry is summed as a whole, so the
+    bounds do not depend on the chunking.
     """
     lo = np.empty((alo.shape[0], blo.shape[1]))
-    hi = np.empty_like(lo)
-    c = blo[None, :, :]
-    d = bhi[None, :, :]
+    hi = lo if alo is ahi and blo is bhi else np.empty_like(lo)
     for rows in _row_chunks(lo.shape[0], blo.size):
         # (rows, inner, cols) tensors of the endpoint products
-        a = alo[rows, :, None]
-        b = ahi[rows, :, None]
-        ac, ad, bc, bd = a * c, a * d, b * c, b * d
-        plo = np.minimum(ac, ad)
-        phi = np.maximum(ac, ad, out=ac)
-        for pr in (bc, bd):
-            np.minimum(plo, pr, out=plo)
-            np.maximum(phi, pr, out=phi)
+        a, b = alo[rows, :, None], ahi[rows, :, None]
+        plo = a * blo
+        if hi is not lo:
+            prods = ((b * blo,) if bhi is blo else (a * bhi,) if ahi is alo
+                     else (a * bhi, b * blo, b * bhi))
+            phi = plo.copy()
+            for pr in prods:
+                np.minimum(plo, pr, out=plo)
+                np.maximum(phi, pr, out=phi)
+            phi.sum(axis=1, out=hi[rows])
+            del prods, pr, phi
         plo.sum(axis=1, out=lo[rows])
-        phi.sum(axis=1, out=hi[rows])
+        del plo
     return lo, hi
 
 
@@ -434,12 +441,10 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
 
         r = theta_s^(N+1) / ((N+1)! (1 - theta_s/(N+2))),
 
-    theta_s = theta / 2^s.  Each scalar |R_ij| <= ||R||_2 <= r.  A point
-    family (lo == hi) runs each round as one point product: its four
-    endpoint products are equal, so the single product summed in the same
-    order gives bitwise the result of _endpoint_product.  Either product
-    goes in row chunks (_row_chunks), so its (rows, n, n) temporaries stay
-    near _CHUNK_ENTRIES entries whatever n.  For s > 0 the
+    theta_s = theta / 2^s.  Each scalar |R_ij| <= ||R||_2 <= r.  Each
+    term is one _endpoint_product, a point family (lo == hi) passing one
+    array as both bounds, and its row chunks keep the (rows, n, n)
+    temporaries near _CHUNK_ENTRIES entries whatever n.  For s > 0 the
     sum's centre and radius (_centre_radius) are squared s times, the
     rounding of each product covered (_square), and the bounds c -+ r
     pushed one ulp outward where r > 0; s = 0 returns the sum itself.
@@ -465,26 +470,17 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     theta = math.ldexp(theta, -s)
     # the series runs on bare bound arrays; t >= 0, 2^-s and 1/k > 0 scale
     # them without swapping, and the result is validated once
-    if lam.is_point():
-        lt = np.ldexp(lam.lo * t, -s)
-        acc, term = np.eye(n), np.eye(n)
-        new = np.empty((n, n))
-        for k in range(1, _TAYLOR_ORDER + 1):
-            for rows in _row_chunks(n, n * n):
-                (term[rows, :, None] * lt[None]).sum(axis=1, out=new[rows])
-            term, new = new, term
-            term *= 1.0 / k
-            acc += term
-        acc_lo = acc_hi = acc
-    else:
-        lt_lo, lt_hi = np.ldexp(lam.lo * t, -s), np.ldexp(lam.hi * t, -s)
-        acc_lo, acc_hi = np.eye(n), np.eye(n)
-        term_lo, term_hi = np.eye(n), np.eye(n)
-        for k in range(1, _TAYLOR_ORDER + 1):
-            term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
-            term_lo *= 1.0 / k
+    lt_lo = np.ldexp(lam.lo * t, -s)
+    lt_hi = lt_lo if lam.is_point() else np.ldexp(lam.hi * t, -s)
+    acc_lo = np.eye(n)
+    acc_hi = acc_lo if lt_hi is lt_lo else np.eye(n)
+    term_lo = term_hi = np.eye(n)
+    for k in range(1, _TAYLOR_ORDER + 1):
+        term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
+        term_lo *= 1.0 / k
+        acc_lo += term_lo
+        if term_hi is not term_lo:
             term_hi *= 1.0 / k
-            acc_lo += term_lo
             acc_hi += term_hi
     tail = theta ** (_TAYLOR_ORDER + 1) / (
         math.factorial(_TAYLOR_ORDER + 1) * (1.0 - theta / (_TAYLOR_ORDER + 2)))

@@ -5,9 +5,9 @@ continuous flag, step), per-cell uncertainty, initial box, unsafe
 half-spaces, horizon and the reduction policy.  parse_model checks the
 document's shape (required keys, mappings, lists and their lengths; an
 optional block is empty only when missing or null) and takes YAML 1.2
-numbers, not bools or strings, as floats; ModelSpec and its parts
-(CellUncertainty, HalfSpace, Box) judge every value, among them a step
-given to a discrete model.  Any malformed document raises
+numbers, not bools or strings, as floats (engine._real); ModelSpec and
+its parts (CellUncertainty, HalfSpace, Box) judge every value, among
+them a step given to a discrete model.  Any malformed document raises
 ModelFileError: a part's error names the document key (uncertainty[1],
 initial.box, ...), ModelSpec's names the field, the position of a bad
 cell (uncertainty[1]) or the entry (i,j) of a non-finite matrix entry.
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .engine import CellUncertainty, HalfSpace, ModelSpec
+from .engine import CellUncertainty, HalfSpace, ModelSpec, _real
 from .errors import DimensionMismatch, ModelFileError
 from .intervals import Box
 
@@ -69,11 +69,9 @@ def _list(x, key: str, length: int | None = None) -> list:
 
 def _number(x, key: str) -> float:
     try:
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
-            return float(x)
-    except OverflowError:  # an integer beyond float range
-        pass
-    raise ModelFileError(f"{key}: expected a number, got {x!r}")
+        return _real(x, key)
+    except ValueError:
+        raise ModelFileError(f"{key}: expected a number, got {x!r}") from None
 
 
 def _numbers(x, key: str, length: int) -> list[float]:

@@ -374,6 +374,17 @@ class TestErrorExits:
         assert result.stderr == "error: need 0 <= t-start <= t-end\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "inf"), ("--t-end", "nan"), ("--t-start", "nan")])
+    def test_non_finite_window_is_exit_one(self, runner, flag, value):
+        # an infinite end would size the grid from inf, a NaN end or start
+        # would fall through to numpy's or the grid's own errors
+        result = runner.invoke(main, ["reach", GIRAD, "--method", "loan",
+                                      flag, value])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {flag} must be finite, got {value}\n"
+        assert result.stdout == ""
+
     def test_cell_listed_twice_is_exit_two(self, runner, tmp_path):
         bad = tmp_path / "twice.yaml"
         bad.write_text(JORDAN_YAML.replace(

@@ -82,6 +82,20 @@ class TestCellUncertainty:
         with pytest.raises(ValueError):
             CellUncertainty(0, 0, interval=(0.0, np.inf))
 
+    def test_values_must_be_real_numbers(self):
+        # a bool used to be stored as given, and a string gave a TypeError
+        for kw, what in (({"relative": True}, "relative"),
+                         ({"relative": np.bool_(False)}, "relative"),
+                         ({"relative": "0.1"}, "relative"),
+                         ({"interval": (True, 2.0)}, "interval endpoint"),
+                         ({"interval": (0.0, "1")}, "interval endpoint")):
+            with pytest.raises(ValueError, match=f"{what} must be a real number"):
+                CellUncertainty(0, 0, **kw)
+        # numpy numbers, as distribute passes them, are stored as floats
+        assert type(CellUncertainty(0, 0, relative=np.float64(0.1)).relative) is float
+        interval = CellUncertainty(0, 0, interval=(np.float32(0.5), 1)).interval
+        assert interval == (0.5, 1.0) and all(type(v) is float for v in interval)
+
 
 class TestHalfSpace:
     def test_validation(self):
@@ -89,6 +103,13 @@ class TestHalfSpace:
             HalfSpace(np.array([np.inf, 0.0]), 1.0)
         with pytest.raises(ValueError):
             HalfSpace(np.array([1.0]), np.nan)
+
+    def test_offset_must_be_a_real_number(self):
+        # True used to become the offset 1.0, and a string a TypeError
+        for bad in (True, np.bool_(False), "1.0", None):
+            with pytest.raises(ValueError, match="offset must be a real number"):
+                HalfSpace(np.array([1.0]), bad)
+        assert type(HalfSpace(np.array([1.0]), np.float64(2.0)).offset) is float
 
 
 class TestModelSpec:
@@ -147,6 +168,15 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="finite"):
             ModelSpec(**{**good, "initial": Box(np.zeros(2),
                                                 np.array([1.0, np.inf]))})
+
+    def test_step_must_be_a_real_number(self):
+        # step=True used to give the integer grid [0 1 2 3], and a string a
+        # TypeError
+        for bad in (True, np.bool_(True), "0.01"):
+            with pytest.raises(ValueError, match="step must be a real number"):
+                dataclasses.replace(girad_model(horizon=3), step=bad)
+        m = dataclasses.replace(girad_model(horizon=3), step=1)
+        assert type(m.step) is float and m.times().dtype == np.float64
 
     def test_discrete_model_takes_no_step(self):
         # model_to_dict writes no step for a discrete model, so a model

@@ -185,6 +185,47 @@ class TestIntervalMatmul:
             assert got.lo.tobytes() == pr.min(axis=0).sum(axis=1).tobytes()
             assert got.hi.tobytes() == pr.max(axis=0).sum(axis=1).tobytes()
 
+    def test_point_factors_are_the_four_product_hull(self, monkeypatch):
+        # a factor whose bounds are one array is a point, and the kernel
+        # forms its equal endpoint products once: point @ point one per
+        # entry, returning one array as both bounds, a point and an
+        # interval two.  Each combination is bitwise the four products on
+        # copies of the same bounds and the hull of their stack, with
+        # signed zeros and infinities (so NaN from 0 * inf), inner
+        # dimensions past numpy's 8-wide pairwise-sum block, and any chunk
+        rng = np.random.default_rng(2323)
+        special = np.array([0.0, -0.0, np.inf, -np.inf])
+
+        def draw(shape):
+            x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+            pick = rng.random(shape) < 0.25
+            x[pick] = rng.choice(special, size=pick.sum())
+            return x
+
+        def bounds(shape):
+            x, y = draw(shape), draw(shape)
+            point = draw(shape)
+            return (point, point), (np.minimum(x, y), np.maximum(x, y))
+
+        for entries in (1, intervals._CHUNK_ENTRIES, 10 ** 9):
+            monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
+            for inner in range(1, 13):
+                for rows, cols in ((1, 1), (5, 1), (3, 4)):
+                    for (alo, ahi) in bounds((rows, inner)):
+                        for (blo, bhi) in bounds((inner, cols)):
+                            with np.errstate(invalid="ignore"):
+                                lo, hi = intervals._endpoint_product(alo, ahi, blo, bhi)
+                                want = intervals._endpoint_product(
+                                    alo.copy(), ahi.copy(), blo.copy(), bhi.copy())
+                                a, b = alo[:, :, None], ahi[:, :, None]
+                                pr = np.stack((a * blo, a * bhi, b * blo, b * bhi))
+                                stacked = (pr.min(axis=0).sum(axis=1),
+                                           pr.max(axis=0).sum(axis=1))
+                            got = (lo.tobytes(), hi.tobytes())
+                            assert got == tuple(w.tobytes() for w in want)
+                            assert got == tuple(w.tobytes() for w in stacked)
+                            assert (lo is hi) == (alo is ahi and blo is bhi)
+
 
 class TestProductError:
     def test_covers_underflow(self):
