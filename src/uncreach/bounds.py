@@ -129,7 +129,7 @@ def kagstrom1(a, lambda_norm: float, t):
     """
     a = _square(a)
     t = _check_args(lambda_norm, t)
-    norm_a = _frobenius(a)
+    norm_a = float(_frobenius(a))
     n = a.shape[0]
 
     def formula(t):

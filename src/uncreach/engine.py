@@ -33,8 +33,9 @@ from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_UNIT, Box, IntervalMatrix, _centre_radius,
-                        _endpoint_product, _product_error, _sigma_max_bound,
-                        _square, interval_expm)
+                        _endpoint_product, _frobenius, _product_error,
+                        _require_finite, _sigma_max_bound, _square,
+                        interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -203,7 +204,7 @@ class ModelSpec:
         object.__setattr__(self, "unsafe", tuple(self.unsafe))
         if self.initial.dim != n:
             raise DimensionMismatch("initial box dimension must match the matrix")
-        _require_finite(self.initial)
+        _require_finite(self.initial, "initial box must be finite")
         for hs in self.unsafe:
             if hs.normal.shape[0] != n:
                 raise DimensionMismatch("half-space normal must match the dimension")
@@ -259,10 +260,8 @@ class ReachResult:
     flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
                nominal set at step k is flows[k] @ initial; else None
     flow_pad : symbolic route: (steps, dim) pad E_k max(|initial.lo|,
-               |initial.hi|), E_k an entrywise bound on |exp(A t_k) -
-               flows[k]|, by which the nominal box widens (the radius then
-               bounds ||exp(A t_k)||_2 by an upper bound on
-               sigma_max(flows[k]) plus the entry sum of E_k); else None
+               |initial.hi|) by which the nominal box widens, E_k the
+               error bound of flows[k] (_doubling_flows); else None
     initial  : symbolic route: the initial box Theta; else None
     invariant : numeric route with until_unsafe: (t1, t2), the steps of
                two restart boxes, the box of t2 inside that of t1, when
@@ -304,9 +303,8 @@ class ReachResult:
         """(steps, k) supports of the flowpipe in the k rows of dirs.
 
         Recorded directions are read from `supports`.  A symbolic result
-        gives the support of each flow E Theta, the upper bound of the
-        product (d E) Theta (_image_bounds), plus flow_pad @ |d|, plus
-        radius * ||d||_2 (inf where the radius is).
+        gives the upper bounds of its padded images (_padded_image) in the
+        rows d E of its flows E, padded by flow_pad @ |d|.
         Other directions of a numeric result replay its recurrence once
         with exactly `dirs` as normals: one more pass in O(steps (n + k))
         memory, the same boxes.
@@ -321,11 +319,9 @@ class ReachResult:
         if self.flows is None:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
-            sups = _image_bounds(dirs @ self.flows, self.initial)[1]
-            sups += self.flow_pad @ np.abs(dirs).T
-            sups += np.multiply.outer(self.radii, np.linalg.norm(dirs, axis=1))
-        sups[np.isinf(self.radii)] = np.inf
-        return sups
+            return _padded_image(dirs @ self.flows, self.initial,
+                                 self.flow_pad @ np.abs(dirs).T, self.radii,
+                                 _frobenius(dirs, axis=1))[1]
 
 
 @dataclass(frozen=True)
@@ -507,7 +503,7 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     n = theta.dim
     if m.shape != (n, n):
         raise DimensionMismatch("family must be square and match the box")
-    _require_finite(theta)
+    _require_finite(theta, "initial box must be finite")
     p, lr = _centre_radius(m.lo, m.hi)
     c0, r0 = _centre_radius(theta.lo, theta.hi)
     zonotope = reduction_method == "zonotope"
@@ -785,29 +781,26 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
 
     times must be bitwise np.arange(K) * h, as ModelSpec.times builds
     it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
-    of one step, each with an error bound E_k >= |exp(A k h) - F_k|
-    (_doubling_flows); the nominal box of F_k Theta widens by the pad
-    E_k max(|lo|, |hi|), and ||exp(A k h)||_2 <= sigma_max(F_k) plus the
-    entry sum of E_k.  The sigma_max bound covers the rounding of its own
-    evaluation (_sigma_max_bound: a closed form for n <= 2, the Gram
-    matrix's largest eigenvalue above), and the radius is scaled to cover
-    the rounding of its own product; phi's own rounding is not covered.
-    The nominal box of each flow E Theta is one interval product (_image_bounds).
-    A radius beyond float range (phi saturated, or the flow or its error
-    overflowed) is inf, and so are the box bounds from that point on:
-    unbounded, not proven safe.  The result keeps the flows, the pad and
-    Theta, not one Star per point; safety_check reads its supports.
+    of one step with error bounds E_k (_doubling_flows), and
+    ||exp(A k h)||_2 <= sigma_max(F_k) plus the entry sum of E_k.  The
+    sigma_max bound covers the rounding of its own evaluation
+    (_sigma_max_bound), ||Theta|| is evaluated scaled (Box.max_norm), and
+    the radius is scaled to cover the rounding of its own product; phi's
+    own rounding is not covered.  The boxes are padded images
+    (_padded_image), as ReachResult.support's are, and a radius beyond
+    float range (phi saturated, or the flow or its error overflowed) is
+    inf: unbounded, not proven safe.  The result keeps the flows, the pad
+    and Theta, not one Star per point; safety_check reads its supports.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):
         raise DimensionMismatch("initial box dimension must match the matrix")
-    _require_finite(theta)
+    _require_finite(theta, "initial box must be finite")
     series = _bounds.bloat_series(a, pert, times, method, norm_kind)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         flows, pad, err_sums = _doubling_flows(a, series.times, theta)
-        norms = _sigma_max_bound(flows) + err_sums
-        radii = series.phi * norms * theta.max_norm()
+        radii = series.phi * (_sigma_max_bound(flows) + err_sums) * theta.max_norm()
         # phi (sigma + e) ||Theta|| (e the computed entry sum of E_k,
         # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
         # roundings to nearest: n/2 through the squares, their sum and the
@@ -816,15 +809,8 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
         # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1).
         radii *= 1.0 + 2 * ((theta.dim + 10) // 4 + 1) * _UNIT
-        unbounded = ~np.isfinite(radii)
-        radii[unbounded] = np.inf
-        nlo, nhi = _image_bounds(flows, theta)
-        nlo -= pad
-        nhi += pad
-        lo = nlo - radii[:, None]
-        hi = nhi + radii[:, None]
-    lo[unbounded] = -np.inf
-    hi[unbounded] = np.inf
+        radii[~np.isfinite(radii)] = np.inf
+        lo, hi = _padded_image(flows, theta, pad, radii, np.ones(theta.dim))
     return ReachResult(
         kind="symbolic", method=method, labels=series.times.copy(), lo=lo,
         hi=hi, radii=radii,
@@ -836,13 +822,13 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
 def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     """Flows of the grid times = np.arange(K) * h (else ValueError) as powers.
 
-    The step P = expm(A h) is within E = max(M.hi - P, P - M.lo) of
-    exp(A h), M = interval_expm(A, h), which scales and squares itself;
-    E is pushed one ulp outward, and a zero stays zero (then P equals
-    both bounds).  _orbit with error rows gives the flows F_k = P^k and
-    E_k >= |exp(A k h) - F_k|.  Returns the (K, n, n) flows, the (K, n)
-    pads E_k max(|lo|, |hi|) of Theta and the (K,) entry sums of E_k,
-    each at least ||E_k||_2, but not the E_k.
+    The step P = expm(A h) is within E = max(M.hi - P, P - M.lo), pushed
+    one ulp outward (a zero stays zero), of each member Q of M =
+    interval_expm(A, h), and _orbit with error rows gives the flows F_k =
+    P^k and E_k >= |Q^k - F_k|; exp(A h) is in M only up to the series'
+    uncovered rounding, so E_k can miss |exp(A k h) - F_k|.  Returns the
+    (K, n, n) flows, the (K, n) pads E_k max(|lo|, |hi|) of Theta and the
+    (K,) entry sums of E_k, each at least ||E_k||_2, but not the E_k.
     """
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
@@ -862,38 +848,45 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     return flows, pad, err_sums
 
 
-def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds of m x over x in box, for each row of m.
+def _padded_image(rows, theta: Box, pad, radii, norms):
+    """Bounds of rows[k] x over x in Theta (_image_bounds), rows (K, r, n),
+    widened by pad (K, r) and then by radii[k] norms[j], norms (r,) the
+    2-norms of the directions that the rows look along; -inf, inf where
+    radii[k] is inf.  Callers run it with overflow and invalid ignored."""
+    lo, hi = _image_bounds(rows, theta)
+    ball = np.multiply.outer(radii, norms)
+    lo -= pad
+    lo -= ball
+    hi += pad
+    hi += ball
+    lo[np.isinf(radii)], hi[np.isinf(radii)] = -np.inf, np.inf
+    return lo, hi
 
-    m is (..., rows, dim); its rows, a point, times the box as a column
-    (_endpoint_product): sums of the smaller (larger) of m_ij lo_j, m_ij hi_j.
-    """
+
+def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of m x over x in box for each row of m, m
+    (..., rows, dim): its rows, a point, times the box (_endpoint_product),
+    sums of the smaller (larger) of m_ij lo_j, m_ij hi_j."""
     rows = m.reshape(-1, m.shape[-1])
     lo, hi = _endpoint_product(rows, rows, box.lo[:, None], box.hi[:, None])
     return lo.reshape(m.shape[:-1]), hi.reshape(m.shape[:-1])
 
 
-def _require_finite(theta: Box) -> None:
-    if not (np.all(np.isfinite(theta.lo)) and np.all(np.isfinite(theta.hi))):
-        raise ValueError("initial box must be finite")
-
-
 def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:
     """First step whose set meets an unsafe half-space, scanning in order.
 
-    A half-space (normal, offset) is violated at a step iff the support of
-    the step's set in direction normal is >= offset; symbolic sets add
-    radius * ||normal||_2 on top of the nominal support, so an inf radius
-    is a violation (not proven safe).  Supports come from
-    ReachResult.support: recorded rows, symbolic flows, or one replay of
-    the numeric recurrence in the half-spaces' normals.
+    A half-space (normal, offset) is violated at a step unless the support
+    of the step's set in direction normal is below offset, so an inf or
+    NaN support is a violation (not proven safe).  Supports come from
+    ReachResult.support: recorded rows, symbolic padded images, or one
+    replay of the numeric recurrence in the half-spaces' normals.
     """
     halfspaces = tuple(halfspaces)
     if not halfspaces:
         return SafetyVerdict(safe=True)
     offsets = np.asarray([hs.offset for hs in halfspaces])
     sups = result.support(np.vstack([hs.normal for hs in halfspaces]))
-    hit = sups >= offsets
+    hit = ~(sups < offsets)
     if not hit.any():
         return SafetyVerdict(safe=True)
     k, j = (int(i) for i in np.argwhere(hit)[0])  # row-major order

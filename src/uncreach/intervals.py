@@ -42,12 +42,14 @@ def _row_chunks(rows: int, per_row: int):
     return (slice(i, i + step) for i in range(0, rows, step))
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """||m||_F, m scaled by a power of two first, exactly, so that the sum
-    of squares overflows only when the norm itself does (then inf)."""
-    e = np.frexp(np.abs(m).max())[1]
+def _frobenius(m: np.ndarray, axis: int | None = None):
+    """Root of the sum of squares of m, or of each slice along axis, scaled
+    exactly by a power of two (inf only past float range); np.linalg.norm
+    sums the squares, so in the normal range the bits are its own."""
+    e = np.frexp(np.abs(m).max(axis=axis, keepdims=True))[1]
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e), "fro"), e))
+        return np.ldexp(np.linalg.norm(np.ldexp(m, -e), axis=axis),
+                        e.squeeze(axis))
 
 
 def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +210,12 @@ def _check_bounds(obj, what: str, ndim: int) -> None:
     object.__setattr__(obj, "hi", hi)
 
 
+def _require_finite(obj, message: str) -> None:
+    """ValueError(message) unless every bound of a Box or IntervalMatrix is finite."""
+    if not (np.all(np.isfinite(obj.lo)) and np.all(np.isfinite(obj.hi))):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box given by per-axis lower/upper bounds.
@@ -253,13 +261,12 @@ class Box:
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """(count, dim) array of uniform member points of a bounded box."""
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise ValueError("cannot sample an unbounded box")
+        _require_finite(self, "cannot sample an unbounded box")
         return self.lo + rng.random((count, self.dim)) * (self.hi - self.lo)
 
     def max_norm(self) -> float:
-        """max ||x||_2 over the box (attained at a vertex, per-axis split)."""
-        return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
+        """max ||x||_2 over the box, at a vertex (_frobenius, scaled)."""
+        return float(_frobenius(np.maximum(np.abs(self.lo), np.abs(self.hi)), axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +321,7 @@ class IntervalMatrix:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A uniformly drawn member matrix: centre + (2u - 1) radius, which
         cannot overflow, clipped to the bounds its rounding may pass."""
+        _require_finite(self, "cannot sample an unbounded interval matrix")
         u = rng.random(self.shape)
         return np.clip(self.center + (2.0 * u - 1.0) * self.radius,
                        self.lo, self.hi)
@@ -352,12 +360,10 @@ class IntervalMatrix:
     # -- norms --------------------------------------------------------------
 
     def frobenius_sup(self) -> float:
-        """sup of the Frobenius norm over the matrix family.
-
-        Equals || max(|lo|, |hi|) ||_F: the entrywise largest magnitudes
-        are attained independently (_frobenius).
-        """
-        return _frobenius(np.maximum(np.abs(self.lo), np.abs(self.hi)))
+        """sup of the Frobenius norm over the matrix family, || max(|lo|,
+        |hi|) ||_F: the entrywise largest magnitudes are attained
+        independently (_frobenius, scaled)."""
+        return float(_frobenius(np.maximum(np.abs(self.lo), np.abs(self.hi))))
 
     def two_norm_sup(self) -> float:
         """An upper bound on sup ||E||_2 over the matrix family, at any order.

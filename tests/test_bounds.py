@@ -23,6 +23,7 @@ from uncreach import (
     kagstrom2,
     load_model,
     loan,
+    ors_reach,
     p_poly,
     safety_check,
     spectral_data,
@@ -525,6 +526,50 @@ class TestSymbolicReach:
         late = safety_check(res, (far,))
         assert late.step == first and late.support == math.inf
 
+    @staticmethod
+    def minus_identity(first_axis, normal, offset, cells=()):
+        """A = -I, h = 0.01, 10 steps, Theta = first_axis x [-0.1, 0.1]
+        and one unsafe half-space; past 1.34e154 a sum of squares of the
+        normal or of Theta's corner overflows while the norm does not."""
+        return ModelSpec(name="minus-identity", a=-np.eye(2), uncertainty=cells,
+                         initial=Box(np.array([first_axis[0], -0.1]),
+                                     np.array([first_axis[1], 0.1])),
+                         horizon=10, step=0.01,
+                         unsafe=(HalfSpace(np.array(normal), offset),))
+
+    @pytest.mark.parametrize("cells", [(), (CellUncertainty(0, 0, relative=0.01),)])
+    def test_huge_normal_is_violated_at_step_zero(self, cells):
+        # Theta violates normal . x >= 1e199 at t = 0; radius 0 times an
+        # overflowed ||normal||_2 used to give a NaN support, read as safe
+        model = self.minus_identity((0.9, 1.1), [1e200, 0.0], 1e199, cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [safety_check(ors_reach(model), model.unsafe)]
+            for method in BLOAT_METHODS:
+                res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                     model.times(), method=method)
+                verdicts.append(safety_check(res, model.unsafe))
+        for verdict in verdicts:
+            assert not verdict.safe and verdict.step == 0
+            assert verdict.support == pytest.approx(1.1e200, rel=1e-12)
+
+    @pytest.mark.parametrize("cells", [(), (CellUncertainty(0, 0, relative=0.01),)])
+    def test_huge_box_has_finite_radii(self, cells):
+        # ||Theta|| = 1.1e200 used to overflow, so phi = 0 gave a NaN radius
+        # (unbounded, not proven safe at t = 0); both routes prove it safe
+        model = self.minus_identity((0.9e200, 1.1e200), [1.0, 0.0], 2e200, cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert safety_check(ors_reach(model), model.unsafe).safe
+            for method in BLOAT_METHODS:
+                res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                     model.times(), method=method)
+                assert np.all(np.isfinite(res.radii)), method
+                assert np.all(np.isfinite(res.lo)) and np.all(np.isfinite(res.hi))
+                assert (res.radii[1:] > 0.0).all() == bool(cells)
+                assert res.hi[0, 0] >= 1.1e200 and res.lo[0, 0] <= 0.9e200
+                assert safety_check(res, model.unsafe).safe, method
+
     @pytest.mark.parametrize("method", ["loan", "kagstrom1"])
     def test_entries_past_half_float_max(self, method):
         # ||A||_F h = 1.4e306 needs about 1018 squarings; the scaling comes
@@ -817,18 +862,29 @@ class TestDoublingFlows:
             assert not verdict.safe and verdict.step <= first
 
     def test_support_along_axes_matches_box(self):
+        # bitwise: the boxes and the supports are one padded image
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
                                                 np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
-        for a, times in ((GIRAD_A, SHIPPED_GRID), (GIRAD_A, np.arange(15) * 1.5),
-                         (TWOCELL_A, np.arange(1601) * 0.25)):
+        cases = [(GIRAD_A, lam, theta, times, "two")
+                 for times in (SHIPPED_GRID, np.arange(15) * 1.5)]
+        cases.append((TWOCELL_A, lam, theta, np.arange(1601) * 0.25, "two"))
+        for name in ("girad1", "acc4", "twocell"):
+            model = load_model(importlib.resources.files("uncreach.models") / f"{name}.yaml")
+            cases += [(model.a, model.perturbation(), model.initial, model.times(), norm)
+                      for norm in NORM_KINDS]
+        for a, lam, theta, times, norm in cases:
+            n = a.shape[0]
             for method in BLOAT_METHODS:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    res = symbolic_reach(a, lam, theta, times, method=method)
-                    sups = res.support(np.vstack((np.eye(2), -np.eye(2))))
-                assert np.array_equal(sups[:, :2], res.hi)
-                assert np.array_equal(sups[:, 2:], -res.lo)
+                    try:
+                        res = symbolic_reach(a, lam, theta, times, method, norm)
+                    except DefectiveMatrix:  # kagstrom2 on acc4
+                        continue
+                    sups = res.support(np.vstack((np.eye(n), -np.eye(n))))
+                assert np.array_equal(sups[:, :n], res.hi)
+                assert np.array_equal(sups[:, n:], -res.lo)
 
 
 def sigma_max_reference(f):

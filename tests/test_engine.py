@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.resources
 import itertools
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -527,6 +528,15 @@ class TestSafetyCheck:
                     HalfSpace(np.array([1.0]), 0.5)))
         verdict = safety_check(ors_reach(model), model.unsafe)
         assert verdict.halfspace == 1
+
+    def test_nan_support_is_a_violation(self):
+        # a support that is not below its offset is not proven safe
+        class Supports:
+            def support(self, dirs):
+                return np.array([[0.0], [np.nan], [2.0]])
+
+        verdict = safety_check(Supports(), (HalfSpace(np.array([1.0]), 1.0),))
+        assert not verdict.safe and verdict.step == 1 and math.isnan(verdict.support)
 
     def test_symbolic_result_adds_bloat_radius(self):
         from uncreach import symbolic_reach

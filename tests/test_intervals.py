@@ -79,6 +79,24 @@ class TestIntervalMatrix:
             assert m.contains(m.sample(rng))
         assert not m.contains(np.array([[2.0, 0.0]]))
 
+    def test_sample_rejects_unbounded(self):
+        # as Box.sample does: (-inf, inf) used to give [[inf]], [0, inf] 0
+        rng = np.random.default_rng(0)
+        for lo, hi in ((-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)):
+            m = IntervalMatrix(np.array([[lo, 0.0]]), np.array([[hi, 1.0]]))
+            with pytest.raises(ValueError, match="unbounded"):
+                m.sample(rng)
+
+    def test_point_operands(self):
+        # an ndarray operand of + and @ is its from_point family
+        rng = np.random.default_rng(3)
+        m = IntervalMatrix.from_center_radius(rng.normal(size=(3, 3)),
+                                              rng.uniform(0, 1, (3, 3)))
+        for a, op in ((rng.normal(size=(3, 3)), lambda x, y: x + y),
+                      (rng.normal(size=(3, 2)), lambda x, y: x @ y)):
+            got, want = op(m, a), op(m, IntervalMatrix.from_point(a))
+            assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+
     def test_radius_and_sample_past_half_float_max(self):
         # hi - lo = 2.5e308 is past the float maximum, every member is not
         with warnings.catch_warnings():
@@ -293,6 +311,26 @@ class TestNorms:
                                                          rel=1e-15)
             over = IntervalMatrix(np.full((2, 2), -1.5e308), np.full((2, 2), 1e308))
             assert over.frobenius_sup() == math.inf
+
+    def test_vector_and_row_norms_are_scaled(self):
+        # bitwise np.linalg.norm along an axis in the normal range, and
+        # finite past sqrt(float max) = 1.34e154, where the squares overflow
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(200, 5)) * 10.0 ** rng.integers(-100, 100, (200, 1))
+        assert np.array_equal(intervals._frobenius(dirs, axis=1),
+                              np.linalg.norm(dirs, axis=1))
+        for lo, hi in zip(dirs[::2], dirs[1::2]):
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            assert Box(lo, hi).max_norm() == np.sqrt(np.sum(np.maximum(lo**2, hi**2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = intervals._frobenius(np.array([[3e200, -4e200], [0.0, 0.0],
+                                                  [3e-200, 4e-200]]), axis=1)
+            box = Box(np.array([0.9e200, -0.1]), np.array([1.1e200, 0.1]))
+            assert box.max_norm() == 1.1e200
+            assert intervals._frobenius(np.array([1.5e308, 1.5e308]), axis=0) == np.inf
+        assert rows[1] == 0.0
+        assert rows[[0, 2]] == pytest.approx([5e200, 5e-200], rel=1e-15)
 
     def test_two_norm_sup_point(self):
         m = np.array([[1.0, -1.0], [0.0, 2.0]])
