@@ -849,11 +849,15 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
 
 
 def _padded_image(rows, theta: Box, pad, radii, norms):
-    """Bounds of rows[k] x over x in Theta (_image_bounds), rows (K, r, n),
-    widened by pad (K, r) and then by radii[k] norms[j], norms (r,) the
-    2-norms of the directions that the rows look along; -inf, inf where
-    radii[k] is inf.  Callers run it with overflow and invalid ignored."""
-    lo, hi = _image_bounds(rows, theta)
+    """Bounds of rows[k] x over x in Theta, rows (K, r, n): each row, a
+    point, times Theta (_endpoint_product), sums of the smaller (larger)
+    of m_ij lo_j, m_ij hi_j; widened by pad (K, r) and then by radii[k]
+    norms[j], norms (r,) the 2-norms of the directions that the rows look
+    along; -inf, inf where radii[k] is inf.  Callers run it with overflow
+    and invalid ignored."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    lo, hi = (b.reshape(rows.shape[:-1]) for b in _endpoint_product(
+        flat, flat, theta.lo[:, None], theta.hi[:, None]))
     ball = np.multiply.outer(radii, norms)
     lo -= pad
     lo -= ball
@@ -861,15 +865,6 @@ def _padded_image(rows, theta: Box, pad, radii, norms):
     hi += ball
     lo[np.isinf(radii)], hi[np.isinf(radii)] = -np.inf, np.inf
     return lo, hi
-
-
-def _image_bounds(m: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds of m x over x in box for each row of m, m
-    (..., rows, dim): its rows, a point, times the box (_endpoint_product),
-    sums of the smaller (larger) of m_ij lo_j, m_ij hi_j."""
-    rows = m.reshape(-1, m.shape[-1])
-    lo, hi = _endpoint_product(rows, rows, box.lo[:, None], box.hi[:, None])
-    return lo.reshape(m.shape[:-1]), hi.reshape(m.shape[:-1])
 
 
 def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:

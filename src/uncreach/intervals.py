@@ -1,14 +1,17 @@
 """Boxes and interval matrices, their norms and exponential.
 
 A box or interval matrix [lo, hi] stands for the set of real vectors or
-matrices { M : lo <= M <= hi entrywise }; a bound may be -inf or inf (an
-entry an exponential took out of float range), never NaN.  Arithmetic
-is outward in exact real arithmetic; rounding is not directed, so
-consumers that need slack add it, but _centre_radius, _sigma_max_bound,
-_product_error and interval_expm's squarings cover their own rounding.
-interval_expm scales and squares, so it is inclusion-isotone only
-between families with the same number of squarings; each of its results
-is an enclosure.
+matrices { M : lo <= M <= hi entrywise }, with at least one entry; a
+bound may be -inf or inf (an entry an exponential took out of float
+range), never NaN.  The classes hold bounds and answer queries, and the
+interval arithmetic the analyses run has one product, _endpoint_product
+(interval_expm's series, engine's symbolic images), and one sum,
+engine._add_outward.  The product is outward in exact real arithmetic;
+its rounding is not directed, so consumers that need slack add it, but
+_centre_radius, _sigma_max_bound, _product_error and interval_expm's
+squarings cover their own rounding.  interval_expm scales and squares,
+so it is inclusion-isotone only between families with the same number
+of squarings; each of its results is an enclosure.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ __all__ = [
 _TAYLOR_ORDER = 20
 
 # Entries per chunk of a stack in _sigma_max_bound and of the endpoint
-# products in _endpoint_product (so IntervalMatrix @, interval_expm and
-# engine._image_bounds): bounds their temporaries whatever the stack
+# products in _endpoint_product (so interval_expm and
+# engine._padded_image): bounds their temporaries whatever the stack
 # length or matrix order.
 _CHUNK_ENTRIES = 4096
 
@@ -60,14 +63,16 @@ def _centre_radius(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the true distance by half an ulp, so every nonzero radius is pushed
     one ulp outward: then c - r < lo and c + r > hi hold exactly, and
     rounding keeps them as <= and >=.  Point entries keep radius zero,
-    and entries with an infinite bound get centre 0 and radius inf.
+    and entries with an infinite bound get centre 0 and radius inf, as
+    a radius of the float maximum steps to inf, without a warning.
     """
     unbounded = np.isinf(lo) | np.isinf(hi)
     if unbounded.any():
         lo, hi = np.where(unbounded, 0.0, lo), np.where(unbounded, 0.0, hi)
     mid = np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)
     rad = np.maximum(hi - mid, mid - lo)
-    rad = np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
+    with np.errstate(over="ignore"):
+        rad = np.where(rad > 0.0, np.nextafter(rad, np.inf), 0.0)
     rad[unbounded] = np.inf
     return mid, rad
 
@@ -195,13 +200,16 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
 
 def _check_bounds(obj, what: str, ndim: int) -> None:
     """The bounds rule of Box and IntervalMatrix: store obj.lo and obj.hi as
-    contiguous float64 arrays of one ndim-d shape, else DimensionMismatch;
-    a bound may be -inf or inf, and NaN or lo > hi is a ValueError."""
+    contiguous float64 arrays of one nonempty ndim-d shape, else
+    DimensionMismatch; a bound may be -inf or inf, and NaN or lo > hi is a
+    ValueError."""
     lo = np.ascontiguousarray(np.asarray(obj.lo, dtype=np.float64))
     hi = np.ascontiguousarray(np.asarray(obj.hi, dtype=np.float64))
     if lo.ndim != ndim or lo.shape != hi.shape:
         raise DimensionMismatch(f"{what} bounds must be matching {ndim}-d "
                                 f"arrays, got {lo.shape} and {hi.shape}")
+    if lo.size == 0:
+        raise DimensionMismatch(f"{what} bounds must not be empty, got {lo.shape}")
     if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
         raise ValueError(f"{what} bounds must not be NaN")
     if np.any(lo > hi):
@@ -221,8 +229,8 @@ class Box:
     """Axis-aligned box given by per-axis lower/upper bounds.
 
     Bounds may be -inf/inf (an unbounded flowpipe step) but not NaN;
-    center is 0 along an axis with both bounds infinite, and sample
-    refuses a box with any infinite bound.
+    center is 0 along an axis with an infinite bound (_centre_radius), and
+    sample refuses a box with any infinite bound.
     """
 
     lo: np.ndarray
@@ -237,10 +245,7 @@ class Box:
 
     @property
     def center(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):  # 0.5 (lo + hi) may overflow
-            mid = np.where(self.lo == self.hi, self.lo, 0.5 * self.lo + 0.5 * self.hi)
-        mid[np.isneginf(self.lo) & np.isposinf(self.hi)] = 0.0
-        return mid
+        return _centre_radius(self.lo, self.hi)[0]
 
     @property
     def radius(self) -> np.ndarray:
@@ -308,10 +313,7 @@ class IntervalMatrix:
     def shape(self) -> tuple[int, int]:
         return self.lo.shape
 
-    @property
-    def center(self) -> np.ndarray:
-        return _centre_radius(self.lo, self.hi)[0]
-
+    center = Box.center
     radius = Box.radius
     contains = Box.contains
 
@@ -326,36 +328,12 @@ class IntervalMatrix:
         return np.clip(self.center + (2.0 * u - 1.0) * self.radius,
                        self.lo, self.hi)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        other = _as_im(other)
-        if other.shape != self.shape:
-            raise DimensionMismatch("shape mismatch in interval addition")
-        return IntervalMatrix(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
     def sub_point(self, m: np.ndarray) -> "IntervalMatrix":
         """Entrywise translate by a point matrix: [lo - m, hi - m]."""
         m = np.asarray(m, dtype=np.float64)
         if m.shape != self.shape:
             raise DimensionMismatch("shape mismatch in point subtraction")
         return IntervalMatrix(self.lo - m, self.hi - m)
-
-    def scale(self, c: float) -> "IntervalMatrix":
-        """Multiply by a real scalar."""
-        if c >= 0:
-            return IntervalMatrix(self.lo * c, self.hi * c)
-        return IntervalMatrix(self.hi * c, self.lo * c)
-
-    def __matmul__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        """Exact interval matrix product (see _endpoint_product)."""
-        other = _as_im(other)
-        if self.shape[1] != other.shape[0]:
-            raise DimensionMismatch("inner dimensions do not match")
-        return IntervalMatrix(*_endpoint_product(self.lo, self.hi,
-                                                 other.lo, other.hi))
 
     # -- norms --------------------------------------------------------------
 
@@ -386,12 +364,6 @@ class IntervalMatrix:
         s_u, s_c, s_r = _sigma_max_bound(np.stack((u, c, r)))
         with np.errstate(over="ignore"):
             return float(min(s_u, np.nextafter(s_c + s_r, np.inf)))
-
-
-def _as_im(x) -> IntervalMatrix:
-    if isinstance(x, IntervalMatrix):
-        return x
-    return IntervalMatrix.from_point(np.asarray(x, dtype=np.float64))
 
 
 def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,

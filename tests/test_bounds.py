@@ -32,7 +32,7 @@ from uncreach import (
 from uncreach._expm import expm
 from uncreach._kernels import box_core
 from uncreach.stars import Star, linear_map
-from uncreach.engine import _doubling_flows, _image_bounds
+from uncreach.engine import _doubling_flows, _padded_image
 from uncreach.intervals import _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
 
@@ -829,8 +829,11 @@ class TestDoublingFlows:
             m = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 5)
             lo = rng.normal(size=shape[-1])
             box = Box(lo, lo + rng.uniform(0, 2, shape[-1]))
-            got = _image_bounds(m, box)
-            ref = image_bounds_reference(m, box)
+            rows = m.reshape(-1, *m.shape[-2:])  # (K, r, n)
+            # zero pad and radius: the endpoint image alone
+            got = _padded_image(rows, box, np.zeros(rows.shape[:-1]),
+                                np.zeros(len(rows)), np.ones(rows.shape[1]))
+            ref = image_bounds_reference(rows, box)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_flow_overflow_gives_unbounded_steps(self):

@@ -18,10 +18,15 @@ from uncreach import (
     load_model,
 )
 from uncreach import intervals
-from uncreach.intervals import _product_error
+from uncreach.intervals import _endpoint_product, _product_error
 
 # analytic values, frozen independently of the library
 SQRT_621 = 2.4919871588754225        # sqrt(6.21)
+
+
+def product(a, b):
+    """The interval product of two IntervalMatrix families (_endpoint_product)."""
+    return IntervalMatrix(*_endpoint_product(a.lo, a.hi, b.lo, b.hi))
 
 
 class TestIntervalMatrix:
@@ -54,23 +59,25 @@ class TestIntervalMatrix:
         with pytest.raises(ValueError, match="NaN"):
             IntervalMatrix(np.array([[-np.inf]]), np.array([[np.nan]]))
 
-    def test_add_sub_scale(self):
-        m = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]]))
-        s = m + m
-        assert s.lo[0, 0] == 0.0 and s.hi[0, 0] == 2.0
-        d = m.sub_point(np.array([[0.5]]))
-        assert d.lo[0, 0] == -0.5 and d.hi[0, 0] == 0.5
-        neg = m.scale(-2.0)
-        assert neg.lo[0, 0] == -2.0 and neg.hi[0, 0] == 0.0
-        with pytest.raises(DimensionMismatch):
-            m + IntervalMatrix.zeros(2, 2)
-        with pytest.raises(DimensionMismatch, match="point subtraction"):
-            m.sub_point(np.eye(2))
-
     def test_sub_point(self):
         m = IntervalMatrix(np.array([[0.9]]), np.array([[1.1]]))
         p = m.sub_point(np.array([[1.0]]))
         assert p.lo[0, 0] == pytest.approx(-0.1) and p.hi[0, 0] == pytest.approx(0.1)
+        d = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]])).sub_point(
+            np.array([[0.5]]))
+        assert d.lo[0, 0] == -0.5 and d.hi[0, 0] == 0.5
+        with pytest.raises(DimensionMismatch, match="point subtraction"):
+            m.sub_point(np.eye(2))
+
+    def test_empty_bounds_are_refused(self):
+        # a zero-size box or matrix is no model: ModelSpec took a 0x0
+        # matrix with Box([], []), and every analysis then crashed
+        for lo in (np.zeros(0), np.zeros((0, 0)), np.zeros((2, 0)), np.zeros((0, 3))):
+            cls = Box if lo.ndim == 1 else IntervalMatrix
+            with pytest.raises(DimensionMismatch, match="must not be empty"):
+                cls(lo, lo.copy())
+        with pytest.raises(DimensionMismatch, match="must not be empty"):
+            IntervalMatrix.zeros(0, 0)
 
     def test_contains_and_sample(self):
         rng = np.random.default_rng(7)
@@ -86,16 +93,6 @@ class TestIntervalMatrix:
             m = IntervalMatrix(np.array([[lo, 0.0]]), np.array([[hi, 1.0]]))
             with pytest.raises(ValueError, match="unbounded"):
                 m.sample(rng)
-
-    def test_point_operands(self):
-        # an ndarray operand of + and @ is its from_point family
-        rng = np.random.default_rng(3)
-        m = IntervalMatrix.from_center_radius(rng.normal(size=(3, 3)),
-                                              rng.uniform(0, 1, (3, 3)))
-        for a, op in ((rng.normal(size=(3, 3)), lambda x, y: x + y),
-                      (rng.normal(size=(3, 2)), lambda x, y: x @ y)):
-            got, want = op(m, a), op(m, IntervalMatrix.from_point(a))
-            assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
 
     def test_radius_and_sample_past_half_float_max(self):
         # hi - lo = 2.5e308 is past the float maximum, every member is not
@@ -118,8 +115,24 @@ class TestBox:
             assert Box(np.array([0.9e308]), np.array([1e308])).center[0] == 0.95e308
             assert Box(np.array([-1.5e308]), np.array([1e308])).radius[0] == 1.25e308
             both = Box(np.array([-np.inf, -np.inf, 1.0]), np.array([np.inf, 2.0, np.inf]))
-            assert np.array_equal(both.center, [0.0, -np.inf, np.inf])
+            assert np.array_equal(both.center, [0.0, 0.0, 0.0])
             assert np.array_equal(both.radius, [np.inf, np.inf, np.inf])
+
+    def test_half_infinite_axes_have_a_finite_centre(self):
+        # an axis with any infinite bound has centre 0 and radius inf, for
+        # Box and IntervalMatrix alike: centre -+ radius encloses the
+        # bounds (a centre of -inf or inf made centre - radius NaN), and
+        # bounds at the float maximum raise no warning
+        big = np.finfo(np.float64).max
+        lo = np.array([0.0, -np.inf, -np.inf, 1.0, -big])
+        hi = np.array([np.inf, 5.0, np.inf, 2.0, big])
+        for b in (Box(lo, hi), IntervalMatrix(lo[None], hi[None])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mid, rad = b.center, b.radius
+            assert np.all(np.isfinite(mid))
+            assert np.array_equal(mid.ravel(), [0.0, 0.0, 0.0, 1.5, 0.0])
+            assert np.all(mid - rad <= b.lo) and np.all(mid + rad >= b.hi)
 
     def test_point_box_center_is_the_point(self):
         # each half of an odd subnormal rounds to even: 0.5 lo + 0.5 hi is 0
@@ -147,25 +160,21 @@ class TestIntervalMatmul:
         eye = IntervalMatrix.from_point(np.eye(2))
         m = IntervalMatrix(np.array([[0.0, -1.0], [1.0, 2.0]]),
                            np.array([[0.5, -0.5], [1.0, 3.0]]))
-        out = eye @ m
+        out = product(eye, m)
         assert np.array_equal(out.lo, m.lo) and np.array_equal(out.hi, m.hi)
 
     def test_scalar_case(self):
         a = IntervalMatrix(np.array([[-1.0]]), np.array([[1.0]]))
         b = IntervalMatrix.from_point(np.array([[2.0]]))
-        out = a @ b
+        out = product(a, b)
         assert out.lo[0, 0] == -2.0 and out.hi[0, 0] == 2.0
 
     def test_upper_block_square(self):
         # [[ [0,1],[0,1] ],[ 0, 0 ]] squared reproduces itself
         m = IntervalMatrix(np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]))
-        out = m @ m
+        out = product(m, m)
         assert np.array_equal(out.lo, m.lo)
         assert np.array_equal(out.hi, m.hi)
-
-    def test_inner_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            IntervalMatrix.zeros(2, 3) @ IntervalMatrix.zeros(2, 2)
 
     def test_contains_member_products(self):
         rng = np.random.default_rng(42)
@@ -175,7 +184,7 @@ class TestIntervalMatmul:
                 rng.uniform(-2, 2, (r, k)), rng.uniform(0, 1, (r, k)))
             l2 = IntervalMatrix.from_center_radius(
                 rng.uniform(-2, 2, (k, c)), rng.uniform(0, 1, (k, c)))
-            prod = l1 @ l2
+            prod = product(l1, l2)
             for _ in range(5):
                 e1 = l1.sample(rng)
                 e2 = l2.sample(rng)
@@ -199,7 +208,7 @@ class TestIntervalMatmul:
             a, b = alo[:, :, None], ahi[:, :, None]
             cc, d = blo[None], bhi[None]
             pr = np.stack((a * cc, a * d, b * cc, b * d))
-            got = IntervalMatrix(alo, ahi) @ IntervalMatrix(blo, bhi)
+            got = product(IntervalMatrix(alo, ahi), IntervalMatrix(blo, bhi))
             assert got.lo.tobytes() == pr.min(axis=0).sum(axis=1).tobytes()
             assert got.hi.tobytes() == pr.max(axis=0).sum(axis=1).tobytes()
 
@@ -563,7 +572,7 @@ class TestIntervalExpm:
                 assert np.array_equal(out.lo, lo) and np.array_equal(out.hi, hi)
 
     def test_row_chunks_are_the_unchunked_product(self, monkeypatch):
-        # interval_expm's series and IntervalMatrix @ go in row chunks of
+        # interval_expm's series and _endpoint_product go in row chunks of
         # about _CHUNK_ENTRIES endpoint products.  Whatever the chunk
         # (single rows, the default, or one chunk: the whole (n, n, n)
         # tensors), the results are bitwise the same, scaled steps
@@ -580,7 +589,7 @@ class TestIntervalExpm:
                 monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
                 got[entries] = [(m.lo.tobytes(), m.hi.tobytes()) for m in (
                     *(interval_expm(f, t) for f in fams for t in (0.01, 2.0)),
-                    fams[1] @ b)]
+                    product(fams[1], b))]
             assert got[chunks[0]] == got[chunks[1]] == got[chunks[2]], n
             a, d = fams[1].lo[:, :, None], fams[1].hi[:, :, None]
             pr = np.stack((a * b.lo[None], a * b.hi[None],
@@ -615,15 +624,23 @@ class TestIntervalExpm:
 
     @staticmethod
     def taylor_oracle(lam, t):
-        """The series summed with IntervalMatrix operators, term by term."""
+        """The series summed term by term with plain interval operations:
+        a sum, a nonnegative scale and the product (product), on separate
+        lo and hi arrays."""
+        def add(x, y):
+            return IntervalMatrix(x.lo + y.lo, x.hi + y.hi)
+
+        def scale(x, c):  # c >= 0
+            return IntervalMatrix(x.lo * c, x.hi * c)
+
         n, order = lam.shape[0], TAYLOR_ORDER
         theta = lam.frobenius_sup() * t
-        lt = lam.scale(t)
+        lt = scale(lam, t)
         acc = IntervalMatrix.from_point(np.eye(n))
         term = IntervalMatrix.from_point(np.eye(n))
         for k in range(1, order + 1):
-            term = (term @ lt).scale(1.0 / k)
-            acc = acc + term
+            term = scale(product(term, lt), 1.0 / k)
+            acc = add(acc, term)
         tail = theta ** (order + 1) / (
             math.factorial(order + 1) * (1.0 - theta / (order + 2)))
         return acc.lo - tail, acc.hi + tail
@@ -632,7 +649,8 @@ class TestIntervalExpm:
     def test_bitwise_equal_to_operator_series_on_shipped_models(self, name):
         model = load_model(
             importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
-        lam = IntervalMatrix.from_point(model.a) + model.perturbation()
+        pert = model.perturbation()
+        lam = IntervalMatrix(model.a + pert.lo, model.a + pert.hi)
         t = model.step if model.continuous else 0.05
         out = interval_expm(lam, t)
         lo, hi = self.taylor_oracle(lam, t)
