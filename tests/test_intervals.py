@@ -18,6 +18,7 @@ from uncreach import (
     load_model,
 )
 from uncreach import intervals
+from uncreach.engine import _add_outward
 from uncreach.intervals import _endpoint_product, _product_error
 
 # analytic values, frozen independently of the library
@@ -59,15 +60,25 @@ class TestIntervalMatrix:
         with pytest.raises(ValueError, match="NaN"):
             IntervalMatrix(np.array([[-np.inf]]), np.array([[np.nan]]))
 
+    def test_add_sub_scale(self):
+        # the sum is engine._add_outward and a scaling the product with a
+        # point 1x1 factor; IntervalMatrix has no + or scale of its own
+        m = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]]))
+        s = _add_outward(np.array([[1.0]]), m)
+        assert s.lo[0, 0] == 1.0 and s.hi[0, 0] == 2.0
+        d = m.sub_point(np.array([[0.5]]))
+        assert d.lo[0, 0] == -0.5 and d.hi[0, 0] == 0.5
+        neg = product(m, IntervalMatrix.from_point(np.array([[-2.0]])))
+        assert neg.lo[0, 0] == -2.0 and neg.hi[0, 0] == 0.0
+        with pytest.raises(DimensionMismatch):
+            _add_outward(np.zeros((2, 2)), m)
+        with pytest.raises(DimensionMismatch, match="point subtraction"):
+            m.sub_point(np.eye(2))
+
     def test_sub_point(self):
         m = IntervalMatrix(np.array([[0.9]]), np.array([[1.1]]))
         p = m.sub_point(np.array([[1.0]]))
         assert p.lo[0, 0] == pytest.approx(-0.1) and p.hi[0, 0] == pytest.approx(0.1)
-        d = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]])).sub_point(
-            np.array([[0.5]]))
-        assert d.lo[0, 0] == -0.5 and d.hi[0, 0] == 0.5
-        with pytest.raises(DimensionMismatch, match="point subtraction"):
-            m.sub_point(np.eye(2))
 
     def test_empty_bounds_are_refused(self):
         # a zero-size box or matrix is no model: ModelSpec took a 0x0
