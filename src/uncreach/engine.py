@@ -34,8 +34,8 @@ from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_UNIT, Box, IntervalMatrix, _centre_radius,
                         _endpoint_product, _frobenius, _product_error,
-                        _require_finite, _sigma_max_bound, _square,
-                        interval_expm)
+                        _require_finite, _row_chunks, _sigma_max_bound,
+                        _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -304,7 +304,9 @@ class ReachResult:
 
         Recorded directions are read from `supports`.  A symbolic result
         gives the upper bounds of its padded images (_padded_image) in the
-        rows d E of its flows E, padded by flow_pad @ |d|.
+        rows d E of its flows E, padded by flow_pad @ |d|, a chunk of steps
+        at a time into the (steps, k) result: about _CHUNK_ENTRIES image
+        entries per chunk, so no (steps, k, n) image exists.
         Other directions of a numeric result replay its recurrence once
         with exactly `dirs` as normals: one more pass in O(steps (n + k))
         memory, the same boxes.
@@ -319,9 +321,12 @@ class ReachResult:
         if self.flows is None:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
-            return _padded_image(dirs @ self.flows, self.initial,
-                                 self.flow_pad @ np.abs(dirs).T, self.radii,
-                                 _frobenius(dirs, axis=1))[1]
+            out = self.flow_pad @ np.abs(dirs).T
+            norms = _frobenius(dirs, axis=1)
+            for k in _row_chunks(len(out), dirs.size):
+                out[k] = _padded_image(dirs @ self.flows[k], self.initial,
+                                       out[k], self.radii[k], norms)[1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -374,7 +379,13 @@ def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
     `out` if given.  Given a_err, a bound on |A - a|, it returns (powers,
     errors): block k of errors bounds |A^k x0 - block k of powers|, each
     doubled product and each squaring carrying its error by
-    _product_error (x0 is exact).
+    _product_error (x0 is exact).  A doubling's error rows come before
+    its powers, so that the powers' destination block is their scratch.
+    numpy copies each strided operand of at most np.getbufsize() entries,
+    such as these column blocks, into a buffer of its size; _product_error
+    runs with a 16-entry buffer (a size numpy 1.x takes too), which leaves
+    the blocks in place.  The squarings and the powers' matmul keep
+    numpy's default.
     """
     w = x0.shape[1]
     if out is None:
@@ -385,9 +396,16 @@ def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
     while done < count:
         take = min(done, count - done)
         src, dst = slice(0, take * w), slice(done * w, (done + take) * w)
-        np.matmul(step, out[:, src], out=out[:, dst])
         if errs is not None:
-            _product_error(step, step_err, out[:, src], errs[:, src], errs[:, dst])
+            # test_orbit_error_rows_are_the_whole_width_products, whose
+            # reference runs with numpy's default buffer, guards the bits
+            bufsize = np.setbufsize(16)
+            try:
+                _product_error(step, step_err, out[:, src], errs[:, src],
+                               errs[:, dst], scratch=out[:, dst])
+            finally:
+                np.setbufsize(bufsize)
+        np.matmul(step, out[:, src], out=out[:, dst])
         done += take
         if done < count:
             step, step_err = _square(step, step_err)
@@ -829,6 +847,13 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     uncovered rounding, so E_k can miss |exp(A k h) - F_k|.  Returns the
     (K, n, n) flows, the (K, n) pads E_k max(|lo|, |hi|) of Theta and the
     (K,) entry sums of E_k, each at least ||E_k||_2, but not the E_k.
+
+    Memory: the orbit holds the powers and the error rows, two arrays of
+    the flows' size, and while a doubling of t of the K blocks forms its
+    error rows one product of t blocks (_product_error).  So it peaks at
+    2 + t/K flows arrays for the widest doubling, t <= K/2 (2.49 for
+    K = 1001, 2.50 for 2051).  The error rows are reduced to the pads and
+    sums and freed before the transposed copy of the powers is made.
     """
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
@@ -853,16 +878,22 @@ def _padded_image(rows, theta: Box, pad, radii, norms):
     point, times Theta (_endpoint_product), sums of the smaller (larger)
     of m_ij lo_j, m_ij hi_j; widened by pad (K, r) and then by radii[k]
     norms[j], norms (r,) the 2-norms of the directions that the rows look
-    along; -inf, inf where radii[k] is inf.  Callers run it with overflow
-    and invalid ignored."""
+    along; -inf, inf where radii[k] is inf.  Every entry is summed as a
+    whole, so a chunk of steps gets the bits of the whole grid.  Callers
+    run it with overflow and invalid ignored."""
     flat = rows.reshape(-1, rows.shape[-1])
     lo, hi = (b.reshape(rows.shape[:-1]) for b in _endpoint_product(
         flat, flat, theta.lo[:, None], theta.hi[:, None]))
-    ball = np.multiply.outer(radii, norms)
     lo -= pad
-    lo -= ball
     hi += pad
-    hi += ball
+    # the ball radii[k] norms[j] line by line along the longer axis: a
+    # (K, r) product would take numpy's broadcast buffers besides
+    along_steps = len(radii) >= len(norms)
+    for i, scale in enumerate(norms if along_steps else radii):
+        ball = (radii if along_steps else norms) * scale
+        line = (slice(None), i) if along_steps else i
+        lo[line] -= ball
+        hi[line] += ball
     lo[np.isinf(radii)], hi[np.isinf(radii)] = -np.inf, np.inf
     return lo, hi
 

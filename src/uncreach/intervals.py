@@ -40,9 +40,14 @@ _CHUNK_ENTRIES = 4096
 
 
 def _row_chunks(rows: int, per_row: int):
-    """Slices of about _CHUNK_ENTRIES // per_row rows each, covering rows."""
+    """Slices of about _CHUNK_ENTRIES // per_row rows each, covering rows.
+
+    A map over ranges rather than a generator: a generator's frame and
+    objects (0.5 KB) live as long as the loop, which lifted twocell's
+    chunked symbolic support above its whole-grid peak.
+    """
     step = max(1, _CHUNK_ENTRIES // max(1, per_row))
-    return (slice(i, i + step) for i in range(0, rows, step))
+    return map(slice, range(0, rows, step), range(step, rows + step, step))
 
 
 def _frobenius(m: np.ndarray, axis: int | None = None):
@@ -86,7 +91,8 @@ def _gamma(k: int) -> float:
 
 
 def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
-                   x_err: np.ndarray, out: np.ndarray) -> None:
+                   x_err: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray | None = None) -> None:
     """Write into out a bound on |F X - fl(f x)| for |F - f| <= f_err, |X - x| <= x_err.
 
     F X - fl(f x) = (F - f) X + f (X - x) + (f x - fl(f x)), and the last
@@ -105,15 +111,24 @@ def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
     all, grown by at most 1 + gamma_n through the sums.  The term
     (3n + sum_k |f_ik|) 2^-1074 added to row i is twice that, which
     covers the growth and the term's own rounding.
+
+    Memory: each inner product is one matmul over all columns of x.  A
+    BLAS may round a column differently in a product of a chunk of
+    columns (OpenBLAS does in a chunk's last tile), so chunks would move
+    the bits; the products' operands and results are whole.  The two
+    operands take turns in one x-shaped array, scratch if given, else a
+    fresh one, so the temporaries are that array and one out-shaped
+    product (and numpy's ufunc buffers, see engine._orbit).
     """
     n = f.shape[1]
     af = np.abs(f)
-    ax = np.abs(x)
-    tmp = ax * _gamma(n)
-    tmp += x_err
-    np.matmul(af, tmp, out=out)
-    ax += x_err
-    out += np.matmul(f_err, ax, out=tmp)
+    t = np.abs(x, out=scratch)
+    t *= _gamma(n)
+    t += x_err
+    np.matmul(af, t, out=out)
+    np.abs(x, out=t)
+    t += x_err
+    out += f_err @ t
     out *= 1.0 + 2.0 * _gamma(n + 3)
     out += (af.sum(axis=1, keepdims=True) + 3 * n) * 2.0 ** -1074
 

@@ -28,7 +28,7 @@ from uncreach import (
     safety_check,
     symbolic_reach,
 )
-from uncreach import engine
+from uncreach import engine, intervals
 from uncreach.engine import (
     _add_outward, _centre_radius, _chunk_steps, _count_segment, _inside,
     _orbit, _run_recurrence)
@@ -1359,6 +1359,98 @@ class TestOrbit:
                 for i in range(n):
                     assert abs(x[i] - Fraction(powers[i, k])) <= Fraction(errs[i, k])
                 x = [sum(exact[i][j] * x[j] for j in range(n)) for i in range(n)]
+
+
+class TestSymbolicChunks:
+    """Symbolic supports in chunks of steps, and the symbolic route's peaks."""
+
+    def test_axis_supports_are_the_box_bitwise(self, monkeypatch):
+        # support(e_i) of a symbolic result is hi[:, i] to the bit, and
+        # support(-e_i) is -lo[:, i] (a zero may take the other sign);
+        # each is bytewise the same whatever the chunk of steps.  acc4's
+        # kagstrom1 bound is inf from t = 1.09 on
+        cases = ((shipped("acc4"), "loan"), (shipped("acc4"), "kagstrom1"),
+                 (shipped("girad1"), "kagstrom2"), (heat_rod(8), "loan"))
+        for model, method in cases:
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 model.times(), method=method)
+            n = model.dim
+            dirs = np.vstack([np.eye(n), -np.eye(n)])
+            whole = res.support(dirs)
+            assert whole[:, :n].tobytes() == res.hi.tobytes()
+            assert np.array_equal(whole[:, n:], -res.lo)
+            for entries in (1, 7, 10 ** 9):
+                monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
+                got = res.support(dirs)
+                assert got.tobytes() == whole.tobytes(), (model.name, method, entries)
+            monkeypatch.undo()
+
+    def test_short_grids_and_no_directions(self):
+        # one cell, grids of one to three points: supports of (k, 1)
+        # directions are (K, k), of none (K, 0)
+        theta = Box(np.array([0.5]), np.array([1.0]))
+        lam = IntervalMatrix(np.array([[-0.1]]), np.array([[0.1]]))
+        for count in (1, 2, 3):
+            res = symbolic_reach(np.array([[-1.0]]), lam, theta,
+                                 np.arange(count) * 0.1, method="loan")
+            sup = res.support(np.array([[1.0], [-1.0]]))
+            assert sup.shape == (count, 2)
+            assert np.array_equal(sup, np.hstack([res.hi, -res.lo]))
+            assert res.support(np.empty((0, 1))).shape == (count, 0)
+            assert safety_check(res, (HalfSpace(np.array([1.0]), 2.0),)).safe
+        rod = heat_rod(5)
+        res = symbolic_reach(rod.a, rod.perturbation(), rod.initial,
+                             rod.times(), method="loan")
+        assert res.support(np.empty((0, 5))).shape == (1001, 0)
+
+    def test_acc4_peak_memory(self):
+        # the benchmark's acc4 loan run peaks at 0.697 MB: the orbit's
+        # powers and error rows (0.525 MB) and one product of its widest
+        # doubling.  Whole |x| temporaries with numpy's buffers of strided
+        # views in the orbit, a (K, n) ball and a (K, 1, n) support image
+        # took it to 0.894 MB
+        model = shipped("acc4")
+        tracemalloc.start()
+        try:
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 model.times(), method="loan")
+            safety_check(res, model.unsafe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75e6
+
+    def test_heat_rod_32_peak_memory(self):
+        # 1001 flows of order 32: the orbit holds the powers and error rows
+        # (two flows arrays) and, at its last doubling, one product of
+        # that doubling's 489 blocks, so 2.50 flows arrays in all (2.99
+        # with whole |x| temporaries and a second product).  2.55 guards
+        # that level; it is not the goal of 2.2 arrays, which whole-width
+        # error products cannot reach (ROADMAP item 9: error rows kept as
+        # vectors)
+        rod = heat_rod(32)
+        tracemalloc.start()
+        try:
+            res = symbolic_reach(rod.a, rod.perturbation(), rod.initial,
+                                 rod.times(), method="loan")
+            safety_check(res, rod.unsafe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.55 * res.flows.nbytes
+
+    def test_axis_supports_of_heat_rod_32_memory(self):
+        # the 64 rows +-e_i: a (K, 64, 32) image would be two flows arrays
+        rod = heat_rod(32)
+        res = symbolic_reach(rod.a, rod.perturbation(), rod.initial,
+                             rod.times(), method="loan")
+        tracemalloc.start()
+        try:
+            res.support(np.vstack([np.eye(32), -np.eye(32)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.flows.nbytes
 
 
 class TestCentredZonotopes:

@@ -18,7 +18,7 @@ from uncreach import (
     load_model,
 )
 from uncreach import intervals
-from uncreach.engine import _add_outward
+from uncreach.engine import _add_outward, _orbit
 from uncreach.intervals import _endpoint_product, _product_error
 
 # analytic values, frozen independently of the library
@@ -286,6 +286,97 @@ class TestProductError:
                         exact = sum(Fraction(f[i, k]) * Fraction(x[k, j])
                                     for k in range(n))
                         assert abs(exact - Fraction(got[i, j])) <= Fraction(out[i, j])
+
+    def test_bits_are_the_whole_width_evaluation(self, monkeypatch):
+        # the bound, with or without scratch, and with x, x_err, out and
+        # scratch as the column blocks of two shared arrays that
+        # engine._orbit passes, is bytewise the evaluation on whole
+        # contiguous temporaries; the chunk size of the other products
+        # does not enter
+        rng = np.random.default_rng(2026)
+        for entries in (1, 7, 4096):
+            monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
+            for n in (1, 2, 3, 5, 33):
+                f = rng.normal(size=(n, n))
+                f_err = rng.uniform(0, 1e-12, (n, n)) * (rng.random((n, n)) < 0.8)
+                for width in (1, 7, 2048 // n, 8192 // n + 3, 5000):
+                    powers = rng.normal(size=(n, 3 * width))
+                    errs = rng.uniform(0, 1e-9, (n, 3 * width))
+                    x, x_err = powers[:, :width], errs[:, :width]
+                    want = product_error_reference(f, f_err, x, x_err).tobytes()
+                    out = np.empty((n, width))
+                    _product_error(f, f_err, x.copy(), x_err.copy(), out)
+                    assert out.tobytes() == want, (entries, n, width)
+                    dst = slice(2 * width, 3 * width)
+                    _product_error(f, f_err, x, x_err, errs[:, dst],
+                                   scratch=powers[:, dst])
+                    assert errs[:, dst].tobytes() == want, (entries, n, width)
+
+    def test_scratch_leaves_one_product_of_temporaries(self):
+        # given scratch, the operands live there: the peak is about one
+        # out-sized product, where whole |x| and its sums added two more
+        n, width = 8, 4000
+        rng = np.random.default_rng(9)
+        powers = rng.normal(size=(n, 2 * width))
+        errs = rng.uniform(0, 1e-9, (n, 2 * width))
+        f, f_err = rng.normal(size=(n, n)), np.full((n, n), 1e-12)
+        src, dst = slice(0, width), slice(width, 2 * width)
+        tracemalloc.start()
+        try:
+            _product_error(f, f_err, powers[:, src], errs[:, src], errs[:, dst],
+                           scratch=powers[:, dst])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * n * width * 8
+
+    def test_orbit_error_rows_are_the_whole_width_products(self):
+        # engine._orbit forms each doubling's error rows before its powers,
+        # in the powers' destination as scratch: bytewise the orbit whose
+        # bounds, squarings included, take whole fresh temporaries
+        rng = np.random.default_rng(406)
+        for n in (1, 2, 3, 5, 33):
+            a = rng.normal(size=(n, n)) / math.sqrt(n)
+            a_err = rng.uniform(0, 1e-12, (n, n))
+            for count in (1, 2, 3, 7, 64, 300):
+                powers, errs = _orbit(a, np.eye(n), count, a_err)
+                want = orbit_reference(a, np.eye(n), count, a_err)
+                assert powers.tobytes() == want[0].tobytes(), (n, count)
+                assert errs.tobytes() == want[1].tobytes(), (n, count)
+
+
+def orbit_reference(a, x0, count, a_err):
+    """engine._orbit with error rows, each bound by product_error_reference."""
+    w = x0.shape[1]
+    out = np.empty((x0.shape[0], count * w))
+    out[:, :w] = x0
+    errs = np.zeros_like(out)
+    done, step, step_err = 1, a, a_err
+    while done < count:
+        take = min(done, count - done)
+        src, dst = slice(0, take * w), slice(done * w, (done + take) * w)
+        out[:, dst] = step @ out[:, src]
+        errs[:, dst] = product_error_reference(step, step_err, out[:, src],
+                                               errs[:, src])
+        done += take
+        if done < count:
+            step, step_err = (step @ step,
+                              product_error_reference(step, step_err, step, step_err))
+    return out, errs
+
+
+def product_error_reference(f, f_err, x, x_err):
+    """_product_error's bound evaluated on whole contiguous temporaries."""
+    n = f.shape[1]
+    af, ax = np.abs(f), np.abs(x)
+    tmp = ax * intervals._gamma(n)
+    tmp += x_err
+    out = af @ tmp
+    ax += x_err
+    out += f_err @ ax
+    out *= 1.0 + 2.0 * intervals._gamma(n + 3)
+    out += (af.sum(axis=1, keepdims=True) + 3 * n) * 2.0 ** -1074
+    return out
 
 
 class TestNorms:
