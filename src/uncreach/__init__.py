@@ -3,9 +3,7 @@ whose dynamics matrix carries per-cell interval uncertainty."""
 
 from .bounds import (
     BloatSeries,
-    bloat_factor,
     bloat_series,
-    interval_norm,
     kagstrom1,
     kagstrom2,
     loan,
@@ -61,13 +59,11 @@ __all__ = [
     "ReachResult",
     "SafetyVerdict",
     "ThresholdReport",
-    "bloat_factor",
     "bloat_series",
     "budget_weights",
     "discretize",
     "distribute",
     "interval_expm",
-    "interval_norm",
     "kagstrom1",
     "kagstrom2",
     "load_model",

@@ -6,10 +6,12 @@ factor at time t is
     phi(t) = sup_{E in Lambda} ||exp((A+E)t) - exp(At)|| / ||exp(At)||.
 
 The three bounds implemented here dominate phi(t) whenever the norm
-argument dominates sup ||E||, so instantiating them with the interval
-2-norm sup gives a valid 2-norm bound and with the Frobenius sup a valid
-(larger) Frobenius bound.  Each bound takes t as a float or as a time
-array; a value beyond float range saturates to inf.
+argument dominates sup ||E||_2 over Lambda, and bloat_series fills them
+with the interval 2-norm sup, IntervalMatrix.two_norm_sup.  Each bound is
+nondecreasing in that argument and two_norm_sup <= frobenius_sup, so the
+Frobenius sup, though also valid, never gives a smaller bound.  Each
+bound takes t as a float or as a time array; a value beyond float range
+saturates to inf.
 """
 
 from __future__ import annotations
@@ -29,15 +31,10 @@ __all__ = [
     "kagstrom1",
     "kagstrom2",
     "loan",
-    "bloat_factor",
     "BloatSeries",
     "bloat_series",
-    "interval_norm",
     "BLOAT_METHODS",
-    "NORM_KINDS",
 ]
-
-NORM_KINDS = ("two", "frobenius")
 
 # Largest eigenvector condition number kagstrom2 accepts.
 _COND_MAX = 1e8
@@ -172,41 +169,23 @@ _BOUNDS = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}
 BLOAT_METHODS = tuple(_BOUNDS)
 
 
-def bloat_factor(a, lambda_norm: float, t, method: str):
-    """phi of one method at a float t (a float) or a time array (an array)."""
-    if method not in BLOAT_METHODS:  # a tuple: an unhashable method is unknown too
-        raise ValueError(f"unknown bloat method {method!r}")
-    return _BOUNDS[method](a, lambda_norm, t)
-
-
-def interval_norm(lam: IntervalMatrix, kind: str) -> float:
-    """The interval norm sup that instantiates the bounds: frobenius_sup
-    (exact) or two_norm_sup (an upper bound, exact on zero-centred ones)."""
-    if kind == "two":
-        return lam.two_norm_sup()
-    if kind == "frobenius":
-        return lam.frobenius_sup()
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class BloatSeries:
-    """Bloating factors phi(t) on a time grid for one method and norm."""
+    """Bloating factors phi(t) on a time grid for one method; lambda_norm
+    is the interval 2-norm sup of the perturbation family."""
 
     method: str
-    norm_kind: str
     lambda_norm: float
     times: np.ndarray
     phi: np.ndarray
 
 
-def bloat_series(a, lam: IntervalMatrix, times, method: str,
-                 norm_kind: str = "two") -> BloatSeries:
+def bloat_series(a, lam: IntervalMatrix, times, method: str) -> BloatSeries:
     """Evaluate one bound over an ascending time grid.
 
-    The interval norm is computed once and the closed form is evaluated
-    over the whole grid at once.  Values are nondecreasing in t and
-    saturate at inf.
+    The interval 2-norm sup is computed once and the closed form is
+    evaluated over the whole grid at once.  Values are nondecreasing in t
+    and saturate at inf.
     """
     a = _square(a)
     times = np.asarray(times, dtype=np.float64)
@@ -216,7 +195,8 @@ def bloat_series(a, lam: IntervalMatrix, times, method: str,
         raise ValueError("times must be nonnegative and ascending")
     if lam.shape != a.shape:
         raise DimensionMismatch("perturbation family must match the matrix shape")
-    lambda_norm = interval_norm(lam, norm_kind)
-    phi = bloat_factor(a, lambda_norm, times, method)
-    return BloatSeries(method=method, norm_kind=norm_kind,
-                       lambda_norm=lambda_norm, times=times, phi=phi)
+    if method not in BLOAT_METHODS:  # a tuple: an unhashable method is unknown too
+        raise ValueError(f"unknown bloat method {method!r}")
+    lambda_norm = lam.two_norm_sup()
+    return BloatSeries(method=method, lambda_norm=lambda_norm, times=times,
+                       phi=_BOUNDS[method](a, lambda_norm, times))

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bounds import BLOAT_METHODS, NORM_KINDS
+from .bounds import BLOAT_METHODS
 from .engine import ors_reach, safety_check, symbolic_reach
 from .errors import ModelFileError, ReachError
 from .modelfile import load_model
@@ -93,8 +93,6 @@ def main() -> None:
 @click.option("--method", default="numeric",
               type=click.Choice(("numeric",) + BLOAT_METHODS),
               help="numeric star recurrence or a symbolic bloating bound")
-@click.option("--norm", default="two", type=click.Choice(NORM_KINDS),
-              help="interval norm feeding the symbolic bounds")
 @click.option("--out", default="-", help="CSV destination ('-' = stdout)")
 @click.option("--t-start", type=float, default=None,
               help="symbolic window start (default 0; off the grid, the "
@@ -102,7 +100,7 @@ def main() -> None:
 @click.option("--t-end", type=float, default=None,
               help="symbolic window end (default horizon*step)")
 @_handle_errors
-def reach_cmd(model_path: str, method: str, norm: str, out: str,
+def reach_cmd(model_path: str, method: str, out: str,
               t_start: float | None, t_end: float | None) -> None:
     """Compute a flowpipe and report the safety verdict.
 
@@ -120,7 +118,7 @@ def reach_cmd(model_path: str, method: str, norm: str, out: str,
             raise ValueError("symbolic bounds need a continuous model")
         times, first = _window(model, t_start, t_end)
         full = symbolic_reach(model.a, model.perturbation(), model.initial,
-                              times, method=method, norm_kind=norm)
+                              times, method=method)
         result = dataclasses.replace(full, **{
             k: getattr(full, k)[first:] for k in _SYMBOLIC_ROWS})
     verdict = safety_check(result, model.unsafe)
@@ -176,19 +174,15 @@ def order_cmd(model_path: str, out: str) -> None:
               help="budget grid spacing")
 @click.option("--cap", default=200, type=int, show_default=True,
               help="size of the budget grid 0, step, ..., (cap - 1) step")
-@click.option("--proportional-literal", is_flag=True,
-              help="literal sum-of-smaller-scores weights (see README)")
 @click.option("--out", default="-", help="JSON destination ('-' = stdout)")
 @_handle_errors
 def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
-               step: float, cap: int, proportional_literal: bool,
-               out: str) -> None:
+               step: float, cap: int, out: str) -> None:
     """Search the largest safe uncertainty budget over the given cells."""
     model = load_model(model_path)
     cell_list = [_parse_cell(c) for c in cells]
     report = robustness_threshold(model, cell_list, scheme=scheme, step=step,
-                                  cap=cap,
-                                  proportional_literal=proportional_literal)
+                                  cap=cap)
     doc = {
         "model": model.name,
         "scheme": report.scheme,

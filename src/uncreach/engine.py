@@ -74,6 +74,14 @@ def _real(value, what: str) -> float:
     raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
+def _integer(value, what: str) -> int:
+    """value as an int if it is a (numpy) integer and not a bool, else
+    ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CellUncertainty:
     """Uncertainty of one dynamics-matrix entry.
@@ -209,10 +217,7 @@ class ModelSpec:
             if hs.normal.shape[0] != n:
                 raise DimensionMismatch("half-space normal must match the dimension")
         for key in ("horizon", "reduction_period"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.step is not None:
@@ -790,7 +795,7 @@ def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
 
 
 def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
-                   method: str = "kagstrom1", norm_kind: str = "two") -> ReachResult:
+                   method: str = "kagstrom1") -> ReachResult:
     """Nominal flow exp(At) Theta with a bloating radius per time point.
 
     The radius delta(t) = phi(t) ||exp(At)||_2 max_{x in Theta} ||x||_2
@@ -814,7 +819,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     if a.shape[-1:] != (theta.dim,):
         raise DimensionMismatch("initial box dimension must match the matrix")
     _require_finite(theta, "initial box must be finite")
-    series = _bounds.bloat_series(a, pert, times, method, norm_kind)
+    series = _bounds.bloat_series(a, pert, times, method)
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         flows, pad, err_sums = _doubling_flows(a, series.times, theta)

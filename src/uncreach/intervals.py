@@ -244,8 +244,9 @@ class Box:
     """Axis-aligned box given by per-axis lower/upper bounds.
 
     Bounds may be -inf/inf (an unbounded flowpipe step) but not NaN;
-    center is 0 along an axis with an infinite bound (_centre_radius), and
-    sample refuses a box with any infinite bound.
+    center and radius are _centre_radius's, so center -+ radius covers
+    [lo, hi] (centre 0 and radius inf along an axis with an infinite
+    bound), and sample refuses a box with any infinite bound.
     """
 
     lo: np.ndarray
@@ -264,7 +265,7 @@ class Box:
 
     @property
     def radius(self) -> np.ndarray:
-        return 0.5 * self.hi - 0.5 * self.lo  # hi - lo may overflow
+        return _centre_radius(self.lo, self.hi)[1]
 
     def widths(self) -> np.ndarray:
         return self.hi - self.lo

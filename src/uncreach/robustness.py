@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (CellUncertainty, ModelSpec, _check_cells, _widen,
-                     reach_with_perturbation, safety_check)
+from .engine import (CellUncertainty, ModelSpec, _check_cells, _integer,
+                     _widen, reach_with_perturbation, safety_check)
 from .intervals import IntervalMatrix
 from .sensitivity import order_cells
 
@@ -28,26 +28,25 @@ __all__ = [
     "robustness_threshold",
 ]
 
-SCHEMES = ("equal", "harmonic", "proportional")
+SCHEMES = ("equal", "harmonic", "proportional", "proportional-literal")
 
 # floor for harmonic weights so zero-score cells cannot blow up
 _SCORE_FLOOR = 1e-12
 
 
-def budget_weights(cells, scores: np.ndarray, scheme: str,
-                   proportional_literal: bool = False) -> np.ndarray:
+def budget_weights(cells, scores: np.ndarray, scheme: str) -> np.ndarray:
     """Normalized budget shares (sum 1) for the selected cells.
 
-    equal        : 1/k each.
-    harmonic     : proportional to 1/max(Ord, floor); low-sensitivity
-                   cells absorb more budget.
-    proportional : inverse-rank reading, proportional to
-                   1 + #{selected cells with strictly greater Ord}, so the
-                   most sensitive cell gets the smallest share.  The
-                   literal reading (share proportional to the sum of
-                   strictly smaller selected Ord values, equal fallback
-                   when all such sums vanish) sits behind
-                   proportional_literal=True; see README on the ambiguity.
+    equal                : 1/k each.
+    harmonic             : proportional to 1/max(Ord, floor); low-sensitivity
+                           cells absorb more budget.
+    proportional         : inverse-rank reading, proportional to
+                           1 + #{selected cells with strictly greater Ord},
+                           so the most sensitive cell gets the smallest share.
+    proportional-literal : literal reading, proportional to the sum of
+                           strictly smaller selected Ord values, equal
+                           when all such sums vanish.
+    The last two read one phrase of the paper; see README on the ambiguity.
     """
     k = len(cells)
     if k == 0:
@@ -58,19 +57,18 @@ def budget_weights(cells, scores: np.ndarray, scheme: str,
     if scheme == "harmonic":
         w = 1.0 / np.maximum(vals, _SCORE_FLOOR)
     elif scheme == "proportional":
-        if proportional_literal:
-            w = np.asarray([vals[vals < v].sum() for v in vals])
-            if not np.any(w):
-                w = np.ones(k)
-        else:
-            w = np.asarray([1.0 + np.sum(vals > v) for v in vals])
+        w = np.asarray([1.0 + np.sum(vals > v) for v in vals])
+    elif scheme == "proportional-literal":
+        w = np.asarray([vals[vals < v].sum() for v in vals])
+        if not np.any(w):
+            w = np.ones(k)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return w / w.sum()
 
 
-def distribute(a, cells, scores: np.ndarray, p: float, scheme: str,
-               proportional_literal: bool = False) -> IntervalMatrix:
+def distribute(a, cells, scores: np.ndarray, p: float,
+               scheme: str) -> IntervalMatrix:
     """Uncertain dynamics for budget p: cell (i,j) gets radius
     p * k * w_ij * |A[i,j]| around A[i,j]; other entries stay points.
 
@@ -81,7 +79,7 @@ def distribute(a, cells, scores: np.ndarray, p: float, scheme: str,
     if p < 0:
         raise ValueError("budget must be nonnegative")
     cells = _check_cells(cells, a.shape[0])
-    w = budget_weights(cells, scores, scheme, proportional_literal)
+    w = budget_weights(cells, scores, scheme)
     k = len(cells)
     return _widen(a, [CellUncertainty(i, j, relative=p * k * wi)
                       for (i, j), wi in zip(cells, w)])
@@ -113,9 +111,9 @@ class ThresholdReport:
 
 
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
-                         step: float = 0.05, cap: int = 200,
-                         proportional_literal: bool = False) -> ThresholdReport:
-    """Largest safe budget on the grid p = i step, i = 0, ..., cap - 1.
+                         step: float = 0.05, cap: int = 200) -> ThresholdReport:
+    """Largest safe budget on the grid p = i step, i = 0, ..., cap - 1,
+    cap an integer (numpy integers too, bools not) of at least 1.
 
     Each budget is spread over the cells by the scheme and the numeric
     pipeline runs on the perturbed family.  The search gallops over the
@@ -142,8 +140,9 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     """
     if step <= 0 or not math.isfinite(step):
         raise ValueError("step must be positive")
+    cap = _integer(cap, "cap")
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise ValueError(f"cap must be at least 1, got {cap}")
     cells = _check_cells(cells, model.dim)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -154,8 +153,8 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     evaluated: list[float] = []
 
     def perturbation(i: int) -> IntervalMatrix:
-        return distribute(model.a, cells, scores, i * step, scheme,
-                          proportional_literal).sub_point(model.a)
+        return distribute(model.a, cells, scores, i * step,
+                          scheme).sub_point(model.a)
 
     def proven_safe(i: int) -> bool:
         evaluated.append(i * step)

@@ -19,7 +19,6 @@ from uncreach import (
     HalfSpace,
     IntervalMatrix,
     ModelSpec,
-    bloat_factor,
     kagstrom1,
     kagstrom2,
     loan,

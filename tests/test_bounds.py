@@ -16,9 +16,7 @@ from uncreach import (
     HalfSpace,
     IntervalMatrix,
     ModelSpec,
-    bloat_factor,
     bloat_series,
-    interval_norm,
     kagstrom1,
     kagstrom2,
     load_model,
@@ -34,8 +32,9 @@ from uncreach._kernels import box_core
 from uncreach.stars import Star, linear_map
 from uncreach.engine import _doubling_flows, _padded_image
 from uncreach.intervals import _sigma_max_bound
-from uncreach.bounds import BLOAT_METHODS, NORM_KINDS
+from uncreach.bounds import BLOAT_METHODS
 
+BOUNDS = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 TWOCELL_A = np.array([[1.0, -1.0], [0.0, 2.0]])
 TWOCELL_FRO_NORM = 2.449489742783178       # sqrt(6)
@@ -204,15 +203,20 @@ class TestLoan:
 
 class TestBloatFactor:
     def test_dispatch(self):
-        assert BLOAT_METHODS == ("kagstrom1", "kagstrom2", "loan")
+        assert BLOAT_METHODS == tuple(BOUNDS)
+        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.full((2, 2), 0.05))
+        times = np.array([0.0, 0.5])
         for method in BLOAT_METHODS:
-            direct = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}[method]
-            assert bloat_factor(GIRAD_A, 0.1, 0.5, method) == direct(GIRAD_A, 0.1, 0.5)
+            out = bloat_series(GIRAD_A, lam, times, method)
+            assert out.method == method
+            assert out.lambda_norm == lam.two_norm_sup()
+            assert np.array_equal(
+                out.phi, [0.0, BOUNDS[method](GIRAD_A, out.lambda_norm, 0.5)])
 
     def test_unknown_method(self):
         for bad in ("tight", ["loan"]):
             with pytest.raises(ValueError, match=r"unknown bloat method"):
-                bloat_factor(GIRAD_A, 0.1, 0.5, bad)
+                bloat_series(GIRAD_A, IntervalMatrix.zeros(2, 2), [0.5], bad)
 
 
 def ragged_grid(rng, count=40, end=3.0):
@@ -227,9 +231,9 @@ class TestVectorisedBounds:
         rng = np.random.default_rng(8)
         times = ragged_grid(rng)
         for method in BLOAT_METHODS:
-            got = bloat_factor(GIRAD_A, 0.08, times, method)
+            got = BOUNDS[method](GIRAD_A, 0.08, times)
             assert isinstance(got, np.ndarray) and got.shape == times.shape
-            ref = [bloat_factor(GIRAD_A, 0.08, float(t), method) for t in times]
+            ref = [BOUNDS[method](GIRAD_A, 0.08, float(t)) for t in times]
             assert all(isinstance(v, float) for v in ref)
             assert np.array_equal(got, ref)
             assert got[0] == 0.0
@@ -241,24 +245,12 @@ class TestVectorisedBounds:
         for method in BLOAT_METHODS:
             out = bloat_series(GIRAD_A, lam, times, method)
             assert np.array_equal(
-                out.phi, bloat_factor(GIRAD_A, out.lambda_norm, times, method))
+                out.phi, BOUNDS[method](GIRAD_A, out.lambda_norm, times))
 
     def test_rejects_negative_times_in_array(self):
-        for method in BLOAT_METHODS:
+        for bound in BOUNDS.values():
             with pytest.raises(ValueError):
-                bloat_factor(GIRAD_A, 0.1, np.array([0.0, -1.0]), method)
-
-
-class TestIntervalNorm:
-    def test_kinds(self):
-        lam = IntervalMatrix(np.array([[1.0, -1.1], [0.0, 2.0]]),
-                             np.array([[1.0, -0.9], [0.0, 2.0]]))
-        assert interval_norm(lam, "frobenius") == lam.frobenius_sup()
-        assert interval_norm(lam, "two") == lam.two_norm_sup()
-        with pytest.raises(ValueError):
-            interval_norm(lam, "one")
-        # any order: the 9x9 zero family used to be refused
-        assert interval_norm(IntervalMatrix.zeros(9, 9), "two") == 0.0
+                bound(GIRAD_A, 0.1, np.array([0.0, -1.0]))
 
 
 class TestBoundValidity:
@@ -303,10 +295,10 @@ class TestBoundValidity:
     def test_monotone_in_time_and_norm(self):
         times = np.linspace(0.0, 2.0, 21)
         norms = np.linspace(0.0, 0.5, 11)
-        for method in BLOAT_METHODS:
-            in_t = [bloat_factor(GIRAD_A, 0.1, t, method) for t in times]
+        for bound in BOUNDS.values():
+            in_t = [bound(GIRAD_A, 0.1, t) for t in times]
             assert all(b >= a - 1e-12 for a, b in zip(in_t, in_t[1:]))
-            in_norm = [bloat_factor(GIRAD_A, v, 1.0, method) for v in norms]
+            in_norm = [bound(GIRAD_A, v, 1.0) for v in norms]
             assert all(b >= a - 1e-12 for a, b in zip(in_norm, in_norm[1:]))
 
 
@@ -326,15 +318,14 @@ class TestBloatSeries:
             np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
         times = np.linspace(0.0, 2.0, 201)
         for method in BLOAT_METHODS:
-            for kind in NORM_KINDS:
-                out = bloat_series(GIRAD_A, lam, times, method, norm_kind=kind)
-                assert out.phi.shape == (201,)
-                assert out.phi[0] == 0.0
-                assert np.all(np.diff(out.phi) >= -1e-12)
-                # spot-check the pointwise formula on a few grid points
-                for idx in (1, 100, 200):
-                    ref = bloat_factor(GIRAD_A, out.lambda_norm, times[idx], method)
-                    assert out.phi[idx] == pytest.approx(ref, rel=1e-12)
+            out = bloat_series(GIRAD_A, lam, times, method)
+            assert out.phi.shape == (201,)
+            assert out.phi[0] == 0.0
+            assert np.all(np.diff(out.phi) >= -1e-12)
+            # spot-check the pointwise formula on a few grid points
+            for idx in (1, 100, 200):
+                ref = BOUNDS[method](GIRAD_A, out.lambda_norm, times[idx])
+                assert out.phi[idx] == pytest.approx(ref, rel=1e-12)
 
     def test_validation(self):
         lam = IntervalMatrix.zeros(2, 2)
@@ -365,7 +356,7 @@ class TestBloatSeries:
         monkeypatch.setattr(IntervalMatrix, "two_norm_sup", counted)
         lam = IntervalMatrix.from_center_radius(
             np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
-        out = bloat_series(GIRAD_A, lam, np.array([0.0, 0.5]), "loan", "two")
+        out = bloat_series(GIRAD_A, lam, np.array([0.0, 0.5]), "loan")
         assert calls == [lam]
         assert out.lambda_norm == original(lam)
 
@@ -869,20 +860,19 @@ class TestDoublingFlows:
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
                                                 np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
-        cases = [(GIRAD_A, lam, theta, times, "two")
+        cases = [(GIRAD_A, lam, theta, times)
                  for times in (SHIPPED_GRID, np.arange(15) * 1.5)]
-        cases.append((TWOCELL_A, lam, theta, np.arange(1601) * 0.25, "two"))
+        cases.append((TWOCELL_A, lam, theta, np.arange(1601) * 0.25))
         for name in ("girad1", "acc4", "twocell"):
             model = load_model(importlib.resources.files("uncreach.models") / f"{name}.yaml")
-            cases += [(model.a, model.perturbation(), model.initial, model.times(), norm)
-                      for norm in NORM_KINDS]
-        for a, lam, theta, times, norm in cases:
+            cases.append((model.a, model.perturbation(), model.initial, model.times()))
+        for a, lam, theta, times in cases:
             n = a.shape[0]
             for method in BLOAT_METHODS:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     try:
-                        res = symbolic_reach(a, lam, theta, times, method, norm)
+                        res = symbolic_reach(a, lam, theta, times, method)
                     except DefectiveMatrix:  # kagstrom2 on acc4
                         continue
                     sups = res.support(np.vstack((np.eye(n), -np.eye(n))))

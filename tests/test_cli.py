@@ -158,17 +158,6 @@ class TestReachSymbolic:
         assert empty.exit_code == 1
         assert "no grid point" in empty.stderr
 
-    def test_norm_choice_changes_radius(self, runner):
-        two = runner.invoke(main, ["reach", TWOCELL, "--method", "loan",
-                                   "--norm", "two", "--t-end", "0.1"])
-        fro = runner.invoke(main, ["reach", TWOCELL, "--method", "loan",
-                                   "--norm", "frobenius", "--t-end", "0.1"])
-        r_two = parse_csv(two.stdout)
-        r_fro = parse_csv(fro.stdout)
-        # single uncertain column: the two norms coincide here
-        for a, b in zip(r_two, r_fro):
-            assert a[2] == pytest.approx(b[2], rel=1e-12)
-
     def test_symbolic_requires_continuous_model(self, runner):
         result = runner.invoke(main, ["reach", GROW1D, "--method", "loan"])
         assert result.exit_code == 1
@@ -276,6 +265,27 @@ class TestRobust:
         doc = json.loads(result.stdout)
         assert doc["scheme"] == "harmonic"
         assert doc["cells"] == [[0, 0], [1, 1]]
+
+    def test_literal_proportional_scheme(self, runner):
+        # acc4's cell (0,0) has the larger score, so the literal reading
+        # gives it the whole budget: radius 2 p |-0.5| = p there, none at
+        # (2,3).  Budgets to 0.6 are safe, 0.65 is not
+        result = runner.invoke(main, ["robust", ACC4, "--cell", "0,0",
+                                      "--cell", "2,3", "--scheme",
+                                      "proportional-literal"])
+        assert result.exit_code == 0, result.output
+        final = 12 * 0.05
+        corner = [[final, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 3
+        assert json.loads(result.stdout) == {
+            "model": "acc-4", "scheme": "proportional-literal",
+            "cells": [[0, 0], [2, 3]], "step": 0.05, "final_budget": final,
+            "norm": final, "iterations": 14, "already_unsafe": False,
+            "cap_reached": False,
+            "trace": [[i * 0.05, i < 13] for i in range(14)],
+            "evaluated": [i * 0.05 for i in (1, 2, 4, 8, 16, 12, 14, 13)],
+            "safe_uncertainty": {"lo": [[-final, 0.0, 0.0, 0.0]] + corner[1:],
+                                 "hi": corner},
+        }
 
     def test_cell_out_of_range(self, runner):
         result = runner.invoke(main, ["robust", GROW1D, "--cell", "5,0"])

@@ -110,7 +110,7 @@ class TestIntervalMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = IntervalMatrix(np.array([[-1.5e308]]), np.array([[1e308]]))
-            assert m.radius[0, 0] == 1.25e308
+            assert m.radius[0, 0] == np.nextafter(1.25e308, np.inf)
             rng = np.random.default_rng(8)
             draws = np.array([m.sample(rng) for _ in range(200)])
         assert np.all(np.isfinite(draws))
@@ -124,7 +124,8 @@ class TestBox:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert Box(np.array([0.9e308]), np.array([1e308])).center[0] == 0.95e308
-            assert Box(np.array([-1.5e308]), np.array([1e308])).radius[0] == 1.25e308
+            assert (Box(np.array([-1.5e308]), np.array([1e308])).radius[0]
+                    == np.nextafter(1.25e308, np.inf))
             both = Box(np.array([-np.inf, -np.inf, 1.0]), np.array([np.inf, 2.0, np.inf]))
             assert np.array_equal(both.center, [0.0, 0.0, 0.0])
             assert np.array_equal(both.radius, [np.inf, np.inf, np.inf])
@@ -163,7 +164,18 @@ class TestBox:
         b = Box(lo[keep], hi[keep])
         assert keep.sum() > 4000
         assert np.array_equal(b.center, 0.5 * (b.lo + b.hi))
-        assert np.array_equal(b.radius, 0.5 * (b.hi - b.lo))
+        assert np.array_equal(b.radius, intervals._centre_radius(b.lo, b.hi)[1])
+
+    def test_center_and_radius_cover_the_box(self):
+        # a radius rounded to nearest, 0.5 hi - 0.5 lo, can fall half an ulp
+        # short, so center -+ radius missed [lo, hi] on about a quarter of
+        # these axes
+        rng = np.random.default_rng(0)
+        lo = rng.uniform(-1e5, 1e5, 20000)
+        hi = lo + 10.0 ** rng.uniform(-20, 5, 20000)
+        for b in (Box(lo, hi), IntervalMatrix(lo.reshape(100, 200), hi.reshape(100, 200))):
+            mid, rad = b.center, b.radius
+            assert np.all(mid - rad <= b.lo) and np.all(mid + rad >= b.hi)
 
 
 class TestIntervalMatmul:
@@ -401,7 +413,7 @@ class TestNorms:
             n = int(rng.integers(1, 7))
             m = rng.normal(size=(n, n)) * np.exp(rng.normal(size=(n, n)) * 5)
             lam = IntervalMatrix.from_center_radius(m, np.abs(rng.normal(size=(n, n))))
-            worst = np.abs(lam.center) + lam.radius
+            worst = np.maximum(np.abs(lam.lo), np.abs(lam.hi))
             assert lam.frobenius_sup() == float(np.linalg.norm(worst, "fro"))
         big = IntervalMatrix.from_point(np.array([[3e200, -4e200], [0.0, 0.0]]))
         with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.resources
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -67,15 +68,13 @@ class TestBudgetWeights:
 
     def test_proportional_literal_sum_of_smaller(self):
         scores = np.array([[5.0, 2.0], [9.0, 0.0]])
-        w = budget_weights(((0, 0), (0, 1), (1, 0)), scores, "proportional",
-                           proportional_literal=True)
-        assert np.allclose(w, [2 / 9, 0.0, 7 / 9], atol=1e-15)
+        w = budget_weights(((0, 0), (0, 1), (1, 0)), scores, "proportional-literal")
+        assert np.array_equal(w, [2 / 9, 0.0, 7 / 9])
 
     def test_proportional_literal_equal_fallback(self):
         scores = np.full((2, 2), 4.0)
-        w = budget_weights(((0, 0), (1, 1)), scores, "proportional",
-                           proportional_literal=True)
-        assert np.allclose(w, [0.5, 0.5])
+        w = budget_weights(((0, 0), (1, 1)), scores, "proportional-literal")
+        assert np.array_equal(w, [0.5, 0.5])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(44)
@@ -253,6 +252,17 @@ class TestRobustnessThreshold:
         with pytest.raises(ValueError):
             robustness_threshold(model, ((3, 0),))
 
+    def test_cap_must_be_an_integer(self):
+        # ModelSpec's rule for horizon: 2.5 used to raise a TypeError from
+        # the trace loop, and True ran as cap 1
+        model = scalar_model()
+        for bad in (2.5, True, np.True_, "3", None, 0, -2):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                robustness_threshold(model, ((0, 0),), cap=bad)
+        want = robustness_threshold(model, ((0, 0),), cap=3)
+        got = robustness_threshold(model, ((0, 0),), cap=np.int64(3))
+        assert got.trace == want.trace and got.evaluated == want.evaluated
+
     def test_cell_indices_must_be_integers(self):
         # a float index used to be truncated, so (0.5, 0) analysed cell
         # (0, 0), and a bool one read as 0 or 1
@@ -276,8 +286,7 @@ def shipped(name):
 
 
 def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
-                   step: float = 0.05, cap: int = 200,
-                   proportional_literal: bool = False) -> ThresholdReport:
+                   step: float = 0.05, cap: int = 200) -> ThresholdReport:
     """The linear scan robustness_threshold replaced, as its reference:
     one full flowpipe per grid budget, from 0 up to the first unsafe one."""
     if step <= 0 or not math.isfinite(step):
@@ -296,8 +305,7 @@ def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
     prev_p = 0.0
     for i in range(cap):
         p = i * step
-        assembled = distribute(model.a, cells, scores, p, scheme,
-                               proportional_literal)
+        assembled = distribute(model.a, cells, scores, p, scheme)
         pert = assembled.sub_point(model.a)
         verdict = safety_check(reach_with_perturbation(model, pert),
                                model.unsafe)

@@ -44,7 +44,8 @@ class TestBox:
         b = Box(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
         assert b.dim == 2
         assert np.array_equal(b.center, np.array([0.0, 2.0]))
-        assert np.array_equal(b.radius, np.array([1.0, 2.0]))
+        # pushed one ulp outward, so that center -+ radius covers the box
+        assert np.array_equal(b.radius, np.nextafter([1.0, 2.0], np.inf))
         assert np.array_equal(b.widths(), np.array([2.0, 4.0]))
         assert b.volume() == 8.0
 
