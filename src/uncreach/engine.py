@@ -307,22 +307,42 @@ class ReachResult:
     def support(self, dirs) -> np.ndarray:
         """(steps, k) supports of the flowpipe in the k rows of dirs.
 
-        Recorded directions are read from `supports`.  A symbolic result
-        gives the upper bounds of its padded images (_padded_image) in the
-        rows d E of its flows E, padded by flow_pad @ |d|, a chunk of steps
-        at a time into the (steps, k) result: about _CHUNK_ENTRIES image
-        entries per chunk, so no (steps, k, n) image exists.
-        Other directions of a numeric result replay its recurrence once
-        with exactly `dirs` as normals: one more pass in O(steps (n + k))
-        memory, the same boxes.
+        A direction e_i or -e_i is read from hi[:, i] or -lo[:, i], and a
+        recorded direction from `supports`; the others are computed once,
+        together (_computed_support).
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         if dirs.ndim != 2 or dirs.shape[1] != self.lo.shape[1]:
             raise DimensionMismatch("directions must match the flowpipe")
-        if self.normals is not None:
+        axis, entry = _axes(dirs)
+        recorded = np.full(len(dirs), -1)
+        if self.normals is not None and len(self.normals):
             match = np.all(dirs[:, None, :] == self.normals[None, :, :], axis=2)
-            if np.all(match.any(axis=1)):
-                return self.supports[:, np.argmax(match, axis=1)]
+            recorded = np.where(match.any(axis=1), np.argmax(match, axis=1), -1)
+        rest = np.flatnonzero((axis < 0) & (recorded < 0))
+        if 0 < len(rest) == len(dirs):
+            return self._computed_support(dirs)
+        out = np.empty((len(self), len(dirs)))
+        for j, (i, r) in enumerate(zip(axis, recorded)):
+            if i >= 0:
+                out[:, j] = self.hi[:, i] if entry[j] > 0 else -self.lo[:, i]
+            elif r >= 0:
+                out[:, j] = self.supports[:, r]
+        if len(rest):
+            out[:, rest] = self._computed_support(dirs[rest])
+        return out
+
+    def _computed_support(self, dirs: np.ndarray) -> np.ndarray:
+        """(steps, k) supports in the k rows of dirs, none read off.
+
+        A symbolic result gives the upper bounds of its padded images
+        (_padded_image) in the rows d E of its flows E, padded by
+        flow_pad @ |d|, a chunk of steps at a time into the (steps, k)
+        result: about _CHUNK_ENTRIES image entries per chunk, so no
+        (steps, k, n) image exists.  A numeric result replays its
+        recurrence once with exactly `dirs` as normals: one more pass in
+        O(steps (n + k)) memory, the same boxes.
+        """
         if self.flows is None:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
@@ -458,11 +478,19 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     never move.
 
     Once per flowpipe, `table` stacks for each age a, youngest first, the
-    blocks T_a of rows |P^a| and |N P^a| (N the `normals`).  The radius
+    blocks T_a of rows |P^a|, the box rows, and |d P^a| for each distinct
+    direction d among the `normals` that is not an axis, up to sign
+    (_table_rows): a normal +-e_i reads box row i, and a normal equal to
+    +- an earlier one that one's row, as |-d P^a| = |d P^a|.  The radius
     history h lives in one flat buffer, youngest block first, written at
     a decreasing offset.  At step j the row q_j = sum_a T_a h_{j-a} gives
-    the box c_j +- q_j[:n], the supports N c_j + q_j[n:] and the next
-    fresh block h_{j+1} = Lr (|c_j| + q_j[:n]).
+    the box c_j +- q_j[:n], the support of each normal N_k, N_k c_j plus
+    q_j at the normal's column (_segment_supports), and the next fresh
+    block h_{j+1} = Lr (|c_j| + q_j[:n]).  So the support of +-e_i is
+    c_i + q_i or -c_i + q_i, the bits of hi_i or -lo_i (a zero may take
+    the other sign).  The table's rows are summed in batched products
+    whose rounding can depend on how many rows there are, so a box's last
+    bits can depend on the count of distinct non-axis normals.
 
     Between two reductions the steps advance in chunks of _chunk_steps(n)
     steps.  Within a chunk the fresh blocks obey the linear recurrence
@@ -474,25 +502,27 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     2. q from the chunk's own blocks, (I - K)^-1 Lr v for v = |c| + q[:n]
        from step 1 and the in-chunk coupling K: windows of v times the
        table of _inchunk_table, which folds in (I - K)^-1 Lr;
-    3. the chunk's fresh blocks Lr (|c| + q[:n]), into the buffer.
+    3. the chunk's fresh blocks Lr (|c| + q[:n]), into the buffer, |c|
+       taken from the chunk's centres.
     Every radius stays a sum of nonnegative products.  No chunk crosses
     a reduction step.  There an interval reduction resets the history to
     the hull radius sum_a |P^a| h_{j-a} at age 0, and a zonotope
     reduction (_zono_reduce) turns every live generator into a carried
-    block C whose rows at each later age, P^a C and N P^a C, come from
+    block C whose rows at each later age, P^a C and d P^a C, come from
     one stacked product; their absolute row sums are added to q, and the
     history restarts from a zero block.
 
     A segment is the steps from one reduction (or step 0) up to the next
     reduction step, or to the horizon.  The supports of a segment's
-    steps replace their q[n:] by one product per segment, once the
-    tables are freed.  Given `until`, one offset per normal, the product
-    runs at the segment's end instead, before its reduction, and the
-    recurrence stops after the first segment in which a support reaches
-    its offset or a step is not finite.  Under interval reduction it
-    also stops at a reduction step t2 whose segments all passed, if its
-    box c_t2 +- hull lies inside an earlier restart box: Theta's c_0 +-
-    r_0 at t1 = 0, or the box of an earlier reduction step t1 (_inside).
+    steps take one product per segment, written into their own array
+    once the tables are freed.  Given `until`, one offset per normal,
+    the same product also runs at the segment's end, before its
+    reduction, and the recurrence stops after the first segment in which
+    a support reaches its offset or a step is not finite.  Under interval
+    reduction it also stops at a reduction step t2 whose segments all
+    passed, if its box c_t2 +- hull lies inside an earlier restart box:
+    Theta's c_0 +- r_0 at t1 = 0, or the box of an earlier reduction step
+    t1 (_inside).
     The family is time-invariant, and the recurrence from a restart
     box B encloses F^k B, so every trajectory is at step t >= t1 in the
     set of step t1 + (t - t1) mod (t2 - t1) (Blanchini, Automatica 35,
@@ -502,9 +532,10 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     ends with its segment, a bitwise prefix of the full flowpipe (the
     same products on the same segments), and its _recurrence records
     the shortened horizon.  From the first step whose centre, radii or
-    supports are not finite on, the boxes are -inf/inf and the supports
-    inf; a zonotope reduction step whose live set is not finite is such
-    a step, and the recurrence stops there.
+    supports are not finite on (a support N c + q can overflow where c
+    and q do not), the boxes are -inf/inf and the supports inf; a
+    zonotope reduction step whose live set is not finite is such a step,
+    and the recurrence stops there.
 
     Generator counts follow the Star operations: n for Theta and for a
     hull, then the nonzero fresh radii, and at most 2n after a zonotope
@@ -513,14 +544,16 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     them: a segment is counted before its reduction resets the buffer,
     the last one after the tables are freed.
 
-    Memory: each O(H n) array exists once.  The peak holds the centres,
-    their magnitudes |c|, q, the history buffer and, once a reduction has
+    Memory: each O(H n) array exists once, and the loop stores no |c|.
+    The peak holds the centres, q (n columns plus one per table row of
+    a non-axis normal), the history buffer and, once a reduction has
     counted a segment, the counts; with them the tables in the loop (an
-    unreduced table has H + 1 ages and sets the peak), or the supports'
-    copy in the result pass.  That pass writes lo into the buffer of |c|
-    and hi into the centres', copies the supports out of q and frees q,
-    so a cut result's lo, hi and gen_counts are leading slices of
-    horizon-length buffers.  Inputs are validated once.
+    unreduced table has H + 1 ages and sets the peak).  The result pass
+    then writes the supports into their own array, counts the last
+    segment and frees the history, and only then allocates lo; hi is
+    written into the centres' buffer and q is freed.  So a cut result's
+    hi and gen_counts are leading slices of horizon-length buffers.
+    Inputs are validated once.
     """
     start = time.perf_counter()
     n = theta.dim
@@ -534,12 +567,14 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     # a reduction leaves one block in the history: the hull, or zero
     span = min(horizon, period)
     chunk = min(_chunk_steps(n), span + 1)
-    # rows |P^a| and |N P^a| per age a, then chunk - 1 zero blocks, so
-    # every window of span + 1 ages below starts in the table
+    # rows |P^a| and |d P^a|, d the distinct non-axis normals, per age a,
+    # then chunk - 1 zero blocks, so every window of span + 1 ages below
+    # starts in the table
     width = (span + 1) * n
-    table = np.zeros((n + normals.shape[0], width + (chunk - 1) * n))
+    distinct, cols = _table_rows(normals)
+    table = np.zeros((n + len(distinct), width + (chunk - 1) * n))
     _orbit(p, np.eye(n), span + 1, out=table[:n, :width])
-    np.matmul(normals, table[:n, :width], out=table[n:, :width])
+    np.matmul(distinct, table[:n, :width], out=table[n:, :width])
     signed = ages_gens = None
     if zonotope:
         signed = table[:, :width].copy()
@@ -547,7 +582,6 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
         ages_gens = signed[:n].reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
     np.abs(table, out=table)
     centres = _orbit(p, c0[:, None], horizon + 1).T.copy()
-    abs_c = np.abs(centres)
     q = np.empty((horizon + 1, table.shape[0]))
     # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
     # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
@@ -573,7 +607,6 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     counts = None
     last = horizon + 1  # steps run
     bad = None  # a step whose set is unbounded, if the loop met one
-    closed = 0  # steps whose supports N c + q[n:] replaced their q[n:]
     invariant = None
     # restart boxes (step, centre, radius) of an interval reduction
     restarts = ([(0, c0, r0)] if until is not None
@@ -592,23 +625,23 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             np.matmul(windows.transpose(1, 0, 2), buf[s:], out=rows)
             if carried is not None:
                 rows += carried_sums[j - reduced_at:j - reduced_at + b]
+            mags = np.abs(centres[j:j + b])
             if b > 1:
                 v = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
-                np.add(abs_c[j:j + b], rows[:, :n], out=v)
+                np.add(mags, rows[:, :n], out=v)
                 windows = recent[(chunk - b + 1) * n:chunk * n + 1:n, :(b - 1) * n]
                 rows += np.matmul(inchunk[:, :(b - 1) * n],
                                   windows[::-1, :, None])[:, :, 0]
-            np.matmul(abs_c[j:j + b] + rows[:, :n], lr.T,
-                      out=buf[s - b * n:s].reshape(b, n)[::-1])
+            mags += rows[:, :n]
+            np.matmul(mags, lr.T, out=buf[s - b * n:s].reshape(b, n)[::-1])
             t0 += b
         if stop > horizon:
             break
         if until is not None:
             seg = slice(first_step, stop)
-            q[seg, n:] += centres[seg] @ normals.T
-            closed = stop
-            if (np.any(q[seg, n:] >= until)
-                    or _first_unbounded(centres[seg], q[seg]) is not None):
+            sups = _segment_supports(centres[seg], q[seg], normals, cols)
+            if (np.any(sups >= until) or _first_unbounded(
+                    centres[seg], q[seg], sups) is not None):
                 last = stop
                 break
         s = end - (t0 + 1) * n  # the live history at the reduction step
@@ -652,26 +685,26 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
         buf[end - n:] = restart
         restart_count = next_count
 
-    # free the tables: from here on centres, abs_c, q and buf set the peak
+    # free the tables: from here on centres, q and buf set the peak
     del table, ages, signed, ages_gens, inchunk, restarts, carried, carried_sums
     count = horizon + 1 if until is None else last
+    sups = np.empty((count, len(normals)))
     # the same segments as above, so that a prefix is bitwise the same
-    for seg_start in range(closed, count, period):
+    for seg_start in range(0, count, period):
         seg = slice(seg_start, min(seg_start + period, count))
-        q[seg, n:] += centres[seg] @ normals.T
-    first = _first_unbounded(centres[:count], q[:count])
+        _segment_supports(centres[seg], q[seg], normals, cols, out=sups[seg])
+    first = _first_unbounded(centres[:count], q[:count], sups)
     if first is not None:
         bad = first if bad is None else min(bad, first)
-    lo, hi = abs_c[:count], centres[:count]
-    for i in range(n):  # by column: numpy buffers a copy of q[:, :n] whole
-        np.subtract(hi[:, i], q[:count, i], out=lo[:, i])
-        hi[:, i] += q[:count, i]
-    sups = q[:count, n:].copy()
-    del q
     s = end - (t0 + 1) * n  # the last segment's history
     counts = _count_segment(counts, horizon + 1, first_step, restart_count,
                             buf[s:end - n].reshape(t0, n))[:count]
     del buf
+    lo, hi = np.empty((count, n)), centres[:count]
+    for i in range(n):  # by column: numpy buffers a copy of q[:, :n] whole
+        np.subtract(hi[:, i], q[:count, i], out=lo[:, i])
+        hi[:, i] += q[:count, i]
+    del q
     if bad is not None:
         lo[bad:], hi[bad:], sups[bad:] = -np.inf, np.inf, np.inf
         # no generators are added to an unbounded set
@@ -734,13 +767,60 @@ def _zono_reduce(centre: np.ndarray, gens: np.ndarray) -> np.ndarray | None:
     return np.hstack((gens[:, np.sort(order[:n])], np.diag(box)))
 
 
-def _first_unbounded(centres: np.ndarray, q: np.ndarray) -> int | None:
-    """First step whose centre, or radii and supports q, are not all
-    finite, else None."""
+def _table_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a recurrence table needs for normals N beside its box
+    rows, and the column of q each normal reads.
+
+    A normal +-e_i reads box row i; any other normal reads the row of the
+    first normal equal to it or to its negation, |d P^a| = |-d P^a|, so
+    the rows are the distinct non-axis normals up to sign, in order, and
+    their columns start at n.
+    """
+    n = normals.shape[1]
+    cols = _axes(normals)[0]
+    rows: list[np.ndarray] = []
+    for j in np.flatnonzero(cols < 0):
+        d = normals[j]
+        r = next((r for r, e in enumerate(rows)
+                  if np.array_equal(d, e) or np.array_equal(d, -e)), None)
+        if r is None:
+            r = len(rows)
+            rows.append(d)
+        cols[j] = n + r
+    return np.array(rows).reshape(-1, n), cols
+
+
+def _axes(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of dirs: i if the row is e_i or -e_i, else -1, and the
+    row's entry at its first nonzero (its sign for an axis row)."""
+    nonzero = dirs != 0.0
+    at = np.argmax(nonzero, axis=1)
+    entry = dirs[np.arange(len(dirs)), at]
+    axis = (np.count_nonzero(nonzero, axis=1) == 1) & (np.abs(entry) == 1.0)
+    return np.where(axis, at, -1), entry
+
+
+def _segment_supports(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
+                      cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Supports N c + q[:, cols] of a segment's steps, into out if given,
+    for normals N and the columns _table_rows gives them: for +-e_i the
+    bits of c_i + q_i and -(c_i - q_i), hi_i and -lo_i, as rounding to
+    nearest is symmetric about zero."""
+    out = np.matmul(centres, normals.T, out=out)
+    for j, col in enumerate(cols):  # by column: no (steps, k) temporary
+        out[:, j] += q[:, col]
+    return out
+
+
+def _first_unbounded(centres: np.ndarray, q: np.ndarray,
+                     sups: np.ndarray) -> int | None:
+    """First step whose centre, radii q or supports are not all finite,
+    else None."""
     # a sum that overflows only sends finite rows to the exact check
-    if math.isfinite(centres.sum() + q.sum()):
+    if math.isfinite(centres.sum() + q.sum() + sups.sum()):
         return None
-    finite = np.isfinite(centres).all(axis=1) & np.isfinite(q).all(axis=1)
+    finite = (np.isfinite(centres).all(axis=1) & np.isfinite(q).all(axis=1)
+              & np.isfinite(sups).all(axis=1))
     return None if finite.all() else int(np.argmin(finite))
 
 

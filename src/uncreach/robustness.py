@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _integer,
-                     _widen, reach_with_perturbation, safety_check)
+                     _real, _widen, reach_with_perturbation, safety_check)
 from .intervals import IntervalMatrix
 from .sensitivity import order_cells
 
@@ -113,7 +113,8 @@ class ThresholdReport:
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
                          step: float = 0.05, cap: int = 200) -> ThresholdReport:
     """Largest safe budget on the grid p = i step, i = 0, ..., cap - 1,
-    cap an integer (numpy integers too, bools not) of at least 1.
+    step a positive finite real number and cap an integer of at least 1
+    (numpy numbers accepted, bools in neither).
 
     Each budget is spread over the cells by the scheme and the numeric
     pipeline runs on the perturbed family.  The search gallops over the
@@ -138,8 +139,9 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     safe one may end at a restart box inside an earlier one, which
     proves it safe for all time, not only to the horizon.
     """
+    step = _real(step, "step")
     if step <= 0 or not math.isfinite(step):
-        raise ValueError("step must be positive")
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     cap = _integer(cap, "cap")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")

@@ -30,8 +30,8 @@ from uncreach import (
 )
 from uncreach import engine, intervals
 from uncreach.engine import (
-    _add_outward, _centre_radius, _chunk_steps, _count_segment, _inside,
-    _orbit, _run_recurrence)
+    _add_outward, _axes, _centre_radius, _chunk_steps, _count_segment, _inside,
+    _orbit, _run_recurrence, _table_rows)
 from uncreach.robustness import distribute
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
@@ -759,13 +759,22 @@ def reference_run(m, initial, horizon, reduction, period, normals):
 
 def assert_replay_matches(res):
     """A replay in the recorded normals gives the recorded supports
-    bitwise; one in +-e_i gives hi and -lo."""
+    bitwise.  A replay in +-e_i records its own hi and -lo bitwise (a
+    zero may take the other sign in -lo), and its boxes are those of res
+    up to the rounding of a table without res's rows of other normals;
+    support reads +-e_i off res's own hi and lo."""
     n = res.lo.shape[1]
     blank = dataclasses.replace(res, normals=None, supports=None)
     assert np.array_equal(blank.support(res.normals), res.supports)
-    axes = res.support(np.vstack((np.eye(n), -np.eye(n))))
-    assert_close(axes[:, :n], res.hi)
-    assert_close(axes[:, n:], -res.lo)
+    dirs = np.vstack((np.eye(n), -np.eye(n)))
+    replay = _run_recurrence(*res._recurrence, res.method, dirs)
+    assert replay.supports[:, :n].tobytes() == replay.hi.tobytes()
+    assert np.array_equal(replay.supports[:, n:], -replay.lo)
+    assert_close(replay.lo, res.lo)
+    assert_close(replay.hi, res.hi)
+    read = res.support(dirs)
+    assert read[:, :n].tobytes() == res.hi.tobytes()
+    assert (-read[:, n:]).tobytes() == res.lo.tobytes()
 
 
 def assert_close(got, want):
@@ -907,26 +916,114 @@ class TestStreamingRecurrence:
         assert peak < 2e6
 
     def test_unreduced_acc4_peak_memory(self):
-        # the chunked recurrence reads windows of its n + k row table in
-        # place: a table with 2n + k rows (generators moved by Abar, each
-        # age boxed through Lm) or a chunk-by-window temporary would lift
-        # this peak above 0.8 MB, and so would counting the generators
-        # beside the table (0.71 MB) or allocating the counts there
-        # (0.64 MB); it is 0.622 MB
+        # the chunked recurrence reads windows of its table in place, whose
+        # rows are the n box rows alone: acc4's normal -e_2 reads box row
+        # 2.  It peaks at 0.473 MB: the table, the centres, q and the
+        # history.  A row for -e_2 and a stored |centres| took 0.622 MB;
+        # a table with 2n + k rows (generators moved by Abar, each age
+        # boxed through Lm) or a chunk-by-window temporary would lift the
+        # peak above 0.8 MB, and counting the generators beside the table
+        # to 0.71 MB
         model = dataclasses.replace(shipped("acc4"), reduction_method="none")
-        assert ors_reach_peak(model) < 0.65e6
+        assert ors_reach_peak(model) < 0.49e6
 
     @pytest.mark.parametrize("reduction,period", [("interval", 500),
                                                   ("zonotope", 50)])
     def test_reduced_acc4_peak_memory(self, reduction, period):
-        # the benchmark's reduced acc4 runs peak at 0.361 and 0.325 MB: one
-        # (H + 1)-row array each for the centres, |centres|, q and the
-        # counts, lo and hi written over the first two.  A result pass that
-        # recounted the generators by a product and built lo and hi anew
-        # peaked at 0.543 and 0.583 MB
+        # the benchmark's reduced acc4 runs peak at 0.271 and 0.303 MB: one
+        # (H + 1)-row array each for the centres, q and the counts, then lo
+        # and the supports once the history is freed, hi written over the
+        # centres.  A stored |centres| and a row for -e_2 took 0.358 and
+        # 0.324 MB, and a result pass that recounted the generators by a
+        # product and built lo and hi anew 0.543 and 0.583 MB
         model = dataclasses.replace(shipped("acc4"), reduction_method=reduction,
                                     reduction_period=period)
-        assert ors_reach_peak(model) < 0.45e6
+        assert ors_reach_peak(model) < 0.315e6
+
+
+def normal_set(rng, n, kind):
+    """Unsafe normals of one kind: every e_i, every -e_i, d and -d, d
+    twice, or a mix of an axis, its negation, d, -d, another f and d."""
+    e, d = np.eye(n), rng.normal(size=n)
+    i = int(rng.integers(n))
+    return {"e": e, "-e": -e, "d,-d": np.vstack([d, -d]),
+            "d,d": np.vstack([d, d]),
+            "mix": np.vstack([e[i], d, -e[i], -d, rng.normal(size=n), d])}[kind]
+
+
+class TestSharedRows:
+    """A normal +-e_i reads box row i, a normal equal to +- an earlier
+    one that one's row, and every normal the one formula N c + q."""
+
+    def test_table_rows(self):
+        e = np.eye(3)
+        d, f = np.array([1.0, 2.0, 0.0]), np.array([0.0, -1.0, 0.5])
+        negzero = np.array([-0.0, 1.0, -0.0])  # e_1 with negative zeros
+        normals = np.vstack([e[1], -e[0], d, -d, f, d, -e[1], negzero,
+                             2 * e[0], -f])
+        rows, cols = _table_rows(normals)
+        assert np.array_equal(rows, [d, f, 2 * e[0]])
+        assert cols.tolist() == [1, 0, 3, 3, 4, 3, 1, 1, 5, 4]
+        axis, entry = _axes(normals)
+        assert axis.tolist() == [1, 0, -1, -1, -1, -1, 1, 1, -1, -1]
+        assert np.array_equal(entry[axis >= 0], [1.0, -1.0, -1.0, 1.0])
+        rows, cols = _table_rows(np.empty((0, 3)))
+        assert rows.shape == (0, 3) and cols.shape == (0,)
+
+    def test_support_reads_axes_and_records(self):
+        # +-e_i off the box, recorded normals off supports, and the rest
+        # replayed together; also on a result that records no normals
+        e, d = np.eye(3), np.array([0.3, -0.2, 0.5])
+        dirs = np.vstack([-e[1], [0.0, -1.0, 1.0], d, e[0], 2 * d])
+        model = discrete_model(reduction="interval", period=7)
+        res = ors_reach(model)
+        nominal = nominal_reach(model.a, model.initial, 30)
+        for flowpipe, rest in ((res, [2, 4]), (nominal, [1, 2, 4])):
+            got = flowpipe.support(dirs)
+            assert got.shape == (len(flowpipe), 5)
+            assert (-got[:, 0]).tobytes() == flowpipe.lo[:, 1].tobytes()
+            assert got[:, 3].tobytes() == flowpipe.hi[:, 0].tobytes()
+            assert got[:, rest].tobytes() == flowpipe._computed_support(
+                dirs[rest]).tobytes()
+        assert res.support(dirs)[:, 1].tobytes() == res.supports[:, 1].tobytes()
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_random_models(self, reduction):
+        # axis supports are the box bitwise, every support is the star
+        # operations', repeated normals record the same bits, and a run
+        # cut by until_unsafe is a bitwise prefix of the full run
+        rng = np.random.default_rng([28, len(reduction)])
+        cut = 0
+        for trial in range(12):
+            model = random_model(rng, reduction, f"rows{trial}")
+            for kind in ("e", "-e", "d,-d", "d,d", "mix"):
+                normals = normal_set(rng, model.dim, kind)
+                m = dataclasses.replace(model, unsafe=tuple(
+                    HalfSpace(d, 1.0) for d in normals))
+                full = ors_reach(m)
+                axis, entry = _axes(normals)
+                for j in np.flatnonzero(axis >= 0):
+                    sup, i = full.supports[:, j], axis[j]
+                    if entry[j] > 0:
+                        assert sup.tobytes() == full.hi[:, i].tobytes()
+                    else:
+                        assert np.array_equal(sup, -full.lo[:, i])
+                if kind in ("d,d", "mix"):
+                    twice = [1, 5] if kind == "mix" else [0, 1]
+                    assert np.array_equal(*full.supports[:, twice].T)
+                assert_close(full.supports, reference_flowpipe(m)[3])
+                k = int(rng.integers(len(full)))
+                offsets = np.where(np.arange(len(normals)) == k % len(normals),
+                                   full.supports[k], np.finfo(float).max)
+                o = with_offsets(m, offsets)
+                res = reach_with_perturbation(o, o.perturbation(),
+                                              until_unsafe=True)
+                cut += len(res) < len(full)
+                for got, ref in ((res.lo, full.lo), (res.hi, full.hi),
+                                 (res.supports, full.supports),
+                                 (res.gen_counts, full.gen_counts)):
+                    assert got.tobytes() == ref[:len(res)].tobytes(), (trial, kind)
+        assert cut >= 5 or reduction == "none"
 
 
 def ors_reach_peak(model):
@@ -1365,10 +1462,11 @@ class TestSymbolicChunks:
     """Symbolic supports in chunks of steps, and the symbolic route's peaks."""
 
     def test_axis_supports_are_the_box_bitwise(self, monkeypatch):
-        # support(e_i) of a symbolic result is hi[:, i] to the bit, and
-        # support(-e_i) is -lo[:, i] (a zero may take the other sign);
-        # each is bytewise the same whatever the chunk of steps.  acc4's
-        # kagstrom1 bound is inf from t = 1.09 on
+        # support(e_i) of a symbolic result is read off hi[:, i], and
+        # support(-e_i) off -lo[:, i].  The padded images in the same
+        # directions give hi[:, i] to the bit and -lo[:, i] (a zero may
+        # take the other sign), bytewise the same whatever the chunk of
+        # steps.  acc4's kagstrom1 bound is inf from t = 1.09 on
         cases = ((shipped("acc4"), "loan"), (shipped("acc4"), "kagstrom1"),
                  (shipped("girad1"), "kagstrom2"), (heat_rod(8), "loan"))
         for model, method in cases:
@@ -1376,12 +1474,15 @@ class TestSymbolicChunks:
                                  model.times(), method=method)
             n = model.dim
             dirs = np.vstack([np.eye(n), -np.eye(n)])
-            whole = res.support(dirs)
+            read = res.support(dirs)
+            assert read[:, :n].tobytes() == res.hi.tobytes()
+            assert (-read[:, n:]).tobytes() == res.lo.tobytes()
+            whole = res._computed_support(dirs)
             assert whole[:, :n].tobytes() == res.hi.tobytes()
             assert np.array_equal(whole[:, n:], -res.lo)
             for entries in (1, 7, 10 ** 9):
                 monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
-                got = res.support(dirs)
+                got = res._computed_support(dirs)
                 assert got.tobytes() == whole.tobytes(), (model.name, method, entries)
             monkeypatch.undo()
 
@@ -1440,17 +1541,22 @@ class TestSymbolicChunks:
         assert peak < 2.55 * res.flows.nbytes
 
     def test_axis_supports_of_heat_rod_32_memory(self):
-        # the 64 rows +-e_i: a (K, 64, 32) image would be two flows arrays
+        # the 64 rows +-e_i: a (K, 64, 32) image would be two flows arrays,
+        # and their padded images go a chunk of steps at a time; support
+        # reads them off the box, in little more than the (K, 64) result
         rod = heat_rod(32)
         res = symbolic_reach(rod.a, rod.perturbation(), rod.initial,
                              rod.times(), method="loan")
-        tracemalloc.start()
-        try:
-            res.support(np.vstack([np.eye(32), -np.eye(32)]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < res.flows.nbytes
+        dirs = np.vstack([np.eye(32), -np.eye(32)])
+        for support, bound in ((res._computed_support, res.flows.nbytes),
+                               (res.support, 1.1 * res.lo.nbytes * 2)):
+            tracemalloc.start()
+            try:
+                support(dirs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestCentredZonotopes:

@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,6 +263,20 @@ class TestRobustnessThreshold:
         want = robustness_threshold(model, ((0, 0),), cap=3)
         got = robustness_threshold(model, ((0, 0),), cap=np.int64(3))
         assert got.trace == want.trace and got.evaluated == want.evaluated
+
+    def test_step_must_be_a_positive_real_number(self):
+        # ModelSpec's rule for step: True used to run as step 1, and "0.1"
+        # raised a TypeError from the comparison with 0
+        model = scalar_model()
+        for bad in (True, np.True_, "0.1", None, math.nan, math.inf, -math.inf,
+                    0.0, -0.05):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                robustness_threshold(model, ((0, 0),), step=bad)
+        want = robustness_threshold(model, ((0, 0),), step=0.25)
+        for good in (np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+            got = robustness_threshold(model, ((0, 0),), step=good)
+            assert type(got.step) is float
+            assert got.trace == want.trace and got.evaluated == want.evaluated
 
     def test_cell_indices_must_be_integers(self):
         # a float index used to be truncated, so (0.5, 0) analysed cell
