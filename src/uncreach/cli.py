@@ -130,7 +130,8 @@ def reach_cmd(model_path: str, method: str, out: str,
 
 
 def _window(model, t_start: float | None, t_end: float | None):
-    """The grid 0, h, ... up to t_end, and its first point at or past t_start."""
+    """The grid np.arange(K) * h up to t_end, and its first point at or past
+    t_start, each end widened by a few ulps, relative to its own scale."""
     start = 0.0 if t_start is None else float(t_start)
     end = model.horizon * model.step if t_end is None else float(t_end)
     for flag, value in (("--t-start", start), ("--t-end", end)):
@@ -138,9 +139,10 @@ def _window(model, t_start: float | None, t_end: float | None):
             raise ValueError(f"{flag} must be finite, got {value}")
     if start < 0 or end < start:
         raise ValueError("need 0 <= t-start <= t-end")
+    slack = 4 * np.finfo(np.float64).eps
     times = np.arange(int(round(end / model.step)) + 1) * model.step
-    times = times[times <= end + 1e-12]
-    first = int(np.searchsorted(times, start - 1e-12))
+    times = times[times <= end * (1 + slack)]
+    first = int(np.searchsorted(times, start * (1 - slack)))
     if first == len(times):
         raise ValueError(f"no grid point lies in [{start:g}, {end:g}]")
     return times, first
@@ -154,15 +156,14 @@ def order_cmd(model_path: str, out: str) -> None:
     """Rank dynamics cells by sensitivity of the largest singular value."""
     model = load_model(model_path)
     om = order_cells(model.a)
-    doc = {
+    _write_json(out, {
         "model": model.name,
         "dimension": model.dim,
         "scores": om.scores,
         "ranking": om.ranking,
         "top": om.top(5),
         "bottom": om.bottom(5),
-    }
-    _write_json(out, doc)
+    })
 
 
 @main.command("robust")
@@ -183,7 +184,7 @@ def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
     cell_list = [_parse_cell(c) for c in cells]
     report = robustness_threshold(model, cell_list, scheme=scheme, step=step,
                                   cap=cap)
-    doc = {
+    _write_json(out, {
         "model": model.name,
         "scheme": report.scheme,
         "cells": report.cells,
@@ -197,8 +198,7 @@ def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
         "evaluated": report.evaluated,
         "safe_uncertainty": {"lo": report.safe_uncertainty.lo,
                              "hi": report.safe_uncertainty.hi},
-    }
-    _write_json(out, doc)
+    })
     _echo_summary(out, f"largest safe budget {FMT.format(report.final_budget)} "
                        f"(norm {FMT.format(report.norm)})")
 

@@ -32,10 +32,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
-from .intervals import (_UNIT, Box, IntervalMatrix, _centre_radius,
-                        _endpoint_product, _frobenius, _product_error,
-                        _require_finite, _row_chunks, _sigma_max_bound,
-                        _square, interval_expm)
+from .intervals import (_UNIT, Box, IntervalMatrix, _add_outward,
+                        _centre_radius, _endpoint_product, _frobenius,
+                        _product_error, _require_finite, _row_chunks,
+                        _sigma_max_bound, _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -368,7 +368,8 @@ def discretize(a, pert: IntervalMatrix, h: float) -> IntervalMatrix:
     """The one-step family M = interval_expm(A (+) Lambda, h).
 
     M contains exp((A + E) h) for every E in Lambda; A (+) Lambda is the
-    sum pushed outward where it rounds (_add_outward).  interval_expm
+    sum pushed outward where it rounds (intervals._add_outward, the
+    package's one interval sum).  interval_expm
     scales and squares where ||A (+) Lambda||_F h > 1; an entry that
     leaves float range there is (-inf, inf), and a flowpipe of such an M
     is unbounded from step 1.
@@ -377,23 +378,6 @@ def discretize(a, pert: IntervalMatrix, h: float) -> IntervalMatrix:
     if not (h > 0) or not math.isfinite(h):
         raise ValueError("step must be positive")
     return interval_expm(lam, h)
-
-
-def _add_outward(a, pert: IntervalMatrix) -> IntervalMatrix:
-    """A (+) Lambda: [A + lo, A + hi] rounded to nearest, each bound that
-    rounded inward (TwoSum's exact error) pushed one ulp outward, so that
-    it contains A + Lambda exactly."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != pert.shape:
-        raise DimensionMismatch("matrix and perturbation shapes differ")
-    bounds = []
-    for b, sign in ((pert.lo, -1.0), (pert.hi, 1.0)):
-        s = a + b
-        back = s - a
-        err = (a - (s - back)) + (b - back)  # a + b = s + err exactly
-        bounds.append(np.where(sign * err > 0.0,
-                               np.nextafter(s, sign * np.inf), s))
-    return IntervalMatrix(*bounds)
 
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
@@ -842,10 +826,8 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
     t1 + (t - t1) mod (t2 - t1), and the verdict `safe` holds for all
     time, not only to the horizon.
     """
-    if model.continuous:
-        m = discretize(model.a, pert, model.step)
-    else:
-        m = _add_outward(model.a, pert)
+    m = (discretize(model.a, pert, model.step) if model.continuous
+         else _add_outward(model.a, pert))
     normals = np.array([hs.normal for hs in model.unsafe],
                        dtype=np.float64).reshape(-1, model.dim)
     until = (np.array([hs.offset for hs in model.unsafe], dtype=np.float64)

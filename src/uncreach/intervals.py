@@ -1,17 +1,17 @@
 """Boxes and interval matrices, their norms and exponential.
 
 A box or interval matrix [lo, hi] stands for the set of real vectors or
-matrices { M : lo <= M <= hi entrywise }, with at least one entry; a
-bound may be -inf or inf (an entry an exponential took out of float
-range), never NaN.  The classes hold bounds and answer queries, and the
-interval arithmetic the analyses run has one product, _endpoint_product
-(interval_expm's series, engine's symbolic images), and one sum,
-engine._add_outward.  The product is outward in exact real arithmetic;
-its rounding is not directed, so consumers that need slack add it, but
-_centre_radius, _sigma_max_bound, _product_error and interval_expm's
-squarings cover their own rounding.  interval_expm scales and squares,
-so it is inclusion-isotone only between families with the same number
-of squarings; each of its results is an enclosure.
+matrices { M : lo <= M <= hi entrywise }, with at least one entry; a bound
+may be -inf or inf (an entry an exponential took out of float range), never
+NaN.  The classes hold bounds and answer queries; the interval arithmetic,
+defined here, is one product, _endpoint_product (interval_expm's series,
+engine's symbolic images), outward in exact arithmetic, and one sum,
+_add_outward (A (+) Lambda, sub_point, from_center_radius), outward in
+floating point.  The product's rounding is not directed, so consumers that
+need slack add it, but _centre_radius, _sigma_max_bound, _product_error and
+interval_expm's squarings cover their own.  interval_expm scales and
+squares, so it is inclusion-isotone only between families with the same
+number of squarings; each of its results is an enclosure.
 """
 
 from __future__ import annotations
@@ -239,6 +239,33 @@ def _require_finite(obj, message: str) -> None:
         raise ValueError(message)
 
 
+def _sample(obj, what: str, rng: np.random.Generator, shape) -> np.ndarray:
+    """An array of shape of uniform draws from a bounded Box or IntervalMatrix:
+    centre + (2u - 1) radius, which cannot overflow, clipped to the bounds."""
+    _require_finite(obj, f"cannot sample an unbounded {what}")
+    c, r = _centre_radius(obj.lo, obj.hi)
+    return np.clip(c + (2.0 * rng.random(shape) - 1.0) * r, obj.lo, obj.hi)
+
+
+def _add_outward(a, pert: "IntervalMatrix") -> "IntervalMatrix":
+    """A (+) Lambda, the package's one interval sum: [A + lo, A + hi] rounded
+    to nearest, each bound that rounded inward (TwoSum's exact error, Knuth,
+    TAOCP 2, 4.2.2) or overflowed (a NaN error) pushed one ulp outward, so
+    that it contains A + Lambda exactly."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != pert.shape:
+        raise DimensionMismatch("matrix and perturbation shapes differ")
+    bounds = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, sign in ((pert.lo, -1.0), (pert.hi, 1.0)):
+            s = a + b
+            back = s - a
+            err = (a - (s - back)) + (b - back)  # a + b = s + err exactly
+            bounds.append(np.where(~(sign * err <= 0.0),
+                                   np.nextafter(s, sign * np.inf), s))
+    return IntervalMatrix(*bounds)
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box given by per-axis lower/upper bounds.
@@ -281,9 +308,8 @@ class Box:
         return self.contains(other.lo, tol) and self.contains(other.hi, tol)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """(count, dim) array of uniform member points of a bounded box."""
-        _require_finite(self, "cannot sample an unbounded box")
-        return self.lo + rng.random((count, self.dim)) * (self.hi - self.lo)
+        """(count, dim) array of uniform member points of a bounded box (_sample)."""
+        return _sample(self, "box", rng, (count, self.dim))
 
     def max_norm(self) -> float:
         """max ||x||_2 over the box, at a vertex (_frobenius, scaled)."""
@@ -313,11 +339,10 @@ class IntervalMatrix:
 
     @classmethod
     def from_center_radius(cls, center: np.ndarray, radius: np.ndarray) -> "IntervalMatrix":
-        center = np.asarray(center, dtype=np.float64)
         radius = np.asarray(radius, dtype=np.float64)
         if np.any(radius < 0):
             raise ValueError("radius must be nonnegative")
-        return cls(center - radius, center + radius)
+        return _add_outward(center, cls(-radius, radius))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntervalMatrix":
@@ -337,19 +362,12 @@ class IntervalMatrix:
         return bool(np.all(self.lo == self.hi))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """A uniformly drawn member matrix: centre + (2u - 1) radius, which
-        cannot overflow, clipped to the bounds its rounding may pass."""
-        _require_finite(self, "cannot sample an unbounded interval matrix")
-        u = rng.random(self.shape)
-        return np.clip(self.center + (2.0 * u - 1.0) * self.radius,
-                       self.lo, self.hi)
+        """A uniformly drawn member matrix (_sample)."""
+        return _sample(self, "interval matrix", rng, self.shape)
 
     def sub_point(self, m: np.ndarray) -> "IntervalMatrix":
-        """Entrywise translate by a point matrix: [lo - m, hi - m]."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != self.shape:
-            raise DimensionMismatch("shape mismatch in point subtraction")
-        return IntervalMatrix(self.lo - m, self.hi - m)
+        """[lo - m, hi - m] pushed outward: (-m) (+) self, negation being exact."""
+        return _add_outward(-np.asarray(m, dtype=np.float64), self)
 
     # -- norms --------------------------------------------------------------
 

@@ -158,6 +158,17 @@ class TestReachSymbolic:
         assert empty.exit_code == 1
         assert "no grid point" in empty.stderr
 
+    def test_window_at_a_tiny_step_is_its_grid_points(self, runner, tmp_path):
+        # the window's tolerance scales with the times: at step 1e-14, an
+        # absolute 1e-12 took in every grid point up to the next past t-end
+        model = tmp_path / "tiny-step.yaml"
+        model.write_text(open(GIRAD).read().replace("step: 0.01", "step: 1.0e-14"))
+        result = runner.invoke(main, ["reach", str(model), "--method", "loan",
+                                      "--t-start", "2e-14", "--t-end", "2.6e-14"])
+        assert result.exit_code == 0, result.stderr
+        rows = parse_csv(result.stdout)
+        assert [row[0] for row in rows] == [2e-14]
+
     def test_symbolic_requires_continuous_model(self, runner):
         result = runner.invoke(main, ["reach", GROW1D, "--method", "loan"])
         assert result.exit_code == 1

@@ -30,8 +30,9 @@ from uncreach import (
 )
 from uncreach import engine, intervals
 from uncreach.engine import (
-    _add_outward, _axes, _centre_radius, _chunk_steps, _count_segment, _inside,
-    _orbit, _run_recurrence, _table_rows)
+    _axes, _centre_radius, _chunk_steps, _count_segment, _inside, _orbit,
+    _run_recurrence, _table_rows)
+from uncreach.intervals import _add_outward
 from uncreach.robustness import distribute
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
@@ -1622,6 +1623,22 @@ class TestCentredZonotopes:
         with np.errstate(invalid="ignore"):  # 0 * inf
             for bad in (np.inf, np.nan):
                 assert engine._zono_reduce(np.zeros(2), gens * bad) is None
+
+    def test_family_far_below_its_nominal_ulp_is_kept(self):
+        # A[1, 0] = 1 with interval [1e-17, 2e-17]: every trajectory from
+        # (1, 0) has x2 in [1e-17, 2e-17] at step 1, inside x2 >= 5e-18.
+        # Lambda = L - A rounded to nearest was [-1, -1], so A (+) Lambda
+        # was {0}, the step-1 box [0, 0] and the verdict safe
+        model = ModelSpec(
+            name="below-ulp", a=np.array([[0.0, 0.0], [1.0, 0.0]]),
+            continuous=False, horizon=1,
+            initial=Box(np.array([1.0, 0.0]), np.array([1.0, 0.0])),
+            uncertainty=(CellUncertainty(1, 0, interval=(1e-17, 2e-17)),),
+            unsafe=(HalfSpace(np.array([0.0, 1.0]), 5e-18),))
+        res = ors_reach(model)
+        assert res.lo[1, 1] <= 1e-17 and res.hi[1, 1] >= 2e-17
+        verdict = safety_check(res, model.unsafe)
+        assert not verdict.safe and verdict.step == 1
 
     def test_outward_sum_contains_exact_sum(self):
         # A (+) Lambda contains A + Lambda in exact rational arithmetic,

@@ -18,8 +18,8 @@ from uncreach import (
     load_model,
 )
 from uncreach import intervals
-from uncreach.engine import _add_outward, _orbit
-from uncreach.intervals import _endpoint_product, _product_error
+from uncreach.engine import _orbit
+from uncreach.intervals import _add_outward, _endpoint_product, _product_error
 
 # analytic values, frozen independently of the library
 SQRT_621 = 2.4919871588754225        # sqrt(6.21)
@@ -61,8 +61,9 @@ class TestIntervalMatrix:
             IntervalMatrix(np.array([[-np.inf]]), np.array([[np.nan]]))
 
     def test_add_sub_scale(self):
-        # the sum is engine._add_outward and a scaling the product with a
-        # point 1x1 factor; IntervalMatrix has no + or scale of its own
+        # the sum is intervals._add_outward, which sub_point is too, and a
+        # scaling the product with a point 1x1 factor; IntervalMatrix has
+        # no + or scale of its own
         m = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]]))
         s = _add_outward(np.array([[1.0]]), m)
         assert s.lo[0, 0] == 1.0 and s.hi[0, 0] == 2.0
@@ -72,7 +73,7 @@ class TestIntervalMatrix:
         assert neg.lo[0, 0] == -2.0 and neg.hi[0, 0] == 0.0
         with pytest.raises(DimensionMismatch):
             _add_outward(np.zeros((2, 2)), m)
-        with pytest.raises(DimensionMismatch, match="point subtraction"):
+        with pytest.raises(DimensionMismatch, match="shapes differ"):
             m.sub_point(np.eye(2))
 
     def test_sub_point(self):
@@ -118,7 +119,94 @@ class TestIntervalMatrix:
         assert draws.min() < -1e308 and draws.max() > 0.5e308
 
 
+def exact(x):
+    """A float bound as an exact rational, -inf and inf as themselves."""
+    return Fraction(x) if math.isfinite(x) else x
+
+
+def assert_encloses(got, lo, hi):
+    """got's bounds contain the exact bounds lo and hi entry by entry."""
+    for glo, ghi, want_lo, want_hi in zip(got.lo.ravel(), got.hi.ravel(), lo, hi):
+        assert exact(glo) <= want_lo and want_hi <= exact(ghi)
+
+
+def signed_magnitudes(rng, shape, low, high):
+    """Entries of random sign whose magnitudes are log-uniform in [10^low, 10^high]."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, high, shape)
+
+
+class TestOneSum:
+    # A (+) Lambda, sub_point and from_center_radius are one sum,
+    # _add_outward, which contains its exact sum; checked in rationals,
+    # with intervals drawn independently of the nominal entries, where the
+    # old nearest-rounded differences lost members of the family
+
+    def test_sub_point_round_trip_contains_family_exactly(self):
+        rng = np.random.default_rng(4)
+        nearest_misses = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            a = signed_magnitudes(rng, (n, n), -5, 5)
+            ends = np.sort(signed_magnitudes(rng, (2, n, n), -20, 5), axis=0)
+            fam = IntervalMatrix(*ends)
+            pert = fam.sub_point(a)
+            back = _add_outward(a, pert)
+            want_lo = [Fraction(x) for x in fam.lo.ravel()]
+            want_hi = [Fraction(x) for x in fam.hi.ravel()]
+            assert_encloses(back, want_lo, want_hi)
+            assert_encloses(pert, [x - Fraction(m) for x, m in zip(want_lo, a.ravel())],
+                            [x - Fraction(m) for x, m in zip(want_hi, a.ravel())])
+            near_lo, near_hi = (fam.lo - a) + a, (fam.hi - a) + a
+            nearest_misses += np.count_nonzero((near_lo > fam.lo) | (near_hi < fam.hi))
+        # rounded to nearest, the round trip drops members somewhere
+        assert nearest_misses > 0
+
+    def test_from_center_radius_contains_exactly(self):
+        rng = np.random.default_rng(5)
+        nearest_misses = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            c = signed_magnitudes(rng, (n, n), -5, 5)
+            r = np.abs(signed_magnitudes(rng, (n, n), -20, 5))
+            m = IntervalMatrix.from_center_radius(c, r)
+            assert_encloses(m, [Fraction(x) - Fraction(y) for x, y in zip(c.ravel(), r.ravel())],
+                            [Fraction(x) + Fraction(y) for x, y in zip(c.ravel(), r.ravel())])
+            nearest_misses += sum(Fraction(x) - Fraction(y) < Fraction(x - y)
+                                  or Fraction(x + y) < Fraction(x) + Fraction(y)
+                                  for x, y in zip(c.ravel(), r.ravel()))
+        assert nearest_misses > 0
+
+    def test_overflowing_sum_stays_outward(self):
+        # a bound whose exact sum passes the float maximum: outward it is
+        # -inf or inf, inward the float maximum itself (rounded to nearest
+        # it was inf or -inf, which excludes every member); no warning
+        big = np.finfo(np.float64).max
+        a = np.array([[1.5e308, -1.5e308]])
+        fam = IntervalMatrix(np.array([[1e308, -1.5e308]]), np.array([[1.5e308, -1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _add_outward(a, fam)
+            wide = IntervalMatrix.from_center_radius(np.array([[1e308]]), np.array([[1e308]]))
+            shifted = fam.sub_point(-a)
+        want_lo, want_hi = ([Fraction(x) + Fraction(y) for x, y in zip(a.ravel(), b.ravel())]
+                            for b in (fam.lo, fam.hi))
+        for m in (got, shifted):
+            assert np.array_equal(m.lo, [[big, -np.inf]])
+            assert np.array_equal(m.hi, [[np.inf, -big]])
+            assert_encloses(m, want_lo, want_hi)
+        assert wide.lo[0, 0] == 0.0 and wide.hi[0, 0] == np.inf
+
+
 class TestBox:
+    def test_sample_stays_inside_past_half_float_max(self):
+        # lo + u (hi - lo) overflowed to inf here, outside the box
+        b = Box(np.array([-1e308, 0.0]), np.array([1e308, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = b.sample(np.random.default_rng(3), 100)
+        assert pts.shape == (100, 2)
+        assert all(b.contains(p) for p in pts)
+
     def test_center_and_radius_past_half_float_max(self):
         # 0.5 (lo + hi) and 0.5 (hi - lo) overflow here, every member is finite
         with warnings.catch_warnings():
