@@ -132,18 +132,20 @@ def _check_cells(cells, n: int,
     return tuple(out)
 
 
-def _widen(a: np.ndarray, cells) -> IntervalMatrix:
-    """A with each CellUncertainty's entry widened to a -+ relative |a|, or
-    set to its interval."""
-    lo, hi = a.copy(), a.copy()
+def _perturbation(a: np.ndarray, cells) -> IntervalMatrix:
+    """Lambda from A's CellUncertainty cells, outward: a relative cell's entry
+    is [-r, r], r = fl(relative |a|) pushed one ulp up wherever relative
+    |a| > 0, even where fl gives 0; an interval cell's is (-a) (+) [lo, hi]
+    (_add_outward); every other entry is +0.0."""
+    lo, hi, r = a.copy(), a.copy(), np.zeros(a.shape)
     for cell in cells:
         i, j = cell.row, cell.col
-        if cell.relative is not None:
-            r = cell.relative * abs(a[i, j])
-            lo[i, j], hi[i, j] = a[i, j] - r, a[i, j] + r
-        else:
+        if cell.interval is not None:
             lo[i, j], hi[i, j] = cell.interval
-    return IntervalMatrix(lo, hi)
+        elif cell.relative and a[i, j]:
+            r[i, j] = math.nextafter(cell.relative * abs(float(a[i, j])), math.inf)
+    lam = _add_outward(-a, IntervalMatrix(lo, hi))  # +0.0 where lo = hi = a
+    return IntervalMatrix(lam.lo - r, lam.hi + r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +239,12 @@ class ModelSpec:
         return self.a.shape[0]
 
     def lambda_u(self) -> IntervalMatrix:
-        """Uncertain dynamics family: point A with the listed cells widened."""
-        return _widen(self.a, self.uncertainty)
+        """Uncertain dynamics family A (+) Lambda (_add_outward)."""
+        return _add_outward(self.a, self.perturbation())
 
     def perturbation(self) -> IntervalMatrix:
-        """Perturbation part Lambda = lambda_u - A (zero outside listed cells)."""
-        return self.lambda_u().sub_point(self.a)
+        """Perturbation part Lambda, +0.0 outside the listed cells (_perturbation)."""
+        return _perturbation(self.a, self.uncertainty)
 
     def times(self) -> np.ndarray:
         """Time grid 0, h, ..., horizon*h (continuous models)."""

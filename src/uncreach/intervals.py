@@ -6,12 +6,13 @@ may be -inf or inf (an entry an exponential took out of float range), never
 NaN.  The classes hold bounds and answer queries; the interval arithmetic,
 defined here, is one product, _endpoint_product (interval_expm's series,
 engine's symbolic images), outward in exact arithmetic, and one sum,
-_add_outward (A (+) Lambda, sub_point, from_center_radius), outward in
-floating point.  The product's rounding is not directed, so consumers that
-need slack add it, but _centre_radius, _sigma_max_bound, _product_error and
-interval_expm's squarings cover their own.  interval_expm scales and
-squares, so it is inclusion-isotone only between families with the same
-number of squarings; each of its results is an enclosure.
+_add_outward (A (+) Lambda, Lambda's interval cells, sub_point,
+from_center_radius), outward in floating point.  The product's rounding is
+not directed, so consumers that need slack add it, but _centre_radius,
+_sigma_max_bound, _product_error and interval_expm's squarings cover their
+own.  interval_expm scales and squares, so it is inclusion-isotone only
+between families with the same number of squarings; each of its results is
+an enclosure.
 """
 
 from __future__ import annotations
@@ -239,12 +240,13 @@ def _require_finite(obj, message: str) -> None:
         raise ValueError(message)
 
 
-def _sample(obj, what: str, rng: np.random.Generator, shape) -> np.ndarray:
-    """An array of shape of uniform draws from a bounded Box or IntervalMatrix:
-    centre + (2u - 1) radius, which cannot overflow, clipped to the bounds."""
-    _require_finite(obj, f"cannot sample an unbounded {what}")
-    c, r = _centre_radius(obj.lo, obj.hi)
-    return np.clip(c + (2.0 * rng.random(shape) - 1.0) * r, obj.lo, obj.hi)
+def _sample(lo, hi, what: str, rng: np.random.Generator, shape) -> np.ndarray:
+    """An array of shape of uniform draws from finite bounds [lo, hi]: centre
+    + (2u - 1) radius, which cannot overflow, clipped to the bounds."""
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"cannot sample an unbounded {what}")
+    c, r = _centre_radius(lo, hi)
+    return np.clip(c + (2.0 * rng.random(shape) - 1.0) * r, lo, hi)
 
 
 def _add_outward(a, pert: "IntervalMatrix") -> "IntervalMatrix":
@@ -309,7 +311,7 @@ class Box:
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """(count, dim) array of uniform member points of a bounded box (_sample)."""
-        return _sample(self, "box", rng, (count, self.dim))
+        return _sample(self.lo, self.hi, "box", rng, (count, self.dim))
 
     def max_norm(self) -> float:
         """max ||x||_2 over the box, at a vertex (_frobenius, scaled)."""
@@ -363,7 +365,7 @@ class IntervalMatrix:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A uniformly drawn member matrix (_sample)."""
-        return _sample(self, "interval matrix", rng, self.shape)
+        return _sample(self.lo, self.hi, "interval matrix", rng, self.shape)
 
     def sub_point(self, m: np.ndarray) -> "IntervalMatrix":
         """[lo - m, hi - m] pushed outward: (-m) (+) self, negation being exact."""

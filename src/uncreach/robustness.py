@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _integer,
-                     _real, _widen, reach_with_perturbation, safety_check)
-from .intervals import IntervalMatrix
+                     _perturbation, _real, reach_with_perturbation,
+                     safety_check)
+from .intervals import IntervalMatrix, _add_outward
 from .sensitivity import order_cells
 
 __all__ = [
@@ -67,22 +68,29 @@ def budget_weights(cells, scores: np.ndarray, scheme: str) -> np.ndarray:
     return w / w.sum()
 
 
+def _budget_perturbation(a, cells, scores, p, scheme) -> IntervalMatrix:
+    """Lambda_p of a finite nonnegative real budget p (engine._perturbation),
+    cell (i,j) relative p * k * w_ij, in that order."""
+    p = _real(p, "budget")
+    if not (math.isfinite(p) and p >= 0):
+        raise ValueError(f"budget must be finite and nonnegative, got {p!r}")
+    cells = _check_cells(cells, a.shape[0])
+    w, k = budget_weights(cells, scores, scheme), len(cells)
+    return _perturbation(a, [CellUncertainty(i, j, relative=p * k * wi)
+                             for (i, j), wi in zip(cells, w)])
+
+
 def distribute(a, cells, scores: np.ndarray, p: float,
                scheme: str) -> IntervalMatrix:
-    """Uncertain dynamics for budget p: cell (i,j) gets radius
-    p * k * w_ij * |A[i,j]| around A[i,j]; other entries stay points.
+    """Uncertain dynamics A (+) Lambda_p for budget p: cell (i,j) gets a
+    radius of at least p * k * w_ij * |A[i,j]| around A[i,j], the product
+    pushed one ulp up; other entries stay points.
 
     With the equal scheme this is radius p |A[i,j]| per cell.  p = 0
     returns the point matrix A.
     """
     a = np.asarray(a, dtype=np.float64)
-    if p < 0:
-        raise ValueError("budget must be nonnegative")
-    cells = _check_cells(cells, a.shape[0])
-    w = budget_weights(cells, scores, scheme)
-    k = len(cells)
-    return _widen(a, [CellUncertainty(i, j, relative=p * k * wi)
-                      for (i, j), wi in zip(cells, w)])
+    return _add_outward(a, _budget_perturbation(a, cells, scores, p, scheme))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +163,7 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     evaluated: list[float] = []
 
     def perturbation(i: int) -> IntervalMatrix:
-        return distribute(model.a, cells, scores, i * step,
-                          scheme).sub_point(model.a)
+        return _budget_perturbation(model.a, cells, scores, i * step, scheme)
 
     def proven_safe(i: int) -> bool:
         evaluated.append(i * step)

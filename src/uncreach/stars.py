@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch
-from .intervals import Box, IntervalMatrix
+from .intervals import Box, IntervalMatrix, _sample
 
 __all__ = [
     "Box",
@@ -114,9 +114,8 @@ class Star:
                                       self.coeff_lo, self.coeff_hi))
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """(count, dim) member points from uniform coefficient draws."""
-        u = rng.random((count, self.n_gens))
-        c = self.coeff_lo + u * (self.coeff_hi - self.coeff_lo)
+        """(count, dim) member points from uniform coefficient draws (_sample)."""
+        c = _sample(self.coeff_lo, self.coeff_hi, "star", rng, (count, self.n_gens))
         return self.anchor + c @ self.generators.T
 
     def contains_point(self, x, extra_dirs: int = 100, tol: float = 1e-9) -> bool:

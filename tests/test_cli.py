@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import math
 import warnings
 
 import numpy as np
@@ -279,24 +280,27 @@ class TestRobust:
 
     def test_literal_proportional_scheme(self, runner):
         # acc4's cell (0,0) has the larger score, so the literal reading
-        # gives it the whole budget: radius 2 p |-0.5| = p there, none at
-        # (2,3).  Budgets to 0.6 are safe, 0.65 is not
+        # gives it the whole budget: radius 2 p |-0.5| = p there, pushed
+        # one ulp up, and +0.0 (never -0.0) at (2,3).  Budgets to 0.6 are
+        # safe, 0.65 is not
         result = runner.invoke(main, ["robust", ACC4, "--cell", "0,0",
                                       "--cell", "2,3", "--scheme",
                                       "proportional-literal"])
         assert result.exit_code == 0, result.output
         final = 12 * 0.05
-        corner = [[final, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 3
+        r = math.nextafter(final * 2 * 1.0 * 0.5, math.inf)
+        corner = [[r, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 3
         assert json.loads(result.stdout) == {
             "model": "acc-4", "scheme": "proportional-literal",
             "cells": [[0, 0], [2, 3]], "step": 0.05, "final_budget": final,
-            "norm": final, "iterations": 14, "already_unsafe": False,
+            "norm": r, "iterations": 14, "already_unsafe": False,
             "cap_reached": False,
             "trace": [[i * 0.05, i < 13] for i in range(14)],
             "evaluated": [i * 0.05 for i in (1, 2, 4, 8, 16, 12, 14, 13)],
-            "safe_uncertainty": {"lo": [[-final, 0.0, 0.0, 0.0]] + corner[1:],
+            "safe_uncertainty": {"lo": [[-r, 0.0, 0.0, 0.0]] + corner[1:],
                                  "hi": corner},
         }
+        assert "-0.0" not in result.stdout
 
     def test_cell_out_of_range(self, runner):
         result = runner.invoke(main, ["robust", GROW1D, "--cell", "5,0"])

@@ -33,7 +33,7 @@ from uncreach.engine import (
     _axes, _centre_radius, _chunk_steps, _count_segment, _inside, _orbit,
     _run_recurrence, _table_rows)
 from uncreach.intervals import _add_outward
-from uncreach.robustness import distribute
+from uncreach.robustness import SCHEMES, budget_weights, distribute
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
 
@@ -236,6 +236,123 @@ class TestModelSpec:
                                 reduction_period=np.int32(2))
         assert type(m.horizon) is int and type(m.reduction_period) is int
         assert len(ors_reach(m)) == 4
+
+
+def exact_family(a, cells):
+    """The exact bounds of each entry of the family A and its
+    CellUncertainty cells state, as Fractions: [a - rho |a|, a + rho |a|]
+    with rho the exact value of its float, [lo, hi], or [a, a]."""
+    lo = [[Fraction(v) for v in row] for row in a]
+    hi = [row[:] for row in lo]
+    for c in cells:
+        x = Fraction(a[c.row, c.col])
+        if c.relative is not None:
+            r = Fraction(c.relative) * abs(x)
+            lo[c.row][c.col], hi[c.row][c.col] = x - r, x + r
+        else:
+            lo[c.row][c.col], hi[c.row][c.col] = map(Fraction, c.interval)
+    return lo, hi
+
+
+def assert_holds(m, lo, hi, shift=None):
+    """m's bounds contain the exact bounds lo and hi, less shift if given,
+    entry by entry."""
+    for (i, j), glo in np.ndenumerate(m.lo):
+        s = 0 if shift is None else Fraction(shift[i, j])
+        assert Fraction(glo) <= lo[i][j] - s, (i, j)
+        assert hi[i][j] - s <= Fraction(m.hi[i, j]), (i, j)
+
+
+def random_cells(rng, n):
+    """A few distinct cells of an n x n matrix, each relative, rho
+    log-uniform in [1e-20, 10], or an interval drawn apart from A."""
+    flat = rng.choice(n * n, size=int(rng.integers(1, n * n + 1)), replace=False)
+    cells = []
+    for f in flat:
+        i, j = divmod(int(f), n)
+        if rng.random() < 0.6:
+            rho = float(10.0 ** rng.uniform(-20, 1))
+            cells.append(CellUncertainty(i, j, relative=rho))
+        else:
+            ends = np.sort(rng.choice([-1.0, 1.0], 2)
+                           * 10.0 ** rng.uniform(-310, 300, 2))
+            cells.append(CellUncertainty(i, j, interval=tuple(ends)))
+    return cells
+
+
+class TestPerturbationFamily:
+    # Lambda is built once from the cells, outward, and the family is
+    # A (+) Lambda.  Checked in rationals: a relative cell's a -+ rho |a|
+    # rounded to nearest lost members, and a product rho |a| below 2^-1074
+    # collapsed the cell to a point
+
+    def test_random_cells_hold_their_exact_family(self):
+        rng = np.random.default_rng(30)
+        tiny = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 4))
+            kind = rng.integers(0, 4, (n, n))
+            mag = np.where(kind == 0, 0.0, 10.0 ** np.where(
+                kind == 1, rng.uniform(-310, -300, (n, n)),
+                rng.uniform(-310, 300, (n, n))))
+            a = rng.choice([-1.0, 1.0], (n, n)) * mag
+            cells = random_cells(rng, n)
+            model = ModelSpec(name="corpus", a=a, uncertainty=tuple(cells),
+                              initial=Box(np.zeros(n), np.zeros(n)),
+                              horizon=1, continuous=False)
+            lo, hi = exact_family(a, cells)
+            pert = model.perturbation()
+            assert_holds(pert, lo, hi, shift=a)
+            for fam in (model.lambda_u(), _add_outward(a, pert)):
+                assert_holds(fam, lo, hi)
+            listed = np.zeros((n, n), dtype=bool)
+            for c in cells:
+                listed[c.row, c.col] = True
+                if c.relative is not None:
+                    r = Fraction(c.relative) * abs(Fraction(a[c.row, c.col]))
+                    tiny += 0 < r < Fraction(2) ** -1074
+            for bound in (pert.lo, pert.hi):
+                assert np.all(bound[~listed] == 0.0)
+                assert not np.any(np.signbit(bound[~listed]))
+            # a budget's family, each rho the float p k w_ij
+            scheme = SCHEMES[int(rng.integers(len(SCHEMES)))]
+            scores = rng.uniform(size=(n, n))
+            pairs = [(c.row, c.col) for c in cells]
+            p = float(10.0 ** rng.uniform(-20, 1))
+            w = budget_weights(pairs, scores, scheme)
+            budget = [CellUncertainty(i, j, relative=p * len(pairs) * wi)
+                      for (i, j), wi in zip(pairs, w)]
+            assert_holds(distribute(a, pairs, scores, p, scheme),
+                         *exact_family(a, budget))
+        assert tiny > 0
+
+    def test_shipped_families_hold_their_exact_cells(self):
+        # acc4's 20% cells were a -+ 0.2 |a| rounded to nearest, which
+        # excluded their exact bounds by 2.8e-17 and 5.6e-17
+        for name in ("girad1", "acc4", "twocell", "grow1d"):
+            model = shipped(name)
+            lo, hi = exact_family(model.a, model.uncertainty)
+            for fam in (model.lambda_u(),
+                        _add_outward(model.a, model.perturbation())):
+                assert_holds(fam, lo, hi)
+
+    def test_cancellation_below_the_entry_ulp_is_not_proven_safe(self):
+        # x2 at step 1 is e x1 - x3 = e - 1 for e in [1 - rho, 1 + rho],
+        # rho = 1e-17, so it fills [-rho, rho] and meets x2 >= 5e-18.
+        # 1 -+ rho rounded to nearest is 1: the family was a point, the
+        # step-1 box [0, 0] and the verdict safe
+        model = ModelSpec(
+            name="cancellation",
+            a=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0]]),
+            uncertainty=(CellUncertainty(1, 0, relative=1e-17),),
+            initial=Box(np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])),
+            horizon=1, continuous=False,
+            unsafe=(HalfSpace(np.array([0.0, 1.0, 0.0]), 5e-18),))
+        res = ors_reach(model)
+        verdict = safety_check(res, model.unsafe)
+        assert not verdict.safe and verdict.step == 1
+        rho = Fraction(1e-17)
+        assert Fraction(res.lo[1, 1]) <= -rho and rho <= Fraction(res.hi[1, 1])
 
 
 class TestDiscretize:

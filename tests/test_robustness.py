@@ -29,6 +29,7 @@ from uncreach import (
 )
 from uncreach import robustness
 from uncreach.engine import _check_cells
+from uncreach.intervals import _add_outward
 from uncreach.robustness import SCHEMES
 
 
@@ -144,20 +145,26 @@ class TestDistribute:
             distribute(a, ((2, 0),), np.zeros((2, 2)), 0.1, "equal")
 
     def test_radius_is_p_k_w_abs_a_bitwise(self):
-        # the radius of cell (i, j) is ((p k) w_ij) |A[i, j]|, in this order
+        # the radius of cell (i, j) is ((p k) w_ij) |A[i, j]|, in this
+        # order, pushed one ulp up, and the family is A (+) Lambda_p
         rng = np.random.default_rng(70)
         a = rng.normal(size=(3, 3))
         scores = rng.uniform(size=(3, 3))
         cells = ((0, 1), (2, 2), (1, 0))
         for scheme in SCHEMES:
-            w = budget_weights(cells, scores, scheme)
             for p in (0.0, 0.05, 0.3, 1.7):
                 lam = distribute(a, cells, scores, p, scheme)
-                lo, hi = a.copy(), a.copy()
-                for (i, j), wi in zip(cells, w):
-                    r = p * 3 * wi * abs(a[i, j])
-                    lo[i, j], hi[i, j] = a[i, j] - r, a[i, j] + r
-                assert np.array_equal(lam.lo, lo) and np.array_equal(lam.hi, hi)
+                want = _add_outward(a, budget_lambda(a, cells, scores, p, scheme))
+                assert np.array_equal(lam.lo, want.lo)
+                assert np.array_equal(lam.hi, want.hi)
+
+    @pytest.mark.parametrize("bad", ["0.1", True, math.nan, math.inf])
+    def test_budget_must_be_a_finite_nonnegative_real(self, bad):
+        # "0.1" raised a TypeError, True ran as budget 1, and nan and inf
+        # failed with a message about a relative fraction
+        with pytest.raises(ValueError, match="budget must be .* got "
+                           + re.escape(repr(bad))):
+            distribute(np.eye(2), ((0, 0),), np.zeros((2, 2)), bad, "equal")
 
 
 class TestRobustnessThreshold:
@@ -295,6 +302,20 @@ class TestRobustnessThreshold:
         assert report.final_budget == 0.1
 
 
+def budget_lambda(a, cells, scores, p, scheme):
+    """Lambda_p by its rule: cell (i, j) gets [-r, r], r = ((p k) w_ij)
+    |A[i, j]| pushed one ulp up where p k w_ij and A[i, j] are nonzero;
+    every other entry is +0.0."""
+    lo, hi = np.zeros(a.shape), np.zeros(a.shape)
+    for (i, j), wi in zip(cells, budget_weights(cells, scores, scheme)):
+        rho = p * len(cells) * wi
+        r = rho * abs(a[i, j])
+        if rho and a[i, j]:
+            r = math.nextafter(r, math.inf)
+        lo[i, j], hi[i, j] = -r if r else 0.0, r
+    return IntervalMatrix(lo, hi)
+
+
 def shipped(name):
     return load_model(
         importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
@@ -320,8 +341,7 @@ def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
     prev_p = 0.0
     for i in range(cap):
         p = i * step
-        assembled = distribute(model.a, cells, scores, p, scheme)
-        pert = assembled.sub_point(model.a)
+        pert = budget_lambda(model.a, cells, scores, p, scheme)
         verdict = safety_check(reach_with_perturbation(model, pert),
                                model.unsafe)
         trace.append((p, verdict.safe))

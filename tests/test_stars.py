@@ -174,6 +174,20 @@ class TestStar:
         for p in s.sample(rng, 100):
             assert s.contains_point(p)
 
+    def test_sample_near_float_range_and_point(self):
+        # lo + u (hi - lo) overflowed to inf for coefficients in
+        # [-1e308, 1e308]; draws are centre + (2u - 1) radius, clipped
+        rng = np.random.default_rng(6)
+        s = Star(np.zeros(1), np.eye(1), [-1e308], [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = s.sample(rng, 100)
+        assert pts.shape == (100, 1)
+        assert np.all(np.isfinite(pts))
+        assert np.all((pts >= -1e308) & (pts <= 1e308))
+        x = np.array([1.5, -2.0])
+        assert np.array_equal(Star.point(x).sample(rng, 3), np.tile(x, (3, 1)))
+
 
 class TestMembershipDirections:
     def test_shape_and_axes(self):
