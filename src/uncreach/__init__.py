@@ -25,7 +25,6 @@ from .engine import (
 )
 from .errors import (
     DefectiveMatrix,
-    DegenerateSV,
     DimensionMismatch,
     ModelFileError,
     ReachError,
@@ -35,7 +34,7 @@ from .modelfile import load_model, model_to_dict, parse_model, save_model, \
     serialize_model
 from .robustness import ThresholdReport, budget_weights, distribute, \
     robustness_threshold
-from .sensitivity import OrdMatrix, max_sv_radius, order_cells, sv_change
+from .sensitivity import OrdMatrix, order_cells, sv_change
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "Box",
     "CellUncertainty",
     "DefectiveMatrix",
-    "DegenerateSV",
     "DimensionMismatch",
     "HalfSpace",
     "IntervalMatrix",
@@ -68,7 +66,6 @@ __all__ = [
     "kagstrom2",
     "load_model",
     "loan",
-    "max_sv_radius",
     "model_to_dict",
     "nominal_reach",
     "order_cells",

@@ -13,9 +13,5 @@ class DefectiveMatrix(ReachError):
     """Eigenvector matrix is too ill-conditioned for a similarity-based bound."""
 
 
-class DegenerateSV(ReachError):
-    """Largest singular value is not simple enough for first-order analysis."""
-
-
 class ModelFileError(ReachError):
     """Model file is malformed or fails validation."""

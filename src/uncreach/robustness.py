@@ -36,7 +36,8 @@ _SCORE_FLOOR = 1e-12
 
 
 def budget_weights(cells, scores: np.ndarray, scheme: str) -> np.ndarray:
-    """Normalized budget shares (sum 1) for the selected cells.
+    """Normalized budget shares (sum 1) for the selected cells, each a
+    distinct pair of integer indices into scores (engine._check_cells).
 
     equal                : 1/k each.
     harmonic             : proportional to 1/max(Ord, floor); low-sensitivity
@@ -49,6 +50,7 @@ def budget_weights(cells, scores: np.ndarray, scheme: str) -> np.ndarray:
                            when all such sums vanish.
     The last two read one phrase of the paper; see README on the ambiguity.
     """
+    cells = _check_cells(cells, scores.shape[0])
     k = len(cells)
     if k == 0:
         raise ValueError("at least one cell is required")
@@ -156,10 +158,7 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     cells = _check_cells(cells, model.dim)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "equal":
-        scores = np.zeros(model.a.shape)
-    else:
-        scores = order_cells(model.a).scores
+    scores = order_cells(model.a).scores
     evaluated: list[float] = []
 
     def perturbation(i: int) -> IntervalMatrix:

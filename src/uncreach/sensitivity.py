@@ -1,13 +1,17 @@
 """First-order sensitivity of the largest singular value to cell perturbations.
 
-For a simple largest singular value sigma_1 with singular vectors u_1, v_1,
-the derivative of sigma_1(A + eps B) at eps = 0 is u_1^T B v_1.  Perturbing
-one cell (i, j) in proportion to its own magnitude (B = A[i,j] e_i e_j^T)
-gives the ordering score
+Let U_1 and V_1 (n x k) hold the paired singular vectors of the k singular
+values within _GAP_RTOL sigma_1 of sigma_1.  For sigma_1 > 0 the one-sided
+derivative of sigma_1(A + eps B) at eps = 0+ is lambda_max(sym(U_1^T B V_1)),
+sym(M) = (M + M^T) / 2 (Lewis & Sendov, Set-Valued Analysis 13, 2005); at
+k = 1 it is u_1^T B v_1.  Perturbing one cell both ways in proportion to
+its own magnitude (B = +-|A[i,j]| e_i e_j^T), the larger of the two
+derivatives is the ordering score
 
-    Ord[i, j] = |A[i, j]| |u_1[i]| |v_1[j]|,
+    Ord[i, j] = |A[i, j]| ||u|| ||v|| (1 + |cos(u, v)|) / 2,
 
-all cells ranked from one SVD of A.
+u = U_1[i, :] and v = V_1[j, :], which at k = 1 is |A[i, j]| |u_1[i]| |v_1[j]|;
+all cells are ranked from one SVD of A.  No matrix is refused.
 """
 
 from __future__ import annotations
@@ -16,48 +20,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSV, DimensionMismatch
-from .intervals import IntervalMatrix
+from .bounds import _square
+from .errors import DimensionMismatch
+from .intervals import _frobenius
 
 __all__ = [
     "OrdMatrix",
     "sv_change",
     "order_cells",
-    "max_sv_radius",
 ]
 
 
-# sigma_1 counts as simple when sigma_1 - sigma_2 >= _GAP_RTOL sigma_1.
+# sigma_i counts as sigma_1 when sigma_1 - sigma_i <= _GAP_RTOL sigma_1.
 _GAP_RTOL = 1e-10
 
 
 def _top_svd(a: np.ndarray):
-    """Largest singular triple of a, guarding simplicity of sigma_1."""
+    """U_1, sigma_1 and V_1 of a finite square matrix a, k >= 1 columns each."""
     u, s, vt = np.linalg.svd(a)
-    sigma1 = float(s[0])
-    if s.shape[0] > 1:
-        tol = _GAP_RTOL * sigma1
-        gap = sigma1 - float(s[1])
-        if gap < tol:
-            raise DegenerateSV(
-                f"largest singular value gap {gap:.3g} below tolerance {tol:.3g}"
-            )
-    return u[:, 0], sigma1, vt[0, :]
+    k = int(np.count_nonzero(s[0] - s <= _GAP_RTOL * s[0]))
+    return u[:, :k], float(s[0]), vt[:k].T
 
 
 def sv_change(a, b) -> float:
-    """First-order change |u_1^T B v_1| of sigma_1(A) in direction B.
-
-    Requires the largest singular value of A to be simple: the gap
-    sigma_1 - sigma_2 must be at least _GAP_RTOL sigma_1, else
-    DegenerateSV is raised.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionMismatch("matrices must share a 2-d shape")
-    u1, _, v1 = _top_svd(a)
-    return float(abs(u1 @ b @ v1))
+    """First-order change ||sym(U_1^T B V_1)||_2 of sigma_1(A) in direction
+    B: the larger rise of sigma_1 under +B and under -B.  At sigma_1 = 0
+    every pair of unit vectors is a singular pair, and sigma_1(eps B) =
+    eps ||B||_2.  A and B are finite square matrices of one shape."""
+    a, b = _square(a), _square(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch("matrices must share a shape")
+    u1, sigma1, v1 = _top_svd(a)
+    if sigma1 == 0.0:
+        return float(np.linalg.norm(b, 2))
+    m = u1.T @ b @ v1
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (m + m.T))).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,25 +72,24 @@ class OrdMatrix:
 
 
 def order_cells(a) -> OrdMatrix:
-    """Rank all cells of a square matrix by first-order sigma_1 sensitivity.
+    """Rank all cells of a finite square matrix by first-order sigma_1
+    sensitivity.
 
-    One SVD gives every score Ord[i,j] = |A[i,j]| |u_1[i]| |v_1[j]|; the
-    ranking sorts scores descending and breaks ties row-major.
+    One SVD gives every score Ord[i,j] = |A[i,j]| ||u|| ||v|| (1 + |cos|) / 2
+    (module docstring); the ranking sorts scores descending and breaks
+    ties row-major.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("ordering is defined for square matrices")
+    a = _square(a)
     u1, _, v1 = _top_svd(a)
-    scores = np.abs(a) * np.abs(u1)[:, None] * np.abs(v1)[None, :]
+    nu, nv = _frobenius(u1, axis=1), _frobenius(v1, axis=1)
+    norms = nu[:, None] * nv[None, :]
+    # |cos| is 1 at k = 1, and wherever u or v is 0, whose score is 0
+    cos = np.divide(np.abs(u1 @ v1.T), norms, out=np.ones(a.shape),
+                    where=norms > 0)
+    # in the order of |A[i,j]| |u_1[i]| |v_1[j]|: at k = 1 the factor is 1
+    # and the product is that form's, bit for bit
+    scores = np.abs(a) * nu[:, None] * nv[None, :] * ((1.0 + cos) / 2)
     n = a.shape[0]
     cells = [(i, j) for i in range(n) for j in range(n)]
     cells.sort(key=lambda ij: (-scores[ij[0], ij[1]], ij[0], ij[1]))
     return OrdMatrix(scores=scores, ranking=tuple(cells))
-
-
-def max_sv_radius(lam: IntervalMatrix) -> float:
-    """An upper bound on sup_E sigma_1(E) over the interval family: the
-    interval 2-norm bound two_norm_sup, exact up to rounding on zero-centred
-    and point families, so ||E x||_2 <= radius for every member E and unit x.
-    """
-    return lam.two_norm_sup()

@@ -22,7 +22,6 @@ from uncreach import (
     kagstrom1,
     kagstrom2,
     loan,
-    max_sv_radius,
     nominal_reach,
     order_cells,
     ors_reach,
@@ -217,14 +216,14 @@ def test_ordering_matches_finite_difference():
 
 @criterion(7)
 def test_interval_two_norm_bounds_action():
-    """||A x|| <= max_sv_radius for sampled members and unit vectors."""
+    """||A x|| <= two_norm_sup for sampled members and unit vectors."""
     rng = np.random.default_rng(1007)
     worst = -np.inf
     for _ in range(100):
         n = int(rng.integers(1, 5))
         lam = IntervalMatrix.from_center_radius(
             rng.uniform(-1, 1, (n, n)), rng.uniform(0, 1, (n, n)))
-        radius = max_sv_radius(lam)
+        radius = lam.two_norm_sup()
         u = rng.uniform(size=(1000, n, n))
         members = lam.lo + (lam.hi - lam.lo) * u
         x = rng.normal(size=(1000, n))

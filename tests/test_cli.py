@@ -220,13 +220,17 @@ class TestOrder:
         om = order_cells(load_model(TWOCELL).a)
         assert [tuple(c) for c in doc["ranking"]] == list(om.ranking)
 
-    def test_equal_singular_values_fail_cleanly(self, runner):
-        # the rotation-decay matrix has a repeated top singular value
+    def test_repeated_singular_value_girad1(self, runner):
+        # the rotation-decay matrix has sigma_1 = sigma_2 = sqrt(17): each
+        # score is the larger one-sided rise of sigma_1
         result = runner.invoke(main, ["order", GIRAD])
-        assert result.exit_code == 1
-        assert "singular value" in result.stderr
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert np.allclose(doc["scores"], [[0.6213, 3.9403], [3.9403, 0.6213]],
+                           atol=1e-4, rtol=0.0)
+        assert doc["ranking"] == [[0, 1], [1, 0], [0, 0], [1, 1]]
 
-    def test_degenerate_matrix_fails_cleanly(self, runner, tmp_path):
+    def test_identity_matrix_scores(self, runner, tmp_path):
         model = tmp_path / "eye.yaml"
         model.write_text(
             "name: eye\n"
@@ -236,8 +240,10 @@ class TestOrder:
             "initial:\n  box:\n    - [0.0, 1.0]\n    - [0.0, 1.0]\n"
             "horizon: 2\n")
         result = runner.invoke(main, ["order", str(model)])
-        assert result.exit_code == 1
-        assert "singular value" in result.stderr
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert np.allclose(doc["scores"], np.eye(2), rtol=1e-14, atol=0.0)
+        assert doc["ranking"] == [[0, 0], [1, 1], [0, 1], [1, 0]]
 
 
 class TestRobust:

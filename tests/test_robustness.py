@@ -98,6 +98,20 @@ class TestBudgetWeights:
         with pytest.raises(ValueError):
             budget_weights(((0, 0),), np.zeros((2, 2)), "max")
 
+    def test_cells_checked(self):
+        # a negative index read s[1, 0], an index past the order raised
+        # IndexError, a bool one numpy's "inhomogeneous shape" error, and
+        # the equal scheme took each of them
+        scores = np.arange(4.0).reshape(2, 2)
+        for scheme in SCHEMES:
+            for cell, match in (((-1, 0), r"cell \(-1,0\) out of range"),
+                                ((5, 0), r"cell \(5,0\) out of range"),
+                                ((True, 0), r"cell \(True,0\) indices must be integers")):
+                with pytest.raises(ValueError, match=match):
+                    budget_weights([cell], scores, scheme)
+            with pytest.raises(ValueError, match=r"cell \(0,1\) listed twice"):
+                budget_weights([(0, 1), (0, 1)], scores, scheme)
+
 
 class TestDistribute:
     def test_zero_budget_is_point(self):
@@ -233,9 +247,9 @@ class TestRobustnessThreshold:
         assert r1.norm == r2.norm
         assert r1.trace == r2.trace
 
-    def test_equal_scheme_skips_svd(self):
-        # identity dynamics have a degenerate top singular value, but the
-        # equal scheme never looks at the scores
+    def test_equal_scheme_on_repeated_top_value(self):
+        # identity dynamics have a repeated top singular value: the scores
+        # are computed, and the equal scheme ignores them
         model = ModelSpec(
             name="eye", a=np.eye(2), uncertainty=(),
             initial=Box(np.zeros(2), np.ones(2)),
@@ -332,10 +346,7 @@ def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
     cells = _check_cells(cells, model.dim)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "equal":
-        scores = np.zeros(model.a.shape)
-    else:
-        scores = order_cells(model.a).scores
+    scores = order_cells(model.a).scores
     trace: list[tuple[float, bool]] = []
     prev_pert = IntervalMatrix.zeros(model.dim, model.dim)
     prev_p = 0.0
@@ -448,6 +459,19 @@ class TestSearchAgainstScan:
             assert report.final_budget == final
             assert report.evaluated == tuple(i * step for i in runs)
 
+    def test_girad1_score_schemes(self):
+        # girad1's sigma_1 is repeated, and the score schemes run on it:
+        # harmonic and proportional certify more than the equal share,
+        # each the budget a scan certifies
+        model = shipped("girad1")
+        for scheme, least in (("equal", 0.25), ("harmonic", 0.5),
+                              ("proportional", 0.35),
+                              ("proportional-literal", 0.15)):
+            got = robustness_threshold(model, [(0, 0), (1, 0)], scheme, 0.05)
+            want = scan_threshold(model, [(0, 0), (1, 0)], scheme, 0.05)
+            assert got.final_budget >= least - 1e-12, scheme
+            assert got.trace == want.trace, scheme
+        assert robustness_threshold(model, [(0, 0), (1, 0)]).final_budget == 0.25
 
     def test_safe_trials_end_at_an_invariant_box(self, monkeypatch):
         # girad1's safe trials stop at step 1000, whose hull lies in the

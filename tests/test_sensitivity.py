@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from uncreach import (
-    DegenerateSV,
     DimensionMismatch,
     IntervalMatrix,
-    max_sv_radius,
     order_cells,
     sv_change,
 )
@@ -15,6 +13,24 @@ from uncreach import (
 
 def sigma_max(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def one_sided_rise(a, b, eps=1e-7):
+    """The larger forward difference of sigma_1 along +b and -b."""
+    base = sigma_max(a)
+    return max(sigma_max(a + eps * b), sigma_max(a - eps * b)) - base
+
+
+def repeated_top_value(rng):
+    """A random n x n matrix, n <= 5, whose top k >= 2 singular values are
+    all 2, and its n."""
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(2, n + 1))
+    q1 = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    s = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+    s[:k] = 2.0
+    return q1 @ np.diag(s) @ q2.T, n
 
 
 class TestSvChange:
@@ -65,15 +81,40 @@ class TestSvChange:
             used += 1
         assert used >= 20
 
-    def test_degenerate_top_value_rejected(self):
-        with pytest.raises(DegenerateSV):
-            sv_change(np.eye(2), np.ones((2, 2)))
+    def test_repeated_top_value_derivative(self):
+        # sigma_1(I + eps ones) = 1 + 2 eps: the identity's top value is
+        # repeated, and the rise along ones is its largest eigenvalue, 2
+        assert sv_change(np.eye(2), np.ones((2, 2))) == pytest.approx(2.0, rel=1e-14)
+        # along -ones, sigma_1(I - eps ones) = 1 for small eps, so the
+        # larger rise of the two directions is again the one along ones
+        assert sv_change(np.eye(2), -np.ones((2, 2))) == pytest.approx(2.0, rel=1e-14)
 
     def test_default_gap_tolerance(self):
-        # sigma_1 is simple when sigma_1 - sigma_2 >= 1e-10 sigma_1
-        with pytest.raises(DegenerateSV):
-            sv_change(np.diag([1.0, 1.0 - 1e-12]), np.ones((2, 2)))
+        # sigma_2 counts as sigma_1 when sigma_1 - sigma_2 <= 1e-10 sigma_1
+        assert sv_change(np.diag([1.0, 1.0 - 1e-12]), np.ones((2, 2))) == \
+            pytest.approx(2.0, rel=1e-14)
         assert sv_change(np.diag([1.0, 1.0 - 1e-8]), np.ones((2, 2))) == 1.0
+
+    def test_repeated_top_value_matches_finite_difference(self):
+        rng = np.random.default_rng(3217)
+        for _ in range(100):
+            a, n = repeated_top_value(rng)
+            b = rng.normal(size=(n, n))
+            fd = one_sided_rise(a, b) / 1e-7
+            assert sv_change(a, b) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    def test_zero_matrix(self):
+        # at A = 0 every unit pair is singular: sigma_1(eps B) = eps ||B||_2
+        zero = np.zeros((2, 2))
+        assert sv_change(zero, np.ones((2, 2))) == pytest.approx(2.0, rel=1e-14)
+        assert sv_change(zero, np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
+
+    def test_non_finite_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                sv_change(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones((2, 2)))
+            with pytest.raises(ValueError, match="finite"):
+                sv_change(np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_shape_check(self):
         with pytest.raises(DimensionMismatch):
@@ -118,9 +159,49 @@ class TestOrderCells:
         assert ord_1.ranking == ord_3.ranking
         assert np.allclose(ord_3.scores, 3.0 * ord_1.scores, rtol=1e-12)
 
-    def test_identity_rejected(self):
-        with pytest.raises(DegenerateSV):
-            order_cells(np.eye(3))
+    def test_identity_scores(self):
+        # every sigma_i is 1: a diagonal cell moves sigma_1 by its own
+        # entry, an off-diagonal one (entry 0) not at all
+        assert np.allclose(order_cells(np.eye(3)).scores, np.eye(3),
+                           rtol=1e-14, atol=0.0)
+
+    def test_zero_matrix_scores(self):
+        om = order_cells(np.zeros((2, 2)))
+        assert np.array_equal(om.scores, np.zeros((2, 2)))
+        assert om.ranking == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def test_girad1_scores(self):
+        # A = -I + 4J has sigma_1 = sigma_2 = sqrt(17)
+        a = np.array([[-1.0, -4.0], [4.0, -1.0]])
+        om = order_cells(a)
+        assert np.allclose(om.scores, [[0.6213, 3.9403], [3.9403, 0.6213]],
+                           atol=1e-4, rtol=0.0)
+        assert om.ranking == ((0, 1), (1, 0), (0, 0), (1, 1))
+        for i in range(2):
+            for j in range(2):
+                b = np.zeros((2, 2))
+                b[i, j] = abs(a[i, j])
+                fd = one_sided_rise(a, b, eps=1e-8) / 1e-8
+                assert om.scores[i, j] == pytest.approx(fd, abs=1e-7)
+
+    def test_repeated_top_value_scores_match_finite_difference(self):
+        # each score is the larger one-sided rise of sigma_1 when the cell
+        # moves by -+|A[i, j]|
+        rng = np.random.default_rng(4423)
+        for _ in range(50):
+            a, n = repeated_top_value(rng)
+            scores = order_cells(a).scores
+            for i in range(n):
+                for j in range(n):
+                    b = np.zeros((n, n))
+                    b[i, j] = abs(a[i, j])
+                    fd = one_sided_rise(a, b) / 1e-7
+                    assert scores[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                order_cells(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -154,20 +235,22 @@ class TestOrderCells:
 
 
 class TestMaxSvRadius:
+    """sup sigma_1 over an interval family, read as its two_norm_sup."""
+
     def test_point_family(self):
         a = np.array([[1.0, -1.0], [0.0, 2.0]])
-        assert max_sv_radius(IntervalMatrix.from_point(a)) == pytest.approx(
+        assert IntervalMatrix.from_point(a).two_norm_sup() == pytest.approx(
             np.linalg.norm(a, 2), rel=1e-14)
 
     def test_unit_diagonal_radius(self):
         lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.eye(2))
-        assert max_sv_radius(lam) == pytest.approx(1.0, rel=1e-13)
+        assert lam.two_norm_sup() == pytest.approx(1.0, rel=1e-13)
 
     def test_bounds_sampled_members(self):
         rng = np.random.default_rng(21)
         lam = IntervalMatrix.from_center_radius(rng.uniform(-1, 1, (3, 3)),
                                                 rng.uniform(0, 1, (3, 3)))
-        r = max_sv_radius(lam)
+        r = lam.two_norm_sup()
         for _ in range(1000):
             assert np.linalg.norm(lam.sample(rng), 2) <= r + 1e-9
 
@@ -176,4 +259,4 @@ class TestMaxSvRadius:
         rng = np.random.default_rng(22)
         r = rng.uniform(0, 1, (12, 12))
         want = np.linalg.norm(r, 2)
-        assert want <= max_sv_radius(IntervalMatrix(-r, r)) <= (1 + 1e-13) * want
+        assert want <= IntervalMatrix(-r, r).two_norm_sup() <= (1 + 1e-13) * want
