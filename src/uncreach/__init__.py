@@ -8,7 +8,6 @@ from .bounds import (
     kagstrom2,
     loan,
     p_poly,
-    spectral_data,
 )
 from .engine import (
     CellUncertainty,
@@ -77,7 +76,6 @@ __all__ = [
     "safety_check",
     "save_model",
     "serialize_model",
-    "spectral_data",
     "sv_change",
     "symbolic_reach",
 ]

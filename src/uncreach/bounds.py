@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveMatrix, DimensionMismatch
-from .intervals import IntervalMatrix, _frobenius
+from .intervals import IntervalMatrix, _frobenius, _sigma_max_bound
 
 __all__ = [
-    "SpectralData",
-    "spectral_data",
     "p_poly",
     "kagstrom1",
     "kagstrom2",
@@ -40,23 +38,6 @@ __all__ = [
 _COND_MAX = 1e8
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Spectral quantities of a point matrix used by the bounds.
-
-    two_norm : spectral norm ||A||_2
-    alpha    : spectral abscissa, max real part of the eigenvalues
-    eps      : largest eigenvalue modulus
-    cond_s   : 2-norm condition number of the eigenvector matrix
-               (inf when numerically defective)
-    """
-
-    two_norm: float
-    alpha: float
-    eps: float
-    cond_s: float
-
-
 def _square(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -64,17 +45,6 @@ def _square(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
     return a
-
-
-def spectral_data(a) -> SpectralData:
-    a = _square(a)
-    two_norm = float(np.linalg.norm(a, 2))
-    eigvals, eigvecs = np.linalg.eig(a)
-    alpha = float(np.max(eigvals.real))
-    eps = float(np.max(np.abs(eigvals)))
-    sv = np.linalg.svd(eigvecs, compute_uv=False)
-    cond_s = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    return SpectralData(two_norm=two_norm, alpha=alpha, eps=eps, cond_s=cond_s)
 
 
 def p_poly(n: int, x):
@@ -144,23 +114,28 @@ def kagstrom2(a, lambda_norm: float, t):
     eigenbasis is numerically unusable (cond above _COND_MAX).
     """
     t = _check_args(lambda_norm, t)
-    sd = spectral_data(a)
-    if not math.isfinite(sd.cond_s) or sd.cond_s > _COND_MAX:
+    eigvals, eigvecs = np.linalg.eig(_square(a))
+    eps = float(np.max(np.abs(eigvals)))
+    sv = np.linalg.svd(eigvecs, compute_uv=False)
+    k = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    if not math.isfinite(k) or k > _COND_MAX:
         raise DefectiveMatrix(
-            f"kagstrom2 bound unusable: eigenvector condition {sd.cond_s:.3g} "
+            f"kagstrom2 bound unusable: eigenvector condition {k:.3g} "
             f"exceeds {_COND_MAX:.3g}"
         )
-    k = sd.cond_s
     return _evaluate(
-        lambda t: k * np.exp(sd.eps * t) * np.expm1(k * lambda_norm * t),
+        lambda t: k * np.exp(eps * t) * np.expm1(k * lambda_norm * t),
         lambda_norm, t)
 
 
 def loan(a, lambda_norm: float, t):
-    """Log-norm style bound t ||Lambda|| exp((||A||_2 - alpha + ||Lambda||) t)."""
+    """Log-norm style bound t ||Lambda|| exp((||A||_2 - alpha + ||Lambda||) t),
+    ||A||_2 rounding-covered (_sigma_max_bound), alpha from np.linalg.eig."""
     t = _check_args(lambda_norm, t)
-    sd = spectral_data(a)
-    rate = sd.two_norm - sd.alpha + lambda_norm
+    a = _square(a)
+    two_norm = float(_sigma_max_bound(a[None])[0])
+    alpha = float(np.max(np.linalg.eig(a)[0].real))
+    rate = two_norm - alpha + lambda_norm
     return _evaluate(lambda t: t * lambda_norm * np.exp(rate * t),
                      lambda_norm, t)
 

@@ -238,10 +238,6 @@ class ModelSpec:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def lambda_u(self) -> IntervalMatrix:
-        """Uncertain dynamics family A (+) Lambda (_add_outward)."""
-        return _add_outward(self.a, self.perturbation())
-
     def perturbation(self) -> IntervalMatrix:
         """Perturbation part Lambda, +0.0 outside the listed cells (_perturbation)."""
         return _perturbation(self.a, self.uncertainty)
@@ -826,7 +822,11 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
     before it safe: then `invariant` holds that pair of steps (t1, t2),
     every trajectory is at each step t >= t1 in the box of step
     t1 + (t - t1) mod (t2 - t1), and the verdict `safe` holds for all
-    time, not only to the horizon.
+    time, not only to the horizon.  Each step takes a fresh member of the
+    one-step family (interval_expm), so in real arithmetic the boxes
+    enclose, at grid times, every trajectory of a time-varying E(t) in
+    pert, not only of one E; robustness_threshold's certified budget
+    covers that family too.
     """
     m = (discretize(model.a, pert, model.step) if model.continuous
          else _add_outward(model.a, pert))
@@ -878,6 +878,9 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     float range (phi saturated, or the flow or its error overflowed) is
     inf: unbounded, not proven safe.  The result keeps the flows, the pad
     and Theta, not one Star per point; safety_check reads its supports.
+    The bounds phi, and so the radii, are stated for a constant E in
+    pert; a numeric flowpipe (reach_with_perturbation) covers a
+    time-varying E(t) (Althoff, Le Guernic & Krogh, HSCC 2011).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):

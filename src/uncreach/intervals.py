@@ -6,9 +6,9 @@ may be -inf or inf (an entry an exponential took out of float range), never
 NaN.  The classes hold bounds and answer queries; the interval arithmetic,
 defined here, is one product, _endpoint_product (interval_expm's series,
 engine's symbolic images), outward in exact arithmetic, and one sum,
-_add_outward (A (+) Lambda, Lambda's interval cells, sub_point,
-from_center_radius), outward in floating point.  The product's rounding is
-not directed, so consumers that need slack add it, but _centre_radius,
+_add_outward (engine's A (+) Lambda and Lambda's interval cells,
+robustness.distribute), outward in floating point.  The product's rounding
+is not directed, so consumers that need slack add it, but _centre_radius,
 _sigma_max_bound, _product_error and interval_expm's squarings cover their
 own.  interval_expm scales and squares, so it is inclusion-isotone only
 between families with the same number of squarings; each of its results is
@@ -299,15 +299,9 @@ class Box:
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=np.float64)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
-        return self.contains(other.lo, tol) and self.contains(other.hi, tol)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """(count, dim) array of uniform member points of a bounded box (_sample)."""
@@ -340,13 +334,6 @@ class IntervalMatrix:
         return cls(m.copy(), m.copy())
 
     @classmethod
-    def from_center_radius(cls, center: np.ndarray, radius: np.ndarray) -> "IntervalMatrix":
-        radius = np.asarray(radius, dtype=np.float64)
-        if np.any(radius < 0):
-            raise ValueError("radius must be nonnegative")
-        return _add_outward(center, cls(-radius, radius))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntervalMatrix":
         return cls(np.zeros((rows, cols)), np.zeros((rows, cols)))
 
@@ -366,10 +353,6 @@ class IntervalMatrix:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A uniformly drawn member matrix (_sample)."""
         return _sample(self.lo, self.hi, "interval matrix", rng, self.shape)
-
-    def sub_point(self, m: np.ndarray) -> "IntervalMatrix":
-        """[lo - m, hi - m] pushed outward: (-m) (+) self, negation being exact."""
-        return _add_outward(-np.asarray(m, dtype=np.float64), self)
 
     # -- norms --------------------------------------------------------------
 
@@ -467,7 +450,10 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     range is (-inf, inf), and a non-finite theta gives (-inf, inf)
     everywhere; underflow is not covered.  Since s depends on lam, the
     result is inclusion-isotone only between families with the same s.
-    t must be finite and nonnegative.
+    t must be finite and nonnegative.  In real arithmetic the result also
+    holds the transition matrix over [0, t] of x' = M(s) x for measurable
+    M(s) in lam: its Peano-Baker terms lie in the interval powers
+    (Althoff, Le Guernic & Krogh, HSCC 2011).
     """
     n, m = lam.shape
     if n != m:

@@ -24,15 +24,16 @@ from uncreach import (
     ors_reach,
     p_poly,
     safety_check,
-    spectral_data,
     symbolic_reach,
 )
 from uncreach._expm import expm
 from uncreach._kernels import box_core
 from uncreach.stars import Star, linear_map
 from uncreach.engine import _doubling_flows, _padded_image
-from uncreach.intervals import _sigma_max_bound
+from uncreach.intervals import _add_outward, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS
+
+from conftest import centred
 
 BOUNDS = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -41,8 +42,7 @@ TWOCELL_FRO_NORM = 2.449489742783178       # sqrt(6)
 
 
 def random_interval_matrix(rng, n, scale=0.3):
-    return IntervalMatrix.from_center_radius(
-        rng.uniform(-0.5, 0.5, (n, n)), rng.uniform(0, scale, (n, n)))
+    return centred(rng.uniform(-0.5, 0.5, (n, n)), rng.uniform(0, scale, (n, n)))
 
 
 def heat_rod(n, horizon):
@@ -79,25 +79,33 @@ class TestPPoly:
 
 
 class TestSpectralData:
+    """The spectral quantities the bounds read: ||A||_2 and the abscissa
+    alpha in loan, the largest eigenvalue modulus eps and the eigenvector
+    condition K in kagstrom2."""
+
     def test_rotation_plus_decay(self):
-        sd = spectral_data(GIRAD_A)
-        assert sd.two_norm == pytest.approx(math.sqrt(17), rel=1e-14)
-        assert sd.alpha == pytest.approx(-1.0, abs=1e-12)
-        assert sd.eps == pytest.approx(math.sqrt(17), rel=1e-12)
-        assert sd.cond_s == pytest.approx(1.0, rel=1e-10)
+        # ||A||_2 = eps = sqrt(17), alpha = -1 and a unitary eigenbasis
+        assert loan(GIRAD_A, 0.1, 1.0) == pytest.approx(
+            0.1 * math.exp(math.sqrt(17) + 1.1), rel=1e-14)
+        assert kagstrom2(GIRAD_A, 0.1, 1.0) == pytest.approx(
+            math.exp(math.sqrt(17)) * math.expm1(0.1), rel=1e-10)
 
     def test_diagonal(self):
-        sd = spectral_data(np.diag([-1.0, -2.0]))
-        assert sd.two_norm == 2.0
-        assert sd.alpha == -1.0
-        assert sd.eps == 2.0
-        assert sd.cond_s == pytest.approx(1.0, rel=1e-12)
+        # alpha = -1 and eps = 2 are exact; ||A||_2 = 2 is covered a few
+        # ulps up (_sigma_max_bound), not rounded to nearest
+        a = np.diag([-1.0, -2.0])
+        two_norm = _sigma_max_bound(a[None])[0]
+        assert 2.0 < two_norm < 2.0 + 1e-14
+        assert loan(a, 0.1, 1.0) == 0.1 * np.exp(two_norm + 1.0 + 0.1)
+        assert kagstrom2(a, 0.1, 1.0) == pytest.approx(
+            math.exp(2.0) * math.expm1(0.1), rel=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DimensionMismatch):
-            spectral_data(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            spectral_data(np.array([[np.nan]]))
+        for bound in BOUNDS.values():
+            with pytest.raises(DimensionMismatch):
+                bound(np.zeros((2, 3)), 0.1, 1.0)
+            with pytest.raises(ValueError):
+                bound(np.array([[np.nan]]), 0.1, 1.0)
 
 
 class TestKagstrom1:
@@ -167,11 +175,11 @@ class TestKagstrom2:
         # eigenvector condition about 2 / d for [[1, 1], [0, 1 + d]]: a
         # finite condition above 1e8 is refused, one far below it is not
         near = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]])
-        assert 1e8 < spectral_data(near).cond_s < math.inf
+        assert 1e8 < np.linalg.cond(np.linalg.eig(near)[1]) < math.inf
         with pytest.raises(DefectiveMatrix, match="exceeds 1e"):
             kagstrom2(near, 0.1, 1.0)
         far = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-3]])
-        assert spectral_data(far).cond_s < 1e4
+        assert np.linalg.cond(np.linalg.eig(far)[1]) < 1e4
         assert kagstrom2(far, 0.1, 1.0) > 0.0
 
 
@@ -184,6 +192,24 @@ class TestLoan:
 
     def test_scalar_system(self):
         assert loan(np.array([[0.0]]), 1.0, 1.0) == pytest.approx(math.e, rel=1e-15)
+
+    def test_two_norm_covers_its_rounding(self):
+        # the rate's ||A||_2 is _sigma_max_bound's, never below the
+        # 50-digit sigma_1; np.linalg.norm(a, 2), rounded to nearest, fell
+        # below it on about half of these matrices
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        for trial in range(300):
+            n = int(rng.integers(2, 5))
+            a = rng.uniform(-1, 1, (n, n))
+            two_norm = _sigma_max_bound(a[None])[0]
+            alpha = np.max(np.linalg.eig(a)[0].real)
+            assert loan(a, 0.1, 1.5) == 1.5 * 0.1 * np.exp(
+                (two_norm - alpha + 0.1) * 1.5), trial
+            with mpmath.workdps(50):
+                sigma = max(mpmath.svd_r(mpmath.matrix(a.tolist()),
+                                         compute_uv=False))
+                assert mpmath.mpf(two_norm) >= sigma, trial
 
     def test_saturates_instead_of_overflowing(self):
         # a bound beyond float range is reported as inf, which is still
@@ -204,7 +230,7 @@ class TestLoan:
 class TestBloatFactor:
     def test_dispatch(self):
         assert BLOAT_METHODS == tuple(BOUNDS)
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.full((2, 2), 0.05))
+        lam = centred(np.zeros((2, 2)), np.full((2, 2), 0.05))
         times = np.array([0.0, 0.5])
         for method in BLOAT_METHODS:
             out = bloat_series(GIRAD_A, lam, times, method)
@@ -239,8 +265,7 @@ class TestVectorisedBounds:
             assert got[0] == 0.0
 
     def test_bloat_series_is_the_bound(self):
-        lam = IntervalMatrix.from_center_radius(
-            np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
+        lam = centred(np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
         times = np.linspace(0.0, 2.0, 201)
         for method in BLOAT_METHODS:
             out = bloat_series(GIRAD_A, lam, times, method)
@@ -262,8 +287,7 @@ class TestBoundValidity:
             a = rng.uniform(-1, 1, (n, n))
             lam = random_interval_matrix(rng, n, scale=0.2)
             lam_norm = lam.two_norm_sup()
-            sd = spectral_data(a)
-            use_k2 = sd.cond_s < 1e6
+            use_k2 = np.linalg.cond(np.linalg.eig(a)[1]) < 1e6
             for t in (0.1, 0.5, 1.0, 2.0):
                 k1 = kagstrom1(a, lam_norm, t)
                 lo_bound = loan(a, lam_norm, t)
@@ -285,11 +309,10 @@ class TestBoundValidity:
             lam = random_interval_matrix(rng, n)
             two = lam.two_norm_sup()
             fro = lam.frobenius_sup()
-            sd = spectral_data(a)
             for t in (0.1, 1.0, 2.0):
                 assert kagstrom1(a, fro, t) >= kagstrom1(a, two, t) - 1e-12
                 assert loan(a, fro, t) >= loan(a, two, t) - 1e-12
-                if sd.cond_s < 1e6:
+                if np.linalg.cond(np.linalg.eig(a)[1]) < 1e6:
                     assert kagstrom2(a, fro, t) >= kagstrom2(a, two, t) - 1e-12
 
     def test_monotone_in_time_and_norm(self):
@@ -314,8 +337,7 @@ class TestBloatSeries:
         assert out.lambda_norm == 0.0
 
     def test_grid_is_monotone(self):
-        lam = IntervalMatrix.from_center_radius(
-            np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
+        lam = centred(np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
         times = np.linspace(0.0, 2.0, 201)
         for method in BLOAT_METHODS:
             out = bloat_series(GIRAD_A, lam, times, method)
@@ -354,8 +376,7 @@ class TestBloatSeries:
             return original(self)
 
         monkeypatch.setattr(IntervalMatrix, "two_norm_sup", counted)
-        lam = IntervalMatrix.from_center_radius(
-            np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
+        lam = centred(np.zeros((2, 2)), np.array([[0.02, 0.0], [0.08, 0.0]]))
         out = bloat_series(GIRAD_A, lam, np.array([0.0, 0.5]), "loan")
         assert calls == [lam]
         assert out.lambda_norm == original(lam)
@@ -374,7 +395,7 @@ class TestSymbolicReach:
 
     def test_time_zero_returns_initial_box(self):
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.full((2, 2), 0.01))
+        lam = centred(np.zeros((2, 2)), np.full((2, 2), 0.01))
         res = symbolic_reach(GIRAD_A, lam, theta, np.array([0.0]), method="loan")
         # the one-point grid arange(1) * h: F_0 = I with a zero pad
         assert res.radii[0] == 0.0
@@ -428,7 +449,7 @@ class TestSymbolicReach:
             theta = Box(lo, lo + rng.uniform(0, 1, n))
             times = np.arange(25) * rng.uniform(0.02, 0.5)
             for method in BLOAT_METHODS:
-                if method == "kagstrom2" and spectral_data(a).cond_s > 1e8:
+                if method == "kagstrom2" and np.linalg.cond(np.linalg.eig(a)[1]) > 1e8:
                     continue
                 res = symbolic_reach(a, lam, theta, times, method=method)
                 phi = bloat_series(a, lam, times, method).phi
@@ -579,8 +600,7 @@ class TestSymbolicReach:
         # On coarse steps (||A||_F h = 612 and 980, ten squarings) the orbit
         # overflows at t = 500, or the squarings themselves do
         theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
-                                                np.full((2, 2), 1e-3))
+        lam = centred(np.zeros((2, 2)), np.full((2, 2), 1e-3))
         for step, finite in ((250.0, 2), (400.0, 1)):
             times = np.arange(5) * step
             with warnings.catch_warnings():
@@ -607,7 +627,7 @@ class TestSymbolicReach:
                              rod.times(), method=method)
         assert np.all(np.isfinite(res.radii))
         rng = np.random.default_rng(31)
-        lam = rod.lambda_u()
+        lam = _add_outward(rod.a, rod.perturbation())
         for _ in range(4):
             member = np.where(rng.random(lam.shape) < 0.5, lam.lo, lam.hi)
             step = scipy.linalg.expm(member * rod.step)
@@ -773,8 +793,7 @@ class TestDoublingFlows:
         np.concatenate(([0.0], np.cumsum(np.full(10, 0.1)))),
     ], ids=["ragged", "repeated", "zero-step", "window", "single-late", "summed"])
     def test_other_grids_raise(self, times):
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
-                                                np.full((2, 2), 0.01))
+        lam = centred(np.zeros((2, 2)), np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
         with pytest.raises(ValueError, match="grid"):
             symbolic_reach(GIRAD_A, lam, theta, times, method="loan")
@@ -800,8 +819,7 @@ class TestDoublingFlows:
             assert not verdict.safe and verdict.step == hit[0], method
 
     def test_uniform_grid_pads_the_per_point_boxes(self):
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
-                                                np.full((2, 2), 0.01))
+        lam = centred(np.zeros((2, 2)), np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
         for method in BLOAT_METHODS:
             res = symbolic_reach(GIRAD_A, lam, theta, SHIPPED_GRID, method=method)
@@ -834,8 +852,7 @@ class TestDoublingFlows:
         theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
         times = np.arange(1601) * 0.25
         for lam, overflow in (
-                (IntervalMatrix.from_center_radius(np.zeros((2, 2)),
-                                                   np.full((2, 2), 1e-3)), 1239),
+                (centred(np.zeros((2, 2)), np.full((2, 2), 1e-3)), 1239),
                 (IntervalMatrix.zeros(2, 2), 1419)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -857,8 +874,7 @@ class TestDoublingFlows:
 
     def test_support_along_axes_matches_box(self):
         # bitwise: the boxes and the supports are one padded image
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)),
-                                                np.full((2, 2), 0.01))
+        lam = centred(np.zeros((2, 2)), np.full((2, 2), 0.01))
         theta = Box(np.array([0.9, -0.1]), np.array([1.1, 0.1]))
         cases = [(GIRAD_A, lam, theta, times)
                  for times in (SHIPPED_GRID, np.arange(15) * 1.5)]

@@ -37,6 +37,8 @@ from uncreach.robustness import SCHEMES, budget_weights, distribute
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
 
+from conftest import centred
+
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
 
@@ -120,7 +122,7 @@ class TestModelSpec:
                       uncertainty=(CellUncertainty(0, 0, relative=0.5),),
                       initial=Box(np.zeros(1), np.ones(1)),
                       horizon=1, continuous=False)
-        lam = m.lambda_u()
+        lam = _add_outward(m.a, m.perturbation())
         assert lam.lo[0, 0] == pytest.approx(1.0)
         assert lam.hi[0, 0] == pytest.approx(3.0)
         pert = m.perturbation()
@@ -129,7 +131,7 @@ class TestModelSpec:
 
     def test_lambda_u_interval_is_entry_range(self):
         m = scalar_growth_model()
-        lam = m.lambda_u()
+        lam = _add_outward(m.a, m.perturbation())
         assert lam.lo[0, 0] == 0.9 and lam.hi[0, 0] == 1.1
         pert = m.perturbation()
         assert pert.lo[0, 0] == pytest.approx(-0.1)
@@ -222,7 +224,7 @@ class TestModelSpec:
         cell = m.uncertainty[0]
         assert type(cell.row) is int and type(cell.col) is int
         assert (cell.row, cell.col) == (1, 0)
-        lam = m.lambda_u()
+        lam = _add_outward(m.a, m.perturbation())
         assert np.array_equal(lam.lo == lam.hi, [[True, True], [False, True]])
 
     def test_horizon_and_period_must_be_integers(self):
@@ -303,8 +305,7 @@ class TestPerturbationFamily:
             lo, hi = exact_family(a, cells)
             pert = model.perturbation()
             assert_holds(pert, lo, hi, shift=a)
-            for fam in (model.lambda_u(), _add_outward(a, pert)):
-                assert_holds(fam, lo, hi)
+            assert_holds(_add_outward(a, pert), lo, hi)
             listed = np.zeros((n, n), dtype=bool)
             for c in cells:
                 listed[c.row, c.col] = True
@@ -332,9 +333,7 @@ class TestPerturbationFamily:
         for name in ("girad1", "acc4", "twocell", "grow1d"):
             model = shipped(name)
             lo, hi = exact_family(model.a, model.uncertainty)
-            for fam in (model.lambda_u(),
-                        _add_outward(model.a, model.perturbation())):
-                assert_holds(fam, lo, hi)
+            assert_holds(_add_outward(model.a, model.perturbation()), lo, hi)
 
     def test_cancellation_below_the_entry_ulp_is_not_proven_safe(self):
         # x2 at step 1 is e x1 - x3 = e - 1 for e in [1 - rho, 1 + rho],
@@ -383,8 +382,7 @@ class TestDiscretize:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             a = rng.uniform(-1, 1, (n, n))
-            pert = IntervalMatrix.from_center_radius(np.zeros((n, n)),
-                                                     rng.uniform(0, 0.1, (n, n)))
+            pert = centred(np.zeros((n, n)), rng.uniform(0, 0.1, (n, n)))
             m = discretize(a, pert, 0.1)
             for _ in range(10):
                 e = pert.sample(rng)
@@ -440,7 +438,8 @@ class TestScaledDiscretization:
             verdict = safety_check(res, model.unsafe)
         assert m.lo[0, 0] == -np.inf and m.hi[0, 0] == np.inf
         assert np.all(np.isfinite(res.lo[0])) and np.all(np.isfinite(res.hi[0]))
-        assert Box(res.lo[0], res.hi[0]).contains_box(model.initial)
+        assert np.all(res.lo[0] <= model.initial.lo)
+        assert np.all(model.initial.hi <= res.hi[0])
         assert np.all(res.lo[1:] == -np.inf) and np.all(res.hi[1:] == np.inf)
         assert np.all(res.supports[1:] == np.inf)
         assert not verdict.safe and verdict.step == 1
@@ -509,7 +508,7 @@ class TestOrsReach:
                 continuous=continuous,
                 step=0.05 if continuous else None,
             )
-            lam = model.lambda_u()
+            lam = _add_outward(model.a, model.perturbation())
             res = ors_reach(model)
             for _ in range(5):
                 x = model.initial.sample(rng)[0]
@@ -526,7 +525,7 @@ class TestOrsReach:
         res_none = ors_reach(m_none)
         res_red = ors_reach(m_red)
         assert max(res_red.gen_counts) < max(res_none.gen_counts)
-        lam = m_none.lambda_u()
+        lam = _add_outward(m_none.a, m_none.perturbation())
         for _ in range(10):
             x = m_none.initial.sample(rng)[0]
             step_m = scipy.linalg.expm(lam.sample(rng) * m_none.step)
@@ -677,8 +676,7 @@ class TestSafetyCheck:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             a = rng.uniform(-1, 1, (n, n))
-            lam = IntervalMatrix.from_center_radius(
-                np.zeros((n, n)), rng.uniform(0, 0.05, (n, n)))
+            lam = centred(np.zeros((n, n)), rng.uniform(0, 0.05, (n, n)))
             lo = rng.uniform(-1, 1, n)
             theta = Box(lo, lo + rng.uniform(0, 1, n))
             times = np.arange(31) * rng.uniform(0.02, 0.1)
@@ -1323,12 +1321,14 @@ def random_contracting_model(rng, continuous):
 class TestInvariantStop:
     @pytest.mark.parametrize("budget", [0.05, 0.1, 0.2, 0.25])
     def test_shipped_budgets_are_safe_for_all_time(self, budget):
-        # girad1's safe trials in the benchmark's search: the hull at step
-        # 1000 lies in the hull at 500, so the flowpipe ends at step 1000
+        # girad1's safe trials in the benchmark's search, with the search's
+        # own Lambda_p bit for bit: the hull at step 1000 lies in the hull
+        # at 500, so the flowpipe ends at step 1000
         model = shipped("girad1")
-        family = distribute(model.a, [(0, 0), (1, 0)], np.zeros((2, 2)),
-                            budget, "equal")
-        pert = family.sub_point(model.a)
+        pert = dataclasses.replace(model, uncertainty=tuple(
+            CellUncertainty(i, j, relative=budget)
+            for i, j in ((0, 0), (1, 0)))).perturbation()
+        family = _add_outward(model.a, pert)
         cut = reach_with_perturbation(model, pert, until_unsafe=True)
         full = reach_with_perturbation(model, pert)
         assert cut.invariant == (500, 1000) and len(cut) == 1000
@@ -1354,7 +1354,8 @@ class TestInvariantStop:
             certified += 1
             assert len(cut) <= model.horizon
             assert safety_check(ors_reach(model), model.unsafe).safe, trial
-            assert_invariant_encloses(cut, model.lambda_u(), model)
+            assert_invariant_encloses(
+                cut, _add_outward(model.a, model.perturbation()), model)
         assert certified >= 3
 
     def test_only_interval_reduction_certifies(self):
@@ -1421,6 +1422,41 @@ class TestInvariantStop:
         assert np.all(np.isfinite(res.lo)) and np.all(np.isfinite(res.hi))
         assert_contains_vertex_trajectories(np.random.default_rng(64), rod,
                                             res.lo, res.hi, "rod64")
+
+
+class TestTimeVaryingFamily:
+    def test_greedy_switching_stays_inside(self):
+        # one numeric flowpipe encloses every trajectory of a time-varying
+        # E(t) in Lambda at grid times, not only of a constant E (Althoff,
+        # Le Guernic & Krogh, HSCC 2011).  girad1's benchmark cells under
+        # the equal scheme: from each corner of Theta, each step takes the
+        # vertex member whose A + E most raises d|x|^2/dt = 2 x^T (A + E) x
+        model = shipped("girad1")
+        corners = np.array(list(itertools.product(
+            *zip(model.initial.lo, model.initial.hi)))).T
+        peaks = {}
+        for budget in (0.25, 0.6):
+            spec = dataclasses.replace(model, uncertainty=tuple(
+                CellUncertainty(i, j, relative=budget) for i, j in ((0, 0), (1, 0))))
+            res = reach_with_perturbation(spec, spec.perturbation())
+            family = _add_outward(spec.a, spec.perturbation())
+            vertices = np.array([np.where([[e00, False], [e10, False]],
+                                          family.hi, family.lo)
+                                 for e00, e10 in itertools.product((False, True),
+                                                                   repeat=2)])
+            steps = np.array([scipy.linalg.expm(v * spec.step) for v in vertices])
+            x = corners
+            peak = -np.inf
+            for k in range(spec.horizon + 1):
+                assert np.all(x >= res.lo[k][:, None] - 1e-9), (budget, k)
+                assert np.all(x <= res.hi[k][:, None] + 1e-9), (budget, k)
+                peak = max(peak, x[0].max())
+                gain = np.einsum("ic,mij,jc->mc", x, vertices, x)
+                x = np.einsum("cij,jc->ic", steps[gain.argmax(axis=0)], x)
+            peaks[budget] = peak
+        # at 0.6 switching crosses the unsafe x1 = 2, so no flowpipe can
+        # prove that budget safe; at 0.25 it never leaves Theta's x1 <= 1.1
+        assert peaks[0.25] < 2.0 < peaks[0.6]
 
 
 class TestChunkBoundaries:
@@ -1833,7 +1869,7 @@ class TestCentredZonotopes:
             res = ors_reach(model)
             abar = (scipy.linalg.expm(model.a * model.step)
                     if model.continuous else model.a)
-            lbar = one_step_family(model).sub_point(abar)
+            lbar = _add_outward(-abar, one_step_family(model))
             lo, hi = abar_recurrence_boxes(abar, lbar, model)
             slack = 1e-12 * np.maximum(np.abs(lo), np.abs(hi)).max(
                 axis=1, keepdims=True)
@@ -1876,7 +1912,7 @@ def random_model(rng, reduction, name):
 def assert_contains_vertex_trajectories(rng, model, lo, hi, trial):
     """Trajectories of vertex members from corners of Theta stay inside."""
     n = model.dim
-    lam = model.lambda_u()
+    lam = _add_outward(model.a, model.perturbation())
     for _ in range(4):
         member = np.where(rng.random((n, n)) < 0.5, lam.lo, lam.hi)
         step_m = (scipy.linalg.expm(member * model.step) if model.continuous

@@ -21,6 +21,8 @@ from uncreach import intervals
 from uncreach.engine import _orbit
 from uncreach.intervals import _add_outward, _endpoint_product, _product_error
 
+from conftest import centred
+
 # analytic values, frozen independently of the library
 SQRT_621 = 2.4919871588754225        # sqrt(6.21)
 
@@ -36,12 +38,6 @@ class TestIntervalMatrix:
         assert m.is_point()
         assert m.shape == (2, 2)
         assert np.all(m.radius == 0.0)
-
-    def test_from_center_radius(self):
-        m = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.full((2, 2), 0.5))
-        assert np.all(m.lo == -0.5) and np.all(m.hi == 0.5)
-        with pytest.raises(ValueError):
-            IntervalMatrix.from_center_radius(np.zeros((2, 2)), -np.ones((2, 2)))
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -61,24 +57,24 @@ class TestIntervalMatrix:
             IntervalMatrix(np.array([[-np.inf]]), np.array([[np.nan]]))
 
     def test_add_sub_scale(self):
-        # the sum is intervals._add_outward, which sub_point is too, and a
-        # scaling the product with a point 1x1 factor; IntervalMatrix has
-        # no + or scale of its own
+        # the sum is intervals._add_outward, a point's difference the sum
+        # with its negation, and a scaling the product with a point 1x1
+        # factor; IntervalMatrix has no +, - or scale of its own
         m = IntervalMatrix(np.array([[0.0]]), np.array([[1.0]]))
         s = _add_outward(np.array([[1.0]]), m)
         assert s.lo[0, 0] == 1.0 and s.hi[0, 0] == 2.0
-        d = m.sub_point(np.array([[0.5]]))
+        d = _add_outward(np.array([[-0.5]]), m)
         assert d.lo[0, 0] == -0.5 and d.hi[0, 0] == 0.5
         neg = product(m, IntervalMatrix.from_point(np.array([[-2.0]])))
         assert neg.lo[0, 0] == -2.0 and neg.hi[0, 0] == 0.0
         with pytest.raises(DimensionMismatch):
             _add_outward(np.zeros((2, 2)), m)
         with pytest.raises(DimensionMismatch, match="shapes differ"):
-            m.sub_point(np.eye(2))
+            _add_outward(-np.eye(2), m)
 
     def test_sub_point(self):
         m = IntervalMatrix(np.array([[0.9]]), np.array([[1.1]]))
-        p = m.sub_point(np.array([[1.0]]))
+        p = _add_outward(np.array([[-1.0]]), m)
         assert p.lo[0, 0] == pytest.approx(-0.1) and p.hi[0, 0] == pytest.approx(0.1)
 
     def test_empty_bounds_are_refused(self):
@@ -136,10 +132,11 @@ def signed_magnitudes(rng, shape, low, high):
 
 
 class TestOneSum:
-    # A (+) Lambda, sub_point and from_center_radius are one sum,
-    # _add_outward, which contains its exact sum; checked in rationals,
-    # with intervals drawn independently of the nominal entries, where the
-    # old nearest-rounded differences lost members of the family
+    # A (+) Lambda, a point's difference (-m) (+) L and a centre-radius
+    # family c (+) [-r, r] are one sum, _add_outward, which contains its
+    # exact sum; checked in rationals, with intervals drawn independently
+    # of the nominal entries, where the old nearest-rounded differences
+    # lost members of the family
 
     def test_sub_point_round_trip_contains_family_exactly(self):
         rng = np.random.default_rng(4)
@@ -149,7 +146,7 @@ class TestOneSum:
             a = signed_magnitudes(rng, (n, n), -5, 5)
             ends = np.sort(signed_magnitudes(rng, (2, n, n), -20, 5), axis=0)
             fam = IntervalMatrix(*ends)
-            pert = fam.sub_point(a)
+            pert = _add_outward(-a, fam)
             back = _add_outward(a, pert)
             want_lo = [Fraction(x) for x in fam.lo.ravel()]
             want_hi = [Fraction(x) for x in fam.hi.ravel()]
@@ -168,7 +165,7 @@ class TestOneSum:
             n = int(rng.integers(1, 5))
             c = signed_magnitudes(rng, (n, n), -5, 5)
             r = np.abs(signed_magnitudes(rng, (n, n), -20, 5))
-            m = IntervalMatrix.from_center_radius(c, r)
+            m = _add_outward(c, IntervalMatrix(-r, r))
             assert_encloses(m, [Fraction(x) - Fraction(y) for x, y in zip(c.ravel(), r.ravel())],
                             [Fraction(x) + Fraction(y) for x, y in zip(c.ravel(), r.ravel())])
             nearest_misses += sum(Fraction(x) - Fraction(y) < Fraction(x - y)
@@ -186,14 +183,13 @@ class TestOneSum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _add_outward(a, fam)
-            wide = IntervalMatrix.from_center_radius(np.array([[1e308]]), np.array([[1e308]]))
-            shifted = fam.sub_point(-a)
+            wide = _add_outward(np.array([[1e308]]),
+                                IntervalMatrix(np.array([[-1e308]]), np.array([[1e308]])))
         want_lo, want_hi = ([Fraction(x) + Fraction(y) for x, y in zip(a.ravel(), b.ravel())]
                             for b in (fam.lo, fam.hi))
-        for m in (got, shifted):
-            assert np.array_equal(m.lo, [[big, -np.inf]])
-            assert np.array_equal(m.hi, [[np.inf, -big]])
-            assert_encloses(m, want_lo, want_hi)
+        assert np.array_equal(got.lo, [[big, -np.inf]])
+        assert np.array_equal(got.hi, [[np.inf, -big]])
+        assert_encloses(got, want_lo, want_hi)
         assert wide.lo[0, 0] == 0.0 and wide.hi[0, 0] == np.inf
 
 
@@ -291,10 +287,8 @@ class TestIntervalMatmul:
         rng = np.random.default_rng(42)
         for _ in range(200):
             r, k, c = rng.integers(1, 4, size=3)
-            l1 = IntervalMatrix.from_center_radius(
-                rng.uniform(-2, 2, (r, k)), rng.uniform(0, 1, (r, k)))
-            l2 = IntervalMatrix.from_center_radius(
-                rng.uniform(-2, 2, (k, c)), rng.uniform(0, 1, (k, c)))
+            l1 = centred(rng.uniform(-2, 2, (r, k)), rng.uniform(0, 1, (r, k)))
+            l2 = centred(rng.uniform(-2, 2, (k, c)), rng.uniform(0, 1, (k, c)))
             prod = product(l1, l2)
             for _ in range(5):
                 e1 = l1.sample(rng)
@@ -500,7 +494,7 @@ class TestNorms:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             m = rng.normal(size=(n, n)) * np.exp(rng.normal(size=(n, n)) * 5)
-            lam = IntervalMatrix.from_center_radius(m, np.abs(rng.normal(size=(n, n))))
+            lam = centred(m, np.abs(rng.normal(size=(n, n))))
             worst = np.maximum(np.abs(lam.lo), np.abs(lam.hi))
             assert lam.frobenius_sup() == float(np.linalg.norm(worst, "fro"))
         big = IntervalMatrix.from_point(np.array([[3e200, -4e200], [0.0, 0.0]]))
@@ -554,7 +548,7 @@ class TestNorms:
 
     def test_two_norm_sup_diag_radius(self):
         # zero center, radius = identity: every sign vertex is diag(+-1, +-1)
-        m = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.eye(2))
+        m = centred(np.zeros((2, 2)), np.eye(2))
         assert m.two_norm_sup() == pytest.approx(1.0, rel=1e-14)
 
     def test_two_norm_sup_rejects_non_square(self):
@@ -565,8 +559,7 @@ class TestNorms:
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            m = IntervalMatrix.from_center_radius(
-                rng.uniform(-2, 2, (n, n)), rng.uniform(0, 1, (n, n)))
+            m = centred(rng.uniform(-2, 2, (n, n)), rng.uniform(0, 1, (n, n)))
             assert m.two_norm_sup() <= m.frobenius_sup() + 1e-12
 
     def test_two_norm_sup_dominates_samples_and_is_attained(self):
@@ -577,7 +570,7 @@ class TestNorms:
             n = int(rng.integers(1, 4))
             c = rng.uniform(-2, 2, (n, n))
             r = rng.uniform(0, 1, (n, n))
-            m = IntervalMatrix.from_center_radius(c, r)
+            m = _add_outward(c, IntervalMatrix(-r, r))
             sup = m.two_norm_sup()
             for _ in range(20):
                 assert np.linalg.norm(m.sample(rng), 2) <= sup + 1e-12
@@ -604,7 +597,7 @@ class TestNorms:
         rng = np.random.default_rng(15)
         for _ in range(60):
             n = int(rng.integers(1, 6))
-            m = IntervalMatrix.from_center_radius(
+            m = centred(
                 rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3),
                 rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6))
             sup = m.two_norm_sup()
@@ -676,7 +669,7 @@ class TestIntervalExpm:
                 c = rng.normal(size=(n, n))
                 c -= (np.linalg.eigvals(c).real.max() + 0.5) * np.eye(n)
                 r = rng.uniform(0, 0.02, (n, n)) * (rng.random((n, n)) < 0.5)
-                families.append(IntervalMatrix.from_center_radius(c, wide * r))
+                families.append(centred(c, wide * r))
         for lam in families:
             t = theta / lam.frobenius_sup()
             out = interval_expm(lam, t)
@@ -816,8 +809,7 @@ class TestIntervalExpm:
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(1, 4))
-            m = IntervalMatrix.from_center_radius(
-                rng.uniform(-1, 1, (n, n)), rng.uniform(0, 0.3, (n, n)))
+            m = centred(rng.uniform(-1, 1, (n, n)), rng.uniform(0, 0.3, (n, n)))
             for t in (0.3, 1.0):
                 out = interval_expm(m, t)
                 for _ in range(4):

@@ -15,6 +15,7 @@ from uncreach import (
     save_model,
     serialize_model,
 )
+from uncreach.intervals import _add_outward
 
 MINIMAL = """\
 name: tiny
@@ -99,7 +100,7 @@ class TestParseModel:
         assert m.uncertainty[0].relative == 0.02
         assert m.reduction_method == "interval"
         assert m.reduction_period == 500
-        lam = m.lambda_u()
+        lam = _add_outward(m.a, m.perturbation())
         assert lam.lo[0, 0] == pytest.approx(-1.02)
         assert lam.hi[1, 0] == pytest.approx(4.08)
 
@@ -108,7 +109,7 @@ class TestParseModel:
         cell = m.uncertainty[0]
         assert (cell.row, cell.col) == (0, 1)
         assert cell.interval == (-1.1, -0.9)
-        lam = m.lambda_u()
+        lam = _add_outward(m.a, m.perturbation())
         assert lam.lo[0, 1] == -1.1 and lam.hi[0, 1] == -0.9
 
     def test_not_yaml(self):

@@ -440,8 +440,8 @@ class TestSearchAgainstScan:
             if not got.cap_reached:
                 budget = got.trace[-1][0]
                 assert budget in got.evaluated
-                pert = distribute(model.a, cells, order_cells(model.a).scores,
-                                  budget, scheme).sub_point(model.a)
+                pert = _add_outward(-model.a, distribute(
+                    model.a, cells, order_cells(model.a).scores, budget, scheme))
                 assert not safety_check(reach_with_perturbation(model, pert),
                                         model.unsafe).safe, trial
 

@@ -10,6 +10,8 @@ from uncreach import (
     sv_change,
 )
 
+from conftest import centred
+
 
 def sigma_max(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
@@ -243,13 +245,12 @@ class TestMaxSvRadius:
             np.linalg.norm(a, 2), rel=1e-14)
 
     def test_unit_diagonal_radius(self):
-        lam = IntervalMatrix.from_center_radius(np.zeros((2, 2)), np.eye(2))
+        lam = centred(np.zeros((2, 2)), np.eye(2))
         assert lam.two_norm_sup() == pytest.approx(1.0, rel=1e-13)
 
     def test_bounds_sampled_members(self):
         rng = np.random.default_rng(21)
-        lam = IntervalMatrix.from_center_radius(rng.uniform(-1, 1, (3, 3)),
-                                                rng.uniform(0, 1, (3, 3)))
+        lam = centred(rng.uniform(-1, 1, (3, 3)), rng.uniform(0, 1, (3, 3)))
         r = lam.two_norm_sup()
         for _ in range(1000):
             assert np.linalg.norm(lam.sample(rng), 2) <= r + 1e-9
