@@ -31,8 +31,7 @@ from .errors import (
 from .intervals import Box, IntervalMatrix, interval_expm
 from .modelfile import load_model, model_to_dict, parse_model, save_model, \
     serialize_model
-from .robustness import ThresholdReport, budget_weights, distribute, \
-    robustness_threshold
+from .robustness import ThresholdReport, budget_weights, robustness_threshold
 from .sensitivity import OrdMatrix, order_cells, sv_change
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "bloat_series",
     "budget_weights",
     "discretize",
-    "distribute",
     "interval_expm",
     "kagstrom1",
     "kagstrom2",

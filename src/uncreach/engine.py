@@ -582,7 +582,6 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     buf = np.empty(end)
     buf[end - n:] = r0
     carried = carried_sums = None
-    reduced_at = 0
     restart_count = n  # generators at the segment's first step
     # generator counts per step, allocated by the first _count_segment:
     # not beside an unreduced flowpipe's table, which sets its peak
@@ -606,7 +605,7 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             windows = ages[:, :(b - 1) * n + 1:n, :end - s]  # (row, m, col)
             np.matmul(windows.transpose(1, 0, 2), buf[s:], out=rows)
             if carried is not None:
-                rows += carried_sums[j - reduced_at:j - reduced_at + b]
+                rows += carried_sums[t0:t0 + b]
             mags = np.abs(centres[j:j + b])
             if b > 1:
                 v = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
@@ -636,7 +635,7 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             keep[:n] |= carried is None  # Theta, kept in full until reduced
             gens, radii = gens[:, keep], radii[keep]
             if carried is not None:
-                block = carried[:, stop - reduced_at]
+                block = carried[:, stop - first_step]
                 gens = np.hstack((block, gens))
                 radii = np.concatenate((np.ones(block.shape[1]), radii))
             block = _zono_reduce(centres[stop], gens * radii)
@@ -648,7 +647,6 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             carried = prods[:n]
             carried_sums = np.abs(prods).sum(axis=2).T.copy()
             restart, next_count = 0.0, block.shape[1]
-            reduced_at = stop
         else:
             hull = table[:n, :end - s] @ buf[s:]
             if restarts is not None:

@@ -6,13 +6,13 @@ may be -inf or inf (an entry an exponential took out of float range), never
 NaN.  The classes hold bounds and answer queries; the interval arithmetic,
 defined here, is one product, _endpoint_product (interval_expm's series,
 engine's symbolic images), outward in exact arithmetic, and one sum,
-_add_outward (engine's A (+) Lambda and Lambda's interval cells,
-robustness.distribute), outward in floating point.  The product's rounding
-is not directed, so consumers that need slack add it, but _centre_radius,
-_sigma_max_bound, _product_error and interval_expm's squarings cover their
-own.  interval_expm scales and squares, so it is inclusion-isotone only
-between families with the same number of squarings; each of its results is
-an enclosure.
+_add_outward (engine's A (+) Lambda and Lambda's interval cells),
+outward in floating point.  The product's rounding is not directed, so
+consumers that need slack add it, but _centre_radius, _sigma_max_bound,
+_product_error and interval_expm's squarings cover their own.
+interval_expm scales and squares, so it is inclusion-isotone only between
+families with the same number of squarings; each of its results is an
+enclosure.
 """
 
 from __future__ import annotations

@@ -18,14 +18,13 @@ import numpy as np
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _integer,
                      _perturbation, _real, reach_with_perturbation,
                      safety_check)
-from .intervals import IntervalMatrix, _add_outward
+from .intervals import IntervalMatrix
 from .sensitivity import order_cells
 
 __all__ = [
     "SCHEMES",
     "ThresholdReport",
     "budget_weights",
-    "distribute",
     "robustness_threshold",
 ]
 
@@ -70,29 +69,12 @@ def budget_weights(cells, scores: np.ndarray, scheme: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _budget_perturbation(a, cells, scores, p, scheme) -> IntervalMatrix:
-    """Lambda_p of a finite nonnegative real budget p (engine._perturbation),
-    cell (i,j) relative p * k * w_ij, in that order."""
-    p = _real(p, "budget")
-    if not (math.isfinite(p) and p >= 0):
-        raise ValueError(f"budget must be finite and nonnegative, got {p!r}")
-    cells = _check_cells(cells, a.shape[0])
-    w, k = budget_weights(cells, scores, scheme), len(cells)
-    return _perturbation(a, [CellUncertainty(i, j, relative=p * k * wi)
-                             for (i, j), wi in zip(cells, w)])
-
-
-def distribute(a, cells, scores: np.ndarray, p: float,
-               scheme: str) -> IntervalMatrix:
-    """Uncertain dynamics A (+) Lambda_p for budget p: cell (i,j) gets a
-    radius of at least p * k * w_ij * |A[i,j]| around A[i,j], the product
-    pushed one ulp up; other entries stay points.
-
-    With the equal scheme this is radius p |A[i,j]| per cell.  p = 0
-    returns the point matrix A.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    return _add_outward(a, _budget_perturbation(a, cells, scores, p, scheme))
+def _budget_cells(cells, w, p) -> list[CellUncertainty]:
+    """Budget p's cells: cell (i,j) gets relative p * k * w_ij, multiplied in
+    that order, for the k cells and their weights w (budget_weights)."""
+    k = len(cells)
+    return [CellUncertainty(i, j, relative=p * k * wi)
+            for (i, j), wi in zip(cells, w)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +113,10 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     grid index (1, 2, 4, ..., at most cap - 1) to the first unsafe probe,
     then bisects until the last safe index and the next one, unsafe,
     have both run (Bentley & Yao, IPL 5, 1976); index 0 runs only when
-    index 1 is unsafe.  The families nest (distribute), so the safe
-    flowpipe at the last safe index encloses every trajectory of every
-    smaller budget's family: the trace marks those budgets safe without
+    index 1 is unsafe.  The families nest as _budget_cells builds them
+    (each cell's relative radius grows with p), so the safe flowpipe at
+    the last safe index encloses every trajectory of every smaller
+    budget's family: the trace marks those budgets safe without
     running them, and equals a scan's from 0 wherever the verdict is
     monotone in the budget.  It is wherever the trials' one-step
     families take the same number of squarings in interval_expm (none
@@ -156,13 +139,11 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     cells = _check_cells(cells, model.dim)
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    scores = order_cells(model.a).scores
+    w = budget_weights(cells, order_cells(model.a).scores, scheme)
     evaluated: list[float] = []
 
     def perturbation(i: int) -> IntervalMatrix:
-        return _budget_perturbation(model.a, cells, scores, i * step, scheme)
+        return _perturbation(model.a, _budget_cells(cells, w, i * step))
 
     def proven_safe(i: int) -> bool:
         evaluated.append(i * step)
@@ -182,11 +163,10 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     trace = [(i * step, True) for i in range(safe + 1)]
     if unsafe < cap:
         trace.append((unsafe * step, False))
-    pert = (perturbation(safe) if safe >= 0
-            else IntervalMatrix.zeros(model.dim, model.dim))
+    last = max(safe, 0)  # budget 0's family is zero when already unsafe
+    pert = perturbation(last)
     return ThresholdReport(
-        scheme=scheme, cells=cells, step=step,
-        final_budget=safe * step if safe >= 0 else 0.0,
+        scheme=scheme, cells=cells, step=step, final_budget=last * step,
         norm=pert.frobenius_sup(),
         iterations=len(trace), trace=tuple(trace), safe_uncertainty=pert,
         already_unsafe=not trace[0][1], cap_reached=trace[-1][1],

@@ -31,9 +31,9 @@ from uncreach import (
 from uncreach import engine, intervals
 from uncreach.engine import (
     _axes, _centre_radius, _chunk_steps, _count_segment, _inside, _orbit,
-    _run_recurrence, _table_rows)
+    _perturbation, _run_recurrence, _table_rows)
 from uncreach.intervals import _add_outward
-from uncreach.robustness import SCHEMES, budget_weights, distribute
+from uncreach.robustness import SCHEMES, budget_weights
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
 
@@ -95,7 +95,7 @@ class TestCellUncertainty:
                          ({"interval": (0.0, "1")}, "interval endpoint")):
             with pytest.raises(ValueError, match=f"{what} must be a real number"):
                 CellUncertainty(0, 0, **kw)
-        # numpy numbers, as distribute passes them, are stored as floats
+        # numpy numbers, as a budget search passes them, are stored as floats
         assert type(CellUncertainty(0, 0, relative=np.float64(0.1)).relative) is float
         interval = CellUncertainty(0, 0, interval=(np.float32(0.5), 1)).interval
         assert interval == (0.5, 1.0) and all(type(v) is float for v in interval)
@@ -323,7 +323,7 @@ class TestPerturbationFamily:
             w = budget_weights(pairs, scores, scheme)
             budget = [CellUncertainty(i, j, relative=p * len(pairs) * wi)
                       for (i, j), wi in zip(pairs, w)]
-            assert_holds(distribute(a, pairs, scores, p, scheme),
+            assert_holds(_add_outward(a, _perturbation(a, budget)),
                          *exact_family(a, budget))
         assert tiny > 0
 
@@ -1424,39 +1424,100 @@ class TestInvariantStop:
                                             res.lo, res.hi, "rod64")
 
 
+def switching_trajectories(model, choose):
+    """From each corner of Theta (one column each), the state at every grid
+    step when each step takes the floating-point expm of the vertex member
+    of A (+) Lambda over the model's cells that choose(gain) picks per
+    column, gain[m, c] = x_c^T V_m x_c."""
+    family = _add_outward(model.a, model.perturbation())
+    cells = [(c.row, c.col) for c in model.uncertainty]
+    vertices = []
+    for ends in itertools.product((False, True), repeat=len(cells)):
+        up = np.zeros(family.shape, dtype=bool)
+        for (i, j), end in zip(cells, ends):
+            up[i, j] = end
+        vertices.append(np.where(up, family.hi, family.lo))
+    vertices = np.array(vertices)
+    steps = np.array([scipy.linalg.expm(v * model.step) for v in vertices])
+    x = np.array(list(itertools.product(
+        *zip(model.initial.lo, model.initial.hi)))).T
+    for _ in range(model.horizon + 1):
+        yield x
+        gain = np.einsum("ic,mij,jc->mc", x, vertices, x)
+        x = np.einsum("cij,jc->ic", steps[choose(gain)], x)
+
+
+def greedy(gain):
+    # the member whose A + E most raises d|x|^2/dt = 2 x^T (A + E) x
+    return gain.argmax(axis=0)
+
+
 class TestTimeVaryingFamily:
+    # one numeric flowpipe encloses every trajectory of a time-varying
+    # E(t) in Lambda at grid times, not only of a constant E (Althoff,
+    # Le Guernic & Krogh, HSCC 2011)
     def test_greedy_switching_stays_inside(self):
-        # one numeric flowpipe encloses every trajectory of a time-varying
-        # E(t) in Lambda at grid times, not only of a constant E (Althoff,
-        # Le Guernic & Krogh, HSCC 2011).  girad1's benchmark cells under
-        # the equal scheme: from each corner of Theta, each step takes the
-        # vertex member whose A + E most raises d|x|^2/dt = 2 x^T (A + E) x
+        # girad1's benchmark cells under the equal scheme, switching
+        # greedily from each corner of Theta
         model = shipped("girad1")
-        corners = np.array(list(itertools.product(
-            *zip(model.initial.lo, model.initial.hi)))).T
         peaks = {}
         for budget in (0.25, 0.6):
             spec = dataclasses.replace(model, uncertainty=tuple(
                 CellUncertainty(i, j, relative=budget) for i, j in ((0, 0), (1, 0))))
             res = reach_with_perturbation(spec, spec.perturbation())
-            family = _add_outward(spec.a, spec.perturbation())
-            vertices = np.array([np.where([[e00, False], [e10, False]],
-                                          family.hi, family.lo)
-                                 for e00, e10 in itertools.product((False, True),
-                                                                   repeat=2)])
-            steps = np.array([scipy.linalg.expm(v * spec.step) for v in vertices])
-            x = corners
             peak = -np.inf
-            for k in range(spec.horizon + 1):
+            for k, x in enumerate(switching_trajectories(spec, greedy)):
                 assert np.all(x >= res.lo[k][:, None] - 1e-9), (budget, k)
                 assert np.all(x <= res.hi[k][:, None] + 1e-9), (budget, k)
                 peak = max(peak, x[0].max())
-                gain = np.einsum("ic,mij,jc->mc", x, vertices, x)
-                x = np.einsum("cij,jc->ic", steps[gain.argmax(axis=0)], x)
             peaks[budget] = peak
         # at 0.6 switching crosses the unsafe x1 = 2, so no flowpipe can
         # prove that budget safe; at 0.25 it never leaves Theta's x1 <= 1.1
         assert peaks[0.25] < 2.0 < peaks[0.6]
+
+    def test_random_families_switching_stays_inside(self):
+        # continuous 2 x 2 and 3 x 3 families with relative and interval
+        # cells, unreduced and under interval reduction: from each corner
+        # of Theta, switching at random and greedily per step stays in the
+        # flowpipe's boxes
+        rng = np.random.default_rng(17)
+        seen = set()
+        for trial in range(48):
+            n = 2 + trial % 2
+            reduction = ("none", "interval")[trial // 2 % 2]
+            a = rng.uniform(-1, 1, (n, n))
+            a -= (np.max(np.linalg.eigvals(a).real)
+                  + rng.uniform(-0.1, 0.5)) * np.eye(n)
+            flat = rng.choice(n * n, size=int(rng.integers(1, 4)), replace=False)
+            cells = []
+            for f in flat:
+                i, j = divmod(int(f), n)
+                if rng.random() < 0.5:
+                    cells.append(CellUncertainty(
+                        i, j, relative=float(rng.uniform(0, 0.3))))
+                else:
+                    ends = a[i, j] + np.sort(rng.uniform(-0.2, 0.2, 2))
+                    cells.append(CellUncertainty(i, j, interval=tuple(ends)))
+                seen.add("relative" if cells[-1].relative is not None
+                         else "interval")
+            lo = rng.uniform(-1, 1, n)
+            model = ModelSpec(
+                name="switching", a=a, uncertainty=tuple(cells),
+                initial=Box(lo, lo + rng.uniform(0.05, 0.5, n)),
+                horizon=int(rng.integers(20, 60)), continuous=True,
+                step=float(rng.uniform(0.05, 0.2)),
+                reduction_method=reduction,
+                reduction_period=int(rng.integers(1, 13)))
+            res = reach_with_perturbation(model, model.perturbation())
+            for choose in (greedy, lambda gain: rng.integers(
+                    len(gain), size=gain.shape[1])):
+                for k, x in enumerate(switching_trajectories(model, choose)):
+                    tol = 1e-9 * (1.0 + np.abs(x))
+                    assert np.all(x >= res.lo[k][:, None] - tol), (trial, k)
+                    assert np.all(x <= res.hi[k][:, None] + tol), (trial, k)
+            seen.add((n, reduction))
+        assert seen == {"relative", "interval", (2, "none"), (3, "none"),
+                        (2, "interval"), (3, "interval")}
 
 
 class TestChunkBoundaries:

@@ -1,4 +1,5 @@
-"""Tests for budget weighting, distribution and the robustness threshold search."""
+"""Tests for budget weighting, the budget families and the robustness
+threshold search."""
 
 import dataclasses
 import importlib.resources
@@ -19,7 +20,6 @@ from uncreach import (
     ModelSpec,
     ThresholdReport,
     budget_weights,
-    distribute,
     load_model,
     order_cells,
     ors_reach,
@@ -28,9 +28,9 @@ from uncreach import (
     safety_check,
 )
 from uncreach import robustness
-from uncreach.engine import _check_cells
+from uncreach.engine import _check_cells, _perturbation
 from uncreach.intervals import _add_outward
-from uncreach.robustness import SCHEMES
+from uncreach.robustness import SCHEMES, _budget_cells
 
 
 def scalar_model(horizon=2, offset=1.25, cap_entry=1.0):
@@ -113,72 +113,92 @@ class TestBudgetWeights:
                 budget_weights([(0, 1), (0, 1)], scores, scheme)
 
 
+def search_family(a, cells, scores, p, scheme):
+    """Lambda_p as the search builds it for budget p."""
+    w = budget_weights(cells, scores, scheme)
+    return _perturbation(a, _budget_cells(cells, w, p))
+
+
+def contains(outer, inner):
+    return bool(np.all(outer.lo <= inner.lo) and np.all(inner.hi <= outer.hi))
+
+
 class TestDistribute:
+    # how the search distributes a budget p over its cells: Lambda_p,
+    # built by engine._perturbation from _budget_cells
     def test_zero_budget_is_point(self):
-        a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        lam = distribute(a, ((0, 0), (1, 1)), np.zeros((2, 2)), 0.0, "equal")
-        assert lam.is_point()
-        assert np.array_equal(lam.center, a)
+        a = np.array([[2.0, -0.0], [0.0, 4.0]])
+        lam = search_family(a, ((0, 0), (1, 1)), np.zeros((2, 2)), 0.0, "equal")
+        zero = IntervalMatrix.zeros(2, 2)
+        assert lam.lo.tobytes() == zero.lo.tobytes()
+        assert lam.hi.tobytes() == zero.hi.tobytes()
 
     def test_equal_worked(self):
         a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        lam = distribute(a, ((0, 0), (1, 1)), np.zeros((2, 2)), 0.1, "equal")
+        lam = search_family(a, ((0, 0), (1, 1)), np.zeros((2, 2)), 0.1, "equal")
         # radius = p * k * w * |a| with w = 1/k
-        assert lam.radius[0, 0] == pytest.approx(0.2, abs=1e-15)
-        assert lam.radius[1, 1] == pytest.approx(0.4, abs=1e-15)
-        assert lam.radius[0, 1] == 0.0 and lam.radius[1, 0] == 0.0
+        assert lam.hi[0, 0] == pytest.approx(0.2, abs=1e-15)
+        assert lam.hi[1, 1] == pytest.approx(0.4, abs=1e-15)
+        assert np.array_equal(lam.lo, -lam.hi)
+        assert lam.hi[0, 1] == 0.0 and lam.hi[1, 0] == 0.0
 
     def test_harmonic_worked(self):
         a = np.eye(2)
         scores = np.array([[1.0, 0.0], [0.0, 3.0]])
-        lam = distribute(a, ((0, 0), (1, 1)), scores, 0.1, "harmonic")
-        assert lam.radius[0, 0] == pytest.approx(0.15, abs=1e-15)
-        assert lam.radius[1, 1] == pytest.approx(0.05, abs=1e-15)
+        lam = search_family(a, ((0, 0), (1, 1)), scores, 0.1, "harmonic")
+        assert lam.hi[0, 0] == pytest.approx(0.15, abs=1e-15)
+        assert lam.hi[1, 1] == pytest.approx(0.05, abs=1e-15)
 
     def test_zero_entry_gets_zero_radius(self):
         a = np.array([[0.0, 1.0], [0.0, 2.0]])
-        lam = distribute(a, ((0, 0), (0, 1)), np.zeros((2, 2)), 0.3, "equal")
-        assert lam.radius[0, 0] == 0.0
-        assert lam.radius[0, 1] > 0.0
+        lam = search_family(a, ((0, 0), (0, 1)), np.zeros((2, 2)), 0.3, "equal")
+        assert lam.lo[0, 0] == 0.0 and lam.hi[0, 0] == 0.0
+        assert lam.hi[0, 1] > 0.0
 
     def test_budget_monotone(self):
-        a = np.array([[2.0, -1.0], [0.5, 4.0]])
-        cells = ((0, 0), (1, 0))
-        small = distribute(a, cells, np.zeros((2, 2)), 0.05, "equal")
-        big = distribute(a, cells, np.zeros((2, 2)), 0.2, "equal")
-        assert np.all(big.radius >= small.radius)
-        assert np.all(big.lo <= small.lo) and np.all(big.hi >= small.hi)
+        # the gallop marks budgets below a safe one safe without running
+        # them: Lambda_p and A (+) Lambda_p lie in those of any p' > p
+        rng = np.random.default_rng(146)
+        for trial in range(400):
+            n = int(rng.integers(1, 5))
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-5, 5, (n, n))
+            a[rng.random((n, n)) < 0.2] = 0.0
+            scores = rng.uniform(size=(n, n))
+            flat = rng.choice(n * n, size=int(rng.integers(1, n * n + 1)),
+                              replace=False)
+            cells = tuple(divmod(int(f), n) for f in flat)
+            scheme = SCHEMES[trial % len(SCHEMES)]
+            p = float(rng.choice([0.0, rng.uniform(0, 2)]))
+            q = float(rng.choice([np.nextafter(p, np.inf),
+                                  p + rng.uniform(0, 2)]))
+            small = search_family(a, cells, scores, p, scheme)
+            big = search_family(a, cells, scores, q, scheme)
+            assert contains(big, small), trial
+            assert contains(_add_outward(a, big), _add_outward(a, small)), trial
 
     def test_validation(self):
-        a = np.eye(2)
-        with pytest.raises(ValueError):
-            distribute(a, ((0, 0),), np.zeros((2, 2)), -0.1, "equal")
-        with pytest.raises(ValueError):
-            distribute(a, ((0, 0), (0, 0)), np.zeros((2, 2)), 0.1, "equal")
-        with pytest.raises(ValueError):
-            distribute(a, ((2, 0),), np.zeros((2, 2)), 0.1, "equal")
+        # the search judges its cells and scheme once, before any trial
+        model = scalar_model()
+        for cells, scheme, match in (
+                (((0, 0), (0, 0)), "equal", r"cell \(0,0\) listed twice"),
+                (((2, 0),), "equal", r"cell \(2,0\) out of range"),
+                (((0, 0),), "max", "unknown scheme 'max'")):
+            with pytest.raises(ValueError, match=match):
+                robustness_threshold(model, cells, scheme)
 
     def test_radius_is_p_k_w_abs_a_bitwise(self):
         # the radius of cell (i, j) is ((p k) w_ij) |A[i, j]|, in this
-        # order, pushed one ulp up, and the family is A (+) Lambda_p
+        # order, pushed one ulp up
         rng = np.random.default_rng(70)
         a = rng.normal(size=(3, 3))
         scores = rng.uniform(size=(3, 3))
         cells = ((0, 1), (2, 2), (1, 0))
         for scheme in SCHEMES:
             for p in (0.0, 0.05, 0.3, 1.7):
-                lam = distribute(a, cells, scores, p, scheme)
-                want = _add_outward(a, budget_lambda(a, cells, scores, p, scheme))
-                assert np.array_equal(lam.lo, want.lo)
-                assert np.array_equal(lam.hi, want.hi)
-
-    @pytest.mark.parametrize("bad", ["0.1", True, math.nan, math.inf])
-    def test_budget_must_be_a_finite_nonnegative_real(self, bad):
-        # "0.1" raised a TypeError, True ran as budget 1, and nan and inf
-        # failed with a message about a relative fraction
-        with pytest.raises(ValueError, match="budget must be .* got "
-                           + re.escape(repr(bad))):
-            distribute(np.eye(2), ((0, 0),), np.zeros((2, 2)), bad, "equal")
+                lam = search_family(a, cells, scores, p, scheme)
+                want = budget_lambda(a, cells, scores, p, scheme)
+                assert lam.lo.tobytes() == want.lo.tobytes()
+                assert lam.hi.tobytes() == want.hi.tobytes()
 
 
 class TestRobustnessThreshold:
@@ -220,6 +240,28 @@ class TestRobustnessThreshold:
         assert report.trace == ((0.0, False),)
         assert report.safe_uncertainty.is_point()
         assert np.all(report.safe_uncertainty.lo == 0.0)
+
+    def test_already_unsafe_reports_the_zero_family(self):
+        # budget 0's family, from the builder every trial uses: +0.0
+        # everywhere, bitwise the zeros family, whatever A's entries
+        rng = np.random.default_rng(92)
+        for trial in range(40):
+            n = int(rng.integers(1, 4))
+            a = rng.choice([0.0, -0.0, 1.0, -3.5, 1e300, -1e-300], (n, n))
+            model = ModelSpec(
+                name="unsafe", a=a, uncertainty=(),
+                initial=Box(np.ones(n), np.ones(n)), horizon=3,
+                continuous=False,
+                unsafe=(HalfSpace(np.eye(n)[0], 0.5),))
+            flat = rng.choice(n * n, size=int(rng.integers(1, n * n + 1)),
+                              replace=False)
+            cells = [divmod(int(f), n) for f in flat]
+            scheme = SCHEMES[trial % len(SCHEMES)]
+            report = robustness_threshold(model, cells, scheme)
+            zero = IntervalMatrix.zeros(n, n)
+            assert report.already_unsafe and report.norm == 0.0
+            assert report.safe_uncertainty.lo.tobytes() == zero.lo.tobytes()
+            assert report.safe_uncertainty.hi.tobytes() == zero.hi.tobytes()
 
     def test_cap_reached(self):
         # decaying scalar system never becomes unsafe at these budgets
@@ -307,8 +349,6 @@ class TestRobustnessThreshold:
         for cells in ([(0.5, 0)], [(True, False)], [(0, np.float64(0.0))]):
             with pytest.raises(ValueError, match="integers"):
                 robustness_threshold(model, cells, step=0.05)
-            with pytest.raises(ValueError, match="integers"):
-                distribute(model.a, cells, np.zeros((1, 1)), 0.1, "equal")
         report = robustness_threshold(model, [(np.int64(0), np.int32(0))],
                                       step=0.05)
         assert report.cells == ((0, 0),)
@@ -440,8 +480,8 @@ class TestSearchAgainstScan:
             if not got.cap_reached:
                 budget = got.trace[-1][0]
                 assert budget in got.evaluated
-                pert = _add_outward(-model.a, distribute(
-                    model.a, cells, order_cells(model.a).scores, budget, scheme))
+                pert = budget_lambda(model.a, cells,
+                                     order_cells(model.a).scores, budget, scheme)
                 assert not safety_check(reach_with_perturbation(model, pert),
                                         model.unsafe).safe, trial
 
