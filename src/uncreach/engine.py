@@ -34,7 +34,7 @@ from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_UNIT, Box, IntervalMatrix, _add_outward,
                         _centre_radius, _endpoint_product, _frobenius,
-                        _product_error, _require_finite, _row_chunks,
+                        _gamma, _product_error, _require_finite, _row_chunks,
                         _sigma_max_bound, _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
@@ -261,10 +261,12 @@ class ReachResult:
                recorded (the model's unsafe normals), or None
     supports : (steps, k) support values in those directions, or None
     flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
-               nominal set at step k is flows[k] @ initial; else None
-    flow_pad : symbolic route: (steps, dim) pad E_k max(|initial.lo|,
-               |initial.hi|) by which the nominal box widens, E_k the
-               error bound of flows[k] (_doubling_flows); else None
+               nominal set at step k is flows[k] @ initial, a strided view
+               of the doubling's powers (_doubling_flows); else None
+    flow_pad : symbolic route: (steps, dim) pad, at least |Q^k - flows[k]|
+               max(|initial.lo|, |initial.hi|) for every member Q of the
+               step's enclosure, by which the nominal box widens
+               (_doubling_flows); else None
     initial  : symbolic route: the initial box Theta; else None
     invariant : numeric route with until_unsafe: (t1, t2), the steps of
                two restart boxes, the box of t2 inside that of t1, when
@@ -335,20 +337,24 @@ class ReachResult:
 
         A symbolic result gives the upper bounds of its padded images
         (_padded_image) in the rows d E of its flows E, padded by
-        flow_pad @ |d|, a chunk of steps at a time into the (steps, k)
-        result: about _CHUNK_ENTRIES image entries per chunk, so no
-        (steps, k, n) image exists.  A numeric result replays its
-        recurrence once with exactly `dirs` as normals: one more pass in
-        O(steps (n + k)) memory, the same boxes.
+        flow_pad @ |d|, a chunk of steps of finite radius at a time into
+        the (steps, k) result: about _CHUNK_ENTRIES image entries per
+        chunk, so no (steps, k, n) image exists.  A step of radius inf has
+        support inf.  A numeric result replays its recurrence once with
+        exactly `dirs` as normals: one more pass in O(steps (n + k))
+        memory, the same boxes.
         """
         if self.flows is None:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.flow_pad @ np.abs(dirs).T
+            out = self.flow_pad @ np.abs(dirs).T  # the pads, then the supports
+            out[~np.isfinite(self.radii)] = np.inf
             norms = _frobenius(dirs, axis=1)
-            for k in _row_chunks(len(out), dirs.size):
-                out[k] = _padded_image(dirs @ self.flows[k], self.initial,
-                                       out[k], self.radii[k], norms)[1]
+            for run in _finite_runs(self.radii):
+                for k in _row_chunks(run.stop - run.start, dirs.size):
+                    k = slice(run.start + k.start, min(run.start + k.stop, run.stop))
+                    out[k] = _padded_image(dirs @ self.flows[k], self.initial,
+                                           out[k], self.radii[k], norms)[1]
         return out
 
 
@@ -379,44 +385,77 @@ def discretize(a, pert: IntervalMatrix, h: float) -> IntervalMatrix:
 
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
-           a_err: np.ndarray | None = None, out: np.ndarray | None = None):
+           a_err: np.ndarray | None = None, v: np.ndarray | None = None,
+           out: np.ndarray | None = None):
     """a^0 x0, a^1 x0, ..., a^(count-1) x0 side by side, by doubling.
 
     For x0 of shape (n, w) the result is (n, count * w), written into
-    `out` if given.  Given a_err, a bound on |A - a|, it returns (powers,
-    errors): block k of errors bounds |A^k x0 - block k of powers|, each
-    doubled product and each squaring carrying its error by
-    _product_error (x0 is exact).  A doubling's error rows come before
-    its powers, so that the powers' destination block is their scratch.
-    numpy copies each strided operand of at most np.getbufsize() entries,
-    such as these column blocks, into a buffer of its size; _product_error
-    runs with a 16-entry buffer (a size numpy 1.x takes too), which leaves
-    the blocks in place.  The squarings and the powers' matmul keep
-    numpy's default.
+    `out` if given.  Given a_err, a bound on |A - a|, and v, (w, m) and
+    nonnegative, it returns (powers, errs): errs[k], (m, n), holds in row
+    c a bound on |A^k x0 - F_k| v_c, F_k block k of powers and v_c
+    column c of v (x0 is exact, so errs[0] is zero).  A doubling by the
+    step S = fl(a^d), within S_err of A^d, writes F_(d+j) = fl(S F_j) and
+    carries
+        |A^(d+j) x0 - F_(d+j)| v_c <= |S| e_j + S_err (|F_j| v_c + e_j)
+                                      + gamma_n |S| |F_j| v_c,
+    e_j >= |A^j x0 - F_j| v_c, for all of its blocks and columns at once
+    by _product_error, given sizes x >= |F_j| v (_vector_sizes) and the
+    largest column sum of v; each squaring carries S_err (_square).  A
+    doubling reads blocks j < count / 2 only, so only those keep sizes:
+    the bounds hold 1.5 m n numbers per block besides the powers' n w.
+    They are stored block by block, so a doubling's operands are
+    contiguous and no ufunc buffers them.
     """
-    w = x0.shape[1]
+    n, w = x0.shape
     if out is None:
-        out = np.empty((x0.shape[0], count * w))
+        out = np.empty((n, count * w))
     out[:, :w] = x0
-    errs = None if a_err is None else np.zeros_like(out)
+    errs = None
+    if a_err is not None:
+        m = v.shape[1]
+        v_sum = float(v.sum(axis=0).max())
+        errs = np.zeros((count, m, n))
+        half = count // 2  # a doubling of take <= count / 2 blocks reads these
+        sizes = np.empty((half, m, n))
+        _vector_sizes(out[:, :w], v, sizes[:1])
     done, step, step_err = 1, a, a_err  # step = a^done, within step_err
     while done < count:
         take = min(done, count - done)
         src, dst = slice(0, take * w), slice(done * w, (done + take) * w)
-        if errs is not None:
-            # test_orbit_error_rows_are_the_whole_width_products, whose
-            # reference runs with numpy's default buffer, guards the bits
-            bufsize = np.setbufsize(16)
-            try:
-                _product_error(step, step_err, out[:, src], errs[:, src],
-                               errs[:, dst], scratch=out[:, dst])
-            finally:
-                np.setbufsize(bufsize)
         np.matmul(step, out[:, src], out=out[:, dst])
+        if errs is not None:
+            # the blocks' m vectors as the columns of (n, take m) views
+            _product_error(step, step_err, sizes[:take].reshape(-1, n).T,
+                           errs[:take].reshape(-1, n).T,
+                           errs[done:done + take].reshape(-1, n).T, v_sum)
+            if done < half:
+                stop = min(done + take, half)
+                _vector_sizes(out[:, done * w:stop * w], v, sizes[done:stop])
         done += take
         if done < count:
             step, step_err = _square(step, step_err)
     return out if errs is None else (out, errs)
+
+
+def _vector_sizes(blocks: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Write into out[j], (m, n), an upper bound on (|F_j| v)^T for each
+    (n, w) block F_j of blocks, (n, b w), and v (w, m) >= 0.
+
+    X = fl(|F_j| v), one product for a chunk of about _CHUNK_ENTRIES
+    entries of blocks (_row_chunks), is at least (1 - gamma_w) |F_j| v
+    less w etas of at most 2^-1075 each (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2.1 and 3.5), however the BLAS orders its
+    sums.  X (1 + gamma_(w+4)) + (w + 1) 2^-1074, the constant and both
+    operations rounded to nearest, covers that and its own roundings for
+    w < 10^7, so it is at least |F_j| v.
+    """
+    n, (w, m) = blocks.shape[0], v.shape
+    grid = blocks.reshape(n, -1, w)
+    for j in _row_chunks(grid.shape[1], n * w):
+        x = np.abs(grid[:, j])
+        out[j] = (x.reshape(-1, w) @ v).reshape(n, -1, m).transpose(1, 2, 0)
+    out *= 1.0 + _gamma(w + 4)
+    out += (w + 1) * 2.0 ** -1074
 
 
 def _chunk_steps(n: int) -> int:
@@ -866,15 +905,18 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
 
     times must be bitwise np.arange(K) * h, as ModelSpec.times builds
     it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
-    of one step with error bounds E_k (_doubling_flows), and
-    ||exp(A k h)||_2 <= sigma_max(F_k) plus the entry sum of E_k.  The
-    sigma_max bound covers the rounding of its own evaluation
+    of one step with error vectors (_doubling_flows), and
+    ||exp(A k h)||_2 <= sigma_max(F_k) plus the entry sum of |Q^k - F_k|.
+    The sigma_max bound covers the rounding of its own evaluation
     (_sigma_max_bound), ||Theta|| is evaluated scaled (Box.max_norm), and
     the radius is scaled to cover the rounding of its own product; phi's
     own rounding is not covered.  The boxes are padded images
     (_padded_image), as ReachResult.support's are, and a radius beyond
     float range (phi saturated, or the flow or its error overflowed) is
-    inf: unbounded, not proven safe.  The result keeps the flows, the pad
+    inf: unbounded, not proven safe.  sigma_max is evaluated only where
+    phi is finite, and a padded image only where the radius is: the
+    other steps have radius inf and box -inf/inf whatever they would
+    give.  The result keeps the flows, the pad
     and Theta, not one Star per point; safety_check reads its supports.
     The bounds phi, and so the radii, are stated for a constant E in
     pert; a numeric flowpipe (reach_with_perturbation) covers a
@@ -886,23 +928,37 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     _require_finite(theta, "initial box must be finite")
     series = _bounds.bloat_series(a, pert, times, method)
     start = time.perf_counter()
+    n = theta.dim
     with np.errstate(over="ignore", invalid="ignore"):
         flows, pad, err_sums = _doubling_flows(a, series.times, theta)
-        radii = series.phi * (_sigma_max_bound(flows) + err_sums) * theta.max_norm()
-        # phi (sigma + e) ||Theta|| (e the computed entry sum of E_k,
+        # a step whose phi is not finite has radius inf whatever sigma is
+        radii = np.full(len(flows), np.inf)
+        norm = theta.max_norm()
+        for k in _finite_runs(series.phi):
+            radii[k] = series.phi[k] * (_sigma_max_bound(flows[k])
+                                        + err_sums[k]) * norm
+        # phi (sigma + e) ||Theta|| (e the computed entry sum of |Q^k - F_k|,
         # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
         # roundings to nearest: n/2 through the squares, their sum and the
         # root, then the root, sigma + e and two products; so it is at least
         # (1 - u)^M times its exact value, barring underflow.  The float
         # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
         # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1).
-        radii *= 1.0 + 2 * ((theta.dim + 10) // 4 + 1) * _UNIT
+        radii *= 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
         radii[~np.isfinite(radii)] = np.inf
-        lo, hi = _padded_image(flows, theta, pad, radii, np.ones(theta.dim))
+        del err_sums
+        lo, hi = np.full((len(flows), n), -np.inf), np.full((len(flows), n), np.inf)
+        # row i of a run of flows, flows[k, i] (steps, n), is contiguous:
+        # its padded image copies no flows
+        for k in _finite_runs(radii):
+            for i in range(n):
+                row = slice(i, i + 1)
+                lo[k, row], hi[k, row] = _padded_image(
+                    flows[k, row], theta, pad[k, row], radii[k], np.ones(1))
     return ReachResult(
         kind="symbolic", method=method, labels=series.times.copy(), lo=lo,
         hi=hi, radii=radii,
-        gen_counts=np.full(series.times.shape, theta.dim, dtype=np.int64),
+        gen_counts=np.full(series.times.shape, n, dtype=np.int64),
         flows=flows, flow_pad=pad, initial=theta,
         wall_time=time.perf_counter() - start, phi=series.phi.copy())
 
@@ -912,18 +968,18 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
 
     The step P = expm(A h) is within E = max(M.hi - P, P - M.lo), pushed
     one ulp outward (a zero stays zero), of each member Q of M =
-    interval_expm(A, h), and _orbit with error rows gives the flows F_k =
-    P^k and E_k >= |Q^k - F_k|; exp(A h) is in M only up to the series'
-    uncovered rounding, so E_k can miss |exp(A k h) - F_k|.  Returns the
-    (K, n, n) flows, the (K, n) pads E_k max(|lo|, |hi|) of Theta and the
-    (K,) entry sums of E_k, each at least ||E_k||_2, but not the E_k.
+    interval_expm(A, h), and _orbit gives the flows F_k = P^k with error
+    vectors bounding |Q^k - F_k| v for v = max(|lo|, |hi|) of Theta and
+    v = 1; exp(A h) is in M only up to the series' uncovered rounding, so
+    they can miss |exp(A k h) - F_k| v.  Returns the (K, n, n) flows, the
+    (K, n) pads, the first vectors, and the (K,) entry sums of |Q^k -
+    F_k|, the second vectors summed, each at least ||Q^k - F_k||_2.
 
-    Memory: the orbit holds the powers and the error rows, two arrays of
-    the flows' size, and while a doubling of t of the K blocks forms its
-    error rows one product of t blocks (_product_error).  So it peaks at
-    2 + t/K flows arrays for the widest doubling, t <= K/2 (2.49 for
-    K = 1001, 2.50 for 2051).  The error rows are reduced to the pads and
-    sums and freed before the transposed copy of the powers is made.
+    The flows are a strided view of the orbit's (n, K n) powers, not a
+    copy: flows[k] is block k.  Beside the powers the orbit holds 2/n of
+    their size in error vectors and 1/n in sizes, and the widest
+    doubling's two products 2/n (_product_error): 1 + 5/n flows arrays
+    at its peak.
     """
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
@@ -934,13 +990,20 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     dist = np.maximum(m.hi - step, step - m.lo)
     step_err = np.where(dist == 0.0, 0.0, np.nextafter(dist, np.inf))
     n = a.shape[0]
-    powers, errs = _orbit(step, np.eye(n), count, step_err)
-    errs = errs.reshape(n, count, n)  # errs[i, k, j] = E_k[i, j]
-    pad = (errs @ np.maximum(np.abs(theta.lo), np.abs(theta.hi))).T.copy()
-    err_sums = errs.sum(axis=(0, 2))
-    del errs
-    flows = np.ascontiguousarray(powers.reshape(n, count, n).transpose(1, 0, 2))
-    return flows, pad, err_sums
+    v = np.stack((np.maximum(np.abs(theta.lo), np.abs(theta.hi)), np.ones(n)), axis=1)
+    powers, errs = _orbit(step, np.eye(n), count, step_err, v)
+    return (powers.reshape(n, count, n).transpose(1, 0, 2), errs[:, 0].copy(),
+            errs[:, 1].sum(axis=1))
+
+
+def _finite_runs(values: np.ndarray) -> list[slice]:
+    """The runs of consecutive steps k where values[k] is finite, as slices:
+    a run of flows is a view, which its readers take in chunks."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return [slice(0, len(values))]
+    edges = np.diff(finite, prepend=False, append=False)  # a run's ends
+    return list(map(slice, *np.flatnonzero(edges).reshape(-1, 2).T.tolist()))
 
 
 def _padded_image(rows, theta: Box, pad, radii, norms):
@@ -948,9 +1011,9 @@ def _padded_image(rows, theta: Box, pad, radii, norms):
     point, times Theta (_endpoint_product), sums of the smaller (larger)
     of m_ij lo_j, m_ij hi_j; widened by pad (K, r) and then by radii[k]
     norms[j], norms (r,) the 2-norms of the directions that the rows look
-    along; -inf, inf where radii[k] is inf.  Every entry is summed as a
-    whole, so a chunk of steps gets the bits of the whole grid.  Callers
-    run it with overflow and invalid ignored."""
+    along.  Every entry is summed as a whole, so a chunk of steps gets the
+    bits of the whole grid.  Callers pass the steps of finite radius, a
+    chunk at a time, and run it with overflow and invalid ignored."""
     flat = rows.reshape(-1, rows.shape[-1])
     lo, hi = (b.reshape(rows.shape[:-1]) for b in _endpoint_product(
         flat, flat, theta.lo[:, None], theta.hi[:, None]))
@@ -964,7 +1027,6 @@ def _padded_image(rows, theta: Box, pad, radii, norms):
         line = (slice(None), i) if along_steps else i
         lo[line] -= ball
         hi[line] += ball
-    lo[np.isinf(radii)], hi[np.isinf(radii)] = -np.inf, np.inf
     return lo, hi
 
 

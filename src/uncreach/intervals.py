@@ -33,10 +33,10 @@ __all__ = [
 # Terms of the Taylor series interval_expm sums, after the identity.
 _TAYLOR_ORDER = 20
 
-# Entries per chunk of a stack in _sigma_max_bound and of the endpoint
+# Entries per chunk of a stack in _sigma_max_bound, of the endpoint
 # products in _endpoint_product (so interval_expm and
-# engine._padded_image): bounds their temporaries whatever the stack
-# length or matrix order.
+# engine._padded_image) and of engine's symbolic readers: bounds their
+# temporaries whatever the stack length or matrix order.
 _CHUNK_ENTRIES = 4096
 
 
@@ -92,46 +92,52 @@ def _gamma(k: int) -> float:
 
 
 def _product_error(f: np.ndarray, f_err: np.ndarray, x: np.ndarray,
-                   x_err: np.ndarray, out: np.ndarray,
-                   scratch: np.ndarray | None = None) -> None:
-    """Write into out a bound on |F X - fl(f x)| for |F - f| <= f_err, |X - x| <= x_err.
+                   x_err: np.ndarray, out: np.ndarray, v_sum: float = 1.0) -> None:
+    """Write into out a bound on |F Y - fl(f y)| V for |F - f| <= f_err,
+    |y| V <= |x|, |Y - y| V <= x_err and V >= 0 whose columns each sum to
+    at most v_sum: for the default, V = I and y = x, a bound on
+    |F X - fl(f x)| for |X - x| <= x_err.
 
-    F X - fl(f x) = (F - f) X + f (X - x) + (f x - fl(f x)), and the last
-    term is at most gamma_n |f| |x| for inner dimension n (Higham,
+    F Y - fl(f y) = (F - f) Y + f (Y - y) + (f y - fl(f y)), and the last
+    term is at most gamma_n |f| |y| for inner dimension n (Higham,
     Accuracy and Stability of Numerical Algorithms, 3.5), so the bound is
     |f| (x_err + gamma_n |x|) + f_err (|x| + x_err), Rump's midpoint-radius
-    product (BIT 39, 1999).  Its own evaluation rounds each entry by at
-    most a factor 1 - gamma_(n+3), which the final scaling by
-    1 + 2 gamma_(n+3) covers.
+    product (BIT 39, 1999), each term of the matrix bound times V.  Its
+    own evaluation rounds each entry by at most a factor 1 - gamma_(n+3),
+    which the final scaling by 1 + 2 gamma_(n+3) covers.
 
     That covers rounding but not underflow.  With gradual underflow a
     product is fl(a b) = a b (1 + delta) + eta with |eta| <= 2^-1075, and
     a sum has no eta (Higham, 2.1).  Entry (i, j) misses up to n etas of
-    fl(f x), n of each of the bound's two inner products, and |f_ik| eta
-    for each gamma_n |x_kj| the bound rounds: 3n + sum_k |f_ik| etas in
+    each entry of fl(f y), weighted by V's column j (n v_sum), n of each
+    of the bound's two inner products, and |f_ik| eta for each
+    gamma_n |x_kj| the bound rounds: 2n + n v_sum + sum_k |f_ik| etas in
     all, grown by at most 1 + gamma_n through the sums.  The term
-    (3n + sum_k |f_ik|) 2^-1074 added to row i is twice that, which
-    covers the growth and the term's own rounding.
+    (2n + n v_sum + sum_k |f_ik|) 2^-1074 added to row i, 3n + sum_k
+    |f_ik| for V = I, is twice that, which covers the growth and the
+    term's own rounding.
 
-    Memory: each inner product is one matmul over all columns of x.  A
-    BLAS may round a column differently in a product of a chunk of
-    columns (OpenBLAS does in a chunk's last tile), so chunks would move
-    the bits; the products' operands and results are whole.  The two
-    operands take turns in one x-shaped array, scratch if given, else a
-    fresh one, so the temporaries are that array and one out-shaped
-    product (and numpy's ufunc buffers, see engine._orbit).
+    Each inner product is one matmul over all columns of x.  A BLAS may
+    round a column differently in a product of a chunk of columns
+    (OpenBLAS does in a chunk's last tile), so chunks would move the
+    bits; the products' operands and results are whole, in out's memory
+    order, so that no ufunc buffers a strided operand: the temporaries
+    are two out-sized arrays, freed before the underflow term.
     """
     n = f.shape[1]
     af = np.abs(f)
-    t = np.abs(x, out=scratch)
+    t = np.abs(x)
     t *= _gamma(n)
     t += x_err
     np.matmul(af, t, out=out)
     np.abs(x, out=t)
     t += x_err
-    out += f_err @ t
+    prod = np.matmul(f_err, t, out=np.empty_like(out))
+    del t
+    out += prod
+    del prod
     out *= 1.0 + 2.0 * _gamma(n + 3)
-    out += (af.sum(axis=1, keepdims=True) + 3 * n) * 2.0 ** -1074
+    out += (af.sum(axis=1, keepdims=True) + (2 * n + n * v_sum)) * 2.0 ** -1074
 
 
 def _square(a: np.ndarray, a_err: np.ndarray | None):
@@ -181,8 +187,11 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
     The result times _SIGMA_SLACK = 1 + 2 gamma_5, rounded, covers either
     evaluation; times 2^e it is the bound, pushed one ulp up where it
     falls below the normal range.  A matrix with a non-finite entry
-    gives inf, and so does a bound beyond float range.  The stack goes
-    in chunks of about _CHUNK_ENTRIES entries (_row_chunks).
+    gives inf, and so does a bound beyond float range.  The matrices are
+    read in chunks of about _CHUNK_ENTRIES entries (_row_chunks), each
+    copied contiguous from the stack, which may be a strided view (as
+    engine's flows are); every bound is its own matrix's, whatever the
+    chunk.
     """
     n = stack.shape[-1]
     if n == 1:
@@ -191,10 +200,11 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
     out = np.empty(len(stack))
     with np.errstate(over="ignore"):
         for i in _row_chunks(len(stack), n * n):
-            big = np.abs(stack[i]).max(axis=(1, 2))
+            chunk = np.ascontiguousarray(stack[i])
+            big = np.abs(chunk).max(axis=(1, 2))
             finite = np.isfinite(big)
             e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
-            fs = np.ldexp(stack[i], -e[:, None, None])
+            fs = np.ldexp(chunk, -e[:, None, None])
             fs[~finite] = 0.0
             if n == 2:
                 a, b, c, d = fs.reshape(-1, 4).T

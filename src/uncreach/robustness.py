@@ -125,12 +125,13 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     but every budget it certifies is proven.  The search stops at the
     first unsafe budget (returning the previous, safe family) or with
     every grid budget safe (cap_reached flag).  A trial whose flowpipe
-    or one-step family overflows is unsafe.  A model unsafe at
-    p = 0 reports already_unsafe with norm 0.  The search is
-    deterministic.  Each trial runs with until_unsafe: an unsafe one
-    ends with its violating segment, and under interval reduction a
-    safe one may end at a restart box inside an earlier one, which
-    proves it safe for all time, not only to the horizon.
+    or one-step family overflows is unsafe, and so is a grid budget
+    whose cell share p k w_ij (or p itself) overflows; its flowpipe does
+    not run.  A model unsafe at p = 0 reports already_unsafe with norm
+    0.  The search is deterministic.  Each trial runs with until_unsafe:
+    an unsafe one ends with its violating segment, and under interval
+    reduction a safe one may end at a restart box inside an earlier one,
+    which proves it safe for all time, not only to the horizon.
     """
     step = _real(step, "step")
     if step <= 0 or not math.isfinite(step):
@@ -146,6 +147,10 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
         return _perturbation(model.a, _budget_cells(cells, w, i * step))
 
     def proven_safe(i: int) -> bool:
+        # shares p k w_ij beyond float range (w_ij <= 1, so exactly when
+        # p k is) have no family to run: unsafe
+        if not math.isfinite(i * step * len(cells)):
+            return False
         evaluated.append(i * step)
         res = reach_with_perturbation(model, perturbation(i), until_unsafe=True)
         return safety_check(res, model.unsafe).safe

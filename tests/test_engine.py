@@ -1637,40 +1637,99 @@ class TestGeneratorCounts:
                                       product_recount(res, model))
 
 
-class TestOrbit:
-    """The one doubling: powers a^k x0, with or without error rows."""
+def dyadic(x):
+    """A float as (m, e), x = m / 2^e exactly, m an int and e >= 0."""
+    m, d = float(x).as_integer_ratio()
+    return m, d.bit_length() - 1
 
-    def test_error_rows_leave_the_powers_bitwise(self):
+
+def vertex_powers(a, a_err, signs, count):
+    """Q^0, ..., Q^(count-1) of the sign vertex Q = a + signs o a_err in
+    exact arithmetic, each as (P, e): Q^k = P / 2^e, P rows of ints."""
+    n = len(a)
+    s = max(dyadic(x)[1] for x in np.concatenate((a.ravel(), a_err.ravel())))
+
+    def scaled(x):  # x 2^s, an int
+        m, e = dyadic(x)
+        return m << (s - e)
+
+    q = [[scaled(a[i, j]) + int(signs[i, j]) * scaled(a_err[i, j])
+          for j in range(n)] for i in range(n)]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(count):
+        yield p, s * k
+        p = [[sum(p[i][l] * q[l][j] for l in range(n)) for j in range(n)]
+             for i in range(n)]
+
+
+class TestOrbit:
+    """The one doubling: powers a^k x0, with or without error vectors."""
+
+    def test_error_vectors_leave_the_powers_bitwise(self):
         rng = np.random.default_rng(404)
         for n in (1, 2, 3, 5):
             a = rng.normal(size=(n, n)) / n
             a_err = rng.uniform(0, 1e-12, (n, n))
             for x0 in (np.eye(n), rng.normal(size=(n, 2))):
+                w = x0.shape[1]
+                v = np.stack((rng.uniform(0, 2, w), np.ones(w)), axis=1)
                 for count in (1, 2, 3, 7, 64):
                     plain = _orbit(a, x0, count)
-                    powers, errs = _orbit(a, x0, count, a_err)
+                    powers, errs = _orbit(a, x0, count, a_err, v)
                     assert np.array_equal(powers, plain)
-                    assert errs.shape == plain.shape
-                    w = x0.shape[1]
-                    assert not errs[:, :w].any() and np.all(errs >= 0)
+                    assert errs.shape == (count, 2, n)
+                    assert not errs[0].any() and np.all(errs[1:] > 0)
 
-    def test_error_rows_bound_every_member_power(self):
-        # A = a + S o a_err at sign vertices S: A^k x0 in exact rational
-        # arithmetic lies within block k of the error rows
+    def test_error_vectors_bound_every_member_power(self):
+        # every sign vertex A = a + S o a_err: |A^k - F_k| v, in exact
+        # integer arithmetic, is at most row c of errs[k] for both
+        # columns v of the symbolic route, max|Theta| and 1, at zero
+        # tolerance.  The steps: a scalar, random 2x2 and 3x3 matrices,
+        # a 3x3 Jordan block, acc4's step expm(A h) (a Jordan block of
+        # a zero eigenvalue beside a decaying mode) and a step of order
+        # 1e-90, whose powers underflow
         rng = np.random.default_rng(405)
-        n, count = 2, 9
-        a = rng.normal(size=(n, n)) * 0.7
-        a_err = rng.uniform(0, 1e-3, (n, n))
-        x0 = rng.normal(size=(n, 1))
-        powers, errs = _orbit(a, x0, count, a_err)
-        for signs in itertools.product((-1, 1), repeat=n * n):
-            member = a + np.reshape(signs, (n, n)) * a_err
-            exact = [[Fraction(v) for v in row] for row in member]
-            x = [Fraction(v) for v in x0[:, 0]]
-            for k in range(count):
-                for i in range(n):
-                    assert abs(x[i] - Fraction(powers[i, k])) <= Fraction(errs[i, k])
-                x = [sum(exact[i][j] * x[j] for j in range(n)) for i in range(n)]
+        acc4 = np.array([[-0.5, 0.0, 0.0, 0.5], [-1.0, 0.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        cases = [
+            (np.array([[0.97]]), np.array([[3e-4]]), 300),
+            (rng.normal(size=(2, 2)) * 0.7, rng.uniform(0, 1e-3, (2, 2)), 300),
+            (rng.normal(size=(3, 3)) * 0.5,
+             np.diag(rng.uniform(0, 1e-9, 3)), 300),
+            (0.98 * np.eye(3) + np.eye(3, k=1),
+             np.array([[1e-12, 0, 0], [0, 0, 1e-15], [0, 0, 0]]), 300),
+            (scipy.linalg.expm(acc4 * 0.01),
+             np.array([[2e-17, 0, 0, 0], [0, 0, 1e-16, 0],
+                       [0, 0, 0, 3e-17], [0, 0, 0, 1e-16]]), 300),
+            (rng.normal(size=(2, 2)) * 1e-90, np.full((2, 2), 1e-106), 7),
+        ]
+        for a, a_err, longest in cases:
+            n = len(a)
+            v = np.stack((rng.uniform(0.5, 2.0, n), np.ones(n)), axis=1)
+            v[0, 0] = 0.0
+            v_bits = [[dyadic(x) for x in col] for col in v.T]
+            cells = np.flatnonzero(a_err)
+            for count in (c for c in (1, 2, 3, 7, 64, 300) if c <= longest):
+                powers, errs = _orbit(a, np.eye(n), count, a_err, v)
+                flows = powers.reshape(n, count, n).transpose(1, 0, 2)
+                for vertex in itertools.product((-1, 1), repeat=len(cells)):
+                    signs = np.zeros(n * n, dtype=int)
+                    signs[cells] = vertex
+                    powers_k = vertex_powers(a, a_err, signs.reshape(n, n), count)
+                    for k, (p, e) in enumerate(powers_k):
+                        for i in range(n):
+                            # |Q^k - F_k| on row i, over 2^d
+                            f = [dyadic(x) for x in flows[k, i]]
+                            d = max([e] + [fe for _, fe in f])
+                            miss = [abs((p[i][l] << (d - e)) - (fm << (d - fe)))
+                                    for l, (fm, fe) in enumerate(f)]
+                            for c, col in enumerate(v_bits):
+                                dv = max(ve for _, ve in col)
+                                got = sum(mi * (vm << (dv - ve))
+                                          for mi, (vm, ve) in zip(miss, col))
+                                bm, be = dyadic(errs[k, c, i])
+                                # got / 2^(d + dv) <= bm / 2^be
+                                assert got << be <= bm << (d + dv), (n, count, k, i, c)
 
 
 class TestSymbolicChunks:
@@ -1719,12 +1778,66 @@ class TestSymbolicChunks:
                              rod.times(), method="loan")
         assert res.support(np.empty((0, 5))).shape == (1001, 0)
 
+    def test_unbounded_steps_take_no_sigma(self, monkeypatch):
+        # acc4's kagstrom1 phi is inf from t = 1.09 on, where the radius is
+        # inf whatever sigma is: _sigma_max_bound reads only the steps of
+        # finite phi, and the radii are bytewise those of sigma at every step
+        model = shipped("acc4")
+        times = model.times()
+        original, read = engine._sigma_max_bound, []
+
+        def counting(stack):
+            read.append(len(stack))
+            return original(stack)
+
+        monkeypatch.setattr(engine, "_sigma_max_bound", counting)
+        res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                             times, method="kagstrom1")
+        finite = np.isfinite(res.phi)
+        assert sum(read) == finite.sum() < len(times)
+        _, _, err_sums = engine._doubling_flows(model.a, times, model.initial)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = res.phi * (original(res.flows) + err_sums) * model.initial.max_norm()
+            want *= 1.0 + 2 * ((model.dim + 10) // 4 + 1) * intervals._UNIT
+        want[~np.isfinite(want)] = np.inf
+        assert res.radii.tobytes() == want.tobytes()
+        assert np.all(np.isinf(res.radii[~finite]))
+        assert np.all(res.lo[~finite] == -np.inf) and np.all(res.hi[~finite] == np.inf)
+
+    def test_supports_skip_unbounded_steps(self, monkeypatch):
+        # the padded images of the steps of finite radius only, whatever
+        # the chunk: bytewise the evaluation at every step, in which a
+        # radius of inf gives the support inf
+        model = shipped("acc4")
+        res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                             model.times(), method="kagstrom1")
+        assert np.isinf(res.radii).any() and np.isfinite(res.radii).any()
+        dirs = np.random.default_rng(73).normal(size=(3, model.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = engine._padded_image(
+                dirs @ res.flows, res.initial, res.flow_pad @ np.abs(dirs).T,
+                res.radii, intervals._frobenius(dirs, axis=1))[1]
+        assert np.all(want[np.isinf(res.radii)] == np.inf)
+        original, read = engine._padded_image, []
+
+        def counting(rows, theta, pad, radii, norms):
+            read.append(len(radii))
+            return original(rows, theta, pad, radii, norms)
+
+        monkeypatch.setattr(engine, "_padded_image", counting)
+        for entries in (1, 7, 10 ** 9):
+            monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
+            read.clear()
+            got = res.support(dirs)
+            assert got.tobytes() == want.tobytes(), entries
+            assert sum(read) == np.isfinite(res.radii).sum(), entries
+
     def test_acc4_peak_memory(self):
-        # the benchmark's acc4 loan run peaks at 0.697 MB: the orbit's
-        # powers and error rows (0.525 MB) and one product of its widest
-        # doubling.  Whole |x| temporaries with numpy's buffers of strided
-        # views in the orbit, a (K, n) ball and a (K, 1, n) support image
-        # took it to 0.894 MB
+        # the benchmark's acc4 loan run peaks at 0.650 MB: the orbit's
+        # powers (0.263 MB), their error vectors, the sizes of the half
+        # that doublings read and two products of the widest doubling's
+        # vectors.  Error rows, which took the flows' size again, and a
+        # transposed copy of the flows took it to 0.697 MB
         model = shipped("acc4")
         tracemalloc.start()
         try:
@@ -1734,16 +1847,14 @@ class TestSymbolicChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.75e6
+        assert peak < 0.67e6
 
     def test_heat_rod_32_peak_memory(self):
-        # 1001 flows of order 32: the orbit holds the powers and error rows
-        # (two flows arrays) and, at its last doubling, one product of
-        # that doubling's 489 blocks, so 2.50 flows arrays in all (2.99
-        # with whole |x| temporaries and a second product).  2.55 guards
-        # that level; it is not the goal of 2.2 arrays, which whole-width
-        # error products cannot reach (ROADMAP item 9: error rows kept as
-        # vectors)
+        # 1001 flows of order 32: the flows are a view of the orbit's
+        # powers, and its error vectors, their sizes, the boxes and
+        # chunks of steps take the peak to 1.17 flows arrays (2.50 with
+        # error rows, one product of the widest doubling's rows and a
+        # transposed copy of the flows); 1.2 guards that level
         rod = heat_rod(32)
         tracemalloc.start()
         try:
@@ -1753,7 +1864,7 @@ class TestSymbolicChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.55 * res.flows.nbytes
+        assert peak < 1.2 * res.flows.nbytes
 
     def test_axis_supports_of_heat_rod_32_memory(self):
         # the 64 rows +-e_i: a (K, 64, 32) image would be two flows arrays,

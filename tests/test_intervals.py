@@ -18,7 +18,6 @@ from uncreach import (
     load_model,
 )
 from uncreach import intervals
-from uncreach.engine import _orbit
 from uncreach.intervals import _add_outward, _endpoint_product, _product_error
 
 from conftest import centred
@@ -382,11 +381,10 @@ class TestProductError:
                         assert abs(exact - Fraction(got[i, j])) <= Fraction(out[i, j])
 
     def test_bits_are_the_whole_width_evaluation(self, monkeypatch):
-        # the bound, with or without scratch, and with x, x_err, out and
-        # scratch as the column blocks of two shared arrays that
-        # engine._orbit passes, is bytewise the evaluation on whole
-        # contiguous temporaries; the chunk size of the other products
-        # does not enter
+        # the bound, with x, x_err and out as column blocks of two shared
+        # arrays, is bytewise the evaluation on whole contiguous
+        # temporaries (the matrix bound as interval_expm's squarings take
+        # it, V = I); the chunk size of the other products does not enter
         rng = np.random.default_rng(2026)
         for entries in (1, 7, 4096):
             monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
@@ -402,61 +400,40 @@ class TestProductError:
                     _product_error(f, f_err, x.copy(), x_err.copy(), out)
                     assert out.tobytes() == want, (entries, n, width)
                     dst = slice(2 * width, 3 * width)
-                    _product_error(f, f_err, x, x_err, errs[:, dst],
-                                   scratch=powers[:, dst])
+                    _product_error(f, f_err, x, x_err, errs[:, dst])
                     assert errs[:, dst].tobytes() == want, (entries, n, width)
 
-    def test_scratch_leaves_one_product_of_temporaries(self):
-        # given scratch, the operands live there: the peak is about one
-        # out-sized product, where whole |x| and its sums added two more
-        n, width = 8, 4000
+    def test_column_sums_weigh_the_underflow_term(self):
+        # for V with columns summing to at most v_sum the n etas of each
+        # entry of fl(f y) count n v_sum times: on zero operands the bound
+        # is the underflow term alone, (2n + n v_sum + sum_k |f_ik|) 2^-1074
+        f = np.array([[1.0, -2.0], [0.5, 0.0]])
+        zeros = np.zeros((2, 3))
+        for v_sum, rows in ((1.0, [9.0, 6.5]), (4.0, [15.0, 12.5]), (0.0, [7.0, 4.5])):
+            out = np.empty((2, 3))
+            _product_error(f, np.zeros((2, 2)), zeros, zeros, out, v_sum)
+            want = np.ldexp(np.repeat(np.array(rows)[:, None], 3, axis=1), -1074)
+            assert np.array_equal(out, want), v_sum
+
+    def test_block_major_bounds_take_two_temporaries(self):
+        # engine._orbit stores the error vectors block by block and passes
+        # (n, take m) transposed views: in out's memory order no ufunc
+        # buffers a strided operand, so the peak is the two out-sized
+        # temporaries (a 64 KB buffer per strided operand added up to
+        # three more)
+        n, take, m = 4, 2048, 2
         rng = np.random.default_rng(9)
-        powers = rng.normal(size=(n, 2 * width))
-        errs = rng.uniform(0, 1e-9, (n, 2 * width))
+        sizes = rng.uniform(0, 1, (take, m, n))
+        errs = rng.uniform(0, 1e-9, (2 * take, m, n))
         f, f_err = rng.normal(size=(n, n)), np.full((n, n), 1e-12)
-        src, dst = slice(0, width), slice(width, 2 * width)
+        views = [arr.reshape(-1, n).T for arr in (sizes, errs[:take], errs[take:])]
         tracemalloc.start()
         try:
-            _product_error(f, f_err, powers[:, src], errs[:, src], errs[:, dst],
-                           scratch=powers[:, dst])
+            _product_error(f, f_err, *views, v_sum=2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * n * width * 8
-
-    def test_orbit_error_rows_are_the_whole_width_products(self):
-        # engine._orbit forms each doubling's error rows before its powers,
-        # in the powers' destination as scratch: bytewise the orbit whose
-        # bounds, squarings included, take whole fresh temporaries
-        rng = np.random.default_rng(406)
-        for n in (1, 2, 3, 5, 33):
-            a = rng.normal(size=(n, n)) / math.sqrt(n)
-            a_err = rng.uniform(0, 1e-12, (n, n))
-            for count in (1, 2, 3, 7, 64, 300):
-                powers, errs = _orbit(a, np.eye(n), count, a_err)
-                want = orbit_reference(a, np.eye(n), count, a_err)
-                assert powers.tobytes() == want[0].tobytes(), (n, count)
-                assert errs.tobytes() == want[1].tobytes(), (n, count)
-
-
-def orbit_reference(a, x0, count, a_err):
-    """engine._orbit with error rows, each bound by product_error_reference."""
-    w = x0.shape[1]
-    out = np.empty((x0.shape[0], count * w))
-    out[:, :w] = x0
-    errs = np.zeros_like(out)
-    done, step, step_err = 1, a, a_err
-    while done < count:
-        take = min(done, count - done)
-        src, dst = slice(0, take * w), slice(done * w, (done + take) * w)
-        out[:, dst] = step @ out[:, src]
-        errs[:, dst] = product_error_reference(step, step_err, out[:, src],
-                                               errs[:, src])
-        done += take
-        if done < count:
-            step, step_err = (step @ step,
-                              product_error_reference(step, step_err, step, step_err))
-    return out, errs
+        assert peak < 2.2 * n * take * m * 8
 
 
 def product_error_reference(f, f_err, x, x_err):

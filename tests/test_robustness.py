@@ -549,6 +549,38 @@ class TestTrialsThatOverflow:
         assert report.evaluated == (step, 0.0)
         assert not report.already_unsafe and not report.cap_reached
 
+    @pytest.mark.parametrize("scheme", ["equal", "harmonic"])
+    def test_budget_beyond_float_range_is_unsafe(self, scheme):
+        # the cell's A entry is 0, so every finite budget is safe; grid
+        # budget 2 * 1e308 overflows to inf (and its share with it), which
+        # has no family: that probe is unsafe without a flowpipe
+        model = ModelSpec(
+            name="diag", a=np.diag([-1.0, -1.0]),
+            uncertainty=(CellUncertainty(0, 1, relative=0.1),),
+            initial=Box(np.array([0.9, 0.9]), np.array([1.1, 1.1])),
+            horizon=20, step=0.1,
+            unsafe=(HalfSpace(np.array([1.0, 0.0]), 5.0),))
+        report = robustness_threshold(model, [(0, 1)], scheme=scheme,
+                                      step=1e308, cap=3)
+        assert report.final_budget == 1e308
+        assert report.trace == ((0.0, True), (1e308, True), (math.inf, False))
+        assert report.evaluated == (1e308,)
+        assert not report.already_unsafe and not report.cap_reached
+        assert np.array_equal(report.safe_uncertainty.lo, np.zeros((2, 2)))
+
+    def test_share_beyond_float_range_is_unsafe(self):
+        # two equal cells: the budget 1e308 is finite, but its share
+        # p k w = 1e308 * 2 * 0.5 overflows at p k
+        model = ModelSpec(
+            name="diag", a=np.diag([-1.0, -1.0]),
+            uncertainty=(), initial=Box(np.array([0.9, 0.9]), np.array([1.1, 1.1])),
+            horizon=20, step=0.1,
+            unsafe=(HalfSpace(np.array([1.0, 0.0]), 5.0),))
+        report = robustness_threshold(model, [(0, 1), (1, 0)], step=1e308, cap=3)
+        assert report.final_budget == 0.0
+        assert report.trace == ((0.0, True), (1e308, False))
+        assert report.evaluated == (0.0,)
+
 
 class TestGallopCounts:
     def test_index_zero_runs_only_when_index_one_fails(self):
