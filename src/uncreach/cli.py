@@ -105,8 +105,10 @@ def reach_cmd(model_path: str, method: str, out: str,
     """Compute a flowpipe and report the safety verdict.
 
     Numeric rows: step, lo_1, hi_1, ..., lo_n, hi_n, gen_count.
-    Symbolic rows: t, phi, radius, lo_1, hi_1, ..., lo_n, hi_n.  A window
-    prints the rows of the grid from 0 to --t-end that lie in the window.
+    Symbolic rows: t, phi, radius, lo_1, hi_1, ..., lo_n, hi_n, where phi
+    is the method's bound: relative for kagstrom1 and kagstrom2, absolute
+    (Van Loan's psi) for loan (ReachResult.phi).  A window prints the rows
+    of the grid from 0 to --t-end that lie in the window.
     """
     model = load_model(model_path)
     if method == "numeric":

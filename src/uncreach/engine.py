@@ -257,6 +257,8 @@ class ReachResult:
     lo, hi   : (steps, dim) bounding-box bounds per step, radius applied
     radii    : bloating radius per step (zero on the numeric route; inf
                where a symbolic bound overflows, with lo/hi -inf/inf)
+    gen_counts : generator count per step: the numeric set's columns, or
+               dim on the symbolic route (flows[k] @ initial has dim)
     normals  : (k, dim) directions whose supports the numeric recurrence
                recorded (the model's unsafe normals), or None
     supports : (steps, k) support values in those directions, or None
@@ -268,6 +270,12 @@ class ReachResult:
                step's enclosure, by which the nominal box widens
                (_doubling_flows); else None
     initial  : symbolic route: the initial box Theta; else None
+    phi      : symbolic route: the method's bound per step
+               (BloatSeries.phi): the relative deviation phi(t) for
+               kagstrom1 and kagstrom2, the radius being
+               phi ||exp(At)||_2 max ||Theta||, and the absolute
+               deviation psi(t) for loan, the radius being
+               psi max ||Theta||; else None
     invariant : numeric route with until_unsafe: (t1, t2), the steps of
                two restart boxes, the box of t2 inside that of t1, when
                the flowpipe stopped at t2 with every step before it safe:
@@ -899,28 +907,32 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
                    method: str = "kagstrom1") -> ReachResult:
     """Nominal flow exp(At) Theta with a bloating radius per time point.
 
-    The radius delta(t) = phi(t) ||exp(At)||_2 max_{x in Theta} ||x||_2
-    makes the padded set contain every perturbed trajectory point, since
-    phi bounds the relative deviation of the perturbed exponential.
+    The radius bounds ||exp((A+E)t) x - exp(At) x||_2 over E in pert and
+    x in Theta, so the padded set contains every perturbed trajectory
+    point.  With r = max_{x in Theta} ||x||_2 it is
+      - psi(t) r for loan, whose bound psi is absolute;
+      - phi(t) ||exp(At)||_2 r for kagstrom1 and kagstrom2, whose phi
+        bounds the relative deviation (BloatSeries.relative), with
+        ||exp(A k h)||_2 <= sigma_max(F_k) plus the entry sum of
+        |Q^k - F_k| and the sigma_max bound covering the rounding of its
+        own evaluation (_sigma_max_bound).
 
     times must be bitwise np.arange(K) * h, as ModelSpec.times builds
     it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
-    of one step with error vectors (_doubling_flows), and
-    ||exp(A k h)||_2 <= sigma_max(F_k) plus the entry sum of |Q^k - F_k|.
-    The sigma_max bound covers the rounding of its own evaluation
-    (_sigma_max_bound), ||Theta|| is evaluated scaled (Box.max_norm), and
-    the radius is scaled to cover the rounding of its own product; phi's
-    own rounding is not covered.  The boxes are padded images
-    (_padded_image), as ReachResult.support's are, and a radius beyond
-    float range (phi saturated, or the flow or its error overflowed) is
-    inf: unbounded, not proven safe.  sigma_max is evaluated only where
-    phi is finite, and a padded image only where the radius is: the
-    other steps have radius inf and box -inf/inf whatever they would
-    give.  The result keeps the flows, the pad
-    and Theta, not one Star per point; safety_check reads its supports.
-    The bounds phi, and so the radii, are stated for a constant E in
-    pert; a numeric flowpipe (reach_with_perturbation) covers a
-    time-varying E(t) (Althoff, Le Guernic & Krogh, HSCC 2011).
+    of one step with error vectors (_doubling_flows).  ||Theta|| is
+    evaluated scaled (Box.max_norm), and the radius is scaled to cover
+    the rounding of its own product; psi covers its own rounding, phi
+    does not.  The boxes are padded images (_padded_image), as
+    ReachResult.support's are, and a radius beyond float range (the bound
+    saturated, or a flow or its error overflowed) is inf: unbounded, not
+    proven safe.  sigma_max is evaluated only for a relative bound and
+    only where phi is finite, and a padded image only where the radius
+    is: the other steps have radius inf and box -inf/inf whatever they
+    would give.  The result keeps the flows, the pad and Theta, not one
+    Star per point; safety_check reads its supports.  The bounds, and so
+    the radii, are stated for a constant E in pert; a numeric flowpipe
+    (reach_with_perturbation) covers a time-varying E(t) (Althoff, Le
+    Guernic & Krogh, HSCC 2011).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):
@@ -930,23 +942,30 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     start = time.perf_counter()
     n = theta.dim
     with np.errstate(over="ignore", invalid="ignore"):
-        flows, pad, err_sums = _doubling_flows(a, series.times, theta)
-        # a step whose phi is not finite has radius inf whatever sigma is
-        radii = np.full(len(flows), np.inf)
+        flows, pad, err_sums = _doubling_flows(a, series.times, theta,
+                                               series.relative)
         norm = theta.max_norm()
-        for k in _finite_runs(series.phi):
-            radii[k] = series.phi[k] * (_sigma_max_bound(flows[k])
-                                        + err_sums[k]) * norm
+        if series.relative:
+            # a step whose phi is not finite has radius inf whatever sigma is
+            radii = np.full(len(flows), np.inf)
+            for k in _finite_runs(series.phi):
+                radii[k] = series.phi[k] * (_sigma_max_bound(flows[k])
+                                            + err_sums[k]) * norm
+            del err_sums
+        else:
+            radii = series.phi * norm
+            # as sigma would, a flow or pad beyond float range gives inf
+            radii[_unbounded_flows(flows, pad)] = np.inf
         # phi (sigma + e) ||Theta|| (e the computed entry sum of |Q^k - F_k|,
         # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
         # roundings to nearest: n/2 through the squares, their sum and the
         # root, then the root, sigma + e and two products; so it is at least
         # (1 - u)^M times its exact value, barring underflow.  The float
         # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
-        # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1).
+        # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1);
+        # psi ||Theta|| takes two roundings fewer.
         radii *= 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
         radii[~np.isfinite(radii)] = np.inf
-        del err_sums
         lo, hi = np.full((len(flows), n), -np.inf), np.full((len(flows), n), np.inf)
         # row i of a run of flows, flows[k, i] (steps, n), is contiguous:
         # its padded image copies no flows
@@ -963,23 +982,25 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         wall_time=time.perf_counter() - start, phi=series.phi.copy())
 
 
-def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
+def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box,
+                    relative: bool):
     """Flows of the grid times = np.arange(K) * h (else ValueError) as powers.
 
     The step P = expm(A h) is within E = max(M.hi - P, P - M.lo), pushed
     one ulp outward (a zero stays zero), of each member Q of M =
     interval_expm(A, h), and _orbit gives the flows F_k = P^k with error
-    vectors bounding |Q^k - F_k| v for v = max(|lo|, |hi|) of Theta and
-    v = 1; exp(A h) is in M only up to the series' uncovered rounding, so
-    they can miss |exp(A k h) - F_k| v.  Returns the (K, n, n) flows, the
-    (K, n) pads, the first vectors, and the (K,) entry sums of |Q^k -
-    F_k|, the second vectors summed, each at least ||Q^k - F_k||_2.
+    vectors bounding |Q^k - F_k| v for v = max(|lo|, |hi|) of Theta and,
+    for a relative bound, v = 1; exp(A h) is in M only up to the series'
+    uncovered rounding, so they can miss |exp(A k h) - F_k| v.  Returns
+    the (K, n, n) flows, the (K, n) pads, the first vectors, and for a
+    relative bound the (K,) entry sums of |Q^k - F_k|, the second vectors
+    summed, each at least ||Q^k - F_k||_2 (else None).
 
     The flows are a strided view of the orbit's (n, K n) powers, not a
-    copy: flows[k] is block k.  Beside the powers the orbit holds 2/n of
-    their size in error vectors and 1/n in sizes, and the widest
-    doubling's two products 2/n (_product_error): 1 + 5/n flows arrays
-    at its peak.
+    copy: flows[k] is block k.  Beside the powers the orbit holds m/n of
+    their size in error vectors and m/(2n) in sizes, m the number of
+    vectors, and the widest doubling's two products m/n (_product_error):
+    1 + 2.5 m/n flows arrays at its peak.
     """
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
@@ -990,10 +1011,23 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box):
     dist = np.maximum(m.hi - step, step - m.lo)
     step_err = np.where(dist == 0.0, 0.0, np.nextafter(dist, np.inf))
     n = a.shape[0]
-    v = np.stack((np.maximum(np.abs(theta.lo), np.abs(theta.hi)), np.ones(n)), axis=1)
+    v = np.maximum(np.abs(theta.lo), np.abs(theta.hi))[:, None]
+    if relative:
+        v = np.hstack((v, np.ones((n, 1))))
     powers, errs = _orbit(step, np.eye(n), count, step_err, v)
     return (powers.reshape(n, count, n).transpose(1, 0, 2), errs[:, 0].copy(),
-            errs[:, 1].sum(axis=1))
+            errs[:, 1].sum(axis=1) if relative else None)
+
+
+def _unbounded_flows(flows: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Steps k whose flow or pad has an entry that is not finite."""
+    # a sum that overflows only sends finite steps to the exact check, one
+    # step at a time: no (K, n, n) temporary
+    if math.isfinite(flows.sum() + pad.sum()):
+        return np.empty(0, dtype=np.intp)
+    steps = np.flatnonzero(~np.isfinite(flows.sum(axis=(1, 2)) + pad.sum(axis=1)))
+    return steps[[not (np.isfinite(flows[k]).all() and np.isfinite(pad[k]).all())
+                  for k in steps]]
 
 
 def _finite_runs(values: np.ndarray) -> list[slice]:

@@ -96,7 +96,8 @@ def test_numeric_reach_soundness():
 
 @criterion(2)
 def test_bound_validity():
-    """Measured relative error under each closed form, slack 1e-9."""
+    """Measured error under each closed form, slack 1e-9: relative under
+    the Kagstrom bounds, absolute under loan."""
     rng = np.random.default_rng(1002)
     checked = kag2_checked = 0
     for _ in range(100):
@@ -108,10 +109,10 @@ def test_bound_validity():
         use_k2 = np.linalg.cond(np.linalg.eig(a)[1]) < 1e6
         for t in (0.1, 0.5, 1.0, 2.0):
             base = scipy.linalg.expm(a * t)
-            err = (np.linalg.norm(scipy.linalg.expm((a + e) * t) - base, 2)
-                   / np.linalg.norm(base, 2))
+            dev = np.linalg.norm(scipy.linalg.expm((a + e) * t) - base, 2)
+            err = dev / np.linalg.norm(base, 2)
             assert err <= kagstrom1(a, lam_norm, t) + 1e-9
-            assert err <= loan(a, lam_norm, t) + 1e-9
+            assert dev <= loan(a, lam_norm, t) + 1e-9
             checked += 1
             if use_k2:
                 assert err <= kagstrom2(a, lam_norm, t) + 1e-9
@@ -135,7 +136,7 @@ def test_norm_lattice():
         use_k2 = np.linalg.cond(np.linalg.eig(a)[1]) < 1e6
         for t in (0.1, 0.5, 1.0, 2.0):
             assert kagstrom1(a, fro, t) >= kagstrom1(a, two, t) - 1e-12
-            assert loan(a, fro, t) >= loan(a, two, t) - 1e-12
+            assert loan(a, fro, t) >= loan(a, two, t)
             if use_k2:
                 assert kagstrom2(a, fro, t) >= kagstrom2(a, two, t) - 1e-12
     return "1000 interval matrices, lattice and domination hold"

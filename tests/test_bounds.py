@@ -29,7 +29,7 @@ from uncreach import (
 from uncreach._expm import expm
 from uncreach._kernels import box_core
 from uncreach.stars import Star, linear_map
-from uncreach.engine import _doubling_flows, _padded_image
+from uncreach.engine import _padded_image
 from uncreach.intervals import _add_outward, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS
 
@@ -57,9 +57,31 @@ def heat_rod(n, horizon):
                      horizon=horizon, continuous=True, step=0.01)
 
 
-def measured_relative_error(a, e, t):
+def measured_error(a, e, t, relative):
+    """||exp((A+E)t) - exp(At)||_2, over ||exp(At)||_2 if relative."""
     base = scipy.linalg.expm(a * t)
-    return np.linalg.norm(scipy.linalg.expm((a + e) * t) - base, 2) / np.linalg.norm(base, 2)
+    err = np.linalg.norm(scipy.linalg.expm((a + e) * t) - base, 2)
+    return err / np.linalg.norm(base, 2) if relative else err
+
+
+def loan_reference(two_norm, lam_norm, t):
+    """Van Loan's absolute bound as loan evaluates it, with its rounding
+    factor 1 + (2 x + 8) u and underflow term (t + 2) 2^-1074."""
+    x = (two_norm + lam_norm) * t
+    return (lam_norm * np.exp(x) * t * (1.0 + (2.0 * x + 8.0) * 2.0 ** -53)
+            + (t + 2.0) * 2.0 ** -1074)
+
+
+def non_normal_matrices(count=200):
+    """Q T Q^T with Q orthogonal and T upper triangular, its off-diagonal
+    up to 1e4: n = 2 to 4, numpy seed 2."""
+    rng = np.random.default_rng(2)
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        t = np.triu(rng.uniform(-1, 1, (n, n)) * 10.0 ** rng.uniform(0, 4), k=1)
+        t += np.diag(rng.normal(size=n))
+        yield q @ t @ q.T
 
 
 class TestPPoly:
@@ -79,24 +101,24 @@ class TestPPoly:
 
 
 class TestSpectralData:
-    """The spectral quantities the bounds read: ||A||_2 and the abscissa
-    alpha in loan, the largest eigenvalue modulus eps and the eigenvector
-    condition K in kagstrom2."""
+    """The spectral quantities the bounds read: ||A||_2 in loan, the
+    largest eigenvalue modulus eps and the eigenvector condition K in
+    kagstrom2."""
 
     def test_rotation_plus_decay(self):
-        # ||A||_2 = eps = sqrt(17), alpha = -1 and a unitary eigenbasis
+        # ||A||_2 = eps = sqrt(17) and a unitary eigenbasis
         assert loan(GIRAD_A, 0.1, 1.0) == pytest.approx(
-            0.1 * math.exp(math.sqrt(17) + 1.1), rel=1e-14)
+            0.1 * math.exp(math.sqrt(17) + 0.1), rel=1e-14)
         assert kagstrom2(GIRAD_A, 0.1, 1.0) == pytest.approx(
             math.exp(math.sqrt(17)) * math.expm1(0.1), rel=1e-10)
 
     def test_diagonal(self):
-        # alpha = -1 and eps = 2 are exact; ||A||_2 = 2 is covered a few
-        # ulps up (_sigma_max_bound), not rounded to nearest
+        # eps = 2 is exact; ||A||_2 = 2 is covered a few ulps up
+        # (_sigma_max_bound), not rounded to nearest
         a = np.diag([-1.0, -2.0])
         two_norm = _sigma_max_bound(a[None])[0]
         assert 2.0 < two_norm < 2.0 + 1e-14
-        assert loan(a, 0.1, 1.0) == 0.1 * np.exp(two_norm + 1.0 + 0.1)
+        assert loan(a, 0.1, 1.0) == loan_reference(two_norm, 0.1, 1.0)
         assert kagstrom2(a, 0.1, 1.0) == pytest.approx(
             math.exp(2.0) * math.expm1(0.1), rel=1e-12)
 
@@ -195,21 +217,66 @@ class TestLoan:
 
     def test_two_norm_covers_its_rounding(self):
         # the rate's ||A||_2 is _sigma_max_bound's, never below the
-        # 50-digit sigma_1; np.linalg.norm(a, 2), rounded to nearest, fell
-        # below it on about half of these matrices
+        # 50-digit sigma_1 (np.linalg.norm(a, 2), rounded to nearest, fell
+        # below it on about half of these matrices), and the bound is at
+        # least the 50-digit t L exp((sigma_1 + L) t), at zero tolerance
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(1)
         for trial in range(300):
             n = int(rng.integers(2, 5))
             a = rng.uniform(-1, 1, (n, n))
             two_norm = _sigma_max_bound(a[None])[0]
-            alpha = np.max(np.linalg.eig(a)[0].real)
-            assert loan(a, 0.1, 1.5) == 1.5 * 0.1 * np.exp(
-                (two_norm - alpha + 0.1) * 1.5), trial
+            assert loan(a, 0.1, 1.5) == loan_reference(two_norm, 0.1, 1.5), trial
             with mpmath.workdps(50):
                 sigma = max(mpmath.svd_r(mpmath.matrix(a.tolist()),
                                          compute_uv=False))
                 assert mpmath.mpf(two_norm) >= sigma, trial
+                lam, t = mpmath.mpf(0.1), mpmath.mpf(1.5)
+                assert mpmath.mpf(loan(a, 0.1, 1.5)) >= t * lam * mpmath.exp(
+                    (sigma + lam) * t), trial
+
+    def test_covers_underflow(self):
+        # t L below the normal range, E = exp(x) up to e^300: the 50-digit
+        # t L exp((||A||_2 + L) t) is never above loan's value (as
+        # fl(fl(t L) E) with no underflow term, about half of such cases
+        # fell below it, some to 0), and an exp that overflows gives inf,
+        # not the NaN of t L = 0 times inf
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            t = 10.0 ** rng.uniform(-22, -18)
+            lam = 10.0 ** rng.uniform(-323, -298)
+            a = np.array([[rng.uniform(150.0, 300.0) / t]])
+            with mpmath.workdps(50):
+                rate = mpmath.mpf(_sigma_max_bound(a[None])[0]) + mpmath.mpf(lam)
+                exact = mpmath.mpf(t) * mpmath.mpf(lam) * mpmath.exp(rate * mpmath.mpf(t))
+                assert mpmath.mpf(loan(a, lam, t)) >= exact, trial
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loan(np.array([[1e33]]), 5e-324, 1e-30) == math.inf
+
+    def test_rate_holds_on_non_normal_matrices(self):
+        # the rate ||A||_2 + L against the 50-digit sigma_1 + L, at zero
+        # tolerance, on 200 matrices of eigenvector condition up to 1.8e12.
+        # The relative form's rate ||A||_2 - alpha + L, alpha from
+        # np.linalg.eig rounded to nearest, fell below the 50-digit
+        # sigma_1 - alpha + L on some of them
+        mpmath = pytest.importorskip("mpmath")
+        lam = 0.1
+        below = 0
+        with mpmath.workdps(50):
+            for trial, a in enumerate(non_normal_matrices()):
+                big = mpmath.matrix(a.tolist())
+                sigma = max(mpmath.svd_r(big, compute_uv=False))
+                two_norm = _sigma_max_bound(a[None])[0]
+                assert mpmath.mpf(two_norm) + lam >= sigma + lam, trial
+                for t in (0.5, 2.0):
+                    exact = t * mpmath.mpf(lam) * mpmath.exp((sigma + lam) * t)
+                    assert mpmath.mpf(loan(a, lam, t)) >= exact, (trial, t)
+                alpha = max(mpmath.re(e) for e in mpmath.eig(big, left=False, right=False))
+                rate = two_norm - np.max(np.linalg.eig(a)[0].real) + lam
+                below += mpmath.mpf(rate) < sigma - alpha + lam
+        assert below > 0
 
     def test_saturates_instead_of_overflowing(self):
         # a bound beyond float range is reported as inf, which is still
@@ -280,6 +347,8 @@ class TestVectorisedBounds:
 
 class TestBoundValidity:
     def test_measured_error_below_bounds(self):
+        # the Kagstrom bounds over the relative deviation, loan over the
+        # absolute one
         rng = np.random.default_rng(314)
         checked = 0
         for _ in range(100):
@@ -293,13 +362,36 @@ class TestBoundValidity:
                 lo_bound = loan(a, lam_norm, t)
                 k2 = kagstrom2(a, lam_norm, t) if use_k2 else None
                 for _ in range(20):
-                    err = measured_relative_error(a, lam.sample(rng), t)
+                    e = lam.sample(rng)
+                    err = measured_error(a, e, t, relative=True)
                     assert err <= k1 + 1e-9
-                    assert err <= lo_bound + 1e-9
+                    assert measured_error(a, e, t, relative=False) <= lo_bound + 1e-9
                     if k2 is not None:
                         assert err <= k2 + 1e-9
                     checked += 1
         assert checked == 100 * 4 * 20
+
+    @pytest.mark.parametrize("name", ["girad1", "twocell", "acc4"])
+    def test_loan_holds_for_vertex_members(self, name):
+        # ||exp((A+E)t) x - exp(At) x|| <= psi(t) ||x|| for vertex members
+        # E of the shipped family, corners x of Theta and t up to T; the
+        # 1e-9 relative slack is for scipy's expm
+        model = load_model(importlib.resources.files("uncreach.models") / f"{name}.yaml")
+        pert = model.perturbation()
+        times = model.times()
+        times = times[np.linspace(0, len(times) - 1, 26).astype(int)]
+        psi = bloat_series(model.a, pert, times, "loan").phi
+        rng = np.random.default_rng(17)
+        n = model.dim
+        for _ in range(6):
+            e = np.where(rng.random(pert.shape) < 0.5, pert.lo, pert.hi)
+            x = np.where(rng.random((n, 4)) < 0.5, model.initial.lo[:, None],
+                         model.initial.hi[:, None])
+            for t, bound in zip(times, psi):
+                nominal = scipy.linalg.expm(model.a * t) @ x
+                dev = np.linalg.norm(scipy.linalg.expm((model.a + e) * t) @ x - nominal, axis=0)
+                assert np.all(dev <= bound * np.linalg.norm(x, axis=0)
+                              + 1e-9 * np.linalg.norm(nominal, axis=0)), (name, t)
 
     def test_frobenius_variant_dominates(self):
         rng = np.random.default_rng(99)
@@ -311,7 +403,7 @@ class TestBoundValidity:
             fro = lam.frobenius_sup()
             for t in (0.1, 1.0, 2.0):
                 assert kagstrom1(a, fro, t) >= kagstrom1(a, two, t) - 1e-12
-                assert loan(a, fro, t) >= loan(a, two, t) - 1e-12
+                assert loan(a, fro, t) >= loan(a, two, t)
                 if np.linalg.cond(np.linalg.eig(a)[1]) < 1e6:
                     assert kagstrom2(a, fro, t) >= kagstrom2(a, two, t) - 1e-12
 
@@ -452,7 +544,8 @@ class TestSymbolicReach:
                 if method == "kagstrom2" and np.linalg.cond(np.linalg.eig(a)[1]) > 1e8:
                     continue
                 res = symbolic_reach(a, lam, theta, times, method=method)
-                phi = bloat_series(a, lam, times, method).phi
+                series = bloat_series(a, lam, times, method)
+                phi = series.phi
                 assert np.array_equal(res.phi, phi)
                 ref_lo, ref_hi, ref_radii = [], [], []
                 for idx, t in enumerate(times):
@@ -460,8 +553,9 @@ class TestSymbolicReach:
                     nominal = linear_map(ea, Star.from_box(theta))
                     nlo, nhi = box_core(nominal.anchor, nominal.generators,
                                         nominal.coeff_lo, nominal.coeff_hi)
+                    scale = np.linalg.norm(ea, 2) if series.relative else 1.0
                     with np.errstate(over="ignore"):
-                        delta = phi[idx] * np.linalg.norm(ea, 2) * theta.max_norm()
+                        delta = phi[idx] * scale * theta.max_norm()
                     ref_radii.append(delta)
                     ref_lo.append(nlo - delta)
                     ref_hi.append(nhi + delta)
@@ -469,10 +563,11 @@ class TestSymbolicReach:
                         res.flows[idx], ea, rtol=1e-13,
                         atol=1e-13 * max(1.0, np.abs(ea).max()))
                 # kagstrom1 can leave float range on the later points:
-                # those radii must be inf on both sides.  The route bounds
-                # sigma_max from above and adds the flow's error, the
-                # reference takes the SVD's: the radius is never below it,
-                # and at most 1e-10 above it (the error's entry sum)
+                # those radii must be inf on both sides.  For a relative
+                # bound the route bounds sigma_max from above and adds the
+                # flow's error, the reference takes the SVD's: the radius
+                # is never below it, and at most 1e-10 above it (the
+                # error's entry sum); loan's is psi ||Theta|| on both sides
                 ref_radii = np.array(ref_radii)
                 over = np.isinf(ref_radii)
                 assert np.array_equal(np.isinf(res.radii), over)
@@ -493,25 +588,26 @@ class TestSymbolicReach:
 
     @pytest.mark.parametrize("name", ["girad1", "twocell", "acc4"])
     def test_radii_cover_their_own_rounding(self, name):
-        # every radius is at least the exact product of its factors: phi,
-        # the sigma_max bound plus the entry sum of the flow's error, and
-        # the exact max-norm of Theta (rounded to nearest, 1818 of girad1's
+        # every loan radius is at least the exact product of psi and the
+        # exact max-norm of Theta (rounded to nearest, 1818 of girad1's
         # 2051 radii fell below it), and at most 2e-15 above it: the factor
-        # 1 + 8 u and the roundings it covers
+        # 1 + 8 u and the roundings it covers.  psi itself is at least the
+        # 50-digit t L exp((||A||_2 + L) t) of its computed ||A||_2 and L
         mpmath = pytest.importorskip("mpmath")
         model = load_model(importlib.resources.files("uncreach.models") / f"{name}.yaml")
         times = model.times()
         res = symbolic_reach(model.a, model.perturbation(), model.initial,
                              times, method="loan")
-        flows, _, err_sums = _doubling_flows(model.a, times, model.initial)
-        sigma = _sigma_max_bound(flows)
+        lam = mpmath.mpf(model.perturbation().two_norm_sup())
         with mpmath.workdps(50):
+            rate = mpmath.mpf(_sigma_max_bound(model.a[None])[0]) + lam
             ends = zip(model.initial.lo, model.initial.hi)
             theta_norm = mpmath.sqrt(sum(max(mpmath.mpf(lo) ** 2, mpmath.mpf(hi) ** 2)
                                          for lo, hi in ends))
-            for k in range(len(times)):
-                exact = (mpmath.mpf(res.phi[k]) * theta_norm
-                         * (mpmath.mpf(sigma[k]) + mpmath.mpf(err_sums[k])))
+            for k, t in enumerate(times):
+                t = mpmath.mpf(t)
+                assert mpmath.mpf(res.phi[k]) >= t * lam * mpmath.exp(rate * t), k
+                exact = mpmath.mpf(res.phi[k]) * theta_norm
                 assert mpmath.mpf(res.radii[k]) >= exact, k
                 assert res.radii[k] <= exact * (1 + mpmath.mpf(2e-15)), k
 
@@ -692,10 +788,13 @@ def image_bounds_reference(flows, theta):
 
 def per_point_reference(a, lam, theta, times, method):
     """lo, hi and radii of the per-point reference: one expm of A t per
-    time point, no error pad, and the SVD's sigma_max in the radii."""
+    time point, no error pad, and for a relative bound the SVD's
+    sigma_max in the radii."""
     flows = np.array([expm(a * t) for t in times])
-    phi = bloat_series(a, lam, times, method).phi
-    radii = phi * np.linalg.svd(flows, compute_uv=False)[:, 0] * theta.max_norm()
+    series = bloat_series(a, lam, times, method)
+    radii = series.phi * theta.max_norm()
+    if series.relative:
+        radii *= np.linalg.svd(flows, compute_uv=False)[:, 0]
     nlo, nhi = image_bounds_reference(flows, theta)
     return flows, nlo - radii[:, None], nhi + radii[:, None], radii
 
@@ -852,8 +951,8 @@ class TestDoublingFlows:
         theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
         times = np.arange(1601) * 0.25
         for lam, overflow in (
-                (centred(np.zeros((2, 2)), np.full((2, 2), 1e-3)), 1239),
-                (IntervalMatrix.zeros(2, 2), 1419)):
+                (centred(np.zeros((2, 2)), np.full((2, 2), 1e-3)), 1240),
+                (IntervalMatrix.zeros(2, 2), 1420)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 res = symbolic_reach(TWOCELL_A, lam, theta, times, method="loan")
@@ -862,9 +961,10 @@ class TestDoublingFlows:
             assert res.flow_pad is not None
             over = np.isinf(res.radii)
             first = int(np.argmax(over))
-            # phi times the norm leaves float range first with a
-            # perturbation (t = 309.75), ||F_k||_2 without (t = 354.75):
-            # the steps of the per-point reference
+            # psi ||Theta|| leaves float range first with a perturbation
+            # (t = 310), an entry of the flow F_k without (t = 355; its
+            # 2-norm did one step earlier, but loan's radius does not read
+            # it, and that step's box is finite)
             assert first == overflow and np.all(over[first:])
             assert np.all(np.isfinite(res.radii[:first]))
             assert np.all(res.lo[first:] == -np.inf) and np.all(res.hi[first:] == np.inf)

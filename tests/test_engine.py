@@ -1731,6 +1731,60 @@ class TestOrbit:
                                 # got / 2^(d + dv) <= bm / 2^be
                                 assert got << be <= bm << (d + dv), (n, count, k, i, c)
 
+    @staticmethod
+    def assert_vectors_hold(a, a_err, x0, v, count):
+        """|Q^k x0 - F_k| v <= errs[k] for every sign vertex Q of a +- a_err,
+        in integers: each float times 2^1074 is one, so a product of k + 2
+        of them is exact at scale 2^(1074 (k + 2))."""
+        powers, errs = _orbit(a, x0, count, a_err, v)
+        n, w = x0.shape
+
+        def ints(m):
+            return [[(mi << (1074 - e)) for mi, e in map(dyadic, row)] for row in m]
+
+        flows = powers.reshape(n, count, w).transpose(1, 0, 2)
+        x, v_int, lo, hi = ints(x0), ints(v.T), ints(a - a_err), ints(a + a_err)
+        cells = np.flatnonzero(a_err)
+        for vertex in itertools.product((0, 1), repeat=len(cells)):
+            pick = np.zeros(n * n, dtype=int)
+            pick[cells] = vertex
+            q = [[(hi if pick[i * n + j] else lo)[i][j] for j in range(n)]
+                 for i in range(n)]
+            p = x  # Q^k x0 at scale 2^(1074 (k + 1))
+            for k in range(count):
+                f = ints(flows[k])
+                for i in range(n):
+                    miss = [abs(p[i][l] - (f[i][l] << (1074 * k))) for l in range(w)]
+                    for c, col in enumerate(v_int):
+                        got = sum(mi * vl for mi, vl in zip(miss, col))
+                        bound = ints([[errs[k, c, i]]])[0][0]
+                        assert got <= bound << (1074 * (k + 1)), (k, i, c)
+                p = [[sum(q[i][l] * p[l][j] for l in range(n)) for j in range(w)]
+                     for i in range(n)]
+
+    def test_underflow_and_rounding_terms_of_the_vectors(self):
+        # cases that reach the terms which cover underflow and the sizes'
+        # own rounding, each at zero tolerance
+        eta = 2.0 ** -1074
+        # fl(a x0) underflows: each 0.5 eta rounds to 0 (ties to even), so
+        # F_1 = 0 where A x0 = eta, and |A x0 - F_1| v = 8 w eta takes the
+        # n v_sum etas of _product_error's underflow term (3 n falls short)
+        self.assert_vectors_hold(np.full((2, 2), 0.5), np.zeros((2, 2)),
+                                 np.full((2, 3), eta), np.full((3, 1), 8.0), 2)
+        # |x0| v underflows: eta 2.5 rounds to 2 eta, so fl(|x0| v) is w
+        # eta / 2 short, which _vector_sizes' (w + 1) eta covers, and
+        # a_err = 16 carries the shortfall into the bound
+        self.assert_vectors_hold(np.zeros((1, 1)), np.full((1, 1), 16.0),
+                                 np.full((1, 4), eta), np.full((4, 1), 2.5), 2)
+        # |x0| v rounds: 1 plus 1023 terms just under half an ulp of 1, so
+        # the sum loses up to 1023 u wherever 1 comes first among its
+        # partial sums (30 u in OpenBLAS 0.3.31's order on AVX-512), which
+        # _vector_sizes' 1 + gamma_(w+4) covers
+        x0 = np.full((1, 1024), 2.0 ** -53 * (1 - 2.0 ** -10))
+        x0[0, 0] = 1.0
+        self.assert_vectors_hold(np.zeros((1, 1)), np.ones((1, 1)), x0,
+                                 np.ones((1024, 1)), 2)
+
 
 class TestSymbolicChunks:
     """Symbolic supports in chunks of steps, and the symbolic route's peaks."""
@@ -1795,7 +1849,7 @@ class TestSymbolicChunks:
                              times, method="kagstrom1")
         finite = np.isfinite(res.phi)
         assert sum(read) == finite.sum() < len(times)
-        _, _, err_sums = engine._doubling_flows(model.a, times, model.initial)
+        _, _, err_sums = engine._doubling_flows(model.a, times, model.initial, True)
         with np.errstate(over="ignore", invalid="ignore"):
             want = res.phi * (original(res.flows) + err_sums) * model.initial.max_norm()
             want *= 1.0 + 2 * ((model.dim + 10) // 4 + 1) * intervals._UNIT
@@ -1803,6 +1857,33 @@ class TestSymbolicChunks:
         assert res.radii.tobytes() == want.tobytes()
         assert np.all(np.isinf(res.radii[~finite]))
         assert np.all(res.lo[~finite] == -np.inf) and np.all(res.hi[~finite] == np.inf)
+
+    def test_loan_takes_no_eigenvalues_and_no_sigma(self, monkeypatch):
+        # loan's radius is psi ||Theta||: bounds.loan calls neither
+        # np.linalg.eig nor eigvals, and symbolic_reach no _sigma_max_bound
+        # of a flow, on the shipped models and a flowpipe whose flows
+        # overflow (those steps are inf, as sigma made them)
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue routine was called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        read = []
+        monkeypatch.setattr(engine, "_sigma_max_bound", read.append)
+        for name in ("girad1", "acc4", "twocell"):
+            model = shipped(name)
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 model.times(), method="loan")
+            safety_check(res, model.unsafe)
+            assert np.all(np.isfinite(res.radii)), name
+        theta = Box(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        res = symbolic_reach(np.array([[1.0, -1.0], [0.0, 2.0]]),
+                             IntervalMatrix.zeros(2, 2), theta,
+                             np.arange(1601) * 0.25, method="loan")
+        over = ~np.isfinite(res.flows).all(axis=(1, 2))
+        assert over.any() and np.array_equal(np.isinf(res.radii), over)
+        assert np.all(res.hi[over] == np.inf) and np.all(res.lo[over] == -np.inf)
+        assert read == []
 
     def test_supports_skip_unbounded_steps(self, monkeypatch):
         # the padded images of the steps of finite radius only, whatever
@@ -1833,11 +1914,11 @@ class TestSymbolicChunks:
             assert sum(read) == np.isfinite(res.radii).sum(), entries
 
     def test_acc4_peak_memory(self):
-        # the benchmark's acc4 loan run peaks at 0.650 MB: the orbit's
-        # powers (0.263 MB), their error vectors, the sizes of the half
-        # that doublings read and two products of the widest doubling's
-        # vectors.  Error rows, which took the flows' size again, and a
-        # transposed copy of the flows took it to 0.697 MB
+        # the benchmark's acc4 loan run peaks at 0.650 MB while the boxes
+        # are padded: the flows (0.263 MB), the pad, the boxes and one
+        # row's endpoint products; the orbit with its one error vector
+        # stays below 0.5 MB.  Error rows, which took the flows' size
+        # again, and a transposed copy of the flows took it to 0.697 MB
         model = shipped("acc4")
         tracemalloc.start()
         try:
@@ -1851,10 +1932,11 @@ class TestSymbolicChunks:
 
     def test_heat_rod_32_peak_memory(self):
         # 1001 flows of order 32: the flows are a view of the orbit's
-        # powers, and its error vectors, their sizes, the boxes and
-        # chunks of steps take the peak to 1.17 flows arrays (2.50 with
-        # error rows, one product of the widest doubling's rows and a
-        # transposed copy of the flows); 1.2 guards that level
+        # powers, and its error vector, their sizes, the boxes and
+        # chunks of steps take the peak to 1.11 flows arrays (1.17 with a
+        # second vector for the radius, 2.50 with error rows, one product
+        # of the widest doubling's rows and a transposed copy of the
+        # flows); 1.2 guards that level
         rod = heat_rod(32)
         tracemalloc.start()
         try:
