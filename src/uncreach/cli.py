@@ -198,6 +198,7 @@ def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
         "cap_reached": report.cap_reached,
         "trace": report.trace,
         "evaluated": report.evaluated,
+        "contracted": report.contracted,
         "safe_uncertainty": {"lo": report.safe_uncertainty.lo,
                              "hi": report.safe_uncertainty.hi},
     })

@@ -9,7 +9,8 @@ engine's symbolic images), outward in exact arithmetic, and one sum,
 _add_outward (engine's A (+) Lambda and Lambda's interval cells),
 outward in floating point.  The product's rounding is not directed, so
 consumers that need slack add it, but _centre_radius, _sigma_max_bound,
-_product_error and interval_expm's squarings cover their own.
+_product_error, IntervalMatrix.log_norm_sup and interval_expm's
+squarings cover their own.
 interval_expm scales and squares, so it is inclusion-isotone only between
 families with the same number of squarings; each of its results is an
 enclosure.
@@ -152,11 +153,12 @@ def _square(a: np.ndarray, a_err: np.ndarray | None):
 # LAPACK bounds the error of each eigenvalue eigvalsh computes for a
 # symmetric A by p(n) u ||A||_2, with p(n) "a modestly growing function
 # of n" and no constant given (LAPACK Users' Guide, 3rd ed., 4.7).  We
-# take p(n) = _EIG_C n, at least 48 for the orders n >= 3 that use it:
-# on 18000 random, orthogonal, rank-one, badly scaled and nearly
-# singular Gram matrices of order 3 to 8, and 280 of order 9 to 64, the
-# largest eigenvalue was never more than 19 u ||A||_2 from its 30-digit
-# value (numpy 2.4 with OpenBLAS).
+# take p(n) = _EIG_C n: on 18000 random, orthogonal, rank-one, badly
+# scaled and nearly singular Gram matrices of order 3 to 8, and 280 of
+# order 9 to 64, the largest eigenvalue was never more than 19 u ||A||_2
+# from its 30-digit value, and on 3000 indefinite ones of order 2 to 8
+# (random, badly scaled, spread spectra, near -I) never more than 14
+# u ||A||_2, 3.2 u ||A||_2 at order 2 (numpy 2.4 with OpenBLAS).
 _EIG_C = 16
 # Covers the roundings of each sigma_max evaluation (see _sigma_max_bound).
 _SIGMA_SLACK = 1.0 + 2.0 * _gamma(5)
@@ -393,6 +395,47 @@ class IntervalMatrix:
         s_u, s_c, s_r = _sigma_max_bound(np.stack((u, c, r)))
         with np.errstate(over="ignore"):
             return float(min(s_u, np.nextafter(s_c + s_r, np.inf)))
+
+    def log_norm_sup(self) -> float:
+        """An upper bound on sup mu(E) = lambda_max((E + E^T) / 2) over the
+        family, the logarithmic 2-norm (Soderlind, BIT 46, 2006).
+
+        Rohn's bound (SIAM J. Matrix Anal. Appl. 15, 1994): a member is
+        E = C + D, C +- R the family's centre and radius (_centre_radius)
+        and |D| <= R, so |sym D| <= sym R and mu(E) <= lambda_max(sym C)
+        + ||sym R||_2 (Weyl, then Perron-Frobenius).  It is attained at
+        the vertex C + R when sym C is a multiple of I.  In floating
+        point, with C scaled by 2^-e to a largest entry magnitude in
+        [1/2, 1) (exact but for entries it takes below the normal range,
+        each off by at most 2^-1075), T = fl(C_s + C_s^T) is within
+        gamma_1 |T| of its exact sum (a sum has no underflow error), so within
+        gamma_1 sigma(|T|) + n 2^-1074 of 2^-e (C + C^T) in the 2-norm,
+        sigma the rounding-covered _sigma_max_bound; and eigvalsh's largest
+        eigenvalue is within _EIG_C n u ||T||_2 <= _EIG_C n u sigma(|T|)
+        of lambda_max(T) (_EIG_C).  sym R is formed as 0.5 R + 0.5 R^T
+        pushed one ulp up where R or R^T is nonzero, at least sym R.
+        Every operation that combines these is pushed one ulp up, so the
+        result covers its own rounding; a family with an infinite bound
+        gives inf, as its radius does.
+        """
+        n, m = self.shape
+        if n != m:
+            raise DimensionMismatch("logarithmic norm requires a square matrix")
+        c, r = _centre_radius(self.lo, self.hi)
+        e = np.frexp(np.abs(c).max())[1]
+        t = np.ldexp(c, -e)
+        t = t + t.T
+        with np.errstate(over="ignore"):
+            sym_r = np.where(np.maximum(r, r.T) > 0.0,
+                             np.nextafter(0.5 * r + 0.5 * r.T, np.inf), 0.0)
+            s_t, s_r = _sigma_max_bound(np.stack((np.abs(t), sym_r)))
+            slack = np.nextafter((_EIG_C * n + 2) * _UNIT * s_t, np.inf)
+            lam = np.nextafter(np.linalg.eigvalsh(t)[-1] + slack, np.inf)
+            lam = np.nextafter(lam + n * 2.0 ** -1074, np.inf)
+            # lam bounds lambda_max(2^-e (C + C^T)); halving it and undoing
+            # the scaling is one ldexp, exact but below the normal range
+            mu = np.nextafter(np.ldexp(lam, e - 1), np.inf)
+            return float(np.nextafter(mu + s_r, np.inf))
 
 
 def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,

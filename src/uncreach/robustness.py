@@ -1,11 +1,11 @@
 """Search for the largest safe uncertainty budget over chosen cells.
 
 Budgets p = 0, step, 2 step, ... are distributed over the selected cells
-as symmetric relative radii; a gallop and a bisection over the grid run
-the numeric pipeline on a few candidate families to find the first
-unsafe budget.  The report carries the last safe family and the
-Frobenius sup of its perturbation part, i.e. of the radii matrix, not of
-the dynamics.
+as symmetric relative radii; a gallop and a bisection over the grid try
+a few candidate families to find the first unsafe budget, each by a
+contraction certificate first and the numeric pipeline where that fails.
+The report carries the last safe family and the Frobenius sup of its
+perturbation part, i.e. of the radii matrix, not of the dynamics.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _integer,
                      _perturbation, _real, reach_with_perturbation,
                      safety_check)
-from .intervals import IntervalMatrix
+from .intervals import IntervalMatrix, _add_outward, _frobenius, _gamma
 from .sensitivity import order_cells
 
 __all__ = [
@@ -77,6 +77,28 @@ def _budget_cells(cells, w, p) -> list[CellUncertainty]:
             for (i, j), wi in zip(cells, w)]
 
 
+def _ball_misses_unsafe(model: ModelSpec) -> bool:
+    """Whether R ||d||_2 < offset for every unsafe half-space (normal d),
+    R = max ||x||_2 over Theta (Box.max_norm): the ball ||x||_2 <= R,
+    which holds Theta, meets no unsafe half-space.
+
+    Each norm is a root of at most n squares (_frobenius, scaled): the
+    squares and their sum are within gamma_n, the root within u, and the
+    scaling and underflow of entries far below the largest within one
+    more u, so each is at least 1 - gamma_(n+2) times its exact value
+    and their rounded product at least 1 - gamma_(2n+5) times R ||d||.
+    The factor 1 + 2 gamma_(2n+5) covers that, 2^-1073 the two products'
+    roundings below the normal range, and one ulp up the last sum.
+    """
+    slack = 1.0 + 2.0 * _gamma(2 * model.dim + 5)
+    radius = model.initial.max_norm()
+    for hs in model.unsafe:
+        reach = radius * float(_frobenius(hs.normal)) * slack + 2.0 ** -1073
+        if not math.nextafter(reach, math.inf) < hs.offset:
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class ThresholdReport:
     """Result of the budget search.
@@ -85,8 +107,10 @@ class ThresholdReport:
     (center zero, radii at the selected cells); norm is its Frobenius sup,
     which is 0 when the model is already unsafe without perturbation.
     trace lists every grid budget up to the first unsafe one with its
-    verdict; evaluated lists the budgets whose flowpipes ran, in run
-    order.
+    verdict; evaluated lists the budgets whose trials ran, in run order,
+    and contracted those of them that the contraction certificate proved
+    without a flowpipe (safe for all time, at every time, and for every
+    time-varying E(t) in the family; robustness_threshold).
     """
 
     scheme: str
@@ -100,6 +124,7 @@ class ThresholdReport:
     already_unsafe: bool = False
     cap_reached: bool = False
     evaluated: tuple[float, ...] = ()
+    contracted: tuple[float, ...] = ()
 
 
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
@@ -108,30 +133,46 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     step a positive finite real number and cap an integer of at least 1
     (numpy numbers accepted, bools in neither).
 
-    Each budget is spread over the cells by the scheme and the numeric
-    pipeline runs on the perturbed family.  The search gallops over the
-    grid index (1, 2, 4, ..., at most cap - 1) to the first unsafe probe,
-    then bisects until the last safe index and the next one, unsafe,
-    have both run (Bentley & Yao, IPL 5, 1976); index 0 runs only when
-    index 1 is unsafe.  The families nest as _budget_cells builds them
-    (each cell's relative radius grows with p), so the safe flowpipe at
-    the last safe index encloses every trajectory of every smaller
-    budget's family: the trace marks those budgets safe without
-    running them, and equals a scan's from 0 wherever the verdict is
-    monotone in the budget.  It is wherever the trials' one-step
-    families take the same number of squarings in interval_expm (none
-    while ||A (+) Lambda||_F h <= 1), which is inclusion-isotone only
-    then; elsewhere the search may report another budget than a scan,
-    but every budget it certifies is proven.  The search stops at the
-    first unsafe budget (returning the previous, safe family) or with
-    every grid budget safe (cap_reached flag).  A trial whose flowpipe
-    or one-step family overflows is unsafe, and so is a grid budget
-    whose cell share p k w_ij (or p itself) overflows; its flowpipe does
-    not run.  A model unsafe at p = 0 reports already_unsafe with norm
-    0.  The search is deterministic.  Each trial runs with until_unsafe:
-    an unsafe one ends with its violating segment, and under interval
-    reduction a safe one may end at a restart box inside an earlier one,
-    which proves it safe for all time, not only to the horizon.
+    Each budget is spread over the cells by the scheme, and its trial
+    proves the perturbed family safe by a contraction certificate or,
+    where that fails, by the numeric pipeline.  The search gallops over
+    the grid index (1, 2, 4, ..., at most cap - 1) to the first unsafe
+    probe, then bisects until the last safe index and the next one,
+    unsafe, have both run (Bentley & Yao, IPL 5, 1976); index 0 runs
+    only when index 1 is unsafe.  The families nest as _budget_cells
+    builds them (each cell's relative radius grows with p), so the proof
+    at the last safe index covers every trajectory of every smaller
+    budget's family: the trace marks those budgets safe without running
+    them, and equals a scan's from 0 wherever the verdict is monotone in
+    the budget.  It is wherever the trials' one-step families take the
+    same number of squarings in interval_expm (none while
+    ||A (+) Lambda||_F h <= 1), which is inclusion-isotone only then, and
+    the certificate's bound grows with the family up to rounding;
+    elsewhere the search may report another budget than a scan, but
+    every budget it certifies is proven.  The search stops at the first
+    unsafe budget (returning the previous, safe family) or with every
+    grid budget safe (cap_reached flag).  A trial whose flowpipe or
+    one-step family overflows is unsafe, and so is a grid budget whose
+    cell share p k w_ij (or p itself) overflows; nothing of it runs.  A
+    model unsafe at p = 0 reports already_unsafe with norm 0.  The
+    search is deterministic.
+
+    The certificate (Soderlind, BIT 46, 2006) applies to a continuous
+    model: a trial whose family A (+) Lambda_p has log_norm_sup() <= 0,
+    when the ball ||x||_2 <= max ||Theta|| misses every unsafe half-space
+    (_ball_misses_unsafe), is safe without a flowpipe.  Every member has
+    mu(A + E) <= 0, so d/dt ||x||^2 = 2 x^T (A + E(t)) x <= 0 and every
+    trajectory, for every measurable E(t) in Lambda_p, stays in the ball
+    at every time t >= 0: safe for all time and dense time, more than a
+    flowpipe proves.  Its budgets are listed in contracted.  The ball and
+    the point family A are checked once per search; where either fails
+    (acc4 and twocell have mu(A) > 0), no trial takes the certificate,
+    and a discrete model never does.
+
+    A flowpipe trial runs with until_unsafe: an unsafe one ends with its
+    violating segment, and under interval reduction a safe one may end
+    at a restart box inside an earlier one, which proves it safe for all
+    time, not only to the horizon.
     """
     step = _real(step, "step")
     if step <= 0 or not math.isfinite(step):
@@ -142,6 +183,9 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     cells = _check_cells(cells, model.dim)
     w = budget_weights(cells, order_cells(model.a).scores, scheme)
     evaluated: list[float] = []
+    contracted: list[float] = []
+    contracts = (model.continuous and _ball_misses_unsafe(model)
+                 and IntervalMatrix.from_point(model.a).log_norm_sup() <= 0.0)
 
     def perturbation(i: int) -> IntervalMatrix:
         return _perturbation(model.a, _budget_cells(cells, w, i * step))
@@ -152,7 +196,11 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
         if not math.isfinite(i * step * len(cells)):
             return False
         evaluated.append(i * step)
-        res = reach_with_perturbation(model, perturbation(i), until_unsafe=True)
+        pert = perturbation(i)
+        if contracts and _add_outward(model.a, pert).log_norm_sup() <= 0.0:
+            contracted.append(i * step)
+            return True
+        res = reach_with_perturbation(model, pert, until_unsafe=True)
         return safety_check(res, model.unsafe).safe
 
     safe, unsafe = -1, cap  # the last index proven safe, the first unsafe
@@ -175,5 +223,5 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
         norm=pert.frobenius_sup(),
         iterations=len(trace), trace=tuple(trace), safe_uncertainty=pert,
         already_unsafe=not trace[0][1], cap_reached=trace[-1][1],
-        evaluated=tuple(evaluated),
+        evaluated=tuple(evaluated), contracted=tuple(contracted),
     )

@@ -260,8 +260,21 @@ class TestRobust:
         assert doc["safe_uncertainty"]["lo"][0][0] == pytest.approx(-0.1, abs=1e-12)
         assert doc["safe_uncertainty"]["hi"][0][0] == pytest.approx(0.1, abs=1e-12)
         assert "largest safe budget" in result.stderr
-        # budgets 0.05, 0.1 and 0.2 ran, then 0.15 between the last two
+        # budgets 0.05, 0.1 and 0.2 ran, then 0.15 between the last two;
+        # a discrete model takes no contraction certificate
         assert doc["evaluated"] == pytest.approx([0.05, 0.1, 0.2, 0.15], abs=1e-15)
+        assert doc["contracted"] == []
+
+    def test_contraction_certificate(self, runner):
+        # girad1's benchmark search: every safe trial proven by contraction,
+        # the one flowpipe at the unsafe 0.4
+        result = runner.invoke(main, ["robust", GIRAD, "--cell", "0,0",
+                                      "--cell", "1,0"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert doc["final_budget"] == 7 * 0.05
+        assert doc["evaluated"] == [i * 0.05 for i in (1, 2, 4, 8, 6, 7)]
+        assert doc["contracted"] == [i * 0.05 for i in (1, 2, 4, 6, 7)]
 
     def test_overflowing_trial_is_unsafe(self, runner):
         # budget 50 overflows the flowpipe: not proven safe, and no warning
@@ -303,6 +316,7 @@ class TestRobust:
             "cap_reached": False,
             "trace": [[i * 0.05, i < 13] for i in range(14)],
             "evaluated": [i * 0.05 for i in (1, 2, 4, 8, 16, 12, 14, 13)],
+            "contracted": [],
             "safe_uncertainty": {"lo": [[-r, 0.0, 0.0, 0.0]] + corner[1:],
                                  "hi": corner},
         }

@@ -1,6 +1,7 @@
 """Tests for interval matrices, their norms and the exponential."""
 
 import importlib.resources
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -596,6 +597,112 @@ class TestNorms:
             assert m.center[0, 0] == pytest.approx(0.95e308, rel=1e-15)
             sup = m.two_norm_sup()
             assert math.isfinite(sup) and sup >= 1e308
+
+
+def log_norm_vertex_sup(lo, hi):
+    """sup of lambda_max((E + E^T) / 2) over [lo, hi] to 50 digits, exact
+    up to the last of them: the function is convex in E, so the sup is at
+    a vertex, and every vertex of the entries whose bounds differ runs."""
+    mpmath = pytest.importorskip("mpmath")
+    free = [tuple(ij) for ij in np.argwhere(lo != hi)]
+    best = None
+    with mpmath.workdps(50):
+        for ends in itertools.product((lo, hi), repeat=len(free)):
+            v = lo.copy()
+            for ij, bound in zip(free, ends):
+                v[ij] = bound[ij]
+            m = mpmath.matrix(v.tolist())
+            top = max(mpmath.eigsy((m + m.T) / 2, eigvals_only=True))
+            best = top if best is None else max(best, top)
+    return best
+
+
+def certificate_case(rng, kind):
+    """A random family of order 1 to 4 with at most three interval
+    entries, by kind: random, badly scaled, near the boundary (the
+    centre's mu within about 1e-15 of 0 and radii below 1e-12),
+    skew-symmetric, or a point family with mu exactly 0."""
+    n = int(rng.integers(1, 5))
+    c = rng.normal(size=(n, n))
+    scale = 1e-13
+    if kind == "random":
+        c *= 10.0 ** rng.uniform(-3, 3)
+        scale = float(np.abs(c).max())
+    elif kind == "scaled":
+        c *= 10.0 ** rng.uniform(-8, 8, (n, n))
+        scale = float(np.abs(c).max())
+    elif kind == "boundary":
+        c -= np.linalg.eigvalsh(0.5 * (c + c.T))[-1] * np.eye(n)
+    elif kind == "skew":
+        c -= c.T
+    elif kind == "zero":
+        c = c - c.T - np.diag(np.r_[0.0, rng.uniform(0, 2, n - 1)])
+        scale = 0.0
+    r = np.zeros((n, n))
+    free = rng.choice(n * n, size=int(rng.integers(0, min(3, n * n) + 1)),
+                      replace=False)
+    r.flat[free] = rng.uniform(0, 1, len(free)) * scale
+    return centred(c, r)
+
+
+class TestLogNormSup:
+    @pytest.mark.parametrize("kind", ["random", "scaled", "boundary", "skew",
+                                      "zero"])
+    def test_covers_the_exact_sup(self, kind):
+        # at zero tolerance, above the 50-digit sup over the vertices
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(["random", "scaled", "boundary", "skew",
+                                     "zero"].index(kind) + 230)
+        for trial in range(40):
+            fam = certificate_case(rng, kind)
+            exact = log_norm_vertex_sup(fam.lo, fam.hi)
+            if kind == "boundary":
+                assert abs(exact) < 1e-12, trial
+            elif kind == "zero":
+                assert exact == 0, trial
+            assert mpmath.mpf(fam.log_norm_sup()) >= exact, (kind, trial)
+
+    def test_attained_when_the_centre_is_a_multiple_of_i(self):
+        # sym C = c I: the vertex C + R attains c + ||sym R||_2, and the
+        # bound is it up to its rounding cover; girad1's family at budget
+        # p over cells (0, 0) and (1, 0) is -1 + (1 + sqrt 17) p / 2
+        rng = np.random.default_rng(238)
+        for trial in range(30):
+            n = int(rng.integers(1, 5))
+            k = rng.normal(size=(n, n))
+            c = rng.uniform(-2, 2) * np.eye(n) + k - k.T
+            r = np.zeros((n, n))
+            free = rng.choice(n * n, size=min(3, n * n), replace=False)
+            r.flat[free] = rng.uniform(0, 1, len(free))
+            fam = centred(c, r)
+            exact = float(log_norm_vertex_sup(fam.lo, fam.hi))
+            assert 0.0 <= fam.log_norm_sup() - exact <= 1e-13 * (3.0 + n), trial
+        a = np.array([[-1.0, -4.0], [4.0, -1.0]])
+        for p in (0.05, 0.35, 0.4):
+            fam = centred(a, np.array([[p, 0.0], [4.0 * p, 0.0]]))
+            assert fam.log_norm_sup() == pytest.approx(
+                -1.0 + (1.0 + math.sqrt(17.0)) * p / 2.0, abs=1e-14)
+
+    def test_extreme_families(self):
+        # an infinite bound gives inf; entries past half the float maximum
+        # and below the normal range stay covered, without a warning
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = IntervalMatrix(np.array([[-1.0, -np.inf], [0.0, -1.0]]),
+                                  np.array([[-1.0, 0.0], [0.0, -1.0]]))
+            assert wide.log_norm_sup() == math.inf
+            for c in (np.array([[-1.7e308, 1.6e308], [-1.5e308, -1.2e308]]),
+                      np.array([[-3e-310, 5e-324], [2e-320, -1e-323]]),
+                      np.array([[1e-300, -1e300], [1e300, -1e-300]])):
+                fam = centred(c, np.abs(c) * 1e-3)
+                got = fam.log_norm_sup()
+                assert mpmath.mpf(got) >= log_norm_vertex_sup(fam.lo, fam.hi)
+                assert math.isfinite(got)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            IntervalMatrix.zeros(2, 3).log_norm_sup()
 
 
 def sign_vertex_sup(lo, hi):

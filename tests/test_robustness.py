@@ -32,6 +32,8 @@ from uncreach.engine import _check_cells, _perturbation
 from uncreach.intervals import _add_outward
 from uncreach.robustness import SCHEMES, _budget_cells
 
+from test_engine import greedy, switching_trajectories
+
 
 def scalar_model(horizon=2, offset=1.25, cap_entry=1.0):
     return ModelSpec(
@@ -375,10 +377,19 @@ def shipped(name):
         importlib.resources.files("uncreach") / "models" / f"{name}.yaml")
 
 
+def contraction_certified(model: ModelSpec, pert: IntervalMatrix) -> bool:
+    """The certificate a search tries before a trial's flowpipe: a
+    continuous model whose family A (+) Lambda has a logarithmic norm
+    bound <= 0 and whose ball max ||Theta|| misses every unsafe set."""
+    return (model.continuous and robustness._ball_misses_unsafe(model)
+            and _add_outward(model.a, pert).log_norm_sup() <= 0.0)
+
+
 def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
                    step: float = 0.05, cap: int = 200) -> ThresholdReport:
     """The linear scan robustness_threshold replaced, as its reference:
-    one full flowpipe per grid budget, from 0 up to the first unsafe one."""
+    one trial per grid budget, from 0 up to the first unsafe one, each
+    safe by the contraction certificate or else by a full flowpipe."""
     if step <= 0 or not math.isfinite(step):
         raise ValueError("step must be positive")
     if cap < 1:
@@ -393,10 +404,10 @@ def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
     for i in range(cap):
         p = i * step
         pert = budget_lambda(model.a, cells, scores, p, scheme)
-        verdict = safety_check(reach_with_perturbation(model, pert),
-                               model.unsafe)
-        trace.append((p, verdict.safe))
-        if not verdict.safe:
+        safe = contraction_certified(model, pert) or safety_check(
+            reach_with_perturbation(model, pert), model.unsafe).safe
+        trace.append((p, safe))
+        if not safe:
             break
         prev_pert = pert
         prev_p = p
@@ -487,36 +498,41 @@ class TestSearchAgainstScan:
 
     def test_shipped_searches_gallop(self):
         # the benchmark's two searches and acc4 at the finer step: the
-        # budgets a scan certifies, from a few flowpipes each
-        for name, cells, scheme, step, final, runs in (
-                ("girad1", [(0, 0), (1, 0)], "equal", 0.05, 0.25,
-                 (1, 2, 4, 8, 6, 5)),
+        # budgets a scan certifies, from a few trials each; girad1's are
+        # certified by contraction but for the unsafe 0.4
+        for name, cells, scheme, step, final, runs, contracted in (
+                ("girad1", [(0, 0), (1, 0)], "equal", 0.05, 7 * 0.05,
+                 (1, 2, 4, 8, 6, 7), (1, 2, 4, 6, 7)),
                 ("acc4", [(0, 0), (2, 3)], "proportional", 0.8, 1.6,
-                 (1, 2, 4, 3)),
+                 (1, 2, 4, 3), ()),
                 ("acc4", [(0, 0), (2, 3)], "equal", 0.05, 1.2000000000000002,
-                 (1, 2, 4, 8, 16, 32, 24, 28, 26, 25))):
+                 (1, 2, 4, 8, 16, 32, 24, 28, 26, 25), ())):
             report = robustness_threshold(shipped(name), cells, scheme, step)
             assert report.final_budget == final
             assert report.evaluated == tuple(i * step for i in runs)
+            assert report.contracted == tuple(i * step for i in contracted)
 
     def test_girad1_score_schemes(self):
         # girad1's sigma_1 is repeated, and the score schemes run on it:
-        # harmonic and proportional certify more than the equal share,
-        # each the budget a scan certifies
+        # each certifies the budget a scan with the same trials certifies,
+        # where mu(A (+) Lambda_p) = -1 + c p turns positive (c = 2.56 for
+        # the equal share) or past it by a flowpipe
         model = shipped("girad1")
-        for scheme, least in (("equal", 0.25), ("harmonic", 0.5),
-                              ("proportional", 0.35),
-                              ("proportional-literal", 0.15)):
+        for scheme, least in (("equal", 0.35), ("harmonic", 0.5),
+                              ("proportional", 0.45),
+                              ("proportional-literal", 0.2)):
             got = robustness_threshold(model, [(0, 0), (1, 0)], scheme, 0.05)
             want = scan_threshold(model, [(0, 0), (1, 0)], scheme, 0.05)
             assert got.final_budget >= least - 1e-12, scheme
             assert got.trace == want.trace, scheme
-        assert robustness_threshold(model, [(0, 0), (1, 0)]).final_budget == 0.25
+        assert robustness_threshold(model, [(0, 0), (1, 0)]).final_budget == 7 * 0.05
 
     def test_safe_trials_end_at_an_invariant_box(self, monkeypatch):
-        # girad1's safe trials stop at step 1000, whose hull lies in the
-        # hull at step 500; the unsafe ones end with their violating
-        # segment, and the report is the scan's
+        # girad1's one flowpipe, at the unsafe 0.4, ends with its violating
+        # segment.  With the unsafe set moved to x1 >= 1.102, inside the
+        # ball max ||Theta|| = 1.1045, no trial takes the certificate: the
+        # safe ones stop at step 1000, whose hull lies in the hull at step
+        # 500, and the report is the scan's
         runs = []
 
         def recording(*args, **kwargs):
@@ -525,12 +541,135 @@ class TestSearchAgainstScan:
             return res
 
         monkeypatch.setattr(robustness, "reach_with_perturbation", recording)
-        report = robustness_threshold(shipped("girad1"), [(0, 0), (1, 0)],
-                                      "equal", 0.05)
-        assert report.final_budget == 0.25
+        model = shipped("girad1")
+        report = robustness_threshold(model, [(0, 0), (1, 0)], "equal", 0.05)
+        assert report.final_budget == 7 * 0.05
+        assert runs == [(500, None)]
+        runs.clear()
+        near = dataclasses.replace(
+            model, unsafe=(HalfSpace(np.array([1.0, 0.0]), 1.102),))
+        report = robustness_threshold(near, [(0, 0), (1, 0)], "equal", 0.05)
+        want = scan_threshold(near, [(0, 0), (1, 0)], "equal", 0.05)
+        assert report.final_budget == 0.25 and report.trace == want.trace
         assert report.evaluated == tuple(i * 0.05 for i in (1, 2, 4, 8, 6, 5))
+        assert report.contracted == ()
         assert runs == [(1000, (500, 1000))] * 3 + [
-            (500, None), (2051, None), (1000, (500, 1000))]
+            (500, None), (1500, None), (1000, (500, 1000))]
+
+
+def rotation_model():
+    """x' = [[0, 1], [-1, 0]] x: mu(A) = 0, and 0.1% on cell (0, 1) gives
+    members with mu = |e| / 2 > 0.  Unsafe x2 >= 1.5, past the ball
+    max ||Theta|| = 1.001 (README's grid-time example has x2 >= 0.95)."""
+    return ModelSpec(
+        name="rotation", a=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        uncertainty=(CellUncertainty(0, 1, relative=0.001),),
+        initial=Box(np.array([0.999, -0.001]), np.array([1.001, 0.001])),
+        horizon=6, step=2 * math.pi / 3,
+        unsafe=(HalfSpace(np.array([0.0, 1.0]), 1.5),))
+
+
+class TestContractionCertificate:
+    def test_ball_check(self):
+        # max ||Theta|| = sqrt(1.1^2 + 0.1^2) = 1.1045 for girad1; the
+        # check is strict and covers its rounding
+        model = shipped("girad1")
+        assert robustness._ball_misses_unsafe(model)
+        for offset, misses in ((1.104, False), (1.105, True), (-3.0, False)):
+            moved = dataclasses.replace(
+                model, unsafe=(HalfSpace(np.array([1.0, 0.0]), offset),))
+            assert robustness._ball_misses_unsafe(moved) == misses, offset
+        point = dataclasses.replace(
+            model, initial=Box(np.array([3.0, 4.0]), np.array([3.0, 4.0])),
+            unsafe=(HalfSpace(np.array([0.0, 2.0]), 10.0),))
+        assert not robustness._ball_misses_unsafe(point)
+        assert robustness._ball_misses_unsafe(dataclasses.replace(
+            point, unsafe=(HalfSpace(np.array([0.0, 2.0]), 10.0 + 1e-12),)))
+        assert robustness._ball_misses_unsafe(dataclasses.replace(point, unsafe=()))
+
+    def test_girad1_members_stay_in_the_ball(self):
+        # girad1's benchmark cells under the equal scheme at 0.35: from each
+        # corner of Theta, every constant vertex member and greedy
+        # switching, at 20 points per step of 0.01 over t <= 3, stay in
+        # ||x|| <= max ||Theta||; at 0.6 greedy switching leaves it
+        model = shipped("girad1")
+        radius = model.initial.max_norm()
+        for budget, inside in ((0.35, True), (0.6, False)):
+            spec = dataclasses.replace(
+                model, step=model.step / 20, horizon=20 * 300,
+                uncertainty=tuple(CellUncertainty(i, j, relative=budget)
+                                  for i, j in ((0, 0), (1, 0))))
+            assert contraction_certified(spec, spec.perturbation()) == inside
+            members = [greedy] if not inside else [greedy] + [
+                lambda gain, m=m: np.full(gain.shape[1], m) for m in range(4)]
+            for choose in members:
+                peak = max(float(np.linalg.norm(x, axis=0).max())
+                           for x in switching_trajectories(spec, choose))
+                assert (peak <= radius * (1 + 1e-15)) == inside, budget
+
+    def test_models_that_do_not_contract_get_no_certificate(self, monkeypatch):
+        # acc4 (a defective eigenvalue 0), twocell (eigenvalues 1 and 2)
+        # and the rotation example: the point family A fails once per
+        # search, and no trial takes the certificate
+        calls = []
+        original = IntervalMatrix.log_norm_sup
+
+        def counted(self):
+            calls.append(original(self))
+            return calls[-1]
+
+        monkeypatch.setattr(IntervalMatrix, "log_norm_sup", counted)
+        rotation = rotation_model()
+        family = _add_outward(rotation.a, rotation.perturbation())
+        assert original(family) > 0.0
+        for model, cells, scheme, step in (
+                (shipped("acc4"), [(0, 0), (2, 3)], "proportional", 0.8),
+                (shipped("acc4"), [(0, 0), (2, 3)], "equal", 0.05),
+                (shipped("twocell"), [(0, 0), (1, 1)], "harmonic", 0.02),
+                (rotation, [(0, 1)], "equal", 0.0005)):
+            calls.clear()
+            report = robustness_threshold(model, cells, scheme, step, cap=40)
+            assert report.contracted == (), model.name
+            assert len(calls) == 1 and calls[0] > 0.0, (model.name, calls)
+        calls.clear()
+        robustness_threshold(shipped("grow1d"), [(0, 0)])
+        assert calls == []
+
+    def test_girad1_certifies_with_one_flowpipe(self, monkeypatch):
+        # the benchmark's girad1 search: 0.35 and every budget below it
+        # proven without a flowpipe, one flowpipe at the unsafe 0.4
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args[1])
+            return reach_with_perturbation(*args, **kwargs)
+
+        monkeypatch.setattr(robustness, "reach_with_perturbation", counted)
+        model = shipped("girad1")
+        report = robustness_threshold(model, [(0, 0), (1, 0)], "equal", 0.05)
+        assert report.final_budget >= 0.35 and not report.cap_reached
+        assert len(runs) == 1
+        assert report.trace[-1] == (8 * 0.05, False)
+        assert set(report.contracted) == set(report.evaluated) - {8 * 0.05}
+
+    def test_acc4_report_is_unchanged(self):
+        # the benchmark's acc4 search, field by field as before the
+        # certificate, with an empty contracted
+        report = robustness_threshold(shipped("acc4"), [(0, 0), (2, 3)],
+                                      "proportional", 0.8)
+        assert (report.scheme, report.cells, report.step) == (
+            "proportional", ((0, 0), (2, 3)), 0.8)
+        assert report.final_budget == 1.6 and report.norm == 2.198989666996086
+        assert report.iterations == 4
+        assert report.trace == ((0.0, True), (0.8, True), (1.6, True),
+                                (2.4000000000000004, False))
+        assert not report.already_unsafe and not report.cap_reached
+        assert report.evaluated == (0.8, 1.6, 3.2, 2.4000000000000004)
+        assert report.contracted == ()
+        corner = np.zeros((4, 4))
+        corner[0, 0], corner[2, 3] = 0.5333333333333334, 2.1333333333333337
+        assert report.safe_uncertainty.hi.tobytes() == corner.tobytes()
+        assert report.safe_uncertainty.lo.tobytes() == (0.0 - corner).tobytes()
 
 
 class TestTrialsThatOverflow:
