@@ -12,9 +12,12 @@ x_0 in Theta.  Each set is a centred zonotope whose centre and
 generators P^a e_i follow the point map, the generators scaled by a
 history of radii: a table of |P^a| rows, built once per flowpipe, maps
 that history to boxes, supports and fresh radii, and a few batched
-products advance it by a chunk of steps (see _run_recurrence).  Symbolic
-route: the nominal flow exp(At) Theta padded by a bloating radius from a
-closed-form bound, for the whole time grid at once (see symbolic_reach).
+products advance it by a chunk of steps.  Its phases: _Tables builds
+the table, advances a segment and reduces at its end, _segments runs
+the segments between reductions, and _flowpipe reads the result off.
+Symbolic route: the nominal flow exp(At) Theta padded by a bloating
+radius from a closed-form bound, for the whole time grid at once (see
+symbolic_reach).
 """
 
 from __future__ import annotations
@@ -504,155 +507,202 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     fresh block box([-Lr, Lr] R) (Althoff, Stursberg & Buss, CDC 2007)
     has radius Lr (|c| + sum |g|) over the generators g, and the next
     centre is P c: a point orbit computed up front, which reductions
-    never move.
-
-    Once per flowpipe, `table` stacks for each age a, youngest first, the
-    blocks T_a of rows |P^a|, the box rows, and |d P^a| for each distinct
-    direction d among the `normals` that is not an axis, up to sign
-    (_table_rows): a normal +-e_i reads box row i, and a normal equal to
-    +- an earlier one that one's row, as |-d P^a| = |d P^a|.  The radius
-    history h lives in one flat buffer, youngest block first, written at
-    a decreasing offset.  At step j the row q_j = sum_a T_a h_{j-a} gives
-    the box c_j +- q_j[:n], the support of each normal N_k, N_k c_j plus
-    q_j at the normal's column (_segment_supports), and the next fresh
-    block h_{j+1} = Lr (|c_j| + q_j[:n]).  So the support of +-e_i is
-    c_i + q_i or -c_i + q_i, the bits of hi_i or -lo_i (a zero may take
-    the other sign).  The table's rows are summed in batched products
-    whose rounding can depend on how many rows there are, so a box's last
-    bits can depend on the count of distinct non-axis normals.
-
-    Between two reductions the steps advance in chunks of _chunk_steps(n)
-    steps.  Within a chunk the fresh blocks obey the linear recurrence
-    h_{j+1} = Lr (|c_j| + sum_a |P^a| h_{j-a}), so a chunk from step t0
-    on takes three batched operations instead of a product per step:
-    1. q from the history known before the chunk, h_t0 back to the
-       oldest block, times read-only sliding windows of the table: one
-       window per step, starting at the age h_t0 has at that step;
-    2. q from the chunk's own blocks, (I - K)^-1 Lr v for v = |c| + q[:n]
-       from step 1 and the in-chunk coupling K: windows of v times the
-       table of _inchunk_table, which folds in (I - K)^-1 Lr;
-    3. the chunk's fresh blocks Lr (|c| + q[:n]), into the buffer, |c|
-       taken from the chunk's centres.
-    Every radius stays a sum of nonnegative products.  No chunk crosses
-    a reduction step.  There an interval reduction resets the history to
-    the hull radius sum_a |P^a| h_{j-a} at age 0, and a zonotope
-    reduction (_zono_reduce) turns every live generator into a carried
-    block C whose rows at each later age, P^a C and d P^a C, come from
-    one stacked product; their absolute row sums are added to q, and the
-    history restarts from a zero block.
-
-    A segment is the steps from one reduction (or step 0) up to the next
-    reduction step, or to the horizon.  The supports of a segment's
-    steps take one product per segment, written into their own array
-    once the tables are freed.  Given `until`, one offset per normal,
-    the same product also runs at the segment's end, before its
-    reduction, and the recurrence stops after the first segment in which
-    a support reaches its offset or a step is not finite.  Under interval
-    reduction it also stops at a reduction step t2 whose segments all
-    passed, if its box c_t2 +- hull lies inside an earlier restart box:
-    Theta's c_0 +- r_0 at t1 = 0, or the box of an earlier reduction step
-    t1 (_inside).
-    The family is time-invariant, and the recurrence from a restart
-    box B encloses F^k B, so every trajectory is at step t >= t1 in the
-    set of step t1 + (t - t1) mod (t2 - t1) (Blanchini, Automatica 35,
-    1999): steps 0 .. t2 - 1, all checked, hold the flowpipe for all
-    time, and `invariant` records (t1, t2).  A zonotope reduction never
-    stops there, as its restart is no box.  A result cut at either stop
-    ends with its segment, a bitwise prefix of the full flowpipe (the
-    same products on the same segments), and its _recurrence records
-    the shortened horizon.  From the first step whose centre, radii or
-    supports are not finite on (a support N c + q can overflow where c
-    and q do not), the boxes are -inf/inf and the supports inf; a
-    zonotope reduction step whose live set is not finite is such a step,
-    and the recurrence stops there.
-
-    Generator counts follow the Star operations: n for Theta and for a
-    hull, then the nonzero fresh radii, and at most 2n after a zonotope
-    reduction; from a step that is not finite on, no more are added.  The
-    fresh radii are read off the history buffer, where the loop wrote
-    them: a segment is counted before its reduction resets the buffer,
-    the last one after the tables are freed.
-
-    Memory: each O(H n) array exists once, and the loop stores no |c|.
-    The peak holds the centres, q (n columns plus one per table row of
-    a non-axis normal), the history buffer and, once a reduction has
-    counted a segment, the counts; with them the tables in the loop (an
-    unreduced table has H + 1 ages and sets the peak).  The result pass
-    then writes the supports into their own array, counts the last
-    segment and frees the history, and only then allocates lo; hi is
-    written into the centres' buffer and q is freed.  So a cut result's
-    hi and gen_counts are leading slices of horizon-length buffers.
-    Inputs are validated once.
+    never move.  The phases are _flowpipe, _segments and _Tables; each
+    frees what it allocates by returning.  Inputs are validated once.
     """
     start = time.perf_counter()
-    n = theta.dim
-    if m.shape != (n, n):
+    if m.shape != (theta.dim, theta.dim):
         raise DimensionMismatch("family must be square and match the box")
     _require_finite(theta, "initial box must be finite")
-    p, lr = _centre_radius(m.lo, m.hi)
-    c0, r0 = _centre_radius(theta.lo, theta.hi)
-    zonotope = reduction_method == "zonotope"
-    period = reduction_period if reduction_method != "none" else horizon + 1
-    # a reduction leaves one block in the history: the hull, or zero
-    span = min(horizon, period)
-    chunk = min(_chunk_steps(n), span + 1)
-    # rows |P^a| and |d P^a|, d the distinct non-axis normals, per age a,
-    # then chunk - 1 zero blocks, so every window of span + 1 ages below
-    # starts in the table
-    width = (span + 1) * n
-    distinct, cols = _table_rows(normals)
-    table = np.zeros((n + len(distinct), width + (chunk - 1) * n))
-    _orbit(p, np.eye(n), span + 1, out=table[:n, :width])
-    np.matmul(distinct, table[:n, :width], out=table[n:, :width])
-    signed = ages_gens = None
-    if zonotope:
-        signed = table[:, :width].copy()
-        # generators of every age, oldest first: a live window is a tail
-        ages_gens = signed[:n].reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
-    np.abs(table, out=table)
-    centres = _orbit(p, c0[:, None], horizon + 1).T.copy()
-    q = np.empty((horizon + 1, table.shape[0]))
-    # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
-    # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
-    ages = sliding_window_view(table, width, axis=1)
-    inchunk = _inchunk_table(table, lr, n, chunk)
-    if not np.all(np.isfinite(inchunk)):
-        # a block that overflows would meet the zero blocks of steps not
-        # yet run (inf * 0 = nan) and spoil finite steps: one step a chunk
-        chunk = 1
-    # a chunk's known |c| + q[:n], youngest first, then chunk - 1 zero
-    # blocks: recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
-    known = np.zeros(n * (2 * chunk - 1))
-    recent = sliding_window_view(known, (chunk - 1) * n)
-    # the history: at most span + 2 blocks, youngest first, ending at `end`
-    end = n * (span + 2)
-    buf = np.empty(end)
-    buf[end - n:] = r0
-    carried = carried_sums = None
-    restart_count = n  # generators at the segment's first step
-    # generator counts per step, allocated by the first _count_segment:
-    # not beside an unreduced flowpipe's table, which sets its peak
-    counts = None
-    last = horizon + 1  # steps run
-    bad = None  # a step whose set is unbounded, if the loop met one
-    invariant = None
-    # restart boxes (step, centre, radius) of an interval reduction
-    restarts = ([(0, c0, r0)] if until is not None
-                and reduction_method == "interval" else None)
+    # labels and radii are allocated once _flowpipe has freed q
+    lo, hi, sups, counts, invariant = _flowpipe(
+        m, theta, horizon, reduction_method, reduction_period, normals, until)
+    count = len(lo)
+    return ReachResult(
+        kind="numeric", method=method_name,
+        labels=np.arange(count, dtype=np.float64), lo=lo, hi=hi,
+        radii=np.zeros(count), gen_counts=counts,
+        normals=normals, supports=sups,
+        wall_time=time.perf_counter() - start, invariant=invariant,
+        _recurrence=(m, theta, count - 1, reduction_method, reduction_period))
 
-    for first_step in range(0, horizon + 1, period):
-        # the segment ends before the next reduction step or the horizon
-        stop = min(first_step + period, horizon + 1)
+
+def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str,
+              reduction_period: int, normals: np.ndarray, until: np.ndarray | None):
+    """lo, hi, supports, generator counts and invariant of the recurrence,
+    the supports one product per segment as in _reaches, so that a cut
+    result is a bitwise prefix of the full one.  From the first step whose
+    centre, radii or supports are not finite on (a support N c + q can
+    overflow where c and q do not), the boxes are -inf/inf, the supports
+    inf, and no generators are added.
+
+    It owns each array of one row per step, once (the centres, q with n
+    columns plus one per table row of a non-axis normal, the counts and
+    the supports) and the history buffer.  The tables die with _segments,
+    before the last segment is counted and the supports and lo exist; hi
+    is written over the centres, so a cut result's hi and gen_counts are
+    leading slices of horizon-length buffers.
+    """
+    n = theta.dim
+    p, lr = _centre_radius(m.lo, m.hi)
+    period = reduction_period if reduction_method != "none" else horizon + 1
+    distinct, cols = _table_rows(normals)
+    centres = _orbit(p, theta.center[:, None], horizon + 1).T.copy()
+    q = np.empty((horizon + 1, n + len(distinct)))
+    # the history: at most span + 2 blocks, span = min(horizon, period)
+    end = n * (min(horizon, period) + 2)
+    buf = np.empty(end)
+    buf[end - n:] = theta.radius
+    counts, first, restart_count, count, bad, invariant = _segments(
+        p, lr, distinct, centres, q, buf, period, reduction_method, normals,
+        cols, until)
+    t0 = min(first + period, horizon + 1) - first  # the last segment's steps
+    counts = _count_segment(counts, horizon + 1, first, restart_count,
+                            buf[end - (t0 + 1) * n:end - n].reshape(t0, n))[:count]
+    sups = np.empty((count, len(normals)))
+    for seg_start in range(0, count, period):
+        seg = slice(seg_start, min(seg_start + period, count))
+        _segment_supports(centres[seg], q[seg], normals, cols, out=sups[seg])
+    unbounded = _first_unbounded(centres[:count], q[:count], sups)
+    if unbounded is not None:
+        bad = unbounded if bad is None else min(bad, unbounded)
+    lo, hi = np.empty((count, n)), centres[:count]
+    for i in range(n):  # by column: numpy buffers a copy of q[:, :n] whole
+        np.subtract(hi[:, i], q[:count, i], out=lo[:, i])
+        hi[:, i] += q[:count, i]
+    if bad is not None:
+        lo[bad:], hi[bad:], sups[bad:] = -np.inf, np.inf, np.inf
+        counts[bad + 1:] = counts[bad]
+    return lo, hi, sups, counts, invariant
+
+
+def _segments(p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
+              centres: np.ndarray, q: np.ndarray, buf: np.ndarray, period: int,
+              reduction_method: str, normals: np.ndarray, cols: np.ndarray,
+              until: np.ndarray | None):
+    """Advance the segments, each from step 0 or a reduction step up to
+    the next reduction step or the horizon, and count each but the last
+    before its reduction resets the history (_count_segment).
+
+    Returns the counts (None if none was counted), the last segment's
+    first step and generator count there, the steps to keep, the first
+    unbounded step met and the invariant.  Given `until`, one offset per
+    normal, the recurrence stops after a segment that reaches an offset
+    or is not finite (_reaches), and at an interval reduction step whose
+    box lies in an earlier restart box (_restart_inside).  It stops at a
+    zonotope reduction step whose live set is not finite.
+    """
+    n, horizon, end = len(p), len(centres) - 1, len(buf)
+    tables = _Tables(p, lr, distinct, min(horizon, period),
+                     reduction_method == "zonotope")
+    counts = bad = invariant = None
+    restart_count, last = n, horizon + 1
+    # restart boxes (step, centre, radius), from Theta's
+    restarts = ([(0, centres[0], buf[end - n:].copy())] if until is not None
+                and reduction_method == "interval" else None)
+    for first in range(0, horizon + 1, period):
+        stop = min(first + period, horizon + 1)
+        tables.advance(centres, q, buf, first, stop)
+        if stop > horizon:
+            break
+        seg = slice(first, stop)
+        if until is not None and _reaches(centres[seg], q[seg], normals, cols, until):
+            last = stop
+            break
+        live = buf[end - (stop - first + 1) * n:]  # the history at step `stop`
+        reduced = tables.reduce(live, centres[stop])
+        if reduced is None:
+            bad = stop
+            if until is not None:  # a cut result ends with the next segment
+                last = min(stop + period, horizon + 1)
+            break
+        if restarts is not None:
+            t1 = _restart_inside(restarts, stop, centres[stop], reduced[0])
+            if t1 is not None:
+                invariant, last = (t1, stop), stop
+                break
+        counts = _count_segment(counts, horizon + 1, first, restart_count,
+                                live[:-n].reshape(stop - first, n))
+        buf[end - n:], restart_count = reduced
+    return counts, first, restart_count, last, bad, invariant
+
+
+class _Tables:
+    """One flowpipe's tables and the phases that read them (advance, reduce).
+
+    `table` stacks for each age a up to the span (the reduction period or
+    the horizon), youngest first, the blocks T_a of rows |P^a|, the box
+    rows, and |d P^a| for the distinct non-axis normals d (_table_rows);
+    chunk - 1 zero blocks follow, so every window of span + 1 ages starts
+    in it.  The radius history h lives in one flat buffer, youngest block
+    first, written at a decreasing offset.  Step j's row
+    q_j = sum_a T_a h_{j-a} gives the box c_j +- q_j[:n], the supports
+    (_segment_supports) and the next fresh block h_{j+1} = Lr (|c_j| +
+    q_j[:n]).  Rows are summed in batched products whose rounding can
+    depend on how many rows there are, so a box's last bits can depend on
+    the count of distinct non-axis normals.
+    """
+
+    # no instance dict beside the tables, which set an unreduced run's peak
+    __slots__ = ("table", "lr", "ages", "inchunk", "chunk", "known", "recent",
+                 "signed", "ages_gens", "carried", "carried_sums")
+
+    def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
+                 span: int, zonotope: bool):
+        n = len(p)
+        chunk = min(_chunk_steps(n), span + 1)
+        width = (span + 1) * n
+        table = np.zeros((n + len(distinct), width + (chunk - 1) * n))
+        _orbit(p, np.eye(n), span + 1, out=table[:n, :width])
+        np.matmul(distinct, table[:n, :width], out=table[n:, :width])
+        self.signed = self.ages_gens = self.carried = self.carried_sums = None
+        if zonotope:
+            signed = self.signed = table[:, :width].copy()
+            # generators of every age, oldest first: a live window is a tail
+            self.ages_gens = signed[:n].reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
+        np.abs(table, out=table)
+        self.table, self.lr = table, lr
+        # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
+        # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
+        self.ages = sliding_window_view(table, width, axis=1)
+        self.inchunk = _inchunk_table(table, lr, n, chunk)
+        if not np.all(np.isfinite(self.inchunk)):
+            # a block that overflows would meet the zero blocks of steps not
+            # yet run (inf * 0 = nan) and spoil finite steps: one step a chunk
+            chunk = 1
+        self.chunk = chunk
+        # a chunk's |c| + q[:n], youngest first, then chunk - 1 zero blocks:
+        # recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
+        self.known = np.zeros(n * (2 * chunk - 1))
+        self.recent = sliding_window_view(self.known, (chunk - 1) * n)
+
+    def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
+                first: int, stop: int) -> None:
+        """Write q's rows first .. stop - 1 and the fresh blocks after them,
+        a chunk of _chunk_steps(n) steps at a time.  The fresh blocks obey
+        a linear recurrence, so a chunk from step t0 on takes three batched
+        operations, each a sum of nonnegative products:
+        1. q from the history known before the chunk, h_t0 back to the
+           oldest block, times read-only sliding windows of the table: one
+           window per step, starting at the age h_t0 has at that step;
+        2. q from the chunk's own blocks, (I - K)^-1 Lr v for v = |c| + q[:n]
+           from step 1 and the in-chunk coupling K: windows of v times the
+           table of _inchunk_table, which folds in (I - K)^-1 Lr;
+        3. the fresh blocks Lr (|c| + q[:n]), |c| taken from the centres.
+        """
+        ages, inchunk, known, recent = self.ages, self.inchunk, self.known, self.recent
+        chunk, lr, sums = self.chunk, self.lr, self.carried_sums
+        n, end = len(lr), len(buf)
         t0 = 0  # steps of the segment done
-        while first_step + t0 < stop:
-            b = min(chunk, stop - first_step - t0)
-            j = first_step + t0
+        while first + t0 < stop:
+            b = min(chunk, stop - first - t0)
+            j = first + t0
             s = end - (t0 + 1) * n  # h_t0, the youngest known block
             rows = q[j:j + b]
             windows = ages[:, :(b - 1) * n + 1:n, :end - s]  # (row, m, col)
             np.matmul(windows.transpose(1, 0, 2), buf[s:], out=rows)
-            if carried is not None:
-                rows += carried_sums[t0:t0 + b]
+            if sums is not None:
+                rows += sums[t0:t0 + b]
             mags = np.abs(centres[j:j + b])
             if b > 1:
                 v = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
@@ -663,86 +713,64 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
             mags += rows[:, :n]
             np.matmul(mags, lr.T, out=buf[s - b * n:s].reshape(b, n)[::-1])
             t0 += b
-        if stop > horizon:
-            break
-        if until is not None:
-            seg = slice(first_step, stop)
-            sups = _segment_supports(centres[seg], q[seg], normals, cols)
-            if (np.any(sups >= until) or _first_unbounded(
-                    centres[seg], q[seg], sups) is not None):
-                last = stop
-                break
-        s = end - (t0 + 1) * n  # the live history at the reduction step
-        if zonotope:
-            # the live generators and radii, oldest first: the carried
-            # block, then buf[s:] without its zero radii
-            gens = ages_gens[:, ages_gens.shape[1] - (end - s):]
-            radii = buf[s:].reshape(-1, n)[::-1].ravel()
-            keep = radii != 0.0
-            keep[:n] |= carried is None  # Theta, kept in full until reduced
-            gens, radii = gens[:, keep], radii[keep]
-            if carried is not None:
-                block = carried[:, stop - first_step]
-                gens = np.hstack((block, gens))
-                radii = np.concatenate((np.ones(block.shape[1]), radii))
-            block = _zono_reduce(centres[stop], gens * radii)
-            if block is None:  # the set at the reduction step is unbounded
-                bad, last = stop, min(stop + period, horizon + 1)
-                break
-            prods = (signed.reshape(-1, n) @ block).reshape(
-                table.shape[0], span + 1, -1)  # (row, age, column)
-            carried = prods[:n]
-            carried_sums = np.abs(prods).sum(axis=2).T.copy()
-            restart, next_count = 0.0, block.shape[1]
-        else:
-            hull = table[:n, :end - s] @ buf[s:]
-            if restarts is not None:
-                # restart boxes the step's box lies in, latest first; the
-                # hull at a step whose segment fails the next check, say
-                # not finite, is never compared against
-                t1 = next((t for t, c, r in reversed(restarts)
-                           if _inside(centres[stop], hull, c, r)), None)
-                if t1 is not None:
-                    invariant, last = (t1, stop), stop
-                    break
-                restarts.append((stop, centres[stop], hull))
-            restart, next_count = hull, n
-        counts = _count_segment(counts, horizon + 1, first_step, restart_count,
-                                buf[s:end - n].reshape(t0, n))
-        buf[end - n:] = restart
-        restart_count = next_count
 
-    # free the tables: from here on centres, q and buf set the peak
-    del table, ages, signed, ages_gens, inchunk, restarts, carried, carried_sums
-    count = horizon + 1 if until is None else last
-    sups = np.empty((count, len(normals)))
-    # the same segments as above, so that a prefix is bitwise the same
-    for seg_start in range(0, count, period):
-        seg = slice(seg_start, min(seg_start + period, count))
-        _segment_supports(centres[seg], q[seg], normals, cols, out=sups[seg])
-    first = _first_unbounded(centres[:count], q[:count], sups)
-    if first is not None:
-        bad = first if bad is None else min(bad, first)
-    s = end - (t0 + 1) * n  # the last segment's history
-    counts = _count_segment(counts, horizon + 1, first_step, restart_count,
-                            buf[s:end - n].reshape(t0, n))[:count]
-    del buf
-    lo, hi = np.empty((count, n)), centres[:count]
-    for i in range(n):  # by column: numpy buffers a copy of q[:, :n] whole
-        np.subtract(hi[:, i], q[:count, i], out=lo[:, i])
-        hi[:, i] += q[:count, i]
-    del q
-    if bad is not None:
-        lo[bad:], hi[bad:], sups[bad:] = -np.inf, np.inf, np.inf
-        # no generators are added to an unbounded set
-        counts[bad + 1:] = counts[bad]
-    return ReachResult(
-        kind="numeric", method=method_name,
-        labels=np.arange(count, dtype=np.float64), lo=lo, hi=hi,
-        radii=np.zeros(count), gen_counts=counts,
-        normals=normals, supports=sups,
-        wall_time=time.perf_counter() - start, invariant=invariant,
-        _recurrence=(m, theta, count - 1, reduction_method, reduction_period))
+    def reduce(self, live: np.ndarray, centre: np.ndarray):
+        """The block the history restarts from at a reduction step with
+        history `live`, and the step's generator count; None if the set is
+        unbounded.  An interval reduction restarts from the hull radius.  A
+        zonotope reduction (_zono_reduce) turns the live generators into a
+        carried block C whose rows at each later age, P^a C and d P^a C,
+        come from one stacked product; advance adds their absolute row
+        sums to q, and the history restarts from a zero block.
+        """
+        n = len(centre)
+        if self.signed is None:
+            return self.table[:n, :len(live)] @ live, n
+        # the live generators and radii, oldest first: the carried block,
+        # then the history without its zero radii
+        gens = self.ages_gens[:, self.ages_gens.shape[1] - len(live):]
+        radii = live.reshape(-1, n)[::-1].ravel()
+        keep = radii != 0.0
+        keep[:n] |= self.carried is None  # Theta, kept in full until reduced
+        gens, radii = gens[:, keep], radii[keep]
+        if self.carried is not None:
+            block = self.carried[:, -1]  # the carried block at the period's age
+            gens = np.hstack((block, gens))
+            radii = np.concatenate((np.ones(block.shape[1]), radii))
+        block = _zono_reduce(centre, gens * radii)
+        if block is None:
+            return None
+        prods = (self.signed.reshape(-1, n) @ block).reshape(
+            len(self.signed), -1, block.shape[1])  # (row, age, column)
+        self.carried = prods[:n]
+        self.carried_sums = np.abs(prods).sum(axis=2).T.copy()
+        return 0.0, block.shape[1]
+
+
+def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
+             cols: np.ndarray, until: np.ndarray) -> bool:
+    """Whether a segment's support reaches its offset in `until` or one of
+    its steps is not finite."""
+    sups = _segment_supports(centres, q, normals, cols)
+    return bool(np.any(sups >= until)) or _first_unbounded(centres, q, sups) is not None
+
+
+def _restart_inside(restarts: list, step: int, centre: np.ndarray,
+                    hull: np.ndarray) -> int | None:
+    """The latest step t1 of restarts, (step, centre, radius) boxes, whose
+    box holds centre +- hull (_inside); else None, and the box joins them.
+
+    The family is time-invariant, and the recurrence from a restart box
+    B encloses F^k B, so every trajectory is at step t >= t1 in the set
+    of step t1 + (t - t1) mod (t2 - t1), t2 this step (Blanchini,
+    Automatica 35, 1999): steps 0 .. t2 - 1 hold the flowpipe for all
+    time.  A zonotope reduction's restart is no box.
+    """
+    for t1, c1, r1 in reversed(restarts):
+        if _inside(centre, hull, c1, r1):
+            return t1
+    restarts.append((step, centre, hull))
+    return None
 
 
 def _count_segment(counts: np.ndarray | None, size: int, first: int,
@@ -896,6 +924,7 @@ def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
     generators and records no supports; ReachResult.support replays it in
     any direction.
     """
+    horizon = _integer(horizon, "horizon")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     return _run_recurrence(IntervalMatrix.from_point(a_discrete), theta,

@@ -18,6 +18,7 @@ import numpy as np
 from .engine import (CellUncertainty, ModelSpec, _check_cells, _integer,
                      _perturbation, _real, reach_with_perturbation,
                      safety_check)
+from .errors import DimensionMismatch
 from .intervals import IntervalMatrix, _add_outward, _frobenius, _gamma
 from .sensitivity import order_cells
 
@@ -48,7 +49,15 @@ def budget_weights(cells, scores: np.ndarray, scheme: str) -> np.ndarray:
                            strictly smaller selected Ord values, equal
                            when all such sums vanish.
     The last two read one phrase of the paper; see README on the ambiguity.
+    scores must be a finite square matrix (DimensionMismatch for a bad
+    shape, ValueError for a score that is not finite).
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+        raise DimensionMismatch(
+            f"scores must be a square matrix, got shape {scores.shape}")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     cells = _check_cells(cells, scores.shape[0])
     k = len(cells)
     if k == 0:

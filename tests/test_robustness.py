@@ -15,6 +15,7 @@ import pytest
 from uncreach import (
     Box,
     CellUncertainty,
+    DimensionMismatch,
     HalfSpace,
     IntervalMatrix,
     ModelSpec,
@@ -99,6 +100,27 @@ class TestBudgetWeights:
             budget_weights((), np.zeros((2, 2)), "equal")
         with pytest.raises(ValueError):
             budget_weights(((0, 0),), np.zeros((2, 2)), "max")
+
+    def test_nested_list_scores(self):
+        # a list of rows raised AttributeError on scores.shape
+        scores, cells = [[5.0, 2.0], [9.0, 0.0]], ((0, 0), (0, 1), (1, 0))
+        for scheme in SCHEMES:
+            assert np.array_equal(budget_weights(cells, scores, scheme),
+                                  budget_weights(cells, np.array(scores), scheme))
+
+    def test_scores_must_be_square(self):
+        # a 1-d array raised IndexError
+        for scores in (np.ones(4), np.ones((2, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(DimensionMismatch, match="square matrix"):
+                budget_weights(((0, 0),), scores, "harmonic")
+
+    def test_scores_must_be_finite(self):
+        # a NaN score gave [nan, nan] weights under harmonic
+        for bad in (np.nan, np.inf):
+            scores = np.array([[1.0, bad], [0.0, 3.0]])
+            for scheme in SCHEMES:
+                with pytest.raises(ValueError, match="scores must be finite"):
+                    budget_weights(((0, 0), (1, 1)), scores, scheme)
 
     def test_cells_checked(self):
         # a negative index read s[1, 0], an index past the order raised
