@@ -470,8 +470,8 @@ def _vector_sizes(blocks: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
 
 
 def _chunk_steps(n: int) -> int:
-    """Steps one chunk of the recurrence advances: about 64 radii."""
-    return max(1, 64 // n)
+    """Steps one chunk of the recurrence advances: about 128 radii."""
+    return max(1, 128 // n)
 
 
 def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.ndarray:
@@ -632,10 +632,12 @@ class _Tables:
 
     `table` stacks for each age a up to the span (the reduction period or
     the horizon), youngest first, the blocks T_a of rows |P^a|, the box
-    rows, and |d P^a| for the distinct non-axis normals d (_table_rows);
-    chunk - 1 zero blocks follow, so every window of span + 1 ages starts
-    in it.  The radius history h lives in one flat buffer, youngest block
-    first, written at a decreasing offset.  Step j's row
+    rows, and |d P^a| for the distinct non-axis normals d (_table_rows).
+    `ages` holds its windows of span + 2 - chunk ages, one starting at
+    each of the chunk's first ages: advance runs a segment's remainder
+    chunk first, so every chunk's history fits them and no zero blocks
+    pad the table.  The radius history h lives in one flat buffer,
+    youngest block first, written at a decreasing offset.  Step j's row
     q_j = sum_a T_a h_{j-a} gives the box c_j +- q_j[:n], the supports
     (_segment_supports) and the next fresh block h_{j+1} = Lr (|c_j| +
     q_j[:n]).  Rows are summed in batched products whose rounding can
@@ -652,25 +654,25 @@ class _Tables:
         n = len(p)
         chunk = min(_chunk_steps(n), span + 1)
         width = (span + 1) * n
-        table = np.zeros((n + len(distinct), width + (chunk - 1) * n))
-        _orbit(p, np.eye(n), span + 1, out=table[:n, :width])
-        np.matmul(distinct, table[:n, :width], out=table[n:, :width])
+        table = np.empty((n + len(distinct), width))
+        _orbit(p, np.eye(n), span + 1, out=table[:n])
+        np.matmul(distinct, table[:n], out=table[n:])
         self.signed = self.ages_gens = self.carried = self.carried_sums = None
         if zonotope:
-            signed = self.signed = table[:, :width].copy()
+            signed = self.signed = table.copy()
             # generators of every age, oldest first: a live window is a tail
             self.ages_gens = signed[:n].reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
         np.abs(table, out=table)
         self.table, self.lr = table, lr
-        # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
-        # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
-        self.ages = sliding_window_view(table, width, axis=1)
         self.inchunk = _inchunk_table(table, lr, n, chunk)
         if not np.all(np.isfinite(self.inchunk)):
             # a block that overflows would meet the zero blocks of steps not
             # yet run (inf * 0 = nan) and spoil finite steps: one step a chunk
             chunk = 1
         self.chunk = chunk
+        # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
+        # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
+        self.ages = sliding_window_view(table, width - (chunk - 1) * n, axis=1)
         # a chunk's |c| + q[:n], youngest first, then chunk - 1 zero blocks:
         # recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
         self.known = np.zeros(n * (2 * chunk - 1))
@@ -679,7 +681,9 @@ class _Tables:
     def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
                 first: int, stop: int) -> None:
         """Write q's rows first .. stop - 1 and the fresh blocks after them,
-        a chunk of _chunk_steps(n) steps at a time.  The fresh blocks obey
+        a chunk of _chunk_steps(n) steps at a time, the remainder chunk
+        first: a later chunk of b steps from step t0 has t0 + b <= span +
+        1, so its history fits the windows of ages.  The fresh blocks obey
         a linear recurrence, so a chunk from step t0 on takes three batched
         operations, each a sum of nonnegative products:
         1. q from the history known before the chunk, h_t0 back to the
@@ -693,9 +697,8 @@ class _Tables:
         ages, inchunk, known, recent = self.ages, self.inchunk, self.known, self.recent
         chunk, lr, sums = self.chunk, self.lr, self.carried_sums
         n, end = len(lr), len(buf)
-        t0 = 0  # steps of the segment done
+        t0, b = 0, (stop - first - 1) % chunk + 1  # steps done, chunk steps
         while first + t0 < stop:
-            b = min(chunk, stop - first - t0)
             j = first + t0
             s = end - (t0 + 1) * n  # h_t0, the youngest known block
             rows = q[j:j + b]
@@ -712,7 +715,7 @@ class _Tables:
                                   windows[::-1, :, None])[:, :, 0]
             mags += rows[:, :n]
             np.matmul(mags, lr.T, out=buf[s - b * n:s].reshape(b, n)[::-1])
-            t0 += b
+            t0, b = t0 + b, chunk
 
     def reduce(self, live: np.ndarray, centre: np.ndarray):
         """The block the history restarts from at a reduction step with
@@ -787,8 +790,12 @@ def _count_segment(counts: np.ndarray | None, size: int, first: int,
         counts = np.empty(size, dtype=np.int64)
     seg = counts[first:first + len(fresh) + 1]
     seg[0] = restart
-    # the count of nonzero radii per block, summed in the counts' int64
-    np.add.reduce(fresh[::-1][:len(seg) - 1] != 0.0, axis=1, out=seg[1:])
+    # the count of nonzero radii per block, youngest first, summed in the
+    # least unsigned type that holds n (a bool mask would be cast in
+    # buffers) and written into seg reversed
+    nonzero = fresh[len(fresh) - (len(seg) - 1):] != 0.0
+    seg[:0:-1] = np.add.reduce(nonzero.view(np.uint8), axis=1,
+                               dtype=np.min_scalar_type(nonzero.shape[1]))
     np.add.accumulate(seg, out=seg)
     return counts
 

@@ -11,9 +11,9 @@ outward in floating point.  The product's rounding is not directed, so
 consumers that need slack add it, but _centre_radius, _sigma_max_bound,
 _product_error, IntervalMatrix.log_norm_sup and interval_expm's
 squarings cover their own.
-interval_expm scales and squares, so it is inclusion-isotone only between
-families with the same number of squarings; each of its results is an
-enclosure.
+interval_expm scales and squares and cuts its series by the tail bound,
+so it is inclusion-isotone only between families with the same number of
+squarings and the same Taylor order; each of its results is an enclosure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "interval_expm",
 ]
 
-# Terms of the Taylor series interval_expm sums, after the identity.
+# Most terms of the Taylor series interval_expm sums, after the identity.
 _TAYLOR_ORDER = 20
 
 # Entries per chunk of a stack in _sigma_max_bound, of the endpoint
@@ -162,6 +162,7 @@ def _square(a: np.ndarray, a_err: np.ndarray | None):
 _EIG_C = 16
 # Covers the roundings of each sigma_max evaluation (see _sigma_max_bound).
 _SIGMA_SLACK = 1.0 + 2.0 * _gamma(5)
+_TINY = np.finfo(np.float64).tiny  # the least normal float64
 
 
 def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
@@ -192,7 +193,8 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
     gives inf, and so does a bound beyond float range.  The matrices are
     read in chunks of about _CHUNK_ENTRIES entries (_row_chunks), each
     copied contiguous from the stack, which may be a strided view (as
-    engine's flows are); every bound is its own matrix's, whatever the
+    engine's flows are), and a stack of at most _CHUNK_ENTRIES entries in
+    place as one chunk; every bound is its own matrix's, whatever the
     chunk.
     """
     n = stack.shape[-1]
@@ -201,29 +203,42 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(f), np.abs(f), np.inf)
     out = np.empty(len(stack))
     with np.errstate(over="ignore"):
-        for i in _row_chunks(len(stack), n * n):
-            chunk = np.ascontiguousarray(stack[i])
-            big = np.abs(chunk).max(axis=(1, 2))
-            finite = np.isfinite(big)
-            e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
-            fs = np.ldexp(chunk, -e[:, None, None])
-            fs[~finite] = 0.0
-            if n == 2:
-                a, b, c, d = fs.reshape(-1, 4).T
-                s = np.sqrt(np.square(a + d) + np.square(c - b))
-                s += np.sqrt(np.square(a - d) + np.square(c + b))
-                s *= 0.5 * _SIGMA_SLACK
-            else:
-                lam = np.linalg.eigvalsh(fs.transpose(0, 2, 1) @ fs)[:, -1]
-                s = lam / (1.0 - _EIG_C * n * _UNIT)
-                s += np.square(fs).sum(axis=(1, 2)) * _gamma(n)
-                np.sqrt(s, out=s)
-                s *= _SIGMA_SLACK
-            s[~finite] = np.inf
-            np.ldexp(s, e, out=out[i])
-    low = (out > 0.0) & (out < np.finfo(np.float64).tiny)
-    out[low] = np.nextafter(out[low], np.inf)
+        if stack.size <= _CHUNK_ENTRIES:  # one chunk, read in place
+            _sigma_chunk(stack, out)
+        else:
+            for i in _row_chunks(len(stack), n * n):
+                _sigma_chunk(np.ascontiguousarray(stack[i]), out[i])
+    # a zero bound, or one below the normal range that is pushed up
+    if len(out) and out.min() < _TINY:
+        low = (out > 0.0) & (out < _TINY)
+        out[low] = np.nextafter(out[low], np.inf)
     return out
+
+
+def _sigma_chunk(chunk: np.ndarray, out: np.ndarray) -> None:
+    """Write _sigma_max_bound's bounds of a (K, n, n) chunk, n > 1, into
+    out, but for the push of results below the normal range."""
+    n = chunk.shape[-1]
+    big = np.abs(chunk).max(axis=(1, 2))
+    e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
+    fs = np.ldexp(chunk, -e[:, None, None])
+    bad = None if math.isfinite(big.sum()) else ~np.isfinite(big)
+    if bad is not None:
+        fs[bad] = 0.0
+    if n == 2:
+        a, b, c, d = fs.reshape(-1, 4).T
+        s = np.sqrt(np.square(a + d) + np.square(c - b))
+        s += np.sqrt(np.square(a - d) + np.square(c + b))
+        s *= 0.5 * _SIGMA_SLACK
+    else:
+        lam = np.linalg.eigvalsh(fs.transpose(0, 2, 1) @ fs)[:, -1]
+        s = lam / (1.0 - _EIG_C * n * _UNIT)
+        s += np.square(fs).sum(axis=(1, 2)) * _gamma(n)
+        np.sqrt(s, out=s)
+        s *= _SIGMA_SLACK
+    if bad is not None:
+        s[bad] = np.inf
+    np.ldexp(s, e, out=out)
 
 
 def _check_bounds(obj, what: str, ndim: int) -> None:
@@ -474,10 +489,33 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
 
 
 # Scaling target of interval_expm: theta = ||M||_F t / 2^s <= 1, where the
-# Taylor tail theta^21 / (21! (1 - theta/22)) is below 2.1e-20, so a step's
-# error stays at rounding level (unscaled at theta = 8.75, girad1 with
-# h = 1.5, it is about 2 per entry, while exp(A h) has none above 0.23).
+# Taylor tail of order _TAYLOR_ORDER is _TAIL_BOUND, so a step's error
+# stays at rounding level (unscaled at theta = 8.75, girad1 with h = 1.5,
+# it is about 2 per entry, while exp(A h) has none above 0.23).
 _SCALED_THETA = 1.0
+
+
+def _taylor_tail(theta: float, order: int) -> float:
+    """Higham's bound theta^(N+1) / ((N+1)! (1 - theta/(N+2))) on every
+    entry of the Taylor remainder of exp(X) after order N, ||X||_F <=
+    theta < N + 2."""
+    return theta ** (order + 1) / (
+        math.factorial(order + 1) * (1.0 - theta / (order + 2)))
+
+
+# The tail interval_expm allows: order _TAYLOR_ORDER at _SCALED_THETA,
+# about 2.05e-20.
+_TAIL_BOUND = _taylor_tail(_SCALED_THETA, _TAYLOR_ORDER)
+
+
+def _taylor_order(theta: float) -> tuple[int, float]:
+    """The least order N <= _TAYLOR_ORDER whose tail at theta is at most
+    _TAIL_BOUND, and that tail; N(_SCALED_THETA) = _TAYLOR_ORDER."""
+    for order in range(_TAYLOR_ORDER + 1):
+        tail = _taylor_tail(theta, order)
+        if tail <= _TAIL_BOUND:
+            break
+    return order, tail
 
 
 def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
@@ -486,12 +524,15 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
     theta = frobenius_sup(lam) * t, and s >= 0 the least with
     theta / 2^s <= _SCALED_THETA.  The Taylor series of exp(M t / 2^s)
-    through order N = _TAYLOR_ORDER is summed with interval arithmetic,
-    and every entry widened by the rigorous tail bound
+    through order N is summed with interval arithmetic, and every entry
+    widened by the rigorous tail bound
 
         r = theta_s^(N+1) / ((N+1)! (1 - theta_s/(N+2))),
 
-    theta_s = theta / 2^s.  Each scalar |R_ij| <= ||R||_2 <= r.  Each
+    theta_s = theta / 2^s.  Each scalar |R_ij| <= ||R||_2 <= r.  N is the
+    least order up to _TAYLOR_ORDER = 20 whose r is at most its value at
+    theta_s = 1 and N = 20, 2.0505e-20 (_taylor_order): N grows with
+    theta_s, to 20 at theta_s = 1, so no r exceeds that value.  Each
     term is one _endpoint_product, a point family (lo == hi) passing one
     array as both bounds, and its row chunks keep the (rows, n, n)
     temporaries near _CHUNK_ENTRIES entries whatever n.  For s > 0 the
@@ -501,8 +542,10 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     The sum's own rounding is not covered, and s squarings amplify it
     up to 2^s times, as they do the radius.  An entry that leaves float
     range is (-inf, inf), and a non-finite theta gives (-inf, inf)
-    everywhere; underflow is not covered.  Since s depends on lam, the
-    result is inclusion-isotone only between families with the same s.
+    everywhere; underflow is not covered.  Since s and N depend on lam,
+    the result is inclusion-isotone only between families with the same
+    s and N: a step of either can break it at the level of the tail and
+    the rounding, never the enclosure.
     t must be finite and nonnegative.  In real arithmetic the result also
     holds the transition matrix over [0, t] of x' = M(s) x for measurable
     M(s) in lam: its Peano-Baker terms lie in the interval powers
@@ -528,15 +571,14 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     acc_lo = np.eye(n)
     acc_hi = acc_lo if lt_hi is lt_lo else np.eye(n)
     term_lo = term_hi = np.eye(n)
-    for k in range(1, _TAYLOR_ORDER + 1):
+    order, tail = _taylor_order(theta)
+    for k in range(1, order + 1):
         term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
         term_lo *= 1.0 / k
         acc_lo += term_lo
         if term_hi is not term_lo:
             term_hi *= 1.0 / k
             acc_hi += term_hi
-    tail = theta ** (_TAYLOR_ORDER + 1) / (
-        math.factorial(_TAYLOR_ORDER + 1) * (1.0 - theta / (_TAYLOR_ORDER + 2)))
     lo, hi = acc_lo - tail, acc_hi + tail
     if s:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -155,12 +155,13 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     them, and equals a scan's from 0 wherever the verdict is monotone in
     the budget.  It is wherever the trials' one-step families take the
     same number of squarings in interval_expm (none while
-    ||A (+) Lambda||_F h <= 1), which is inclusion-isotone only then, and
-    the certificate's bound grows with the family up to rounding;
-    elsewhere the search may report another budget than a scan, but
-    every budget it certifies is proven.  The search stops at the first
-    unsafe budget (returning the previous, safe family) or with every
-    grid budget safe (cap_reached flag).  A trial whose flowpipe or
+    ||A (+) Lambda||_F h <= 1) and the same Taylor order, which is
+    inclusion-isotone only then (a step of either can break it at the
+    1e-20 level, never soundness), and the certificate's bound grows
+    with the family up to rounding; elsewhere the search may report
+    another budget than a scan, but every budget it certifies is proven.
+    The search stops at the first unsafe budget (returning the previous,
+    safe family) or with every grid budget safe (cap_reached flag).  A trial whose flowpipe or
     one-step family overflows is unsafe, and so is a grid budget whose
     cell share p k w_ij (or p itself) overflows; nothing of it runs.  A
     model unsafe at p = 0 reports already_unsafe with norm 0.  The

@@ -30,6 +30,7 @@ from uncreach._expm import expm
 from uncreach._kernels import box_core
 from uncreach.stars import Star, linear_map
 from uncreach.engine import _padded_image
+from uncreach import intervals
 from uncreach.intervals import _add_outward, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS
 
@@ -1079,3 +1080,39 @@ class TestSigmaMaxBound:
             assert got[0] == np.inf and got[1] == np.inf
             assert got[2] == (1e308 if n == 1 else np.inf)
             assert n <= got[3] <= n * (1 + 1e-14)
+
+    def test_one_chunk_is_the_chunked_bound_bitwise(self, monkeypatch):
+        # a stack of at most _CHUNK_ENTRIES entries is read in place as one
+        # chunk, and one whose entries are all finite takes no masks; each
+        # bound is bitwise the one of chunks of one matrix, on stacks with
+        # infinite, NaN, overflowing and subnormal bounds, and on a strided
+        # view as engine's flows are
+        rng = np.random.default_rng(1706)
+        stacks = []
+        for n in (2, 3, 5):
+            for trial in range(24):
+                k = int(rng.integers(1, 9))
+                stack = rng.normal(size=(k, n, n)) * np.exp(
+                    rng.normal(size=(k, 1, 1)) * 20)
+                i = int(rng.integers(k))
+                if trial % 6 == 1:
+                    stack[i, 0, -1] = np.inf
+                elif trial % 6 == 2:
+                    stack[i, -1, 0] = np.nan
+                elif trial % 6 == 3:
+                    stack[i] = 1e308 * (stack[i] / np.abs(stack[i]).max())
+                elif trial % 6 == 4:  # bounds below the normal range
+                    stack[i] = np.ldexp(stack[i] / np.abs(stack[i]).max(), -1060)
+                stacks.append(stack)
+            flows = rng.normal(size=(n, 7 * n))  # blocks of (n, 7 n), strided
+            stacks.append(flows.reshape(n, 7, n).transpose(1, 0, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = [_sigma_max_bound(stack) for stack in stacks]
+            monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", 1)
+            chunked = [_sigma_max_bound(stack) for stack in stacks]
+        for got, want in zip(whole, chunked):
+            assert got.tobytes() == want.tobytes()
+        every = np.concatenate(whole)
+        tiny = np.finfo(np.float64).tiny
+        assert np.isinf(every).sum() >= 10 and np.any((every > 0) & (every < tiny))

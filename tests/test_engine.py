@@ -1570,6 +1570,100 @@ class TestChunkBoundaries:
             assert_replay_matches(res)
 
 
+# one step a chunk, the shipped rule, and one chunk a span (a chunk is at
+# most span + 1 steps)
+CHUNK_RULES = {"one": lambda n: 1, "shipped": _chunk_steps,
+               "span": lambda n: 10 ** 9}
+
+
+class TestChunkRule:
+    """Every chunk length gives the star operations' flowpipe: the same
+    boxes and supports up to rounding, the same generator counts, and
+    runs cut by `until` that are bitwise prefixes of the full runs."""
+
+    @staticmethod
+    def assert_rules_agree(monkeypatch, m, theta, horizon, reduction, period,
+                           normals, rng):
+        _, lo, hi, supports, counts = reference_run(m, theta, horizon,
+                                                    reduction, period, normals)
+        k = int(rng.integers(horizon + 1))
+        for rule, steps in CHUNK_RULES.items():
+            monkeypatch.setattr(engine, "_chunk_steps", steps)
+            res = _run_recurrence(m, theta, horizon, reduction, period,
+                                  "numeric", normals)
+            assert_close(res.lo, lo)
+            assert_close(res.hi, hi)
+            assert_close(res.supports, supports)
+            assert np.array_equal(res.gen_counts, counts), rule
+            # stop with the segment in which normal 0 reaches its support
+            # at step k
+            until = np.full(len(normals), np.finfo(float).max)
+            until[0] = res.supports[k, 0]
+            cut = _run_recurrence(m, theta, horizon, reduction, period,
+                                  "numeric", normals, until)
+            assert len(cut) <= len(res)
+            for got, ref in ((cut.lo, res.lo), (cut.hi, res.hi),
+                             (cut.supports, res.supports),
+                             (cut.gen_counts, res.gen_counts)):
+                assert got.tobytes() == ref[:len(cut)].tobytes(), rule
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_chunk_cases(self, monkeypatch, n, reduction):
+        b = _chunk_steps(n)
+        m, theta, normals = chunk_case(n)
+        rng = np.random.default_rng([39, n])
+        for horizon, period in ((b - 1, 7), (b + 1, b), (3 * b + 2, b + 3),
+                                (3 * b + 2, 3 * b + 7)):
+            self.assert_rules_agree(monkeypatch, m, theta, horizon, reduction,
+                                    period, normals, rng)
+
+    @pytest.mark.parametrize("name", ["acc4", "girad1", "twocell", "grow1d"])
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_shipped_models(self, monkeypatch, name, reduction):
+        model = dataclasses.replace(shipped(name), reduction_method=reduction)
+        normals = np.vstack([hs.normal for hs in model.unsafe])
+        self.assert_rules_agree(
+            monkeypatch, one_step_family(model), model.initial, model.horizon,
+            reduction, model.reduction_period, normals,
+            np.random.default_rng(len(name)))
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_overflow_falls_back_to_one_step_a_chunk(self, monkeypatch, reduction):
+        # the blowup's table reaches 1e10^a at age a: over a span of 7 its
+        # in-chunk table is finite, over 31 or 80 it overflows and every
+        # rule falls back to one step a chunk, whose window spans the whole
+        # table, so the runs are bitwise alike.  Every run is unbounded
+        # from step 31 and counts its generators as the product recount
+        model = blowup_model(reduction, horizon=80)
+        m = one_step_family(model)
+        p, lr = _centre_radius(m.lo, m.hi)
+        for period in (7, 31):
+            span = period if reduction != "none" else 80
+            o = with_offsets(dataclasses.replace(model, reduction_period=period),
+                             [np.finfo(float).max])
+            runs = {}
+            for rule, steps in CHUNK_RULES.items():
+                monkeypatch.setattr(engine, "_chunk_steps", steps)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tables = engine._Tables(p, lr, np.empty((0, 1)), span, False)
+                chunk = 1 if span > 7 else min(steps(1), span + 1)
+                assert tables.chunk == chunk, rule
+                assert tables.ages.shape == (1, chunk, span + 2 - chunk)
+                runs[rule] = [reach_with_perturbation(o, o.perturbation(),
+                                                      until_unsafe=until)
+                              for until in (False, True)]
+                for res in runs[rule]:
+                    assert np.all(np.isfinite(res.hi[:31]))
+                    assert np.all(res.hi[31:] == np.inf)
+                    assert np.array_equal(res.gen_counts, product_recount(res, o))
+            if span > 7:
+                for rule in ("shipped", "span"):
+                    for got, want in zip(runs[rule], runs["one"]):
+                        assert got.lo.tobytes() == want.lo.tobytes(), rule
+                        assert got.hi.tobytes() == want.hi.tobytes(), rule
+
+
 def product_recount(res, model):
     """Generator counts recounted as one product over the flowpipe: n at
     step 0 and at an interval reduction step, min(2n, the count so far)
@@ -1613,6 +1707,28 @@ class TestGeneratorCounts:
         # the size are dropped
         assert _count_segment(counts, 6, 4, 2, fresh) is counts
         assert np.array_equal(counts[1:], [5, 7, 7, 2, 4])
+
+    def test_segment_count_temporaries(self):
+        # a 500-step segment of n = 4, as acc4's: the mask and its row sums
+        # in uint8 take 3.7 KB; an int64 sum of the mask of the reversed
+        # blocks took 19.5 KB, which set acc4's peak.  Blocks of 300 radii
+        # are summed in a wider type
+        rng = np.random.default_rng(500)
+        fresh = rng.random((500, 4)) * (rng.random((500, 4)) < 0.7)
+        counts = np.empty(501, dtype=np.int64)
+        _count_segment(counts, 501, 0, 4, fresh)
+        tracemalloc.start()
+        try:
+            _count_segment(counts, 501, 0, 4, fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e3
+        assert np.array_equal(counts, np.cumsum(np.concatenate(
+            ([4], np.count_nonzero(fresh[::-1], axis=1)))))
+        wide = np.ones((3, 300))
+        wide[1, :7] = 0.0
+        assert np.array_equal(_count_segment(None, 4, 0, 1, wide), [1, 301, 594, 894])
 
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_random_models_match_product_recount(self, reduction):

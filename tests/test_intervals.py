@@ -718,7 +718,21 @@ def sign_vertex_sup(lo, hi):
     return float(np.linalg.norm(vertices, 2, axis=(1, 2)).max())
 
 
-TAYLOR_ORDER = 20  # the Taylor terms interval_expm sums
+TAYLOR_ORDER = 20  # the most Taylor terms interval_expm sums
+
+
+def taylor_tail(theta, order):
+    """Higham's bound on the Taylor remainder of exp after order N."""
+    return theta ** (order + 1) / (
+        math.factorial(order + 1) * (1.0 - theta / (order + 2)))
+
+
+def taylor_order(theta):
+    """The order interval_expm sums at a scaled theta <= 1: the least
+    N <= 20 whose tail is at most the tail of order 20 at theta = 1."""
+    bound = taylor_tail(1.0, TAYLOR_ORDER)
+    return next(order for order in range(TAYLOR_ORDER + 1)
+                if taylor_tail(theta, order) <= bound)
 
 
 class TestIntervalExpm:
@@ -814,7 +828,8 @@ class TestIntervalExpm:
     def four_way_reference(lo, hi, t):
         """The series with every scalar product the hull of its four
         endpoint products, whatever the family's widths."""
-        n, order = lo.shape[0], TAYLOR_ORDER
+        theta = IntervalMatrix(lo, hi).frobenius_sup() * t
+        n, order = lo.shape[0], taylor_order(theta)
         lt_lo, lt_hi = lo * t, hi * t
         acc_lo, acc_hi = np.eye(n), np.eye(n)
         term_lo, term_hi = np.eye(n), np.eye(n)
@@ -826,9 +841,7 @@ class TestIntervalExpm:
             term_hi = products.max(axis=0).sum(axis=1) * (1.0 / k)
             acc_lo = acc_lo + term_lo
             acc_hi = acc_hi + term_hi
-        theta = IntervalMatrix(lo, hi).frobenius_sup() * t
-        tail = theta ** (order + 1) / (
-            math.factorial(order + 1) * (1.0 - theta / (order + 2)))
+        tail = taylor_tail(theta, order)
         return acc_lo - tail, acc_hi + tail
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.01, 0.5])
@@ -911,16 +924,15 @@ class TestIntervalExpm:
         def scale(x, c):  # c >= 0
             return IntervalMatrix(x.lo * c, x.hi * c)
 
-        n, order = lam.shape[0], TAYLOR_ORDER
         theta = lam.frobenius_sup() * t
+        n, order = lam.shape[0], taylor_order(theta)
         lt = scale(lam, t)
         acc = IntervalMatrix.from_point(np.eye(n))
         term = IntervalMatrix.from_point(np.eye(n))
         for k in range(1, order + 1):
             term = scale(product(term, lt), 1.0 / k)
             acc = add(acc, term)
-        tail = theta ** (order + 1) / (
-            math.factorial(order + 1) * (1.0 - theta / (order + 2)))
+        tail = taylor_tail(theta, order)
         return acc.lo - tail, acc.hi + tail
 
     @pytest.mark.parametrize("name", ["girad1", "acc4", "twocell", "grow1d"])
@@ -947,3 +959,51 @@ class TestIntervalExpm:
             want_lo, want_hi = self.taylor_oracle(lam, t)
             assert np.array_equal(out.lo, want_lo)
             assert np.array_equal(out.hi, want_hi)
+
+    def test_order_rule_keeps_the_tail_bound(self):
+        # the series stops at the least order whose tail is at most the
+        # tail of order 20 at theta = 1, 2.0505e-20: on a dense grid of
+        # theta in (0, 1] the order is the rule's, its tail within that
+        # bound, and it never falls as theta grows, up to 20 at theta = 1
+        bound = taylor_tail(1.0, TAYLOR_ORDER)
+        assert 2.05e-20 < bound < 2.051e-20
+        grid = np.concatenate((np.geomspace(1e-300, 1e-3, 3000),
+                               np.linspace(0.0, 1.0, 20001)[1:]))
+        grid.sort()
+        orders = []
+        for theta in grid.tolist():
+            order, tail = intervals._taylor_order(theta)
+            assert order == taylor_order(theta), theta
+            assert tail == taylor_tail(theta, order) <= bound, theta
+            orders.append(order)
+        assert np.all(np.diff(orders) >= 0)
+        assert orders[-1] == TAYLOR_ORDER
+        # the shipped steps: acc4 and twocell at 0.020 and 0.025, girad1
+        # at 0.059
+        assert [taylor_order(x) for x in (0.02, 0.025, 0.059)] == [8, 8, 10]
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.02, 0.058, 0.3, 1.0])
+    def test_cut_series_encloses_the_exponential(self, theta):
+        # point and interval families whose unscaled theta is just below
+        # the given one, each summed to its own order, enclose the 50-digit
+        # exponential of their centre and of vertex members, up to the
+        # series' uncovered rounding; a point family's bounds stay within
+        # rounding of each other
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(theta * 1e6))
+        for n in (1, 2, 3):
+            c = rng.normal(size=(n, n))
+            r = rng.uniform(0, 0.05, (n, n)) * np.abs(c)
+            for fam in (IntervalMatrix.from_point(c), centred(c, r)):
+                t = theta * (1.0 - 2.0 ** -40) / fam.frobenius_sup()
+                assert fam.frobenius_sup() * t <= 1.0  # no squaring
+                out = interval_expm(fam, t)
+                members = [c] + [np.where(rng.random((n, n)) < 0.5, fam.lo, fam.hi)
+                                 for _ in range(0 if fam.is_point() else 6)]
+                for member in members:
+                    with mpmath.workdps(50):
+                        e = mpmath.expm(mpmath.matrix(member.tolist()) * mpmath.mpf(t))
+                        e = np.array(e.tolist(), dtype=np.float64)
+                    assert out.contains(e, tol=1e-11 * np.abs(e).max()), (n, theta)
+                if fam.is_point():
+                    assert np.all(out.hi - out.lo <= 1e-15 * np.abs(out.hi).max())
