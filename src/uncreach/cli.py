@@ -186,22 +186,7 @@ def robust_cmd(model_path: str, cells: tuple[str, ...], scheme: str,
     cell_list = [_parse_cell(c) for c in cells]
     report = robustness_threshold(model, cell_list, scheme=scheme, step=step,
                                   cap=cap)
-    _write_json(out, {
-        "model": model.name,
-        "scheme": report.scheme,
-        "cells": report.cells,
-        "step": report.step,
-        "final_budget": report.final_budget,
-        "norm": report.norm,
-        "iterations": report.iterations,
-        "already_unsafe": report.already_unsafe,
-        "cap_reached": report.cap_reached,
-        "trace": report.trace,
-        "evaluated": report.evaluated,
-        "contracted": report.contracted,
-        "safe_uncertainty": {"lo": report.safe_uncertainty.lo,
-                             "hi": report.safe_uncertainty.hi},
-    })
+    _write_json(out, {"model": model.name} | dataclasses.asdict(report))
     _echo_summary(out, f"largest safe budget {FMT.format(report.final_budget)} "
                        f"(norm {FMT.format(report.norm)})")
 

@@ -655,7 +655,11 @@ class _Tables:
         chunk = min(_chunk_steps(n), span + 1)
         width = (span + 1) * n
         table = np.empty((n + len(distinct), width))
-        _orbit(p, np.eye(n), span + 1, out=table[:n])
+        # P^0 = I in place, its diagonal a strided slice of the flat table
+        eye = table[:n, :n]
+        eye.fill(0.0)
+        table.reshape(-1)[:n * width:width + 1] = 1.0
+        _orbit(p, eye, span + 1, out=table[:n])
         np.matmul(distinct, table[:n], out=table[n:])
         self.signed = self.ages_gens = self.carried = self.carried_sums = None
         if zonotope:
@@ -1089,14 +1093,9 @@ def _padded_image(rows, theta: Box, pad, radii, norms):
         flat, flat, theta.lo[:, None], theta.hi[:, None]))
     lo -= pad
     hi += pad
-    # the ball radii[k] norms[j] line by line along the longer axis: a
-    # (K, r) product would take numpy's broadcast buffers besides
-    along_steps = len(radii) >= len(norms)
-    for i, scale in enumerate(norms if along_steps else radii):
-        ball = (radii if along_steps else norms) * scale
-        line = (slice(None), i) if along_steps else i
-        lo[line] -= ball
-        hi[line] += ball
+    ball = np.multiply.outer(radii, norms)
+    lo -= ball
+    hi += ball
     return lo, hi
 
 

@@ -11,7 +11,7 @@ perturbation part, i.e. of the radii matrix, not of the dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,32 +108,48 @@ def _ball_misses_unsafe(model: ModelSpec) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ThresholdReport:
-    """Result of the budget search.
+    """Result of the budget search, its fields in the order of `uncreach
+    robust`'s JSON (dataclasses.asdict).
 
-    safe_uncertainty is the PERTURBATION family of the last safe budget
-    (center zero, radii at the selected cells); norm is its Frobenius sup,
-    which is 0 when the model is already unsafe without perturbation.
     trace lists every grid budget up to the first unsafe one with its
     verdict; evaluated lists the budgets whose trials ran, in run order,
     and contracted those of them that the contraction certificate proved
     without a flowpipe (safe for all time, at every time, and for every
     time-varying E(t) in the family; robustness_threshold).
+    safe_uncertainty is the PERTURBATION family of the last safe budget
+    (center zero, radii at the selected cells; zero when none is safe).
+
+    The other five are derived from these once: final_budget is the last
+    safe budget in trace (0.0 when none is), norm the Frobenius sup of
+    safe_uncertainty, iterations len(trace), already_unsafe whether
+    trace's first budget is unsafe and cap_reached whether its last is
+    safe.
     """
 
     scheme: str
     cells: tuple[tuple[int, int], ...]
     step: float
-    final_budget: float
-    norm: float
-    iterations: int
+    final_budget: float = field(init=False)
+    norm: float = field(init=False)
+    iterations: int = field(init=False)
+    already_unsafe: bool = field(init=False)
+    cap_reached: bool = field(init=False)
     trace: tuple[tuple[float, bool], ...]
-    safe_uncertainty: IntervalMatrix
-    already_unsafe: bool = False
-    cap_reached: bool = False
     evaluated: tuple[float, ...] = ()
     contracted: tuple[float, ...] = ()
+    safe_uncertainty: IntervalMatrix
+
+    def __post_init__(self) -> None:
+        for name, value in (
+                ("final_budget",
+                 next((p for p, ok in reversed(self.trace) if ok), 0.0)),
+                ("norm", self.safe_uncertainty.frobenius_sup()),
+                ("iterations", len(self.trace)),
+                ("already_unsafe", not self.trace[0][1]),
+                ("cap_reached", self.trace[-1][1])):
+            object.__setattr__(self, name, value)
 
 
 def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
@@ -226,12 +242,7 @@ def robustness_threshold(model: ModelSpec, cells, scheme: str = "equal",
     trace = [(i * step, True) for i in range(safe + 1)]
     if unsafe < cap:
         trace.append((unsafe * step, False))
-    last = max(safe, 0)  # budget 0's family is zero when already unsafe
-    pert = perturbation(last)
-    return ThresholdReport(
-        scheme=scheme, cells=cells, step=step, final_budget=last * step,
-        norm=pert.frobenius_sup(),
-        iterations=len(trace), trace=tuple(trace), safe_uncertainty=pert,
-        already_unsafe=not trace[0][1], cap_reached=trace[-1][1],
+    return ThresholdReport(  # budget 0's family is zero when already unsafe
+        scheme=scheme, cells=cells, step=step, trace=tuple(trace),
         evaluated=tuple(evaluated), contracted=tuple(contracted),
-    )
+        safe_uncertainty=perturbation(max(safe, 0)))

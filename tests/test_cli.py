@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from uncreach import ThresholdReport
 from uncreach.cli import main
 
 GROW1D = str(importlib.resources.files("uncreach") / "models" / "grow1d.yaml")
@@ -264,6 +266,12 @@ class TestRobust:
         # a discrete model takes no contraction certificate
         assert doc["evaluated"] == pytest.approx([0.05, 0.1, 0.2, 0.15], abs=1e-15)
         assert doc["contracted"] == []
+
+    def test_json_keys_are_the_report_fields(self, runner):
+        result = runner.invoke(main, ["robust", GROW1D, "--cell", "0,0"])
+        assert result.exit_code == 0, result.output
+        assert list(json.loads(result.stdout)) == ["model"] + [
+            f.name for f in dataclasses.fields(ThresholdReport)]
 
     def test_contraction_certificate(self, runner):
         # girad1's benchmark search: every safe trial proven by contraction,

@@ -1039,7 +1039,7 @@ class TestStreamingRecurrence:
     def test_unreduced_acc4_peak_memory(self):
         # the chunked recurrence reads windows of its table in place, whose
         # rows are the n box rows alone: acc4's normal -e_2 reads box row
-        # 2.  It peaks at 0.473 MB: the table, the centres, q and the
+        # 2.  It peaks at 0.475 MB: the table, the centres, q and the
         # history.  A row for -e_2 and a stored |centres| took 0.622 MB;
         # a table with 2n + k rows (generators moved by Abar, each age
         # boxed through Lm) or a chunk-by-window temporary would lift the
@@ -1052,7 +1052,7 @@ class TestStreamingRecurrence:
         ("interval", 500, 0.265e6), ("zonotope", 50, 0.25e6)],
         ids=["interval-500", "zonotope-50"])
     def test_reduced_acc4_peak_memory(self, reduction, period, bound):
-        # the benchmark's reduced acc4 runs peak at 0.259 and 0.237 MB: one
+        # the benchmark's reduced acc4 runs peak at 0.251 and 0.237 MB: one
         # (H + 1)-row array each for the centres, q and the counts with the
         # table in the loop, then the supports and lo once the table is
         # freed, hi written over the centres; q is freed before the result
@@ -1080,6 +1080,12 @@ class TestStreamingRecurrence:
             tracemalloc.stop()
         assert len(res) == (1500 if until else 2051)
         assert peak < bound
+
+    def test_grow1d_peak_memory(self):
+        # a 1-D flowpipe's peak is mostly fixed costs: it reads 7.4 kB with
+        # P^0 written into the table in place, and 8.8 kB with an np.eye(n)
+        # copied in, whose strided .flat write allocates its iterators
+        assert ors_reach_peak(shipped("grow1d")) < 8000
 
 
 def normal_set(rng, n, kind):

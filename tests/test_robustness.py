@@ -422,7 +422,6 @@ def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
     scores = order_cells(model.a).scores
     trace: list[tuple[float, bool]] = []
     prev_pert = IntervalMatrix.zeros(model.dim, model.dim)
-    prev_p = 0.0
     for i in range(cap):
         p = i * step
         pert = budget_lambda(model.a, cells, scores, p, scheme)
@@ -432,13 +431,58 @@ def scan_threshold(model: ModelSpec, cells, scheme: str = "equal",
         if not safe:
             break
         prev_pert = pert
-        prev_p = p
-    return ThresholdReport(
-        scheme=scheme, cells=cells, step=step, final_budget=prev_p,
-        norm=prev_pert.frobenius_sup(), iterations=len(trace),
-        trace=tuple(trace), safe_uncertainty=prev_pert,
-        already_unsafe=not trace[0][1], cap_reached=trace[-1][1],
-    )
+    return ThresholdReport(scheme=scheme, cells=cells, step=step,
+                           trace=tuple(trace), safe_uncertainty=prev_pert)
+
+
+# each shipped model's cells and step, as the CLI tests and benchmark run them
+SHIPPED_SEARCHES = (("grow1d", ((0, 0),), 0.05),
+                    ("girad1", ((0, 0), (1, 0)), 0.05),
+                    ("acc4", ((0, 0), (2, 3)), 0.8),
+                    ("twocell", ((0, 0), (1, 1)), 0.05))
+
+
+class TestDerivedFields:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name,cells,step", SHIPPED_SEARCHES,
+                             ids=[case[0] for case in SHIPPED_SEARCHES])
+    def test_derived_values_match_their_definitions(self, name, cells, step,
+                                                    scheme):
+        # the search as shipped, its grid cut to budget 0 (cap reached
+        # where the nominal model is safe), and the nominal model made
+        # unsafe at step 0 by moving every unsafe set onto Theta
+        model = shipped(name)
+        unsafe_at_zero = dataclasses.replace(model, unsafe=tuple(
+            HalfSpace(hs.normal, -1e6) for hs in model.unsafe))
+        reports = [robustness_threshold(model, cells, scheme, step),
+                   robustness_threshold(model, cells, scheme, step, cap=1),
+                   robustness_threshold(unsafe_at_zero, cells, scheme, step)]
+        for report in reports:
+            safe = [p for p, ok in report.trace if ok]
+            assert report.final_budget == (safe[-1] if safe else 0.0)
+            assert report.norm == report.safe_uncertainty.frobenius_sup()
+            assert report.iterations == len(report.trace)
+            assert report.already_unsafe == (not report.trace[0][1])
+            assert report.cap_reached == report.trace[-1][1]
+        assert reports[1].cap_reached and reports[1].trace == ((0.0, True),)
+        assert reports[2].already_unsafe and reports[2].norm == 0.0
+
+    def test_constructor_takes_the_seven_values_by_keyword(self):
+        pert = IntervalMatrix.zeros(1, 1)
+        given = dict(scheme="equal", cells=((0, 0),), step=0.05,
+                     trace=((0.0, True), (0.05, False)), evaluated=(0.05,),
+                     contracted=(), safe_uncertainty=pert)
+        report = ThresholdReport(**given)
+        assert (report.final_budget, report.norm, report.iterations,
+                report.already_unsafe, report.cap_reached) == (
+                    0.0, 0.0, 2, False, False)
+        assert [f.name for f in dataclasses.fields(report) if f.init] == [
+            "scheme", "cells", "step", "trace", "evaluated", "contracted",
+            "safe_uncertainty"]
+        with pytest.raises(TypeError):
+            ThresholdReport(**given, norm=1.0)
+        with pytest.raises(TypeError):
+            ThresholdReport(*given.values())
 
 
 def random_search_case(rng, reduction):
