@@ -23,7 +23,6 @@ from .engine import (
     symbolic_reach,
 )
 from .errors import (
-    DefectiveMatrix,
     DimensionMismatch,
     ModelFileError,
     ReachError,
@@ -44,7 +43,6 @@ __all__ = [
     "BloatSeries",
     "Box",
     "CellUncertainty",
-    "DefectiveMatrix",
     "DimensionMismatch",
     "HalfSpace",
     "IntervalMatrix",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DefectiveMatrix, DimensionMismatch
+from .errors import DimensionMismatch
 from .intervals import _UNIT, IntervalMatrix, _frobenius, _sigma_max_bound
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "BLOAT_METHODS",
 ]
 
-# Largest eigenvector condition number kagstrom2 accepts.
+# Largest eigenvector condition number kagstrom2 takes as finite.
 _COND_MAX = 1e8
 
 
@@ -116,19 +116,18 @@ def kagstrom2(a, lambda_norm: float, t):
     """Eigenbasis bound K e^(eps t)(e^(K ||Lambda|| t) - 1).
 
     K is the condition number of the eigenvector matrix and eps the
-    largest eigenvalue modulus.  Raises DefectiveMatrix when the
-    eigenbasis is numerically unusable (cond above _COND_MAX).
+    largest eigenvalue modulus.  A defective matrix has no eigenbasis, so
+    K is infinite; a singular computed eigenbasis, or one whose condition
+    exceeds _COND_MAX, is taken as defective.  The bound is then inf for
+    t > 0 (not proven safe), and 0 at t = 0 or for a zero perturbation.
     """
     t = _check_args(lambda_norm, t)
     eigvals, eigvecs = np.linalg.eig(_square(a))
     eps = float(np.max(np.abs(eigvals)))
     sv = np.linalg.svd(eigvecs, compute_uv=False)
     k = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if not math.isfinite(k) or k > _COND_MAX:
-        raise DefectiveMatrix(
-            f"kagstrom2 bound unusable: eigenvector condition {k:.3g} "
-            f"exceeds {_COND_MAX:.3g}"
-        )
+    if not k <= _COND_MAX:
+        k = math.inf
     return _evaluate(
         lambda t: k * np.exp(eps * t) * np.expm1(k * lambda_norm * t),
         lambda_norm, t)

@@ -259,7 +259,7 @@ class ReachResult:
     labels   : step indices (numeric) or times (symbolic)
     lo, hi   : (steps, dim) bounding-box bounds per step, radius applied
     radii    : bloating radius per step (zero on the numeric route; inf
-               where a symbolic bound overflows, with lo/hi -inf/inf)
+               past the symbolic route's bounded prefix, below)
     gen_counts : generator count per step: the numeric set's columns, or
                dim on the symbolic route (flows[k] @ initial has dim)
     normals  : (k, dim) directions whose supports the numeric recurrence
@@ -288,6 +288,12 @@ class ReachResult:
                one-step family M, Theta, the horizon and the reduction
                policy), which `support` replays in directions it did not
                record; else None
+
+    Either route is bounded on a prefix of its steps (_first_unbounded):
+    the first step at which a value it computes is not finite (numeric: a
+    centre, radius or support; symbolic: phi, a flow, its pad, the radius
+    or the padded box) and every later one have box -inf/inf and
+    supports inf, and on the symbolic route radius inf.
     """
 
     kind: str
@@ -348,24 +354,26 @@ class ReachResult:
 
         A symbolic result gives the upper bounds of its padded images
         (_padded_image) in the rows d E of its flows E, padded by
-        flow_pad @ |d|, a chunk of steps of finite radius at a time into
-        the (steps, k) result: about _CHUNK_ENTRIES image entries per
-        chunk, so no (steps, k, n) image exists.  A step of radius inf has
-        support inf.  A numeric result replays its recurrence once with
-        exactly `dirs` as normals: one more pass in O(steps (n + k))
-        memory, the same boxes.
+        flow_pad @ |d|, a chunk of the prefix of finite radius at a time
+        into the (steps, k) result: about _CHUNK_ENTRIES image entries per
+        chunk, so no (steps, k, n) image exists.  A step past that prefix
+        has support inf, and so has a padded image that is not finite (an
+        overflow, or inf - inf where the box is finite).  A numeric result
+        replays its recurrence once with exactly `dirs` as normals: one
+        more pass in O(steps (n + k)) memory, the same boxes.
         """
         if self.flows is None:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.flow_pad @ np.abs(dirs).T  # the pads, then the supports
-            out[~np.isfinite(self.radii)] = np.inf
             norms = _frobenius(dirs, axis=1)
-            for run in _finite_runs(self.radii):
-                for k in _row_chunks(run.stop - run.start, dirs.size):
-                    k = slice(run.start + k.start, min(run.start + k.stop, run.stop))
-                    out[k] = _padded_image(dirs @ self.flows[k], self.initial,
-                                           out[k], self.radii[k], norms)[1]
+            bounded = slice(_first_unbounded(self.radii))
+            flows, radii, sups = self.flows[bounded], self.radii[bounded], out[bounded]
+            for k in _row_chunks(len(flows), dirs.size):
+                sups[k] = _padded_image(dirs @ flows[k], self.initial, sups[k],
+                                        radii[k], norms)[1]
+            out[len(flows):] = np.inf
+            out[~np.isfinite(out)] = np.inf
         return out
 
 
@@ -878,16 +886,21 @@ def _segment_supports(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
     return out
 
 
-def _first_unbounded(centres: np.ndarray, q: np.ndarray,
-                     sups: np.ndarray) -> int | None:
-    """First step whose centre, radii q or supports are not all finite,
-    else None."""
-    # a sum that overflows only sends finite rows to the exact check
-    if math.isfinite(centres.sum() + q.sum() + sups.sum()):
+@np.errstate(over="ignore", invalid="ignore")
+def _first_unbounded(*arrays: np.ndarray) -> int | None:
+    """First step k at which one of the arrays, each indexed by step first,
+    has an entry that is not finite, else None: the one rule of both
+    routes, whose results are bounded on the steps before it."""
+    # a sum that overflows only sends finite steps to the exact check; a
+    # step's sum runs over its trailing axes, so a strided view (the
+    # symbolic flows) is not copied whole
+    if math.isfinite(sum(float(a.sum()) for a in arrays)):
         return None
-    finite = (np.isfinite(centres).all(axis=1) & np.isfinite(q).all(axis=1)
-              & np.isfinite(sups).all(axis=1))
-    return None if finite.all() else int(np.argmin(finite))
+    sums = sum(a.sum(axis=tuple(range(1, a.ndim))) for a in arrays)
+    for k in np.flatnonzero(~np.isfinite(sums)):
+        if not all(np.isfinite(a[k]).all() for a in arrays):
+            return int(k)
+    return None
 
 
 def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
@@ -963,16 +976,17 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     evaluated scaled (Box.max_norm), and the radius is scaled to cover
     the rounding of its own product; psi covers its own rounding, phi
     does not.  The boxes are padded images (_padded_image), as
-    ReachResult.support's are, and a radius beyond float range (the bound
-    saturated, or a flow or its error overflowed) is inf: unbounded, not
-    proven safe.  sigma_max is evaluated only for a relative bound and
-    only where phi is finite, and a padded image only where the radius
-    is: the other steps have radius inf and box -inf/inf whatever they
-    would give.  The result keeps the flows, the pad and Theta, not one
-    Star per point; safety_check reads its supports.  The bounds, and so
-    the radii, are stated for a constant E in pert; a numeric flowpipe
-    (reach_with_perturbation) covers a time-varying E(t) (Althoff, Le
-    Guernic & Krogh, HSCC 2011).
+    ReachResult.support's are.  The result is bounded on a prefix of the
+    grid, as the numeric flowpipe is (_first_unbounded): from the first
+    step whose phi, flow, pad, radius or padded box is not finite (the
+    bound saturated, or a flow, its error or an image overflowed), the
+    radius is inf and the box -inf/inf: unbounded, not proven safe.
+    sigma_max and the padded images are evaluated only on that prefix,
+    whatever the later steps would give.  The result keeps the flows, the
+    pad and Theta, not one Star per point; safety_check reads its
+    supports.  The bounds, and so the radii, are stated for a constant E
+    in pert; a numeric flowpipe (reach_with_perturbation) covers a
+    time-varying E(t) (Althoff, Le Guernic & Krogh, HSCC 2011).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):
@@ -985,17 +999,15 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         flows, pad, err_sums = _doubling_flows(a, series.times, theta,
                                                series.relative)
         norm = theta.max_norm()
+        radii = np.full(len(flows), np.inf)
+        # the steps before the first whose phi, flow or pad is not finite
+        k = slice(_first_unbounded(series.phi, flows, pad))
         if series.relative:
-            # a step whose phi is not finite has radius inf whatever sigma is
-            radii = np.full(len(flows), np.inf)
-            for k in _finite_runs(series.phi):
-                radii[k] = series.phi[k] * (_sigma_max_bound(flows[k])
-                                            + err_sums[k]) * norm
+            radii[k] = series.phi[k] * (_sigma_max_bound(flows[k])
+                                        + err_sums[k]) * norm
             del err_sums
         else:
-            radii = series.phi * norm
-            # as sigma would, a flow or pad beyond float range gives inf
-            radii[_unbounded_flows(flows, pad)] = np.inf
+            radii[k] = series.phi[k] * norm
         # phi (sigma + e) ||Theta|| (e the computed entry sum of |Q^k - F_k|,
         # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
         # roundings to nearest: n/2 through the squares, their sum and the
@@ -1004,16 +1016,18 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
         # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1);
         # psi ||Theta|| takes two roundings fewer.
-        radii *= 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
-        radii[~np.isfinite(radii)] = np.inf
+        radii[k] *= 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
         lo, hi = np.full((len(flows), n), -np.inf), np.full((len(flows), n), np.inf)
-        # row i of a run of flows, flows[k, i] (steps, n), is contiguous:
-        # its padded image copies no flows
-        for k in _finite_runs(radii):
-            for i in range(n):
-                row = slice(i, i + 1)
-                lo[k, row], hi[k, row] = _padded_image(
-                    flows[k, row], theta, pad[k, row], radii[k], np.ones(1))
+        # row i of the prefix of flows, flows[k, i] (steps, n), is
+        # contiguous: its padded image copies no flows
+        k = slice(_first_unbounded(radii))
+        for i in range(n):
+            row = slice(i, i + 1)
+            lo[k, row], hi[k, row] = _padded_image(
+                flows[k, row], theta, pad[k, row], radii[k], np.ones(1))
+        end = _first_unbounded(lo, hi)
+        if end is not None:
+            radii[end:], lo[end:], hi[end:] = np.inf, -np.inf, np.inf
     return ReachResult(
         kind="symbolic", method=method, labels=series.times.copy(), lo=lo,
         hi=hi, radii=radii,
@@ -1059,35 +1073,15 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box,
             errs[:, 1].sum(axis=1) if relative else None)
 
 
-def _unbounded_flows(flows: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Steps k whose flow or pad has an entry that is not finite."""
-    # a sum that overflows only sends finite steps to the exact check, one
-    # step at a time: no (K, n, n) temporary
-    if math.isfinite(flows.sum() + pad.sum()):
-        return np.empty(0, dtype=np.intp)
-    steps = np.flatnonzero(~np.isfinite(flows.sum(axis=(1, 2)) + pad.sum(axis=1)))
-    return steps[[not (np.isfinite(flows[k]).all() and np.isfinite(pad[k]).all())
-                  for k in steps]]
-
-
-def _finite_runs(values: np.ndarray) -> list[slice]:
-    """The runs of consecutive steps k where values[k] is finite, as slices:
-    a run of flows is a view, which its readers take in chunks."""
-    finite = np.isfinite(values)
-    if finite.all():
-        return [slice(0, len(values))]
-    edges = np.diff(finite, prepend=False, append=False)  # a run's ends
-    return list(map(slice, *np.flatnonzero(edges).reshape(-1, 2).T.tolist()))
-
-
 def _padded_image(rows, theta: Box, pad, radii, norms):
     """Bounds of rows[k] x over x in Theta, rows (K, r, n): each row, a
     point, times Theta (_endpoint_product), sums of the smaller (larger)
     of m_ij lo_j, m_ij hi_j; widened by pad (K, r) and then by radii[k]
     norms[j], norms (r,) the 2-norms of the directions that the rows look
     along.  Every entry is summed as a whole, so a chunk of steps gets the
-    bits of the whole grid.  Callers pass the steps of finite radius, a
-    chunk at a time, and run it with overflow and invalid ignored."""
+    bits of the whole grid.  Callers pass the prefix of steps of finite
+    radius (symbolic_reach), a chunk at a time, run it with overflow and
+    invalid ignored, and take a bound that is not finite as unbounded."""
     flat = rows.reshape(-1, rows.shape[-1])
     lo, hi = (b.reshape(rows.shape[:-1]) for b in _endpoint_product(
         flat, flat, theta.lo[:, None], theta.hi[:, None]))

@@ -9,9 +9,5 @@ class DimensionMismatch(ReachError):
     """Operands have incompatible shapes."""
 
 
-class DefectiveMatrix(ReachError):
-    """Eigenvector matrix is too ill-conditioned for a similarity-based bound."""
-
-
 class ModelFileError(ReachError):
     """Model file is malformed or fails validation."""

@@ -460,10 +460,11 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
     Each scalar product [a,b]*[c,d] is the tight hull of the endpoint
     products ac, ad, bc, bd, in that order; entries are summed exactly
     (up to rounding).  A factor whose bounds are one array (alo is ahi) is
-    a point, whose equal products are formed once: a point and an interval
-    take two, and two points one, returning one array as both bounds.  A
-    repeated product does not change a hull, so the bounds are bitwise
-    those of four products on copies.  The rows of a go in chunks of about
+    a point, whose equal products are formed once: a point times an
+    interval takes two, and two points one, returning one array as both
+    bounds; an interval times a point takes all four.  A repeated product
+    does not change a hull, so the bounds are bitwise those of four
+    products on copies.  The rows of a go in chunks of about
     _CHUNK_ENTRIES endpoint products (_row_chunks), each chunk's tensors
     freed before the next; every entry is summed as a whole, so the
     bounds do not depend on the chunking.
@@ -475,8 +476,7 @@ def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
         a, b = alo[rows, :, None], ahi[rows, :, None]
         plo = a * blo
         if hi is not lo:
-            prods = ((b * blo,) if bhi is blo else (a * bhi,) if ahi is alo
-                     else (a * bhi, b * blo, b * bhi))
+            prods = (a * bhi,) if ahi is alo else (a * bhi, b * blo, b * bhi)
             phi = plo.copy()
             for pr in prods:
                 np.minimum(plo, pr, out=plo)

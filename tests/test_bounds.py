@@ -11,7 +11,6 @@ import scipy.linalg
 from uncreach import (
     Box,
     CellUncertainty,
-    DefectiveMatrix,
     DimensionMismatch,
     HalfSpace,
     IntervalMatrix,
@@ -190,17 +189,23 @@ class TestKagstrom2:
         assert got == pytest.approx(0.77716, rel=1e-3)
 
     def test_jordan_block_rejected(self):
-        with pytest.raises(DefectiveMatrix) as exc:
-            kagstrom2(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1, 1.0)
-        assert "kagstrom2" in str(exc.value)
+        # a Jordan block has no eigenbasis: K is infinite, and so is the
+        # bound for t > 0 (not proven safe), 0 at t = 0 or with no
+        # perturbation
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert kagstrom2(jordan, 0.1, 1.0) == math.inf
+        assert kagstrom2(jordan, 0.1, 0.0) == 0.0
+        assert kagstrom2(jordan, 0.0, 1.0) == 0.0
+        assert np.array_equal(kagstrom2(jordan, 0.1, np.array([0.0, 0.5, 1.0])),
+                              [0.0, math.inf, math.inf])
 
     def test_default_condition_threshold(self):
         # eigenvector condition about 2 / d for [[1, 1], [0, 1 + d]]: a
-        # finite condition above 1e8 is refused, one far below it is not
+        # finite condition above 1e8 is taken as defective (K = inf), one
+        # far below it is not
         near = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]])
         assert 1e8 < np.linalg.cond(np.linalg.eig(near)[1]) < math.inf
-        with pytest.raises(DefectiveMatrix, match="exceeds 1e"):
-            kagstrom2(near, 0.1, 1.0)
+        assert kagstrom2(near, 0.1, 1.0) == math.inf
         far = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-3]])
         assert np.linalg.cond(np.linalg.eig(far)[1]) < 1e4
         assert kagstrom2(far, 0.1, 1.0) > 0.0
@@ -452,9 +457,15 @@ class TestBloatSeries:
             bloat_series(GIRAD_A, IntervalMatrix.zeros(3, 3), np.array([0.0]), "loan")
         with pytest.raises(ValueError):
             bloat_series(GIRAD_A, lam, np.array([0.0]), "best")
-        with pytest.raises(DefectiveMatrix):
-            bloat_series(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                         IntervalMatrix.zeros(2, 2), np.array([0.0, 1.0]), "kagstrom2")
+        # a defective matrix is no error: kagstrom2's bound is inf past
+        # t = 0, or 0 with no perturbation
+        lam = IntervalMatrix(-np.full((2, 2), 0.1), np.full((2, 2), 0.1))
+        for family, phi in ((IntervalMatrix.zeros(2, 2), [0.0, 0.0]),
+                            (lam, [0.0, math.inf])):
+            out = bloat_series(np.array([[0.0, 1.0], [0.0, 0.0]]), family,
+                               np.array([0.0, 1.0]), "kagstrom2")
+            assert np.array_equal(out.phi, phi)
+        lam = IntervalMatrix.zeros(2, 2)
         with pytest.raises(ValueError, match="1-d grid"):
             bloat_series(GIRAD_A, lam, np.zeros((2, 2)), "loan")
 
@@ -542,8 +553,6 @@ class TestSymbolicReach:
             theta = Box(lo, lo + rng.uniform(0, 1, n))
             times = np.arange(25) * rng.uniform(0.02, 0.5)
             for method in BLOAT_METHODS:
-                if method == "kagstrom2" and np.linalg.cond(np.linalg.eig(a)[1]) > 1e8:
-                    continue
                 res = symbolic_reach(a, lam, theta, times, method=method)
                 series = bloat_series(a, lam, times, method)
                 phi = series.phi
@@ -973,6 +982,33 @@ class TestDoublingFlows:
             assert not np.isnan(res.radii).any() and boxes[-1].hi[1] == np.inf
             assert not verdict.safe and verdict.step <= first
 
+    def test_images_past_float_range_are_unbounded(self):
+        # A = [[1, -1], [-1, 1]] doubles its x1 - x2 mode every t = ln 2 / 2
+        # while x1 + x2 stays put: a row (a, b) of F_k has a + b = 1 and
+        # a - b = e^(2t), so from about t = 345 its products with
+        # Theta = [1e9, 2e9]^2 overflow with opposite signs, and each box
+        # bound sums inf and -inf; along (1e10, -1e10) the image overflows
+        # 24 steps sooner, where the boxes are finite.  From the first step
+        # whose box is not finite the result is unbounded, and no bound or
+        # support is NaN
+        a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        theta = Box(np.full(2, 1e9), np.full(2, 2e9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = symbolic_reach(a, IntervalMatrix.zeros(2, 2), theta,
+                                 np.arange(801) * 0.5, method="loan")
+            sups = res.support(np.array([[1e10, -1e10], [1.0, 1.0]]))
+            verdict = safety_check(res, (HalfSpace(np.array([1.0, 0.0]), 1e300),))
+        assert not np.isnan(res.lo).any() and not np.isnan(res.hi).any()
+        assert not np.isnan(sups).any()
+        assert np.all(res.radii[690:] == np.inf) and np.all(res.radii[:690] == 0.0)
+        assert np.all(res.lo[690:] == -np.inf) and np.all(res.hi[690:] == np.inf)
+        assert np.all(np.isfinite(res.lo[:690])) and np.all(np.isfinite(res.hi[:690]))
+        assert res.boxes[690].hi[0] == np.inf
+        assert np.all(sups[690:] == np.inf) and np.all(np.isfinite(sups[:666]))
+        assert np.all(sups[666:, 0] == np.inf) and np.all(np.isfinite(sups[:690, 1]))
+        assert (verdict.safe, verdict.step) == (False, 671)
+
     def test_support_along_axes_matches_box(self):
         # bitwise: the boxes and the supports are one padded image
         lam = centred(np.zeros((2, 2)), np.full((2, 2), 0.01))
@@ -988,10 +1024,7 @@ class TestDoublingFlows:
             for method in BLOAT_METHODS:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    try:
-                        res = symbolic_reach(a, lam, theta, times, method)
-                    except DefectiveMatrix:  # kagstrom2 on acc4
-                        continue
+                    res = symbolic_reach(a, lam, theta, times, method)
                     sups = res.support(np.vstack((np.eye(n), -np.eye(n))))
                 assert np.array_equal(sups[:, :n], res.hi)
                 assert np.array_equal(sups[:, n:], -res.lo)

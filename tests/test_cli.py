@@ -193,11 +193,17 @@ class TestReachSymbolic:
                 in result.stderr)
 
     def test_defective_matrix_names_the_bound(self, runner, tmp_path):
+        # a Jordan block has no eigenbasis, so kagstrom2's bound is inf past
+        # t = 0: a run, not an error, and not proven safe at the first step
         model = tmp_path / "jordan.yaml"
-        model.write_text(JORDAN_YAML)
+        model.write_text(JORDAN_YAML + "unsafe:\n  - {normal: [1.0, 0.0], offset: 10.0}\n")
         result = runner.invoke(main, ["reach", str(model), "--method", "kagstrom2"])
-        assert result.exit_code == 1
-        assert "kagstrom2" in result.stderr
+        assert result.exit_code == 0
+        assert "verdict: not proven safe at t=0.10000000000000001, half-space 0" in result.stderr
+        rows = parse_csv(result.stdout)
+        assert rows[0][1:3] == [0.0, 0.0]
+        assert all(row[1:3] == [math.inf, math.inf] for row in rows[1:])
+        assert all(row[3:] == [-math.inf, math.inf] * 2 for row in rows[1:])
 
 
 class TestOrder:

@@ -30,8 +30,8 @@ from uncreach import (
 )
 from uncreach import engine, intervals
 from uncreach.engine import (
-    _axes, _centre_radius, _chunk_steps, _count_segment, _inside, _orbit,
-    _perturbation, _run_recurrence, _table_rows)
+    _axes, _centre_radius, _chunk_steps, _count_segment, _first_unbounded,
+    _inside, _orbit, _perturbation, _run_recurrence, _table_rows)
 from uncreach.intervals import _add_outward
 from uncreach.robustness import SCHEMES, budget_weights
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
@@ -1046,7 +1046,7 @@ class TestStreamingRecurrence:
         # peak above 0.8 MB, and counting the generators beside the table
         # to 0.71 MB
         model = dataclasses.replace(shipped("acc4"), reduction_method="none")
-        assert ors_reach_peak(model) < 0.49e6
+        assert ors_reach_peak(model) < 0.485e6
 
     @pytest.mark.parametrize("reduction,period,bound", [
         ("interval", 500, 0.265e6), ("zonotope", 50, 0.25e6)],
@@ -1082,10 +1082,11 @@ class TestStreamingRecurrence:
         assert peak < bound
 
     def test_grow1d_peak_memory(self):
-        # a 1-D flowpipe's peak is mostly fixed costs: it reads 7.4 kB with
-        # P^0 written into the table in place, and 8.8 kB with an np.eye(n)
-        # copied in, whose strided .flat write allocates its iterators
-        assert ors_reach_peak(shipped("grow1d")) < 8000
+        # a 1-D flowpipe's peak is mostly fixed costs: run after a first
+        # call it reads 6.6 to 7.4 kB with P^0 written into the table in
+        # place (a first call, alone, up to 8.8 kB), and an np.eye(n) copied in,
+        # whose strided .flat write allocates its iterators, added 1.4 kB
+        assert ors_reach_peak(shipped("grow1d")) < 7800
 
 
 def normal_set(rng, n, kind):
@@ -1174,7 +1175,10 @@ class TestSharedRows:
 
 
 def ors_reach_peak(model):
-    """tracemalloc's peak in bytes over one ors_reach of the model."""
+    """tracemalloc's peak in bytes over one ors_reach of the model, run
+    once before it is traced: a first call's caches would count, and the
+    peak would depend on which test ran first."""
+    ors_reach(model)
     tracemalloc.start()
     try:
         ors_reach(model)
@@ -1936,14 +1940,33 @@ class TestOrbit:
 class TestSymbolicChunks:
     """Symbolic supports in chunks of steps, and the symbolic route's peaks."""
 
+    def test_first_unbounded_step_of_any_array(self):
+        # one rule for both routes: the first step at which any of the
+        # arrays, each indexed by step first, has an entry that is not
+        # finite.  A step whose entries are finite but whose sum overflows
+        # is bounded, and a strided view is read as it is
+        big = np.finfo(np.float64).max
+        flows = np.ones((3, 6, 3)).transpose(1, 0, 2)  # (6, 3, 3), strided
+        phi, pad = np.zeros(6), np.ones((6, 3))
+        assert _first_unbounded(phi, flows, pad) is None
+        pad[1] = big  # a sum past float range, every entry finite
+        assert _first_unbounded(phi, flows, pad) is None
+        flows[4, 2, 1] = -np.inf
+        assert _first_unbounded(phi, flows, pad) == 4
+        phi[3] = np.nan
+        assert _first_unbounded(phi, flows, pad) == 3
+        assert _first_unbounded(pad, phi) == 3
+
     def test_axis_supports_are_the_box_bitwise(self, monkeypatch):
         # support(e_i) of a symbolic result is read off hi[:, i], and
         # support(-e_i) off -lo[:, i].  The padded images in the same
         # directions give hi[:, i] to the bit and -lo[:, i] (a zero may
         # take the other sign), bytewise the same whatever the chunk of
-        # steps.  acc4's kagstrom1 bound is inf from t = 1.09 on
+        # steps.  acc4's kagstrom1 bound is inf from t = 1.09 on, and its
+        # kagstrom2 bound, its eigenbasis being defective, from t = 0.01
         cases = ((shipped("acc4"), "loan"), (shipped("acc4"), "kagstrom1"),
-                 (shipped("girad1"), "kagstrom2"), (heat_rod(8), "loan"))
+                 (shipped("acc4"), "kagstrom2"), (shipped("girad1"), "kagstrom2"),
+                 (heat_rod(8), "loan"))
         for model, method in cases:
             res = symbolic_reach(model.a, model.perturbation(), model.initial,
                                  model.times(), method=method)
