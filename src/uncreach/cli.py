@@ -24,7 +24,7 @@ from .robustness import SCHEMES, robustness_threshold
 from .sensitivity import order_cells
 
 FMT = "{:.17g}"
-_SYMBOLIC_ROWS = ("labels", "lo", "hi", "radii", "gen_counts", "flows", "flow_pad", "phi")
+_SYMBOLIC_ROWS = ("labels", "lo", "hi", "radii", "gen_counts", "phi")
 
 
 def _handle_errors(f):
@@ -121,7 +121,8 @@ def reach_cmd(model_path: str, method: str, out: str,
         times, first = _window(model, t_start, t_end)
         full = symbolic_reach(model.a, model.perturbation(), model.initial,
                               times, method=method)
-        result = dataclasses.replace(full, **{
+        # the window's rows, whose supports replay from its first step
+        result = dataclasses.replace(full, _first=first, **{
             k: getattr(full, k)[first:] for k in _SYMBOLIC_ROWS})
     verdict = safety_check(result, model.unsafe)
     bounds = np.dstack((result.lo, result.hi)).reshape(len(result), -1)

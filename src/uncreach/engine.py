@@ -16,8 +16,8 @@ products advance it by a chunk of steps.  Its phases: _Tables builds
 the table, advances a segment and reduces at its end, _segments runs
 the segments between reductions, and _flowpipe reads the result off.
 Symbolic route: the nominal flow exp(At) Theta padded by a bloating
-radius from a closed-form bound, for the whole time grid at once (see
-symbolic_reach).
+radius from a closed-form bound, the flows a chunk of steps at a time
+(see symbolic_reach).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_UNIT, Box, IntervalMatrix, _add_outward,
-                        _centre_radius, _endpoint_product, _frobenius,
+                        _centre_radius, _frobenius,
                         _gamma, _product_error, _require_finite, _row_chunks,
                         _sigma_max_bound, _square, interval_expm)
 
@@ -261,17 +261,10 @@ class ReachResult:
     radii    : bloating radius per step (zero on the numeric route; inf
                past the symbolic route's bounded prefix, below)
     gen_counts : generator count per step: the numeric set's columns, or
-               dim on the symbolic route (flows[k] @ initial has dim)
+               dim on the symbolic route (F_k Theta has dim)
     normals  : (k, dim) directions whose supports the numeric recurrence
                recorded (the model's unsafe normals), or None
     supports : (steps, k) support values in those directions, or None
-    flows    : symbolic route: (steps, dim, dim) stack of exp(A t), so the
-               nominal set at step k is flows[k] @ initial, a strided view
-               of the doubling's powers (_doubling_flows); else None
-    flow_pad : symbolic route: (steps, dim) pad, at least |Q^k - flows[k]|
-               max(|initial.lo|, |initial.hi|) for every member Q of the
-               step's enclosure, by which the nominal box widens
-               (_doubling_flows); else None
     initial  : symbolic route: the initial box Theta; else None
     phi      : symbolic route: the method's bound per step
                (BloatSeries.phi): the relative deviation phi(t) for
@@ -288,12 +281,21 @@ class ReachResult:
                one-step family M, Theta, the horizon and the reduction
                policy), which `support` replays in directions it did not
                record; else None
+    _flows   : symbolic route: the O(n^2) inputs of the flows F_k
+               (_flow_chunks: the step P, its error, the error columns v,
+               the chunk length and the steps run), which `support`
+               replays with `initial` and `radii`; else None
+    _first   : symbolic route: the grid step of row 0, 0 but in a window
+               of a longer result (uncreach reach --t-start), whose
+               replay runs from step 0 and keeps its own steps
 
     Either route is bounded on a prefix of its steps (_first_unbounded):
     the first step at which a value it computes is not finite (numeric: a
     centre, radius or support; symbolic: phi, a flow, its pad, the radius
     or the padded box) and every later one have box -inf/inf and
-    supports inf, and on the symbolic route radius inf.
+    supports inf, and on the symbolic route radius inf.  Neither route
+    stores a per-step set or flow: a result holds O(steps n) rows and
+    O(n^2) replay inputs.
     """
 
     kind: str
@@ -305,13 +307,13 @@ class ReachResult:
     gen_counts: np.ndarray
     normals: np.ndarray | None = None
     supports: np.ndarray | None = None
-    flows: np.ndarray | None = None
-    flow_pad: np.ndarray | None = None
     initial: Box | None = None
     wall_time: float = 0.0
     phi: np.ndarray | None = None
     invariant: tuple[int, int] | None = None
     _recurrence: tuple | None = field(default=None, repr=False)
+    _flows: tuple | None = field(default=None, repr=False)
+    _first: int = field(default=0, repr=False)
 
     @cached_property
     def boxes(self) -> list[Box]:
@@ -352,28 +354,42 @@ class ReachResult:
     def _computed_support(self, dirs: np.ndarray) -> np.ndarray:
         """(steps, k) supports in the k rows of dirs, none read off.
 
-        A symbolic result gives the upper bounds of its padded images
-        (_padded_image) in the rows d E of its flows E, padded by
-        flow_pad @ |d|, a chunk of the prefix of finite radius at a time
-        into the (steps, k) result: about _CHUNK_ENTRIES image entries per
-        chunk, so no (steps, k, n) image exists.  A step past that prefix
-        has support inf, and so has a padded image that is not finite (an
-        overflow, or inf - inf where the box is finite).  A numeric result
+        Both routes replay their O(n^2) inputs and keep the rule of
+        _first_unbounded: from the first step at which one of the
+        supports is not finite, every support is inf.  A numeric result
         replays its recurrence once with exactly `dirs` as normals: one
-        more pass in O(steps (n + k)) memory, the same boxes.
+        more pass in O(steps (n + k)) memory, the same boxes.  A symbolic
+        result replays its flows F_k chunk by chunk (_flow_chunks) up to
+        the last step of finite radius, and gives the upper bounds of the
+        padded images (_padded_image) of the rows d F_k, padded by
+        pad_k @ |d|: about _CHUNK_ENTRIES image entries at a time, so no
+        (steps, k, n) image exists, and each step the bits the boxes get.
         """
-        if self.flows is None:
+        if self._flows is None:
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
+        first, count = self._first, len(self)
+        out = np.full((count, len(dirs)), np.inf)
+        bounded = _first_unbounded(self.radii)
+        end = first + (count if bounded is None else bounded)
+        norms, mags = _frobenius(dirs, axis=1), np.abs(dirs).T
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.flow_pad @ np.abs(dirs).T  # the pads, then the supports
-            norms = _frobenius(dirs, axis=1)
-            bounded = slice(_first_unbounded(self.radii))
-            flows, radii, sups = self.flows[bounded], self.radii[bounded], out[bounded]
-            for k in _row_chunks(len(flows), dirs.size):
-                sups[k] = _padded_image(dirs @ flows[k], self.initial, sups[k],
-                                        radii[k], norms)[1]
-            out[len(flows):] = np.inf
-            out[~np.isfinite(out)] = np.inf
+            for k, flows, errs in _flow_chunks(*self._flows):
+                if k.start >= end:
+                    break
+                skip = max(first - k.start, 0)
+                if skip >= len(flows):
+                    continue
+                at = k.start + skip - first  # the chunk's first row of out
+                stop = min(len(flows), end - k.start)
+                flows, pads = flows[skip:stop], errs[skip:stop, :, 0] @ mags
+                for j in _row_chunks(len(flows), dirs.size):
+                    rows = slice(at + j.start, at + min(j.stop, len(flows)))
+                    _padded_image(dirs @ flows[j], self.initial, pads[j],
+                                  out=(None, out[rows]))
+                    out[rows] += np.multiply.outer(self.radii[rows], norms)
+            unbounded = _first_unbounded(out)
+        if unbounded is not None:
+            out[unbounded:] = np.inf
         return out
 
 
@@ -405,7 +421,7 @@ def discretize(a, pert: IntervalMatrix, h: float) -> IntervalMatrix:
 
 def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
            a_err: np.ndarray | None = None, v: np.ndarray | None = None,
-           out: np.ndarray | None = None):
+           out: np.ndarray | None = None, steps: list | None = None):
     """a^0 x0, a^1 x0, ..., a^(count-1) x0 side by side, by doubling.
 
     For x0 of shape (n, w) the result is (n, count * w), written into
@@ -423,7 +439,9 @@ def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
     doubling reads blocks j < count / 2 only, so only those keep sizes:
     the bounds hold 1.5 m n numbers per block besides the powers' n w.
     They are stored block by block, so a doubling's operands are
-    contiguous and no ufunc buffers them.
+    contiguous and no ufunc buffers them.  Given a list `steps`, the
+    last step taken, a^d with its error (a_err's squarings), d the
+    largest power of two below count, is appended to it.
     """
     n, w = x0.shape
     if out is None:
@@ -453,6 +471,8 @@ def _orbit(a: np.ndarray, x0: np.ndarray, count: int,
         done += take
         if done < count:
             step, step_err = _square(step, step_err)
+    if steps is not None:
+        steps.append((step, step_err))
     return out if errs is None else (out, errs)
 
 
@@ -893,7 +913,7 @@ def _first_unbounded(*arrays: np.ndarray) -> int | None:
     routes, whose results are bounded on the steps before it."""
     # a sum that overflows only sends finite steps to the exact check; a
     # step's sum runs over its trailing axes, so a strided view (the
-    # symbolic flows) is not copied whole
+    # symbolic chunk bases) is not copied whole
     if math.isfinite(sum(float(a.sum()) for a in arrays)):
         return None
     sums = sum(a.sum(axis=tuple(range(1, a.ndim))) for a in arrays)
@@ -972,21 +992,24 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
 
     times must be bitwise np.arange(K) * h, as ModelSpec.times builds
     it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
-    of one step with error vectors (_doubling_flows).  ||Theta|| is
-    evaluated scaled (Box.max_norm), and the radius is scaled to cover
-    the rounding of its own product; psi covers its own rounding, phi
-    does not.  The boxes are padded images (_padded_image), as
-    ReachResult.support's are.  The result is bounded on a prefix of the
-    grid, as the numeric flowpipe is (_first_unbounded): from the first
-    step whose phi, flow, pad, radius or padded box is not finite (the
-    bound saturated, or a flow, its error or an image overflowed), the
-    radius is inf and the box -inf/inf: unbounded, not proven safe.
-    sigma_max and the padded images are evaluated only on that prefix,
-    whatever the later steps would give.  The result keeps the flows, the
-    pad and Theta, not one Star per point; safety_check reads its
-    supports.  The bounds, and so the radii, are stated for a constant E
-    in pert; a numeric flowpipe (reach_with_perturbation) covers a
-    time-varying E(t) (Althoff, Le Guernic & Krogh, HSCC 2011).
+    of one step with error vectors, a chunk of steps at a time
+    (_flow_chunks): each chunk gives its sigma_max bounds (relative
+    bounds only), pads, radii and padded boxes (_padded_image, as
+    ReachResult.support's are) and is dropped, so no (K, n, n) array
+    exists; the result keeps the O(n^2) inputs of the flows, which
+    `support` replays.  ||Theta|| is evaluated scaled (Box.max_norm), and
+    the radius is scaled to cover the rounding of its own product; psi
+    covers its own rounding, phi does not.  The result is bounded on a
+    prefix of the grid, as the numeric flowpipe is (_first_unbounded):
+    from the first step whose phi, flow, pad, radius or padded box is not
+    finite (the bound saturated, or a flow, its error or an image
+    overflowed), the radius is inf and the box -inf/inf: unbounded, not
+    proven safe.  The chunks stop at the first step whose phi is not
+    finite and at a chunk base that is not finite, so no flow, sigma_max
+    or padded image past that prefix is computed.  The bounds, and so the
+    radii, are stated for a constant E in pert; a numeric flowpipe
+    (reach_with_perturbation) covers a time-varying E(t) (Althoff, Le
+    Guernic & Krogh, HSCC 2011).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1:] != (theta.dim,):
@@ -994,68 +1017,79 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     _require_finite(theta, "initial box must be finite")
     series = _bounds.bloat_series(a, pert, times, method)
     start = time.perf_counter()
-    n = theta.dim
+    n, count = theta.dim, len(series.times)
+    # the error columns: max(|lo|, |hi|) of Theta for the pads, and for a
+    # relative bound 1, whose entry sums of |Q^k - F_k| enter the radii
+    v = np.maximum(np.abs(theta.lo), np.abs(theta.hi))[:, None]
+    if series.relative:
+        v = np.hstack((v, np.ones((n, 1))))
+    # the chunks stop at the first step whose phi is not finite
+    bounded = _first_unbounded(series.phi)
+    bounded = count if bounded is None else bounded
+    norm = theta.max_norm()
+    # phi (sigma + e) ||Theta|| (e the computed entry sum of |Q^k - F_k|,
+    # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
+    # roundings to nearest: n/2 through the squares, their sum and the
+    # root, then the root, sigma + e and two products; so it is at least
+    # (1 - u)^M times its exact value, barring underflow.  The float
+    # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
+    # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1);
+    # psi ||Theta|| takes two roundings fewer.
+    scale = 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
+    radii, lo = np.full(count, np.inf), None
     with np.errstate(over="ignore", invalid="ignore"):
-        flows, pad, err_sums = _doubling_flows(a, series.times, theta,
-                                               series.relative)
-        norm = theta.max_norm()
-        radii = np.full(len(flows), np.inf)
-        # the steps before the first whose phi, flow or pad is not finite
-        k = slice(_first_unbounded(series.phi, flows, pad))
-        if series.relative:
-            radii[k] = series.phi[k] * (_sigma_max_bound(flows[k])
-                                        + err_sums[k]) * norm
-            del err_sums
-        else:
-            radii[k] = series.phi[k] * norm
-        # phi (sigma + e) ||Theta|| (e the computed entry sum of |Q^k - F_k|,
-        # ||Theta|| = Box.max_norm a root of n squares) takes M = n/2 + 4
-        # roundings to nearest: n/2 through the squares, their sum and the
-        # root, then the root, sigma + e and two products; so it is at least
-        # (1 - u)^M times its exact value, barring underflow.  The float
-        # 1 + 2 j u, for the least j with 2 j > M + 1, covers that and its
-        # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1);
-        # psi ||Theta|| takes two roundings fewer.
-        radii[k] *= 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
-        lo, hi = np.full((len(flows), n), -np.inf), np.full((len(flows), n), np.inf)
-        # row i of the prefix of flows, flows[k, i] (steps, n), is
-        # contiguous: its padded image copies no flows
-        k = slice(_first_unbounded(radii))
-        for i in range(n):
-            row = slice(i, i + 1)
-            lo[k, row], hi[k, row] = _padded_image(
-                flows[k, row], theta, pad[k, row], radii[k], np.ones(1))
+        flows = (*_flow_step(a, series.times), v,
+                 _flow_chunk_steps(n, v.shape[1], bounded), bounded)
+        if not series.relative:  # psi ||Theta|| reads no flow
+            radii[:bounded] = series.phi[:bounded] * norm
+            radii[:bounded] *= scale
+        for k, chunk, errs in _flow_chunks(*flows):
+            if series.relative:  # sigma_max reads a contiguous copy faster
+                radii[k] = series.phi[k] * (_sigma_max_bound(np.ascontiguousarray(chunk))
+                                            + errs[:, :, 1].sum(axis=1)) * norm
+                radii[k] *= scale
+            if lo is None:  # once the table's orbit and sigma_max are done
+                lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
+            _padded_image(chunk, theta, errs[:, :, 0], out=(lo[k], hi[k]))
+        if lo is None:  # phi is not finite at step 0: no chunk ran
+            lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
+        # the ball, once the chunks are freed; a radius or flow that is not
+        # finite leaves its box not finite
+        lo -= radii[:, None]
+        hi += radii[:, None]
         end = _first_unbounded(lo, hi)
-        if end is not None:
-            radii[end:], lo[end:], hi[end:] = np.inf, -np.inf, np.inf
+    if end is not None:
+        radii[end:], lo[end:], hi[end:] = np.inf, -np.inf, np.inf
     return ReachResult(
         kind="symbolic", method=method, labels=series.times.copy(), lo=lo,
-        hi=hi, radii=radii,
-        gen_counts=np.full(series.times.shape, n, dtype=np.int64),
-        flows=flows, flow_pad=pad, initial=theta,
-        wall_time=time.perf_counter() - start, phi=series.phi.copy())
+        hi=hi, radii=radii, gen_counts=np.full(count, n, dtype=np.int64),
+        initial=theta, wall_time=time.perf_counter() - start,
+        phi=series.phi.copy(), _flows=flows)
 
 
-def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box,
-                    relative: bool):
-    """Flows of the grid times = np.arange(K) * h (else ValueError) as powers.
+# Numbers a chunk of the symbolic route holds (_flow_chunk_steps)
+_FLOW_NUMBERS = 16384
 
-    The step P = expm(A h) is within E = max(M.hi - P, P - M.lo), pushed
-    one ulp outward (a zero stays zero), of each member Q of M =
-    interval_expm(A, h), and _orbit gives the flows F_k = P^k with error
-    vectors bounding |Q^k - F_k| v for v = max(|lo|, |hi|) of Theta and,
-    for a relative bound, v = 1; exp(A h) is in M only up to the series'
-    uncovered rounding, so they can miss |exp(A k h) - F_k| v.  Returns
-    the (K, n, n) flows, the (K, n) pads, the first vectors, and for a
-    relative bound the (K,) entry sums of |Q^k - F_k|, the second vectors
-    summed, each at least ||Q^k - F_k||_2 (else None).
 
-    The flows are a strided view of the orbit's (n, K n) powers, not a
-    copy: flows[k] is block k.  Beside the powers the orbit holds m/n of
-    their size in error vectors and m/(2n) in sizes, m the number of
-    vectors, and the widest doubling's two products m/n (_product_error):
-    1 + 2.5 m/n flows arrays at its peak.
-    """
+def _flow_chunk_steps(n: int, m: int, count: int) -> int:
+    """Steps c per chunk of count symbolic flows of order n with m error
+    columns (_flow_chunks): the largest power of two whose steps hold at
+    most _FLOW_NUMBERS numbers, n^2 each in the table and in a chunk's
+    product and m n in each of three arrays of error columns (the
+    table's errors and sizes, a chunk's errors); or where that is
+    smaller, the power of two nearest sqrt(1.75 count), which balances
+    the table and a chunk, 2 c n^2 numbers, against the orbit of the
+    count / c bases, 3.5 n^2 numbers per base while it runs (_orbit)."""
+    c = 1 << max(0, (_FLOW_NUMBERS // (2 * n * n + 3 * m * n)).bit_length() - 1)
+    return max(c, 1 << round(math.log2(1.75 * max(count, 1)) / 2))
+
+
+def _flow_step(a: np.ndarray, times: np.ndarray):
+    """The step P = expm(A h) of the grid times = np.arange(K) * h (else
+    ValueError), and its error E = max(M.hi - P, P - M.lo) pushed one ulp
+    outward (a zero stays zero), so that |Q - P| <= E for each member Q
+    of M = interval_expm(A, h); exp(A h) is in M only up to the series'
+    uncovered rounding."""
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
     if not (h > 0.0 or count < 2) or not np.array_equal(times, np.arange(count) * h):
@@ -1063,33 +1097,129 @@ def _doubling_flows(a: np.ndarray, times: np.ndarray, theta: Box,
     m = interval_expm(IntervalMatrix.from_point(a), h)
     step = scipy.linalg.expm(a * h)
     dist = np.maximum(m.hi - step, step - m.lo)
-    step_err = np.where(dist == 0.0, 0.0, np.nextafter(dist, np.inf))
-    n = a.shape[0]
-    v = np.maximum(np.abs(theta.lo), np.abs(theta.hi))[:, None]
-    if relative:
-        v = np.hstack((v, np.ones((n, 1))))
-    powers, errs = _orbit(step, np.eye(n), count, step_err, v)
-    return (powers.reshape(n, count, n).transpose(1, 0, 2), errs[:, 0].copy(),
-            errs[:, 1].sum(axis=1) if relative else None)
+    return step, np.where(dist == 0.0, 0.0, np.nextafter(dist, np.inf))
 
 
-def _padded_image(rows, theta: Box, pad, radii, norms):
+def _flow_chunks(step: np.ndarray, step_err: np.ndarray, v: np.ndarray,
+                 chunk: int, count: int):
+    """The flows F_k = P^k of steps 0 .. count - 1 with error columns, a
+    chunk of steps at a time: (k, flows, errs) for a slice k of steps,
+    flows (len k, n, n) and errs (len k, n, m), errs[j, :, c] a bound on
+    |Q^i - F_i| v_c, i = k.start + j, for each member Q of M (|Q - P| <=
+    step_err) and each column v_c >= 0 of v.
+
+    The first chunk is a table F_0 .. F_(c-1), c = chunk (a power of
+    two), from one doubling orbit of P with the error columns v (_orbit):
+    the first c steps of an orbit of the whole grid, bit for bit; count
+    <= c steps are that table alone.  Else the chunk bases B_k ~ P^(k c)
+    come from one doubling orbit of S = P^c, the last of the table
+    orbit's squarings (_square), with matrix errors E_k >= |Q^(k c) -
+    B_k| (the identity's columns), and chunk k >= 1 is the product
+    F_(k c + j) = fl(B_k F_j) for its steps, bounded by _product_error
+    (Higham's gamma_n) with the sizes |F_j| v of the table
+    (_vector_sizes); a tail of at most c/4 steps past the last whole
+    chunk joins it, the table holding c + tail steps:
+        |Q^(k c + j) - F_(k c + j)| v <= |B_k| e_j + E_k (|F_j| v + e_j)
+                                         + gamma_n |B_k| |F_j| v,
+    e_j the table's error columns.  Both orbits double, so an error
+    passes through as many products as in one orbit of the whole grid,
+    not one per chunk.  A chunk's bits depend only on these inputs: a
+    replay gives those of the first run.  The chunks stop before the
+    first base or base error that is not finite, past which every flow
+    or error is not finite either.
+
+    A chunk comes in pieces of about _FLOW_NUMBERS numbers of flows and
+    error columns (one step at least), each one product and one
+    _product_error call, and a table alone in n pieces.  The table takes
+    up to 1.25 c n^2 numbers, a piece about _FLOW_NUMBERS, and the bases
+    about 3.5 (count / c) n^2 while their orbit runs; a piece's arrays
+    are reused by the next.  flows is a strided view of an (n, b n)
+    array, as an orbit's powers are.
+    """
+    n, m = v.shape
+    if count < 1:
+        return
+    c, tail = chunk, count % chunk
+    if count <= c:
+        last, size = 1, count  # one chunk: the table alone
+    elif 0 < tail <= c // 4:
+        last, size = count // c, c + tail  # the last chunk takes the tail
+    else:
+        last, size = -(-count // c), c + 1
+    # an orbit of more than c steps squares up to S = P^c; the bases come
+    # before any chunk is read, and so before its reader's arrays exist
+    steps = [] if last > 1 else None
+    table, errs = _orbit(step, np.eye(n), size, step_err, v, steps=steps)
+    if last > 1:
+        (power, power_err), = steps
+        bases, bases_err = _orbit(power, np.eye(n), last, power_err, np.eye(n))
+        del power, power_err, steps
+    # steps per yield: flows and error columns of about _FLOW_NUMBERS
+    # numbers; a table alone in n pieces, so that a short grid's images
+    # hold no more entries than one box row of every step
+    piece = max(1, _FLOW_NUMBERS // (n * (n + m)))
+    if last == 1:
+        piece = min(piece, -(-count // n))
+    first = size if last == 1 else c
+    flows, cols = table.reshape(n, size, n).transpose(1, 0, 2), errs.transpose(0, 2, 1)
+    for j in range(0, first, piece):
+        k = slice(j, min(j + piece, first))
+        yield k, flows[k], cols[k]
+    if last == 1:
+        return
+    del flows, cols
+    sizes = np.empty(errs.shape)
+    _vector_sizes(table, v, sizes)
+    bounded = _first_unbounded(bases.reshape(n, last, n).transpose(1, 0, 2), bases_err)
+    # the table's m columns per step side by side, as _orbit passes them
+    x, x_err = sizes.reshape(-1, n).T, errs.reshape(-1, n).T
+    v_sum = float(v.sum(axis=0).max())
+    piece = min(piece, size)
+    out, out_err = np.empty((n, piece * n)), np.empty((piece, m, n))
+    for k in range(1, last if bounded is None else bounded):
+        base, base_err = bases[:, k * n:(k + 1) * n], bases_err[k].T
+        length = count - k * c if k == last - 1 else c
+        for j in range(0, length, piece):
+            b = min(piece, length - j)
+            np.matmul(base, table[:, j * n:(j + b) * n], out=out[:, :b * n])
+            _product_error(base, base_err, x[:, j * m:(j + b) * m],
+                           x_err[:, j * m:(j + b) * m],
+                           out_err[:b].reshape(-1, n).T, v_sum)
+            yield (slice(k * c + j, k * c + j + b),
+                   out[:, :b * n].reshape(n, b, n).transpose(1, 0, 2),
+                   out_err[:b].transpose(0, 2, 1))
+
+
+def _padded_image(rows, theta: Box, pad, out=None):
     """Bounds of rows[k] x over x in Theta, rows (K, r, n): each row, a
-    point, times Theta (_endpoint_product), sums of the smaller (larger)
-    of m_ij lo_j, m_ij hi_j; widened by pad (K, r) and then by radii[k]
-    norms[j], norms (r,) the 2-norms of the directions that the rows look
-    along.  Every entry is summed as a whole, so a chunk of steps gets the
-    bits of the whole grid.  Callers pass the prefix of steps of finite
-    radius (symbolic_reach), a chunk at a time, run it with overflow and
-    invalid ignored, and take a bound that is not finite as unbounded."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    lo, hi = (b.reshape(rows.shape[:-1]) for b in _endpoint_product(
-        flat, flat, theta.lo[:, None], theta.hi[:, None]))
-    lo -= pad
+    point, times Theta, the numpy sums over j of the smaller (larger) of
+    m_ij lo_j, m_ij hi_j, widened by pad (K, r).  The bounds (lo, hi),
+    each (K, r), are written into out if given, whose lo may be None for
+    the upper bounds alone, and returned; callers widen them by the
+    radius ball after.  Each bound sums its own row of products, so a
+    chunk of steps gets the bits of the whole grid.  numpy adds a row of
+    fewer than 8 terms in order, so for n < 8 the products are laid out
+    term first, (n, K, r), and each bound is n elementwise sums of long
+    rows, the same bits without many short row sums.  Two arrays of the
+    products live here at a time; callers pass the prefix of steps of
+    finite radius a chunk of steps at a time, run it with overflow and
+    invalid ignored, and take a bound that is not finite as
+    unbounded."""
+    lo, hi = (np.empty(rows.shape[:-1]), np.empty(rows.shape[:-1])) if out is None else out
+    if rows.shape[-1] < 8:
+        terms, spec, axis = rows.transpose(2, 0, 1), "jki,j->jki", 0
+    else:
+        terms, spec, axis = rows, "kij,j->kij", -1
+    # einsum scales by Theta's ends without the operand buffer of a
+    # broadcast multiply (up to 64 kB in numpy 2.4)
+    low = np.einsum(spec, terms, theta.lo, out=np.empty(terms.shape))
+    high = np.einsum(spec, terms, theta.hi, out=np.empty(terms.shape))
+    np.maximum(low, high, out=high).sum(axis=axis, out=hi)
     hi += pad
-    ball = np.multiply.outer(radii, norms)
-    lo -= ball
-    hi += ball
+    if lo is not None:
+        np.einsum(spec, terms, theta.hi, out=high)
+        np.minimum(low, high, out=low).sum(axis=axis, out=lo)
+        lo -= pad
     return lo, hi
 
 

@@ -4,8 +4,9 @@ A box or interval matrix [lo, hi] stands for the set of real vectors or
 matrices { M : lo <= M <= hi entrywise }, with at least one entry; a bound
 may be -inf or inf (an entry an exponential took out of float range), never
 NaN.  The classes hold bounds and answer queries; the interval arithmetic,
-defined here, is one product, _endpoint_product (interval_expm's series,
-engine's symbolic images), outward in exact arithmetic, and one sum,
+defined here, is one product, _endpoint_product (interval_expm's series;
+engine._padded_image takes the same endpoint products of a point row and
+a box), outward in exact arithmetic, and one sum,
 _add_outward (engine's A (+) Lambda and Lambda's interval cells),
 outward in floating point.  The product's rounding is not directed, so
 consumers that need slack add it, but _centre_radius, _sigma_max_bound,
@@ -35,9 +36,9 @@ __all__ = [
 _TAYLOR_ORDER = 20
 
 # Entries per chunk of a stack in _sigma_max_bound, of the endpoint
-# products in _endpoint_product (so interval_expm and
-# engine._padded_image) and of engine's symbolic readers: bounds their
-# temporaries whatever the stack length or matrix order.
+# products in _endpoint_product (so interval_expm) and of engine's
+# symbolic supports: bounds their temporaries whatever the stack length
+# or matrix order.
 _CHUNK_ENTRIES = 4096
 
 

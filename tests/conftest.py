@@ -3,6 +3,7 @@ import sys
 import numpy as np
 
 from uncreach import IntervalMatrix
+from uncreach.engine import _flow_chunks
 from uncreach.intervals import _add_outward
 
 
@@ -11,6 +12,22 @@ def centred(c, r) -> IntervalMatrix:
     package's one interval sum (intervals._add_outward)."""
     r = np.asarray(r, dtype=np.float64)
     return _add_outward(c, IntervalMatrix(-r, r))
+
+
+def replayed_flows(res):
+    """The flows F_k and error columns of a symbolic result as its
+    supports replay them (engine._flow_chunks), stacked: (K', n, n) and
+    (K', n, m), the pads in column 0, for the K' steps the chunks reach,
+    those before the first whose phi is not finite or past a base that
+    is not finite."""
+    flows, errs = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, chunk, err in _flow_chunks(*res._flows):
+            flows.append(chunk.copy())
+            errs.append(err.copy())
+    n, m = res.lo.shape[1], res._flows[2].shape[1]
+    return (np.concatenate(flows) if flows else np.empty((0, n, n)),
+            np.concatenate(errs) if errs else np.empty((0, n, m)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

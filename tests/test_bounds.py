@@ -33,7 +33,7 @@ from uncreach import intervals
 from uncreach.intervals import _add_outward, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS
 
-from conftest import centred
+from conftest import centred, replayed_flows
 
 BOUNDS = {"kagstrom1": kagstrom1, "kagstrom2": kagstrom2, "loan": loan}
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
@@ -492,8 +492,10 @@ class TestSymbolicReach:
         res = symbolic_reach(GIRAD_A, IntervalMatrix.zeros(2, 2), theta,
                              np.linspace(0, 1, 11), method="kagstrom1")
         assert res.kind == "symbolic"
-        # linspace(0, 1, 11) is bitwise arange(11) * 0.1, a grid it accepts
-        assert res.flow_pad.shape == (11, 2)
+        # linspace(0, 1, 11) is bitwise arange(11) * 0.1, a grid it accepts;
+        # the result keeps no flow, and its replay gives one per step
+        assert not hasattr(res, "flows") and not hasattr(res, "flow_pad")
+        assert replayed_flows(res)[1][:, :, 0].shape == (11, 2)
         assert np.all(res.radii == 0.0)
         assert np.all(res.phi == 0.0)
 
@@ -503,8 +505,9 @@ class TestSymbolicReach:
         res = symbolic_reach(GIRAD_A, lam, theta, np.array([0.0]), method="loan")
         # the one-point grid arange(1) * h: F_0 = I with a zero pad
         assert res.radii[0] == 0.0
-        assert np.array_equal(res.flows, [np.eye(2)])
-        assert np.array_equal(res.flow_pad, np.zeros((1, 2)))
+        flows, errs = replayed_flows(res)
+        assert np.array_equal(flows, [np.eye(2)])
+        assert np.array_equal(errs[:, :, 0], np.zeros((1, 2)))
         assert np.array_equal(res.boxes[0].lo, theta.lo)
         assert np.array_equal(res.boxes[0].hi, theta.hi)
 
@@ -514,7 +517,7 @@ class TestSymbolicReach:
         res = symbolic_reach(np.array([[0.0]]), lam, theta,
                              np.array([0.0, 1.0]), method="loan")
         # the nominal set at t = 1 is exp(0) Theta, anchored at E 0 = 0
-        assert np.array_equal(res.flows[1], [[1.0]])
+        assert np.array_equal(replayed_flows(res)[0][1], [[1.0]])
         assert res.initial is theta
         assert res.radii[1] == pytest.approx(math.e, rel=1e-14)
         assert res.boxes[1].lo[0] == pytest.approx(1.0 - math.e, rel=1e-14)
@@ -557,6 +560,7 @@ class TestSymbolicReach:
                 series = bloat_series(a, lam, times, method)
                 phi = series.phi
                 assert np.array_equal(res.phi, phi)
+                flows = replayed_flows(res)[0]
                 ref_lo, ref_hi, ref_radii = [], [], []
                 for idx, t in enumerate(times):
                     ea = expm(a * t)
@@ -569,9 +573,10 @@ class TestSymbolicReach:
                     ref_radii.append(delta)
                     ref_lo.append(nlo - delta)
                     ref_hi.append(nhi + delta)
-                    np.testing.assert_allclose(
-                        res.flows[idx], ea, rtol=1e-13,
-                        atol=1e-13 * max(1.0, np.abs(ea).max()))
+                    if idx < len(flows):  # the steps of finite phi
+                        np.testing.assert_allclose(
+                            flows[idx], ea, rtol=1e-13,
+                            atol=1e-13 * max(1.0, np.abs(ea).max()))
                 # kagstrom1 can leave float range on the later points:
                 # those radii must be inf on both sides.  For a relative
                 # bound the route bounds sigma_max from above and adds the
@@ -752,8 +757,10 @@ class TestSymbolicReach:
         theta = Box(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         res = symbolic_reach(-1e160 * np.eye(2), IntervalMatrix.zeros(2, 2),
                              theta, np.arange(3) * 0.01, method="loan")
-        assert np.array_equal(res.flows[1:], np.zeros((2, 2, 2)))
-        assert np.all(res.flow_pad[1:] > 0) and np.all(res.flow_pad < 1e-300)
+        flows, errs = replayed_flows(res)
+        pads = errs[:, :, 0]
+        assert np.array_equal(flows[1:], np.zeros((2, 2, 2)))
+        assert np.all(pads[1:] > 0) and np.all(pads < 1e-300)
         assert np.all(res.lo[1:] <= 0) and np.all(res.hi[1:] > 0)
 
     def test_rejects_infinite_initial_box(self):
@@ -823,22 +830,24 @@ class TestDoublingFlows:
         for j in range(n):
             e = np.eye(n)[j]
             res = symbolic_reach(a, zero, Box(e, e), times, method="loan")
-            assert res.flow_pad.shape == (len(times), n)
-            columns.append(res)
+            flows, errs = replayed_flows(res)
+            assert errs.shape == (len(times), n, 1)
+            columns.append((flows, errs[:, :, 0]))
         rng = np.random.default_rng(n)
         lo = rng.uniform(-1, 1, n)
         theta = Box(lo, lo + rng.uniform(0, 1, n))
         boxed = symbolic_reach(a, zero, theta, times, method="loan")
+        boxed_flows = replayed_flows(boxed)[0]
         worst = 0.0
         with mpmath.workdps(40):
             big_a = mpmath.matrix(a.tolist())
             for k in steps:
                 ref = mpmath.expm(big_a * mpmath.mpf(times[k]))
-                for j, res in enumerate(columns):
-                    assert np.array_equal(res.flows[k], boxed.flows[k])
+                for j, (flows, pads) in enumerate(columns):
+                    assert np.array_equal(flows[k], boxed_flows[k])
                     for i in range(n):
-                        miss = abs(ref[i, j] - mpmath.mpf(res.flows[k][i, j]))
-                        bound = mpmath.mpf(res.flow_pad[k][i])
+                        miss = abs(ref[i, j] - mpmath.mpf(flows[k][i, j]))
+                        bound = mpmath.mpf(pads[k][i])
                         assert miss <= bound, (k, i, j)
                         if bound > 0:  # F_0 = I is exact
                             worst = max(worst, float(miss / bound))
@@ -881,7 +890,6 @@ class TestDoublingFlows:
         for method in BLOAT_METHODS:
             res = symbolic_reach(model.a, model.perturbation(), model.initial,
                                  times, method=method)
-            assert res.flow_pad.shape == (len(times), 2)
             _, lo, hi, radii = per_point_reference(
                 model.a, model.perturbation(), model.initial, times, method)
             assert np.all(res.radii >= radii)
@@ -915,7 +923,6 @@ class TestDoublingFlows:
         for method in BLOAT_METHODS:
             res = symbolic_reach(model.a, model.perturbation(), model.initial,
                                  times, method=method)
-            assert res.flow_pad is not None
             _, lo, hi, _ = per_point_reference(
                 model.a, model.perturbation(), model.initial, times, method)
             assert np.all(res.lo <= lo) and np.all(res.hi >= hi)
@@ -934,25 +941,34 @@ class TestDoublingFlows:
             res = symbolic_reach(GIRAD_A, lam, theta, SHIPPED_GRID, method=method)
             flows, lo, hi, radii = per_point_reference(
                 GIRAD_A, lam, theta, SHIPPED_GRID, method)
-            assert res.flow_pad.shape == (len(SHIPPED_GRID), 2)
-            assert np.all(res.flow_pad[0] == 0.0) and np.all(res.flow_pad[1:] > 0)
-            np.testing.assert_allclose(res.flows, flows, rtol=0, atol=1e-13)
+            replayed, errs = replayed_flows(res)
+            pads = errs[:, :, 0]
+            assert pads.shape == (len(SHIPPED_GRID), 2)
+            assert np.all(pads[0] == 0.0) and np.all(pads[1:] > 0)
+            np.testing.assert_allclose(replayed, flows, rtol=0, atol=1e-13)
             assert np.all(res.radii >= radii)
             assert np.all(res.lo <= lo) and np.all(res.hi >= hi)
             np.testing.assert_allclose(res.hi - res.lo, hi - lo, rtol=1e-10)
 
     def test_image_bounds_chunks_are_bitwise_whole(self):
+        # the endpoint image alone (a zero pad), whole and a chunk of steps
+        # at a time, is the unchunked reference to the bit, a lone row too
         rng = np.random.default_rng(8)
-        for shape in ((2051, 2, 2), (2051, 4, 4), (5000, 3, 7), (3, 9)):
+        for shape in ((2051, 2, 2), (2051, 4, 4), (5000, 3, 7), (3, 9), (40, 1, 12)):
             m = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 5)
             lo = rng.normal(size=shape[-1])
             box = Box(lo, lo + rng.uniform(0, 2, shape[-1]))
             rows = m.reshape(-1, *m.shape[-2:])  # (K, r, n)
-            # zero pad and radius: the endpoint image alone
-            got = _padded_image(rows, box, np.zeros(rows.shape[:-1]),
-                                np.zeros(len(rows)), np.ones(rows.shape[1]))
+            whole = _padded_image(rows, box, np.zeros(rows.shape[:-1]))
             ref = image_bounds_reference(rows, box)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            assert whole[0].tobytes() == ref[0].tobytes()
+            assert whole[1].tobytes() == ref[1].tobytes()
+            for size in (1, 7, 512):
+                for k in range(0, len(rows), size):
+                    part = _padded_image(rows[k:k + size], box,
+                                         np.zeros(rows[k:k + size].shape[:-1]))
+                    assert part[0].tobytes() == whole[0][k:k + size].tobytes()
+                    assert part[1].tobytes() == whole[1][k:k + size].tobytes()
 
     def test_flow_overflow_gives_unbounded_steps(self):
         # exp(2t) leaves float range near t = 355; the fine-step twin of
@@ -968,7 +984,6 @@ class TestDoublingFlows:
                 res = symbolic_reach(TWOCELL_A, lam, theta, times, method="loan")
                 verdict = safety_check(res, (HalfSpace(np.array([0.0, 1.0]), 1e300),))
                 boxes = res.boxes
-            assert res.flow_pad is not None
             over = np.isinf(res.radii)
             first = int(np.argmax(over))
             # psi ||Theta|| leaves float range first with a perturbation
@@ -990,7 +1005,8 @@ class TestDoublingFlows:
         # bound sums inf and -inf; along (1e10, -1e10) the image overflows
         # 24 steps sooner, where the boxes are finite.  From the first step
         # whose box is not finite the result is unbounded, and no bound or
-        # support is NaN
+        # support is NaN; supports replayed together are inf from the first
+        # step at which one of them is not, (1, 1) alone 24 steps later
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
         theta = Box(np.full(2, 1e9), np.full(2, 2e9))
         with warnings.catch_warnings():
@@ -1005,8 +1021,9 @@ class TestDoublingFlows:
         assert np.all(res.lo[690:] == -np.inf) and np.all(res.hi[690:] == np.inf)
         assert np.all(np.isfinite(res.lo[:690])) and np.all(np.isfinite(res.hi[:690]))
         assert res.boxes[690].hi[0] == np.inf
-        assert np.all(sups[690:] == np.inf) and np.all(np.isfinite(sups[:666]))
-        assert np.all(sups[666:, 0] == np.inf) and np.all(np.isfinite(sups[:690, 1]))
+        assert np.all(sups[666:] == np.inf) and np.all(np.isfinite(sups[:666]))
+        alone = res.support(np.array([[1.0, 1.0]]))
+        assert np.all(alone[690:] == np.inf) and np.all(np.isfinite(alone[:690]))
         assert (verdict.safe, verdict.step) == (False, 671)
 
     def test_support_along_axes_matches_box(self):

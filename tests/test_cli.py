@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from uncreach import ThresholdReport
+from uncreach import ThresholdReport, load_model, symbolic_reach
 from uncreach.cli import main
 
 GROW1D = str(importlib.resources.files("uncreach") / "models" / "grow1d.yaml")
@@ -147,6 +147,31 @@ class TestReachSymbolic:
         assert len(rows) == 151
         assert rows == full.stdout.splitlines()[-151:]
         assert window.stderr == full.stderr  # the verdict is past t = 0.5
+
+    def test_window_replays_its_own_supports(self, runner, tmp_path):
+        # a normal off the axes is replayed, not read off the box: a
+        # window's rows and verdict are the full run's from the window's
+        # first step on, also where the full run's verdict falls before it
+        for offset in (2.0, 1.2):
+            path = tmp_path / "girad-diagonal.yaml"
+            path.write_text(open(GIRAD).read().replace(
+                "{normal: [1.0, 0.0], offset: 2.0}",
+                f"{{normal: [1.0, 1.0], offset: {offset}}}"))
+            full = runner.invoke(main, ["reach", str(path), "--method", "loan",
+                                        "--t-end", "2.0"])
+            window = runner.invoke(main, ["reach", str(path), "--method", "loan",
+                                          "--t-start", "0.5", "--t-end", "2.0"])
+            assert full.exit_code == 0 and window.exit_code == 0, window.stderr
+            assert window.stdout.splitlines() == full.stdout.splitlines()[-151:]
+            model = load_model(path)
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 np.arange(201) * model.step, method="loan")
+            sups = res.support(np.array([[1.0, 1.0]]))[:, 0]
+            hits = np.flatnonzero(~(sups < offset))
+            assert (hits[0] < 50) == (offset == 1.2)
+            step = hits[hits >= 50][0]
+            assert window.stderr == (f"verdict: not proven safe at "
+                                     f"t={res.labels[step]:.17g}, half-space 0\n")
 
     def test_off_grid_t_start_starts_at_the_next_grid_point(self, runner):
         full = runner.invoke(main, ["reach", TWOCELL, "--method", "loan"])

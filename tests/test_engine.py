@@ -37,7 +37,7 @@ from uncreach.robustness import SCHEMES, budget_weights
 from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
 
-from conftest import centred
+from conftest import centred, replayed_flows
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -1175,16 +1175,20 @@ class TestSharedRows:
 
 
 def ors_reach_peak(model):
-    """tracemalloc's peak in bytes over one ors_reach of the model, run
-    once before it is traced: a first call's caches would count, and the
-    peak would depend on which test ran first."""
+    """tracemalloc's largest peak in bytes over three ors_reach calls of
+    the model, after one untraced call: a first call's caches would
+    count, and a warm peak drifts down over repeated calls, so one call
+    would give a peak that depends on which tests ran first."""
     ors_reach(model)
-    tracemalloc.start()
-    try:
-        ors_reach(model)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            ors_reach(model)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
 
 
 def chunk_case(n):
@@ -2004,8 +2008,9 @@ class TestSymbolicChunks:
 
     def test_unbounded_steps_take_no_sigma(self, monkeypatch):
         # acc4's kagstrom1 phi is inf from t = 1.09 on, where the radius is
-        # inf whatever sigma is: _sigma_max_bound reads only the steps of
-        # finite phi, and the radii are bytewise those of sigma at every step
+        # inf whatever sigma is: the chunks stop there, so _sigma_max_bound
+        # reads only the steps of finite phi, and the radii are bytewise
+        # those of sigma and the error sums of the replayed flows
         model = shipped("acc4")
         times = model.times()
         original, read = engine._sigma_max_bound, []
@@ -2019,9 +2024,12 @@ class TestSymbolicChunks:
                              times, method="kagstrom1")
         finite = np.isfinite(res.phi)
         assert sum(read) == finite.sum() < len(times)
-        _, _, err_sums = engine._doubling_flows(model.a, times, model.initial, True)
+        flows, errs = replayed_flows(res)
+        assert len(flows) == finite.sum()
+        want = np.full(len(times), np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = res.phi * (original(res.flows) + err_sums) * model.initial.max_norm()
+            want[finite] = (res.phi[finite] * (original(flows) + errs[:, :, 1].sum(axis=1))
+                            * model.initial.max_norm())
             want *= 1.0 + 2 * ((model.dim + 10) // 4 + 1) * intervals._UNIT
         want[~np.isfinite(want)] = np.inf
         assert res.radii.tobytes() == want.tobytes()
@@ -2050,45 +2058,133 @@ class TestSymbolicChunks:
         res = symbolic_reach(np.array([[1.0, -1.0], [0.0, 2.0]]),
                              IntervalMatrix.zeros(2, 2), theta,
                              np.arange(1601) * 0.25, method="loan")
-        over = ~np.isfinite(res.flows).all(axis=(1, 2))
+        # the replayed flows stop with the chunk past the first that is not
+        # finite; every later step is unbounded too
+        flows = replayed_flows(res)[0]
+        over = np.ones(len(res), dtype=bool)
+        over[:len(flows)] = ~np.isfinite(flows).all(axis=(1, 2))
         assert over.any() and np.array_equal(np.isinf(res.radii), over)
         assert np.all(res.hi[over] == np.inf) and np.all(res.lo[over] == -np.inf)
         assert read == []
 
     def test_supports_skip_unbounded_steps(self, monkeypatch):
         # the padded images of the steps of finite radius only, whatever
-        # the chunk: bytewise the evaluation at every step, in which a
-        # radius of inf gives the support inf
+        # the chunk of steps: bytewise one evaluation of the replayed flows
+        # at every such step, and inf after
         model = shipped("acc4")
         res = symbolic_reach(model.a, model.perturbation(), model.initial,
                              model.times(), method="kagstrom1")
-        assert np.isinf(res.radii).any() and np.isfinite(res.radii).any()
+        bounded = int(np.isfinite(res.radii).sum())
+        assert 0 < bounded < len(res) and np.all(np.isfinite(res.radii[:bounded]))
         dirs = np.random.default_rng(73).normal(size=(3, model.dim))
+        flows, errs = replayed_flows(res)
         with np.errstate(over="ignore", invalid="ignore"):
             want = engine._padded_image(
-                dirs @ res.flows, res.initial, res.flow_pad @ np.abs(dirs).T,
-                res.radii, intervals._frobenius(dirs, axis=1))[1]
-        assert np.all(want[np.isinf(res.radii)] == np.inf)
+                dirs @ flows[:bounded], res.initial,
+                errs[:bounded, :, 0] @ np.abs(dirs).T)[1]
+            want += np.multiply.outer(res.radii[:bounded],
+                                      intervals._frobenius(dirs, axis=1))
         original, read = engine._padded_image, []
 
-        def counting(rows, theta, pad, radii, norms):
-            read.append(len(radii))
-            return original(rows, theta, pad, radii, norms)
+        def counting(rows, theta, pad, out=None):
+            read.append(len(rows))
+            return original(rows, theta, pad, out)
 
         monkeypatch.setattr(engine, "_padded_image", counting)
         for entries in (1, 7, 10 ** 9):
             monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
             read.clear()
             got = res.support(dirs)
-            assert got.tobytes() == want.tobytes(), entries
-            assert sum(read) == np.isfinite(res.radii).sum(), entries
+            assert got[:bounded].tobytes() == want.tobytes(), entries
+            assert np.all(got[bounded:] == np.inf), entries
+            assert sum(read) == bounded, entries
+
+    def test_chunk_error_columns_bound_every_member_power(self, monkeypatch):
+        # the chunks' error columns, as the table's (TestOrbit), bound
+        # |Q^k - F_k| v for every sign vertex Q = P + S o E at every step,
+        # in exact integer arithmetic at zero tolerance: grids of one chunk,
+        # with a tail that joins the last chunk (9, 13: tail 1 of c = 4),
+        # with a tail of its own (6, 14), with none (8), chunks of 2 and 4
+        # steps and pieces of 3 steps (_FLOW_NUMBERS = 24), and a step
+        # whose powers underflow
+        monkeypatch.setattr(engine, "_FLOW_NUMBERS", 24)
+        rng = np.random.default_rng(406)
+        cases = [
+            (rng.normal(size=(2, 2)) * 0.7, rng.uniform(0, 1e-3, (2, 2))),
+            (0.98 * np.eye(2) + np.eye(2, k=1), np.array([[1e-12, 0], [1e-15, 0]])),
+            (rng.normal(size=(2, 2)) * 1e-40, np.full((2, 2), 1e-56)),
+        ]
+        for a, a_err in cases:
+            n = len(a)
+            v = np.stack((rng.uniform(0.5, 2.0, n), np.ones(n)), axis=1)
+            v[0, 0] = 0.0
+            v_bits = [[dyadic(x) for x in col] for col in v.T]
+            cells = np.flatnonzero(a_err)
+            for chunk, count in ((4, 1), (4, 3), (4, 4), (4, 6), (4, 8), (4, 9),
+                                 (4, 13), (4, 14), (2, 9)):
+                # a piece's arrays are reused by the next: copies
+                pieces = [(k, f.copy(), e.copy()) for k, f, e
+                          in engine._flow_chunks(a, a_err, v, chunk, count)]
+                assert [k.start for k, _, _ in pieces] == sorted(
+                    k.start for k, _, _ in pieces)
+                assert sum(len(f) for _, f, _ in pieces) == count
+                flows = np.concatenate([f for _, f, _ in pieces])
+                errs = np.concatenate([e for _, _, e in pieces])
+                for vertex in itertools.product((-1, 1), repeat=len(cells)):
+                    signs = np.zeros(n * n, dtype=int)
+                    signs[cells] = vertex
+                    powers_k = vertex_powers(a, a_err, signs.reshape(n, n), count)
+                    for k, (p, e) in enumerate(powers_k):
+                        for i in range(n):
+                            f = [dyadic(x) for x in flows[k, i]]
+                            d = max([e] + [fe for _, fe in f])
+                            miss = [abs((p[i][l] << (d - e)) - (fm << (d - fe)))
+                                    for l, (fm, fe) in enumerate(f)]
+                            for c, col in enumerate(v_bits):
+                                dv = max(ve for _, ve in col)
+                                got = sum(mi * (vm << (dv - ve))
+                                          for mi, (vm, ve) in zip(miss, col))
+                                bm, be = dyadic(errs[k, i, c])
+                                assert got << be <= bm << (d + dv), (chunk, count, k, i, c)
+
+    def test_replayed_supports_are_unbounded_from_the_first_unbounded_one(self):
+        # the prefix rule of both routes: from the first step at which one of
+        # the requested supports is not finite, each is inf.  A rotation
+        # from Theta = [1, 2]^2: along d = (6e307, -6e307) the padded image
+        # sums past the float maximum from t = 4 and is finite again later
+        # in the turn, while the boxes stay finite; (1, 2), finite alone, is
+        # inf with it, and the numeric route's replay, whose supports
+        # overflow sooner, does the same
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        theta = Box(np.ones(2), np.full(2, 2.0))
+        model = ModelSpec(name="rotation", a=a, uncertainty=(), initial=theta,
+                          horizon=99, step=0.1)
+        dirs = np.array([[6e307, -6e307], [1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = symbolic_reach(a, IntervalMatrix.zeros(2, 2), theta,
+                                 model.times(), method="loan")
+            sups = res.support(dirs)
+            numeric = ors_reach(model).support(dirs)
+        assert np.all(np.isfinite(res.lo)) and np.all(np.isfinite(res.hi))
+        # the padded images along d step by step, no rule applied
+        flows, errs = replayed_flows(res)
+        with np.errstate(over="ignore", invalid="ignore"):
+            each = engine._padded_image(dirs[:1] @ flows, theta,
+                                        errs[:, :, 0] @ np.abs(dirs[:1]).T)[1][:, 0]
+        first = int(np.argmax(~np.isfinite(each)))
+        assert first == 40 and np.isfinite(each[first:]).any()
+        assert np.all(np.isfinite(sups[:first])) and np.all(sups[first:] == np.inf)
+        assert np.all(np.isfinite(res.support(dirs[1:])))
+        stop = int(np.argmax(~np.isfinite(numeric).all(axis=1)))
+        assert 0 < stop < first and np.all(numeric[stop:] == np.inf)
+        assert np.all(np.isfinite(numeric[:stop]))
 
     def test_acc4_peak_memory(self):
-        # the benchmark's acc4 loan run peaks at 0.650 MB while the boxes
-        # are padded: the flows (0.263 MB), the pad, the boxes and one
-        # row's endpoint products; the orbit with its one error vector
-        # stays below 0.5 MB.  Error rows, which took the flows' size
-        # again, and a transposed copy of the flows took it to 0.697 MB
+        # the benchmark's acc4 loan run peaks at 0.351 MB: the boxes and
+        # radii of 2051 steps (0.16 MB), a table of 259 flows (the last
+        # chunk takes the 3-step tail), a chunk and its padded image; the
+        # stored (K, n, n) flows alone were 0.263 MB and took it to 0.650 MB
         model = shipped("acc4")
         tracemalloc.start()
         try:
@@ -2098,15 +2194,12 @@ class TestSymbolicChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.67e6
+        assert peak < 0.36e6
 
     def test_heat_rod_32_peak_memory(self):
-        # 1001 flows of order 32: the flows are a view of the orbit's
-        # powers, and its error vector, their sizes, the boxes and
-        # chunks of steps take the peak to 1.11 flows arrays (1.17 with a
-        # second vector for the radius, 2.50 with error rows, one product
-        # of the widest doubling's rows and a transposed copy of the
-        # flows); 1.2 guards that level
+        # 1001 steps of order 32: 6.87 (K, n) arrays at the peak, the boxes,
+        # a table of 32 flows, the orbit of 32 chunk bases and a chunk; the
+        # stored (K, n, n) flows were 32 such arrays, and the peak 35.6
         rod = heat_rod(32)
         tracemalloc.start()
         try:
@@ -2116,17 +2209,37 @@ class TestSymbolicChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * res.flows.nbytes
+        assert peak < 7.2 * res.lo.nbytes
+
+    def test_heat_rod_128_peak_memory(self):
+        # 1001 steps of order 128, psi finite on the first 106 and the
+        # radius on the first 105: the chunks stop at psi's end, and the
+        # boxes, a table of 16 flows and the orbit of 7 bases peak at 7.1 MB,
+        # where the stored flows took 135 MB
+        rod = heat_rod(128)
+        tracemalloc.start()
+        try:
+            res = symbolic_reach(rod.a, rod.perturbation(), rod.initial,
+                                 rod.times(), method="loan")
+            verdict = safety_check(res, rod.unsafe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(res.phi[:106])) and np.all(np.isinf(res.phi[106:]))
+        assert np.all(np.isfinite(res.radii[:105])) and np.all(np.isinf(res.radii[105:]))
+        assert not verdict.safe
+        assert peak < 10e6
 
     def test_axis_supports_of_heat_rod_32_memory(self):
-        # the 64 rows +-e_i: a (K, 64, 32) image would be two flows arrays,
-        # and their padded images go a chunk of steps at a time; support
-        # reads them off the box, in little more than the (K, 64) result
+        # the 64 rows +-e_i: their padded images replay the flows a chunk
+        # of steps at a time, 6.98 (K, n) arrays at the peak beside the
+        # (K, 64) result (two of them), where the stored flows were 32;
+        # support reads them off the box, in little more than the result
         rod = heat_rod(32)
         res = symbolic_reach(rod.a, rod.perturbation(), rod.initial,
                              rod.times(), method="loan")
         dirs = np.vstack([np.eye(32), -np.eye(32)])
-        for support, bound in ((res._computed_support, res.flows.nbytes),
+        for support, bound in ((res._computed_support, 7.2 * res.lo.nbytes),
                                (res.support, 1.1 * res.lo.nbytes * 2)):
             tracemalloc.start()
             try:
