@@ -148,7 +148,7 @@ class TestReachSymbolic:
         assert rows == full.stdout.splitlines()[-151:]
         assert window.stderr == full.stderr  # the verdict is past t = 0.5
 
-    def test_window_replays_its_own_supports(self, runner, tmp_path):
+    def test_window_verdict_is_the_full_runs(self, runner, tmp_path):
         # a normal off the axes is replayed, not read off the box: a
         # window's rows and verdict are the full run's from the window's
         # first step on, also where the full run's verdict falls before it
