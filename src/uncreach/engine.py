@@ -12,9 +12,11 @@ x_0 in Theta.  Each set is a centred zonotope whose centre and
 generators P^a e_i follow the point map, the generators scaled by a
 history of radii: a table of |P^a| rows, built once per flowpipe, maps
 that history to boxes, supports and fresh radii, and a few batched
-products advance it by a chunk of steps.  Its phases: _Tables builds
-the table, advances a segment and reduces at its end, _segments runs
-the segments between reductions, and _flowpipe reads the result off.
+products advance it by a chunk of steps.  It runs on S, the components
+that can carry a radius; the others keep their centres as their boxes.
+Its phases: _Tables builds the table, advances a segment and reduces at
+its end, _segments runs the segments between reductions, and _flowpipe
+reads the result off.
 Symbolic route: the nominal flow exp(At) Theta padded by a bloating
 radius from a closed-form bound, the flows a chunk of steps at a time
 (see symbolic_reach).
@@ -35,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
-from .intervals import (_UNIT, Box, IntervalMatrix, _add_outward,
+from .intervals import (_TINY, _UNIT, Box, IntervalMatrix, _add_outward,
                         _centre_radius, _frobenius,
                         _gamma, _product_error, _require_finite, _row_chunks,
                         _sigma_max_bound, _square, interval_expm)
@@ -488,28 +490,41 @@ def _vector_sizes(blocks: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     out += (w + 1) * 2.0 ** -1074
 
 
-def _chunk_steps(n: int) -> int:
-    """Steps one chunk of the recurrence advances: about 128 radii."""
-    return max(1, 128 // n)
+def _chunk_steps(k: int) -> int:
+    """Steps one chunk of the recurrence advances: about 128 radii, k a
+    block."""
+    return max(1, 128 // k)
 
 
-def _inchunk_table(table: np.ndarray, lr: np.ndarray, n: int, chunk: int) -> np.ndarray:
+def _inchunk_table(table: np.ndarray, lr: np.ndarray, coupling: np.ndarray,
+                   chunk: int) -> np.ndarray:
     """Blocks W_d Lr, W_d = sum_{a+b=d} T_a V_b, for d < chunk - 1.
 
-    T_a is the table block of age a and V_b the first block column of
-    (I - K)^-1, the in-chunk coupling of fresh blocks inverted: V_0 = I,
-    V_b = sum_{s<b} Lr T_{b-1-s}[:n] V_s = Lr W_{b-1}[:n].  So a chunk
-    whose known history gives |c| + q[:n] = v_0, v_1, ... gets
-    sum_{s<m} W_{m-1-s} Lr v_s from its own blocks at its step m.  One
-    product per block; every entry is a sum of nonnegative products.
+    T_a is the table block of age a (k box rows, then the normals') and
+    V_b the first block column of (I - K)^-1, the in-chunk coupling of
+    fresh blocks inverted: V_0 = I, V_b = sum_{s<b} L T_{b-1-s}[:k] V_s
+    = L W_{b-1}[:k], L = coupling, Lr's columns of S (Lr itself when S
+    holds every component).  So a chunk whose known history gives |c| +
+    q = v_0, v_1, ... (n-vectors, q on S) gets sum_{s<m} W_{m-1-s} Lr
+    v_s from its own blocks at its step m.  One product per block; every
+    entry is a sum of nonnegative products.  The box rows come first in
+    products of their own, which give V; the normals' rows follow, so the
+    box rows' bits do not depend on the normals.
     """
-    cols = (chunk - 1) * n
-    w = (table[:, :cols].reshape(-1, n) @ lr).reshape(len(table), cols)
-    v = np.empty((cols, n))  # V_b Lr at rows cols - b n, youngest first
-    for d in range(chunk - 1):
-        if d:
-            w[:, d * n:(d + 1) * n] += table[:, :d * n] @ v[cols - d * n:]
-        v[cols - (d + 1) * n:cols - d * n] = lr @ w[:n, d * n:(d + 1) * n]
+    k, n = lr.shape
+    cols = (chunk - 1) * k
+    w = np.empty((len(table), (chunk - 1) * n))
+    v = np.empty((cols, n))  # V_b Lr at rows cols - b k, youngest first
+    for part in (slice(0, k), slice(k, len(table))):
+        rows = table[part]
+        if not len(rows):
+            continue
+        w[part] = (rows[:, :cols].reshape(-1, k) @ lr).reshape(len(rows), -1)
+        for d in range(chunk - 1):
+            if d:
+                w[part, d * n:(d + 1) * n] += rows[:, :d * k] @ v[cols - d * k:]
+            if part.start == 0:  # the box rows give V
+                v[cols - (d + 1) * k:cols - d * k] = coupling @ w[:k, d * n:(d + 1) * n]
     return w
 
 
@@ -555,29 +570,52 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     overflow where c and q do not), the boxes are -inf/inf, the supports
     inf, and no generators are added.
 
-    It owns each array of one row per step, once (the centres, q with n
-    columns plus one per table row of a non-axis normal, the counts and
-    the supports) and the history buffer.  The tables die with _segments,
-    before the last segment is counted and the supports and lo exist; hi
-    is written over the centres, so a cut result's hi and gen_counts are
-    leading slices of horizon-length buffers.
+    The recurrence runs on S, the components that can carry a radius
+    (_radius_components): the table, the history, the fresh blocks and
+    the counts hold |S| radii a block, and P, Lr, Theta's radius and the
+    non-axis normals are cut to S (a radius outside S is zero, and no
+    chain of P joins a component outside S to one inside, so the rows of
+    S see nothing of the others but their centres |c|, which enter the
+    fresh blocks through Lr's columns).  A component outside S has q = 0:
+    its box is its centre and an axis normal on it reads the centre.
+    When S holds every component, the products are those of the
+    recurrence on every component, bit for bit.
+
+    It owns each array of one row per step, once (the centres, q with
+    |S| columns plus one per table row of a non-axis normal, the counts
+    and the supports) and the history buffer.  The tables die with
+    _segments, before the last segment is counted and the supports and
+    lo exist; hi is written over the centres, so a cut result's hi and
+    gen_counts are leading slices of horizon-length buffers.
     """
     n = theta.dim
     p, lr = _centre_radius(m.lo, m.hi)
+    radius = theta.radius
     period = reduction_period if reduction_method != "none" else horizon + 1
     distinct, cols = _table_rows(normals)
     centres = _orbit(p, theta.center[:, None], horizon + 1).T.copy()
-    q = np.empty((horizon + 1, n + len(distinct)))
+    at = _radius_components(p, lr, radius)
+    # q's column for each component, -1 outside S, then the normals' rows
+    place = np.arange(n + len(distinct))
+    if at is not None:
+        k = len(at)
+        p, lr, distinct, radius = p[np.ix_(at, at)], lr[at], distinct[:, at], radius[at]
+        place[:n] = -1
+        place[at] = np.arange(k)
+        place[n:] -= n - k
+        cols = place[cols]
+    k = len(p)
+    q = np.empty((horizon + 1, k + len(distinct)))
     # the history: at most span + 2 blocks, span = min(horizon, period)
-    end = n * (min(horizon, period) + 2)
+    end = k * (min(horizon, period) + 2)
     buf = np.empty(end)
-    buf[end - n:] = theta.radius
+    buf[end - k:] = radius
     counts, first, restart_count, count, bad, invariant = _segments(
-        p, lr, distinct, centres, q, buf, period, reduction_method, normals,
-        cols, until)
+        p, lr, at, distinct, centres, q, buf, period, reduction_method,
+        normals, cols, until)
     t0 = min(first + period, horizon + 1) - first  # the last segment's steps
     counts = _count_segment(counts, horizon + 1, first, restart_count,
-                            buf[end - (t0 + 1) * n:end - n].reshape(t0, n))[:count]
+                            buf[end - (t0 + 1) * k:end - k].reshape(t0, k))[:count]
     sups = np.empty((count, len(normals)))
     for seg_start in range(0, count, period):
         seg = slice(seg_start, min(seg_start + period, count))
@@ -586,19 +624,45 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     if unbounded is not None:
         bad = unbounded if bad is None else min(bad, unbounded)
     lo, hi = np.empty((count, n)), centres[:count]
-    for i in range(n):  # by column: numpy buffers a copy of q[:, :n] whole
-        np.subtract(hi[:, i], q[:count, i], out=lo[:, i])
-        hi[:, i] += q[:count, i]
+    for i, j in enumerate(place[:n].tolist()):  # by column: numpy buffers a copy of q whole
+        if j < 0:  # q = 0, and c + 0 rounds a zero as the supports' sums do
+            hi[:, i] += 0.0
+            lo[:, i] = hi[:, i]
+            continue
+        np.subtract(hi[:, i], q[:count, j], out=lo[:, i])
+        hi[:, i] += q[:count, j]
     if bad is not None:
         lo[bad:], hi[bad:], sups[bad:] = -np.inf, np.inf, np.inf
         counts[bad + 1:] = counts[bad]
     return lo, hi, sups, counts, invariant
 
 
-def _segments(p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
-              centres: np.ndarray, q: np.ndarray, buf: np.ndarray, period: int,
-              reduction_method: str, normals: np.ndarray, cols: np.ndarray,
-              until: np.ndarray | None):
+def _radius_components(p: np.ndarray, lr: np.ndarray,
+                       radius: np.ndarray) -> np.ndarray | None:
+    """S, the components that can ever carry a radius, in order; None if
+    that is every component.
+
+    A fresh block is Lr (|c| + q), so a fresh radius can be nonzero only
+    on a nonzero row of Lr, and Theta's only where Theta is wide.  A
+    generator P^a e_j r_j reaches component i only by a chain of nonzero
+    entries of P from i to j, so S is those components closed under P's
+    pattern: i joins S when P_ij != 0 for some j in S.
+    """
+    carries = (radius != 0.0) | lr.any(axis=1)
+    nonzero = p != 0.0
+    count = np.count_nonzero(carries)
+    while count < len(carries):
+        carries |= nonzero @ carries
+        if np.count_nonzero(carries) == count:
+            return np.flatnonzero(carries)
+        count = np.count_nonzero(carries)
+    return None
+
+
+def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
+              distinct: np.ndarray, centres: np.ndarray, q: np.ndarray,
+              buf: np.ndarray, period: int, reduction_method: str,
+              normals: np.ndarray, cols: np.ndarray, until: np.ndarray | None):
     """Advance the segments, each from step 0 or a reduction step up to
     the next reduction step or the horizon, and count each but the last
     before its reduction resets the history (_count_segment).
@@ -609,16 +673,19 @@ def _segments(p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
     normal, the recurrence stops after a segment that reaches an offset
     or is not finite (_reaches), and at an interval reduction step whose
     box lies in an earlier restart box (_restart_inside).  It stops at a
-    zonotope reduction step whose live set is not finite.
+    zonotope reduction step whose live set is not finite.  p, lr,
+    distinct and the history are on S, the components `at` (every
+    component if None; see _flowpipe).
     """
-    n, horizon, end = len(p), len(centres) - 1, len(buf)
-    tables = _Tables(p, lr, distinct, min(horizon, period),
-                     reduction_method == "zonotope")
+    k, horizon, end = len(p), len(centres) - 1, len(buf)
+    span, zonotope = min(horizon, period), reduction_method == "zonotope"
+    tables = (_Tables(p, lr, distinct, span, zonotope, at) if k
+              else _NoRadius(zonotope))
     counts = bad = invariant = None
-    restart_count, last = n, horizon + 1
+    restart_count, last = k, horizon + 1
     # restart boxes (step, centre, radius), from Theta's
-    restarts = ([(0, centres[0], buf[end - n:].copy())] if until is not None
-                and reduction_method == "interval" else None)
+    restarts = ([(0, centres[0], _spread(buf[end - k:], at, centres.shape[1]))]
+                if until is not None and reduction_method == "interval" else None)
     for first in range(0, horizon + 1, period):
         stop = min(first + period, horizon + 1)
         tables.advance(centres, q, buf, first, stop)
@@ -628,7 +695,7 @@ def _segments(p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
         if until is not None and _reaches(centres[seg], q[seg], normals, cols, until):
             last = stop
             break
-        live = buf[end - (stop - first + 1) * n:]  # the history at step `stop`
+        live = buf[end - (stop - first + 1) * k:]  # the history at step `stop`
         reduced = tables.reduce(live, centres[stop])
         if reduced is None:
             bad = stop
@@ -636,128 +703,157 @@ def _segments(p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
                 last = min(stop + period, horizon + 1)
             break
         if restarts is not None:
-            t1 = _restart_inside(restarts, stop, centres[stop], reduced[0])
+            t1 = _restart_inside(restarts, stop, centres[stop],
+                                 _spread(reduced[0], at, centres.shape[1]))
             if t1 is not None:
                 invariant, last = (t1, stop), stop
                 break
         counts = _count_segment(counts, horizon + 1, first, restart_count,
-                                live[:-n].reshape(stop - first, n))
-        buf[end - n:], restart_count = reduced
+                                live[:len(live) - k].reshape(stop - first, k))
+        buf[end - k:], restart_count = reduced
     return counts, first, restart_count, last, bad, invariant
+
+
+def _spread(radius: np.ndarray, at: np.ndarray | None, n: int) -> np.ndarray:
+    """A radius on S, the components `at`, as one on all n: zero outside S."""
+    if at is None:
+        return radius.copy()
+    out = np.zeros(n)
+    out[at] = radius
+    return out
 
 
 class _Tables:
     """One flowpipe's tables and the phases that read them (advance, reduce).
 
-    `table` stacks for each age a up to the span (the reduction period or
-    the horizon), youngest first, the blocks T_a of rows |P^a|, the box
-    rows, and |d P^a| for the distinct non-axis normals d (_table_rows).
+    They work on S, the k components that can carry a radius (every
+    component unless `at` names fewer; see _flowpipe): P is P restricted
+    to S, and Lr its rows of S, (k, n).  `table` stacks for each age a
+    up to the span (the reduction period or the horizon), youngest
+    first, the blocks T_a of rows |P^a|, the box rows, and |d P^a| for
+    the distinct non-axis normals d (_table_rows).
     `ages` holds its windows of span + 2 - chunk ages, one starting at
     each of the chunk's first ages: advance runs a segment's remainder
     chunk first, so every chunk's history fits them and no zero blocks
-    pad the table.  The radius history h lives in one flat buffer,
-    youngest block first, written at a decreasing offset.  Step j's row
-    q_j = sum_a T_a h_{j-a} gives the box c_j +- q_j[:n], the supports
-    (_segment_supports) and the next fresh block h_{j+1} = Lr (|c_j| +
-    q_j[:n]).  Rows are summed in batched products whose rounding can
-    depend on how many rows there are, so a box's last bits can depend on
-    the count of distinct non-axis normals.
+    pad the table.  The radius history h, k radii a block, lives in one
+    flat buffer, youngest block first, written at a decreasing offset.
+    Step j's row q_j = sum_a T_a h_{j-a} gives the box c_j +- q_j[:k] on
+    S, the supports (_segment_supports) and the next fresh block
+    h_{j+1} = Lr (|c_j| + q_j[:k]), q_j[:k] added to |c_j| on S.  The
+    box rows are summed in products of their own, whose shapes do not
+    depend on the normals, so neither do the boxes' bits.
     """
 
     # no instance dict beside the tables, which set an unreduced run's peak
-    __slots__ = ("table", "lr", "ages", "inchunk", "chunk", "known", "recent",
-                 "signed", "ages_gens", "carried", "carried_sums")
+    __slots__ = ("table", "lr", "spread", "parts", "ages", "inchunk", "chunk",
+                 "known", "recent", "signed", "ages_gens", "carried",
+                 "carried_sums")
 
     def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
-                 span: int, zonotope: bool):
-        n = len(p)
-        chunk = min(_chunk_steps(n), span + 1)
-        width = (span + 1) * n
-        table = np.empty((n + len(distinct), width))
+                 span: int, zonotope: bool, at: np.ndarray | None = None):
+        k, n = lr.shape
+        chunk = min(_chunk_steps(k), span + 1)
+        width = (span + 1) * k
+        table = np.empty((k + len(distinct), width))
         # P^0 = I in place, its diagonal a strided slice of the flat table
-        eye = table[:n, :n]
+        eye = table[:k, :k]
         eye.fill(0.0)
-        table.reshape(-1)[:n * width:width + 1] = 1.0
-        _orbit(p, eye, span + 1, out=table[:n])
-        np.matmul(distinct, table[:n], out=table[n:])
+        table.reshape(-1)[:k * width:width + 1] = 1.0
+        _orbit(p, eye, span + 1, out=table[:k])
+        np.matmul(distinct, table[:k], out=table[k:])
         self.signed = self.ages_gens = self.carried = self.carried_sums = None
         if zonotope:
             signed = self.signed = table.copy()
             # generators of every age, oldest first: a live window is a tail
-            self.ages_gens = signed[:n].reshape(n, span + 1, n)[:, ::-1].reshape(n, -1)
+            self.ages_gens = signed[:k].reshape(k, span + 1, k)[:, ::-1].reshape(k, -1)
         np.abs(table, out=table)
         self.table, self.lr = table, lr
-        self.inchunk = _inchunk_table(table, lr, n, chunk)
+        self.spread = None if at is None else np.eye(n)[at]
+        # the box rows, then the normals' rows, each part summed alone
+        self.parts = ((slice(0, k), slice(k, len(table))) if len(distinct)
+                      else (slice(None),))
+        self.inchunk = _inchunk_table(table, lr, lr if at is None else lr[:, at],
+                                      chunk)
         if not np.all(np.isfinite(self.inchunk)):
             # a block that overflows would meet the zero blocks of steps not
             # yet run (inf * 0 = nan) and spoil finite steps: one step a chunk
             chunk = 1
         self.chunk = chunk
-        # ages[:, i] is the table from column i on: ages[:, m n, :L] pairs
-        # the history h_t0..h_0 (L = (t0 + 1) n) with the ages of step t0 + m
-        self.ages = sliding_window_view(table, width - (chunk - 1) * n, axis=1)
-        # a chunk's |c| + q[:n], youngest first, then chunk - 1 zero blocks:
-        # recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
+        # ages[:, i] is the table from column i on: ages[:, m k, :L] pairs
+        # the history h_t0..h_0 (L = (t0 + 1) k) with the ages of step t0 + m
+        self.ages = sliding_window_view(table, width - (chunk - 1) * k, axis=1)
+        # a chunk's |c| + q on S, youngest first, then chunk - 1 zero
+        # blocks: recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
         self.known = np.zeros(n * (2 * chunk - 1))
         self.recent = sliding_window_view(self.known, (chunk - 1) * n)
 
     def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
                 first: int, stop: int) -> None:
         """Write q's rows first .. stop - 1 and the fresh blocks after them,
-        a chunk of _chunk_steps(n) steps at a time, the remainder chunk
+        a chunk of _chunk_steps(k) steps at a time, the remainder chunk
         first: a later chunk of b steps from step t0 has t0 + b <= span +
         1, so its history fits the windows of ages.  The fresh blocks obey
         a linear recurrence, so a chunk from step t0 on takes three batched
-        operations, each a sum of nonnegative products:
+        operations, each a sum of nonnegative products, each over the box
+        rows and the normals' rows apart:
         1. q from the history known before the chunk, h_t0 back to the
            oldest block, times read-only sliding windows of the table: one
            window per step, starting at the age h_t0 has at that step;
-        2. q from the chunk's own blocks, (I - K)^-1 Lr v for v = |c| + q[:n]
+        2. q from the chunk's own blocks, (I - K)^-1 Lr v for v = |c| + q[:k]
            from step 1 and the in-chunk coupling K: windows of v times the
            table of _inchunk_table, which folds in (I - K)^-1 Lr;
-        3. the fresh blocks Lr (|c| + q[:n]), |c| taken from the centres.
+        3. the fresh blocks Lr (|c| + q[:k]), |c| taken from the centres.
+        q[:k] is placed on S by the unit rows of `spread`, each entry one
+        product by 1 and others by 0: exact while q is finite (a
+        fancy-indexed add took three times as long).
         """
         ages, inchunk, known, recent = self.ages, self.inchunk, self.known, self.recent
-        chunk, lr, sums = self.chunk, self.lr, self.carried_sums
-        n, end = len(lr), len(buf)
+        chunk, lr, sums, parts = self.chunk, self.lr, self.carried_sums, self.parts
+        spread = self.spread
+        (k, n), end = lr.shape, len(buf)
         t0, b = 0, (stop - first - 1) % chunk + 1  # steps done, chunk steps
         while first + t0 < stop:
             j = first + t0
-            s = end - (t0 + 1) * n  # h_t0, the youngest known block
+            s = end - (t0 + 1) * k  # h_t0, the youngest known block
             rows = q[j:j + b]
-            windows = ages[:, :(b - 1) * n + 1:n, :end - s]  # (row, m, col)
-            np.matmul(windows.transpose(1, 0, 2), buf[s:], out=rows)
+            windows = ages[:, :(b - 1) * k + 1:k, :end - s].transpose(1, 0, 2)
+            for part in parts:  # (m, row, col) windows
+                np.matmul(windows[:, part], buf[s:], out=rows[:, part])
             if sums is not None:
                 rows += sums[t0:t0 + b]
             mags = np.abs(centres[j:j + b])
             if b > 1:
                 v = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
-                np.add(mags, rows[:, :n], out=v)
+                np.add(mags, rows[:, :k] if spread is None else rows[:, :k] @ spread,
+                       out=v)
                 windows = recent[(chunk - b + 1) * n:chunk * n + 1:n, :(b - 1) * n]
-                rows += np.matmul(inchunk[:, :(b - 1) * n],
-                                  windows[::-1, :, None])[:, :, 0]
-            mags += rows[:, :n]
-            np.matmul(mags, lr.T, out=buf[s - b * n:s].reshape(b, n)[::-1])
+                for part in parts:
+                    rows[:, part] += np.matmul(inchunk[part, :(b - 1) * n],
+                                               windows[::-1, :, None])[:, :, 0]
+            mags += rows[:, :k] if spread is None else rows[:, :k] @ spread
+            np.matmul(mags, lr.T, out=buf[s - b * k:s].reshape(b, k)[::-1])
             t0, b = t0 + b, chunk
 
     def reduce(self, live: np.ndarray, centre: np.ndarray):
         """The block the history restarts from at a reduction step with
         history `live`, and the step's generator count; None if the set is
-        unbounded.  An interval reduction restarts from the hull radius.  A
-        zonotope reduction (_zono_reduce) turns the live generators into a
-        carried block C whose rows at each later age, P^a C and d P^a C,
-        come from one stacked product; advance adds their absolute row
-        sums to q, and the history restarts from a zero block.
+        unbounded.  An interval reduction restarts from the hull radius on
+        S, k generators.  A zonotope reduction (_zono_reduce, which keeps
+        the n largest generators of the model's order n) turns the live
+        generators into a carried block C whose rows at each later age,
+        P^a C and d P^a C, come from one product for the box rows and one
+        for the normals'; advance adds their absolute row sums to q, and
+        the history restarts from a zero block.
         """
-        n = len(centre)
+        k = len(self.lr)
         if self.signed is None:
-            return self.table[:n, :len(live)] @ live, n
+            return self.table[:k, :len(live)] @ live, k
         # the live generators and radii, oldest first: the carried block,
         # then the history without its zero radii
         gens = self.ages_gens[:, self.ages_gens.shape[1] - len(live):]
-        radii = live.reshape(-1, n)[::-1].ravel()
+        radii = live.reshape(-1, k)[::-1].ravel()
         keep = radii != 0.0
-        keep[:n] |= self.carried is None  # Theta, kept in full until reduced
+        keep[:k] |= self.carried is None  # Theta, kept in full until reduced
         gens, radii = gens[:, keep], radii[keep]
         if self.carried is not None:
             block = self.carried[:, -1]  # the carried block at the period's age
@@ -766,11 +862,36 @@ class _Tables:
         block = _zono_reduce(centre, gens * radii)
         if block is None:
             return None
-        prods = (self.signed.reshape(-1, n) @ block).reshape(
-            len(self.signed), -1, block.shape[1])  # (row, age, column)
-        self.carried = prods[:n]
-        self.carried_sums = np.abs(prods).sum(axis=2).T.copy()
+        signed = self.signed
+        sums = np.empty((signed.shape[1] // k, len(signed)))  # (age, row)
+        for i, part in enumerate(self.parts):  # the box rows first
+            prods = (signed[part].reshape(-1, k) @ block).reshape(
+                len(signed[part]), -1, block.shape[1])  # (row, age, column)
+            if i == 0:
+                self.carried = prods
+            np.abs(prods).sum(axis=2, out=sums[:, part].T)
+        self.carried_sums = sums
         return 0.0, block.shape[1]
+
+
+class _NoRadius:
+    """The tables of a flowpipe in which no component carries a radius (S
+    is empty): q is zero, and a reduction restarts from no generators;
+    a zonotope reduction refuses a centre that is not finite, as
+    _zono_reduce does."""
+
+    __slots__ = ("zonotope",)
+
+    def __init__(self, zonotope: bool):
+        self.zonotope = zonotope
+
+    def advance(self, centres, q, buf, first, stop) -> None:
+        q[first:stop] = 0.0
+
+    def reduce(self, live, centre):
+        if self.zonotope and not np.all(np.isfinite(centre)):
+            return None
+        return live, 0
 
 
 def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
@@ -827,24 +948,31 @@ def _inside(c2: np.ndarray, r2: np.ndarray, c1: np.ndarray,
             r1: np.ndarray) -> bool:
     """Whether the box c2 +- r2 lies inside c1 +- r1: |c2 - c1| + r2 <= r1,
     the difference and the sum each pushed one ulp up, so that rounding
-    can refuse a containment but never grant one (NaN refuses too)."""
-    d = np.nextafter(np.abs(c2 - c1), np.inf)
-    return bool(np.all(np.nextafter(d + r2, np.inf) <= r1))
+    can refuse a containment but never grant one (NaN refuses too).  An
+    exact 0 is not pushed: c2 - c1 rounds to 0 only where c2 = c1, and
+    then 0 + r2 is exact, so a component of radius 0 in both boxes (one
+    outside S, see _flowpipe) is inside where its centre is the same."""
+    d = np.abs(c2 - c1)
+    d = np.where(d == 0.0, 0.0, np.nextafter(d, np.inf))
+    d += r2
+    return bool(np.all(np.where(d == 0.0, 0.0, np.nextafter(d, np.inf)) <= r1))
 
 
 def _zono_reduce(centre: np.ndarray, gens: np.ndarray) -> np.ndarray | None:
     """Generators of a zonotope reduction of centre + gens c, |c| <= 1, to
-    at most 2n columns, or None if the centre or gens are not all finite
-    (gens scaled by a radius that is not finite are not finite either).
+    at most 2n columns, n = len(centre), or None if the centre or gens are
+    not all finite (gens scaled by a radius that is not finite are not
+    finite either).
 
     Girard's order reduction (HSCC 2005): the n columns of largest
     Euclidean norm stay in index order, ties to the lower index, and the
-    box of the rest becomes n axis columns.  Up to 2n columns stay as
-    they are.
+    box of the rest becomes one axis column per row of gens: generators
+    on the k <= n components of S (see _flowpipe), the rows gens has,
+    reduce to n + k columns.  Up to 2n columns stay as they are.
     """
     if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
         return None
-    n = gens.shape[0]
+    n = len(centre)
     if gens.shape[1] <= 2 * n:
         return gens
     order = np.argsort(-np.linalg.norm(gens, axis=0), kind="stable")
@@ -893,7 +1021,8 @@ def _segment_supports(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
     nearest is symmetric about zero."""
     out = np.matmul(centres, normals.T, out=out)
     for j, col in enumerate(cols):  # by column: no (steps, k) temporary
-        out[:, j] += q[:, col]
+        if col >= 0:  # else an axis outside S, whose q is zero
+            out[:, j] += q[:, col]
     return out
 
 
@@ -1082,9 +1211,13 @@ def _flow_chunk_steps(n: int, m: int, count: int) -> int:
 def _flow_step(a: np.ndarray, times: np.ndarray):
     """The step P = expm(A h) of the grid times = np.arange(K) * h (else
     ValueError), and its error E = max(M.hi - P, P - M.lo) pushed one ulp
-    outward (a zero stays zero), so that |Q - P| <= E for each member Q
-    of M = interval_expm(A, h); exp(A h) is in M only up to the series'
-    uncovered rounding."""
+    outward, so that |Q - P| <= E for each member Q of M =
+    interval_expm(A, h); exp(A h) is in M only up to the series'
+    uncovered rounding.  E is at least the least normal float: where M
+    is exact (a structural zero, interval_expm) an E of 0 leaves the
+    error orbit (_orbit) nothing but its underflow terms, subnormals
+    that numpy's products run several times slower (0.2 ms more on
+    acc4's 1.8 ms loan run)."""
     count = len(times)
     h = float(times[1]) if count > 1 else 0.0
     if not (h > 0.0 or count < 2) or not np.array_equal(times, np.arange(count) * h):
@@ -1092,7 +1225,7 @@ def _flow_step(a: np.ndarray, times: np.ndarray):
     m = interval_expm(IntervalMatrix.from_point(a), h)
     step = scipy.linalg.expm(a * h)
     dist = np.maximum(m.hi - step, step - m.lo)
-    return step, np.where(dist == 0.0, 0.0, np.nextafter(dist, np.inf))
+    return step, np.maximum(np.nextafter(dist, np.inf), _TINY)
 
 
 def _flow_chunks(step: np.ndarray, step_err: np.ndarray, v: np.ndarray,

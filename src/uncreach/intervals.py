@@ -519,6 +519,18 @@ def _taylor_order(theta: float) -> tuple[int, float]:
     return order, tail
 
 
+def _chained(nonzero: np.ndarray) -> np.ndarray:
+    """The pairs (i, j) joined by a chain i -> k -> ... -> j of one or more
+    entries of the boolean pattern `nonzero`: its transitive closure.  A
+    shortest chain has at most n entries, and s squarings join chains of
+    up to 2^s >= n."""
+    chained = nonzero
+    for _ in range((len(nonzero) - 1).bit_length()):
+        f = chained.astype(np.float64)
+        chained = chained | (f @ f > 0.0)  # sums of at most n ones: exact
+    return chained
+
+
 def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     """Interval matrix containing { expm(M t) : M in lam }.
 
@@ -547,6 +559,14 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     the result is inclusion-isotone only between families with the same
     s and N: a step of either can break it at the level of the tail and
     the rounding, never the enclosure.
+    For a finite theta, structural zeros stay exact.  An entry (i, j) that
+    no chain of nonzero entries of lam joins (_chained) is zero in every
+    power of every member, and of every product of members, so it is the
+    identity's value in exp(M t) for every M in lam and in the transition
+    matrix of every time-varying M(s): there the result is [I_ij, I_ij],
+    with no tail and no squaring error (a pinned input's row, x' = 0, is
+    its unit row).  A family without such an entry gives the bits of the
+    series and squarings alone.
     t must be finite and nonnegative.  In real arithmetic the result also
     holds the transition matrix over [0, t] of x' = M(s) x for measurable
     M(s) in lam: its Peano-Baker terms lie in the interval powers
@@ -562,6 +582,10 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     theta = lam.frobenius_sup() * t
     if not math.isfinite(theta):
         return IntervalMatrix(np.full((n, n), -np.inf), np.full((n, n), np.inf))
+    nonzero = lam.lo != 0.0
+    if not nonzero.all():
+        nonzero |= lam.hi != 0.0
+    exact = None if nonzero.all() else ~_chained(nonzero)
     frac, e = math.frexp(theta / _SCALED_THETA)
     s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
     theta = math.ldexp(theta, -s)
@@ -581,11 +605,18 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
             term_hi *= 1.0 / k
             acc_hi += term_hi
     lo, hi = acc_lo - tail, acc_hi + tail
+    if exact is not None:
+        unit = np.eye(n)[exact]
+        lo[exact] = hi[exact] = unit
     if s:
         with np.errstate(over="ignore", invalid="ignore"):
             c, r = _centre_radius(lo, hi)
             for _ in range(s):
                 c, r = _square(c, r)
+                if exact is not None:
+                    # the product there is exactly 0 or 1 (NaN where it met
+                    # an entry out of float range), and so is its error 0
+                    c[exact], r[exact] = unit, 0.0
             wide = r > 0.0
             lo = np.where(wide, np.nextafter(c - r, -np.inf), c)
             hi = np.where(wide, np.nextafter(c + r, np.inf), c)

@@ -361,6 +361,16 @@ class TestDiscretize:
         assert m.contains(np.eye(2))
         assert np.all(m.hi - m.lo <= 1e-18)
 
+    def test_structural_zeros_are_exact(self):
+        # acc4's input x4' = 0 gives the unit row, and twocell's lower
+        # left entry, which no chain of nonzero entries reaches, is 0
+        acc4 = one_step_family(shipped("acc4"))
+        assert np.array_equal(acc4.lo[3], [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(acc4.hi[3], [0.0, 0.0, 0.0, 1.0])
+        twocell = one_step_family(shipped("twocell"))
+        assert twocell.lo[1, 0] == twocell.hi[1, 0] == 0.0
+        assert twocell.hi[0, 1] > twocell.lo[0, 1]
+
     def test_nominal_matches_dense_expm(self):
         m = discretize(GIRAD_A, IntervalMatrix.zeros(2, 2), 0.1)
         want = scipy.linalg.expm(GIRAD_A * 0.1)
@@ -854,22 +864,46 @@ def reference_flowpipe(model):
                          normals)
 
 
+def radius_components(m, initial):
+    """S recomputed from its definition: the components with a nonzero
+    row of Lr or a wide Theta, and every component from which a chain of
+    nonzero entries of P (M split as engine._centre_radius) leads to one."""
+    p, lr = _centre_radius(m.lo, m.hi)
+    n = len(p)
+    seed = np.any(lr != 0.0, axis=1) | (initial.lo != initial.hi)
+    step, power = (p != 0.0).astype(float), np.eye(n)
+    reach = np.eye(n, dtype=bool)  # chains of 0 to n entries
+    for _ in range(n):
+        power = (power @ step > 0.0).astype(float)
+        reach |= power > 0.0
+    return np.flatnonzero(reach[:, seed].any(axis=1))
+
+
+def keep_columns(s, cols):
+    return Star(s.anchor, s.generators[:, cols], s.coeff_lo[cols], s.coeff_hi[cols])
+
+
 def reference_run(m, initial, horizon, reduction, period, normals):
     """Stars, boxes, supports and generator counts from the public star
     operations, each set kept centred: the set moves by P and gains the
     lambda_box block of [-Lr, Lr] (M split as engine._centre_radius),
-    and Theta and every interval hull are re-centred."""
+    and Theta and every interval hull are re-centred.  Theta, an
+    interval hull and a zonotope reduction's box hold one axis generator
+    per component of S (radius_components); outside S their widths are
+    exactly zero, so dropping those generators leaves every set as it
+    is."""
     p, lr = _centre_radius(m.lo, m.hi)
-    s = recentre(Star.from_box(initial))
+    n, at = initial.dim, radius_components(m, initial)
+    s = keep_columns(recentre(Star.from_box(initial)), at)
     stars = [s]
     for k in range(1, horizon + 1):
         u = compact(lambda_box(IntervalMatrix(-lr, lr), s))
         s = minkowski_sum(linear_map(p, s), u)
         if reduction != "none" and k % period == 0:
             if reduction == "interval":
-                s = recentre(interval_reduce(s))
-            else:
-                s = zono_reduce(s, 2 * initial.dim)
+                s = keep_columns(recentre(interval_reduce(s)), at)
+            elif s.n_gens > 2 * n:  # the n largest, then n axis columns
+                s = keep_columns(zono_reduce(s, 2 * n), np.r_[:n, n + at])
         stars.append(s)
     boxes = [s.bounding_box() for s in stars]
     return (stars, np.array([b.lo for b in boxes]),
@@ -882,8 +916,8 @@ def assert_replay_matches(res):
     """A replay in the recorded normals gives the recorded supports
     bitwise.  A replay in +-e_i records its own hi and -lo bitwise (a
     zero may take the other sign in -lo), and its boxes are those of res
-    up to the rounding of a table without res's rows of other normals;
-    support reads +-e_i off res's own hi and lo."""
+    bitwise, as the box rows are summed apart from res's rows of other
+    normals; support reads +-e_i off res's own hi and lo."""
     n = res.lo.shape[1]
     blank = dataclasses.replace(res, normals=None, supports=None)
     assert np.array_equal(blank.support(res.normals), res.supports)
@@ -891,8 +925,8 @@ def assert_replay_matches(res):
     replay = _run_recurrence(*res._recurrence, res.method, dirs)
     assert replay.supports[:, :n].tobytes() == replay.hi.tobytes()
     assert np.array_equal(replay.supports[:, n:], -replay.lo)
-    assert_close(replay.lo, res.lo)
-    assert_close(replay.hi, res.hi)
+    assert replay.lo.tobytes() == res.lo.tobytes()
+    assert replay.hi.tobytes() == res.hi.tobytes()
     read = res.support(dirs)
     assert read[:, :n].tobytes() == res.hi.tobytes()
     assert (-read[:, n:]).tobytes() == res.lo.tobytes()
@@ -1038,24 +1072,27 @@ class TestStreamingRecurrence:
 
     def test_unreduced_acc4_peak_memory(self):
         # the chunked recurrence reads windows of its table in place, whose
-        # rows are the n box rows alone: acc4's normal -e_2 reads box row
-        # 2.  It peaks at 0.475 MB: the table, the centres, q and the
-        # history.  A row for -e_2 and a stored |centres| took 0.622 MB;
-        # a table with 2n + k rows (generators moved by Abar, each age
-        # boxed through Lm) or a chunk-by-window temporary would lift the
-        # peak above 0.8 MB, and counting the generators beside the table
-        # to 0.71 MB
+        # rows are the box rows of S alone: acc4's normal -e_2 reads box
+        # row 2, and its pinned input x4 is outside S, so the table holds
+        # 3 x 3 entries an age and the history 3 radii a block.  It peaks
+        # at 0.333 MB: the table, the centres, q and the history.  With
+        # every component in the recurrence it peaked at 0.476 MB; a row
+        # for -e_2 and a stored |centres| took 0.622 MB; a table with
+        # 2n + k rows (generators moved by Abar, each age boxed through
+        # Lm) or a chunk-by-window temporary would lift the peak above
+        # 0.8 MB, and counting the generators beside the table to 0.71 MB
         model = dataclasses.replace(shipped("acc4"), reduction_method="none")
-        assert ors_reach_peak(model) < 0.485e6
+        assert ors_reach_peak(model) < 0.343e6
 
     @pytest.mark.parametrize("reduction,period,bound", [
         ("interval", 500, 0.265e6), ("zonotope", 50, 0.25e6)],
         ids=["interval-500", "zonotope-50"])
     def test_reduced_acc4_peak_memory(self, reduction, period, bound):
-        # the benchmark's reduced acc4 runs peak at 0.251 and 0.237 MB: one
-        # (H + 1)-row array each for the centres, q and the counts with the
-        # table in the loop, then the supports and lo once the table is
-        # freed, hi written over the centres; q is freed before the result
+        # the benchmark's reduced acc4 runs peak at 0.231 and 0.220 MB (0.251
+        # and 0.237 MB with x4 in the recurrence): one (H + 1)-row array
+        # each for the centres, q and the counts with the table in the
+        # loop, then the supports and lo once the table is freed, hi
+        # written over the centres; q is freed before the result
         # allocates its labels and radii.  A q kept alive by a view of it
         # to the end, and a zonotope reduction's temporaries kept to the
         # end, peaked at 0.272 and 0.303 MB; a stored |centres| and a row
@@ -1172,6 +1209,25 @@ class TestSharedRows:
                                  (res.gen_counts, full.gen_counts)):
                     assert got.tobytes() == ref[:len(res)].tobytes(), (trial, kind)
         assert cut >= 5 or reduction == "none"
+
+
+class TestBoxesIgnoreTheNormals:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_boxes_do_not_depend_on_the_normals(self, n, reduction):
+        # the box rows are summed in products of their own, so a flowpipe
+        # that records 1 to 5 non-axis normals has the boxes of one that
+        # records none, bit for bit, across chunks and reductions
+        m, theta, _ = chunk_case(n)
+        rng = np.random.default_rng([28, n])
+        horizon = 3 * _chunk_steps(n) + 2
+        bare = _run_recurrence(m, theta, horizon, reduction, 7, "numeric",
+                               np.empty((0, n)))
+        for count in range(1, 6):
+            res = _run_recurrence(m, theta, horizon, reduction, 7, "numeric",
+                                  rng.normal(size=(count, n)))
+            assert res.hi.tobytes() == bare.hi.tobytes(), count
+            assert res.lo.tobytes() == bare.lo.tobytes(), count
 
 
 def ors_reach_peak(model):
@@ -1679,9 +1735,10 @@ class TestChunkRule:
 
 
 def product_recount(res, model):
-    """Generator counts recounted as one product over the flowpipe: n at
-    step 0 and at an interval reduction step, min(2n, the count so far)
-    at a zonotope reduction step, and at every other step the count
+    """Generator counts recounted as one product over the flowpipe: |S|
+    (radius_components) at step 0 and at an interval reduction step, at
+    a zonotope reduction step the count so far up to 2n and n + |S|
+    past it, and at every other step the count
     before plus the nonzero entries of Lr (|c_j| + q_j[:n]), the fresh
     block the step receives; from the first unbounded step on, none.
     |c_j| + q_j[:n] is max(hi_j, -lo_j) bitwise, as c + q and c - q
@@ -1696,16 +1753,178 @@ def product_recount(res, model):
     v = np.maximum(res.hi, -res.lo)[:bad]
     with np.errstate(over="ignore"):  # a block may overflow before bad
         added[1:bad + 1] = np.count_nonzero(v @ lr.T, axis=1)[:count - 1]
+    s = len(radius_components(family, model.initial))
     counts = np.empty(count, dtype=np.int64)
-    counts[0] = n
+    counts[0] = s
     for k in range(1, count):
         counts[k] = counts[k - 1] + added[k]
         if model.reduction_method != "none" and k % model.reduction_period == 0:
             if model.reduction_method == "interval" and k <= bad:
-                counts[k] = n
+                counts[k] = s
             elif model.reduction_method == "zonotope" and k < bad:
-                counts[k] = min(2 * n, counts[k])
+                counts[k] = counts[k] if counts[k] <= 2 * n else n + s
     return counts
+
+
+def pinned_model(rng, reduction, name):
+    """random_model with one or more pinned inputs, n >= 2: zero rows of
+    A, x_p' = 0 (x_p = x_p on a discrete model, whose row is e_p), no
+    uncertain cell in them, and Theta a point there; the other
+    components read them (A[free, pins] != 0), but no radius reaches
+    them, so they are outside S."""
+    while True:
+        model = random_model(rng, reduction, name)
+        if model.dim >= 2:
+            break
+    n = model.dim
+    pins = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+    a = model.a.copy()
+    a[pins] = 0.0 if model.continuous else np.eye(n)[pins]
+    free = np.setdiff1d(np.arange(n), pins)
+    a[np.ix_(free, pins)] += rng.uniform(0.1, 0.5, (len(free), len(pins)))
+    cells = tuple(c for c in model.uncertainty if c.row not in pins)
+    cells = tuple(dataclasses.replace(c, interval=(a[c.row, c.col] - 0.01,
+                                                   a[c.row, c.col] + 0.01))
+                  for c in cells)
+    lo, hi = model.initial.lo.copy(), model.initial.hi.copy()
+    lo[pins] = hi[pins] = rng.choice([1.0, -0.5, 0.0])
+    return dataclasses.replace(model, a=a, uncertainty=cells,
+                               initial=Box(lo, hi)), pins
+
+
+def every_component(monkeypatch):
+    """Run the recurrence on every component: S as the whole state."""
+    monkeypatch.setattr(engine, "_radius_components", lambda p, lr, r: None)
+
+
+class TestRadiusComponents:
+    """The recurrence on S, the components that can carry a radius."""
+
+    def test_shipped_models(self):
+        want = {"acc4": [0, 1, 2], "girad1": None, "twocell": None, "grow1d": []}
+        for name, components in want.items():
+            model = shipped(name)
+            p, lr = _centre_radius(*vars(one_step_family(model)).values())
+            got = engine._radius_components(p, lr, model.initial.radius)
+            assert (got if got is None else got.tolist()) == components, name
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_pinned_acc4_input_stays_exact(self, reduction):
+        # x4 is 1 at every step, exactly: no tail of interval_expm reaches
+        # it, so no radius does; unreduced, 3 generators a step
+        model = dataclasses.replace(shipped("acc4"), reduction_method=reduction,
+                                    reduction_period=50)
+        res = ors_reach(model)
+        assert np.all(res.lo[:, 3] == 1.0) and np.all(res.hi[:, 3] == 1.0)
+        if reduction == "none":
+            assert res.gen_counts[-1] == 3 + 3 * model.horizon == 6153
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_pinned_models_match_star_operations(self, reduction):
+        # boxes and supports within 1e-12 of the star operations', equal
+        # generator counts, pinned components exactly their value, and
+        # within 1e-12 of the recurrence on every component; the normals
+        # mix axes on pinned components with directions that mix pinned
+        # and free ones
+        rng = np.random.default_rng([43, len(reduction)])
+        outside = 0
+        for trial in range(30):
+            model, pins = pinned_model(rng, reduction, f"pinned{trial}")
+            n = model.dim
+            mixed = rng.normal(size=n)
+            normals = np.vstack([np.eye(n)[pins[0]], -np.eye(n)[pins[-1]], mixed,
+                                 rng.normal(size=n) * np.isin(np.arange(n), pins)])
+            model = dataclasses.replace(model, unsafe=tuple(
+                HalfSpace(d, 1.0) for d in normals if np.any(d)))
+            res = ors_reach(model)
+            _, lo, hi, supports, counts = reference_flowpipe(model)
+            assert_close(res.lo, lo)
+            assert_close(res.hi, hi)
+            assert_close(res.supports, supports)
+            assert np.array_equal(res.gen_counts, counts), trial
+            value = model.initial.lo[pins]
+            assert np.all(res.lo[:, pins] == value) and np.all(res.hi[:, pins] == value)
+            at = radius_components(one_step_family(model), model.initial)
+            outside += n - len(at)
+            assert res.gen_counts[0] == len(at)
+            assert_replay_matches(res)
+        assert outside >= 30
+
+    def test_every_component_is_the_plain_recurrence_bitwise(self, monkeypatch):
+        # S given as every component by index takes the code path of a
+        # proper S, and gives the bits of the recurrence on the whole state
+        rng = np.random.default_rng(4301)
+        for trial in range(24):
+            reduction = ("none", "interval", "zonotope")[trial % 3]
+            model = random_model(rng, reduction, f"all{trial}")
+            model = dataclasses.replace(model, unsafe=(
+                HalfSpace(rng.normal(size=model.dim), 1.0),
+                HalfSpace(np.eye(model.dim)[0], 1.0)))
+            every_component(monkeypatch)
+            plain = ors_reach(model)
+            monkeypatch.setattr(engine, "_radius_components",
+                                lambda p, lr, r: np.arange(len(p)))
+            indexed = ors_reach(model)
+            for got, want in ((indexed.lo, plain.lo), (indexed.hi, plain.hi),
+                              (indexed.supports, plain.supports),
+                              (indexed.gen_counts, plain.gen_counts)):
+                assert got.tobytes() == want.tobytes(), trial
+
+    def test_empty_s_is_the_point_orbit(self):
+        # no uncertainty and a point Theta: no component carries a radius,
+        # the sets are the nominal orbit's points with no generators, and
+        # a 90-degree rotation returns to Theta at step 4, where an interval
+        # reduction with until_unsafe certifies the invariant (0, 4)
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        theta = Box(np.array([1.0, 0.5]), np.array([1.0, 0.5]))
+        for reduction, period in (("none", 500), ("interval", 4), ("zonotope", 3)):
+            model = ModelSpec(name="spin", a=rot, uncertainty=(), initial=theta,
+                              horizon=12, continuous=False,
+                              unsafe=(HalfSpace(np.array([1.0, 1.0]), 5.0),
+                                      HalfSpace(np.array([0.0, -1.0]), 5.0)),
+                              reduction_method=reduction, reduction_period=period)
+            res = ors_reach(model)
+            assert np.all(res.gen_counts == 0)
+            assert np.array_equal(res.lo, res.hi)
+            x = theta.lo
+            for k in range(len(res)):
+                assert np.array_equal(res.hi[k], x)
+                x = rot @ x
+            _, lo, hi, supports, counts = reference_flowpipe(model)
+            assert_close(res.supports, supports)
+            assert np.array_equal(res.gen_counts, counts)
+            cut = reach_with_perturbation(model, model.perturbation(),
+                                          until_unsafe=True)
+            assert cut.invariant == ((0, 4) if reduction == "interval" else None)
+        assert len(cut) == 13
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_overflow_is_unbounded_from_the_same_step(self, monkeypatch, reduction):
+        # grow2 with a pinned input feeding both states leaves float range
+        # where the recurrence on every component does
+        a = np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+        model = ModelSpec(
+            name="grow2-input", a=a,
+            uncertainty=tuple(CellUncertainty(i, j, interval=(a[i, j] - 1e-3,
+                                                              a[i, j] + 1e-3))
+                              for i in range(2) for j in range(3)),
+            initial=Box(np.array([1.0, 0.0, 1.0]), np.array([2.0, 1.0, 1.0])),
+            horizon=1600, continuous=True, step=0.25,
+            unsafe=(HalfSpace(np.array([0.0, 1.0, 0.0]), 1e300),),
+            reduction_method=reduction, reduction_period=300)
+        firsts = []
+        for whole in (False, True):
+            if whole:
+                every_component(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = ors_reach(model)
+            bad = ~np.isfinite(res.hi).all(axis=1)
+            assert bad.any() and np.all(bad[np.argmax(bad):])
+            firsts.append(int(np.argmax(bad)))
+            assert not np.isnan(res.lo).any() and not np.isnan(res.supports).any()
+        assert firsts[0] == firsts[1]
+        assert 1300 < firsts[0] < 1600
 
 
 class TestGeneratorCounts:
@@ -2179,6 +2398,19 @@ class TestSymbolicChunks:
         stop = int(np.argmax(~np.isfinite(numeric).all(axis=1)))
         assert 0 < stop < first and np.all(numeric[stop:] == np.inf)
         assert np.all(np.isfinite(numeric[:stop]))
+
+    def test_step_error_is_exact_and_normal(self):
+        # acc4's pinned row is exact in interval_expm, so the step error
+        # there is the floor, the least normal float: an error of 0 gave
+        # the error orbit subnormal underflow terms, several times slower
+        m = shipped("acc4")
+        step, err = engine._flow_step(m.a, m.times())
+        tiny = np.finfo(np.float64).tiny
+        assert np.array_equal(step[3], [0.0, 0.0, 0.0, 1.0])
+        assert np.all(err[3] == tiny) and np.all(err >= tiny)
+        flows = (step, err, np.ones((4, 1)), 256, len(m.times()))
+        for _, chunk, errs in engine._flow_chunks(*flows):
+            assert not np.any((errs > 0.0) & (errs < tiny))
 
     def test_acc4_peak_memory(self):
         # the benchmark's acc4 loan run peaks at 0.351 MB: the boxes and

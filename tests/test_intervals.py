@@ -735,6 +735,25 @@ def taylor_order(theta):
                 if taylor_tail(theta, order) <= bound)
 
 
+def chained(nonzero):
+    """Pairs (i, j) joined by a chain of 1 to n entries of the pattern."""
+    n = len(nonzero)
+    step, power = nonzero.astype(float), np.eye(n)
+    reach = np.zeros((n, n), dtype=bool)
+    for _ in range(n):
+        power = (power @ step > 0.0).astype(float)
+        reach |= power > 0.0
+    return reach
+
+
+def exact_entries(lo, hi, out_lo, out_hi):
+    """out_lo and out_hi with the identity's value, and no tail, on every
+    entry that no chain of nonzero entries of [lo, hi] joins."""
+    exact = ~chained((lo != 0.0) | (hi != 0.0))
+    out_lo[exact] = out_hi[exact] = np.eye(len(lo))[exact]
+    return out_lo, out_hi
+
+
 class TestIntervalExpm:
     def test_zero_matrix_is_identity(self):
         out = interval_expm(IntervalMatrix.zeros(3, 3), 5.0)
@@ -780,6 +799,44 @@ class TestIntervalExpm:
         # the rotation's enclosure stays at rounding level
         rotation = interval_expm(families[0], theta / math.sqrt(2))
         assert np.all(rotation.hi - rotation.lo < 1e-11)
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["s=0", "s>0"])
+    def test_structural_zeros_stay_exact(self, scaled):
+        # families with zero rows, zero columns or a triangular pattern,
+        # summed unscaled (theta <= 1) or scaled and squared: every entry
+        # that no chain of nonzero entries joins is the identity's value,
+        # lo = hi, with no tail and no squaring error, and sampled and
+        # vertex members' exponentials lie inside
+        rng = np.random.default_rng([43, scaled])
+        masked = 0
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            zero = np.zeros((n, n), dtype=bool)
+            if trial % 3 == 0:
+                zero[rng.random(n) < 0.4] = True
+            elif trial % 3 == 1:
+                zero[:, rng.random(n) < 0.4] = True
+            else:
+                zero = np.tri(n, k=-1, dtype=bool)
+                zero = zero if trial % 2 else zero.T
+            c = rng.normal(size=(n, n)) * ~zero
+            r = rng.uniform(0, 0.05, (n, n)) * (rng.random((n, n)) < 0.5) * ~zero
+            lam = centred(c, r)
+            if lam.frobenius_sup() == 0.0:
+                continue
+            theta = rng.uniform(1.5, 40.0) if scaled else rng.uniform(0.05, 1.0)
+            t = theta / lam.frobenius_sup()
+            out = interval_expm(lam, t)
+            exact = ~chained((lam.lo != 0.0) | (lam.hi != 0.0))
+            masked += np.count_nonzero(exact)
+            assert np.array_equal(out.lo[exact], np.eye(n)[exact]), trial
+            assert np.array_equal(out.hi[exact], np.eye(n)[exact]), trial
+            for k in range(6):
+                member = (lam.sample(rng) if k % 2
+                          else np.where(rng.random(lam.shape) < 0.5, lam.lo, lam.hi))
+                e = scipy.linalg.expm(member * t)
+                assert out.contains(e, tol=1e-11 * np.abs(e).max()), (trial, k)
+        assert masked > 100
 
     def test_squaring_overflow_is_unbounded(self):
         # exp(1000) is past the float maximum: the squarings overflow, and
@@ -842,7 +899,7 @@ class TestIntervalExpm:
             acc_lo = acc_lo + term_lo
             acc_hi = acc_hi + term_hi
         tail = taylor_tail(theta, order)
-        return acc_lo - tail, acc_hi + tail
+        return exact_entries(lo, hi, acc_lo - tail, acc_hi + tail)
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.01, 0.5])
     def test_point_family_bitwise_equal_to_four_way_series(self, t):
@@ -933,7 +990,7 @@ class TestIntervalExpm:
             term = scale(product(term, lt), 1.0 / k)
             acc = add(acc, term)
         tail = taylor_tail(theta, order)
-        return acc.lo - tail, acc.hi + tail
+        return exact_entries(lam.lo, lam.hi, acc.lo - tail, acc.hi + tail)
 
     @pytest.mark.parametrize("name", ["girad1", "acc4", "twocell", "grow1d"])
     def test_bitwise_equal_to_operator_series_on_shipped_models(self, name):

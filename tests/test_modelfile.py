@@ -15,6 +15,7 @@ from uncreach import (
     save_model,
     serialize_model,
 )
+from uncreach import modelfile
 from uncreach.intervals import _add_outward
 
 MINIMAL = """\
@@ -56,6 +57,39 @@ REPLACEMENTS = yaml.safe_load(
     '["x", "1.5", true, false, null, [], {}, .nan, .inf, -1, 0, 2.5, 3, '
     '[1.0], {a: 1}, "", [[1.0, 2.0]]]')
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # the C one is faster
+
+
+class PureLoader(yaml.SafeLoader):
+    """modelfile's loader in pure Python, the one of a PyYAML built
+    without libyaml: SafeLoader with _Loader's YAML 1.2 float resolver."""
+
+    yaml_implicit_resolvers = modelfile._Loader.yaml_implicit_resolvers
+
+
+@pytest.fixture(autouse=True)
+def both_loaders(monkeypatch):
+    """Every document a test here gives parse_model is read by the pure
+    loader too, which must give the same data, or a YAML error where
+    _Loader gives one: so each case's model, or ModelFileError, is the
+    same under both loaders."""
+    load = yaml.load
+
+    def checked(stream, Loader):
+        if Loader is not modelfile._Loader:
+            return load(stream, Loader)
+        try:
+            pure = repr(load(stream, PureLoader))
+        except yaml.YAMLError:
+            pure = yaml.YAMLError
+        try:
+            data = load(stream, Loader)
+        except yaml.YAMLError:
+            assert pure is yaml.YAMLError, stream
+            raise
+        assert pure == repr(data), stream
+        return data
+
+    monkeypatch.setattr(yaml, "load", checked)
 
 
 def node_paths(node, path=()):
@@ -343,3 +377,23 @@ class TestLoadModel:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFileError):
             load_model(tmp_path / "nope.yaml")
+
+
+class TestLoaders:
+    def test_libyaml_where_pyyaml_has_it(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(modelfile._Loader, base)
+
+    def test_pure_loader_reads_the_same_models(self, monkeypatch):
+        # the shipped files and this module's documents, parsed with the
+        # pure loader forced, give the models of the default loader
+        texts = [shipped(name).read_text() for name in (
+            "girad1.yaml", "grow1d.yaml", "twocell.yaml", "acc4.yaml")]
+        texts += [MINIMAL, EVERY_KEY, edited(EVERY_KEY, "0.1}", "1e-1}"),
+                  edited(EVERY_KEY, "step: 0.1", "step: 1.0e-1")]
+        want = [model_to_dict(parse_model(text)) for text in texts]
+        monkeypatch.setattr(modelfile, "_Loader", PureLoader)
+        assert [model_to_dict(parse_model(text)) for text in texts] == want
+        assert want[-1]["dynamics"]["step"] == 0.1
+        with pytest.raises(ModelFileError, match="not valid YAML"):
+            parse_model("a: [unterminated")
