@@ -38,9 +38,9 @@ from . import bounds as _bounds
 from ._expm import expm
 from .errors import DimensionMismatch
 from .intervals import (_TINY, _UNIT, Box, IntervalMatrix, _add_outward,
-                        _centre_radius, _chained, _frobenius,
-                        _gamma, _product_error, _require_finite, _row_chunks,
-                        _sigma_max_bound, _square, interval_expm)
+                        _centre_radius, _chained, _endpoint_product,
+                        _frobenius, _gamma, _product_error, _require_finite,
+                        _row_chunks, _sigma_max_bound, _square, interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -359,7 +359,7 @@ class ReachResult:
         more pass in O(steps (n + k)) memory, the same boxes.  A symbolic
         result replays its flows F_k chunk by chunk (_flow_chunks) up to
         the last step of finite radius, and gives the upper bounds of the
-        padded images (_padded_image) of the rows d F_k, padded by
+        images of Theta under the rows d F_k (_endpoint_product), padded by
         pad_k @ |d|: about _CHUNK_ENTRIES image entries at a time, so no
         (steps, k, n) image exists, and each step the bits the boxes get.
         """
@@ -377,8 +377,9 @@ class ReachResult:
                 flows, pads = flows[:stop], errs[:stop, :, 0] @ mags
                 for j in _row_chunks(len(flows), dirs.size):
                     rows = slice(k.start + j.start, k.start + min(j.stop, len(flows)))
-                    _padded_image(dirs @ flows[j], self.initial, pads[j],
-                                  out=(None, out[rows]))
+                    images = dirs @ flows[j]
+                    np.add(_endpoint_product(images, images, self.initial.lo,
+                                             self.initial.hi)[1], pads[j], out=out[rows])
                     out[rows] += np.multiply.outer(self.radii[rows], norms)
             unbounded = _first_unbounded(out)
         if unbounded is not None:
@@ -1091,7 +1092,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
     of one step with error vectors, a chunk of steps at a time
     (_flow_chunks): each chunk gives its sigma_max bounds (relative
-    bounds only), pads, radii and padded boxes (_padded_image, as
+    bounds only), pads, radii and padded boxes (_endpoint_product, as
     ReachResult.support's are) and is dropped, so no (K, n, n) array
     exists; the result keeps the O(n^2) inputs of the flows, which
     `support` replays.  ||Theta|| is evaluated scaled (Box.max_norm), and
@@ -1133,27 +1134,24 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     # own product when n < 10^8 (Higham, Accuracy and Stability, 3.1);
     # psi ||Theta|| takes two roundings fewer.
     scale = 1.0 + 2 * ((n + 10) // 4 + 1) * _UNIT
-    radii, lo = np.full(count, np.inf), None
+    radii = np.full(count, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         flows = (*_flow_step(a, series.times), v,
                  _flow_chunk_steps(n, v.shape[1], bounded), bounded)
         if not series.relative:  # psi ||Theta|| reads no flow
             radii[:bounded] = series.phi[:bounded] * norm
             radii[:bounded] *= scale
-        for k, chunk, errs in _flow_chunks(*flows):
+        pieces = _flow_chunks(*flows)
+        # the boxes after the orbits: beside them, rod64's loan peak was 3.89 MB
+        lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
+        for k, chunk, errs in pieces:
             if series.relative:  # sigma_max reads a contiguous copy faster
                 radii[k] = series.phi[k] * (_sigma_max_bound(np.ascontiguousarray(chunk))
                                             + errs[:, :, 1].sum(axis=1)) * norm
                 radii[k] *= scale
-            # the boxes come once the orbits have run and the first
-            # sigma_max is done: allocated before the loop, they took the
-            # 64-cell heat rod's loan peak from 3.45 to 3.89 MB and the
-            # 128-cell rod's from 7.10 to 8.78 MB (acc4's stays 0.351 MB)
-            if lo is None:
-                lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
-            _padded_image(chunk, theta, errs[:, :, 0], out=(lo[k], hi[k]))
-        if lo is None:  # phi is not finite at step 0: no chunk ran
-            lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
+            lo[k], hi[k] = _endpoint_product(chunk, chunk, theta.lo, theta.hi)
+            lo[k] -= errs[:, :, 0]
+            hi[k] += errs[:, :, 0]
         # the ball, once the chunks are freed; a radius or flow that is not
         # finite leaves its box not finite
         lo -= radii[:, None]
@@ -1233,8 +1231,9 @@ def _flow_chunks(step: np.ndarray, step_err: np.ndarray, v: np.ndarray,
     first base or base error that is not finite, past which every flow
     or error is not finite either.
 
-    A chunk comes in pieces of about _FLOW_NUMBERS numbers of flows and
-    error columns (one step at least), each one product and one
+    The table and the bases are built by the call, which returns an
+    iterator over the chunks' pieces: about _FLOW_NUMBERS numbers of flows
+    and error columns (one step at least), each one product and one
     _product_error call, and a table alone in n pieces.  The table takes
     up to 1.25 c n^2 numbers, a piece about _FLOW_NUMBERS, and the bases
     about 3.5 (count / c) n^2 while their orbit runs; a piece's arrays
@@ -1243,7 +1242,7 @@ def _flow_chunks(step: np.ndarray, step_err: np.ndarray, v: np.ndarray,
     """
     n, m = v.shape
     if count < 1:
-        return
+        return iter(())
     c, tail = chunk, count % chunk
     if count <= c:
         last, size = 1, count  # one chunk: the table alone
@@ -1251,14 +1250,21 @@ def _flow_chunks(step: np.ndarray, step_err: np.ndarray, v: np.ndarray,
         last, size = count // c, c + tail  # the last chunk takes the tail
     else:
         last, size = -(-count // c), c + 1
-    # an orbit of more than c steps squares up to S = P^c; the bases come
-    # before any chunk is read, and so before its reader's arrays exist
+    # an orbit of more than c steps squares up to S = P^c
     steps = [] if last > 1 else None
     table, errs = _orbit(step, np.eye(n), size, step_err, v, steps=steps)
+    bases = bases_err = None
     if last > 1:
         (power, power_err), = steps
         bases, bases_err = _orbit(power, np.eye(n), last, power_err, np.eye(n))
         del power, power_err, steps
+    return _flow_pieces(table, errs, bases, bases_err, v, c, count)
+
+
+def _flow_pieces(table, errs, bases, bases_err, v, c, count):
+    """The pieces of _flow_chunks, whose call builds the table and bases."""
+    n, m = v.shape
+    size, last = len(errs), 1 if bases is None else len(bases_err)
     # steps per yield: flows and error columns of about _FLOW_NUMBERS
     # numbers; a table alone in n pieces, so that a short grid's images
     # hold no more entries than one box row of every step
@@ -1293,32 +1299,6 @@ def _flow_chunks(step: np.ndarray, step_err: np.ndarray, v: np.ndarray,
             yield (slice(k * c + j, k * c + j + b),
                    out[:, :b * n].reshape(n, b, n).transpose(1, 0, 2),
                    out_err[:b].transpose(0, 2, 1))
-
-
-def _padded_image(rows, theta: Box, pad, out=None):
-    """Bounds of rows[k] x over x in Theta, rows (K, r, n): each row, a
-    point, times Theta, the numpy sums over j of the smaller (larger) of
-    m_ij lo_j, m_ij hi_j, widened by pad (K, r).  The bounds (lo, hi),
-    each (K, r), are written into out if given, whose lo may be None for
-    the upper bounds alone, and returned; callers widen them by the
-    radius ball after.  Each bound sums its own row of products, so a
-    chunk of steps gets the bits of the whole grid.  Two arrays of the
-    products live here at a time; callers pass the prefix of steps of
-    finite radius a chunk of steps at a time, run it with overflow and
-    invalid ignored, and take a bound that is not finite as
-    unbounded."""
-    lo, hi = (np.empty(rows.shape[:-1]), np.empty(rows.shape[:-1])) if out is None else out
-    # einsum scales by Theta's ends without the operand buffer of a
-    # broadcast multiply (up to 64 kB in numpy 2.4)
-    low = np.einsum("kij,j->kij", rows, theta.lo, out=np.empty(rows.shape))
-    high = np.einsum("kij,j->kij", rows, theta.hi, out=np.empty(rows.shape))
-    np.maximum(low, high, out=high).sum(axis=-1, out=hi)
-    hi += pad
-    if lo is not None:
-        np.einsum("kij,j->kij", rows, theta.hi, out=high)
-        np.minimum(low, high, out=low).sum(axis=-1, out=lo)
-        lo -= pad
-    return lo, hi
 
 
 def safety_check(result: ReachResult, halfspaces) -> SafetyVerdict:

@@ -4,14 +4,14 @@ A box or interval matrix [lo, hi] stands for the set of real vectors or
 matrices { M : lo <= M <= hi entrywise }, with at least one entry; a bound
 may be -inf or inf (an entry an exponential took out of float range), never
 NaN.  The classes hold bounds and answer queries; the interval arithmetic,
-defined here, is one product, _endpoint_product (interval_expm's series;
-engine._padded_image takes the same endpoint products of a point row and
-a box), outward in exact arithmetic, and one sum,
-_add_outward (engine's A (+) Lambda and Lambda's interval cells),
-outward in floating point.  The product's rounding is not directed, so
-consumers that need slack add it, but _centre_radius, _sigma_max_bound,
-_product_error, IntervalMatrix.log_norm_sup and interval_expm's
-squarings cover their own.
+defined here, is one product, _endpoint_product (interval_expm's series,
+engine's symbolic boxes and replayed supports: nothing else forms
+endpoint products but the Star reference, stars.py and _kernels.py),
+outward in exact arithmetic, and one sum, _add_outward (engine's
+A (+) Lambda and Lambda's interval cells), outward in floating point.
+The product's rounding is not directed, so consumers that need slack add
+it, but _centre_radius, _sigma_max_bound, _product_error,
+IntervalMatrix.log_norm_sup and interval_expm's squarings cover their own.
 interval_expm scales and squares and cuts its series by the tail bound,
 so it is inclusion-isotone only between families with the same number of
 squarings and the same Taylor order; each of its results is an enclosure.
@@ -35,10 +35,8 @@ __all__ = [
 # Most terms of the Taylor series interval_expm sums, after the identity.
 _TAYLOR_ORDER = 20
 
-# Entries per chunk of a stack in _sigma_max_bound, of the endpoint
-# products in _endpoint_product (so interval_expm) and of engine's
-# symbolic supports: bounds their temporaries whatever the stack length
-# or matrix order.
+# Entries per chunk of _sigma_max_bound's stacks, _endpoint_product's
+# products and engine's symbolic supports: bounds their temporaries.
 _CHUNK_ENTRIES = 4096
 
 
@@ -456,36 +454,58 @@ class IntervalMatrix:
 
 def _endpoint_product(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray,
                       bhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of the interval matrix product [alo, ahi] @ [blo, bhi].
+    """Bounds of the interval product [alo, ahi] @ [blo, bhi].
 
-    Each scalar product [a,b]*[c,d] is the tight hull of the endpoint
-    products ac, ad, bc, bd, in that order; entries are summed exactly
-    (up to rounding).  A factor whose bounds are one array (alo is ahi) is
-    a point, whose equal products are formed once: a point times an
-    interval takes two, and two points one, returning one array as both
-    bounds; an interval times a point takes all four.  A repeated product
-    does not change a hull, so the bounds are bitwise those of four
-    products on copies.  The rows of a go in chunks of about
-    _CHUNK_ENTRIES endpoint products (_row_chunks), each chunk's tensors
-    freed before the next; every entry is summed as a whole, so the
-    bounds do not depend on the chunking.
+    The left factor is a matrix or a stack (..., inner), such as engine's
+    strided flows, read in place; the right factor is (inner, cols), or
+    (inner,) for a box.  Each scalar product [a,b]*[c,d] is the tight hull
+    of the endpoint products ac, ad, bc, bd, in that order; entries are
+    summed exactly (up to rounding).  A factor whose bounds are one array
+    (alo is ahi) is a point, whose equal products are formed once: a point
+    times an interval takes two, two points one, returning one array as
+    both bounds.  A repeated product does not change a hull, so the bounds
+    are bitwise those of four products on copies.
+
+    np.einsum forms the products, (..., inner, cols), in its operands'
+    memory order (numpy's order 'K', which the copy keeps) and without a
+    broadcast multiply's operand buffer (up to 64 kB in numpy 2.4); the
+    hull's ends are summed over the term axis in numpy's order for that
+    layout (a layout with the term axis first in memory sums in term
+    order, which moves the bits of sums of 8 terms or more), into fresh
+    arrays laid out as the products.  The product-sized temporaries are
+    one for two points, two for a point and an interval (the second
+    product formed again for the min) and three for two intervals, in
+    chunks of the leading axis of about _CHUNK_ENTRIES endpoint products
+    (_row_chunks), each freed before the next; every entry is summed
+    whole, so the chunks keep the bits.
     """
-    lo = np.empty((alo.shape[0], blo.shape[1]))
-    hi = lo if alo is ahi and blo is bhi else np.empty_like(lo)
-    for rows in _row_chunks(lo.shape[0], blo.size):
-        # (rows, inner, cols) tensors of the endpoint products
-        a, b = alo[rows, :, None], ahi[rows, :, None]
-        plo = a * blo
-        if hi is not lo:
-            prods = (a * bhi,) if ahi is alo else (a * bhi, b * blo, b * bhi)
-            phi = plo.copy()
-            for pr in prods:
-                np.minimum(plo, pr, out=plo)
-                np.maximum(phi, pr, out=phi)
-            phi.sum(axis=1, out=hi[rows])
-            del prods, pr, phi
-        plo.sum(axis=1, out=lo[rows])
-        del plo
+    spec, term = ("...j,j->...j", -1) if blo.ndim == 1 else ("...j,jk->...jk", -2)
+    # the endpoint pairs after ac: ad, bc, bd, a point's repeats left out
+    if alo is ahi:
+        rest = () if blo is bhi else ((alo, bhi),)
+    else:
+        rest = ((ahi, blo),) if blo is bhi else ((alo, bhi), (ahi, blo), (ahi, bhi))
+    lo = np.empty(alo.shape[:-1] + blo.shape[1:])
+    hi = np.empty_like(lo) if rest else lo
+    for rows in _row_chunks(len(lo), alo[0].size * blo[0].size * (len(rest) + 1)):
+        low = np.einsum(spec, alo[rows], blo)
+        if len(rest) == 1:
+            (a, b), = rest
+            high = np.einsum(spec, a[rows], b)
+            hi[rows] = np.add.reduce(np.maximum(low, high, out=high), term)
+            del high
+            np.minimum(low, np.einsum(spec, a[rows], b), out=low)
+        elif rest:
+            high = low.copy(order="K")
+            for a, b in rest:
+                pr = np.einsum(spec, a[rows], b)
+                np.minimum(low, pr, out=low)
+                np.maximum(high, pr, out=high)
+                del pr
+            hi[rows] = np.add.reduce(high, term)
+            del high
+        lo[rows] = np.add.reduce(low, term)
+        del low
     return lo, hi
 
 
@@ -547,26 +567,26 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     theta_s = 1 and N = 20, 2.0505e-20 (_taylor_order): N grows with
     theta_s, to 20 at theta_s = 1, so no r exceeds that value.  Each
     term is one _endpoint_product, a point family (lo == hi) passing one
-    array as both bounds, and its row chunks keep the (rows, n, n)
-    temporaries near _CHUNK_ENTRIES entries whatever n.  For s > 0 the
+    array as both bounds, in at most three temporaries of about
+    _CHUNK_ENTRIES products whatever n.  For s > 0 the
     sum's centre and radius (_centre_radius) are squared s times, the
     rounding of each product covered (_square), and the bounds c -+ r
     pushed one ulp outward where r > 0; s = 0 returns the sum itself.
     The sum's own rounding is not covered, and s squarings amplify it
     up to 2^s times, as they do the radius.  An entry that leaves float
-    range is (-inf, inf), and a non-finite theta gives (-inf, inf)
-    everywhere; underflow is not covered.  Since s and N depend on lam,
-    the result is inclusion-isotone only between families with the same
-    s and N: a step of either can break it at the level of the tail and
-    the rounding, never the enclosure.
-    For a finite theta, structural zeros stay exact.  An entry (i, j) that
-    no chain of nonzero entries of lam joins (_chained) is zero in every
-    power of every member, and of every product of members, so it is the
-    identity's value in exp(M t) for every M in lam and in the transition
-    matrix of every time-varying M(s): there the result is [I_ij, I_ij],
-    with no tail and no squaring error (a pinned input's row, x' = 0, is
-    its unit row).  A family without such an entry gives the bits of the
-    series and squarings alone.
+    range is (-inf, inf), and a non-finite theta gives (-inf, inf) on
+    every entry but the exact ones below; underflow is not covered.
+    Since s and N depend on lam, the result is inclusion-isotone only
+    between families with the same s and N: a step of either can break
+    it at the level of the tail and the rounding, never the enclosure.
+    Structural zeros stay exact.  An entry (i, j) that no chain of
+    nonzero entries of lam joins (_chained) is zero in every power of
+    every member, and of every product of members, so it is the identity's
+    value in exp(M t) for every M in lam and in the transition matrix of
+    every time-varying M(s): there the result is [I_ij, I_ij], with no
+    tail and no squaring error (a pinned input's row, x' = 0, is its unit
+    row).  A family without such an entry gives the bits of the series
+    and squarings alone.
     t must be finite and nonnegative.  In real arithmetic the result also
     holds the transition matrix over [0, t] of x' = M(s) x for measurable
     M(s) in lam: its Peano-Baker terms lie in the interval powers
@@ -580,33 +600,32 @@ def interval_expm(lam: IntervalMatrix, t: float) -> IntervalMatrix:
     if t < 0:
         raise ValueError("time must be nonnegative")
     theta = lam.frobenius_sup() * t
-    if not math.isfinite(theta):
-        return IntervalMatrix(np.full((n, n), -np.inf), np.full((n, n), np.inf))
-    nonzero = lam.lo != 0.0
-    if not nonzero.all():
-        nonzero |= lam.hi != 0.0
+    nonzero = (lam.lo != 0.0) | (lam.hi != 0.0)
     exact = None if nonzero.all() else ~_chained(nonzero)
     if exact is not None and not exact.any():
         exact = None
-    frac, e = math.frexp(theta / _SCALED_THETA)
-    s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
-    theta = math.ldexp(theta, -s)
-    # the series runs on bare bound arrays; t >= 0, 2^-s and 1/k > 0 scale
-    # them without swapping, and the result is validated once
-    lt_lo = np.ldexp(lam.lo * t, -s)
-    lt_hi = lt_lo if lam.is_point() else np.ldexp(lam.hi * t, -s)
-    acc_lo = np.eye(n)
-    acc_hi = acc_lo if lt_hi is lt_lo else np.eye(n)
-    term_lo = term_hi = np.eye(n)
-    order, tail = _taylor_order(theta)
-    for k in range(1, order + 1):
-        term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
-        term_lo *= 1.0 / k
-        acc_lo += term_lo
-        if term_hi is not term_lo:
-            term_hi *= 1.0 / k
-            acc_hi += term_hi
-    lo, hi = acc_lo - tail, acc_hi + tail
+    if math.isfinite(theta):
+        frac, e = math.frexp(theta / _SCALED_THETA)
+        s = max(0, e - (frac == 0.5))  # least s with 2^s >= frac 2^e
+        theta = math.ldexp(theta, -s)
+        # the series runs on bare bound arrays; t >= 0, 2^-s and 1/k > 0
+        # scale them without swapping, and the result is validated once
+        lt_lo = np.ldexp(lam.lo * t, -s)
+        lt_hi = lt_lo if lam.is_point() else np.ldexp(lam.hi * t, -s)
+        acc_lo = np.eye(n)
+        acc_hi = acc_lo if lt_hi is lt_lo else np.eye(n)
+        term_lo = term_hi = np.eye(n)
+        order, tail = _taylor_order(theta)
+        for k in range(1, order + 1):
+            term_lo, term_hi = _endpoint_product(term_lo, term_hi, lt_lo, lt_hi)
+            term_lo *= 1.0 / k
+            acc_lo += term_lo
+            if term_hi is not term_lo:
+                term_hi *= 1.0 / k
+                acc_hi += term_hi
+        lo, hi = acc_lo - tail, acc_hi + tail
+    else:
+        s, lo, hi = 0, np.full((n, n), -np.inf), np.full((n, n), np.inf)
     if exact is not None:
         eye = np.eye(n)
         np.putmask(lo, exact, eye)

@@ -28,9 +28,8 @@ from uncreach import (
 from uncreach._expm import expm
 from uncreach._kernels import box_core
 from uncreach.stars import Star, linear_map
-from uncreach.engine import _padded_image
 from uncreach import intervals
-from uncreach.intervals import _add_outward, _sigma_max_bound
+from uncreach.intervals import _add_outward, _endpoint_product, _sigma_max_bound
 from uncreach.bounds import BLOAT_METHODS
 
 from conftest import centred, replayed_flows
@@ -950,25 +949,30 @@ class TestDoublingFlows:
             assert np.all(res.lo <= lo) and np.all(res.hi >= hi)
             np.testing.assert_allclose(res.hi - res.lo, hi - lo, rtol=1e-10)
 
-    def test_image_bounds_chunks_are_bitwise_whole(self):
-        # the endpoint image alone (a zero pad), whole and a chunk of steps
-        # at a time, is the unchunked reference to the bit, a lone row too
+    def test_image_bounds_chunks_are_bitwise_whole(self, monkeypatch):
+        # the endpoint image alone (no pad), whole and a chunk of steps at
+        # a time, in the kernel's own row chunks of one step, 7 products
+        # or all of them, is the unchunked reference to the bit, a lone
+        # row too
         rng = np.random.default_rng(8)
         for shape in ((2051, 2, 2), (2051, 4, 4), (5000, 3, 7), (3, 9), (40, 1, 12)):
             m = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 5)
             lo = rng.normal(size=shape[-1])
             box = Box(lo, lo + rng.uniform(0, 2, shape[-1]))
             rows = m.reshape(-1, *m.shape[-2:])  # (K, r, n)
-            whole = _padded_image(rows, box, np.zeros(rows.shape[:-1]))
+            whole = _endpoint_product(rows, rows, box.lo, box.hi)
             ref = image_bounds_reference(rows, box)
             assert whole[0].tobytes() == ref[0].tobytes()
             assert whole[1].tobytes() == ref[1].tobytes()
-            for size in (1, 7, 512):
-                for k in range(0, len(rows), size):
-                    part = _padded_image(rows[k:k + size], box,
-                                         np.zeros(rows[k:k + size].shape[:-1]))
-                    assert part[0].tobytes() == whole[0][k:k + size].tobytes()
-                    assert part[1].tobytes() == whole[1][k:k + size].tobytes()
+            for entries in (1, 7, 10 ** 9):
+                monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
+                for size in (1, 7, 512):
+                    for k in range(0, len(rows), size):
+                        part = _endpoint_product(rows[k:k + size], rows[k:k + size],
+                                                 box.lo, box.hi)
+                        assert part[0].tobytes() == whole[0][k:k + size].tobytes()
+                        assert part[1].tobytes() == whole[1][k:k + size].tobytes()
+            monkeypatch.undo()
 
     def test_flow_overflow_gives_unbounded_steps(self):
         # exp(2t) leaves float range near t = 355; the fine-step twin of

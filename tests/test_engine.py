@@ -38,6 +38,7 @@ from uncreach.stars import (Star, compact, interval_reduce, lambda_box,
                             linear_map, minkowski_sum, zono_reduce)
 
 from conftest import centred, replayed_flows
+from endpoint_reference import broadcast_product, padded_image
 
 GIRAD_A = np.array([[-1.0, -4.0], [4.0, -1.0]])
 
@@ -1233,21 +1234,26 @@ class TestBoxesIgnoreTheNormals:
             assert res.lo.tobytes() == bare.lo.tobytes(), count
 
 
-def ors_reach_peak(model):
-    """tracemalloc's largest peak in bytes over three ors_reach calls of
-    the model, after one untraced call: a first call's caches would
-    count, and a warm peak drifts down over repeated calls, so one call
-    would give a peak that depends on which tests ran first."""
-    ors_reach(model)
+def warm_peak(call):
+    """tracemalloc's largest peak in bytes over three calls, after one
+    untraced call: a first call's caches would count, and a warm peak
+    drifts down over repeated calls, so one call would give a peak that
+    depends on which tests ran first."""
+    call()
     peaks = []
     for _ in range(3):
         tracemalloc.start()
         try:
-            ors_reach(model)
+            call()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     return max(peaks)
+
+
+def ors_reach_peak(model):
+    """warm_peak of the model's ors_reach."""
+    return warm_peak(lambda: ors_reach(model))
 
 
 def chunk_case(n):
@@ -1510,6 +1516,24 @@ class TestInvariantStop:
         # powers array would add 3.3 MB, and interval_expm's (n, n, n)
         # endpoint products without row chunks 5.7 MB
         assert ors_reach_peak(heat_rod(64)) < 6e6
+
+    def test_heat_rod_64_discretize_peak(self, monkeypatch):
+        # the endpoint products of interval_expm's series take at most three
+        # temporaries, of _CHUNK_ENTRIES products a chunk, where the
+        # broadcast kernel took five and numpy's operand buffers: the peak
+        # of discretize (0.53 MB, set by the squarings) is at most that
+        # with the broadcast kernel.  Each is its least warm peak over
+        # three alternations, as the interpreter's free lists settle (the
+        # first differ by up to 72 bytes either way)
+        rod = heat_rod(64)
+        pert = rod.perturbation()
+        peaks = {intervals._endpoint_product: [], broadcast_product: []}
+        for _ in range(3):
+            for kernel, got in peaks.items():
+                monkeypatch.setattr(intervals, "_endpoint_product", kernel)
+                got.append(warm_peak(lambda: discretize(rod.a, pert, rod.step)))
+        kernel, broadcast = (min(got) for got in peaks.values())
+        assert kernel <= broadcast
 
     def test_heat_rod_64_is_finite_and_safe(self):
         # the 64-cell heat rod of the scaling probe: its one-step family,
@@ -2307,18 +2331,18 @@ class TestSymbolicChunks:
         dirs = np.random.default_rng(73).normal(size=(3, model.dim))
         flows, errs = replayed_flows(res)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = engine._padded_image(
+            want = padded_image(
                 dirs @ flows[:bounded], res.initial,
                 errs[:bounded, :, 0] @ np.abs(dirs).T)[1]
             want += np.multiply.outer(res.radii[:bounded],
                                       intervals._frobenius(dirs, axis=1))
-        original, read = engine._padded_image, []
+        original, read = engine._endpoint_product, []
 
-        def counting(rows, theta, pad, out=None):
-            read.append(len(rows))
-            return original(rows, theta, pad, out)
+        def counting(alo, ahi, blo, bhi):
+            read.append(len(alo))
+            return original(alo, ahi, blo, bhi)
 
-        monkeypatch.setattr(engine, "_padded_image", counting)
+        monkeypatch.setattr(engine, "_endpoint_product", counting)
         for entries in (1, 7, 10 ** 9):
             monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", entries)
             read.clear()
@@ -2398,8 +2422,8 @@ class TestSymbolicChunks:
         # the padded images along d step by step, no rule applied
         flows, errs = replayed_flows(res)
         with np.errstate(over="ignore", invalid="ignore"):
-            each = engine._padded_image(dirs[:1] @ flows, theta,
-                                        errs[:, :, 0] @ np.abs(dirs[:1]).T)[1][:, 0]
+            each = padded_image(dirs[:1] @ flows, theta,
+                                errs[:, :, 0] @ np.abs(dirs[:1]).T)[1][:, 0]
         first = int(np.argmax(~np.isfinite(each)))
         assert first == 40 and np.isfinite(each[first:]).any()
         assert np.all(np.isfinite(sups[:first])) and np.all(sups[first:] == np.inf)
@@ -2422,10 +2446,12 @@ class TestSymbolicChunks:
             assert not np.any((errs > 0.0) & (errs < tiny))
 
     def test_acc4_peak_memory(self):
-        # the benchmark's acc4 loan run peaks at 0.351 MB: the boxes and
+        # the benchmark's acc4 loan run peaks at 0.331 MB: the boxes and
         # radii of 2051 steps (0.16 MB), a table of 259 flows (the last
-        # chunk takes the 3-step tail), a chunk and its padded image; the
-        # stored (K, n, n) flows alone were 0.263 MB and took it to 0.650 MB
+        # chunk takes the 3-step tail), a chunk and its endpoint image in
+        # chunks of _CHUNK_ENTRIES products (0.347 MB with an image of the
+        # whole chunk); the stored (K, n, n) flows alone were 0.263 MB and
+        # took it to 0.650 MB
         model = shipped("acc4")
         tracemalloc.start()
         try:

@@ -22,6 +22,7 @@ from uncreach import intervals
 from uncreach.intervals import _add_outward, _endpoint_product, _product_error
 
 from conftest import centred
+from endpoint_reference import broadcast_product, padded_image
 
 # analytic values, frozen independently of the library
 SQRT_621 = 2.4919871588754225        # sqrt(6.21)
@@ -357,6 +358,100 @@ class TestIntervalMatmul:
                             assert got == tuple(w.tobytes() for w in want)
                             assert got == tuple(w.tobytes() for w in stacked)
                             assert (lo is hi) == (alo is ahi and blo is bhi)
+
+
+class TestEndpointKernel:
+    """_endpoint_product, the package's one endpoint product, against the
+    two kernels it replaced (endpoint_reference), bit for bit, under the
+    callers' errstate: matrix factors as interval_expm's series passes
+    them, and strided stacks of point rows times a box as the symbolic
+    boxes and replayed supports pass them."""
+
+    ORDERS = (1, 2, 3, 4, 8, 16, 64, 128)
+
+    @staticmethod
+    def draw(rng, shape, special):
+        """Entries over many magnitudes, a tenth of them signed zeros and
+        infinities if special."""
+        x = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 3)
+        if special:
+            pick = rng.random(shape) < 0.1
+            x[pick] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=pick.sum())
+        return x
+
+    def factors(self, rng, shape, special):
+        """A point (one array as both bounds) and an interval."""
+        point = self.draw(rng, shape, special)
+        x, y = self.draw(rng, shape, special), self.draw(rng, shape, special)
+        return (point, point), (np.minimum(x, y), np.maximum(x, y))
+
+    def test_matrix_factors_are_the_broadcast_kernel(self):
+        rng = np.random.default_rng(4401)
+        for n in self.ORDERS:
+            for special in (False, True):
+                lefts = self.factors(rng, (n + 1, n), special)
+                rights = (*self.factors(rng, (n, n + 2), special),
+                          *self.factors(rng, (n, 1), special))
+                for (alo, ahi), (blo, bhi) in itertools.product(lefts, rights):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        lo, hi = _endpoint_product(alo, ahi, blo, bhi)
+                        want = broadcast_product(alo, ahi, blo, bhi)
+                    assert lo.tobytes() == want[0].tobytes(), (n, special)
+                    assert hi.tobytes() == want[1].tobytes(), (n, special)
+                    assert (lo is hi) == (want[0] is want[1])
+
+    def test_flow_stacks_are_the_padded_image(self):
+        # a strided (K, n, n) view of an (n, K n) array, as the flows of
+        # engine._flow_chunks are, and the (K, 3, n) images of three
+        # directions, times boxes with some point entries and a point box
+        # (one array as both bounds), widened by a pad
+        rng = np.random.default_rng(4402)
+        for n in self.ORDERS:
+            steps = 2051 if n <= 4 else 257 if n <= 16 else 9
+            for special in (False, True):
+                table = self.draw(rng, (n, steps * n), special)
+                flows = table.reshape(n, steps, n).transpose(1, 0, 2)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    images = self.draw(rng, (3, n), special) @ flows
+                lo = rng.normal(size=n)
+                hi = np.where(rng.random(n) < 0.3, lo, lo + rng.uniform(0, 2, n))
+                point = rng.normal(size=n)
+                for rows in (flows, images):
+                    pad = rng.uniform(0, 1e-10, rows.shape[:-1])
+                    for box in (Box(lo, hi), Box(point, point)):
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            want = padded_image(rows, box, pad)
+                            got = _endpoint_product(rows, rows, box.lo, box.hi)
+                            got = (got[0] - pad, got[1] + pad)
+                        assert got[0].tobytes() == want[0].tobytes(), (n, special)
+                        assert got[1].tobytes() == want[1].tobytes(), (n, special)
+
+    def test_peak_is_at_most_the_padded_images(self):
+        # the left factor is read in place, and a point stack times a box
+        # takes two product-sized temporaries in chunks of _CHUNK_ENTRIES
+        # products in all, where the padded image took two of the whole
+        # stack: the peak is the two bounds, a chunk's products and its
+        # sums (4 KB) within 4 KB, where a copy of a chunk of the stack
+        # (16 KB) would not fit
+        rng = np.random.default_rng(4403)
+        table = rng.normal(size=(4, 256 * 4))
+        flows = table.reshape(4, 256, 4).transpose(1, 0, 2)
+        lo = rng.normal(size=4)
+        box = Box(lo, lo + rng.uniform(0.0, 2.0, 4))
+        pad = np.zeros((256, 4))
+
+        def peak(f):
+            f()
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kernel = peak(lambda: _endpoint_product(flows, flows, box.lo, box.hi))
+        assert kernel <= peak(lambda: padded_image(flows, box, pad))
+        assert kernel < 2 * pad.nbytes + intervals._CHUNK_ENTRIES * 8 + 8e3
 
 
 class TestProductError:
@@ -855,6 +950,24 @@ class TestIntervalExpm:
             warnings.simplefilter("error")
             assert np.array_equal(wild.center, np.zeros((2, 2)))
             assert wild.two_norm_sup() == np.inf and wild.frobenius_sup() == np.inf
+
+    def test_exact_entries_survive_a_theta_past_float_range(self):
+        # theta = ||M||_F t is inf, so there is no series, but the entries
+        # that no chain of nonzero entries joins stay the identity's: the
+        # pinned third row is e_3 and the zeros of rows 1 and 2 outside
+        # the chains stay 0, without a RuntimeWarning; the chained entries
+        # (0, 0), (0, 1) and (1, 1) are (-inf, inf)
+        m = np.array([[1e308, 1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = interval_expm(IntervalMatrix.from_point(m), 10.0)
+        chain = chained(m != 0.0)
+        assert np.array_equal(chain, [[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+        assert np.all(out.lo[chain] == -np.inf) and np.all(out.hi[chain] == np.inf)
+        assert np.array_equal(out.lo[~chain], np.eye(3)[~chain])
+        assert np.array_equal(out.hi[~chain], np.eye(3)[~chain])
+        assert np.array_equal(out.lo[2], [0.0, 0.0, 1.0])
+        assert np.array_equal(out.hi[2], [0.0, 0.0, 1.0])
 
     def test_argument_validation(self):
         m = IntervalMatrix.zeros(2, 2)
