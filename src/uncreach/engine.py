@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds as _bounds
 from ._expm import expm
@@ -335,7 +334,7 @@ class ReachResult:
         recorded = np.full(len(dirs), -1)
         if self.normals is not None and len(self.normals):
             match = np.all(dirs[:, None, :] == self.normals[None, :, :], axis=2)
-            recorded = np.where(match.any(axis=1), np.argmax(match, axis=1), -1)
+            recorded = np.where(match.any(axis=1), match.argmax(axis=1), -1)
         rest = np.flatnonzero((axis < 0) & (recorded < 0))
         if 0 < len(rest) == len(dirs):
             return self._computed_support(dirs)
@@ -572,15 +571,14 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     inf, and no generators are added.
 
     The recurrence runs on S, the components that can carry a radius
-    (_radius_components): the table, the history, the fresh blocks and
+    (_radius_components, an index: a slice when they are consecutive, as
+    every component is): the table, the history, the fresh blocks and
     the counts hold |S| radii a block, and P, Lr, Theta's radius and the
     non-axis normals are cut to S (a radius outside S is zero, and no
     chain of P joins a component outside S to one inside, so the rows of
     S see nothing of the others but their centres |c|, which enter the
     fresh blocks through Lr's columns).  A component outside S has q = 0:
     its box is its centre and an axis normal on it reads the centre.
-    When S holds every component, the products are those of the
-    recurrence on every component, bit for bit.
 
     It owns each array of one row per step, once (the centres, q with
     |S| columns plus one per table row of a non-axis normal, the counts
@@ -596,16 +594,15 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     distinct, cols = _table_rows(normals)
     centres = _orbit(p, theta.center[:, None], horizon + 1).T.copy()
     at = _radius_components(p, lr, radius)
-    # q's column for each component, -1 outside S, then the normals' rows
-    place = np.arange(n + len(distinct))
-    if at is not None:
-        k = len(at)
-        p, lr, distinct, radius = p[np.ix_(at, at)], lr[at], distinct[:, at], radius[at]
-        place[:n] = -1
-        place[at] = np.arange(k)
-        place[n:] -= n - k
-        cols = place[cols]
+    # copies on S: views would keep their bases alive, a peak's few objects
+    p, lr, distinct, radius = (p[at][:, at].copy(), lr[at].copy(),
+                               distinct[:, at].copy(), radius[at].copy())
     k = len(p)
+    # q's column for each component, -1 outside S, then the normals' rows
+    place = np.arange(n + len(distinct)) - (n - k)
+    place[:n] = -1
+    place[at] = np.arange(k)
+    cols = place[cols]
     q = np.empty((horizon + 1, k + len(distinct)))
     # the history: at most span + 2 blocks, span = min(horizon, period)
     end = k * (min(horizon, period) + 2)
@@ -639,9 +636,9 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
 
 
 def _radius_components(p: np.ndarray, lr: np.ndarray,
-                       radius: np.ndarray) -> np.ndarray | None:
-    """S, the components that can ever carry a radius, in order; None if
-    that is every component or none.
+                       radius: np.ndarray) -> slice | np.ndarray:
+    """S, the components that can ever carry a radius, in order, as an
+    index: a slice when they are consecutive, else their indices.
 
     A fresh block is Lr (|c| + q), so a fresh radius can be nonzero only
     on a nonzero row of Lr, and Theta's only where Theta is wide.  A
@@ -652,12 +649,14 @@ def _radius_components(p: np.ndarray, lr: np.ndarray,
     """
     carries = (radius != 0.0) | lr.any(axis=1)
     if carries.all() or not carries.any():
-        return None
+        return slice(0, len(p))
     carries |= _chained(p != 0.0)[:, carries].any(axis=1)
-    return None if carries.all() else np.flatnonzero(carries)
+    at = np.flatnonzero(carries)
+    first, last = int(at[0]), int(at[-1])
+    return slice(first, last + 1) if last - first == len(at) - 1 else at
 
 
-def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
+def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
               distinct: np.ndarray, centres: np.ndarray, q: np.ndarray,
               buf: np.ndarray, period: int, reduction_method: str,
               normals: np.ndarray, cols: np.ndarray, until: np.ndarray | None):
@@ -672,17 +671,18 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
     or is not finite (_reaches), and at an interval reduction step whose
     box lies in an earlier restart box (_restart_inside).  It stops at a
     zonotope reduction step whose live set is not finite.  p, lr,
-    distinct and the history are on S, the components `at` (every
-    component if None; see _flowpipe).
+    distinct and the history are on S, the components `at` (see
+    _flowpipe).
     """
     k, horizon, end = len(p), len(centres) - 1, len(buf)
     span, zonotope = min(horizon, period), reduction_method == "zonotope"
     tables = _Tables(p, lr, distinct, span, zonotope, at)
     counts = bad = invariant = None
     restart_count, last = k, horizon + 1
-    # restart boxes (step, centre, radius), from Theta's
-    restarts = ([(0, centres[0], _spread(buf[end - k:], at, centres.shape[1]))]
-                if until is not None and reduction_method == "interval" else None)
+    restarts = None  # restart boxes (step, centre, radius), from Theta's
+    if until is not None and reduction_method == "interval":
+        restarts = []
+        _restart_inside(restarts, 0, centres[0], buf[end - k:], at)
     for first in range(0, horizon + 1, period):
         stop = min(first + period, horizon + 1)
         tables.advance(centres, q, buf, first, stop)
@@ -700,8 +700,7 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
                 last = min(stop + period, horizon + 1)
             break
         if restarts is not None:
-            t1 = _restart_inside(restarts, stop, centres[stop],
-                                 _spread(reduced[0], at, centres.shape[1]))
+            t1 = _restart_inside(restarts, stop, centres[stop], reduced[0], at)
             if t1 is not None:
                 invariant, last = (t1, stop), stop
                 break
@@ -711,24 +710,27 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: np.ndarray | None,
     return counts, first, restart_count, last, bad, invariant
 
 
-def _spread(radius: np.ndarray, at: np.ndarray | None, n: int) -> np.ndarray:
-    """A radius on S, the components `at`, as one on all n: zero outside S."""
-    if at is None:
-        return radius.copy()
-    out = np.zeros(n)
-    out[at] = radius
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """Read-only windows of `width` entries along the last axis of a
+    C-contiguous x, one starting at each entry, as numpy's
+    sliding_window_view gives them; built by the ndarray constructor,
+    as that Python wrapper's keyword calls keep about 270 B of traced
+    memory each."""
+    shape = x.shape[:-1] + (x.shape[-1] - width + 1, width)
+    out = np.ndarray(shape, x.dtype, x, 0, x.strides + x.strides[-1:])
+    out.flags.writeable = False
     return out
 
 
 class _Tables:
     """One flowpipe's tables and the phases that read them (advance, reduce).
 
-    They work on S, the k components that can carry a radius (every
-    component unless `at` names fewer; see _flowpipe): P is P restricted
-    to S, and Lr its rows of S, (k, n).  `table` stacks for each age a
-    up to the span (the reduction period or the horizon), youngest
-    first, the blocks T_a of rows |P^a|, the box rows, and |d P^a| for
-    the distinct non-axis normals d (_table_rows).
+    They work on S, the k components `at` that can carry a radius (see
+    _flowpipe): P is P restricted to S, and Lr its rows of S, (k, n).
+    `table` stacks for each age a up to the span (the reduction period
+    or the horizon), youngest first, the blocks T_a of rows |P^a|, the
+    box rows, and |d P^a| for the distinct non-axis normals d
+    (_table_rows).
     `ages` holds its windows of span + 2 - chunk ages, one starting at
     each of the chunk's first ages: advance runs a segment's remainder
     chunk first, so every chunk's history fits them and no zero blocks
@@ -742,12 +744,11 @@ class _Tables:
     """
 
     # no instance dict beside the tables, which set an unreduced run's peak
-    __slots__ = ("table", "lr", "spread", "parts", "ages", "inchunk", "chunk",
-                 "known", "recent", "signed", "ages_gens", "carried",
-                 "carried_sums")
+    __slots__ = ("table", "lr", "at", "parts", "ages", "inchunk", "chunk",
+                 "known", "recent", "signed", "carried", "carried_sums", "boxed")
 
     def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
-                 span: int, zonotope: bool, at: np.ndarray | None = None):
+                 span: int, zonotope: bool, at: slice | np.ndarray = slice(None)):
         k, n = lr.shape
         chunk = min(_chunk_steps(k), span + 1)
         width = (span + 1) * k
@@ -758,19 +759,15 @@ class _Tables:
         table.reshape(-1)[:k * width:width + 1] = 1.0
         _orbit(p, eye, span + 1, out=table[:k])
         np.matmul(distinct, table[:k], out=table[k:])
-        self.signed = self.ages_gens = self.carried = self.carried_sums = None
-        if zonotope:
-            signed = self.signed = table.copy()
-            # generators of every age, oldest first: a live window is a tail
-            self.ages_gens = signed[:k].reshape(k, span + 1, k)[:, ::-1].reshape(k, -1)
+        self.signed = table.copy() if zonotope else None
+        self.carried = self.carried_sums = None
+        self.boxed = True  # the history starts from Theta's box
         np.abs(table, out=table)
-        self.table, self.lr = table, lr
-        self.spread = None if at is None else np.eye(n)[at]
+        self.table, self.lr, self.at = table, lr, at
         # the box rows, then the normals' rows, each part summed alone
         self.parts = ((slice(0, k), slice(k, len(table))) if len(distinct)
                       else (slice(None),))
-        self.inchunk = _inchunk_table(table, lr, lr if at is None else lr[:, at],
-                                      chunk)
+        self.inchunk = _inchunk_table(table, lr, lr[:, at], chunk)
         if not np.all(np.isfinite(self.inchunk)):
             # a block that overflows would meet the zero blocks of steps not
             # yet run (inf * 0 = nan) and spoil finite steps: one step a chunk
@@ -778,11 +775,11 @@ class _Tables:
         self.chunk = chunk
         # ages[:, i] is the table from column i on: ages[:, m k, :L] pairs
         # the history h_t0..h_0 (L = (t0 + 1) k) with the ages of step t0 + m
-        self.ages = sliding_window_view(table, width - (chunk - 1) * k, axis=1)
+        self.ages = _windows(table, width - (chunk - 1) * k)
         # a chunk's |c| + q on S, youngest first, then chunk - 1 zero
         # blocks: recent[(chunk - m) n, :(b - 1) n] is v_{m-1}, ..., v_0, 0, ...
         self.known = np.zeros(n * (2 * chunk - 1))
-        self.recent = sliding_window_view(self.known, (chunk - 1) * n)
+        self.recent = _windows(self.known, (chunk - 1) * n)
 
     def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
                 first: int, stop: int) -> None:
@@ -800,13 +797,11 @@ class _Tables:
            from step 1 and the in-chunk coupling K: windows of v times the
            table of _inchunk_table, which folds in (I - K)^-1 Lr;
         3. the fresh blocks Lr (|c| + q[:k]), |c| taken from the centres.
-        q[:k] is placed on S by the unit rows of `spread`, each entry one
-        product by 1 and others by 0: exact while q is finite (a
-        fancy-indexed add took three times as long).
+        q[:k] is added to |c| on S's columns in place.
         """
         ages, inchunk, known, recent = self.ages, self.inchunk, self.known, self.recent
         chunk, lr, sums, parts = self.chunk, self.lr, self.carried_sums, self.parts
-        spread = self.spread
+        at = self.at
         (k, n), end = lr.shape, len(buf)
         t0, b = 0, (stop - first - 1) % chunk + 1  # steps done, chunk steps
         while first + t0 < stop:
@@ -820,55 +815,73 @@ class _Tables:
                 rows += sums[t0:t0 + b]
             mags = np.abs(centres[j:j + b])
             if b > 1:
-                v = known[(chunk - b) * n:chunk * n].reshape(b, n)[::-1]
-                np.add(mags, rows[:, :k] if spread is None else rows[:, :k] @ spread,
-                       out=v)
+                v = known[(chunk - b) * n:chunk * n].reshape(b, n)  # youngest first
+                v[...] = mags[::-1]
+                v[:, at] += rows[::-1, :k]
                 windows = recent[(chunk - b + 1) * n:chunk * n + 1:n, :(b - 1) * n]
                 for part in parts:
                     rows[:, part] += np.matmul(inchunk[part, :(b - 1) * n],
                                                windows[::-1, :, None])[:, :, 0]
-            mags += rows[:, :k] if spread is None else rows[:, :k] @ spread
+            mags[:, at] += rows[:, :k]
             np.matmul(mags, lr.T, out=buf[s - b * k:s].reshape(b, k)[::-1])
             t0, b = t0 + b, chunk
 
     def reduce(self, live: np.ndarray, centre: np.ndarray):
-        """The block the history restarts from at a reduction step with
-        history `live`, and the step's generator count; None if the set is
-        unbounded.  An interval reduction restarts from the hull radius on
-        S, k generators.  A zonotope reduction (_zono_reduce, which keeps
-        the n largest generators of the model's order n) turns the live
-        generators into a carried block C whose rows at each later age,
-        P^a C and d P^a C, come from one product for the box rows and one
-        for the normals'; advance adds their absolute row sums to q, and
-        the history restarts from a zero block.
+        """The box the history restarts from at a reduction step with
+        history `live`, and the step's generator count; None if a zonotope
+        reduction's set is not finite.
+
+        Every reduction keeps some of the live generators, the carried
+        block C, and boxes the rest: |P^a| times the history radii it
+        drops, one table product, plus the absolute row sums of the
+        columns of C it drops.  An interval reduction keeps none: its box
+        is the hull radius on S, k generators.  A zonotope reduction
+        (Girard, HSCC 2005) of more than 2n live generators, n the model's
+        order, keeps the n of largest Euclidean norm, in order, ties to
+        the earlier: n + k generators with the box.  With 2n or fewer it
+        keeps them all, and the history restarts from zero.  The live
+        generators, oldest first, are C at the period's age, then the
+        history's P^a e_i r_i: the block it restarted from in full (Theta
+        or a box), the later ones without their zero radii.  C's rows at
+        each later age, P^a C and d P^a C, come from one product for the
+        box rows and one for the normals'; advance adds their absolute
+        row sums to q.
         """
-        k = len(self.lr)
-        if self.signed is None:
-            return self.table[:k, :len(live)] @ live, k
-        # the live generators and radii, oldest first: the carried block,
-        # then the history without its zero radii
-        gens = self.ages_gens[:, self.ages_gens.shape[1] - len(live):]
-        radii = live.reshape(-1, k)[::-1].ravel()
-        keep = radii != 0.0
-        keep[:k] |= self.carried is None  # Theta, kept in full until reduced
-        gens, radii = gens[:, keep], radii[keep]
-        if self.carried is not None:
-            block = self.carried[:, -1]  # the carried block at the period's age
-            gens = np.hstack((block, gens))
-            radii = np.concatenate((np.ones(block.shape[1]), radii))
-        block = _zono_reduce(centre, gens * radii)
-        if block is None:
-            return None
-        signed = self.signed
-        sums = np.empty((signed.shape[1] // k, len(signed)))  # (age, row)
-        for i, part in enumerate(self.parts):  # the box rows first
-            prods = (signed[part].reshape(-1, k) @ block).reshape(
-                len(signed[part]), -1, block.shape[1])  # (row, age, column)
-            if i == 0:
-                self.carried = prods
-            np.abs(prods).sum(axis=2, out=sums[:, part].T)
-        self.carried_sums = sums
-        return 0.0, block.shape[1]
+        k, n = self.lr.shape
+        dropped, count, rest = live, k, 0.0  # an interval reduction keeps none
+        if self.signed is not None:
+            # the history's entries with a generator, oldest block first
+            cols = np.arange(len(live)).reshape(-1, k)[::-1].ravel()
+            live_cols = live[cols] != 0.0
+            live_cols[:k] |= self.boxed  # the block it restarted from, in full
+            cols = cols[live_cols]
+            carried = np.empty((k, 0)) if self.carried is None else self.carried[:, -1]
+            gens = np.hstack((carried, self.signed[:k, cols] * live[cols]))
+            if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
+                return None
+            keep = np.arange(gens.shape[1])
+            if len(keep) > 2 * n:
+                keep = np.sort((-np.linalg.norm(gens, axis=0)).argsort(kind="stable")[:n])
+            drop = np.ones(gens.shape[1], dtype=bool)
+            drop[keep] = False
+            c, self.boxed = carried.shape[1], bool(drop.any())
+            gone = cols[drop[c:]]
+            dropped = np.zeros(len(live))
+            dropped[gone] = live[gone]
+            rest = np.abs(carried[:, drop[:c]]).sum(axis=1)
+            count = len(keep) + k * self.boxed
+            block, signed = gens[:, keep], self.signed
+            sums = np.empty((signed.shape[1] // k, len(signed)))  # (age, row)
+            for i, part in enumerate(self.parts):  # the box rows first
+                prods = (signed[part].reshape(-1, k) @ block).reshape(
+                    len(signed[part]), -1, block.shape[1])  # (row, age, column)
+                if i == 0:
+                    self.carried = prods
+                np.abs(prods).sum(axis=2, out=sums[:, part].T)
+            self.carried_sums = sums
+        box = self.table[:k, :len(live)] @ dropped
+        box += rest
+        return box, count
 
 
 def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
@@ -880,9 +893,10 @@ def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
 
 
 def _restart_inside(restarts: list, step: int, centre: np.ndarray,
-                    hull: np.ndarray) -> int | None:
+                    radius: np.ndarray, at: slice | np.ndarray) -> int | None:
     """The latest step t1 of restarts, (step, centre, radius) boxes, whose
-    box holds centre +- hull (_inside); else None, and the box joins them.
+    box holds centre +- hull (_inside), hull the radius on S, the
+    components `at`, and zero elsewhere; else None, and the box joins them.
 
     The family is time-invariant, and the recurrence from a restart box
     B encloses F^k B, so every trajectory is at step t >= t1 in the set
@@ -890,6 +904,8 @@ def _restart_inside(restarts: list, step: int, centre: np.ndarray,
     Automatica 35, 1999): steps 0 .. t2 - 1 hold the flowpipe for all
     time.  A zonotope reduction's restart is no box.
     """
+    hull = np.zeros(len(centre))
+    hull[at] = radius
     for t1, c1, r1 in reversed(restarts):
         if _inside(centre, hull, c1, r1):
             return t1
@@ -936,28 +952,6 @@ def _inside(c2: np.ndarray, r2: np.ndarray, c1: np.ndarray,
                 or np.all(inside | ((c2 == c1) & (r2 == 0.0) & (r1 >= 0.0))))
 
 
-def _zono_reduce(centre: np.ndarray, gens: np.ndarray) -> np.ndarray | None:
-    """Generators of a zonotope reduction of centre + gens c, |c| <= 1, to
-    at most 2n columns, n = len(centre), or None if the centre or gens are
-    not all finite (gens scaled by a radius that is not finite are not
-    finite either).
-
-    Girard's order reduction (HSCC 2005): the n columns of largest
-    Euclidean norm stay in index order, ties to the lower index, and the
-    box of the rest becomes one axis column per row of gens: generators
-    on the k <= n components of S (see _flowpipe), the rows gens has,
-    reduce to n + k columns.  Up to 2n columns stay as they are.
-    """
-    if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
-        return None
-    n = len(centre)
-    if gens.shape[1] <= 2 * n:
-        return gens
-    order = np.argsort(-np.linalg.norm(gens, axis=0), kind="stable")
-    box = np.abs(gens[:, order[n:]]).sum(axis=1)
-    return np.hstack((gens[:, np.sort(order[:n])], np.diag(box)))
-
-
 def _table_rows(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows a recurrence table needs for normals N beside its box
     rows, and the column of q each normal reads.
@@ -985,7 +979,7 @@ def _axes(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of dirs: i if the row is e_i or -e_i, else -1, and the
     row's entry at its first nonzero (its sign for an axis row)."""
     nonzero = dirs != 0.0
-    at = np.argmax(nonzero, axis=1)
+    at = nonzero.argmax(axis=1)
     entry = dirs[np.arange(len(dirs)), at]
     axis = (np.count_nonzero(nonzero, axis=1) == 1) & (np.abs(entry) == 1.0)
     return np.where(axis, at, -1), entry

@@ -1079,7 +1079,7 @@ class TestStreamingRecurrence:
         # rows are the box rows of S alone: acc4's normal -e_2 reads box
         # row 2, and its pinned input x4 is outside S, so the table holds
         # 3 x 3 entries an age and the history 3 radii a block.  It peaks
-        # at 0.333 MB: the table, the centres, q and the history.  With
+        # at 0.332 MB: the table, the centres, q and the history.  With
         # every component in the recurrence it peaked at 0.476 MB; a row
         # for -e_2 and a stored |centres| took 0.622 MB; a table with
         # 2n + k rows (generators moved by Abar, each age boxed through
@@ -1092,7 +1092,7 @@ class TestStreamingRecurrence:
         ("interval", 500, 0.265e6), ("zonotope", 50, 0.25e6)],
         ids=["interval-500", "zonotope-50"])
     def test_reduced_acc4_peak_memory(self, reduction, period, bound):
-        # the benchmark's reduced acc4 runs peak at 0.231 and 0.220 MB (0.251
+        # the benchmark's reduced acc4 runs peak at 0.230 and 0.219 MB (0.251
         # and 0.237 MB with x4 in the recurrence): one (H + 1)-row array
         # each for the centres, q and the counts with the table in the
         # loop, then the supports and lo once the table is freed, hi
@@ -1827,19 +1827,38 @@ def pinned_model(rng, reduction, name):
 
 def every_component(monkeypatch):
     """Run the recurrence on every component: S as the whole state."""
-    monkeypatch.setattr(engine, "_radius_components", lambda p, lr, r: None)
+    monkeypatch.setattr(engine, "_radius_components",
+                        lambda p, lr, r: slice(0, len(p)))
+
+
+def permuted(model, perm):
+    """The model in the coordinates x[perm]: component i is perm[i]."""
+    where = np.argsort(perm)  # the new index of each old component
+    return dataclasses.replace(
+        model, a=model.a[np.ix_(perm, perm)],
+        uncertainty=tuple(dataclasses.replace(c, row=int(where[c.row]),
+                                              col=int(where[c.col]))
+                          for c in model.uncertainty),
+        initial=Box(model.initial.lo[perm], model.initial.hi[perm]),
+        unsafe=tuple(HalfSpace(h.normal[perm], h.offset) for h in model.unsafe))
 
 
 class TestRadiusComponents:
     """The recurrence on S, the components that can carry a radius."""
 
     def test_shipped_models(self):
-        want = {"acc4": [0, 1, 2], "girad1": None, "twocell": None, "grow1d": None}
+        # S is a slice on every shipped model: all components, or acc4's
+        # first three; x4 moved to the middle makes it an index array
+        want = {"acc4": slice(0, 3), "girad1": slice(0, 2), "twocell": slice(0, 2),
+                "grow1d": slice(0, 1)}
         for name, components in want.items():
             model = shipped(name)
             p, lr = _centre_radius(*vars(one_step_family(model)).values())
-            got = engine._radius_components(p, lr, model.initial.radius)
-            assert (got if got is None else got.tolist()) == components, name
+            assert engine._radius_components(p, lr, model.initial.radius) == components
+        model = permuted(shipped("acc4"), [0, 3, 1, 2])
+        p, lr = _centre_radius(*vars(one_step_family(model)).values())
+        got = engine._radius_components(p, lr, model.initial.radius)
+        assert isinstance(got, np.ndarray) and got.tolist() == [0, 2, 3]
 
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_pinned_acc4_input_stays_exact(self, reduction):
@@ -1902,6 +1921,56 @@ class TestRadiusComponents:
                               (indexed.supports, plain.supports),
                               (indexed.gen_counts, plain.gen_counts)):
                 assert got.tobytes() == want.tobytes(), trial
+
+    @pytest.mark.parametrize("reduction,period", [
+        ("none", 500), ("interval", 500), ("zonotope", 50)])
+    def test_scattered_s_matches_its_consecutive_permutation(self, reduction, period):
+        # S as an index array (components not consecutive) against S as a
+        # slice on the same model with its components reordered: acc4 with
+        # x4 in the middle, and pinned models with a pinned input between
+        # free components.  Boxes and supports within 1e-12, pinned
+        # components exactly their value, counts and verdicts (safe, step
+        # and half-space) equal
+        def pair(model, scattered, consecutive):
+            runs = []
+            for perm in (scattered, consecutive):
+                m = permuted(model, perm)
+                p, lr = _centre_radius(*vars(one_step_family(m)).values())
+                runs.append((engine._radius_components(p, lr, m.initial.radius),
+                             ors_reach(m), m))
+            (at, res, m), (at_c, res_c, m_c) = runs
+            assert isinstance(at, np.ndarray) and isinstance(at_c, slice)
+            back, back_c = np.argsort(scattered), np.argsort(consecutive)
+            assert_close(res.lo[:, back], res_c.lo[:, back_c])
+            assert_close(res.hi[:, back], res_c.hi[:, back_c])
+            assert_close(res.supports, res_c.supports)
+            assert np.array_equal(res.gen_counts, res_c.gen_counts)
+            got, want = safety_check(res, m.unsafe), safety_check(res_c, m_c.unsafe)
+            assert (got.safe, got.step, got.halfspace) == (want.safe, want.step,
+                                                          want.halfspace)
+            return res
+
+        acc4 = dataclasses.replace(shipped("acc4"), reduction_method=reduction,
+                                   reduction_period=period)
+        res = pair(acc4, [0, 3, 1, 2], [0, 1, 2, 3])
+        assert np.all(res.lo[:, 1] == 1.0) and np.all(res.hi[:, 1] == 1.0)
+        rng = np.random.default_rng([4502, len(reduction)])
+        pairs = 0
+        while pairs < 12:
+            model, pins = pinned_model(rng, reduction, f"scattered{pairs}")
+            at = radius_components(one_step_family(model), model.initial)
+            free = np.setdiff1d(np.arange(model.dim), pins)
+            if len(at) < 2 or not np.array_equal(at, free):
+                continue
+            model = dataclasses.replace(model, unsafe=(
+                HalfSpace(rng.normal(size=model.dim), 1.0),
+                HalfSpace(-np.eye(model.dim)[pins[0]], 1.0)))
+            scattered = np.r_[free[:1], pins, free[1:]]
+            res = pair(model, scattered, np.r_[free, pins])
+            value = model.initial.lo[pins]
+            inner = np.isin(scattered, pins)
+            assert np.all(res.lo[:, inner] == value) and np.all(res.hi[:, inner] == value)
+            pairs += 1
 
     def test_empty_s_is_the_point_orbit(self):
         # no uncertainty and a point Theta: no component carries a radius,
@@ -2446,12 +2515,12 @@ class TestSymbolicChunks:
             assert not np.any((errs > 0.0) & (errs < tiny))
 
     def test_acc4_peak_memory(self):
-        # the benchmark's acc4 loan run peaks at 0.331 MB: the boxes and
-        # radii of 2051 steps (0.16 MB), a table of 259 flows (the last
-        # chunk takes the 3-step tail), a chunk and its endpoint image in
-        # chunks of _CHUNK_ENTRIES products (0.347 MB with an image of the
-        # whole chunk); the stored (K, n, n) flows alone were 0.263 MB and
-        # took it to 0.650 MB
+        # the benchmark's acc4 loan run peaks at 0.334 MB (0.336 MB run
+        # first in a process): the boxes and radii of 2051 steps (0.16 MB),
+        # a table of 259 flows (the last chunk takes the 3-step tail), a
+        # chunk and its endpoint image in chunks of _CHUNK_ENTRIES products
+        # (0.347 MB with an image of the whole chunk); the stored (K, n, n)
+        # flows alone were 0.263 MB and took it to 0.650 MB
         model = shipped("acc4")
         tracemalloc.start()
         try:
@@ -2556,12 +2625,15 @@ class TestCentredZonotopes:
             assert np.all(np.abs(-rad - want.coeff_lo) <= 1e-12 * scale)
             assert np.all(np.abs(rad - want.coeff_hi) <= 1e-12 * scale)
 
-    def test_reduction_matches_star_reduction_bitwise(self):
-        # the recurrence reduces its own scaled generators: the same
-        # columns as stars.zono_reduce of the Star with those radii,
-        # including norm ties, and None where a Star refuses the set
+    def test_reduction_matches_star_reduction(self):
+        # _Tables.reduce on a carried block and a history of its own
+        # powers: the columns it keeps, ties included, are those
+        # stars.zono_reduce keeps of the Star of the live generators (the
+        # history's oldest block in full, the later ones without their zero
+        # radii), its restart box is the row sums of zono_reduce's box
+        # columns to 1e-12, and it gives None where a Star refuses the set
         rng = np.random.default_rng(1705)
-        for _ in range(300):
+        for trial in range(300):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(0, 4 * n + 3))
             gens = rng.normal(size=(n, m))
@@ -2570,16 +2642,70 @@ class TestCentredZonotopes:
                 gens[:, 1] = gens[:, 0]  # tied norms
                 r[1] = r[0]
             c = rng.normal(size=n)
-            want = zono_reduce(Star(c, gens, -r, r), 2 * n)
-            got = engine._zono_reduce(c, gens * r)
-            assert np.array_equal(got, want.generators * want.coeff_hi)
-            assert got.shape[1] == want.n_gens
+            span = int(rng.integers(0, 3))
+            tables = engine._Tables(rng.normal(size=(n, n)), np.zeros((n, n)),
+                                    np.empty((0, n)), span, True)
+            tables.carried = (gens * r)[:, None, :]  # C at the period's age
+            blocks = int(rng.integers(1, span + 2))
+            live = rng.uniform(0, 2, blocks * n) * (rng.random(blocks * n) < 0.5)
+            live[rng.random(blocks * n) < 0.1] = live[0]  # more ties
+            # the history's generators, oldest block first
+            hist = [tables.signed[:, b * n + j] * live[b * n + j]
+                    for b in reversed(range(blocks)) for j in range(n)
+                    if live[b * n + j] != 0.0 or b == blocks - 1]
+            columns = np.column_stack([gens * r] + hist) if hist else gens * r
+            ones = np.ones(columns.shape[1])
+            want = zono_reduce(Star(c, columns, -ones, ones), 2 * n)
+            box, count = tables.reduce(live, c)
+            kept = tables.carried[:, 0]  # P^0 C: C itself
+            if columns.shape[1] <= 2 * n:
+                assert np.array_equal(kept, columns), trial
+                assert np.all(box == 0.0) and count == columns.shape[1], trial
+            else:
+                assert np.array_equal(kept, want.generators[:, :n]), trial
+                sums = want.generators[:, n:].sum(axis=1)
+                assert np.all(np.abs(box - sums) <= 1e-12 * sums), trial
+                assert count == want.n_gens == 2 * n, trial
         # a Star refuses a centre or radius that is not finite
-        gens = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert engine._zono_reduce(np.array([np.inf, 0.0]), gens) is None
+        tables = engine._Tables(np.eye(2), np.zeros((2, 2)), np.empty((0, 2)), 1, True)
+        live = np.array([0.0, 1.0, 1.0, 0.0])
+        assert tables.reduce(live, np.array([np.inf, 0.0])) is None
         with np.errstate(invalid="ignore"):  # 0 * inf
             for bad in (np.inf, np.nan):
-                assert engine._zono_reduce(np.zeros(2), gens * bad) is None
+                assert tables.reduce(live * bad, np.zeros(2)) is None
+                tables.carried = np.array([[[bad], [0.0]]]).reshape(2, 1, 1)
+                assert tables.reduce(np.zeros(2), np.zeros(2)) is None
+                tables.carried = None
+
+    def test_restart_box_with_a_zero_entry_counts_in_full(self):
+        # x1 is kept in the carried block at each zonotope reduction and no
+        # other generator reaches it, so the box the history restarts from
+        # has x1's entry exactly zero; that block still counts its k
+        # generators in full at the next reduction, as the star operations'
+        # axis columns do, and the counts are the product recount's
+        model = ModelSpec(
+            name="zero-box", a=np.array([[0.9, 0.0], [0.3, 0.8]]),
+            uncertainty=(CellUncertainty(1, 1, relative=0.02),),
+            initial=Box(np.array([-10.0, 0.0]), np.array([10.0, 0.1])),
+            horizon=30, continuous=False,
+            unsafe=(HalfSpace(np.array([1.0, 1.0]), 50.0),),
+            reduction_method="zonotope", reduction_period=2)
+        boxes, reduce = [], engine._Tables.reduce
+
+        def recorded(tables, live, centre):
+            out = reduce(tables, live, centre)
+            boxes.append(out[0].copy())
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._Tables, "reduce", recorded)
+            res = ors_reach(model)
+        assert len(boxes) == 15 and all(b[0] == 0.0 < b[1] for b in boxes[1:])
+        assert np.array_equal(res.gen_counts, product_recount(res, model))
+        _, lo, hi, supports, counts = reference_flowpipe(model)
+        assert_close(res.lo, lo)
+        assert_close(res.hi, hi)
+        assert np.array_equal(res.gen_counts, counts)
 
     def test_family_far_below_its_nominal_ulp_is_kept(self):
         # A[1, 0] = 1 with interval [1e-17, 2e-17]: every trajectory from
