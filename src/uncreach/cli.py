@@ -121,13 +121,13 @@ def reach_cmd(model_path: str, method: str, out: str,
         times, first = _window(model, t_start, t_end)
         full = symbolic_reach(model.a, model.perturbation(), model.initial,
                               times, method=method)
-        # the window's rows, with the full run's supports in the unsafe
-        # normals, so that its verdict is the full run's at those steps
+        # the window's rows and the full run's supports in the unsafe normals,
+        # so its verdict is the full run's; no flows, which replay from step 0
         normals = np.array([hs.normal for hs in model.unsafe],
                            dtype=np.float64).reshape(-1, model.dim)
         result = dataclasses.replace(
             full, normals=normals, supports=full.support(normals)[first:],
-            **{k: getattr(full, k)[first:] for k in _SYMBOLIC_ROWS})
+            _flows=None, **{k: getattr(full, k)[first:] for k in _SYMBOLIC_ROWS})
     verdict = safety_check(result, model.unsafe)
     bounds = np.dstack((result.lo, result.hi)).reshape(len(result), -1)
     columns = ((result.labels, bounds, result.gen_counts) if method == "numeric"

@@ -285,7 +285,7 @@ class ReachResult:
     _flows   : symbolic route: the O(n^2) inputs of the flows F_k
                (_flow_chunks: the step P, its error, the error columns v,
                the chunk length and the steps run), which `support`
-               replays with `initial` and `radii`; else None
+               replays with `initial` and `radii`; else None, as in a window
 
     Either route is bounded on a prefix of its steps (_first_unbounded):
     the first step at which a value it computes is not finite (numeric: a
@@ -325,7 +325,7 @@ class ReachResult:
 
         A direction e_i or -e_i is read from hi[:, i] or -lo[:, i], and a
         recorded direction from `supports`; the others are computed once,
-        together (_computed_support).
+        together (_computed_support); a window's result raises ValueError.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         if dirs.ndim != 2 or dirs.shape[1] != self.lo.shape[1]:
@@ -363,6 +363,8 @@ class ReachResult:
         (steps, k, n) image exists, and each step the bits the boxes get.
         """
         if self._flows is None:
+            if self._recurrence is None:
+                raise ValueError("a window of a longer run keeps no replay inputs")
             return _run_recurrence(*self._recurrence, self.method, dirs).supports
         out = np.full((len(self), len(dirs)), np.inf)
         end = _first_unbounded(self.radii)
@@ -542,12 +544,9 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     has radius Lr (|c| + sum |g|) over the generators g, and the next
     centre is P c: a point orbit computed up front, which reductions
     never move.  The phases are _flowpipe, _segments and _Tables; each
-    frees what it allocates by returning.  Inputs are validated once.
+    frees what it allocates by returning; its callers judge its inputs.
     """
     start = time.perf_counter()
-    if m.shape != (theta.dim, theta.dim):
-        raise DimensionMismatch("family must be square and match the box")
-    _require_finite(theta, "initial box must be finite")
     # labels and radii are allocated once _flowpipe has freed q
     lo, hi, sups, counts, invariant = _flowpipe(
         m, theta, horizon, reduction_method, reduction_period, normals, until)
@@ -1063,8 +1062,11 @@ def nominal_reach(a_discrete, theta: Box, horizon: int) -> ReachResult:
     horizon = _integer(horizon, "horizon")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    return _run_recurrence(IntervalMatrix.from_point(a_discrete), theta,
-                           horizon, "none", 1, method_name="nominal",
+    m = IntervalMatrix.from_point(a_discrete)
+    if m.shape != (theta.dim, theta.dim):
+        raise DimensionMismatch("family must be square and match the box")
+    _require_finite(theta, "initial box must be finite")
+    return _run_recurrence(m, theta, horizon, "none", 1, method_name="nominal",
                            normals=np.empty((0, theta.dim)))
 
 
@@ -1139,8 +1141,8 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         # the boxes after the orbits: beside them, rod64's loan peak was 3.89 MB
         lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
         for k, chunk, errs in pieces:
-            if series.relative:  # sigma_max reads a contiguous copy faster
-                radii[k] = series.phi[k] * (_sigma_max_bound(np.ascontiguousarray(chunk))
+            if series.relative:
+                radii[k] = series.phi[k] * (_sigma_max_bound(chunk)
                                             + errs[:, :, 1].sum(axis=1)) * norm
                 radii[k] *= scale
             lo[k], hi[k] = _endpoint_product(chunk, chunk, theta.lo, theta.hi)

@@ -191,10 +191,9 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
     falls below the normal range.  A matrix with a non-finite entry
     gives inf, and so does a bound beyond float range.  The matrices are
     read in chunks of about _CHUNK_ENTRIES entries (_row_chunks), each
-    copied contiguous from the stack, which may be a strided view (as
-    engine's flows are), and a stack of at most _CHUNK_ENTRIES entries in
-    place as one chunk; every bound is its own matrix's, whatever the
-    chunk.
+    copied C-ordered from the stack (a strided view, as engine's flows
+    are, or the caller's own array) into one that _sigma_chunk scales in
+    place; every bound is its own matrix's, whatever the chunk.
     """
     n = stack.shape[-1]
     if n == 1:
@@ -202,11 +201,8 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(f), np.abs(f), np.inf)
     out = np.empty(len(stack))
     with np.errstate(over="ignore"):
-        if stack.size <= _CHUNK_ENTRIES:  # one chunk, read in place
-            _sigma_chunk(stack, out)
-        else:
-            for i in _row_chunks(len(stack), n * n):
-                _sigma_chunk(np.ascontiguousarray(stack[i]), out[i])
+        for i in _row_chunks(len(stack), n * n):
+            _sigma_chunk(stack[i].copy(), out[i])  # C order, never the stack
     # a zero bound, or one below the normal range that is pushed up
     if len(out) and out.min() < _TINY:
         low = (out > 0.0) & (out < _TINY)
@@ -216,23 +212,24 @@ def _sigma_max_bound(stack: np.ndarray) -> np.ndarray:
 
 def _sigma_chunk(chunk: np.ndarray, out: np.ndarray) -> None:
     """Write _sigma_max_bound's bounds of a (K, n, n) chunk, n > 1, into
-    out, but for the push of results below the normal range."""
+    out, but for the push of results below the normal range; the chunk is
+    a C-ordered copy of the caller's, scaled and squared in place."""
     n = chunk.shape[-1]
     big = np.abs(chunk).max(axis=(1, 2))
     e = np.frexp(big)[1]  # 0 where big is 0, inf or NaN
-    fs = np.ldexp(chunk, -e[:, None, None])
+    np.ldexp(chunk, -e[:, None, None], out=chunk)
     bad = None if math.isfinite(big.sum()) else ~np.isfinite(big)
     if bad is not None:
-        fs[bad] = 0.0
+        chunk[bad] = 0.0
     if n == 2:
-        a, b, c, d = fs.reshape(-1, 4).T
+        a, b, c, d = chunk.reshape(-1, 4).T
         s = np.sqrt(np.square(a + d) + np.square(c - b))
         s += np.sqrt(np.square(a - d) + np.square(c + b))
         s *= 0.5 * _SIGMA_SLACK
     else:
-        lam = np.linalg.eigvalsh(fs.transpose(0, 2, 1) @ fs)[:, -1]
+        lam = np.linalg.eigvalsh(chunk.transpose(0, 2, 1) @ chunk)[:, -1]
         s = lam / (1.0 - _EIG_C * n * _UNIT)
-        s += np.square(fs).sum(axis=(1, 2)) * _gamma(n)
+        s += np.square(chunk, out=chunk).sum(axis=(1, 2)) * _gamma(n)
         np.sqrt(s, out=s)
         s *= _SIGMA_SLACK
     if bad is not None:

@@ -1136,14 +1136,15 @@ class TestSigmaMaxBound:
             assert n <= got[3] <= n * (1 + 1e-14)
 
     def test_one_chunk_is_the_chunked_bound_bitwise(self, monkeypatch):
-        # a stack of at most _CHUNK_ENTRIES entries is read in place as one
-        # chunk, and one whose entries are all finite takes no masks; each
-        # bound is bitwise the one of chunks of one matrix, on stacks with
-        # infinite, NaN, overflowing and subnormal bounds, and on a strided
-        # view as engine's flows are
+        # every chunk is a C-ordered copy, and one whose entries are all
+        # finite takes no masks; each bound is bitwise the one of chunks of
+        # one matrix, on stacks with infinite, NaN, overflowing, subnormal
+        # and near 1e+-300 bounds, and bitwise the one of a strided view of
+        # the same stack (engine's flows are such views), which the call
+        # leaves as it was
         rng = np.random.default_rng(1706)
         stacks = []
-        for n in (2, 3, 5):
+        for n in (2, 3, 4, 5, 8, 64):
             for trial in range(24):
                 k = int(rng.integers(1, 9))
                 stack = rng.normal(size=(k, n, n)) * np.exp(
@@ -1157,16 +1158,43 @@ class TestSigmaMaxBound:
                     stack[i] = 1e308 * (stack[i] / np.abs(stack[i]).max())
                 elif trial % 6 == 4:  # bounds below the normal range
                     stack[i] = np.ldexp(stack[i] / np.abs(stack[i]).max(), -1060)
+                elif trial % 6 == 5:
+                    stack[i] = (1e300 if i % 2 else 1e-300) * (
+                        stack[i] / np.abs(stack[i]).max())
                 stacks.append(stack)
             flows = rng.normal(size=(n, 7 * n))  # blocks of (n, 7 n), strided
             stacks.append(flows.reshape(n, 7, n).transpose(1, 0, 2))
+        # the (n, K, n) layout of engine's flow chunks, and every other matrix
+        views = [np.ascontiguousarray(s.transpose(1, 0, 2)).transpose(1, 0, 2)
+                 for s in stacks] + [s[::2] for s in stacks]
+        before = [v.tobytes() for v in views]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             whole = [_sigma_max_bound(stack) for stack in stacks]
+            strided = [_sigma_max_bound(v) for v in views]
             monkeypatch.setattr(intervals, "_CHUNK_ENTRIES", 1)
             chunked = [_sigma_max_bound(stack) for stack in stacks]
         for got, want in zip(whole, chunked):
             assert got.tobytes() == want.tobytes()
+        for got, want in zip(strided, whole + [w[::2] for w in whole]):
+            assert got.tobytes() == want.tobytes()
+        assert [v.tobytes() for v in views] == before
         every = np.concatenate(whole)
         tiny = np.finfo(np.float64).tiny
         assert np.isinf(every).sum() >= 10 and np.any((every > 0) & (every < tiny))
+
+    def test_callers_arrays_are_left_as_they_were(self):
+        # each chunk is scaled in place in _sigma_max_bound's own copy: loan
+        # passes the model's A itself, and the norms of a family their stacks
+        for name in ("girad1", "acc4", "twocell"):
+            model = load_model(importlib.resources.files("uncreach.models") / f"{name}.yaml")
+            family = _add_outward(model.a, model.perturbation())
+            stack = np.stack((family.lo, family.hi)).transpose(0, 2, 1)
+            arrays = (model.a, family.lo, family.hi, stack)
+            before = [x.tobytes() for x in arrays]
+            loan(model.a, 0.1, np.array([0.0, 1.0]))
+            family.two_norm_sup()
+            family.log_norm_sup()
+            _sigma_max_bound(model.a[None])
+            _sigma_max_bound(stack)
+            assert [x.tobytes() for x in arrays] == before

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from uncreach import ThresholdReport, load_model, symbolic_reach
+from uncreach import ThresholdReport, load_model, safety_check, symbolic_reach
 from uncreach.cli import main
 
 GROW1D = str(importlib.resources.files("uncreach") / "models" / "grow1d.yaml")
@@ -172,6 +172,30 @@ class TestReachSymbolic:
             step = hits[hits >= 50][0]
             assert window.stderr == (f"verdict: not proven safe at "
                                      f"t={res.labels[step]:.17g}, half-space 0\n")
+
+    def test_window_keeps_no_replay_inputs(self, runner, monkeypatch, tmp_path):
+        # the window's rows start at step 50 and the flows replay from step
+        # 0, so a window that kept them read d = (0.6, 0.8) off the whole
+        # grid into its rows, 1.03 from the full run's at step 50 + i
+        path = tmp_path / "girad-diagonal.yaml"
+        path.write_text(open(GIRAD).read().replace(
+            "{normal: [1.0, 0.0], offset: 2.0}", "{normal: [1.0, 1.0], offset: 2.0}"))
+        seen = []
+        monkeypatch.setattr("uncreach.cli.safety_check",
+                            lambda res, unsafe: seen.append(res) or safety_check(res, unsafe))
+        window = runner.invoke(main, ["reach", str(path), "--method", "loan",
+                                      "--t-start", "0.5", "--t-end", "2.0"])
+        assert window.exit_code == 0, window.stderr
+        (res,) = seen
+        model = load_model(path)
+        full = symbolic_reach(model.a, model.perturbation(), model.initial,
+                              np.arange(201) * model.step, method="loan")
+        assert len(full) - len(res) == 50
+        for dirs in ([[1.0, 1.0]], [[1.0, 0.0]], [[0.0, -1.0]],
+                     [[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]]):
+            assert res.support(dirs).tobytes() == full.support(dirs)[50:].tobytes()
+        with pytest.raises(ValueError, match="keeps no replay inputs"):
+            res.support([[0.6, 0.8]])
 
     def test_off_grid_t_start_starts_at_the_next_grid_point(self, runner):
         full = runner.invoke(main, ["reach", TWOCELL, "--method", "loan"])

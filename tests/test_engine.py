@@ -2532,6 +2532,27 @@ class TestSymbolicChunks:
             tracemalloc.stop()
         assert peak < 0.36e6
 
+    def test_acc4_kagstrom1_peak_memory(self):
+        # sigma_max of a chunk of 256 4x4 flows sets the peak: 0.383 MB warm
+        # with the one copy of each chunk scaled and squared in place, 0.419
+        # MB when symbolic_reach copied the chunk and the kernel scaled it
+        # into a second array
+        model = shipped("acc4")
+
+        def run():
+            res = symbolic_reach(model.a, model.perturbation(), model.initial,
+                                 model.times(), method="kagstrom1")
+            safety_check(res, model.unsafe)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.40e6
+
     def test_heat_rod_32_peak_memory(self):
         # 1001 steps of order 32: 6.87 (K, n) arrays at the peak, the boxes,
         # a table of 32 flows, the orbit of 32 chunk bases and a chunk; the
