@@ -323,9 +323,10 @@ class ReachResult:
     def support(self, dirs) -> np.ndarray:
         """(steps, k) supports of the flowpipe in the k rows of dirs.
 
-        A direction e_i or -e_i is read from hi[:, i] or -lo[:, i], and a
-        recorded direction from `supports`; the others are computed once,
-        together (_computed_support); a window's result raises ValueError.
+        A direction e_i or -e_i is read from hi[:, i] or -lo[:, i] (negated
+        into its output column in place), and a recorded direction from
+        `supports`; the others are computed once, together
+        (_computed_support); a window's result raises ValueError.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         if dirs.ndim != 2 or dirs.shape[1] != self.lo.shape[1]:
@@ -340,8 +341,10 @@ class ReachResult:
             return self._computed_support(dirs)
         out = np.empty((len(self), len(dirs)))
         for j, (i, r) in enumerate(zip(axis, recorded)):
-            if i >= 0:
-                out[:, j] = self.hi[:, i] if entry[j] > 0 else -self.lo[:, i]
+            if i >= 0 and entry[j] > 0:
+                out[:, j] = self.hi[:, i]
+            elif i >= 0:  # -lo written in place, not through a fresh column
+                np.multiply(self.lo[:, i], -1.0, out=out[:, j])
             elif r >= 0:
                 out[:, j] = self.supports[:, r]
         if len(rest):
@@ -613,6 +616,7 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     t0 = min(first + period, horizon + 1) - first  # the last segment's steps
     counts = _count_segment(counts, horizon + 1, first, restart_count,
                             buf[end - (t0 + 1) * k:end - k].reshape(t0, k))[:count]
+    del buf  # its last reader: the history goes before the supports and lo
     sups = np.empty((count, len(normals)))
     for seg_start in range(0, count, period):
         seg = slice(seg_start, min(seg_start + period, count))
@@ -739,7 +743,9 @@ class _Tables:
     S, the supports (_segment_supports) and the next fresh block
     h_{j+1} = Lr (|c_j| + q_j[:k]), q_j[:k] added to |c_j| on S.  The
     box rows are summed in products of their own, whose shapes do not
-    depend on the normals, so neither do the boxes' bits.
+    depend on the normals, so neither do the boxes' bits.  A zonotope
+    reduction's kept block C lives on as `carried`, its (k, c) image at
+    the period's age, the (k, 0) block at first, and `carried_sums`.
     """
 
     # no instance dict beside the tables, which set an unreduced run's peak
@@ -759,7 +765,7 @@ class _Tables:
         _orbit(p, eye, span + 1, out=table[:k])
         np.matmul(distinct, table[:k], out=table[k:])
         self.signed = table.copy() if zonotope else None
-        self.carried = self.carried_sums = None
+        self.carried, self.carried_sums = np.empty((k, 0)), None
         self.boxed = True  # the history starts from Theta's box
         np.abs(table, out=table)
         self.table, self.lr, self.at = table, lr, at
@@ -844,7 +850,8 @@ class _Tables:
         or a box), the later ones without their zero radii.  C's rows at
         each later age, P^a C and d P^a C, come from one product for the
         box rows and one for the normals'; advance adds their absolute
-        row sums to q.
+        row sums to q.  `carried` keeps a copy of the box rows' image at the
+        period's age alone, the C the next reduction reads.
         """
         k, n = self.lr.shape
         dropped, count, rest = live, k, 0.0  # an interval reduction keeps none
@@ -854,7 +861,7 @@ class _Tables:
             live_cols = live[cols] != 0.0
             live_cols[:k] |= self.boxed  # the block it restarted from, in full
             cols = cols[live_cols]
-            carried = np.empty((k, 0)) if self.carried is None else self.carried[:, -1]
+            carried = self.carried
             gens = np.hstack((carried, self.signed[:k, cols] * live[cols]))
             if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
                 return None
@@ -874,8 +881,8 @@ class _Tables:
             for i, part in enumerate(self.parts):  # the box rows first
                 prods = (signed[part].reshape(-1, k) @ block).reshape(
                     len(signed[part]), -1, block.shape[1])  # (row, age, column)
-                if i == 0:
-                    self.carried = prods
+                if i == 0:  # the next reduction reads the period's age alone
+                    self.carried = prods[:, -1].copy()
                 np.abs(prods).sum(axis=2, out=sums[:, part].T)
             self.carried_sums = sums
         box = self.table[:k, :len(live)] @ dropped
@@ -1083,6 +1090,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         ||exp(A k h)||_2 <= sigma_max(F_k) plus the entry sum of
         |Q^k - F_k| and the sigma_max bound covering the rounding of its
         own evaluation (_sigma_max_bound).
+    Both are phi(t) f(t) r, the flow factor f 1 for loan (no flow read).
 
     times must be bitwise np.arange(K) * h, as ModelSpec.times builds
     it ([0.0] for K = 1), else ValueError.  The flows are the powers F_k
@@ -1134,17 +1142,15 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
     with np.errstate(over="ignore", invalid="ignore"):
         flows = (*_flow_step(a, series.times), v,
                  _flow_chunk_steps(n, v.shape[1], bounded), bounded)
-        if not series.relative:  # psi ||Theta|| reads no flow
-            radii[:bounded] = series.phi[:bounded] * norm
-            radii[:bounded] *= scale
         pieces = _flow_chunks(*flows)
         # the boxes after the orbits: beside them, rod64's loan peak was 3.89 MB
         lo, hi = np.full((count, n), -np.inf), np.full((count, n), np.inf)
         for k, chunk, errs in pieces:
-            if series.relative:
-                radii[k] = series.phi[k] * (_sigma_max_bound(chunk)
-                                            + errs[:, :, 1].sum(axis=1)) * norm
-                radii[k] *= scale
+            # the flow factor a temporary: a name would keep it into the next piece
+            radii[k] = series.phi[k] * (
+                _sigma_max_bound(chunk) + errs[:, :, 1].sum(axis=1)
+                if series.relative else 1.0) * norm  # psi ||Theta|| reads no flow
+            radii[k] *= scale
             lo[k], hi[k] = _endpoint_product(chunk, chunk, theta.lo, theta.hi)
             lo[k] -= errs[:, :, 0]
             hi[k] += errs[:, :, 0]
@@ -1159,7 +1165,7 @@ def symbolic_reach(a, pert: IntervalMatrix, theta: Box, times,
         kind="symbolic", method=method, labels=series.times.copy(), lo=lo,
         hi=hi, radii=radii, gen_counts=np.full(count, n, dtype=np.int64),
         initial=theta, wall_time=time.perf_counter() - start,
-        phi=series.phi.copy(), _flows=flows)
+        phi=series.phi, _flows=flows)
 
 
 # Numbers a chunk of the symbolic route holds (_flow_chunk_steps)

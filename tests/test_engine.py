@@ -28,7 +28,7 @@ from uncreach import (
     safety_check,
     symbolic_reach,
 )
-from uncreach import engine, intervals
+from uncreach import bounds, engine, intervals
 from uncreach.engine import (
     _axes, _centre_radius, _chunk_steps, _count_segment, _first_unbounded,
     _inside, _orbit, _perturbation, _run_recurrence, _table_rows)
@@ -1092,10 +1092,11 @@ class TestStreamingRecurrence:
         ("interval", 500, 0.265e6), ("zonotope", 50, 0.25e6)],
         ids=["interval-500", "zonotope-50"])
     def test_reduced_acc4_peak_memory(self, reduction, period, bound):
-        # the benchmark's reduced acc4 runs peak at 0.230 and 0.219 MB (0.251
-        # and 0.237 MB with x4 in the recurrence): one (H + 1)-row array
-        # each for the centres, q and the counts with the table in the
-        # loop, then the supports and lo once the table is freed, hi
+        # the benchmark's reduced acc4 runs peak at 0.218 MB both (0.230 and
+        # 0.219 MB with the history kept to the end, 0.251 and 0.237 MB
+        # with x4 in the recurrence): one (H + 1)-row array each for the
+        # centres, q and the counts with the table in the loop, then the
+        # supports and lo once the table and the history are freed, hi
         # written over the centres; q is freed before the result
         # allocates its labels and radii.  A q kept alive by a view of it
         # to the end, and a zonotope reduction's temporaries kept to the
@@ -1104,6 +1105,13 @@ class TestStreamingRecurrence:
         model = dataclasses.replace(shipped("acc4"), reduction_method=reduction,
                                     reduction_period=period)
         assert ors_reach_peak(model) < bound
+
+    def test_acc4_verdict_peak_memory(self):
+        # acc4 as shipped with its verdict peaks at 0.220 MB: the verdict
+        # reads its normal -e_2 off lo, written into the supports in place;
+        # -lo as a fresh column copied in took it to 0.234 MB
+        model = shipped("acc4")
+        assert warm_peak(lambda: safety_check(ors_reach(model), model.unsafe)) < 0.228e6
 
     @pytest.mark.parametrize("until,bound", [(False, 0.15e6), (True, 0.14e6)],
                              ids=["shipped", "until-unsafe"])
@@ -2357,6 +2365,29 @@ class TestSymbolicChunks:
         assert np.all(np.isinf(res.radii[~finite]))
         assert np.all(res.lo[~finite] == -np.inf) and np.all(res.hi[~finite] == np.inf)
 
+    def test_loan_radii_are_psi_times_the_box_norm(self):
+        # loan's flow factor is 1: at every step whose box is finite its
+        # radius is bytewise psi ||Theta|| scaled, psi the series' own, on
+        # the shipped models and on a flowpipe whose flows overflow, where
+        # every step from the first unbounded box on has an inf radius
+        cases = [(m.a, m.perturbation(), m.initial, m.times())
+                 for m in map(shipped, ("girad1", "acc4", "twocell"))]
+        cases.append((np.array([[1.0, -1.0], [0.0, 2.0]]), IntervalMatrix.zeros(2, 2),
+                      Box(np.array([1.0, 0.0]), np.array([2.0, 1.0])),
+                      np.arange(1601) * 0.25))
+        for a, pert, theta, times in cases:
+            res = symbolic_reach(a, pert, theta, times, method="loan")
+            psi = bounds.bloat_series(a, pert, times, "loan").phi
+            assert res.phi.tobytes() == psi.tobytes()
+            boxed = np.isfinite(res.lo).all(axis=1) & np.isfinite(res.hi).all(axis=1)
+            end = int(boxed.sum())
+            assert boxed[:end].all()
+            want = psi[:end] * theta.max_norm()
+            want *= 1.0 + 2 * ((theta.dim + 10) // 4 + 1) * intervals._UNIT
+            assert res.radii[:end].tobytes() == want.tobytes()
+            assert np.all(res.radii[end:] == np.inf)
+        assert 0 < end < len(times)  # the overflowing grid
+
     def test_loan_takes_no_eigenvalues_and_no_sigma(self, monkeypatch):
         # loan's radius is psi ||Theta||: bounds.loan calls neither
         # np.linalg.eig nor eigvals, and symbolic_reach no _sigma_max_bound
@@ -2652,7 +2683,9 @@ class TestCentredZonotopes:
         # stars.zono_reduce keeps of the Star of the live generators (the
         # history's oldest block in full, the later ones without their zero
         # radii), its restart box is the row sums of zono_reduce's box
-        # columns to 1e-12, and it gives None where a Star refuses the set
+        # columns to 1e-12, and it gives None where a Star refuses the set;
+        # it carries those columns' image at the period's age alone, (n, c),
+        # bitwise the age's slice of the product it takes
         rng = np.random.default_rng(1705)
         for trial in range(300):
             n = int(rng.integers(1, 6))
@@ -2666,7 +2699,7 @@ class TestCentredZonotopes:
             span = int(rng.integers(0, 3))
             tables = engine._Tables(rng.normal(size=(n, n)), np.zeros((n, n)),
                                     np.empty((0, n)), span, True)
-            tables.carried = (gens * r)[:, None, :]  # C at the period's age
+            tables.carried = gens * r  # C at the period's age
             blocks = int(rng.integers(1, span + 2))
             live = rng.uniform(0, 2, blocks * n) * (rng.random(blocks * n) < 0.5)
             live[rng.random(blocks * n) < 0.1] = live[0]  # more ties
@@ -2678,12 +2711,13 @@ class TestCentredZonotopes:
             ones = np.ones(columns.shape[1])
             want = zono_reduce(Star(c, columns, -ones, ones), 2 * n)
             box, count = tables.reduce(live, c)
-            kept = tables.carried[:, 0]  # P^0 C: C itself
+            kept = columns if columns.shape[1] <= 2 * n else want.generators[:, :n]
+            image = (tables.signed[:n].reshape(-1, n) @ kept).reshape(n, -1, kept.shape[1])
+            assert tables.carried.shape == (n, kept.shape[1]), trial
+            assert tables.carried.tobytes() == image[:, span].tobytes(), trial
             if columns.shape[1] <= 2 * n:
-                assert np.array_equal(kept, columns), trial
                 assert np.all(box == 0.0) and count == columns.shape[1], trial
             else:
-                assert np.array_equal(kept, want.generators[:, :n]), trial
                 sums = want.generators[:, n:].sum(axis=1)
                 assert np.all(np.abs(box - sums) <= 1e-12 * sums), trial
                 assert count == want.n_gens == 2 * n, trial
@@ -2694,9 +2728,9 @@ class TestCentredZonotopes:
         with np.errstate(invalid="ignore"):  # 0 * inf
             for bad in (np.inf, np.nan):
                 assert tables.reduce(live * bad, np.zeros(2)) is None
-                tables.carried = np.array([[[bad], [0.0]]]).reshape(2, 1, 1)
+                tables.carried = np.array([[bad], [0.0]])
                 assert tables.reduce(np.zeros(2), np.zeros(2)) is None
-                tables.carried = None
+                tables.carried = np.empty((2, 0))
 
     def test_restart_box_with_a_zero_entry_counts_in_full(self):
         # x1 is kept in the carried block at each zonotope reduction and no
