@@ -10,13 +10,17 @@ P +- Lr, P its centre, and the star recurrence
 has a k-th set that contains x_k = F^k x_0 for every fixed F in M and
 x_0 in Theta.  Each set is a centred zonotope whose centre and
 generators P^a e_i follow the point map, the generators scaled by a
-history of radii: a table of |P^a| rows, built once per flowpipe, maps
-that history to boxes, supports and fresh radii, and a few batched
-products advance it by a chunk of steps.  It runs on S, the components
-that can carry a radius; the others keep their centres as their boxes.
-Its phases: _Tables builds the table, advances a segment and reduces at
-its end, _segments runs the segments between reductions, and _flowpipe
-reads the result off.
+history of radii.  For a general family a table of |P^a| rows, built
+once per flowpipe, maps that history to boxes, supports and fresh radii,
+and a few batched products advance it by a chunk of steps (_Tables).
+For a family whose centre P is monotone with respect to an orthant
+(_orthant_signature), |P^a| = |P|^a, and the box radii follow one linear
+recurrence, run once over every step as a doubling scan with no table
+(_Monotone).  It runs on S, the components that can carry a radius; the
+others keep their centres as their boxes.  Its phases: _Tables or
+_Monotone advances a segment and reduces at its end, _segments picks
+one and runs the segments between reductions, and _flowpipe reads the
+result off.
 Symbolic route: the nominal flow exp(At) Theta padded by a bloating
 radius from a closed-form bound, the flows a chunk of steps at a time
 (see symbolic_reach).
@@ -39,7 +43,8 @@ from .errors import DimensionMismatch
 from .intervals import (_TINY, _UNIT, Box, IntervalMatrix, _add_outward,
                         _centre_radius, _chained, _endpoint_product,
                         _frobenius, _gamma, _product_error, _require_finite,
-                        _row_chunks, _sigma_max_bound, _square, interval_expm)
+                        _CHUNK_ENTRIES, _row_chunks, _sigma_max_bound, _square,
+                        interval_expm)
 
 # The symbolic step's expm goes through this namespace because the
 # benchmark's tracer (perfbench/spans.py) times `engine.scipy.linalg.expm`
@@ -546,8 +551,9 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
     fresh block box([-Lr, Lr] R) (Althoff, Stursberg & Buss, CDC 2007)
     has radius Lr (|c| + sum |g|) over the generators g, and the next
     centre is P c: a point orbit computed up front, which reductions
-    never move.  The phases are _flowpipe, _segments and _Tables; each
-    frees what it allocates by returning; its callers judge its inputs.
+    never move.  The phases are _flowpipe, _segments and _Tables or
+    _Monotone; each frees what it allocates by returning; its callers
+    judge its inputs.
     """
     start = time.perf_counter()
     # labels and radii are allocated once _flowpipe has freed q
@@ -574,20 +580,22 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
 
     The recurrence runs on S, the components that can carry a radius
     (_radius_components, an index: a slice when they are consecutive, as
-    every component is): the table, the history, the fresh blocks and
-    the counts hold |S| radii a block, and P, Lr, Theta's radius and the
-    non-axis normals are cut to S (a radius outside S is zero, and no
-    chain of P joins a component outside S to one inside, so the rows of
-    S see nothing of the others but their centres |c|, which enter the
-    fresh blocks through Lr's columns).  A component outside S has q = 0:
-    its box is its centre and an axis normal on it reads the centre.
+    every component is): the table (or _Monotone's G), the history, the
+    fresh blocks and the counts hold |S| radii a block, and P, Lr,
+    Theta's radius and the non-axis normals are cut to S (a radius
+    outside S is zero, and no chain of P joins a component outside S to
+    one inside, so the rows of S see nothing of the others but their
+    centres |c|, which enter the fresh blocks through Lr's columns).  A
+    component outside S has q = 0: its box is its centre and an axis
+    normal on it reads the centre.
 
     It owns each array of one row per step, once (the centres, q with
     |S| columns plus one per table row of a non-axis normal, the counts
-    and the supports) and the history buffer.  The tables die with
-    _segments, before the last segment is counted and the supports and
-    lo exist; hi is written over the centres, so a cut result's hi and
-    gen_counts are leading slices of horizon-length buffers.
+    and the supports) and the history buffer.  The phases' arrays (the
+    tables, or _Monotone's G) die with _segments, before the last
+    segment is counted and the supports and lo exist; hi is written over
+    the centres, so a cut result's hi and gen_counts are leading slices
+    of horizon-length buffers.
     """
     n = theta.dim
     p, lr = _centre_radius(m.lo, m.hi)
@@ -676,10 +684,19 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
     zonotope reduction step whose live set is not finite.  p, lr,
     distinct and the history are on S, the components `at` (see
     _flowpipe).
+
+    The phases that advance and reduce are picked once, from the input
+    alone: _Monotone where P and the non-axis normals on S have an
+    orthant signature (_orthant_signature), else _Tables.  Both write
+    the same q, fresh blocks, restart boxes and counts up to rounding,
+    so one loop runs either.
     """
     k, horizon, end = len(p), len(centres) - 1, len(buf)
     span, zonotope = min(horizon, period), reduction_method == "zonotope"
-    tables = _Tables(p, lr, distinct, span, zonotope, at)
+    if _orthant_signature(p, distinct) is None:
+        tables = _Tables(p, lr, distinct, span, zonotope, at)
+    else:
+        tables = _Monotone(p, lr, distinct, zonotope, at)
     counts = bad = invariant = None
     restart_count, last = k, horizon + 1
     restarts = None  # restart boxes (step, centre, radius), from Theta's
@@ -726,7 +743,9 @@ def _windows(x: np.ndarray, width: int) -> np.ndarray:
 
 
 class _Tables:
-    """One flowpipe's tables and the phases that read them (advance, reduce).
+    """One flowpipe's tables and the phases that read them (advance, reduce),
+    for any family; _Monotone serves orthant-monotone ones without a table
+    (_segments picks one).
 
     They work on S, the k components `at` that can carry a radius (see
     _flowpipe): P is P restricted to S, and Lr its rows of S, (k, n).
@@ -890,6 +909,174 @@ class _Tables:
         return box, count
 
 
+def _orthant_signature(p: np.ndarray, distinct: np.ndarray) -> np.ndarray | None:
+    """A signature d in {+-1}^k with d_i d_j P_ij >= 0 for all i, j, under
+    which every row of `distinct` (the non-axis normals on S) times d
+    entrywise has one sign; None if there is none.
+
+    Such a P is monotone with respect to the orthant of d (Smith, Monotone
+    Dynamical Systems, AMS 1995; Angeli & Sontag, IEEE TAC 48, 2003): D P D
+    = |P| for D = diag(d), so P^a = D |P|^a D, |P^a| = |P|^a and |N P^a| =
+    |N| |P|^a for such a normal N, in real arithmetic.  Each nonzero entry
+    P_ij links i and j with d_i d_j = sign P_ij, and so do two consecutive
+    nonzero entries of a normal with sign N_i N_j: one breadth-first
+    2-colouring of the links finds d (each unlinked part from +1), and one
+    check of every entry then refuses a negative diagonal entry, a pair
+    P_ij, P_ji of opposite signs, an unbalanced cycle, or a normal of two
+    signs.
+    """
+    k = len(p)
+    link = np.sign(p) + np.sign(p.T)  # the sign of d_i d_j where both agree
+    for row in distinct:
+        at = np.flatnonzero(row)
+        pair = np.sign(row[at[:-1]]) * np.sign(row[at[1:]])
+        link[at[:-1], at[1:]] += pair
+        link[at[1:], at[:-1]] += pair
+    d = np.zeros(k)
+    for root in range(k):
+        if d[root]:
+            continue
+        d[root], order = 1.0, [root]
+        for i in order:  # grows as it runs: breadth first
+            for j in np.flatnonzero(link[i]).tolist():
+                if not d[j]:
+                    d[j] = d[i] * (1.0 if link[i, j] > 0.0 else -1.0)
+                    order.append(j)
+    signed = np.multiply.outer(d, d)
+    signed *= p
+    if signed.min() < 0.0:
+        return None
+    if len(distinct):
+        signed = distinct * d
+        if not np.all((signed.min(axis=1) >= 0.0) | (signed.max(axis=1) <= 0.0)):
+            return None
+    return d
+
+
+class _Monotone:
+    """The phases of _Tables (advance, reduce) for an orthant-monotone
+    family (_orthant_signature), from one linear recurrence and no table.
+
+    As there, they work on S, the k components `at`; P is P restricted to
+    S and Lr its rows of S, (k, n).  Since |P^a| = |P|^a, the hull radius
+    q_j = sum_a |P|^a h_(j-a) of the history obeys q_j = |P| q_(j-1) + h_j,
+    and with the fresh block h_j = Lr (|c_(j-1)| + q_(j-1)) it is
+        q_j = G q_(j-1) + Lr |c_(j-1)|,    G = |P| + Lr[:, S] >= 0,
+    from Theta's radius q_0.  A zonotope generator g = P^b e_i r has
+    |P^a g| = |P|^(a+b) e_i r, so every reduction's box, the dropped
+    generators boxed plus the kept ones carried on, is this same hull:
+    each reduction method gives the unreduced boxes, and the method
+    changes only the generator counts and the invariant stop.  So the
+    rows do not restart at a reduction: advance runs the recurrence
+    ahead of the segments (_scan) and writes each segment's fresh
+    blocks, and each reduction restarts from the row of its step.  A
+    non-axis normal N, one-signed on S after the signature, has support
+    N c + |N| q.  Every sum has nonnegative terms; its rounding is not
+    covered, as the table's is not (ROADMAP item 8).
+    """
+
+    __slots__ = ("g", "lr", "at", "norms", "strides", "done", "zonotope",
+                 "carried", "boxed", "next")
+
+    def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
+                 zonotope: bool, at: slice | np.ndarray):
+        self.g, self.lr, self.at = np.abs(p) + lr[:, at], lr, at
+        self.norms, self.strides, self.done = np.abs(distinct), None, 0
+        self.zonotope, self.carried, self.boxed, self.next = zonotope, 0, True, None
+
+    def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
+                first: int, stop: int) -> None:
+        """Write q's rows up to step `stop`'s, the row a reduction there
+        restarts from, and the fresh blocks Lr (|c| + q) of the steps
+        first .. stop - 1 into the history, youngest first, |c| taken from
+        the centres a chunk of about _CHUNK_ENTRIES entries at a time
+        (_row_chunks).  The rows are run ahead by as many again as are
+        done, so a flowpipe of many short segments takes a few scans, one
+        cut short by `until` scans at most twice its steps, and both scan
+        the same rows alike: a cut run is a bitwise prefix."""
+        lr, at = self.lr, self.at
+        (k, n), end, steps = lr.shape, len(buf), stop - first
+        if self.done < min(stop + 1, len(q)):
+            self._scan(centres, q, buf[end - k:],
+                       min(len(q), max(stop + 1, 2 * self.done)))
+        rows, mags = q[first:stop, :k], centres[first:stop]
+        fresh = buf[end - (steps + 1) * k:end - k].reshape(steps, k)[::-1]
+        for j in _row_chunks(steps, n + k):
+            v = np.abs(mags[j])
+            v[:, at] += rows[j]
+            np.matmul(v, lr.T, out=fresh[j])
+        self.next = q[stop, :k] if stop < len(q) else None
+
+    def _scan(self, centres: np.ndarray, q: np.ndarray, radius: np.ndarray,
+              stop: int) -> None:
+        """q's rows from the first not done up to `stop`, and the normals'
+        columns |N| q.
+
+        The rows start as Lr |c| of the steps before (step 0's as Theta's
+        radius), and a doubling scan (Hillis & Steele, CACM 29, 1986) adds
+        G^d times the rows d steps back for d = 1, 2, 4, ...: after the
+        stride d each row holds its sum over the 2d latest inputs, and the
+        first row carries G times the row before it.  Each stride runs
+        from the last row up, so a chunk reads rows that no earlier chunk
+        has changed, and every product takes a chunk of about
+        _CHUNK_ENTRIES entries.  A power G^d that leaves float range would
+        meet a zero radius (inf * 0 = nan) or a tiny one and spoil finite
+        steps, so the powers stop before the first that is not finite,
+        and the scan runs in blocks that they cover, each block's first
+        row carried: one step a block when G itself is not finite.
+        """
+        lr, g, first = self.lr, self.g, self.done
+        k, n = lr.shape
+        if self.strides is None:  # G^d for d = 1, 2, 4, ... < len(q)
+            self.strides, power = [], g
+            while 1 << len(self.strides) < len(q) and np.isfinite(power).all():
+                self.strides.append(power)
+                power = power @ power
+        if first == 0:
+            q[0, :k] = radius
+        low = max(first, 1)
+        for j in _row_chunks(stop - low, n + k):  # Lr |c| of the steps before
+            np.matmul(np.abs(centres[low - 1:stop - 1][j]), lr.T, out=q[low:stop, :k][j])
+        rows, strides = q[first:stop, :k], self.strides
+        block, size = 1 << len(strides), max(1, _CHUNK_ENTRIES // (2 * k))
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            if first + start:  # the row before, carried one step
+                part[0] += g @ q[first + start - 1, :k]
+            for s, power in enumerate(strides[:(len(part) - 1).bit_length()]):
+                d, top = 1 << s, len(part)
+                while top > d:  # chunks from the last row up
+                    low = max(d, top - size)
+                    part[low:top] += part[low - d:top - d] @ power.T
+                    top = low
+        if len(self.norms):
+            for j in _row_chunks(stop - first, k):
+                np.matmul(rows[j], self.norms.T, out=q[first:stop, k:][j])
+        self.done = stop
+
+    def reduce(self, live: np.ndarray, centre: np.ndarray):
+        """The hull radius at a reduction step with history `live`, q's
+        row at the step and the restart box of every reduction here, and
+        the step's generator count as _Tables.reduce gives it; None if a
+        zonotope reduction's set is not finite.
+
+        An interval reduction counts k generators.  A zonotope reduction
+        counts the live ones: the carried columns, the block the history
+        restarted from in full if it was a box, and the later blocks'
+        nonzero radii; past 2n it keeps n and boxes the rest, n + k.
+        """
+        (k, n), box = self.lr.shape, self.next.copy()
+        if not self.zonotope:
+            return box, k
+        if not (np.isfinite(centre).all() and np.isfinite(box).all()):
+            return None
+        count = (self.carried + k * self.boxed
+                 + int(np.count_nonzero(live[:len(live) - k])))
+        self.boxed = count > 2 * n
+        self.carried = n if self.boxed else count
+        return box, self.carried + k * self.boxed
+
+
 def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
              cols: np.ndarray, until: np.ndarray) -> bool:
     """Whether a segment's support reaches its offset in `until` or one of
@@ -1037,7 +1224,15 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
     before it safe: then `invariant` holds that pair of steps (t1, t2),
     every trajectory is at each step t >= t1 in the box of step
     t1 + (t - t1) mod (t2 - t1), and the verdict `safe` holds for all
-    time, not only to the horizon.  Each step takes a fresh member of the
+    time, not only to the horizon.  The recurrence takes one of two
+    implementations, picked from the input alone: where the one-step
+    centre P on S has a signature D = diag(+-1) with D P D >= 0 and every
+    non-axis unsafe normal is one-signed after it (acc4, twocell and
+    grow1d), one linear recurrence of the hull radii (engine._Monotone),
+    under which every reduction method gives the unreduced boxes up to
+    rounding; else a
+    table of |P^a| (engine._Tables).  Both give the same flowpipe up to
+    rounding.  Each step takes a fresh member of the
     one-step family (interval_expm), so in real arithmetic the boxes
     enclose, at grid times, every trajectory of a time-varying E(t) in
     pert, not only of one E; robustness_threshold's certified budget

@@ -827,9 +827,11 @@ def grow2_model(cells=GROW2_CELLS, reduction="none", period=500):
         reduction_method=reduction, reduction_period=period)
 
 
-def blowup_model(reduction="none", period=7, horizon=40):
-    # x' = a x, a in [0.9e10, 1.1e10]: the box leaves float range at step 31
-    return ModelSpec(name="blowup", a=np.array([[1e10]]),
+def blowup_model(reduction="none", period=7, horizon=40, a=1e10):
+    # x' = a x, a within 10% of 1e10 or of -1e10: the box leaves float
+    # range at step 31.  1e10 takes the recurrence of an orthant-monotone
+    # family, -1e10, whose diagonal is negative, the table path
+    return ModelSpec(name="blowup", a=np.array([[a]]),
                      uncertainty=(CellUncertainty(0, 0, relative=0.1),),
                      initial=Box(np.array([1.0]), np.array([2.0])),
                      horizon=horizon, continuous=False,
@@ -1037,9 +1039,9 @@ class TestStreamingRecurrence:
             # no generators are added to an unbounded set
             assert np.all(res.gen_counts[overflow:] == res.gen_counts[overflow])
         # the discrete blowup overflows at step 31: within a chunk of the
-        # recurrence, and (period 31) at a reduction step
-        for period in (7, 31):
-            model = blowup_model(reduction, period)
+        # recurrence, and (period 31) at a reduction step, on either path
+        for period, a in itertools.product((7, 31), (1e10, -1e10)):
+            model = blowup_model(reduction, period, a=a)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 res = ors_reach(model)
@@ -1075,18 +1077,18 @@ class TestStreamingRecurrence:
         assert peak < 2e6
 
     def test_unreduced_acc4_peak_memory(self):
-        # the chunked recurrence reads windows of its table in place, whose
-        # rows are the box rows of S alone: acc4's normal -e_2 reads box
-        # row 2, and its pinned input x4 is outside S, so the table holds
-        # 3 x 3 entries an age and the history 3 radii a block.  It peaks
-        # at 0.332 MB: the table, the centres, q and the history.  With
-        # every component in the recurrence it peaked at 0.476 MB; a row
-        # for -e_2 and a stored |centres| took 0.622 MB; a table with
-        # 2n + k rows (generators moved by Abar, each age boxed through
-        # Lm) or a chunk-by-window temporary would lift the peak above
-        # 0.8 MB, and counting the generators beside the table to 0.71 MB
+        # acc4 is orthant-monotone on S (its pinned input x4 is outside),
+        # so its recurrence holds no table: it peaks at 0.218 MB, the
+        # centres, q, the counts, the supports and lo, as the reduced runs
+        # do.  On the table path, whose table holds 3 x 3 entries an age,
+        # it peaked at 0.332 MB; with every component in the recurrence at
+        # 0.476 MB; a row for -e_2 and a stored |centres| took 0.622 MB; a
+        # table with 2n + k rows (generators moved by Abar, each age boxed
+        # through Lm) or a chunk-by-window temporary would lift the peak
+        # above 0.8 MB, and counting the generators beside the table to
+        # 0.71 MB
         model = dataclasses.replace(shipped("acc4"), reduction_method="none")
-        assert ors_reach_peak(model) < 0.343e6
+        assert ors_reach_peak(model) < 0.228e6
 
     @pytest.mark.parametrize("reduction,period,bound", [
         ("interval", 500, 0.265e6), ("zonotope", 50, 0.25e6)],
@@ -1095,8 +1097,8 @@ class TestStreamingRecurrence:
         # the benchmark's reduced acc4 runs peak at 0.218 MB both (0.230 and
         # 0.219 MB with the history kept to the end, 0.251 and 0.237 MB
         # with x4 in the recurrence): one (H + 1)-row array each for the
-        # centres, q and the counts with the table in the loop, then the
-        # supports and lo once the table and the history are freed, hi
+        # centres, q and the counts with the history in the loop, then the
+        # supports and lo once the loop and the history are done, hi
         # written over the centres; q is freed before the result
         # allocates its labels and radii.  A q kept alive by a view of it
         # to the end, and a zonotope reduction's temporaries kept to the
@@ -1132,9 +1134,11 @@ class TestStreamingRecurrence:
 
     def test_grow1d_peak_memory(self):
         # a 1-D flowpipe's peak is mostly fixed costs: run after a first
-        # call it reads 6.6 to 7.4 kB with P^0 written into the table in
-        # place (a first call, alone, up to 8.8 kB), and an np.eye(n) copied in,
-        # whose strided .flat write allocates its iterators, added 1.4 kB
+        # call it reads about 5.3 kB on the recurrence of an orthant-
+        # monotone family, 5.8 kB on the table path with P^0 written into
+        # the table in place (a first call, alone, up to 8.8 kB), and an
+        # np.eye(n) copied in, whose strided .flat write allocates its
+        # iterators, added 1.4 kB
         assert ors_reach_peak(shipped("grow1d")) < 7800
 
 
@@ -1269,12 +1273,16 @@ def chunk_case(n):
 
     The family is centred on a matrix of spectral radius about 0.95, so
     that long horizons stay finite, plus a small nonzero offset; it has
-    point entries and a point row, Theta a flat coordinate.
+    point entries and a point row, Theta a flat coordinate.  Its first
+    diagonal entry is negative, so no signature makes it monotone
+    (engine._orthant_signature) and every order takes the table path.
     """
     rng = np.random.default_rng([2005, n])
     abar = rng.uniform(-1, 1, (n, n))
+    abar[0, 0] = -abs(abar[0, 0])
     abar *= 0.95 / max(np.max(np.abs(np.linalg.eigvals(abar))), 1e-3)
     centre = abar + rng.normal(scale=0.01, size=(n, n))
+    centre[0, 0] = -abs(centre[0, 0])
     rad = rng.uniform(0, 0.02, (n, n)) * (rng.random((n, n)) < 0.7)
     rad[0] = 0.0
     lo = rng.uniform(-1, 1, n)
@@ -1520,10 +1528,12 @@ class TestInvariantStop:
         assert not _inside(c + [0.0, 2.0 ** -52], 0.5 * z, c, z)
 
     def test_heat_rod_64_peak_memory(self):
-        # 5.2 MB, 3.4 MB of it the table of 101 ages of |P^a|: a separate
+        # the rod is orthant-monotone (exp of a Metzler matrix), so its
+        # recurrence holds no table: 1.76 MB.  On the table path it took
+        # 4.7 MB, 3.4 MB of it the table of 101 ages of |P^a|; a separate
         # powers array would add 3.3 MB, and interval_expm's (n, n, n)
         # endpoint products without row chunks 5.7 MB
-        assert ors_reach_peak(heat_rod(64)) < 6e6
+        assert ors_reach_peak(heat_rod(64)) < 2.2e6
 
     def test_heat_rod_64_discretize_peak(self, monkeypatch):
         # the endpoint products of interval_expm's series take at most three
@@ -1732,6 +1742,9 @@ class TestChunkRule:
     @pytest.mark.parametrize("name", ["acc4", "girad1", "twocell", "grow1d"])
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_shipped_models(self, monkeypatch, name, reduction):
+        # acc4, twocell and grow1d take the recurrence of an orthant-monotone
+        # family as shipped: every shipped model runs the table path here
+        table_path(monkeypatch)
         model = dataclasses.replace(shipped(name), reduction_method=reduction)
         normals = np.vstack([hs.normal for hs in model.unsafe])
         self.assert_rules_agree(
@@ -1745,8 +1758,9 @@ class TestChunkRule:
         # in-chunk table is finite, over 31 or 80 it overflows and every
         # rule falls back to one step a chunk, whose window spans the whole
         # table, so the runs are bitwise alike.  Every run is unbounded
-        # from step 31 and counts its generators as the product recount
-        model = blowup_model(reduction, horizon=80)
+        # from step 31 and counts its generators as the product recount.
+        # a = -1e10 keeps the table path
+        model = blowup_model(reduction, horizon=80, a=-1e10)
         m = one_step_family(model)
         p, lr = _centre_radius(m.lo, m.hi)
         for period in (7, 31):
@@ -1833,6 +1847,21 @@ def pinned_model(rng, reduction, name):
                                initial=Box(lo, hi)), pins
 
 
+def signature_on_s(model):
+    """engine._orthant_signature of the model's one-step centre and
+    non-axis normals on S: None where the model takes the table path."""
+    m = one_step_family(model)
+    p, lr = _centre_radius(m.lo, m.hi)
+    at = engine._radius_components(p, lr, model.initial.radius)
+    normals = np.array([hs.normal for hs in model.unsafe]).reshape(-1, model.dim)
+    return engine._orthant_signature(p[at][:, at], _table_rows(normals)[0][:, at])
+
+
+def table_path(monkeypatch):
+    """Run every flowpipe on the table path (engine._Tables)."""
+    monkeypatch.setattr(engine, "_orthant_signature", lambda p, distinct: None)
+
+
 def every_component(monkeypatch):
     """Run the recurrence on every component: S as the whole state."""
     monkeypatch.setattr(engine, "_radius_components",
@@ -1885,11 +1914,16 @@ class TestRadiusComponents:
         # generator counts, pinned components exactly their value, and
         # within 1e-12 of the recurrence on every component; the normals
         # mix axes on pinned components with directions that mix pinned
-        # and free ones
+        # and free ones.  The models keep the table path, whose boxes a
+        # replay in +-e_i gives bitwise: a mixed normal would send an
+        # orthant-monotone family there, and the replay to the recurrence
         rng = np.random.default_rng([43, len(reduction)])
-        outside = 0
-        for trial in range(30):
+        outside = trial = 0
+        while trial < 30:
             model, pins = pinned_model(rng, reduction, f"pinned{trial}")
+            if signature_on_s(model) is not None:  # no normals yet
+                continue
+            trial += 1
             n = model.dim
             mixed = rng.normal(size=n)
             normals = np.vstack([np.eye(n)[pins[0]], -np.eye(n)[pins[-1]], mixed,
@@ -2109,9 +2143,10 @@ class TestGeneratorCounts:
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_overflow_matches_product_recount(self, reduction):
         # the blowup leaves float range at step 31: in a chunk (period 7)
-        # and at a reduction step (period 31), run in full and cut
-        for period in (7, 31):
-            model = with_offsets(blowup_model(reduction, period, horizon=80),
+        # and at a reduction step (period 31), run in full and cut, on the
+        # recurrence (a = 1e10) and the table path (a = -1e10)
+        for period, a in itertools.product((7, 31), (1e10, -1e10)):
+            model = with_offsets(blowup_model(reduction, period, horizon=80, a=a),
                                  [np.finfo(float).max])
             for until in (False, True):
                 res = reach_with_perturbation(model, model.perturbation(),
@@ -2119,6 +2154,288 @@ class TestGeneratorCounts:
                 assert np.all(res.hi[31:] == np.inf)
                 assert np.array_equal(res.gen_counts,
                                       product_recount(res, model))
+
+
+def rand8_model(seed):
+    """The benchmark's rand-8 model (perfbench/workloads.py rand_model):
+    a stable random 8 x 8 continuous model with three uncertain cells."""
+    rng = np.random.default_rng([seed, 8])
+    m = rng.normal(size=(8, 8)) / math.sqrt(8)
+    a = m - (np.linalg.eigvals(m).real.max() + 1.0) * np.eye(8)
+    cells = rng.choice(64, size=3, replace=False)
+    centre = rng.uniform(-1.0, 1.0, 8)
+    return ModelSpec(
+        name="rand-8", a=a,
+        uncertainty=tuple(CellUncertainty(int(c) // 8, int(c) % 8, relative=0.05)
+                          for c in cells),
+        initial=Box(centre - 0.05, centre + 0.05), horizon=300, continuous=True,
+        step=0.01, unsafe=(HalfSpace(np.eye(8)[0], 10.0),))
+
+
+def huge308_model():
+    """CI's model whose entries pass half the float maximum."""
+    return ModelSpec(
+        name="huge308", a=np.diag([-1e308, -1e308]),
+        uncertainty=(CellUncertainty(0, 0, relative=0.01),),
+        initial=Box(np.array([0.9, -0.1]), np.array([1.1, 0.1])), horizon=2,
+        continuous=True, step=0.01, unsafe=(HalfSpace(np.array([1.0, 0.0]), 2.0),))
+
+
+def monotone_model(rng, continuous, name):
+    """A random orthant-monotone model of order n <= 6: A = D B D for a
+    random signature D and B >= 0 off the diagonal (Metzler, continuous)
+    or B >= 0 (discrete, spectral radius 0.6 to 1.05), 1 to 3 uncertain
+    cells, a reduction drawn from all three, and normals that are axes or
+    one-signed after the signature, with far offsets."""
+    n = int(rng.integers(1, 7))
+    b = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    if continuous:
+        b -= np.diag(rng.uniform(0.5, 2.0, n) + b.sum(axis=1))
+    else:
+        b *= rng.uniform(0.6, 1.05) / max(np.max(np.abs(np.linalg.eigvals(b))), 1e-3)
+    d = rng.choice([-1.0, 1.0], n)
+    a = d[:, None] * b * d
+    cells = rng.permutation([(i, j) for i in range(n) for j in range(n)])
+    cells = tuple(CellUncertainty(int(i), int(j),
+                                  interval=(a[i, j] - w, a[i, j] + w))
+                  for (i, j), w in zip(cells[:int(rng.integers(1, 4))],
+                                       rng.uniform(0.0, 0.05, 3)))
+    normals = [s * np.eye(n)[i] for s, i in zip(rng.choice([-1.0, 1.0], 2),
+                                                 rng.integers(0, n, 2))]
+    for _ in range(int(rng.integers(0, 3))):
+        v = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.8)
+        if v.any():
+            normals.append(rng.choice([-1.0, 1.0]) * d * v)
+    lo = rng.uniform(-1, 1, n)
+    horizon = int(rng.integers(20, 90))
+    reduction = ("none", "interval", "zonotope")[int(rng.integers(3))]
+    return ModelSpec(
+        name=name, a=a, uncertainty=cells,
+        initial=Box(lo, lo + rng.uniform(0, 1, n) * (rng.random(n) < 0.8)),
+        horizon=horizon, continuous=continuous,
+        step=float(rng.uniform(0.02, 0.2)) if continuous else None,
+        unsafe=tuple(HalfSpace(v, 1e6) for v in normals),
+        reduction_method=reduction,
+        reduction_period=int(rng.integers(1, horizon + 5)))
+
+
+class TestMonotoneRecurrence:
+    """Orthant-monotone families take one linear recurrence (engine._Monotone)
+    in place of the table (engine._Tables), with the same flowpipe."""
+
+    def test_paths_of_the_benchmark_models(self, monkeypatch):
+        # a spy on _Tables.__init__: girad1 (a rotation) and rand-8 take
+        # the table path; acc4, twocell and grow1d have a signature on S.
+        # So has huge308: A's diagonal is negative, but its one-step
+        # centre underflows to P = 0, whose powers are exact for any d
+        built, init = [], engine._Tables.__init__
+
+        def spy(tables, *args, **kwargs):
+            built.append(1)
+            init(tables, *args, **kwargs)
+
+        monkeypatch.setattr(engine._Tables, "__init__", spy)
+        cases = [(shipped("girad1"), True), (rand8_model(1), True),
+                 (rand8_model(2), True), (huge308_model(), False),
+                 (shipped("acc4"), False), (shipped("twocell"), False),
+                 (shipped("grow1d"), False)]
+        for model, table in cases:
+            built.clear()
+            ors_reach(model)
+            assert bool(built) == table, model.name
+            assert (signature_on_s(model) is None) == table, model.name
+        for name, d in (("acc4", [1, -1, -1]), ("twocell", [1, -1]), ("grow1d", [1])):
+            assert signature_on_s(shipped(name)).tolist() == d
+
+    def test_signature_rules(self):
+        sig = engine._orthant_signature
+        none = np.empty((0, 3))
+        assert sig(np.array([[1.0, -2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.0, 0.5]]),
+                   none).tolist() == [1, -1, -1]
+        # a negative diagonal entry, a pair of opposite signs and an
+        # unbalanced cycle (three negative links) have none
+        assert sig(np.array([[-0.1]]), np.empty((0, 1))) is None
+        assert sig(np.array([[1.0, 0.2], [-0.3, 1.0]]), np.empty((0, 2))) is None
+        cycle = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
+        assert sig(cycle, none) is None
+        assert sig(-cycle + 2 * np.eye(3), none).tolist() == [1, 1, 1]
+        # unlinked parts each start from +1; a normal must be one-signed
+        # after the signature, zeros allowed
+        p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+        assert sig(p, none).tolist() == [1, 1, -1]
+        assert sig(p, np.array([[2.0, 0.0, -1.0], [-1.0, -1.0, 0.0]])) is not None
+        assert sig(p, np.array([[1.0, 1.0, 1.0]])) is None
+        # parts that P leaves unlinked are linked by a normal over both, so
+        # a normal of two signs picks the signature that makes it one-signed
+        assert sig(np.eye(2), np.array([[1.0, -1.0]])).tolist() == [1, -1]
+        assert sig(np.diag([0.5, 2.0, 1.0]),
+                   np.array([[1.0, 0.0, -3.0], [0.0, 2.0, 1.0]])).tolist() == [1, -1, -1]
+
+    def test_no_table(self):
+        # the recurrence holds G, Lr, |N| and G's powers for the strides
+        # of its scan on S, and its pass over every step takes chunks of
+        # about 4096 entries: acc4's unreduced run over 2050 or 20000 steps
+        # peaks about 50 kB above its inputs, where a table of 3 x 3
+        # entries an age would take 148 kB or 1.4 MB
+        m = one_step_family(shipped("acc4"))
+        p, lr = _centre_radius(m.lo, m.hi)
+        peaks = []
+        for horizon in (2050, 20000):
+            centres = _orbit(p, shipped("acc4").initial.center[:, None],
+                             horizon + 1).T.copy()
+            q, buf = np.empty((horizon + 1, 3)), np.ones(3 * (horizon + 2))
+            phases = engine._Monotone(p[:3, :3], lr[:3], np.empty((0, 3)),
+                                      False, slice(0, 3))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                phases.advance(centres, q, buf, 0, horizon + 1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            # G^d for the strides d = 1, 2, 4, ... up to the horizon
+            assert len(phases.strides) == horizon.bit_length()
+            assert not hasattr(phases, "__dict__")
+        assert max(peaks) < 64e3
+
+    @staticmethod
+    def assert_paths_agree(model, rng, tag):
+        """The recurrence against the table path (the predicate patched),
+        in full and cut by until_unsafe at far offsets, at offsets reached
+        at a drawn step, and at the model's own offsets: equal lengths,
+        counts, invariants and verdicts; boxes and supports within 1e-13
+        of each width; the cut run a bitwise prefix of the full one; and
+        vertex-member trajectories inside the boxes.  Returns, per cut
+        run, whether it is shorter than the full one, certified an
+        invariant, and is not safe."""
+        def both(call):
+            """call() on the recurrence, then on the table path."""
+            got = call()
+            with pytest.MonkeyPatch.context() as mp:
+                table_path(mp)
+                return got, call()
+
+        assert signature_on_s(model) is not None, tag
+        normals = np.vstack([hs.normal for hs in model.unsafe])
+        full, table = both(lambda: ors_reach(model))
+        assert len(full) == len(table) and np.array_equal(full.gen_counts,
+                                                          table.gen_counts), tag
+        width = table.hi - table.lo
+        tol = 1e-13 * width
+        assert np.all(np.abs(full.lo - table.lo) <= tol), tag
+        assert np.all(np.abs(full.hi - table.hi) <= tol), tag
+        assert np.all(np.abs(full.supports - table.supports)
+                      <= 1e-13 * width @ np.abs(normals).T), tag
+        assert_contains_vertex_trajectories(rng, model, full.lo, full.hi, tag)
+        # an offset reached about a drawn step: in the middle of a gap of
+        # the sorted supports wider than the rounding both paths may differ
+        # by, so that neither verdict rests on a tie
+        k, j = int(rng.integers(len(full))), int(rng.integers(len(normals)))
+        far = np.full(len(normals), np.finfo(float).max)
+        reached = far.copy()
+        col = np.sort(full.supports[:, j])
+        gaps = np.flatnonzero(np.diff(col) > 1e-9 * np.max(np.abs(col)))
+        if len(gaps):
+            g = gaps[np.argmin(np.abs(col[gaps] - full.supports[k, j]))]
+            reached[j] = 0.5 * (col[g] + col[g + 1])
+        stops = []
+        for offsets in (far, reached, [hs.offset for hs in model.unsafe]):
+            m = with_offsets(model, offsets)
+            got, want = both(lambda: reach_with_perturbation(
+                m, m.perturbation(), until_unsafe=True))
+            verdicts = [safety_check(r, m.unsafe) for r in (got, want)]
+            assert len(got) == len(want) and got.invariant == want.invariant, tag
+            assert np.array_equal(got.gen_counts, want.gen_counts), tag
+            assert len({(v.safe, v.step, v.halfspace) for v in verdicts}) == 1, tag
+            for a, b in ((got.lo, full.lo), (got.hi, full.hi),
+                         (got.supports, full.supports),
+                         (got.gen_counts, full.gen_counts)):
+                assert a.tobytes() == b[:len(got)].tobytes(), tag
+            stops.append((len(got) < len(full), got.invariant is not None,
+                          not verdicts[1].safe))
+        return stops
+
+    @pytest.mark.parametrize("name", ["acc4", "twocell", "grow1d"])
+    @pytest.mark.parametrize("reduction,period", [
+        ("none", 500), ("interval", 500), ("interval", 50), ("zonotope", 50),
+        ("zonotope", 13)])
+    def test_shipped_models_match_the_table_path(self, name, reduction, period):
+        model = dataclasses.replace(shipped(name), reduction_method=reduction,
+                                    reduction_period=period)
+        self.assert_paths_agree(model, np.random.default_rng([len(name), period]),
+                                name)
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_random_monotone_models_match_the_table_path(self, continuous):
+        rng = np.random.default_rng([4801, continuous])
+        reductions, non_axis, stops = set(), 0, []
+        for trial in range(40):
+            model = monotone_model(rng, continuous, f"monotone{trial}")
+            stops += self.assert_paths_agree(model, rng, trial)
+            reductions.add(model.reduction_method)
+            non_axis += len(model.unsafe) > 2
+        assert reductions == {"none", "interval", "zonotope"} and non_axis >= 10
+        cut, certified, unsafe = np.sum(stops, axis=0)
+        assert cut >= 10 and certified >= 1 and unsafe >= 20
+
+    def test_zonotope_count_at_twice_the_order(self):
+        # x3 is a pinned input outside S, so k = 2 < n = 3: at step 4 the
+        # live generators are Theta's 2 and one fresh radius a step, 6 =
+        # 2n, all kept (6, not n + k = 5); at step 8 there are 6 + 4 > 2n
+        model = ModelSpec(
+            name="twice", a=np.array([[0.9, 0.1, 0.5], [0.05, 0.8, 0.0],
+                                      [0.0, 0.0, 1.0]]),
+            uncertainty=(CellUncertainty(0, 0, relative=0.05),),
+            initial=Box(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0])),
+            horizon=20, continuous=False,
+            unsafe=(HalfSpace(np.array([1.0, 0.0, 0.0]), 1e6),),
+            reduction_method="zonotope", reduction_period=4)
+        self.assert_paths_agree(model, np.random.default_rng(4803), "twice")
+        res = ors_reach(model)
+        assert res.gen_counts[[4, 8, 12]].tolist() == [6, 5, 5]
+        assert np.array_equal(res.gen_counts, product_recount(res, model))
+
+    def test_boxes_do_not_depend_on_one_signed_normals(self):
+        # on the recurrence too the box rows come first, so recording
+        # one-signed normals leaves the boxes' bits as they are
+        rng = np.random.default_rng(4802)
+        for trial in range(20):
+            model = monotone_model(rng, bool(trial % 2), f"bits{trial}")
+            axes = dataclasses.replace(model, unsafe=(
+                HalfSpace(np.eye(model.dim)[0], 1e6),))
+            assert signature_on_s(axes) is not None
+            for got, want in ((ors_reach(model), ors_reach(axes)),):
+                assert got.lo.tobytes() == want.lo.tobytes(), trial
+                assert got.hi.tobytes() == want.hi.tobytes(), trial
+
+    @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
+    def test_powers_that_overflow_before_the_radii(self, monkeypatch, reduction):
+        # x' = a x, a in [0, 2], from [-1e-300, 1e-300]: P = 1 and G = 2,
+        # so G^1024 leaves float range while the radii 2^j 1e-300 stay
+        # finite up to step 2020.  The scan runs in blocks of 1024 steps,
+        # which its finite strides cover: no NaN, no RuntimeWarning, and
+        # the table path's first unbounded step
+        model = ModelSpec(
+            name="double", a=np.array([[1.0]]),
+            uncertainty=(CellUncertainty(0, 0, interval=(0.0, 2.0)),),
+            initial=Box(np.array([-1e-300]), np.array([1e-300])),
+            horizon=2100, continuous=False,
+            unsafe=(HalfSpace(np.array([1.0]), 1.0),),
+            reduction_method=reduction, reduction_period=1500)
+        firsts = []
+        for path in ("recurrence", "table"):
+            if path == "table":
+                table_path(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = ors_reach(model)
+            for bound in (res.lo, res.hi, res.supports):
+                assert not np.isnan(bound).any()
+            bad = ~np.isfinite(res.hi).all(axis=1)
+            assert bad.any() and np.all(bad[np.argmax(bad):])
+            firsts.append(int(np.argmax(bad)))
+            assert np.all(np.isfinite(res.hi[:2021]))
+        assert firsts == [2021, 2021]
 
 
 def dyadic(x):
@@ -2737,9 +3054,10 @@ class TestCentredZonotopes:
         # other generator reaches it, so the box the history restarts from
         # has x1's entry exactly zero; that block still counts its k
         # generators in full at the next reduction, as the star operations'
-        # axis columns do, and the counts are the product recount's
+        # axis columns do, and the counts are the product recount's.  The
+        # negative entry A[1, 1] keeps the table path, whose reduce this is
         model = ModelSpec(
-            name="zero-box", a=np.array([[0.9, 0.0], [0.3, 0.8]]),
+            name="zero-box", a=np.array([[0.9, 0.0], [0.3, -0.8]]),
             uncertainty=(CellUncertainty(1, 1, relative=0.02),),
             initial=Box(np.array([-10.0, 0.0]), np.array([10.0, 0.1])),
             horizon=30, continuous=False,
