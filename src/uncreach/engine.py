@@ -16,11 +16,11 @@ and a few batched products advance it by a chunk of steps (_Tables).
 For a family whose centre P is monotone with respect to an orthant
 (_orthant_signature), |P^a| = |P|^a, and the box radii follow one linear
 recurrence, run once over every step as a doubling scan with no table
-(_Monotone).  It runs on S, the components that can carry a radius; the
-others keep their centres as their boxes.  Its phases: _Tables or
-_Monotone advances a segment and reduces at its end, _segments picks
-one and runs the segments between reductions, and _flowpipe reads the
-result off.
+(_Monotone); P alone picks the path.  It runs on S, the components that
+can carry a radius; the others keep their centres as their boxes.  Its
+phases: _Tables or _Monotone advances a segment and reduces at its end,
+_segments picks one and runs the segments between reductions, and
+_flowpipe reads the result off.
 Symbolic route: the nominal flow exp(At) Theta padded by a bloating
 radius from a closed-form bound, the flows a chunk of steps at a time
 (see symbolic_reach).
@@ -592,10 +592,11 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     It owns each array of one row per step, once (the centres, q with
     |S| columns plus one per table row of a non-axis normal, the counts
     and the supports) and the history buffer.  The phases' arrays (the
-    tables, or _Monotone's G) die with _segments, before the last
-    segment is counted and the supports and lo exist; hi is written over
-    the centres, so a cut result's hi and gen_counts are leading slices
-    of horizon-length buffers.
+    tables, or _Monotone's G and, for normals of two signs after its
+    signature, the q and history of its side run) die with _segments,
+    before the last segment is counted and the supports and lo exist; hi
+    is written over the centres, so a cut result's hi and gen_counts are
+    leading slices of horizon-length buffers.
     """
     n = theta.dim
     p, lr = _centre_radius(m.lo, m.hi)
@@ -685,18 +686,20 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
     distinct and the history are on S, the components `at` (see
     _flowpipe).
 
-    The phases that advance and reduce are picked once, from the input
-    alone: _Monotone where P and the non-axis normals on S have an
-    orthant signature (_orthant_signature), else _Tables.  Both write
-    the same q, fresh blocks, restart boxes and counts up to rounding,
-    so one loop runs either.
+    The phases that advance and reduce are picked once, from P on S
+    alone: _Monotone where P has an orthant signature
+    (_orthant_signature), else _Tables.  Both write the same q, fresh
+    blocks, restart boxes and counts up to rounding, so one loop runs
+    either; the normals never pick, so the boxes do not depend on them,
+    and a replay in other directions takes the result's path.
     """
     k, horizon, end = len(p), len(centres) - 1, len(buf)
     span, zonotope = min(horizon, period), reduction_method == "zonotope"
-    if _orthant_signature(p, distinct) is None:
+    d = _orthant_signature(p)
+    if d is None:
         tables = _Tables(p, lr, distinct, span, zonotope, at)
     else:
-        tables = _Monotone(p, lr, distinct, zonotope, at)
+        tables = _Monotone(p, lr, distinct, span, zonotope, at, d)
     counts = bad = invariant = None
     restart_count, last = k, horizon + 1
     restarts = None  # restart boxes (step, centre, radius), from Theta's
@@ -860,10 +863,10 @@ class _Tables:
         drops, one table product, plus the absolute row sums of the
         columns of C it drops.  An interval reduction keeps none: its box
         is the hull radius on S, k generators.  A zonotope reduction
-        (Girard, HSCC 2005) of more than 2n live generators, n the model's
-        order, keeps the n of largest Euclidean norm, in order, ties to
-        the earlier: n + k generators with the box.  With 2n or fewer it
-        keeps them all, and the history restarts from zero.  The live
+        keeps as many as _girard_kept says, n the model's order: past 2n
+        the n of largest Euclidean norm, in order, ties to the earlier,
+        n + k generators with the box; with 2n or fewer all of them, and
+        the history restarts from zero.  The live
         generators, oldest first, are C at the period's age, then the
         history's P^a e_i r_i: the block it restarted from in full (Theta
         or a box), the later ones without their zero radii.  C's rows at
@@ -884,17 +887,19 @@ class _Tables:
             gens = np.hstack((carried, self.signed[:k, cols] * live[cols]))
             if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
                 return None
+            kept, self.boxed = _girard_kept(gens.shape[1], n)
             keep = np.arange(gens.shape[1])
-            if len(keep) > 2 * n:
-                keep = np.sort((-np.linalg.norm(gens, axis=0)).argsort(kind="stable")[:n])
+            if self.boxed:
+                norms = np.linalg.norm(gens, axis=0)
+                keep = np.sort((-norms).argsort(kind="stable")[:kept])
             drop = np.ones(gens.shape[1], dtype=bool)
             drop[keep] = False
-            c, self.boxed = carried.shape[1], bool(drop.any())
+            c = carried.shape[1]
             gone = cols[drop[c:]]
             dropped = np.zeros(len(live))
             dropped[gone] = live[gone]
             rest = np.abs(carried[:, drop[:c]]).sum(axis=1)
-            count = len(keep) + k * self.boxed
+            count = kept + k * self.boxed
             block, signed = gens[:, keep], self.signed
             sums = np.empty((signed.shape[1] // k, len(signed)))  # (age, row)
             for i, part in enumerate(self.parts):  # the box rows first
@@ -909,29 +914,21 @@ class _Tables:
         return box, count
 
 
-def _orthant_signature(p: np.ndarray, distinct: np.ndarray) -> np.ndarray | None:
-    """A signature d in {+-1}^k with d_i d_j P_ij >= 0 for all i, j, under
-    which every row of `distinct` (the non-axis normals on S) times d
-    entrywise has one sign; None if there is none.
+def _orthant_signature(p: np.ndarray) -> np.ndarray | None:
+    """A signature d in {+-1}^k with d_i d_j P_ij >= 0 for all i, j, or
+    None if there is none.
 
     Such a P is monotone with respect to the orthant of d (Smith, Monotone
     Dynamical Systems, AMS 1995; Angeli & Sontag, IEEE TAC 48, 2003): D P D
-    = |P| for D = diag(d), so P^a = D |P|^a D, |P^a| = |P|^a and |N P^a| =
-    |N| |P|^a for such a normal N, in real arithmetic.  Each nonzero entry
-    P_ij links i and j with d_i d_j = sign P_ij, and so do two consecutive
-    nonzero entries of a normal with sign N_i N_j: one breadth-first
-    2-colouring of the links finds d (each unlinked part from +1), and one
-    check of every entry then refuses a negative diagonal entry, a pair
-    P_ij, P_ji of opposite signs, an unbalanced cycle, or a normal of two
-    signs.
+    = |P| for D = diag(d), so P^a = D |P|^a D and |P^a| = |P|^a in real
+    arithmetic.  Each nonzero entry P_ij links i and j with d_i d_j =
+    sign P_ij: one breadth-first 2-colouring of the links finds d (each
+    unlinked part from +1), and one check of every entry then refuses a
+    negative diagonal entry, a pair P_ij, P_ji of opposite signs or an
+    unbalanced cycle.
     """
     k = len(p)
     link = np.sign(p) + np.sign(p.T)  # the sign of d_i d_j where both agree
-    for row in distinct:
-        at = np.flatnonzero(row)
-        pair = np.sign(row[at[:-1]]) * np.sign(row[at[1:]])
-        link[at[:-1], at[1:]] += pair
-        link[at[1:], at[:-1]] += pair
     d = np.zeros(k)
     for root in range(k):
         if d[root]:
@@ -944,13 +941,14 @@ def _orthant_signature(p: np.ndarray, distinct: np.ndarray) -> np.ndarray | None
                     order.append(j)
     signed = np.multiply.outer(d, d)
     signed *= p
-    if signed.min() < 0.0:
-        return None
-    if len(distinct):
-        signed = distinct * d
-        if not np.all((signed.min(axis=1) >= 0.0) | (signed.max(axis=1) <= 0.0)):
-            return None
-    return d
+    return None if signed.min() < 0.0 else d
+
+
+def _girard_kept(live: int, n: int) -> tuple[int, bool]:
+    """How many of `live` generators a zonotope reduction in order n keeps
+    (Girard, HSCC 2005), and whether it boxes the rest: all of them up
+    to 2n, else n, the rest boxed into k more."""
+    return (live, False) if live <= 2 * n else (n, True)
 
 
 class _Monotone:
@@ -967,38 +965,49 @@ class _Monotone:
     generators boxed plus the kept ones carried on, is this same hull:
     each reduction method gives the unreduced boxes, and the method
     changes only the generator counts and the invariant stop.  So the
-    rows do not restart at a reduction: advance runs the recurrence
-    ahead of the segments (_scan) and writes each segment's fresh
-    blocks, and each reduction restarts from the row of its step.  A
-    non-axis normal N, one-signed on S after the signature, has support
-    N c + |N| q.  Every sum has nonnegative terms; its rounding is not
-    covered, as the table's is not (ROADMAP item 8).
+    rows do not restart at a reduction: the first advance scans every
+    row once (_scan), each advance writes its segment's fresh blocks,
+    and each reduction restarts from the row of its step.  A non-axis
+    normal N one-signed after the signature d has support N c + |N| q,
+    the table path's sum_a |N P^a| h, as |N P^a| = |N| |P|^a.  A normal
+    of two signs after d has no such form, and a reduction's box does not
+    give its support: the table path over those normals alone (`side`,
+    a _Tables) runs beside, in a q and a history of its own, and writes
+    their columns of q; the boxes stay the recurrence's.  Every sum has
+    nonnegative terms; its rounding is not covered, as the table's is not
+    (ROADMAP item 8).
     """
 
-    __slots__ = ("g", "lr", "at", "norms", "strides", "done", "zonotope",
-                 "carried", "boxed", "next")
+    __slots__ = ("g", "lr", "at", "norms", "zonotope", "carried", "boxed", "next",
+                 "side", "side_cols", "side_q", "side_buf")
 
     def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
-                 zonotope: bool, at: slice | np.ndarray):
+                 span: int, zonotope: bool, at: slice | np.ndarray, d: np.ndarray):
         self.g, self.lr, self.at = np.abs(p) + lr[:, at], lr, at
-        self.norms, self.strides, self.done = np.abs(distinct), None, 0
-        self.zonotope, self.carried, self.boxed, self.next = zonotope, 0, True, None
+        self.norms, self.zonotope = np.abs(distinct), zonotope
+        self.carried, self.boxed, self.next = 0, True, None
+        two = [i for i, row in enumerate(distinct * d) if row.min() < 0.0 < row.max()]
+        self.side = _Tables(p, lr, distinct[two], span, zonotope, at) if two else None
+        self.side_cols = [len(p) + i for i in two]  # their columns of q
+        self.side_q = self.side_buf = None
 
     def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
                 first: int, stop: int) -> None:
-        """Write q's rows up to step `stop`'s, the row a reduction there
-        restarts from, and the fresh blocks Lr (|c| + q) of the steps
-        first .. stop - 1 into the history, youngest first, |c| taken from
-        the centres a chunk of about _CHUNK_ENTRIES entries at a time
-        (_row_chunks).  The rows are run ahead by as many again as are
-        done, so a flowpipe of many short segments takes a few scans, one
-        cut short by `until` scans at most twice its steps, and both scan
-        the same rows alike: a cut run is a bitwise prefix."""
-        lr, at = self.lr, self.at
+        """Write q's rows, all of them at the first segment, and the fresh
+        blocks Lr (|c| + q) of the steps first .. stop - 1 into the
+        history, youngest first, |c| taken from the centres a chunk of
+        about _CHUNK_ENTRIES entries at a time (_row_chunks), and keep
+        step `stop`'s row, the one a reduction there restarts from.  A
+        run cut by `until` scans the rows of the full run alike: it is a
+        bitwise prefix."""
+        lr, at, side = self.lr, self.at, self.side
         (k, n), end, steps = lr.shape, len(buf), stop - first
-        if self.done < min(stop + 1, len(q)):
-            self._scan(centres, q, buf[end - k:],
-                       min(len(q), max(stop + 1, 2 * self.done)))
+        if first == 0:
+            self._scan(centres, q, buf[end - k:])
+            if side is not None:  # its own q and history, from Theta's radius
+                self.side_q = np.empty((len(q), k + len(self.side_cols)))
+                self.side_buf = np.empty(end)
+                self.side_buf[end - k:] = buf[end - k:]
         rows, mags = q[first:stop, :k], centres[first:stop]
         fresh = buf[end - (steps + 1) * k:end - k].reshape(steps, k)[::-1]
         for j in _row_chunks(steps, n + k):
@@ -1006,74 +1015,76 @@ class _Monotone:
             v[:, at] += rows[j]
             np.matmul(v, lr.T, out=fresh[j])
         self.next = q[stop, :k] if stop < len(q) else None
+        if side is not None:
+            side.advance(centres, self.side_q, self.side_buf, first, stop)
+            q[first:stop, self.side_cols] = self.side_q[first:stop, k:]
 
-    def _scan(self, centres: np.ndarray, q: np.ndarray, radius: np.ndarray,
-              stop: int) -> None:
-        """q's rows from the first not done up to `stop`, and the normals'
-        columns |N| q.
+    def _scan(self, centres: np.ndarray, q: np.ndarray, radius: np.ndarray) -> None:
+        """Every row of q from Theta's radius, and the normals' columns |N| q.
 
         The rows start as Lr |c| of the steps before (step 0's as Theta's
         radius), and a doubling scan (Hillis & Steele, CACM 29, 1986) adds
         G^d times the rows d steps back for d = 1, 2, 4, ...: after the
-        stride d each row holds its sum over the 2d latest inputs, and the
-        first row carries G times the row before it.  Each stride runs
-        from the last row up, so a chunk reads rows that no earlier chunk
-        has changed, and every product takes a chunk of about
-        _CHUNK_ENTRIES entries.  A power G^d that leaves float range would
-        meet a zero radius (inf * 0 = nan) or a tiny one and spoil finite
-        steps, so the powers stop before the first that is not finite,
-        and the scan runs in blocks that they cover, each block's first
-        row carried: one step a block when G itself is not finite.
+        stride d each row holds its sum over the 2d latest inputs.  Each
+        stride runs from the last row up, so a chunk reads rows that no
+        earlier chunk has changed, and every product takes a chunk of
+        about _CHUNK_ENTRIES entries.  A power G^d that leaves float range
+        would meet a zero radius (inf * 0 = nan) or a tiny one and spoil
+        finite steps, so the powers stop before the first that is not
+        finite, and the scan runs in blocks that they cover, each block's
+        first row carried from the row before: one step a block when G
+        itself is not finite.
         """
-        lr, g, first = self.lr, self.g, self.done
+        lr, g = self.lr, self.g
         k, n = lr.shape
-        if self.strides is None:  # G^d for d = 1, 2, 4, ... < len(q)
-            self.strides, power = [], g
-            while 1 << len(self.strides) < len(q) and np.isfinite(power).all():
-                self.strides.append(power)
-                power = power @ power
-        if first == 0:
-            q[0, :k] = radius
-        low = max(first, 1)
-        for j in _row_chunks(stop - low, n + k):  # Lr |c| of the steps before
-            np.matmul(np.abs(centres[low - 1:stop - 1][j]), lr.T, out=q[low:stop, :k][j])
-        rows, strides = q[first:stop, :k], self.strides
+        strides, power = [], g  # G^d for d = 1, 2, 4, ... < len(q)
+        while 1 << len(strides) < len(q) and np.isfinite(power).all():
+            strides.append(power)
+            power = power @ power
+        rows = q[:, :k]
+        rows[0] = radius
+        for j in _row_chunks(len(q) - 1, n + k):  # Lr |c| of the steps before
+            np.matmul(np.abs(centres[:-1][j]), lr.T, out=rows[1:][j])
         block, size = 1 << len(strides), max(1, _CHUNK_ENTRIES // (2 * k))
         for start in range(0, len(rows), block):
             part = rows[start:start + block]
-            if first + start:  # the row before, carried one step
-                part[0] += g @ q[first + start - 1, :k]
+            if start:  # the row before, carried one step
+                part[0] += g @ rows[start - 1]
             for s, power in enumerate(strides[:(len(part) - 1).bit_length()]):
                 d, top = 1 << s, len(part)
                 while top > d:  # chunks from the last row up
                     low = max(d, top - size)
                     part[low:top] += part[low - d:top - d] @ power.T
                     top = low
-        if len(self.norms):
-            for j in _row_chunks(stop - first, k):
-                np.matmul(rows[j], self.norms.T, out=q[first:stop, k:][j])
-        self.done = stop
+        if len(self.norms):  # a side run writes over its normals' columns
+            for j in _row_chunks(len(q), k):
+                np.matmul(rows[j], self.norms.T, out=q[j, k:])
 
     def reduce(self, live: np.ndarray, centre: np.ndarray):
         """The hull radius at a reduction step with history `live`, q's
         row at the step and the restart box of every reduction here, and
         the step's generator count as _Tables.reduce gives it; None if a
-        zonotope reduction's set is not finite.
+        zonotope reduction's set is not finite (to the side run too).
 
         An interval reduction counts k generators.  A zonotope reduction
-        counts the live ones: the carried columns, the block the history
+        counts the live ones, the carried columns, the block the history
         restarted from in full if it was a box, and the later blocks'
-        nonzero radii; past 2n it keeps n and boxes the rest, n + k.
+        nonzero radii, and keeps them by _girard_kept.
         """
         (k, n), box = self.lr.shape, self.next.copy()
+        if self.side is not None:  # the side run restarts as the table path does
+            end = len(self.side_buf)
+            side = self.side.reduce(self.side_buf[end - len(live):], centre)
+            if side is None:
+                return None
+            self.side_buf[end - k:] = side[0]
         if not self.zonotope:
             return box, k
         if not (np.isfinite(centre).all() and np.isfinite(box).all()):
             return None
         count = (self.carried + k * self.boxed
                  + int(np.count_nonzero(live[:len(live) - k])))
-        self.boxed = count > 2 * n
-        self.carried = n if self.boxed else count
+        self.carried, self.boxed = _girard_kept(count, n)
         return box, self.carried + k * self.boxed
 
 
@@ -1183,9 +1194,13 @@ def _segment_supports(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
     """Supports N c + q[:, cols] of a segment's steps, into out if given,
     for normals N and the columns _table_rows gives them: for +-e_i the
     bits of c_i + q_i and -(c_i - q_i), hi_i and -lo_i, as rounding to
-    nearest is symmetric about zero."""
-    out = np.matmul(centres, normals.T, out=out)
+    nearest is symmetric about zero.  Each normal's N c is a product of
+    its own, so its bits do not depend on the other normals, and a
+    replay in some of them gives their recorded supports."""
+    if out is None:
+        out = np.empty((len(centres), len(normals)))
     for j, col in enumerate(cols):  # by column: no (steps, k) temporary
+        np.matmul(centres, normals[j], out=out[:, j])
         if col >= 0:  # else an axis outside S, whose q is zero
             out[:, j] += q[:, col]
     return out
@@ -1225,14 +1240,13 @@ def reach_with_perturbation(model: ModelSpec, pert: IntervalMatrix,
     every trajectory is at each step t >= t1 in the box of step
     t1 + (t - t1) mod (t2 - t1), and the verdict `safe` holds for all
     time, not only to the horizon.  The recurrence takes one of two
-    implementations, picked from the input alone: where the one-step
-    centre P on S has a signature D = diag(+-1) with D P D >= 0 and every
-    non-axis unsafe normal is one-signed after it (acc4, twocell and
+    implementations, picked from the one-step centre P on S alone: where
+    P has a signature D = diag(+-1) with D P D >= 0 (acc4, twocell and
     grow1d), one linear recurrence of the hull radii (engine._Monotone),
     under which every reduction method gives the unreduced boxes up to
-    rounding; else a
-    table of |P^a| (engine._Tables).  Both give the same flowpipe up to
-    rounding.  Each step takes a fresh member of the
+    rounding; else a table of |P^a| (engine._Tables), which also gives
+    the former's supports in normals of two signs after D.  Both give the
+    same flowpipe up to rounding.  Each step takes a fresh member of the
     one-step family (interval_expm), so in real arithmetic the boxes
     enclose, at grid times, every trajectory of a time-varying E(t) in
     pert, not only of one E; robustness_threshold's certified budget

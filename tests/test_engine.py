@@ -1230,20 +1230,22 @@ class TestSharedRows:
 class TestBoxesIgnoreTheNormals:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
-    def test_boxes_do_not_depend_on_the_normals(self, n, reduction):
+    def test_boxes_do_not_depend_on_the_normals(self, monkeypatch, n, reduction):
         # the box rows are summed in products of their own, so a flowpipe
         # that records 1 to 5 non-axis normals has the boxes of one that
-        # records none, bit for bit, across chunks and reductions
+        # records none, bit for bit, across chunks and reductions, on the
+        # path picked (orders 1 and 2 take the recurrence) and the table's
         m, theta, _ = chunk_case(n)
-        rng = np.random.default_rng([28, n])
         horizon = 3 * _chunk_steps(n) + 2
-        bare = _run_recurrence(m, theta, horizon, reduction, 7, "numeric",
-                               np.empty((0, n)))
-        for count in range(1, 6):
-            res = _run_recurrence(m, theta, horizon, reduction, 7, "numeric",
-                                  rng.normal(size=(count, n)))
-            assert res.hi.tobytes() == bare.hi.tobytes(), count
-            assert res.lo.tobytes() == bare.lo.tobytes(), count
+        for path in paths(monkeypatch, m, theta):
+            rng = np.random.default_rng([28, n])
+            bare = _run_recurrence(m, theta, horizon, reduction, 7, "numeric",
+                                   np.empty((0, n)))
+            for count in range(1, 6):
+                res = _run_recurrence(m, theta, horizon, reduction, 7, "numeric",
+                                      rng.normal(size=(count, n)))
+                assert res.hi.tobytes() == bare.hi.tobytes(), (path, count)
+                assert res.lo.tobytes() == bare.lo.tobytes(), (path, count)
 
 
 def warm_peak(call):
@@ -1273,16 +1275,14 @@ def chunk_case(n):
 
     The family is centred on a matrix of spectral radius about 0.95, so
     that long horizons stay finite, plus a small nonzero offset; it has
-    point entries and a point row, Theta a flat coordinate.  Its first
-    diagonal entry is negative, so no signature makes it monotone
-    (engine._orthant_signature) and every order takes the table path.
+    point entries and a point row, Theta a flat coordinate.  The families
+    of order 1 and 2 are orthant-monotone (engine._orthant_signature) and
+    take the recurrence; the tests of the table path force it on them.
     """
     rng = np.random.default_rng([2005, n])
     abar = rng.uniform(-1, 1, (n, n))
-    abar[0, 0] = -abs(abar[0, 0])
     abar *= 0.95 / max(np.max(np.abs(np.linalg.eigvals(abar))), 1e-3)
     centre = abar + rng.normal(scale=0.01, size=(n, n))
-    centre[0, 0] = -abs(centre[0, 0])
     rad = rng.uniform(0, 0.02, (n, n)) * (rng.random((n, n)) < 0.7)
     rad[0] = 0.0
     lo = rng.uniform(-1, 1, n)
@@ -1674,21 +1674,23 @@ class TestChunkBoundaries:
         ("none", "beyond"),
         *((r, p) for r in ("interval", "zonotope")
           for p in (1, 7, "B", "B+3", "beyond"))])
-    def test_matches_star_operations(self, n, reduction, period):
+    def test_matches_star_operations(self, monkeypatch, n, reduction, period):
+        # orders 1 and 2 on the recurrence as picked, then on the table path
         b = _chunk_steps(n)
         m, theta, normals = chunk_case(n)
-        for horizon in (0, 1, b - 1, b, b + 1, 3 * b + 2):
-            per = {"B": b, "B+3": b + 3, "beyond": horizon + 5}.get(
-                period, period)
-            res = _run_recurrence(m, theta, horizon, reduction, per,
-                                  "numeric", normals)
-            _, lo, hi, supports, counts = reference_run(
-                m, theta, horizon, reduction, per, normals)
-            assert_close(res.lo, lo)
-            assert_close(res.hi, hi)
-            assert_close(res.supports, supports)
-            assert np.array_equal(res.gen_counts, counts), horizon
-            assert_replay_matches(res)
+        for path in paths(monkeypatch, m, theta):
+            for horizon in (0, 1, b - 1, b, b + 1, 3 * b + 2):
+                per = {"B": b, "B+3": b + 3, "beyond": horizon + 5}.get(
+                    period, period)
+                res = _run_recurrence(m, theta, horizon, reduction, per,
+                                      "numeric", normals)
+                _, lo, hi, supports, counts = reference_run(
+                    m, theta, horizon, reduction, per, normals)
+                assert_close(res.lo, lo)
+                assert_close(res.hi, hi)
+                assert_close(res.supports, supports)
+                assert np.array_equal(res.gen_counts, counts), (path, horizon)
+                assert_replay_matches(res)
 
 
 # one step a chunk, the shipped rule, and one chunk a span (a chunk is at
@@ -1731,6 +1733,9 @@ class TestChunkRule:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_chunk_cases(self, monkeypatch, n, reduction):
+        # the chunk rules are the table path's: orders 1 and 2, which take
+        # the recurrence as picked, run the table here
+        table_path(monkeypatch)
         b = _chunk_steps(n)
         m, theta, normals = chunk_case(n)
         rng = np.random.default_rng([39, n])
@@ -1847,19 +1852,32 @@ def pinned_model(rng, reduction, name):
                                initial=Box(lo, hi)), pins
 
 
-def signature_on_s(model):
-    """engine._orthant_signature of the model's one-step centre and
-    non-axis normals on S: None where the model takes the table path."""
-    m = one_step_family(model)
+def family_signature(m, theta):
+    """engine._orthant_signature of the one-step family m's centre on S,
+    from the box theta: None where the family takes the table path."""
     p, lr = _centre_radius(m.lo, m.hi)
-    at = engine._radius_components(p, lr, model.initial.radius)
-    normals = np.array([hs.normal for hs in model.unsafe]).reshape(-1, model.dim)
-    return engine._orthant_signature(p[at][:, at], _table_rows(normals)[0][:, at])
+    at = engine._radius_components(p, lr, theta.radius)
+    return engine._orthant_signature(p[at][:, at])
+
+
+def signature_on_s(model):
+    """family_signature of the model's one-step family from Theta."""
+    return family_signature(one_step_family(model), model.initial)
 
 
 def table_path(monkeypatch):
     """Run every flowpipe on the table path (engine._Tables)."""
-    monkeypatch.setattr(engine, "_orthant_signature", lambda p, distinct: None)
+    monkeypatch.setattr(engine, "_orthant_signature", lambda p: None)
+
+
+def paths(monkeypatch, m, theta):
+    """The paths a test of the family m from theta runs its loop body on:
+    the one picked, then, where that is the recurrence, the table path,
+    forced from then on."""
+    yield "picked"
+    if family_signature(m, theta) is not None:
+        table_path(monkeypatch)
+        yield "table"
 
 
 def every_component(monkeypatch):
@@ -1914,22 +1932,20 @@ class TestRadiusComponents:
         # generator counts, pinned components exactly their value, and
         # within 1e-12 of the recurrence on every component; the normals
         # mix axes on pinned components with directions that mix pinned
-        # and free ones.  The models keep the table path, whose boxes a
-        # replay in +-e_i gives bitwise: a mixed normal would send an
-        # orthant-monotone family there, and the replay to the recurrence
+        # and free ones.  Models with a signature on S run the recurrence,
+        # the others the table path
         rng = np.random.default_rng([43, len(reduction)])
-        outside = trial = 0
-        while trial < 30:
+        outside = monotone = 0
+        for trial in range(30):
             model, pins = pinned_model(rng, reduction, f"pinned{trial}")
-            if signature_on_s(model) is not None:  # no normals yet
-                continue
-            trial += 1
+            monotone += signature_on_s(model) is not None
             n = model.dim
             mixed = rng.normal(size=n)
             normals = np.vstack([np.eye(n)[pins[0]], -np.eye(n)[pins[-1]], mixed,
                                  rng.normal(size=n) * np.isin(np.arange(n), pins)])
+            normals = normals[normals.any(axis=1)]
             model = dataclasses.replace(model, unsafe=tuple(
-                HalfSpace(d, 1.0) for d in normals if np.any(d)))
+                HalfSpace(d, 1.0) for d in normals))
             res = ors_reach(model)
             _, lo, hi, supports, counts = reference_flowpipe(model)
             assert_close(res.lo, lo)
@@ -1942,7 +1958,7 @@ class TestRadiusComponents:
             outside += n - len(at)
             assert res.gen_counts[0] == len(at)
             assert_replay_matches(res)
-        assert outside >= 30
+        assert outside >= 30 and 0 < monotone < 30
 
     def test_every_component_is_the_plain_recurrence_bitwise(self, monkeypatch):
         # S given as every component by index takes the code path of a
@@ -2249,32 +2265,25 @@ class TestMonotoneRecurrence:
 
     def test_signature_rules(self):
         sig = engine._orthant_signature
-        none = np.empty((0, 3))
-        assert sig(np.array([[1.0, -2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.0, 0.5]]),
-                   none).tolist() == [1, -1, -1]
+        assert sig(np.array([[1.0, -2.0, 0.0], [0.0, 1.0, 3.0],
+                             [0.0, 0.0, 0.5]])).tolist() == [1, -1, -1]
         # a negative diagonal entry, a pair of opposite signs and an
         # unbalanced cycle (three negative links) have none
-        assert sig(np.array([[-0.1]]), np.empty((0, 1))) is None
-        assert sig(np.array([[1.0, 0.2], [-0.3, 1.0]]), np.empty((0, 2))) is None
+        assert sig(np.array([[-0.1]])) is None
+        assert sig(np.array([[1.0, 0.2], [-0.3, 1.0]])) is None
         cycle = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
-        assert sig(cycle, none) is None
-        assert sig(-cycle + 2 * np.eye(3), none).tolist() == [1, 1, 1]
-        # unlinked parts each start from +1; a normal must be one-signed
-        # after the signature, zeros allowed
+        assert sig(cycle) is None
+        assert sig(-cycle + 2 * np.eye(3)).tolist() == [1, 1, 1]
+        # unlinked parts each start from +1
         p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
-        assert sig(p, none).tolist() == [1, 1, -1]
-        assert sig(p, np.array([[2.0, 0.0, -1.0], [-1.0, -1.0, 0.0]])) is not None
-        assert sig(p, np.array([[1.0, 1.0, 1.0]])) is None
-        # parts that P leaves unlinked are linked by a normal over both, so
-        # a normal of two signs picks the signature that makes it one-signed
-        assert sig(np.eye(2), np.array([[1.0, -1.0]])).tolist() == [1, -1]
-        assert sig(np.diag([0.5, 2.0, 1.0]),
-                   np.array([[1.0, 0.0, -3.0], [0.0, 2.0, 1.0]])).tolist() == [1, -1, -1]
+        assert sig(p).tolist() == [1, 1, -1]
+        assert sig(np.diag([0.5, 2.0, 1.0])).tolist() == [1, 1, 1]
+        assert sig(np.zeros((2, 2))).tolist() == [1, 1]
 
     def test_no_table(self):
-        # the recurrence holds G, Lr, |N| and G's powers for the strides
-        # of its scan on S, and its pass over every step takes chunks of
-        # about 4096 entries: acc4's unreduced run over 2050 or 20000 steps
+        # the recurrence holds G, Lr and |N| on S, its scan G's powers for
+        # its strides, and its pass over every step takes chunks of about
+        # 4096 entries: acc4's unreduced run over 2050 or 20000 steps
         # peaks about 50 kB above its inputs, where a table of 3 x 3
         # entries an age would take 148 kB or 1.4 MB
         m = one_step_family(shipped("acc4"))
@@ -2285,7 +2294,8 @@ class TestMonotoneRecurrence:
                              horizon + 1).T.copy()
             q, buf = np.empty((horizon + 1, 3)), np.ones(3 * (horizon + 2))
             phases = engine._Monotone(p[:3, :3], lr[:3], np.empty((0, 3)),
-                                      False, slice(0, 3))
+                                      horizon, False, slice(0, 3),
+                                      np.array([1.0, -1.0, -1.0]))
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -2293,8 +2303,6 @@ class TestMonotoneRecurrence:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-            # G^d for the strides d = 1, 2, 4, ... up to the horizon
-            assert len(phases.strides) == horizon.bit_length()
             assert not hasattr(phases, "__dict__")
         assert max(peaks) < 64e3
 
@@ -2364,6 +2372,60 @@ class TestMonotoneRecurrence:
                                     reduction_period=period)
         self.assert_paths_agree(model, np.random.default_rng([len(name), period]),
                                 name)
+
+    @pytest.mark.parametrize("name", ["acc4", "twocell", "grow1d"])
+    @pytest.mark.parametrize("reduction,period", [
+        ("none", 500), ("interval", 500), ("interval", 50), ("zonotope", 50),
+        ("zonotope", 13)])
+    def test_shipped_models_match_star_operations(self, name, reduction, period):
+        # as picked, no patch: the recurrence's flowpipe against the star
+        # operations', boxes and supports within 1e-12 and equal counts
+        model = dataclasses.replace(shipped(name), reduction_method=reduction,
+                                    reduction_period=period)
+        assert signature_on_s(model) is not None
+        res = ors_reach(model)
+        _, lo, hi, supports, counts = reference_flowpipe(model)
+        assert_close(res.lo, lo)
+        assert_close(res.hi, hi)
+        assert_close(res.supports, supports)
+        assert np.array_equal(res.gen_counts, counts)
+        assert_replay_matches(res)
+
+    def test_normals_of_two_signs(self):
+        # P alone picks the path, so a normal of two signs after the
+        # signature keeps a monotone family on the recurrence, whose boxes
+        # are those of the run without it bit for bit, and a replay in
+        # +-e_i gives them too.  That normal's support is the table path's,
+        # from a _Tables over it alone run beside: the flowpipe agrees with
+        # the table path's as a one-signed one's does
+        built, init = [], engine._Tables.__init__
+
+        def spy(tables, p, lr, distinct, *args):
+            built.append(len(distinct))
+            init(tables, p, lr, distinct, *args)
+
+        rng = np.random.default_rng(4804)
+        tried = 0
+        for trial in range(30):
+            model = monotone_model(rng, bool(trial % 2), f"two{trial}")
+            d, n = signature_on_s(model), model.dim
+            if n < 2 or len(d) < n:
+                continue
+            tried += 1
+            v = rng.uniform(0.1, 1.0, n)
+            v[int(rng.integers(n))] *= -1.0
+            mixed = dataclasses.replace(model, unsafe=model.unsafe + (
+                HalfSpace(d * v, 1e6),))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine._Tables, "__init__", spy)
+                built.clear()
+                res, bare = ors_reach(mixed), ors_reach(model)
+            assert built == [1], trial  # the side run, over the new normal
+            assert res.lo.tobytes() == bare.lo.tobytes(), trial
+            assert res.hi.tobytes() == bare.hi.tobytes(), trial
+            assert_replay_matches(res)
+            self.assert_paths_agree(mixed, rng, trial)
+        assert tried >= 10
 
     @pytest.mark.parametrize("continuous", [False, True])
     def test_random_monotone_models_match_the_table_path(self, continuous):
