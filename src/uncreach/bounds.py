@@ -44,7 +44,7 @@ __all__ = [
 _COND_MAX = 1e8
 
 
-def _square(a) -> np.ndarray:
+def _finite_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
@@ -100,7 +100,7 @@ def kagstrom1(a, lambda_norm: float, t):
     ||A||_F is evaluated scaled (_frobenius), so it overflows only when
     it exceeds float range.
     """
-    a = _square(a)
+    a = _finite_square(a)
     t = _check_args(lambda_norm, t)
     norm_a = float(_frobenius(a))
     n = a.shape[0]
@@ -122,7 +122,7 @@ def kagstrom2(a, lambda_norm: float, t):
     t > 0 (not proven safe), and 0 at t = 0 or for a zero perturbation.
     """
     t = _check_args(lambda_norm, t)
-    eigvals, eigvecs = np.linalg.eig(_square(a))
+    eigvals, eigvecs = np.linalg.eig(_finite_square(a))
     eps = float(np.max(np.abs(eigvals)))
     sv = np.linalg.svd(eigvecs, compute_uv=False)
     k = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
@@ -160,7 +160,7 @@ def loan(a, lambda_norm: float, t):
     E > 1/2, L E is never 0, so an overflowing E gives inf, not NaN.
     """
     t = _check_args(lambda_norm, t)
-    rate = float(_sigma_max_bound(_square(a)[None])[0]) + lambda_norm
+    rate = float(_sigma_max_bound(_finite_square(a)[None])[0]) + lambda_norm
 
     def formula(t):
         x = rate * t
@@ -205,7 +205,7 @@ def bloat_series(a, lam: IntervalMatrix, times, method: str) -> BloatSeries:
     evaluated over the whole grid at once.  Values are nondecreasing in t
     and saturate at inf.
     """
-    a = _square(a)
+    a = _finite_square(a)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1:
         raise ValueError("times must be a 1-d grid")

@@ -18,9 +18,9 @@ For a family whose centre P is monotone with respect to an orthant
 recurrence, run once over every step as a doubling scan with no table
 (_Monotone); P alone picks the path.  It runs on S, the components that
 can carry a radius; the others keep their centres as their boxes.  Its
-phases: _Tables or _Monotone advances a segment and reduces at its end,
-_segments picks one and runs the segments between reductions, and
-_flowpipe reads the result off.
+phases: _Tables or _Monotone advances a segment and boxes at its end,
+_segments picks one, runs the segments between reductions and counts
+their generators, and _flowpipe reads the result off.
 Symbolic route: the nominal flow exp(At) Theta padded by a bloating
 radius from a closed-form bound, the flows a chunk of steps at a time
 (see symbolic_reach).
@@ -674,7 +674,9 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
               normals: np.ndarray, cols: np.ndarray, until: np.ndarray | None):
     """Advance the segments, each from step 0 or a reduction step up to
     the next reduction step or the horizon, and count each but the last
-    before its reduction resets the history (_count_segment).
+    before its reduction resets the history (_count_segment).  The count
+    at a reduction step is its live generators', from which a zonotope
+    reduction keeps as many as _girard_kept says; the phases only box.
 
     Returns the counts (None if none was counted), the last segment's
     first step and generator count there, the steps to keep, the first
@@ -689,11 +691,11 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
     The phases that advance and reduce are picked once, from P on S
     alone: _Monotone where P has an orthant signature
     (_orthant_signature), else _Tables.  Both write the same q, fresh
-    blocks, restart boxes and counts up to rounding, so one loop runs
+    blocks and restart boxes up to rounding, so one loop runs and counts
     either; the normals never pick, so the boxes do not depend on them,
     and a replay in other directions takes the result's path.
     """
-    k, horizon, end = len(p), len(centres) - 1, len(buf)
+    (k, n), horizon, end = lr.shape, len(centres) - 1, len(buf)
     span, zonotope = min(horizon, period), reduction_method == "zonotope"
     d = _orthant_signature(p)
     if d is None:
@@ -701,7 +703,7 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
     else:
         tables = _Monotone(p, lr, distinct, span, zonotope, at, d)
     counts = bad = invariant = None
-    restart_count, last = k, horizon + 1
+    restart_count, boxed, last = k, True, horizon + 1  # Theta's box
     restarts = None  # restart boxes (step, centre, radius), from Theta's
     if until is not None and reduction_method == "interval":
         restarts = []
@@ -716,20 +718,22 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
             last = stop
             break
         live = buf[end - (stop - first + 1) * k:]  # the history at step `stop`
-        reduced = tables.reduce(live, centres[stop])
-        if reduced is None:
+        counts = _count_segment(counts, horizon + 1, first, restart_count,
+                                live[:len(live) - k].reshape(stop - first, k))
+        # an interval reduction keeps none and boxes all
+        kept, boxes = _girard_kept(int(counts[stop]), n) if zonotope else (0, True)
+        box = tables.reduce(live, centres[stop], kept, boxed)
+        if box is None:
             bad = stop
             if until is not None:  # a cut result ends with the next segment
                 last = min(stop + period, horizon + 1)
             break
         if restarts is not None:
-            t1 = _restart_inside(restarts, stop, centres[stop], reduced[0], at)
+            t1 = _restart_inside(restarts, stop, centres[stop], box, at)
             if t1 is not None:
                 invariant, last = (t1, stop), stop
                 break
-        counts = _count_segment(counts, horizon + 1, first, restart_count,
-                                live[:len(live) - k].reshape(stop - first, k))
-        buf[end - k:], restart_count = reduced
+        buf[end - k:], boxed, restart_count = box, boxes, kept + k * boxes
     return counts, first, restart_count, last, bad, invariant
 
 
@@ -772,7 +776,7 @@ class _Tables:
 
     # no instance dict beside the tables, which set an unreduced run's peak
     __slots__ = ("table", "lr", "at", "parts", "ages", "inchunk", "chunk",
-                 "known", "recent", "signed", "carried", "carried_sums", "boxed")
+                 "known", "recent", "signed", "carried", "carried_sums")
 
     def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
                  span: int, zonotope: bool, at: slice | np.ndarray = slice(None)):
@@ -788,7 +792,6 @@ class _Tables:
         np.matmul(distinct, table[:k], out=table[k:])
         self.signed = table.copy() if zonotope else None
         self.carried, self.carried_sums = np.empty((k, 0)), None
-        self.boxed = True  # the history starts from Theta's box
         np.abs(table, out=table)
         self.table, self.lr, self.at = table, lr, at
         # the box rows, then the normals' rows, each part summed alone
@@ -853,43 +856,41 @@ class _Tables:
             np.matmul(mags, lr.T, out=buf[s - b * k:s].reshape(b, k)[::-1])
             t0, b = t0 + b, chunk
 
-    def reduce(self, live: np.ndarray, centre: np.ndarray):
+    def reduce(self, live: np.ndarray, centre: np.ndarray, kept: int,
+               boxed: bool) -> np.ndarray | None:
         """The box the history restarts from at a reduction step with
-        history `live`, and the step's generator count; None if a zonotope
-        reduction's set is not finite.
+        history `live`, whose oldest block is a box if `boxed`; None if a
+        zonotope reduction's set is not finite.
 
         Every reduction keeps some of the live generators, the carried
         block C, and boxes the rest: |P^a| times the history radii it
         drops, one table product, plus the absolute row sums of the
         columns of C it drops.  An interval reduction keeps none: its box
-        is the hull radius on S, k generators.  A zonotope reduction
-        keeps as many as _girard_kept says, n the model's order: past 2n
-        the n of largest Euclidean norm, in order, ties to the earlier,
-        n + k generators with the box; with 2n or fewer all of them, and
-        the history restarts from zero.  The live
-        generators, oldest first, are C at the period's age, then the
-        history's P^a e_i r_i: the block it restarted from in full (Theta
-        or a box), the later ones without their zero radii.  C's rows at
-        each later age, P^a C and d P^a C, come from one product for the
-        box rows and one for the normals'; advance adds their absolute
-        row sums to q.  `carried` keeps a copy of the box rows' image at the
-        period's age alone, the C the next reduction reads.
+        is the hull radius on S.  A zonotope reduction keeps the `kept`
+        live generators (_segments decides) of largest Euclidean norm, in
+        order, ties to the earlier; if there are no more, all of them,
+        and the history restarts from zero.  The live generators, oldest first, are C at the
+        period's age, then the history's P^a e_i r_i: its oldest block
+        in full if a box, the later ones without their zero radii.  C's
+        rows at each later age, P^a C and d P^a C, come from one product
+        for the box rows and one for the normals'; advance adds their
+        absolute row sums to q.  `carried` keeps a copy of the box rows'
+        image at the period's age alone, the C the next reduction reads.
         """
-        k, n = self.lr.shape
-        dropped, count, rest = live, k, 0.0  # an interval reduction keeps none
+        k = len(self.lr)
+        dropped, rest = live, 0.0  # an interval reduction keeps none
         if self.signed is not None:
             # the history's entries with a generator, oldest block first
             cols = np.arange(len(live)).reshape(-1, k)[::-1].ravel()
             live_cols = live[cols] != 0.0
-            live_cols[:k] |= self.boxed  # the block it restarted from, in full
+            live_cols[:k] |= boxed
             cols = cols[live_cols]
             carried = self.carried
             gens = np.hstack((carried, self.signed[:k, cols] * live[cols]))
             if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(gens))):
                 return None
-            kept, self.boxed = _girard_kept(gens.shape[1], n)
             keep = np.arange(gens.shape[1])
-            if self.boxed:
+            if kept < len(keep):
                 norms = np.linalg.norm(gens, axis=0)
                 keep = np.sort((-norms).argsort(kind="stable")[:kept])
             drop = np.ones(gens.shape[1], dtype=bool)
@@ -899,7 +900,6 @@ class _Tables:
             dropped = np.zeros(len(live))
             dropped[gone] = live[gone]
             rest = np.abs(carried[:, drop[:c]]).sum(axis=1)
-            count = kept + k * self.boxed
             block, signed = gens[:, keep], self.signed
             sums = np.empty((signed.shape[1] // k, len(signed)))  # (age, row)
             for i, part in enumerate(self.parts):  # the box rows first
@@ -911,7 +911,7 @@ class _Tables:
             self.carried_sums = sums
         box = self.table[:k, :len(live)] @ dropped
         box += rest
-        return box, count
+        return box
 
 
 def _orthant_signature(p: np.ndarray) -> np.ndarray | None:
@@ -947,7 +947,8 @@ def _orthant_signature(p: np.ndarray) -> np.ndarray | None:
 def _girard_kept(live: int, n: int) -> tuple[int, bool]:
     """How many of `live` generators a zonotope reduction in order n keeps
     (Girard, HSCC 2005), and whether it boxes the rest: all of them up
-    to 2n, else n, the rest boxed into k more."""
+    to 2n, else n, the rest boxed into k more.  _segments decides once
+    per reduction, for the table path and _Monotone's side run alike."""
     return (live, False) if live <= 2 * n else (n, True)
 
 
@@ -978,18 +979,17 @@ class _Monotone:
     (ROADMAP item 8).
     """
 
-    __slots__ = ("g", "lr", "at", "norms", "zonotope", "carried", "boxed", "next",
-                 "side", "side_cols", "side_q", "side_buf")
+    __slots__ = ("g", "lr", "at", "norms", "zonotope", "next", "side", "side_cols",
+                 "side_q", "side_buf")
 
     def __init__(self, p: np.ndarray, lr: np.ndarray, distinct: np.ndarray,
                  span: int, zonotope: bool, at: slice | np.ndarray, d: np.ndarray):
         self.g, self.lr, self.at = np.abs(p) + lr[:, at], lr, at
         self.norms, self.zonotope = np.abs(distinct), zonotope
-        self.carried, self.boxed, self.next = 0, True, None
         two = [i for i, row in enumerate(distinct * d) if row.min() < 0.0 < row.max()]
         self.side = _Tables(p, lr, distinct[two], span, zonotope, at) if two else None
         self.side_cols = [len(p) + i for i in two]  # their columns of q
-        self.side_q = self.side_buf = None
+        self.side_q = self.side_buf = self.next = None
 
     def advance(self, centres: np.ndarray, q: np.ndarray, buf: np.ndarray,
                 first: int, stop: int) -> None:
@@ -1060,32 +1060,22 @@ class _Monotone:
             for j in _row_chunks(len(q), k):
                 np.matmul(rows[j], self.norms.T, out=q[j, k:])
 
-    def reduce(self, live: np.ndarray, centre: np.ndarray):
+    def reduce(self, live: np.ndarray, centre: np.ndarray, kept: int,
+               boxed: bool) -> np.ndarray | None:
         """The hull radius at a reduction step with history `live`, q's
-        row at the step and the restart box of every reduction here, and
-        the step's generator count as _Tables.reduce gives it; None if a
-        zonotope reduction's set is not finite (to the side run too).
-
-        An interval reduction counts k generators.  A zonotope reduction
-        counts the live ones, the carried columns, the block the history
-        restarted from in full if it was a box, and the later blocks'
-        nonzero radii, and keeps them by _girard_kept.
-        """
-        (k, n), box = self.lr.shape, self.next.copy()
-        if self.side is not None:  # the side run restarts as the table path does
+        row at the step and the restart box of every reduction here; None
+        if a zonotope reduction's set is not finite (to the side run too,
+        which keeps and boxes as _Tables.reduce does)."""
+        box, side = self.next.copy(), self.side
+        if side is not None:  # the side run restarts as the table path does
             end = len(self.side_buf)
-            side = self.side.reduce(self.side_buf[end - len(live):], centre)
+            side = side.reduce(self.side_buf[end - len(live):], centre, kept, boxed)
             if side is None:
                 return None
-            self.side_buf[end - k:] = side[0]
-        if not self.zonotope:
-            return box, k
-        if not (np.isfinite(centre).all() and np.isfinite(box).all()):
+            self.side_buf[end - len(box):] = side
+        if self.zonotope and not (np.isfinite(centre).all() and np.isfinite(box).all()):
             return None
-        count = (self.carried + k * self.boxed
-                 + int(np.count_nonzero(live[:len(live) - k])))
-        self.carried, self.boxed = _girard_kept(count, n)
-        return box, self.carried + k * self.boxed
+        return box
 
 
 def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,

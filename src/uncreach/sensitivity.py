@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _square
+from .bounds import _finite_square
 from .errors import DimensionMismatch
 from .intervals import _frobenius
 
@@ -47,7 +47,7 @@ def sv_change(a, b) -> float:
     B: the larger rise of sigma_1 under +B and under -B.  At sigma_1 = 0
     every pair of unit vectors is a singular pair, and sigma_1(eps B) =
     eps ||B||_2.  A and B are finite square matrices of one shape."""
-    a, b = _square(a), _square(b)
+    a, b = _finite_square(a), _finite_square(b)
     if a.shape != b.shape:
         raise DimensionMismatch("matrices must share a shape")
     u1, sigma1, v1 = _top_svd(a)
@@ -79,7 +79,7 @@ def order_cells(a) -> OrdMatrix:
     (module docstring); the ranking sorts scores descending and breaks
     ties row-major.
     """
-    a = _square(a)
+    a = _finite_square(a)
     u1, _, v1 = _top_svd(a)
     nu, nv = _frobenius(u1, axis=1), _frobenius(v1, axis=1)
     norms = nu[:, None] * nv[None, :]

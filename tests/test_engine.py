@@ -2156,6 +2156,66 @@ class TestGeneratorCounts:
                                       product_recount(res, model)), trial
         assert certified >= 3
 
+    def test_one_girard_decision_per_reduction(self):
+        # the segment loop decides once per zonotope reduction, from its
+        # count, and _Tables.reduce keeps what it is told: on the table
+        # path (girad1, seeded mixed-sign families) and in the side run of
+        # a monotone family with a normal of two signs after D, the kept
+        # count a call receives is Girard's rule on the live generators it
+        # holds, the carried block, the oldest block in full if a box (else
+        # zero) and the later blocks' nonzero radii
+        calls, decisions = [], []
+        reduce, girard = engine._Tables.reduce, engine._girard_kept
+
+        def spy(tables, live, centre, kept, boxed):
+            k, n = tables.lr.shape
+            assert boxed or not live[len(live) - k:].any()
+            count = (tables.carried.shape[1] + k * boxed
+                     + np.count_nonzero(live[:len(live) - k]))
+            calls.append((kept, count if count <= 2 * n else n))
+            return reduce(tables, live, centre, kept, boxed)
+
+        def decided(live, n):
+            decisions.append(live)
+            return girard(live, n)
+
+        rng = np.random.default_rng(4901)
+        models = [shipped("girad1")]
+        while len(models) < 13:
+            model = random_model(rng, "zonotope", f"mixed{len(models)}")
+            if signature_on_s(model) is None:
+                models.append(dataclasses.replace(model, unsafe=(
+                    HalfSpace(rng.normal(size=model.dim), 1.0),)))
+        sides = 0
+        while sides < 4:
+            model = monotone_model(rng, bool(sides % 2), f"two{sides}")
+            d, n = signature_on_s(model), model.dim
+            if d is None or n < 2 or len(d) < n:
+                continue
+            v = rng.uniform(0.1, 1.0, n)
+            v[int(rng.integers(n))] *= -1.0
+            models.append(dataclasses.replace(model, unsafe=model.unsafe + (
+                HalfSpace(d * v, 1e6),)))
+            sides += 1
+        boxing = set()
+        for i, base in enumerate(models):
+            for period in (3, 7, 13):
+                model = dataclasses.replace(base, reduction_method="zonotope",
+                                            reduction_period=period)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine._Tables, "reduce", spy)
+                    mp.setattr(engine, "_girard_kept", decided)
+                    calls.clear()
+                    decisions.clear()
+                    res = ors_reach(model)
+                assert len(calls) == len(decisions), (i, period)
+                assert all(kept == rule for kept, rule in calls), (i, period)
+                assert np.array_equal(res.gen_counts, product_recount(res, model))
+                assert len(calls) == (len(res) - 1) // period, (i, period)
+                if any(kept < live for (kept, _), live in zip(calls, decisions)):
+                    boxing.add(i > 12)  # a side run's reduction boxed
+        assert boxing == {False, True}
+
     @pytest.mark.parametrize("reduction", ["none", "interval", "zonotope"])
     def test_overflow_matches_product_recount(self, reduction):
         # the blowup leaves float range at step 31: in a chunk (period 7)
@@ -3058,10 +3118,11 @@ class TestCentredZonotopes:
 
     def test_reduction_matches_star_reduction(self):
         # _Tables.reduce on a carried block and a history of its own
-        # powers: the columns it keeps, ties included, are those
-        # stars.zono_reduce keeps of the Star of the live generators (the
-        # history's oldest block in full, the later ones without their zero
-        # radii), its restart box is the row sums of zono_reduce's box
+        # powers, its oldest block a box, told to keep what _girard_kept
+        # gives on the live count: the columns it keeps, ties included, are
+        # those stars.zono_reduce keeps of the Star of the live generators
+        # (the history's oldest block in full, the later ones without their
+        # zero radii), its restart box is the row sums of zono_reduce's box
         # columns to 1e-12, and it gives None where a Star refuses the set;
         # it carries those columns' image at the period's age alone, (n, c),
         # bitwise the age's slice of the product it takes
@@ -3089,7 +3150,9 @@ class TestCentredZonotopes:
             columns = np.column_stack([gens * r] + hist) if hist else gens * r
             ones = np.ones(columns.shape[1])
             want = zono_reduce(Star(c, columns, -ones, ones), 2 * n)
-            box, count = tables.reduce(live, c)
+            kept, boxed = engine._girard_kept(columns.shape[1], n)
+            box = tables.reduce(live, c, kept, True)
+            count = kept + n * boxed
             kept = columns if columns.shape[1] <= 2 * n else want.generators[:, :n]
             image = (tables.signed[:n].reshape(-1, n) @ kept).reshape(n, -1, kept.shape[1])
             assert tables.carried.shape == (n, kept.shape[1]), trial
@@ -3103,12 +3166,12 @@ class TestCentredZonotopes:
         # a Star refuses a centre or radius that is not finite
         tables = engine._Tables(np.eye(2), np.zeros((2, 2)), np.empty((0, 2)), 1, True)
         live = np.array([0.0, 1.0, 1.0, 0.0])
-        assert tables.reduce(live, np.array([np.inf, 0.0])) is None
+        assert tables.reduce(live, np.array([np.inf, 0.0]), 3, True) is None
         with np.errstate(invalid="ignore"):  # 0 * inf
             for bad in (np.inf, np.nan):
-                assert tables.reduce(live * bad, np.zeros(2)) is None
+                assert tables.reduce(live * bad, np.zeros(2), 3, True) is None
                 tables.carried = np.array([[bad], [0.0]])
-                assert tables.reduce(np.zeros(2), np.zeros(2)) is None
+                assert tables.reduce(np.zeros(2), np.zeros(2), 3, True) is None
                 tables.carried = np.empty((2, 0))
 
     def test_restart_box_with_a_zero_entry_counts_in_full(self):
@@ -3127,9 +3190,9 @@ class TestCentredZonotopes:
             reduction_method="zonotope", reduction_period=2)
         boxes, reduce = [], engine._Tables.reduce
 
-        def recorded(tables, live, centre):
-            out = reduce(tables, live, centre)
-            boxes.append(out[0].copy())
+        def recorded(tables, live, centre, kept, boxed):
+            out = reduce(tables, live, centre, kept, boxed)
+            boxes.append(out.copy())
             return out
 
         with pytest.MonkeyPatch.context() as mp:
