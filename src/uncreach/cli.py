@@ -98,7 +98,7 @@ def main() -> None:
               help="symbolic window start (default 0; off the grid, the "
                    "next grid point)")
 @click.option("--t-end", type=float, default=None,
-              help="symbolic window end (default horizon*step)")
+              help="symbolic window end, at most horizon*step (the default)")
 @_handle_errors
 def reach_cmd(model_path: str, method: str, out: str,
               t_start: float | None, t_end: float | None) -> None:
@@ -137,8 +137,9 @@ def reach_cmd(model_path: str, method: str, out: str,
 
 
 def _window(model, t_start: float | None, t_end: float | None):
-    """The grid np.arange(K) * h up to t_end, and its first point at or past
-    t_start, each end widened by a few ulps, relative to its own scale."""
+    """The model's grid (ModelSpec.times) up to t_end, and its first point
+    at or past t_start, each end widened by a few ulps, relative to its
+    own scale; an end past horizon * step is refused."""
     start = 0.0 if t_start is None else float(t_start)
     end = model.horizon * model.step if t_end is None else float(t_end)
     for flag, value in (("--t-start", start), ("--t-end", end)):
@@ -147,7 +148,10 @@ def _window(model, t_start: float | None, t_end: float | None):
     if start < 0 or end < start:
         raise ValueError("need 0 <= t-start <= t-end")
     slack = 4 * np.finfo(np.float64).eps
-    times = np.arange(int(round(end / model.step)) + 1) * model.step
+    times = model.times()
+    if end > times[-1] * (1 + slack):
+        raise ValueError(f"--t-end {end:g} lies past the horizon "
+                         f"{model.horizon} * {model.step:g} = {times[-1]:g}")
     times = times[times <= end * (1 + slack)]
     first = int(np.searchsorted(times, start * (1 - slack)))
     if first == len(times):

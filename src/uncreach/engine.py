@@ -19,8 +19,8 @@ recurrence, run once over every step as a doubling scan with no table
 (_Monotone); P alone picks the path.  It runs on S, the components that
 can carry a radius; the others keep their centres as their boxes.  Its
 phases: _Tables or _Monotone advances a segment and boxes at its end,
-_segments picks one, runs the segments between reductions and counts
-their generators, and _flowpipe reads the result off.
+_segments picks one and finishes each segment once (its supports, stop
+test and generator count), and _flowpipe assembles the boxes.
 Symbolic route: the nominal flow exp(At) Theta padded by a bloating
 radius from a closed-form bound, the flows a chunk of steps at a time
 (see symbolic_reach).
@@ -571,12 +571,12 @@ def _run_recurrence(m: IntervalMatrix, theta: Box, horizon: int,
 
 def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str,
               reduction_period: int, normals: np.ndarray, until: np.ndarray | None):
-    """lo, hi, supports, generator counts and invariant of the recurrence,
-    the supports one product per segment as in _reaches, so that a cut
-    result is a bitwise prefix of the full one.  From the first step whose
-    centre, radii or supports are not finite on (a support N c + q can
-    overflow where c and q do not), the boxes are -inf/inf, the supports
-    inf, and no generators are added.
+    """lo, hi, supports, generator counts and invariant of the recurrence:
+    it sets up S, q and the history, _segments finishes each segment, and
+    it assembles the boxes.  From the first step whose centre, radii or
+    supports are not finite (a support N c + q can overflow where c and q
+    do not), the boxes are -inf/inf, the supports inf, and no generators
+    are added.
 
     The recurrence runs on S, the components that can carry a radius
     (_radius_components, an index: a slice when they are consecutive, as
@@ -590,13 +590,11 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     normal on it reads the centre.
 
     It owns each array of one row per step, once (the centres, q with
-    |S| columns plus one per table row of a non-axis normal, the counts
-    and the supports) and the history buffer.  The phases' arrays (the
-    tables, or _Monotone's G and, for normals of two signs after its
-    signature, the q and history of its side run) die with _segments,
-    before the last segment is counted and the supports and lo exist; hi
-    is written over the centres, so a cut result's hi and gen_counts are
-    leading slices of horizon-length buffers.
+    |S| columns plus one per table row of a non-axis normal, and through
+    _segments the counts and the supports) and the history buffer, which
+    goes before lo exists.  hi is written over the centres, so a cut
+    result's hi, supports and gen_counts are leading slices of
+    horizon-length buffers.
     """
     n = theta.dim
     p, lr = _centre_radius(m.lo, m.hi)
@@ -619,20 +617,11 @@ def _flowpipe(m: IntervalMatrix, theta: Box, horizon: int, reduction_method: str
     end = k * (min(horizon, period) + 2)
     buf = np.empty(end)
     buf[end - k:] = radius
-    counts, first, restart_count, count, bad, invariant = _segments(
+    counts, sups, count, bad, invariant = _segments(
         p, lr, at, distinct, centres, q, buf, period, reduction_method,
         normals, cols, until)
-    t0 = min(first + period, horizon + 1) - first  # the last segment's steps
-    counts = _count_segment(counts, horizon + 1, first, restart_count,
-                            buf[end - (t0 + 1) * k:end - k].reshape(t0, k))[:count]
-    del buf  # its last reader: the history goes before the supports and lo
-    sups = np.empty((count, len(normals)))
-    for seg_start in range(0, count, period):
-        seg = slice(seg_start, min(seg_start + period, count))
-        _segment_supports(centres[seg], q[seg], normals, cols, out=sups[seg])
-    unbounded = _first_unbounded(centres[:count], q[:count], sups)
-    if unbounded is not None:
-        bad = unbounded if bad is None else min(bad, unbounded)
+    del buf  # the history goes before lo
+    counts, sups = counts[:count], sups[:count]
     lo, hi = np.empty((count, n)), centres[:count]
     for i, j in enumerate(place[:n].tolist()):  # by column: numpy buffers a copy of q whole
         if j < 0:  # q = 0, and c + 0 rounds a zero as the supports' sums do
@@ -672,19 +661,22 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
               distinct: np.ndarray, centres: np.ndarray, q: np.ndarray,
               buf: np.ndarray, period: int, reduction_method: str,
               normals: np.ndarray, cols: np.ndarray, until: np.ndarray | None):
-    """Advance the segments, each from step 0 or a reduction step up to
-    the next reduction step or the horizon, and count each but the last
-    before its reduction resets the history (_count_segment).  The count
-    at a reduction step is its live generators', from which a zonotope
-    reduction keeps as many as _girard_kept says; the phases only box.
+    """Finish each segment once, from step 0 or a reduction step up to the
+    next reduction step or the horizon: advance it, write its supports
+    (one product per segment, so that a cut result is a bitwise prefix
+    of the full one), test them under `until`, count it (_count_segment)
+    and reduce.  A zonotope reduction keeps as many of the live
+    generators, counts[stop], as _girard_kept says; the phases only box.
+    The phase object goes before the last count, and before the supports
+    get their array when the first segment is the last.
 
-    Returns the counts (None if none was counted), the last segment's
-    first step and generator count there, the steps to keep, the first
-    unbounded step met and the invariant.  Given `until`, one offset per
-    normal, the recurrence stops after a segment that reaches an offset
-    or is not finite (_reaches), and at an interval reduction step whose
-    box lies in an earlier restart box (_restart_inside).  It stops at a
-    zonotope reduction step whose live set is not finite.  p, lr,
+    Returns the counts and the supports, of horizon + 1 rows each, the
+    steps to keep, the first unbounded step and the invariant.  Given
+    `until`, one offset per normal, the recurrence stops after a segment
+    that reaches an offset or is not finite, and at an interval reduction
+    step whose box lies in an earlier restart box (_restart_inside);
+    without it, the rows written are tested once, at the end.  It stops
+    at a zonotope reduction step whose live set is not finite.  p, lr,
     distinct and the history are on S, the components `at` (see
     _flowpipe).
 
@@ -702,7 +694,7 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
         tables = _Tables(p, lr, distinct, span, zonotope, at)
     else:
         tables = _Monotone(p, lr, distinct, span, zonotope, at, d)
-    counts = bad = invariant = None
+    counts = sups = bad = invariant = None
     restart_count, boxed, last = k, True, horizon + 1  # Theta's box
     restarts = None  # restart boxes (step, centre, radius), from Theta's
     if until is not None and reduction_method == "interval":
@@ -711,15 +703,23 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
     for first in range(0, horizon + 1, period):
         stop = min(first + period, horizon + 1)
         tables.advance(centres, q, buf, first, stop)
-        if stop > horizon:
-            break
+        if stop > horizon:  # its arrays go before the last count and the supports
+            tables = None
+        if sups is None:
+            sups = np.empty((horizon + 1, len(normals)))
         seg = slice(first, stop)
-        if until is not None and _reaches(centres[seg], q[seg], normals, cols, until):
-            last = stop
-            break
+        _segment_supports(centres[seg], q[seg], normals, cols, sups[seg])
+        if until is not None:
+            unbounded = _first_unbounded(centres[seg], q[seg], sups[seg])
+            if unbounded is not None:
+                bad = first + unbounded
+            if unbounded is not None or np.any(sups[seg] >= until):
+                last = stop
         live = buf[end - (stop - first + 1) * k:]  # the history at step `stop`
         counts = _count_segment(counts, horizon + 1, first, restart_count,
                                 live[:len(live) - k].reshape(stop - first, k))
+        if stop == last:  # the horizon, or `until` met
+            break
         # an interval reduction keeps none and boxes all
         kept, boxes = _girard_kept(int(counts[stop]), n) if zonotope else (0, True)
         box = tables.reduce(live, centres[stop], kept, boxed)
@@ -734,7 +734,11 @@ def _segments(p: np.ndarray, lr: np.ndarray, at: slice | np.ndarray,
                 invariant, last = (t1, stop), stop
                 break
         buf[end - k:], boxed, restart_count = box, boxes, kept + k * boxes
-    return counts, first, restart_count, last, bad, invariant
+    if until is None:  # every row written is before `stop`, and bad >= stop
+        unbounded = _first_unbounded(centres[:stop], q[:stop], sups[:stop])
+        if unbounded is not None:
+            bad = unbounded
+    return counts, sups, last, bad, invariant
 
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
@@ -1078,14 +1082,6 @@ class _Monotone:
         return box
 
 
-def _reaches(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
-             cols: np.ndarray, until: np.ndarray) -> bool:
-    """Whether a segment's support reaches its offset in `until` or one of
-    its steps is not finite."""
-    sups = _segment_supports(centres, q, normals, cols)
-    return bool(np.any(sups >= until)) or _first_unbounded(centres, q, sups) is not None
-
-
 def _restart_inside(restarts: list, step: int, centre: np.ndarray,
                     radius: np.ndarray, at: slice | np.ndarray) -> int | None:
     """The latest step t1 of restarts, (step, centre, radius) boxes, whose
@@ -1180,20 +1176,17 @@ def _axes(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segment_supports(centres: np.ndarray, q: np.ndarray, normals: np.ndarray,
-                      cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Supports N c + q[:, cols] of a segment's steps, into out if given,
+                      cols: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the supports N c + q[:, cols] of a segment's steps,
     for normals N and the columns _table_rows gives them: for +-e_i the
     bits of c_i + q_i and -(c_i - q_i), hi_i and -lo_i, as rounding to
     nearest is symmetric about zero.  Each normal's N c is a product of
     its own, so its bits do not depend on the other normals, and a
     replay in some of them gives their recorded supports."""
-    if out is None:
-        out = np.empty((len(centres), len(normals)))
     for j, col in enumerate(cols):  # by column: no (steps, k) temporary
         np.matmul(centres, normals[j], out=out[:, j])
         if col >= 0:  # else an axis outside S, whose q is zero
             out[:, j] += q[:, col]
-    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -221,6 +221,20 @@ class TestReachSymbolic:
         rows = parse_csv(result.stdout)
         assert [row[0] for row in rows] == [2e-14]
 
+    @pytest.mark.parametrize("end", ["1e13", "20.51"])
+    def test_window_past_the_horizon_is_exit_one(self, runner, end):
+        # the window lies in the model's grid, 2050 steps of 0.01: an end
+        # of 1e13 sized a grid of 1e15 points from --t-end (a 7 PiB
+        # allocation error), and one step past the horizon printed a row
+        # past it
+        result = runner.invoke(main, ["reach", GIRAD, "--method", "loan",
+                                      "--t-end", end])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == (f"error: --t-end {float(end):g} lies past "
+                                 "the horizon 2050 * 0.01 = 20.5\n")
+        assert result.stdout == ""
+
     def test_symbolic_requires_continuous_model(self, runner):
         result = runner.invoke(main, ["reach", GROW1D, "--method", "loan"])
         assert result.exit_code == 1

@@ -2295,6 +2295,65 @@ def monotone_model(rng, continuous, name):
         reduction_period=int(rng.integers(1, horizon + 5)))
 
 
+class TestSegmentsFinishedOnce:
+    """_segments advances each segment, writes its supports and counts it
+    once, whichever way the run ends; _flowpipe only assembles the boxes."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        # none of these runs has a normal of two signs, whose side run
+        # would advance a _Tables inside _Monotone.advance
+        calls = {"advance": 0, "supports": 0, "count": 0}
+
+        def counted(name, f):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(engine, "_segment_supports",
+                            counted("supports", engine._segment_supports))
+        monkeypatch.setattr(engine, "_count_segment",
+                            counted("count", engine._count_segment))
+        for phases in (engine._Tables, engine._Monotone):
+            monkeypatch.setattr(phases, "advance", counted("advance", phases.advance))
+        return calls
+
+    def test_benchmark_search(self, calls):
+        # acc4's budgets 0, 0.8, 1.6 and 2.4 under until_unsafe: 15
+        # segments, whose supports were written 28 times, once on the
+        # stop test and again for the result
+        report = robustness_threshold(shipped("acc4"), [(0, 0), (2, 3)],
+                                      scheme="proportional", step=0.8)
+        assert report.final_budget == 1.6
+        assert calls == {"advance": 15, "supports": 15, "count": 15}
+
+    def test_invariant_stop(self, calls):
+        # a stable family under interval reduction every 20 steps stops at
+        # the invariant (140, 160) after 8 segments, the last of which was
+        # counted twice
+        model = ModelSpec(
+            name="stable", a=np.array([[-1.0, 0.5], [-0.5, -1.0]]),
+            uncertainty=(CellUncertainty(0, 0, relative=0.05),),
+            initial=Box(np.array([0.9, -0.1]), np.array([1.1, 0.1])),
+            horizon=400, continuous=True, step=0.05,
+            unsafe=(HalfSpace(np.array([1.0, 0.0]), 5.0),),
+            reduction_method="interval", reduction_period=20)
+        res = reach_with_perturbation(model, model.perturbation(), until_unsafe=True)
+        assert res.invariant == (140, 160) and len(res) == 160
+        assert calls == {"advance": 8, "supports": 8, "count": 8}
+
+    def test_failed_zonotope_reduction(self, calls):
+        # the blowup leaves float range at step 31, and the zonotope
+        # reduction at step 35 fails after 5 segments: the last was counted
+        # twice, and supports were written over rows past the failure
+        # that no segment wrote
+        res = ors_reach(blowup_model("zonotope", 7, a=1e10))
+        assert np.all(np.isfinite(res.hi[:31])) and np.all(res.hi[31:] == np.inf)
+        assert np.all(res.supports[31:] == np.inf)
+        assert calls == {"advance": 5, "supports": 5, "count": 5}
+
+
 class TestMonotoneRecurrence:
     """Orthant-monotone families take one linear recurrence (engine._Monotone)
     in place of the table (engine._Tables), with the same flowpipe."""
